@@ -39,19 +39,18 @@ from .pir import (
     PirAnswer,
     PirKey,
     PirQuery,
+    PirSession,
     SchemeParams,
     answer_length,
+    open_session,
     pir_answer,
-    pir_decode,
-    pir_query,
     pir_setup,
 )
 from .intermittent import (
     CostReport,
     TwoRequestReport,
     guaranteed_cost_bound,
-    retrieve_nonprivate,
-    retrieve_private,
+    retrieve,
     run_two_request,
 )
 from .location import (

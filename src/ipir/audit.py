@@ -157,7 +157,7 @@ def query_distribution(params: pir.SchemeParams, desired: int, server: int) -> d
     total = pir.key_count(params)
     counts: Counter = Counter()
     for key in pir.enumerate_keys(params):
-        query = pir.build_queries(params, desired, key)[server]
+        query = pir.PirSession.from_key(params, desired, key).queries[server]
         counts[query.combos] += 1
     return {combos: Fraction(n, total) for combos, n in counts.items()}
 

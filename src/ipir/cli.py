@@ -16,7 +16,6 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import audit as audit_mod
@@ -36,10 +35,11 @@ from .core import (
     validate_joint,
     ConditionalMatrix,
 )
-from .errors import AuditFailure, ConfigError, IpirError
+from .errors import ConfigError, IpirError
 from .intermittent import guaranteed_cost_bound, run_two_request
 from .location import MobilityModel, PrivacySchedule, simulate
 from .obfuscation import (
+    DEFAULT_LP_CAP,
     ObfuscationPolicy,
     build_lp,
     expected_cost,
@@ -50,26 +50,6 @@ from .obfuscation import (
 )
 
 log = logging.getLogger("ipir")
-
-
-@dataclass
-class ScenarioConfig:
-    """Cross-checked inputs for one CLI run."""
-
-    mode: str
-    joint: JointDistribution | None = None
-    cond: ConditionalMatrix | None = None
-    policy: ObfuscationPolicy | None = None
-    model: MobilityModel | None = None
-    schedule: PrivacySchedule | None = None
-    store_path: str | None = None
-    n_servers: int = 2
-    length: int | None = None
-    seed: int = 0
-    trials: int = 10_000
-    solver: str = "lp"
-    output: str | None = None
-    extra: dict | None = None
 
 
 def _load_joint(path) -> JointDistribution:
@@ -395,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-lp", help="optimal obfuscation policy via exact LP")
     p.add_argument("--joint", required=True, help="joint distribution JSON file")
     p.add_argument("--servers", type=int, default=2)
-    p.add_argument("--lp-cap", type=int, default=6)
+    p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_solve_lp)
 
@@ -415,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--length", type=int, default=None)
-    p.add_argument("--lp-cap", type=int, default=6)
+    p.add_argument("--lp-cap", type=int, default=DEFAULT_LP_CAP)
     p.add_argument("--query-audit", choices=["none", "exact", "empirical"],
                    default="none")
     p.add_argument("--audit-handle", help="write a transcript file for `ipir audit`")
@@ -471,9 +451,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except AuditFailure as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return 3
     except IpirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -173,9 +173,6 @@ class MessageStore:
             if any(b not in (0, 1) for b in bits):
                 raise InvalidParams(f"message {m} contains non-bit values")
 
-    def bit(self, msg: int, pos: int) -> int:
-        return self.data[msg][pos]
-
     @classmethod
     def random(cls, K: int, L: int, rng: random.Random) -> "MessageStore":
         data = tuple(tuple(rng.randrange(2) for _ in range(L)) for _ in range(K))
@@ -252,11 +249,6 @@ class WeightedSampler:
             if pick < threshold:
                 return value
         raise AssertionError("unreachable")
-
-
-def sample_weighted(rng: random.Random, items) -> object:
-    """Draw once from (value, Fraction-weight) pairs whose weights sum to 1."""
-    return WeightedSampler(items).draw(rng)
 
 
 def load_json(path) -> dict:

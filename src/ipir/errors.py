@@ -100,7 +100,3 @@ class LengthMismatch(ProtocolError):
 
 class ConfigError(IpirError):
     """A CLI scenario configuration is unreadable or inconsistent."""
-
-
-class AuditFailure(IpirError):
-    """A privacy audit reported a failing check."""

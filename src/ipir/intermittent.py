@@ -27,7 +27,6 @@ from .obfuscation import (
     ObfuscationPolicy,
     expected_cost,
     indices_of,
-    sample_subset,
 )
 from . import pir
 
@@ -52,16 +51,24 @@ def local_transport(store: MessageStore):
     return exchange
 
 
-@dataclass
+@dataclass(slots=True)
 class RetrievalRecord:
-    """One full retrieval: subset, queries, answers, decoded message, cost."""
+    """One full retrieval: subset, queries, answers, decoded message."""
 
     desired: int
     subset: tuple[int, ...]
     queries: list
     answers: list
     decoded: tuple[int, ...]
-    cost: CostReport
+
+    @property
+    def cost(self) -> CostReport:
+        """Downloaded answer bits per server, normalized by the message length."""
+        L = len(self.decoded)
+        bits = [pir.answer_length(q) for q in self.queries]
+        return CostReport(
+            per_server=tuple(Fraction(b, L) for b in bits), total=Fraction(sum(bits), L)
+        )
 
 
 @dataclass
@@ -87,46 +94,34 @@ class TwoRequestReport:
     transcripts: list | None = None
 
 
-def _run_retrieval(desired, subset, config, store, rng, transport) -> RetrievalRecord:
-    params = pir.pir_setup(config.N, subset, config.L)
+def retrieve(
+    params: pir.SchemeParams,
+    desired: int,
+    store: MessageStore,
+    rng: random.Random,
+    transport=None,
+) -> RetrievalRecord:
+    """Retrieve W_desired privately over ``params.subset`` and check it.
+
+    Opens a session (a fresh key from ``rng``), exchanges the queries once
+    through ``transport`` (in process by default), decodes, and compares
+    the result with the local store; a mismatch raises InconsistentAnswers.
+    """
+    transport = transport or local_transport(store)
     session = pir.open_session(params, desired, rng)
     answers = transport(session.queries)
     decoded = session.decode(answers)
-    per_server = tuple(
-        Fraction(pir.answer_length(q), config.L) for q in session.queries
-    )
-    cost = CostReport(per_server=per_server, total=sum(per_server, ZERO))
+    if decoded != store.data[desired]:
+        raise InconsistentAnswers(
+            f"message {desired} over subset {params.subset}: decode mismatch"
+        )
     return RetrievalRecord(
         desired=desired,
         subset=params.subset,
         queries=session.queries,
         answers=answers,
         decoded=decoded,
-        cost=cost,
     )
-
-
-def retrieve_private(
-    s: int, config: SystemConfig, store: MessageStore, rng: random.Random, transport=None
-) -> RetrievalRecord:
-    """Retrieve W_s over all K messages; normalized cost exactly C(N, K)."""
-    transport = transport or local_transport(store)
-    return _run_retrieval(s, range(config.K), config, store, rng, transport)
-
-
-def retrieve_nonprivate(
-    x: int,
-    s: int,
-    policy: ObfuscationPolicy,
-    config: SystemConfig,
-    store: MessageStore,
-    rng: random.Random,
-    transport=None,
-) -> RetrievalRecord:
-    """Sample the obfuscation subset for (s, x), then retrieve W_x over it."""
-    transport = transport or local_transport(store)
-    subset = sample_subset(policy, s, x, rng)
-    return _run_retrieval(x, subset, config, store, rng, transport)
 
 
 def guaranteed_cost_bound(profile: LikelihoodProfile, n_servers: int) -> Fraction:
@@ -171,20 +166,14 @@ def run_two_request(
     subset_samplers = {
         (s, x): WeightedSampler(policy.at(s, x)) for s, x in policy.pairs()
     }
-    params_cache: dict[tuple[int, ...], pir.SchemeParams] = {}
-
-    def params_for(subset) -> pir.SchemeParams:
-        key = tuple(subset)
-        found = params_cache.get(key)
-        if found is None:
-            found = pir.pir_setup(config.N, key, config.L)
-            params_cache[key] = found
-        return found
-
-    full_params = params_for(range(config.K))
+    params_by_mask = {
+        mask: pir.pir_setup(config.N, indices_of(mask), config.L)
+        for (_, _, mask) in policy.entries
+    }
+    full_params = pir.pir_setup(config.N, range(config.K), config.L)
     expected = expected_cost(policy, joint, config.N)
 
-    private_cost = None
+    private = None
     private_seen: set[int] = set()
     bits_x_total = 0
     samples = []
@@ -196,53 +185,17 @@ def run_two_request(
         s, x = pair_sampler.draw(trial_rng)
 
         if private_each_trial or keep_transcripts or s not in private_seen:
-            private_session = pir.open_session(full_params, s, trial_rng)
-            private_answers = transport(private_session.queries)
-            if private_session.decode(private_answers) != store.data[s]:
-                raise InconsistentAnswers(f"trial {trial}: private decode mismatch")
-            private_bits = [pir.answer_length(q) for q in private_session.queries]
-            private_cost = CostReport(
-                per_server=tuple(Fraction(b, config.L) for b in private_bits),
-                total=Fraction(sum(private_bits), config.L),
-            )
+            private = retrieve(full_params, s, store, trial_rng, transport)
             private_seen.add(s)
 
         mask = subset_samplers[(s, x)].draw(trial_rng)
-        subset_params = params_for(indices_of(mask))
-        session = pir.open_session(subset_params, x, trial_rng)
-        answers = transport(session.queries)
-        if session.decode(answers) != store.data[x]:
-            raise InconsistentAnswers(f"trial {trial}: non-private decode mismatch")
-        bits_x = sum(pir.answer_length(q) for q in session.queries)
-        bits_x_total += bits_x
-        samples.append((s, x, subset_params.subset))
+        nonprivate = retrieve(params_by_mask[mask], x, store, trial_rng, transport)
+        bits_x_total += sum(pir.answer_length(q) for q in nonprivate.queries)
+        samples.append((s, x, nonprivate.subset))
         if keep_transcripts:
-            per_server = tuple(
-                Fraction(pir.answer_length(q), config.L) for q in session.queries
-            )
             transcripts.append(
                 TwoRequestTranscript(
-                    s=s,
-                    x=x,
-                    u=subset_params.subset,
-                    private=RetrievalRecord(
-                        desired=s,
-                        subset=full_params.subset,
-                        queries=private_session.queries,
-                        answers=private_answers,
-                        decoded=store.data[s],
-                        cost=private_cost,
-                    ),
-                    nonprivate=RetrievalRecord(
-                        desired=x,
-                        subset=subset_params.subset,
-                        queries=session.queries,
-                        answers=answers,
-                        decoded=store.data[x],
-                        cost=CostReport(
-                            per_server=per_server, total=Fraction(bits_x, config.L)
-                        ),
-                    ),
+                    s=s, x=x, u=nonprivate.subset, private=private, nonprivate=nonprivate
                 )
             )
 
@@ -251,8 +204,8 @@ def run_two_request(
         K=config.K,
         L=config.L,
         trials=trials,
-        cost_s=private_cost
-        if private_cost is not None
+        cost_s=private.cost
+        if private is not None
         else CostReport(per_server=(), total=capacity_cost(config.N, config.K)),
         cost_x_expected=expected,
         cost_x_empirical=Fraction(bits_x_total, config.L * trials) if trials else ZERO,

@@ -26,7 +26,6 @@ from .core import (
     MessageStore,
     SystemConfig,
     WeightedSampler,
-    capacity_cost,
     conditional_from_joint,
     format_rational,
     fork_rng,
@@ -37,7 +36,6 @@ from .errors import (
     DegeneratePosterior,
     DistributionError,
     InvalidParams,
-    InconsistentAnswers,
     ScheduleMismatch,
 )
 from .obfuscation import (
@@ -45,12 +43,13 @@ from .obfuscation import (
     ObfuscationPolicy,
     build_lp,
     greedy_policy,
+    indices_of,
     solve_lp,
     trivial_policy,
 )
 from . import audit
 from . import pir
-from .intermittent import local_transport
+from .intermittent import retrieve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -178,15 +177,6 @@ class PosteriorState:
     tau: int
     joint: tuple[tuple[Fraction, ...], ...]
     history: tuple[tuple[int, ...], ...] = ()
-
-    def current_marginal(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, ZERO) for row in self.joint)
-
-    def private_marginal(self) -> tuple[Fraction, ...]:
-        K = len(self.joint)
-        return tuple(
-            sum((self.joint[a][b] for a in range(K)), ZERO) for b in range(K)
-        )
 
 
 def initial_posterior(model: MobilityModel) -> PosteriorState:
@@ -321,23 +311,17 @@ def step_private(
     """Private step: full-K retrieval; posterior passes through, then advances."""
     if not schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is not private")
-    transport = transport or local_transport(store)
-    subset = tuple(range(config.K))
-    params = pir.pir_setup(config.N, subset, config.L)
-    session = pir.open_session(params, x_t, rng)
-    answers = transport(session.queries)
-    decoded = session.decode(answers)
-    if decoded != store.data[x_t]:
-        raise InconsistentAnswers(f"step {state.t}: decode mismatch")
+    params = pir.pir_setup(config.N, range(config.K), config.L)
+    retrieval = retrieve(params, x_t, store, rng, transport)
     record = StepRecord(
         t=state.t,
         private=True,
         x=x_t,
-        subset=subset,
-        queries=session.queries,
-        answers=answers,
-        decoded=decoded,
-        cost=capacity_cost(config.N, config.K),
+        subset=retrieval.subset,
+        queries=retrieval.queries,
+        answers=retrieval.answers,
+        decoded=retrieval.decoded,
+        cost=retrieval.cost.total,
         online_privacy_bits=0.0,
         online_privacy_zero=True,  # the subset is a constant
         solver="none",
@@ -346,7 +330,7 @@ def step_private(
         t=state.t,
         tau=state.tau,
         joint=state.joint,
-        history=state.history + (subset,),
+        history=state.history + (retrieval.subset,),
     )
     if state.t < schedule.horizon:
         return record, advance_posterior(conditioned, model, schedule)
@@ -373,19 +357,12 @@ def step_nonprivate(
     """
     if schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is private")
-    transport = transport or local_transport(store)
     policy, used = policy_for_posterior(state.joint, config.N, solver, lp_cap)
 
     check = audit.audit_online_privacy(state, policy)
     subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)
-    subset = tuple(i for i in range(config.K) if subset_mask >> i & 1)
-
-    params = pir.pir_setup(config.N, subset, config.L)
-    session = pir.open_session(params, x_t, rng)
-    answers = transport(session.queries)
-    decoded = session.decode(answers)
-    if decoded != store.data[x_t]:
-        raise InconsistentAnswers(f"step {state.t}: decode mismatch")
+    params = pir.pir_setup(config.N, indices_of(subset_mask), config.L)
+    retrieval = retrieve(params, x_t, store, rng, transport)
 
     new_state = condition_posterior(state, policy, subset_mask)
 
@@ -393,11 +370,11 @@ def step_nonprivate(
         t=state.t,
         private=False,
         x=x_t,
-        subset=subset,
-        queries=session.queries,
-        answers=answers,
-        decoded=decoded,
-        cost=capacity_cost(config.N, len(subset)),
+        subset=retrieval.subset,
+        queries=retrieval.queries,
+        answers=retrieval.answers,
+        decoded=retrieval.decoded,
+        cost=retrieval.cost.total,
         online_privacy_bits=check.checks[0].bits,
         online_privacy_zero=check.passed,
         solver=used,

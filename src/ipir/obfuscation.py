@@ -23,11 +23,11 @@ from fractions import Fraction
 from .core import (
     ConditionalMatrix,
     JointDistribution,
+    WeightedSampler,
     capacity_cost,
     conditional_from_joint,
     format_rational,
     parse_rational,
-    sample_weighted,
 )
 from .errors import (
     ConstructionFailed,
@@ -456,5 +456,5 @@ def sample_subset(
     choices = policy.at(s, x)
     if not choices:
         raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
-    mask = sample_weighted(rng, choices)
+    mask = WeightedSampler(choices).draw(rng)
     return indices_of(mask)

@@ -161,39 +161,6 @@ def _block_plan(params: SchemeParams, desired_pos: int, key: PirKey, block: int)
     return per_server, decode
 
 
-def _plans(params: SchemeParams, desired: int, key: PirKey):
-    if desired not in params.subset:
-        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    desired_pos = params.subset.index(desired)
-    per_server: list[list] = [[] for _ in range(params.n_servers)]
-    decode = []
-    for block in range(params.blocks):
-        block_combos, block_decode = _block_plan(params, desired_pos, key, block)
-        for n in range(params.n_servers):
-            per_server[n].extend(block_combos[n])
-        decode.extend(block_decode)
-    return per_server, decode
-
-
-def build_queries(params: SchemeParams, desired: int, key: PirKey) -> list[PirQuery]:
-    """Deterministic canonical queries for (params, desired, key)."""
-    per_server, _ = _plans(params, desired, key)
-    return [
-        PirQuery(server=n, combos=tuple(sorted(per_server[n])))
-        for n in range(params.n_servers)
-    ]
-
-
-def pir_query(
-    params: SchemeParams, desired: int, rng: random.Random
-) -> tuple[list[PirQuery], PirKey]:
-    """Draw a fresh key and build the N queries for the desired message."""
-    if desired not in params.subset:
-        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    key = PirKey.random(params, rng)
-    return build_queries(params, desired, key), key
-
-
 def query_pattern(params: SchemeParams, query: PirQuery):
     """Positional-equivalence class of a query.
 
@@ -238,45 +205,9 @@ def answer_length(query: PirQuery) -> int:
     return len(query.combos)
 
 
-def _decode_with_plan(
-    answers: list[PirAnswer], queries: list[PirQuery], decode, L: int
-) -> tuple[int, ...]:
-    lookup = []
-    for query, answer in zip(queries, answers):
-        if len(answer.bits) != len(query.combos):
-            raise InconsistentAnswers(
-                f"server {query.server} answered {len(answer.bits)} bits "
-                f"for {len(query.combos)} combos"
-            )
-        lookup.append(dict(zip(query.combos, answer.bits)))
-    bits = [0] * L
-    for pos, n, combo, side_server, side_combo in decode:
-        value = lookup[n][combo]
-        if side_combo is not None:
-            value ^= lookup[side_server][side_combo]
-        bits[pos] = value
-    return tuple(bits)
-
-
-def pir_decode(
-    answers: list[PirAnswer], key: PirKey, params: SchemeParams, desired: int
-) -> tuple[int, ...]:
-    """Recover all L bits of the desired message; zero error by construction."""
-    per_server, decode = _plans(params, desired, key)
-    queries = [
-        PirQuery(server=n, combos=tuple(sorted(per_server[n])))
-        for n in range(params.n_servers)
-    ]
-    return _decode_with_plan(answers, queries, decode, params.L)
-
-
 @dataclass
 class PirSession:
-    """One retrieval's state: key, canonical queries, and the decode plan.
-
-    Avoids re-deriving the query plan at decode time; behaviour is identical
-    to pir_query followed by pir_decode.
-    """
+    """One retrieval's state: key, canonical queries, and the decode plan."""
 
     params: SchemeParams
     desired: int
@@ -284,17 +215,48 @@ class PirSession:
     queries: list[PirQuery]
     _decode: list
 
+    @classmethod
+    def from_key(cls, params: SchemeParams, desired: int, key: PirKey) -> "PirSession":
+        """Deterministic canonical queries and decode plan for (params, desired, key)."""
+        if desired not in params.subset:
+            raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+        desired_pos = params.subset.index(desired)
+        per_server: list[list] = [[] for _ in range(params.n_servers)]
+        decode = []
+        for block in range(params.blocks):
+            block_combos, block_decode = _block_plan(params, desired_pos, key, block)
+            for n in range(params.n_servers):
+                per_server[n].extend(block_combos[n])
+            decode.extend(block_decode)
+        queries = [
+            PirQuery(server=n, combos=tuple(sorted(per_server[n])))
+            for n in range(params.n_servers)
+        ]
+        return cls(params=params, desired=desired, key=key, queries=queries, _decode=decode)
+
     def decode(self, answers: list[PirAnswer]) -> tuple[int, ...]:
-        return _decode_with_plan(answers, self.queries, self._decode, self.params.L)
+        """Recover all L bits of the desired message; zero error by construction."""
+        if len(answers) != len(self.queries):
+            raise InconsistentAnswers(
+                f"{len(answers)} answers for {len(self.queries)} queries"
+            )
+        lookup = []
+        for query, answer in zip(self.queries, answers):
+            if len(answer.bits) != len(query.combos):
+                raise InconsistentAnswers(
+                    f"server {query.server} answered {len(answer.bits)} bits "
+                    f"for {len(query.combos)} combos"
+                )
+            lookup.append(dict(zip(query.combos, answer.bits)))
+        bits = [0] * self.params.L
+        for pos, n, combo, side_server, side_combo in self._decode:
+            value = lookup[n][combo]
+            if side_combo is not None:
+                value ^= lookup[side_server][side_combo]
+            bits[pos] = value
+        return tuple(bits)
 
 
 def open_session(params: SchemeParams, desired: int, rng: random.Random) -> PirSession:
-    if desired not in params.subset:
-        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    key = PirKey.random(params, rng)
-    per_server, decode = _plans(params, desired, key)
-    queries = [
-        PirQuery(server=n, combos=tuple(sorted(per_server[n])))
-        for n in range(params.n_servers)
-    ]
-    return PirSession(params=params, desired=desired, key=key, queries=queries, _decode=decode)
+    """Draw a fresh key and build the N queries for the desired message."""
+    return PirSession.from_key(params, desired, PirKey.random(params, rng))

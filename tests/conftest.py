@@ -14,6 +14,8 @@ from ipir.core import (
     fork_rng,
     validate_joint,
 )
+from ipir.intermittent import local_transport
+from ipir.pir import PirAnswer
 
 
 @pytest.fixture
@@ -56,3 +58,25 @@ def config22():
 @pytest.fixture
 def store22(config22):
     return MessageStore.random(config22.K, config22.L, fork_rng(config22.seed, "store"))
+
+
+@pytest.fixture
+def flipping_transport():
+    """Factory for an in-process exchange that flips the first answer bit of
+    server 0 on call number ``flip_call``; returns it with its call log."""
+
+    def make(store, flip_call):
+        local = local_transport(store)
+        calls = []
+
+        def exchange(queries):
+            answers = local(queries)
+            if len(calls) == flip_call:
+                bits = (answers[0].bits[0] ^ 1,) + answers[0].bits[1:]
+                answers[0] = PirAnswer(server=answers[0].server, bits=bits)
+            calls.append(len(queries))
+            return answers
+
+        return exchange, calls
+
+    return make

@@ -24,7 +24,7 @@ from ipir.audit import (
     audit_query_privacy,
     check_size_bound,
 )
-from ipir.intermittent import guaranteed_cost_bound, retrieve_private, run_two_request
+from ipir.intermittent import guaranteed_cost_bound, retrieve, run_two_request
 from ipir.location import MobilityModel, PrivacySchedule, simulate
 from ipir.net import RemoteTransport, serve
 from ipir.obfuscation import (
@@ -80,7 +80,8 @@ def test_criterion_1_two_request_reproduction():
     store = MessageStore.random(2, 4, fork_rng(config.seed, "store"))
 
     # (a) the private request is a full-scheme retrieval of exactly 6 bits
-    record = retrieve_private(0, config, store, fork_rng(config.seed, "private"))
+    full = pir.pir_setup(config.N, range(config.K), config.L)
+    record = retrieve(full, 0, store, fork_rng(config.seed, "private"))
     bits_private = sum(len(a.bits) for a in record.answers)
     ok_a = bits_private == 6 and record.cost.total == F(3, 2) == capacity_cost(2, 2)
 

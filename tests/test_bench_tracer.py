@@ -1,0 +1,60 @@
+"""The benchmark's tracer wraps library functions by name; a rename or a
+call that bypasses the wrapped name must fail here, not in the benchmark."""
+
+import importlib.util
+from fractions import Fraction as F
+from pathlib import Path
+
+import ipir
+from ipir import intermittent, location, net  # noqa: F401  (net is traced too)
+from ipir.core import (
+    MessageStore,
+    SystemConfig,
+    conditional_from_joint,
+    fork_rng,
+    validate_joint,
+)
+from ipir.obfuscation import greedy_policy
+
+TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_and_restores_every_point():
+    tracer = load_tracer()
+    points = tracer.trace_points(ipir)
+    originals = [owner.__dict__[attr] for owner, attr, _, _ in points]
+
+    joint = validate_joint([[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]])
+    policy = greedy_policy(conditional_from_joint(joint))
+    config = SystemConfig(N=2, K=2, L=4, seed=3)
+    store = MessageStore.random(2, 4, fork_rng(3, "store"))
+    model = location.MobilityModel.build(
+        [F(1, 2), F(1, 2)], [[[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]]
+    )
+    schedule = location.PrivacySchedule(horizon=2, private=frozenset({0}))
+
+    # called through their modules, as the benchmark's workloads call them
+    with tracer.Tracer(ipir) as t:
+        intermittent.run_two_request(
+            joint, policy, config, store, trials=3, keep_transcripts=True
+        )
+        location.simulate(model, schedule, config, store)
+
+    # every retrieval goes through the traced names: 3 trials x 2 + 3 steps,
+    # with one answer per server
+    for name in ("pir.open_session", "pir.key_draw", "pir.decode"):
+        assert t.count(name) == 9, name
+    assert t.count("pir.answer") == 9 * config.N
+    assert t.count("intermittent.run_two_request") == 1
+    assert t.count("location.simulate") == 1
+    assert t.count("location.step_private") == 1
+    assert t.count("location.step_nonprivate") == 2
+    assert t.counters["pir.answer_bits"] > 0
+    assert [owner.__dict__[attr] for owner, attr, _, _ in points] == originals

@@ -6,6 +6,7 @@ from pathlib import Path
 from ipir.cli import main
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args):
@@ -147,6 +148,41 @@ class TestSimulateLocationCommand:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestGoldenReports:
+    """Reports pinned byte for byte, so a change in the order in which a
+    seeded stream is consumed shows up as a diff against these files."""
+
+    def test_two_request(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            ["two-request", "--joint", str(SCENARIOS / "correlated_pair.json"),
+             "--auto-lp", "--servers", "2", "--trials", "300", "--seed", "7",
+             "--query-audit", "exact", "--audit-handle", "transcript.json",
+             "-o", "two_request.json"]
+        )
+        assert code == 0
+        assert (tmp_path / "two_request.json").read_bytes() == (
+            GOLDEN / "two_request.json"
+        ).read_bytes()
+        # the handle lists every trial's (s, x, subset)
+        assert (tmp_path / "transcript.json").read_bytes() == (
+            GOLDEN / "two_request_transcript.json"
+        ).read_bytes()
+
+    def test_simulate_location(self, tmp_path):
+        reports = []
+        for seed in range(8):
+            out = tmp_path / f"seed{seed}.json"
+            code = run_cli(
+                ["simulate-location", "--model", str(SCENARIOS / "two_state_walk.json"),
+                 "--schedule", str(SCENARIOS / "first_instant_private.json"),
+                 "--seed", str(seed), "-o", str(out)]
+            )
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert b"".join(reports) == (GOLDEN / "simulate_location_seeds.txt").read_bytes()
 
 
 class TestStoreCommands:

@@ -14,7 +14,6 @@ from ipir.core import (
     fork_rng,
     format_rational,
     parse_rational,
-    sample_weighted,
     validate_joint,
 )
 from ipir.errors import InvalidParams, NegativeEntry, SumNotOne
@@ -183,7 +182,7 @@ class TestRandomness:
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(Exception):
-            sample_weighted(fork_rng(0), [("a", F(1, 3))])
+            WeightedSampler([("a", F(1, 3))]).draw(fork_rng(0))
 
 
 class TestConditionalMatrix:

@@ -9,22 +9,33 @@ from ipir.core import (
     fork_rng,
     validate_joint,
 )
+from ipir.errors import InconsistentAnswers
 from ipir.intermittent import (
     guaranteed_cost_bound,
-    retrieve_nonprivate,
-    retrieve_private,
+    retrieve,
     run_two_request,
 )
 from ipir.obfuscation import (
     expected_cost,
     greedy_policy,
     likelihood_profile,
+    sample_subset,
     solve_lp,
     build_lp,
     trivial_policy,
 )
+from ipir.pir import pir_setup
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+
+
+def retrieve_private(s, config, store, rng):
+    return retrieve(pir_setup(config.N, range(config.K), config.L), s, store, rng)
+
+
+def retrieve_nonprivate(x, s, policy, config, store, rng):
+    subset = sample_subset(policy, s, x, rng)
+    return retrieve(pir_setup(config.N, subset, config.L), x, store, rng)
 
 
 class TestRetrievePrivate:
@@ -127,6 +138,19 @@ class TestRunTwoRequest:
             for record in (t.private, t.nonprivate):
                 for q, a in zip(record.queries, record.answers):
                     assert len(a.bits) == len(q.combos)
+
+    @pytest.mark.parametrize("flip_call", [0, 1], ids=["private", "nonprivate"])
+    def test_flipped_answer_bit_is_caught(
+        self, flip_call, flipping_transport, pair_joint, pair_cond, config22, store22
+    ):
+        # trial 0 exchanges the private queries first, then the non-private ones
+        transport, calls = flipping_transport(store22, flip_call)
+        with pytest.raises(InconsistentAnswers):
+            run_two_request(
+                pair_joint, greedy_policy(pair_cond), config22, store22,
+                trials=5, transport=transport,
+            )
+        assert len(calls) == flip_call + 1
 
 
 class TestGuaranteedBound:

@@ -11,6 +11,7 @@ from ipir.core import (
 )
 from ipir.errors import (
     DistributionError,
+    InconsistentAnswers,
     InvalidParams,
     ScheduleMismatch,
 )
@@ -258,6 +259,15 @@ class TestSimulate:
         assert report.all_private_zero()
         # after the iid step the posterior is independent: step 3 is free
         assert report.steps[2].cost == 1
+
+    @pytest.mark.parametrize("flip_call", [0, 1], ids=["private", "nonprivate"])
+    def test_flipped_answer_bit_is_caught(self, flip_call, flipping_transport):
+        # step 0 is private and step 1 is not; each step exchanges once
+        sched = PrivacySchedule(horizon=3, private=frozenset({0}))
+        transport, calls = flipping_transport(self.store, flip_call)
+        with pytest.raises(InconsistentAnswers):
+            simulate(self.model, sched, self.config, self.store, transport=transport)
+        assert len(calls) == flip_call + 1
 
 
 class TestTrackedVersusBruteForce:

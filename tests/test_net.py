@@ -19,7 +19,7 @@ from ipir.net import (
     store_to_bytes,
 )
 from ipir.obfuscation import greedy_policy
-from ipir.pir import PirQuery, build_queries, PirKey, pir_setup
+from ipir.pir import PirQuery, PirKey, PirSession, pir_setup
 
 
 @pytest.fixture
@@ -91,7 +91,7 @@ class TestServer:
     def test_textbook_query_pair_downloads_six_bits(self, running_pair, store22):
         params = pir_setup(2, (0, 1), 4)
         identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
-        queries = build_queries(params, 0, identity)
+        queries = PirSession.from_key(params, 0, identity).queries
         answers = fetch([s.address for s in running_pair], queries)
         assert sum(len(a.bits) for a in answers) == 6
 

@@ -14,14 +14,12 @@ from ipir.pir import (
     PirAnswer,
     PirKey,
     PirQuery,
+    PirSession,
     answer_length,
-    build_queries,
     enumerate_keys,
     key_count,
     open_session,
     pir_answer,
-    pir_decode,
-    pir_query,
     pir_setup,
 )
 
@@ -49,7 +47,7 @@ class TestQueryStructure:
     def test_identity_key_reproduces_the_textbook_pair(self):
         params = pir_setup(2, (0, 1), 4)
         identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
-        queries = build_queries(params, 0, identity)
+        queries = PirSession.from_key(params, 0, identity).queries
         assert set(queries[0].combos) == {
             ((0, 0),),
             ((1, 0),),
@@ -63,7 +61,7 @@ class TestQueryStructure:
 
     def test_single_message_is_plain_download(self):
         params = pir_setup(2, (0,), 4)
-        queries, _ = pir_query(params, 0, fork_rng(0, "k"))
+        queries = open_session(params, 0, fork_rng(0, "k")).queries
         positions = set()
         for q in queries:
             assert len(q.combos) == 2
@@ -74,7 +72,7 @@ class TestQueryStructure:
 
     def test_combos_sorted_canonically(self):
         params = pir_setup(3, (0, 1, 2), 27)
-        queries, _ = pir_query(params, 1, fork_rng(1, "k"))
+        queries = open_session(params, 1, fork_rng(1, "k")).queries
         for q in queries:
             assert list(q.combos) == sorted(q.combos)
             for combo in q.combos:
@@ -83,20 +81,22 @@ class TestQueryStructure:
     def test_desired_must_be_in_subset(self):
         params = pir_setup(2, (0, 2), 4)
         with pytest.raises(DesiredNotInSubset):
-            pir_query(params, 1, fork_rng(0))
+            open_session(params, 1, fork_rng(0))
+        with pytest.raises(DesiredNotInSubset):
+            PirSession.from_key(params, 1, PirKey.random(params, fork_rng(0)))
 
     def test_total_download_matches_capacity(self):
         for n in (2, 3, 4):
             for k in (1, 2, 3, 4):
                 L = n**k
                 params = pir_setup(n, range(k), L)
-                queries, _ = pir_query(params, 0, fork_rng(n, k))
+                queries = open_session(params, 0, fork_rng(n, k)).queries
                 total = sum(answer_length(q) for q in queries)
                 assert total == L * capacity_cost(n, k)
 
     def test_eight_bit_three_message_download(self):
         params = pir_setup(2, (0, 1, 2), 8)
-        queries, _ = pir_query(params, 2, fork_rng(5, "k"))
+        queries = open_session(params, 2, fork_rng(5, "k")).queries
         assert sum(answer_length(q) for q in queries) == 14
         assert all(answer_length(q) == 7 for q in queries)
 
@@ -127,9 +127,9 @@ class TestDecode:
         store = MessageStore(K=2, L=4, data=((1, 0, 1, 1), (0, 1, 1, 0)))
         params = pir_setup(2, (0, 1), 4)
         identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
-        queries = build_queries(params, 0, identity)
-        answers = [pir_answer(q, store) for q in queries]
-        assert pir_decode(answers, identity, params, 0) == (1, 0, 1, 1)
+        session = PirSession.from_key(params, 0, identity)
+        answers = [pir_answer(q, store) for q in session.queries]
+        assert session.decode(answers) == (1, 0, 1, 1)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -142,38 +142,50 @@ class TestDecode:
             rng = fork_rng(77, n, k, trial)
             store = MessageStore.random(K, L, rng)
             for desired in subset:
-                queries, key = pir_query(params, desired, rng)
-                answers = [pir_answer(q, store) for q in queries]
-                assert pir_decode(answers, key, params, desired) == store.data[desired]
+                session = open_session(params, desired, rng)
+                answers = [pir_answer(q, store) for q in session.queries]
+                assert session.decode(answers) == store.data[desired]
 
     def test_corrupted_answer_breaks_decode(self):
         params = pir_setup(2, (0, 1), 4)
         rng = fork_rng(13, "c")
         store = MessageStore.random(2, 4, rng)
-        queries, key = pir_query(params, 0, rng)
-        answers = [pir_answer(q, store) for q in queries]
+        session = open_session(params, 0, rng)
+        answers = [pir_answer(q, store) for q in session.queries]
         bits = list(answers[0].bits)
         bits[0] ^= 1
         answers[0] = PirAnswer(server=0, bits=tuple(bits))
-        assert pir_decode(answers, key, params, 0) != store.data[0]
+        assert session.decode(answers) != store.data[0]
 
     def test_length_mismatch_detected(self):
         params = pir_setup(2, (0, 1), 4)
         rng = fork_rng(14, "m")
         store = MessageStore.random(2, 4, rng)
-        queries, key = pir_query(params, 0, rng)
-        answers = [pir_answer(q, store) for q in queries]
+        session = open_session(params, 0, rng)
+        answers = [pir_answer(q, store) for q in session.queries]
         answers[1] = PirAnswer(server=1, bits=answers[1].bits[:-1])
         with pytest.raises(InconsistentAnswers):
-            pir_decode(answers, key, params, 0)
+            session.decode(answers)
+
+    def test_missing_answer_detected(self):
+        params = pir_setup(2, (0, 1), 4)
+        store = MessageStore.random(2, 4, fork_rng(14, "s"))
+        session = open_session(params, 0, fork_rng(14, "k"))
+        answers = [pir_answer(q, store) for q in session.queries]
+        with pytest.raises(InconsistentAnswers):
+            session.decode(answers[:1])
 
     def test_session_matches_two_step_api(self):
+        # open_session is exactly "draw a key, then build from it"
         params = pir_setup(2, (0, 1, 2), 8)
         store = MessageStore.random(3, 8, fork_rng(15, "s"))
-        session = open_session(params, 1, fork_rng(15, "k"))
-        answers = [pir_answer(q, store) for q in session.queries]
-        assert session.decode(answers) == store.data[1]
-        assert pir_decode(answers, session.key, params, 1) == store.data[1]
+        for desired in params.subset:
+            session = open_session(params, desired, fork_rng(15, "k", desired))
+            assert session.key == PirKey.random(params, fork_rng(15, "k", desired))
+            rebuilt = PirSession.from_key(params, desired, session.key)
+            assert rebuilt.queries == session.queries
+            answers = [pir_answer(q, store) for q in session.queries]
+            assert rebuilt.decode(answers) == session.decode(answers) == store.data[desired]
 
 
 class TestQueryPrivacy:
@@ -186,7 +198,7 @@ class TestQueryPrivacy:
             for desired in (0, 1):
                 c = Counter()
                 for key in enumerate_keys(params):
-                    c[build_queries(params, desired, key)[server].combos] += 1
+                    c[PirSession.from_key(params, desired, key).queries[server].combos] += 1
                 counts[desired] = c
             assert counts[0] == counts[1]
 
@@ -195,7 +207,7 @@ class TestQueryPrivacy:
         assert key_count(params) == 6
         c = Counter()
         for key in enumerate_keys(params):
-            for q in build_queries(params, 2, key):
+            for q in PirSession.from_key(params, 2, key).queries:
                 c[(q.server, q.combos)] += 1
         # every position must appear exactly twice per server over 6 keys
         for (server, combos), n in c.items():
@@ -215,7 +227,7 @@ class TestQueryPrivacy:
                 c = Counter()
                 for _ in range(trials):
                     key = PirKey.random(params, rng)
-                    query = build_queries(params, desired, key)[server]
+                    query = PirSession.from_key(params, desired, key).queries[server]
                     c[query_pattern(params, query)] += 1
                 counters.append(c)
             for i in range(1, len(counters)):
@@ -233,7 +245,7 @@ class TestQueryPrivacy:
         for desired in (0, 1):
             c = Counter()
             for key in enumerate_keys(params):
-                q = build_queries(params, desired, key)[0]
+                q = PirSession.from_key(params, desired, key).queries[0]
                 c[query_pattern(params, q)] += 1
             per_desired.append(c)
         assert per_desired[0] == per_desired[1]
