@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -244,11 +245,9 @@ class WeightedSampler:
             )
 
     def draw(self, rng: random.Random):
+        # the first value whose cumulative numerator exceeds the pick
         pick = rng.randrange(self.denominator)
-        for value, threshold in zip(self.values, self.thresholds):
-            if pick < threshold:
-                return value
-        raise AssertionError("unreachable")
+        return self.values[bisect_right(self.thresholds, pick)]
 
 
 def load_json(path) -> dict:

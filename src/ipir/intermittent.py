@@ -190,7 +190,7 @@ def run_two_request(
 
         mask = subset_samplers[(s, x)].draw(trial_rng)
         nonprivate = retrieve(params_by_mask[mask], x, store, trial_rng, transport)
-        bits_x_total += sum(pir.answer_length(q) for q in nonprivate.queries)
+        bits_x_total += sum(map(pir.answer_length, nonprivate.queries))
         samples.append((s, x, nonprivate.subset))
         if keep_transcripts:
             transcripts.append(

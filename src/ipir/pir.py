@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from .errors import (
     BlockMismatch,
@@ -70,12 +72,13 @@ class PirKey:
 
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> "PirKey":
+        shuffle, identity = rng.shuffle, range(params.block)
         perms = []
         for _ in range(params.k):
             rows = []
             for _ in range(params.blocks):
-                row = list(range(params.block))
-                rng.shuffle(row)
+                row = list(identity)
+                shuffle(row)
                 rows.append(tuple(row))
             perms.append(tuple(rows))
         return cls(perms=tuple(perms))
@@ -113,28 +116,43 @@ class PirAnswer:
     bits: tuple[int, ...]
 
 
-def _block_plan(params: SchemeParams, desired_pos: int, key: PirKey, block: int):
-    """Generation-order combos per server plus the desired-bit decode plan.
+@lru_cache(maxsize=None)
+def _template(n_servers: int, k: int, desired_pos: int):
+    """Key-free shape of one block, built once per (N, k, desired position).
 
-    Decode entries are (position, server, combo, side_server, side_combo);
-    singleton entries carry no side combo.
+    A key only fills in bit positions, and every block has the same shape.
+    Atom j * N^k + t stands for message subset[j] at the t-th position drawn
+    from its block's permutation, key.perms[j][b][t] + b * N^k. Each combo is
+    a tuple of atom indices in ascending order, which is ascending message
+    order.
+
+    Returns ``(singles, getters, decode)``. A block's pool is its atom list
+    followed by a 1-tuple for each atom in ``singles``; ``getters[n]`` holds
+    one itemgetter per combo of server n, in generation order, that reads
+    the combo off the pool. Decode entries are (atom, server, getter, side
+    server, side getter); singletons have no side.
     """
-    n_servers, k, subset = params.n_servers, params.k, params.subset
-    offset = block * params.block
-    streams = [iter(key.perms[j][block]) for j in range(k)]
+    block = n_servers**k
+    drawn = [0] * k
+
+    def atom(j):
+        t = drawn[j]
+        drawn[j] = t + 1
+        return j * block + t
+
     per_server: list[list] = [[] for _ in range(n_servers)]
     decode = []
     side_pool: dict[tuple, list[list]] = {}
-
     for n in range(n_servers):
         for j in range(k):
-            pos = next(streams[j]) + offset
-            combo = ((subset[j], pos),)
-            per_server[n].append(combo)
+            a = atom(j)
             if j == desired_pos:
-                decode.append((pos, n, combo, None, None))
+                decode.append((a, n, len(per_server[n]), None, None))
             else:
-                side_pool.setdefault((j,), [[] for _ in range(n_servers)])[n].append(combo)
+                side_pool.setdefault((j,), [[] for _ in range(n_servers)])[n].append(
+                    len(per_server[n])
+                )
+            per_server[n].append((a,))
 
     others = [j for j in range(k) if j != desired_pos]
     for size in range(2, k + 1):
@@ -144,21 +162,29 @@ def _block_plan(params: SchemeParams, desired_pos: int, key: PirKey, block: int)
                 for m in range(n_servers):
                     if m == n:
                         continue
-                    for side_combo in side_pool[side_type][m]:
-                        pos = next(streams[desired_pos]) + offset
-                        combo = tuple(sorted(side_combo + ((subset[desired_pos], pos),)))
-                        per_server[n].append(combo)
-                        decode.append((pos, n, combo, m, side_combo))
+                    for side in side_pool[side_type][m]:
+                        a = atom(desired_pos)
+                        decode.append((a, n, len(per_server[n]), m, side))
+                        per_server[n].append(tuple(sorted(per_server[m][side] + (a,))))
             for group in combinations(others, size):
                 for _ in range((n_servers - 1) ** (size - 1)):
-                    combo = tuple(
-                        sorted((subset[j], next(streams[j]) + offset) for j in group)
+                    new_pool.setdefault(group, [[] for _ in range(n_servers)])[n].append(
+                        len(per_server[n])
                     )
-                    per_server[n].append(combo)
-                    new_pool.setdefault(group, [[] for _ in range(n_servers)])[n].append(combo)
+                    per_server[n].append(tuple(atom(j) for j in group))
         side_pool = new_pool
 
-    return per_server, decode
+    singles = [c[0] for combos in per_server for c in combos if len(c) == 1]
+    slot = {a: k * block + i for i, a in enumerate(singles)}
+    getters = [
+        [itemgetter(slot[c[0]]) if len(c) == 1 else itemgetter(*c) for c in combos]
+        for combos in per_server
+    ]
+    plan = tuple(
+        (a, n, getters[n][i], m, None if m is None else getters[m][j])
+        for a, n, i, m, j in decode
+    )
+    return tuple(singles), tuple(map(tuple, getters)), plan
 
 
 def query_pattern(params: SchemeParams, query: PirQuery):
@@ -220,17 +246,22 @@ class PirSession:
         """Deterministic canonical queries and decode plan for (params, desired, key)."""
         if desired not in params.subset:
             raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-        desired_pos = params.subset.index(desired)
-        per_server: list[list] = [[] for _ in range(params.n_servers)]
-        decode = []
-        for block in range(params.blocks):
-            block_combos, block_decode = _block_plan(params, desired_pos, key, block)
-            for n in range(params.n_servers):
-                per_server[n].extend(block_combos[n])
-            decode.extend(block_decode)
+        singles, getters, plan = _template(
+            params.n_servers, params.k, params.subset.index(desired)
+        )
+        pools = []
+        for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
+            pool = [(msg, p + offset) for msg, row in zip(params.subset, rows) for p in row]
+            pool += [(pool[a],) for a in singles]
+            pools.append(pool)
         queries = [
-            PirQuery(server=n, combos=tuple(sorted(per_server[n])))
-            for n in range(params.n_servers)
+            PirQuery(n, tuple(sorted([get(pool) for pool in pools for get in combos])))
+            for n, combos in enumerate(getters)
+        ]
+        decode = [
+            (pool[a][1], n, get(pool), m, None if m is None else side(pool))
+            for pool in pools
+            for a, n, get, m, side in plan
         ]
         return cls(params=params, desired=desired, key=key, queries=queries, _decode=decode)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from ipir.audit import DiscreteJoint, mutual_information, query_distribution
 from ipir.core import SystemConfig
@@ -233,3 +234,72 @@ def query_history_equivalence(
             if left != right:
                 return False
     return True
+
+
+def block_plan(params: pir.SchemeParams, desired_pos: int, key: pir.PirKey, block: int):
+    """Generation-order combos per server plus the desired-bit decode plan.
+
+    Decode entries are (position, server, combo, side_server, side_combo);
+    singleton entries carry no side combo.
+    """
+    n_servers, k, subset = params.n_servers, params.k, params.subset
+    offset = block * params.block
+    streams = [iter(key.perms[j][block]) for j in range(k)]
+    per_server: list[list] = [[] for _ in range(n_servers)]
+    decode = []
+    side_pool: dict[tuple, list[list]] = {}
+
+    for n in range(n_servers):
+        for j in range(k):
+            pos = next(streams[j]) + offset
+            combo = ((subset[j], pos),)
+            per_server[n].append(combo)
+            if j == desired_pos:
+                decode.append((pos, n, combo, None, None))
+            else:
+                side_pool.setdefault((j,), [[] for _ in range(n_servers)])[n].append(combo)
+
+    others = [j for j in range(k) if j != desired_pos]
+    for size in range(2, k + 1):
+        new_pool: dict[tuple, list[list]] = {}
+        for n in range(n_servers):
+            for side_type in sorted(side_pool):
+                for m in range(n_servers):
+                    if m == n:
+                        continue
+                    for side_combo in side_pool[side_type][m]:
+                        pos = next(streams[desired_pos]) + offset
+                        combo = tuple(sorted(side_combo + ((subset[desired_pos], pos),)))
+                        per_server[n].append(combo)
+                        decode.append((pos, n, combo, m, side_combo))
+            for group in combinations(others, size):
+                for _ in range((n_servers - 1) ** (size - 1)):
+                    combo = tuple(
+                        sorted((subset[j], next(streams[j]) + offset) for j in group)
+                    )
+                    per_server[n].append(combo)
+                    new_pool.setdefault(group, [[] for _ in range(n_servers)])[n].append(combo)
+        side_pool = new_pool
+
+    return per_server, decode
+
+
+def session_plan(params: pir.SchemeParams, desired: int, key: pir.PirKey):
+    """Canonical queries and decode plan built combo by combo from the key.
+
+    This is the direct construction that ``PirSession.from_key`` replaces
+    with a cached key-free template; both must agree exactly.
+    """
+    desired_pos = params.subset.index(desired)
+    per_server: list[list] = [[] for _ in range(params.n_servers)]
+    decode = []
+    for block in range(params.blocks):
+        block_combos, block_decode = block_plan(params, desired_pos, key, block)
+        for n in range(params.n_servers):
+            per_server[n].extend(block_combos[n])
+        decode.extend(block_decode)
+    queries = [
+        pir.PirQuery(server=n, combos=tuple(sorted(per_server[n])))
+        for n in range(params.n_servers)
+    ]
+    return queries, decode

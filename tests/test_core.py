@@ -184,6 +184,22 @@ class TestRandomness:
         with pytest.raises(Exception):
             WeightedSampler([("a", F(1, 3))]).draw(fork_rng(0))
 
+    def test_draw_is_the_first_threshold_above_the_pick(self):
+        # the bisected draw equals a linear scan of cumulative numerators,
+        # zero weights included, on the same random stream
+        weights = [F(0), F(1, 6), F(0), F(1, 3), F(1, 2), F(0)]
+        sampler = WeightedSampler(enumerate(weights))
+        fast, slow = fork_rng(5, "draw"), fork_rng(5, "draw")
+        for _ in range(2_000):
+            pick = slow.randrange(sampler.denominator)
+            acc, expected = 0, None
+            for value, w in enumerate(weights):
+                acc += w.numerator * (sampler.denominator // w.denominator)
+                if pick < acc:
+                    expected = value
+                    break
+            assert sampler.draw(fast) == expected
+
 
 class TestConditionalMatrix:
     def test_rows_must_be_stochastic(self):

@@ -23,6 +23,8 @@ from ipir.pir import (
     pir_setup,
 )
 
+from oracles import session_plan
+
 
 class TestSetup:
     def test_pair_over_four_bits(self):
@@ -186,6 +188,35 @@ class TestDecode:
             assert rebuilt.queries == session.queries
             answers = [pir_answer(q, store) for q in session.queries]
             assert rebuilt.decode(answers) == session.decode(answers) == store.data[desired]
+
+
+class TestTemplatePlan:
+    @pytest.mark.parametrize(
+        "n,subset,L",
+        [
+            (2, (0,), 2),
+            (2, (0,), 8),
+            (2, (0, 1), 4),
+            (2, (0, 1), 12),
+            (2, (1, 3, 4), 16),
+            (2, (0, 1, 2, 3), 32),
+            (3, (0, 2), 18),
+            (3, (0, 1, 2), 27),
+            (4, (2, 5), 16),
+        ],
+    )
+    def test_from_key_matches_direct_construction(self, n, subset, L):
+        # the cached key-free template and the combo-by-combo construction
+        # give identical queries and decode plans for every desired index
+        params = pir_setup(n, subset, L)
+        rng = fork_rng(21, "template", n, subset, L)
+        for desired in params.subset:
+            for _ in range(5):
+                key = PirKey.random(params, rng)
+                session = PirSession.from_key(params, desired, key)
+                queries, decode = session_plan(params, desired, key)
+                assert session.queries == queries
+                assert session._decode == decode
 
 
 class TestQueryPrivacy:
