@@ -52,48 +52,36 @@ from .obfuscation import (
 log = logging.getLogger("ipir")
 
 
-def _load_joint(path) -> JointDistribution:
+def _load(path, what: str, parse):
+    """``parse`` applied to a JSON file; any malformed input is a ConfigError."""
     try:
-        data = load_json(path)
-        return JointDistribution.from_json_dict(data)
-    except (OSError, KeyError, ValueError, IpirError) as exc:
-        raise ConfigError(f"bad joint file {path}: {exc}") from exc
+        return parse(load_json(path))
+    except (OSError, KeyError, TypeError, IndexError, ValueError, IpirError) as exc:
+        raise ConfigError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_cond(path) -> ConditionalMatrix:
-    try:
-        data = load_json(path)
-        rows = [[parse_rational(v) for v in row] for row in data["rows"]]
-        return ConditionalMatrix.from_rows(rows)
-    except (OSError, KeyError, ValueError, IpirError) as exc:
-        raise ConfigError(f"bad conditional file {path}: {exc}") from exc
+def _cond(data) -> ConditionalMatrix:
+    return ConditionalMatrix.from_rows(
+        [[parse_rational(v) for v in row] for row in data["rows"]]
+    )
 
 
-def _load_policy(path) -> ObfuscationPolicy:
-    try:
-        return ObfuscationPolicy.from_json_dict(load_json(path))
-    except (OSError, KeyError, ValueError, IpirError) as exc:
-        raise ConfigError(f"bad policy file {path}: {exc}") from exc
+def _schedule(data) -> PrivacySchedule:
+    horizon = int(data["horizon"])
+    private = [int(t) for t in data["private"]]
+    if 0 not in private:
+        log.warning("schedule lacks t=0; shifting time so it starts private")
+        return PrivacySchedule.normalized(horizon, private)
+    return PrivacySchedule(horizon=horizon, private=frozenset(private))
 
 
-def _load_schedule(path) -> PrivacySchedule:
-    try:
-        data = load_json(path)
-        horizon = int(data["horizon"])
-        private = [int(t) for t in data["private"]]
-        if 0 not in private:
-            log.warning("schedule lacks t=0; shifting time so it starts private")
-            return PrivacySchedule.normalized(horizon, private)
-        return PrivacySchedule(horizon=horizon, private=frozenset(private))
-    except (OSError, KeyError, ValueError, IpirError) as exc:
-        raise ConfigError(f"bad schedule file {path}: {exc}") from exc
-
-
-def _load_model(path) -> MobilityModel:
-    try:
-        return MobilityModel.from_json_dict(load_json(path))
-    except (OSError, KeyError, ValueError, IpirError) as exc:
-        raise ConfigError(f"bad model file {path}: {exc}") from exc
+def _transcript(data):
+    cfg = data["config"]
+    return (
+        JointDistribution.from_json_dict(data["joint"]),
+        ObfuscationPolicy.from_json_dict(data["policy"]),
+        SystemConfig(N=cfg["N"], K=cfg["K"], L=cfg["L"], seed=cfg.get("seed", 0)),
+    )
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -128,7 +116,7 @@ def _policy_report(policy, joint, n_servers) -> dict:
 
 
 def cmd_solve_lp(args) -> int:
-    joint = _load_joint(args.joint)
+    joint = _load(args.joint, "joint", JointDistribution.from_json_dict)
     policy = solve_lp(build_lp(joint, args.servers, cap=args.lp_cap))
     out, ok = _policy_report(policy, joint, args.servers)
     out["solver"] = "lp"
@@ -137,7 +125,7 @@ def cmd_solve_lp(args) -> int:
 
 
 def cmd_greedy(args) -> int:
-    cond = _load_cond(args.cond)
+    cond = _load(args.cond, "conditional", _cond)
     policy = greedy_policy(cond)
     # uniform prior over the private request for reporting purposes
     K = cond.K
@@ -156,12 +144,12 @@ def _store_for(config: SystemConfig) -> MessageStore:
 
 
 def cmd_two_request(args) -> int:
-    joint = _load_joint(args.joint)
+    joint = _load(args.joint, "joint", JointDistribution.from_json_dict)
     K = joint.K
     length = args.length or default_length(args.servers, K)
     config = SystemConfig(N=args.servers, K=K, L=length, seed=args.seed)
     if args.policy:
-        policy = _load_policy(args.policy)
+        policy = _load(args.policy, "policy", ObfuscationPolicy.from_json_dict)
     elif args.auto_greedy:
         cond = conditional_from_joint(joint)
         if not cond.full_support():
@@ -178,9 +166,7 @@ def cmd_two_request(args) -> int:
     if cond.full_support():
         bound = guaranteed_cost_bound(likelihood_profile(cond), args.servers)
     store = _store_for(config)
-    report = run_two_request(
-        joint, policy, config, store, trials=args.trials, bound=bound
-    )
+    report = run_two_request(joint, policy, config, store, trials=args.trials)
 
     audits = {
         "subset-independence": audit_mod.audit_policy_independence(policy, joint).to_json_dict()
@@ -222,8 +208,8 @@ def cmd_two_request(args) -> int:
 
 
 def cmd_simulate_location(args) -> int:
-    model = _load_model(args.model)
-    schedule = _load_schedule(args.schedule)
+    model = _load(args.model, "model", MobilityModel.from_json_dict)
+    schedule = _load(args.schedule, "schedule", _schedule)
     if args.horizon is not None and args.horizon != schedule.horizon:
         raise ConfigError(
             f"--horizon {args.horizon} disagrees with the schedule file "
@@ -263,14 +249,7 @@ def cmd_simulate_location(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        data = load_json(args.transcript)
-        joint = JointDistribution.from_json_dict(data["joint"])
-        policy = ObfuscationPolicy.from_json_dict(data["policy"])
-        cfg = data["config"]
-        config = SystemConfig(N=cfg["N"], K=cfg["K"], L=cfg["L"], seed=cfg.get("seed", 0))
-    except (OSError, KeyError, ValueError, IpirError) as exc:
-        raise ConfigError(f"bad transcript file {args.transcript}: {exc}") from exc
+    joint, policy, config = _load(args.transcript, "transcript", _transcript)
 
     mode = "empirical" if args.empirical else "exact"
     sections = {

@@ -39,7 +39,6 @@ class CostReport:
 
     per_server: tuple[Fraction, ...]
     total: Fraction
-    bound: Fraction | None = None
 
 
 def local_transport(store: MessageStore):
@@ -89,7 +88,6 @@ class TwoRequestReport:
     cost_s: CostReport
     cost_x_expected: Fraction
     cost_x_empirical: Fraction
-    bound: Fraction | None
     samples: list = field(default_factory=list)  # (s, x, subset) per trial
     transcripts: list | None = None
 
@@ -145,7 +143,6 @@ def run_two_request(
     trials: int,
     transport=None,
     keep_transcripts: bool = False,
-    bound: Fraction | None = None,
     private_each_trial: bool = True,
 ) -> TwoRequestReport:
     """Monte-Carlo over (S, X) ~ joint; all randomness flows from config.seed.
@@ -209,7 +206,6 @@ def run_two_request(
         else CostReport(per_server=(), total=capacity_cost(config.N, config.K)),
         cost_x_expected=expected,
         cost_x_empirical=Fraction(bits_x_total, config.L * trials) if trials else ZERO,
-        bound=bound,
         samples=samples,
         transcripts=transcripts,
     )

@@ -5,8 +5,10 @@ subset u of message indices that always contains x and whose marginal law
 is identical for every s, so observing u reveals nothing about s. Two
 constructors are provided:
 
-* an exact linear program minimizing the expected retrieval cost
-  E[C(N, |U|)] over all valid policies (optimal, exponential in K), and
+* an exact covering linear program over the subset marginal P(U=u)
+  minimizing the expected retrieval cost E[C(N, |U|)] over all valid
+  policies (optimal; 2^K - 1 subset variables and at most 2^K - 1 rows),
+  with the policy routed out of the optimal marginal per private value, and
 * a polynomial-time greedy construction driven by the sorted-likelihood
   profile of p(x|s), which guarantees P(|U| <= i) >= sum of the first i
   size weights (and therefore a matching cost bound) without solving the LP.
@@ -293,17 +295,21 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Explicit LP over the decision variables p(u|x,s), x in u.
+    """Covering LP over the subset marginal m(u) = P(U=u).
 
-    Equality rows are normalizations (one per (s, x) with s supported) and
-    marginal-matching rows against the first supported s (one per other
-    supported s and non-empty subset). Non-negativity is implicit.
+    Variables are ("m", u) for every nonempty mask u, then ("slack", b) for
+    every proper nonempty mask b. Equality rows: sum_u m(u) = 1, and per b
+    sum_{u within b} m(u) + slack_b = min_s p(b|s) over the supported s.
+    By Gale's supply-demand theorem these rows admit exactly the marginals
+    onto which every supported row p(.|s) can be routed along the arcs
+    x in u, so any feasible m is the subset law of some valid policy.
+    Non-negativity is implicit.
     """
 
     K: int
     n_servers: int
-    support: tuple[int, ...]
-    variables: tuple[tuple[int, int, int], ...]  # (s, x, mask)
+    cond: ConditionalMatrix
+    variables: tuple[tuple[str, int], ...]
     costs: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
@@ -316,42 +322,22 @@ def build_lp(
         raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
     K = joint.K
     cond = conditional_from_joint(joint)
-    support = cond.support
-    variables = []
-    costs = []
-    for s in support:
-        for x in range(K):
-            for mask in range(1, 1 << K):
-                if mask >> x & 1:
-                    variables.append((s, x, mask))
-                    costs.append(joint.table[s][x] * capacity_cost(n_servers, mask.bit_count()))
-    index = {v: j for j, v in enumerate(variables)}
-    n = len(variables)
-
-    rows = []
-    rhs = []
-    for s in support:
-        for x in range(K):
-            row = [ZERO] * n
-            for mask in range(1, 1 << K):
-                if mask >> x & 1:
-                    row[index[(s, x, mask)]] = ONE
-            rows.append(row)
-            rhs.append(ONE)
-    ref = support[0]
-    for s in support[1:]:
-        for mask in range(1, 1 << K):
-            row = [ZERO] * n
-            for x in indices_of(mask):
-                row[index[(s, x, mask)]] += cond.rows[s][x]
-                row[index[(ref, x, mask)]] -= cond.rows[ref][x]
-            rows.append(row)
-            rhs.append(ZERO)
-
+    masks = range(1, 1 << K)
+    proper = masks[:-1]
+    variables = [("m", u) for u in masks] + [("slack", b) for b in proper]
+    costs = [capacity_cost(n_servers, u.bit_count()) for u in masks] + [ZERO] * len(proper)
+    rows = [[ONE] * len(masks) + [ZERO] * len(proper)]
+    rhs = [ONE]
+    for j, b in enumerate(proper):
+        rows.append(
+            [ONE if u & b == u else ZERO for u in masks]
+            + [ONE if i == j else ZERO for i in range(len(proper))]
+        )
+        rhs.append(min(sum((cond.rows[s][x] for x in indices_of(b)), ZERO) for s in cond.support))
     return LpInstance(
         K=K,
         n_servers=n_servers,
-        support=support,
+        cond=cond,
         variables=tuple(variables),
         costs=tuple(costs),
         rows=tuple(tuple(r) for r in rows),
@@ -360,17 +346,39 @@ def build_lp(
 
 
 def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
-    """Vertex-optimal policy for the instance, in exact rationals."""
+    """Vertex-optimal policy for the instance, in exact rationals.
+
+    The LP gives the subset marginal m. Each supported s then splits p(x|s)
+    over the subsets u with m(u) > 0 by a zero-cost transport solve (supply
+    p(x|s) at each x, demand m(u) at each u, arcs x in u), and
+    p(u|x,s) = f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no entries.
+    """
     solution = minimize(instance.costs, instance.rows, instance.rhs)
-    # the full-set policy is always feasible, so the LP cannot be infeasible
-    # or unbounded for well-formed instances
+    # m = 1 on the full set is always feasible, so the LP cannot be
+    # infeasible or unbounded for well-formed instances
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
-    entries = {
-        var: value
-        for var, value in zip(instance.variables, solution.x)
-        if value != 0
+    marginal = {
+        u: value
+        for (kind, u), value in zip(instance.variables, solution.x)
+        if kind == "m" and value != 0
     }
+    entries = {}
+    for s in instance.cond.support:
+        row = instance.cond.rows[s]
+        xs = [x for x in range(instance.K) if row[x] != 0]
+        arcs = [(x, u) for x in xs for u in marginal if u >> x & 1]
+        flow = minimize(
+            [ZERO] * len(arcs),
+            [[ONE if ax == x else ZERO for ax, _ in arcs] for x in xs]
+            + [[ONE if au == u else ZERO for _, au in arcs] for u in marginal],
+            [row[x] for x in xs] + list(marginal.values()),
+        )
+        if flow.status != "optimal":
+            raise ConstructionFailed(f"row {s} cannot be routed onto the subset marginal")
+        entries.update(
+            ((s, x, u), f / row[x]) for (x, u), f in zip(arcs, flow.x) if f != 0
+        )
     return ObfuscationPolicy(K=instance.K, entries=entries)
 
 

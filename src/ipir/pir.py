@@ -187,6 +187,18 @@ def _template(n_servers: int, k: int, desired_pos: int):
     return tuple(singles), tuple(map(tuple, getters)), plan
 
 
+@lru_cache(maxsize=None)
+def _cells(subset: tuple[int, ...], L: int):
+    """Per subset member, its (message, position) atoms. Sessions share
+    them, so the queries a caller keeps hold no per-session copies."""
+    return tuple(_atoms(msg, L) for msg in subset)
+
+
+@lru_cache(maxsize=None)
+def _atoms(msg: int, L: int) -> tuple[tuple[int, int], ...]:
+    return tuple((msg, pos) for pos in range(L))
+
+
 def query_pattern(params: SchemeParams, query: PirQuery):
     """Positional-equivalence class of a query.
 
@@ -249,9 +261,10 @@ class PirSession:
         singles, getters, plan = _template(
             params.n_servers, params.k, params.subset.index(desired)
         )
+        cells = _cells(params.subset, params.L)
         pools = []
         for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
-            pool = [(msg, p + offset) for msg, row in zip(params.subset, rows) for p in row]
+            pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
             pool += [(pool[a],) for a in singles]
             pools.append(pool)
         queries = [

@@ -4,7 +4,8 @@ Solves   minimize c.x  subject to  A x = b,  x >= 0   with every pivot in
 Fraction arithmetic, so optima are exact vertices. Pivoting uses Dantzig's
 rule for speed and falls back to Bland's rule whenever the objective stalls,
 which rules out cycling while keeping typical runs short. Problem sizes in
-this package are tiny (hundreds of variables), so a dense tableau is fine.
+this package are tiny (the covering LP has 2^K - 1 rows), so a dense
+tableau is fine.
 """
 
 from __future__ import annotations

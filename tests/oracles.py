@@ -3,7 +3,9 @@
 These recompute, by global enumeration over traces, subset histories, and
 scheme keys, the quantities the library derives by forward recursion, so
 the two routes can be compared exactly. Nothing here reuses the library's
-posterior-update code for the reference values.
+posterior-update code for the reference values. The module also keeps
+the slower constructions that library code replaced, as the references
+of the equivalence tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from ipir.audit import DiscreteJoint, mutual_information, query_distribution
-from ipir.core import SystemConfig
+from ipir.core import (
+    JointDistribution,
+    SystemConfig,
+    capacity_cost,
+    conditional_from_joint,
+)
+from ipir.errors import ConstructionFailed, TooLarge
 from ipir.location import (
     MobilityModel,
     PosteriorState,
@@ -24,7 +32,8 @@ from ipir.location import (
     latest_private,
     policy_for_posterior,
 )
-from ipir.obfuscation import full_mask, indices_of
+from ipir.obfuscation import DEFAULT_LP_CAP, ObfuscationPolicy, full_mask, indices_of
+from ipir.simplex import minimize
 from ipir import pir
 
 ZERO = Fraction(0)
@@ -303,3 +312,92 @@ def session_plan(params: pir.SchemeParams, desired: int, key: pir.PirKey):
         for n in range(params.n_servers)
     ]
     return queries, decode
+
+
+# The (s, x, u) formulation of the obfuscation LP, the reference for the
+# covering LP in ipir.obfuscation: one variable p(u|x,s) per triple with
+# x in u, a normalization row per (s, x) and a marginal-matching row per
+# (s, u) against the first supported s.
+
+
+@dataclass(frozen=True)
+class SxuLpInstance:
+    """Explicit LP over the decision variables p(u|x,s), x in u.
+
+    Equality rows are normalizations (one per (s, x) with s supported) and
+    marginal-matching rows against the first supported s (one per other
+    supported s and non-empty subset). Non-negativity is implicit.
+    """
+
+    K: int
+    n_servers: int
+    support: tuple[int, ...]
+    variables: tuple[tuple[int, int, int], ...]  # (s, x, mask)
+    costs: tuple[Fraction, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+
+
+def sxu_build_lp(
+    joint: JointDistribution, n_servers: int, cap: int = DEFAULT_LP_CAP
+) -> SxuLpInstance:
+    if joint.K > cap:
+        raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
+    K = joint.K
+    cond = conditional_from_joint(joint)
+    support = cond.support
+    variables = []
+    costs = []
+    for s in support:
+        for x in range(K):
+            for mask in range(1, 1 << K):
+                if mask >> x & 1:
+                    variables.append((s, x, mask))
+                    costs.append(joint.table[s][x] * capacity_cost(n_servers, mask.bit_count()))
+    index = {v: j for j, v in enumerate(variables)}
+    n = len(variables)
+
+    rows = []
+    rhs = []
+    for s in support:
+        for x in range(K):
+            row = [ZERO] * n
+            for mask in range(1, 1 << K):
+                if mask >> x & 1:
+                    row[index[(s, x, mask)]] = ONE
+            rows.append(row)
+            rhs.append(ONE)
+    ref = support[0]
+    for s in support[1:]:
+        for mask in range(1, 1 << K):
+            row = [ZERO] * n
+            for x in indices_of(mask):
+                row[index[(s, x, mask)]] += cond.rows[s][x]
+                row[index[(ref, x, mask)]] -= cond.rows[ref][x]
+            rows.append(row)
+            rhs.append(ZERO)
+
+    return SxuLpInstance(
+        K=K,
+        n_servers=n_servers,
+        support=support,
+        variables=tuple(variables),
+        costs=tuple(costs),
+        rows=tuple(tuple(r) for r in rows),
+        rhs=tuple(rhs),
+    )
+
+
+def sxu_solve_lp(instance: SxuLpInstance) -> ObfuscationPolicy:
+    """Vertex-optimal policy for the instance, in exact rationals."""
+    solution = minimize(instance.costs, instance.rows, instance.rhs)
+    # the full-set policy is always feasible, so the LP cannot be infeasible
+    # or unbounded for well-formed instances
+    if solution.status != "optimal":
+        raise ConstructionFailed(f"LP solve ended with status {solution.status}")
+    entries = {
+        var: value
+        for var, value in zip(instance.variables, solution.x)
+        if value != 0
+    }
+    return ObfuscationPolicy(K=instance.K, entries=entries)

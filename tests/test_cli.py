@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ipir.cli import main
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -50,6 +52,54 @@ class TestPolicyCommands:
         err = capsys.readouterr().err
         assert "bad joint file" in err
         assert "1/2" in err  # the exact deficit is reported
+
+
+class TestMalformedInputs:
+    """Inputs of the wrong shape are configuration errors (exit 2), not
+    tracebacks."""
+
+    PAIR = str(SCENARIOS / "correlated_pair.json")
+    WALK = str(SCENARIOS / "two_state_walk.json")
+    FIRST = str(SCENARIOS / "first_instant_private.json")
+
+    def expect_config_error(self, capsys, args, what):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert f"bad {what} file" in err
+
+    def test_joint_rows_that_are_not_lists(self, tmp_path, capsys):
+        path = write(tmp_path, "joint.json", {"K": 2, "p": [1, 2]})
+        self.expect_config_error(capsys, ["solve-lp", "--joint", path], "joint")
+
+    @pytest.mark.parametrize(
+        "what", ["joint", "conditional", "policy", "model", "schedule", "transcript"]
+    )
+    def test_top_level_list(self, tmp_path, capsys, what):
+        path = write(tmp_path, "input.json", [1, 2])
+        args = {
+            "joint": ["solve-lp", "--joint", path],
+            "conditional": ["greedy", "--cond", path],
+            "policy": ["two-request", "--joint", self.PAIR, "--policy", path],
+            "model": ["simulate-location", "--model", path, "--schedule", self.FIRST],
+            "schedule": ["simulate-location", "--model", self.WALK, "--schedule", path],
+            "transcript": ["audit", "--transcript", path],
+        }[what]
+        self.expect_config_error(capsys, args, what)
+
+    def test_model_with_an_empty_transition_matrix(self, tmp_path, capsys):
+        path = write(tmp_path, "model.json", {"K": 2, "pi0": ["1/2", "1/2"], "transitions": [[]]})
+        self.expect_config_error(
+            capsys, ["simulate-location", "--model", path, "--schedule", self.FIRST], "model"
+        )
+
+    def test_policy_subset_that_is_not_a_list(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "policy.json", {"K": 2, "entries": [{"s": 0, "x": 0, "u": 5, "p": "1"}]}
+        )
+        self.expect_config_error(
+            capsys, ["two-request", "--joint", self.PAIR, "--policy", path], "policy"
+        )
 
 
 class TestTwoRequestCommand:

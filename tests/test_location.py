@@ -28,9 +28,10 @@ from ipir.location import (
     step_nonprivate,
     step_private,
 )
-from ipir.obfuscation import expected_cost, mask_of
+from ipir.audit import audit_online_privacy
+from ipir.obfuscation import expected_cost, mask_of, validate_policy
 
-from oracles import enumerate_mechanism
+from oracles import enumerate_mechanism, sxu_build_lp, sxu_solve_lp
 
 
 def two_state_model():
@@ -171,6 +172,23 @@ class TestSteps:
         assert record.decoded == self.store.data[0]
         assert 0 in record.subset
 
+    def test_lp_policy_on_a_sparse_posterior(self):
+        # P(current=a, private=b) with zero cells; private location 1 has no mass
+        joint = (
+            (F(1, 4), F(0), F(0)),
+            (F(1, 8), F(0), F(1, 8)),
+            (F(0), F(0), F(1, 2)),
+        )
+        policy, used = policy_for_posterior(joint, 2, "lp")
+        assert used == "lp"
+        law = validate_joint([[joint[a][b] for a in range(3)] for b in range(3)])
+        assert validate_policy(policy, law).all_ok
+        assert policy.pairs() == ((0, 0), (0, 1), (2, 1), (2, 2))
+        oracle = sxu_solve_lp(sxu_build_lp(law, 2))
+        assert expected_cost(policy, law, 2) == expected_cost(oracle, law, 2)
+        state = PosteriorState(t=1, tau=0, joint=joint)
+        assert audit_online_privacy(state, policy).passed
+
     def test_independent_posterior_gives_singletons(self):
         iid = MobilityModel.build([F(1, 2), F(1, 2)], [[[F(1, 2), F(1, 2)]] * 2])
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))
@@ -227,6 +245,20 @@ class TestSimulate:
         assert a.trace == b.trace
         assert [s.subset for s in a.steps] == [s.subset for s in b.steps]
         assert a.total_cost == b.total_cost
+
+    def test_sparse_chain_stays_private_and_decodes(self):
+        # zero transition entries leave zero cells in the tracked posteriors
+        model = MobilityModel.build(
+            [F(1, 2), F(1, 4), F(1, 4)],
+            [[[F(1, 2), F(1, 2), F(0)], [F(0), F(1, 2), F(1, 2)], [F(1, 3), F(0), F(2, 3)]]],
+        )
+        sched = PrivacySchedule(horizon=6, private=frozenset({0, 3}))
+        store = MessageStore.random(3, 8, fork_rng(7, "store"))
+        for seed in range(4):
+            report = simulate(model, sched, SystemConfig(N=2, K=3, L=8, seed=seed), store)
+            assert report.all_private_zero()
+            assert report.all_decoded(store)
+            assert {step.solver for step in report.steps if not step.private} == {"lp"}
 
     def test_expected_step_one_cost_is_the_pair_optimum(self):
         # average the realized step-1 cost over many seeds; the step-1 policy

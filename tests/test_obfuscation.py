@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir.core import (
     ConditionalMatrix,
@@ -25,6 +26,8 @@ from ipir.obfuscation import (
     validate_policy,
 )
 
+from oracles import sxu_build_lp, sxu_solve_lp
+
 
 def random_cond(rng, K, denmax=60):
     rows = []
@@ -34,6 +37,45 @@ def random_cond(rng, K, denmax=60):
         parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
         rows.append([F(p, d) for p in parts])
     return ConditionalMatrix.from_rows(rows)
+
+
+def sparse_joint(rng, K, zero_row, denmax=30):
+    """Random joint law with zero cells; ``zero_row`` empties one row."""
+    while True:
+        cells = [[rng.choice((0, rng.randrange(1, denmax))) for _ in range(K)] for _ in range(K)]
+        if zero_row:
+            cells[rng.randrange(K)] = [0] * K
+        total = sum(map(sum, cells))
+        if total:
+            return validate_joint([[F(c, total) for c in row] for row in cells])
+
+
+def cell_matrices(K):
+    """Strategy: K x K small-integer cell matrices with a positive total."""
+    return st.lists(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=K, max_size=K),
+        min_size=K,
+        max_size=K,
+    ).filter(lambda rows: sum(map(sum, rows)) > 0)
+
+
+def check_against_oracle(joint, n_servers=2):
+    """The covering LP reaches the (s, x, u) oracle's optimum with a valid
+    policy; at K=2 both give the same policy wherever p(s, x) > 0."""
+    policy = solve_lp(build_lp(joint, n_servers))
+    oracle = sxu_solve_lp(sxu_build_lp(joint, n_servers))
+    assert expected_cost(policy, joint, n_servers) == expected_cost(oracle, joint, n_servers)
+    assert validate_policy(policy, joint).all_ok
+    if joint.K == 2:
+        cond = conditional_from_joint(joint)
+        for s in cond.support:
+            for x in range(2):
+                if joint.table[s][x] != 0:
+                    assert policy.at(s, x) == oracle.at(s, x)
+            # the unique optimum puts m({x}) = min_s p(x|s) on each singleton
+            marginal = policy.subset_marginal(cond, s)
+            for x in range(2):
+                assert marginal.get(1 << x, 0) == min(cond.rows[t][x] for t in cond.support)
 
 
 def uniform_prior_joint(cond):
@@ -134,13 +176,27 @@ class TestGreedyConstruction:
 
 class TestLpInstance:
     def test_pair_instance_shape(self, pair_joint):
-        inst = build_lp(pair_joint, 2)
+        # the (s, x, u) formulation, kept as the oracle of the covering LP
+        inst = sxu_build_lp(pair_joint, 2)
         assert len(inst.variables) == 8
         # 4 normalization rows + 3 subset-marginal rows
         assert len(inst.rows) == 7
         for (s, x, mask), cost in zip(inst.variables, inst.costs):
             assert mask >> x & 1
             assert cost == pair_joint.table[s][x] * capacity_cost(2, bin(mask).count("1"))
+
+    def test_covering_pair_shape(self, pair_joint):
+        inst = build_lp(pair_joint, 2)
+        # three subset marginals, then the slacks of {0} and {1}
+        assert inst.variables == (("m", 1), ("m", 2), ("m", 3), ("slack", 1), ("slack", 2))
+        assert inst.costs == (1, 1, F(3, 2), 0, 0)
+        # sum m = 1, then m(u within B) + slack_B = min_s p(B|s) for B = {0}, {1}
+        assert inst.rows == ((1, 1, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 0, 0, 1))
+        assert inst.rhs == (1, F(1, 4), F(1, 4))
+
+    def test_covering_size_at_three(self, skew_joint):
+        inst = build_lp(skew_joint, 2)
+        assert (len(inst.variables), len(inst.rows)) == (13, 7)
 
     def test_single_message(self):
         inst = build_lp(validate_joint([[1]]), 3)
@@ -178,6 +234,25 @@ class TestLpSolve:
             lp_cost = expected_cost(lp_policy, joint, 2)
             greedy_cost = expected_cost(greedy_policy(cond), joint, 2)
             assert 1 <= lp_cost <= greedy_cost <= capacity_cost(2, K)
+
+
+class TestCoveringLpEquivalence:
+    @pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 6)])
+    def test_seeded_sparse_joints(self, K, count):
+        rng = random.Random(f"covering-lp:{K}")
+        for i in range(count):
+            check_against_oracle(sparse_joint(rng, K, zero_row=i % 2 == 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(cell_matrices))
+    def test_hypothesis_joints(self, cells):
+        total = sum(map(sum, cells))
+        check_against_oracle(validate_joint([[F(c, total) for c in row] for row in cells]))
+
+    def test_zero_mass_pairs_get_no_entries(self):
+        joint = validate_joint([[F(1, 2), 0, F(1, 4)], [0, 0, 0], [0, F(1, 8), F(1, 8)]])
+        policy = solve_lp(build_lp(joint, 2))
+        assert policy.pairs() == ((0, 0), (0, 2), (2, 1), (2, 2))
 
 
 class TestPolicyValidation:
