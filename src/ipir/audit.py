@@ -21,8 +21,9 @@ from .core import (
     WeightedSampler,
     conditional_from_joint,
     fork_rng,
+    validate_joint,
 )
-from .errors import ExactModeInfeasible
+from .errors import ExactModeInfeasible, InvalidParams
 from .obfuscation import (
     ObfuscationPolicy,
     indices_of,
@@ -133,14 +134,13 @@ def audit_policy_independence(
     policy: ObfuscationPolicy, joint: JointDistribution
 ) -> AuditReport:
     """Exact check that the released subset is independent of the private
-    request: the (S, U) joint built from p(s) p(x|s) p(u|x,s) factorizes."""
-    cond = conditional_from_joint(joint)
+    request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes."""
     entries: dict = {}
-    for s in cond.support:
-        ps = joint.p_s(s)
-        for mask, w in policy.subset_marginal(cond, s).items():
+    for (s, x, mask), p in policy.entries.items():
+        w = joint.table[s][x] * p
+        if w != 0:
             key = (s, indices_of(mask))
-            entries[key] = entries.get(key, ZERO) + ps * w
+            entries[key] = entries.get(key, ZERO) + w
     dj = DiscreteJoint(entries=entries)
     zero, bits = mutual_information(dj)
     check = AuditCheck(
@@ -171,6 +171,30 @@ def _exact_enumeration_size(policy: ObfuscationPolicy, config: SystemConfig) -> 
     return size
 
 
+def _query_law(
+    joint: JointDistribution,
+    policy: ObfuscationPolicy,
+    config: SystemConfig,
+    server: int,
+) -> DiscreteJoint:
+    """Exact law of (S, Q_server), the private request and the non-private
+    query at one server: p(s, x) p(u|x,s) times the query law of the scheme
+    over u for a uniform key, summed over x and u."""
+    dists: dict = {}
+    entries: dict = {}
+    for (s, x, mask), p in policy.entries.items():
+        weight = joint.table[s][x] * p
+        if weight == 0:
+            continue
+        if (mask, x) not in dists:
+            params = pir.pir_setup(config.N, indices_of(mask), config.L)
+            dists[(mask, x)] = query_distribution(params, x, server)
+        for combos, q in dists[(mask, x)].items():
+            key = (s, combos)
+            entries[key] = entries.get(key, ZERO) + weight * q
+    return DiscreteJoint(entries=entries)
+
+
 def audit_query_privacy(
     joint: JointDistribution,
     policy: ObfuscationPolicy,
@@ -179,48 +203,28 @@ def audit_query_privacy(
     trials: int = EMPIRICAL_TRIALS,
     threshold: float = TV_THRESHOLD,
     seed: int = 0,
-    cap: int = EXACT_STATE_CAP,
 ) -> AuditReport:
     """Per-server independence of the non-private query from the private
     request.
 
-    Exact mode enumerates (s, x, u, key) and factor-checks the (S, Q_i)
-    joint; if the key space exceeds the cap it falls back to empirical mode,
-    which compares the sampled query law across s values by total variation
-    distance at each server.
+    Exact mode factor-checks the (S, Q_i) law enumerated over (s, x, u, key)
+    at each server. When that key space exceeds EXACT_STATE_CAP the audit
+    runs in empirical mode instead, and its first check records the
+    fallback. Empirical mode compares the sampled query law across s values
+    by total variation distance at each server. Any other mode raises
+    InvalidParams.
     """
-    if mode == "exact" and _exact_enumeration_size(policy, config) > cap:
-        report = audit_query_privacy(
-            joint, policy, config, "empirical", trials, threshold, seed, cap
-        )
-        report.checks.insert(
-            0,
-            AuditCheck(
-                name="exact-mode-infeasible (fell back to empirical)", passed=True
-            ),
-        )
-        return report
-
-    cond = conditional_from_joint(joint)
+    if mode not in ("exact", "empirical"):
+        raise InvalidParams(f"unknown audit mode {mode!r}")
     report = AuditReport(mode=mode)
-    if mode == "exact":
-        dists: dict = {}
+    if mode == "exact" and _exact_enumeration_size(policy, config) > EXACT_STATE_CAP:
+        report.mode = "empirical"
+        report.checks.append(
+            AuditCheck(name="exact-mode-infeasible (fell back to empirical)", passed=True)
+        )
+    if report.mode == "exact":
         for server in range(config.N):
-            entries: dict = {}
-            for (s, x, mask), p in policy.entries.items():
-                if s not in cond.support:
-                    continue
-                weight = joint.table[s][x] * p
-                if weight == 0:
-                    continue
-                du = (mask, x, server)
-                if du not in dists:
-                    params = pir.pir_setup(config.N, indices_of(mask), config.L)
-                    dists[du] = query_distribution(params, x, server)
-                for combos, q in dists[du].items():
-                    key = (s, combos)
-                    entries[key] = entries.get(key, ZERO) + weight * q
-            dj = DiscreteJoint(entries=entries)
+            dj = _query_law(joint, policy, config, server)
             zero, bits = mutual_information(dj)
             report.checks.append(
                 AuditCheck(
@@ -232,8 +236,7 @@ def audit_query_privacy(
             )
         return report
 
-    if mode != "empirical":
-        raise ExactModeInfeasible(f"unknown audit mode {mode!r}")
+    cond = conditional_from_joint(joint)
     samplers = {
         (s, x): WeightedSampler(policy.at(s, x))
         for s, x in policy.pairs()
@@ -245,9 +248,6 @@ def audit_query_privacy(
     # the subset (positions are exchangeable under the uniform key, so the
     # pattern is a sufficient statistic; its support is larger, so its
     # threshold is scaled to the pattern-level sampling noise)
-    subset_counts: list[dict[int, Counter]] = [
-        {s: Counter() for s in cond.support} for _ in range(config.N)
-    ]
     pattern_counts: list[dict[int, dict[int, Counter]]] = [
         {s: {} for s in cond.support} for _ in range(config.N)
     ]
@@ -265,20 +265,21 @@ def audit_query_privacy(
                 params_cache[mask] = params
             session = pir.open_session(params, x, rng)
             for query in session.queries:
-                subset_counts[query.server][s][mask] += 1
                 pattern_counts[query.server][s].setdefault(mask, Counter())[
                     pir.query_pattern(params, query)
                 ] += 1
 
     support = list(cond.support)
     for server in range(config.N):
+        subset_counts = {
+            s: Counter({mask: sum(c.values()) for mask, c in by_mask.items()})
+            for s, by_mask in pattern_counts[server].items()
+        }
         worst = 0.0
         witness = None
         for i, s1 in enumerate(support):
             for s2 in support[i + 1 :]:
-                tv = total_variation(
-                    subset_counts[server][s1], subset_counts[server][s2]
-                )
+                tv = total_variation(subset_counts[s1], subset_counts[s2])
                 if tv > worst:
                     worst = tv
                     witness = (s1, s2)
@@ -297,7 +298,7 @@ def audit_query_privacy(
                 for s2 in support[i + 1 :]:
                     c1 = pattern_counts[server][s1].get(mask, Counter())
                     c2 = pattern_counts[server][s2].get(mask, Counter())
-                    n1, n2 = sum(c1.values()), sum(c2.values())
+                    n1, n2 = subset_counts[s1][mask], subset_counts[s2][mask]
                     if min(n1, n2) < 100:
                         continue
                     m = len(set(c1) | set(c2))
@@ -326,17 +327,18 @@ def audit_leak_equivalence(
     joint: JointDistribution,
     policy: ObfuscationPolicy,
     config: SystemConfig,
-    cap: int = EXACT_STATE_CAP,
 ) -> AuditReport:
     """Enumerate the joint law of (S, Q_i^(X), Q_i^(S)) at every server and
     verify the reduction hypotheses and the equivalence
 
         I(S; Q_x, Q_s) = 0  <=>  I(S; Q_x) = 0.
+
+    Raises ExactModeInfeasible when the key space exceeds EXACT_STATE_CAP.
     """
     full_params = pir.pir_setup(config.N, range(config.K), config.L)
     size = _exact_enumeration_size(policy, config) + pir.key_count(full_params)
-    if size > cap:
-        raise ExactModeInfeasible(f"{size} states exceed the cap {cap}")
+    if size > EXACT_STATE_CAP:
+        raise ExactModeInfeasible(f"{size} states exceed the cap {EXACT_STATE_CAP}")
 
     cond = conditional_from_joint(joint)
     report = AuditReport()
@@ -344,35 +346,15 @@ def audit_leak_equivalence(
         qs_dist = {
             s: query_distribution(full_params, s, server) for s in cond.support
         }
-        qx_cache: dict = {}
-        s_qx: dict = {}
-        s_qs: dict = {}
-        s_qx_qs: dict = {}
-        per_s_pairs: dict = {s: {} for s in cond.support}
-        for (s, x, mask), p in policy.entries.items():
-            if s not in cond.support:
-                continue
-            weight = joint.table[s][x] * p
-            if weight == 0:
-                continue
-            du = (mask, x)
-            if du not in qx_cache:
-                params = pir.pir_setup(config.N, indices_of(mask), config.L)
-                qx_cache[du] = query_distribution(params, x, server)
-            for qx, wx in qx_cache[du].items():
-                key = (s, qx)
-                s_qx[key] = s_qx.get(key, ZERO) + weight * wx
-        for s in cond.support:
-            ps = joint.p_s(s)
-            for qs, ws in qs_dist[s].items():
-                key = (s, qs)
-                s_qs[key] = s_qs.get(key, ZERO) + ps * ws
-        for (s, qx), w in s_qx.items():
-            for qs, ws in qs_dist[s].items():
-                key = (s, (qx, qs))
-                s_qx_qs[key] = s_qx_qs.get(key, ZERO) + w * ws
-                pair = (qx, qs)
-                per_s_pairs[s][pair] = per_s_pairs[s].get(pair, ZERO) + w * ws
+        s_qx = _query_law(joint, policy, config, server).entries
+        s_qs = {
+            (s, qs): joint.p_s(s) * ws for s in cond.support for qs, ws in qs_dist[s].items()
+        }
+        s_qx_qs = {
+            (s, (qx, qs)): w * ws
+            for (s, qx), w in s_qx.items()
+            for qs, ws in qs_dist[s].items()
+        }
 
         zero_qs, bits_qs = mutual_information(DiscreteJoint(entries=s_qs))
         report.checks.append(
@@ -385,10 +367,11 @@ def audit_leak_equivalence(
         cond_zero = True
         cond_bits = 0.0
         for s in cond.support:
-            mass = sum(per_s_pairs[s].values(), ZERO)
+            pairs = {pair: w for (es, pair), w in s_qx_qs.items() if es == s}
+            mass = sum(pairs.values(), ZERO)
             if mass == 0:
                 continue
-            scaled = {k: v / mass for k, v in per_s_pairs[s].items()}
+            scaled = {k: v / mass for k, v in pairs.items()}
             z, b = mutual_information(DiscreteJoint(entries=scaled))
             cond_zero = cond_zero and z
             cond_bits += float(joint.p_s(s)) * b
@@ -425,29 +408,18 @@ def audit_leak_equivalence(
 
 
 def audit_online_privacy(state, policy: ObfuscationPolicy) -> AuditReport:
-    """Exact factorization of the (latest private location, subset) joint
-    induced by a tracked posterior (any object with a ``joint`` matrix) and
-    the step policy."""
-    K = policy.K
-    entries: dict = {}
-    for a in range(K):
-        for b in range(K):
-            w = state.joint[a][b]
-            if w == 0:
-                continue
-            for mask, p in policy.at(b, a):
-                if p != 0:
-                    key = (b, mask)
-                    entries[key] = entries.get(key, ZERO) + w * p
-    dj = DiscreteJoint(entries=entries)
-    zero, bits = mutual_information(dj)
-    check = AuditCheck(
-        name="online-privacy",
-        passed=zero,
-        bits=bits,
-        witness=None if zero else independence_witness(dj),
-    )
-    return AuditReport(checks=[check])
+    """Exact independence of the step's released subset from the latest
+    private location, given the history.
+
+    ``state`` is a tracked posterior (any object with a ``joint`` matrix,
+    ``joint[a][b]`` = P(current=a, private=b)). The latest private location
+    plays the private request's role, so this is audit_policy_independence
+    on the transposed law P(private=b, current=a); its one check is named
+    ``subset-independence`` and its witness is ``(b, subset indices)``.
+    """
+    K = len(state.joint)
+    law = validate_joint([[state.joint[a][b] for a in range(K)] for b in range(K)])
+    return audit_policy_independence(policy, law)
 
 
 def check_size_bound(policy: ObfuscationPolicy, cond: ConditionalMatrix) -> AuditReport:

@@ -77,9 +77,18 @@ def _schedule(data) -> PrivacySchedule:
 
 def _transcript(data):
     cfg = data["config"]
+    joint = JointDistribution.from_json_dict(data["joint"])
+    policy = ObfuscationPolicy.from_json_dict(data["policy"])
+    if policy.K != joint.K:
+        raise ConfigError(f"policy has K={policy.K}, joint has K={joint.K}")
+    # the audits report a leaking policy; one with entries outside [K] is
+    # malformed input
+    validation = validate_policy(policy, joint)
+    if not validation.support_ok:
+        raise ConfigError(f"policy fails validation: {validation.witness}")
     return (
-        JointDistribution.from_json_dict(data["joint"]),
-        ObfuscationPolicy.from_json_dict(data["policy"]),
+        joint,
+        policy,
         SystemConfig(N=cfg["N"], K=cfg["K"], L=cfg["L"], seed=cfg.get("seed", 0)),
     )
 
@@ -143,6 +152,22 @@ def _store_for(config: SystemConfig) -> MessageStore:
     return MessageStore.random(config.K, config.L, fork_rng(config.seed, "store"))
 
 
+def _audits(joint, policy, config: SystemConfig, query_mode: str) -> dict:
+    """Audit reports by section name. The size bound needs full support;
+    query privacy runs in ``query_mode`` unless that is "none"."""
+    audits = {
+        "subset-independence": audit_mod.audit_policy_independence(policy, joint)
+    }
+    cond = conditional_from_joint(joint)
+    if cond.full_support():
+        audits["size-bound"] = audit_mod.check_size_bound(policy, cond)
+    if query_mode != "none":
+        audits["query-privacy"] = audit_mod.audit_query_privacy(
+            joint, policy, config, mode=query_mode, seed=config.seed
+        )
+    return audits
+
+
 def cmd_two_request(args) -> int:
     joint = _load(args.joint, "joint", JointDistribution.from_json_dict)
     K = joint.K
@@ -168,15 +193,7 @@ def cmd_two_request(args) -> int:
     store = _store_for(config)
     report = run_two_request(joint, policy, config, store, trials=args.trials)
 
-    audits = {
-        "subset-independence": audit_mod.audit_policy_independence(policy, joint).to_json_dict()
-    }
-    if cond.full_support():
-        audits["size-bound"] = audit_mod.check_size_bound(policy, cond).to_json_dict()
-    if args.query_audit != "none":
-        audits["query-privacy"] = audit_mod.audit_query_privacy(
-            joint, policy, config, mode=args.query_audit, seed=config.seed
-        ).to_json_dict()
+    audits = _audits(joint, policy, config, args.query_audit)
 
     handle = None
     if args.audit_handle:
@@ -199,12 +216,11 @@ def cmd_two_request(args) -> int:
         "cost_x_empirical": format_rational(report.cost_x_empirical),
         "cost_x_empirical_approx": float(report.cost_x_empirical),
         "cost_bound": format_rational(bound) if bound is not None else None,
-        "audits": audits,
+        "audits": {name: rep.to_json_dict() for name, rep in audits.items()},
         "audit_handle": handle,
     }
     _emit(out, args.output)
-    all_pass = all(section["passed"] for section in audits.values())
-    return 0 if all_pass else 3
+    return 0 if all(rep.passed for rep in audits.values()) else 3
 
 
 def cmd_simulate_location(args) -> int:
@@ -252,15 +268,7 @@ def cmd_audit(args) -> int:
     joint, policy, config = _load(args.transcript, "transcript", _transcript)
 
     mode = "empirical" if args.empirical else "exact"
-    sections = {
-        "subset-independence": audit_mod.audit_policy_independence(policy, joint),
-        "query-privacy": audit_mod.audit_query_privacy(
-            joint, policy, config, mode=mode, seed=config.seed
-        ),
-    }
-    cond = conditional_from_joint(joint)
-    if cond.full_support():
-        sections["size-bound"] = audit_mod.check_size_bound(policy, cond)
+    sections = _audits(joint, policy, config, mode)
     out = {name: rep.to_json_dict() for name, rep in sections.items()}
     out["passed"] = all(rep.passed for rep in sections.values())
     _emit(out, args.output)

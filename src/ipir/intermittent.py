@@ -35,9 +35,8 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class CostReport:
-    """Normalized download costs: per-server downloaded bits / L."""
+    """Normalized download cost: downloaded bits over all servers / L."""
 
-    per_server: tuple[Fraction, ...]
     total: Fraction
 
 
@@ -62,12 +61,9 @@ class RetrievalRecord:
 
     @property
     def cost(self) -> CostReport:
-        """Downloaded answer bits per server, normalized by the message length."""
-        L = len(self.decoded)
-        bits = [pir.answer_length(q) for q in self.queries]
-        return CostReport(
-            per_server=tuple(Fraction(b, L) for b in bits), total=Fraction(sum(bits), L)
-        )
+        """Downloaded answer bits, normalized by the message length."""
+        bits = sum(map(pir.answer_length, self.queries))
+        return CostReport(total=Fraction(bits, len(self.decoded)))
 
 
 @dataclass
@@ -203,7 +199,7 @@ def run_two_request(
         trials=trials,
         cost_s=private.cost
         if private is not None
-        else CostReport(per_server=(), total=capacity_cost(config.N, config.K)),
+        else CostReport(total=capacity_cost(config.N, config.K)),
         cost_x_expected=expected,
         cost_x_empirical=Fraction(bits_x_total, config.L * trials) if trials else ZERO,
         samples=samples,

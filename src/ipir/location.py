@@ -192,36 +192,31 @@ def advance_posterior(
 ) -> PosteriorState:
     """Push the tracked joint from time t to t+1 under the Markov kernel.
 
-    If t+1 is private the new pair collapses to the diagonal of the
-    pushforward marginal; otherwise the private coordinate rides along
-    unchanged while the current coordinate moves one step.
+    The current coordinate moves one step while the private coordinate
+    rides along. If t+1 is private the pair then collapses to the diagonal
+    of the pushed-forward current marginal.
     """
     K = model.K
     t1 = state.t + 1
     trans = model.transition_at(state.t)
-    if schedule.is_private(t1):
-        marg = [ZERO] * K
-        for a in range(K):
-            for b in range(K):
-                w = state.joint[a][b]
-                if w != 0:
-                    for a1 in range(K):
-                        marg[a1] += w * trans[a][a1]
-        joint = tuple(
-            tuple(marg[a1] if a1 == b else ZERO for b in range(K)) for a1 in range(K)
-        )
-        return PosteriorState(t=t1, tau=t1, joint=joint, history=state.history)
-    new_tau = state.t if schedule.is_private(state.t) else state.tau
     joint = [[ZERO] * K for _ in range(K)]
     for a in range(K):
+        row = trans[a]
         for b in range(K):
             w = state.joint[a][b]
             if w != 0:
-                row = trans[a]
                 for a1 in range(K):
                     joint[a1][b] += w * row[a1]
+    if schedule.is_private(t1):
+        tau = t1
+        joint = [
+            [sum(joint[a1], ZERO) if a1 == b else ZERO for b in range(K)]
+            for a1 in range(K)
+        ]
+    else:
+        tau = state.t if schedule.is_private(state.t) else state.tau
     return PosteriorState(
-        t=t1, tau=new_tau, joint=tuple(tuple(r) for r in joint), history=state.history
+        t=t1, tau=tau, joint=tuple(tuple(r) for r in joint), history=state.history
     )
 
 
@@ -254,33 +249,31 @@ def condition_posterior(
 
 
 def policy_for_posterior(
-    joint_matrix,
-    n_servers: int,
-    solver: str = "lp",
-    lp_cap: int = DEFAULT_LP_CAP,
+    joint_matrix, n_servers: int, solver: str = "lp"
 ) -> tuple[ObfuscationPolicy, str]:
     """Build the step policy from a posterior joint over (current, private).
 
     ``joint_matrix[a][b]`` = P(current=a, private=b). The private coordinate
     plays the correlated-request role, so the law handed to the optimizer is
-    the transpose. Returns the policy and which constructor produced it.
+    the transpose. ``solver`` is "lp" or "greedy"; the exact LP runs when
+    K <= DEFAULT_LP_CAP and either it was asked for or the posterior has a
+    private value of zero mass, which the greedy construction cannot take.
+    Otherwise the greedy construction runs on full support, and the trivial
+    policy on partial support. Returns the policy and which constructor
+    produced it.
     """
+    if solver not in ("lp", "greedy"):
+        raise InvalidParams(f"unknown solver {solver!r}")
     K = len(joint_matrix)
     law = validate_joint(
         [[joint_matrix[a][b] for a in range(K)] for b in range(K)]
     )
-    if solver == "lp":
-        if K <= lp_cap:
-            return solve_lp(build_lp(law, n_servers, cap=lp_cap)), "lp"
-        solver = "greedy"
-    if solver == "greedy":
-        cond = conditional_from_joint(law)
-        if cond.full_support():
-            return greedy_policy(cond), "greedy"
-        if K <= lp_cap:
-            return solve_lp(build_lp(law, n_servers, cap=lp_cap)), "lp"
-        return trivial_policy(K), "trivial"
-    raise InvalidParams(f"unknown solver {solver!r}")
+    cond = conditional_from_joint(law)
+    if K <= DEFAULT_LP_CAP and (solver == "lp" or not cond.full_support()):
+        return solve_lp(build_lp(law, n_servers)), "lp"
+    if cond.full_support():
+        return greedy_policy(cond), "greedy"
+    return trivial_policy(K), "trivial"
 
 
 @dataclass
@@ -347,7 +340,6 @@ def step_nonprivate(
     store: MessageStore,
     rng: random.Random,
     solver: str = "lp",
-    lp_cap: int = DEFAULT_LP_CAP,
     transport=None,
 ) -> tuple[StepRecord, PosteriorState]:
     """Non-private step: solve a policy for the tracked posterior, sample the
@@ -357,7 +349,7 @@ def step_nonprivate(
     """
     if schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is private")
-    policy, used = policy_for_posterior(state.joint, config.N, solver, lp_cap)
+    policy, used = policy_for_posterior(state.joint, config.N, solver)
 
     check = audit.audit_online_privacy(state, policy)
     subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)
@@ -422,7 +414,6 @@ def simulate(
     config: SystemConfig,
     store: MessageStore,
     solver: str = "lp",
-    lp_cap: int = DEFAULT_LP_CAP,
     transport=None,
     trace: tuple[int, ...] | None = None,
 ) -> TraceReport:
@@ -455,7 +446,6 @@ def simulate(
                 store,
                 rng,
                 solver,
-                lp_cap,
                 transport,
             )
         steps.append(record)

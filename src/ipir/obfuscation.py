@@ -397,15 +397,19 @@ class ValidationReport:
 def validate_policy(policy: ObfuscationPolicy, joint: JointDistribution) -> ValidationReport:
     """Exact check of the three policy invariants against a joint law.
 
-    The first failing check records a witness: (s, x, u) for support or
+    The support check rejects an entry whose s, x or subset lies outside
+    [K], whose subset lacks x, or whose probability is negative. The first
+    failing check records a witness: (s, x, u) for support or
     normalization, (s, s_ref, u) for a marginal mismatch.
     """
     cond = conditional_from_joint(joint)
     witness = None
 
+    K = policy.K
     support_ok = True
     for (s, x, mask), p in sorted(policy.entries.items()):
-        if not (mask >> x & 1) or p < 0:
+        in_range = 0 <= s < K and 0 <= x < K and mask >> K == 0
+        if not in_range or not (mask >> x & 1) or p < 0:
             support_ok = False
             witness = witness or ("support", s, x, indices_of(mask))
             break

@@ -182,6 +182,24 @@ def node_query_leak(
     return mutual_information(DiscreteJoint(entries=entries))
 
 
+def online_privacy_factorization(state, policy: ObfuscationPolicy) -> tuple[bool, float]:
+    """(independent?, bits) of the (latest private location, subset) law that
+    a tracked posterior and the step policy induce, factor-checked directly
+    over (b, mask) pairs without forming the transposed joint law."""
+    K = policy.K
+    entries: dict = {}
+    for a in range(K):
+        for b in range(K):
+            w = state.joint[a][b]
+            if w == 0:
+                continue
+            for mask, p in policy.at(b, a):
+                if p != 0:
+                    key = (b, mask)
+                    entries[key] = entries.get(key, ZERO) + w * p
+    return mutual_information(DiscreteJoint(entries=entries))
+
+
 def query_history_equivalence(
     model: MobilityModel, config: SystemConfig, server: int
 ) -> bool:

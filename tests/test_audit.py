@@ -1,5 +1,8 @@
 import math
+import random
 from fractions import Fraction as F
+
+import pytest
 
 from ipir.core import SystemConfig, validate_joint
 from ipir.audit import (
@@ -14,14 +17,21 @@ from ipir.audit import (
 )
 from ipir.location import (
     MobilityModel,
+    PosteriorState,
     PrivacySchedule,
     advance_posterior,
     initial_posterior,
     policy_for_posterior,
 )
+from ipir.errors import InvalidParams
 from ipir.obfuscation import ObfuscationPolicy, greedy_policy, trivial_policy
 
-from oracles import enumerate_mechanism, node_query_leak, query_history_equivalence
+from oracles import (
+    enumerate_mechanism,
+    node_query_leak,
+    online_privacy_factorization,
+    query_history_equivalence,
+)
 
 
 def singleton_policy(K):
@@ -100,6 +110,10 @@ class TestQueryPrivacyExact:
         )
         assert report.passed
 
+    def test_unknown_mode_rejected(self, pair_joint, pair_cond, config22):
+        with pytest.raises(InvalidParams):
+            audit_query_privacy(pair_joint, greedy_policy(pair_cond), config22, mode="nope")
+
 
 class TestLeakEquivalence:
     def test_reference_instance(self, pair_joint, pair_cond, config22):
@@ -161,6 +175,40 @@ class TestOnlinePrivacy:
             for server in range(config.N):
                 zero, bits = node_query_leak(node, sched, config, server)
                 assert zero, (node.t, node.history, server, bits)
+
+    def test_matches_direct_factorization(self):
+        # every mechanism node of the two-state walk plus seeded random
+        # posteriors at K=2..4, each audited under both step constructors
+        # and the leaking singleton policy
+        model = MobilityModel.build(
+            [F(1, 2), F(1, 2)], [[[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]]
+        )
+        config = SystemConfig(N=2, K=2, L=4, seed=0)
+        sched = PrivacySchedule(horizon=3, private=frozenset({0, 2}))
+        states = [node.tracked for node in enumerate_mechanism(model, sched, config)]
+        rng = random.Random(23)
+        for _ in range(30):
+            K = rng.choice([2, 3, 4])
+            cells = [[rng.choice([0, 0, 1, 2, 3]) for _ in range(K)] for _ in range(K)]
+            cells[rng.randrange(K)][rng.randrange(K)] += 1
+            total = sum(map(sum, cells))
+            joint = tuple(tuple(F(v, total) for v in row) for row in cells)
+            states.append(PosteriorState(t=1, tau=0, joint=joint))
+        leaks = 0
+        for state in states:
+            K = len(state.joint)
+            policies = [
+                policy_for_posterior(state.joint, 2, "lp")[0],
+                policy_for_posterior(state.joint, 2, "greedy")[0],
+                singleton_policy(K),
+            ]
+            for policy in policies:
+                report = audit_online_privacy(state, policy)
+                zero, bits = online_privacy_factorization(state, policy)
+                assert report.passed == zero
+                assert math.isclose(report.checks[0].bits, bits, rel_tol=1e-12)
+                leaks += not zero
+        assert leaks > 10
 
 
 class TestHistoryEquivalence:

@@ -101,6 +101,25 @@ class TestMalformedInputs:
             capsys, ["two-request", "--joint", self.PAIR, "--policy", path], "policy"
         )
 
+    @pytest.mark.parametrize("command", ["two-request", "audit"])
+    def test_policy_subset_outside_the_messages(self, tmp_path, capsys, command):
+        policy = {
+            "K": 2,
+            "entries": [
+                {"s": s, "x": x, "u": [0, 1, 5], "p": "1"} for s in range(2) for x in range(2)
+            ],
+        }
+        if command == "two-request":
+            args = ["two-request", "--joint", self.PAIR,
+                    "--policy", write(tmp_path, "policy.json", policy)]
+        else:
+            transcript = {"joint": json.loads(Path(self.PAIR).read_text()),
+                          "policy": policy, "config": {"N": 2, "K": 2, "L": 4}}
+            args = ["audit", "--transcript", write(tmp_path, "t.json", transcript)]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert "policy fails validation: ('support', 0, 0, (0, 1, 5))" in err
+
 
 class TestTwoRequestCommand:
     def test_report_fields_and_determinism(self, tmp_path):
@@ -233,6 +252,24 @@ class TestGoldenReports:
             assert code == 0
             reports.append(out.read_bytes())
         assert b"".join(reports) == (GOLDEN / "simulate_location_seeds.txt").read_bytes()
+
+    def test_failing_audit(self, tmp_path):
+        singleton = {
+            "K": 2,
+            "entries": [
+                {"s": s, "x": x, "u": [x], "p": "1"} for s in range(2) for x in range(2)
+            ],
+        }
+        transcript = write(
+            tmp_path,
+            "transcript.json",
+            {"joint": {"K": 2, "p": [["3/8", "1/8"], ["1/8", "3/8"]]},
+             "policy": singleton, "config": {"N": 2, "K": 2, "L": 4, "seed": 0}},
+        )
+        out = tmp_path / "audit_leaking.json"
+        code = run_cli(["audit", "--transcript", transcript, "--exact", "-o", str(out)])
+        assert code == 3
+        assert out.read_bytes() == (GOLDEN / "audit_leaking.json").read_bytes()
 
 
 class TestStoreCommands:

@@ -189,6 +189,32 @@ class TestSteps:
         state = PosteriorState(t=1, tau=0, joint=joint)
         assert audit_online_privacy(state, policy).passed
 
+    @pytest.mark.parametrize(
+        "solver, K, full, used",
+        [("lp", 2, True, "lp"), ("greedy", 2, True, "greedy"),
+         ("greedy", 3, False, "lp"), ("lp", 7, True, "greedy"),
+         ("lp", 7, False, "trivial"), ("greedy", 7, False, "trivial")],
+    )
+    def test_solver_choice(self, solver, K, full, used):
+        # P(current=a, private=b): heavier on the diagonal; on partial
+        # support the last private location has no mass
+        private = K if full else K - 1
+        weights = [[(2 if a == b else 1) if b < private else 0 for b in range(K)]
+                   for a in range(K)]
+        total = sum(map(sum, weights))
+        joint = tuple(tuple(F(w, total) for w in row) for row in weights)
+        policy, got = policy_for_posterior(joint, 2, solver)
+        assert got == used
+        law = validate_joint([[joint[a][b] for a in range(K)] for b in range(K)])
+        assert validate_policy(policy, law).all_ok
+
+    def test_unknown_solver_rejected_before_any_work(self, pair_joint):
+        with pytest.raises(InvalidParams):
+            policy_for_posterior(pair_joint.table, 2, "nope")
+        # the matrix would fail validation; the solver name is checked first
+        with pytest.raises(InvalidParams):
+            policy_for_posterior(((F(1, 2),),), 2, "nope")
+
     def test_independent_posterior_gives_singletons(self):
         iid = MobilityModel.build([F(1, 2), F(1, 2)], [[[F(1, 2), F(1, 2)]] * 2])
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))

@@ -281,6 +281,18 @@ class TestPolicyValidation:
         assert not report.support_ok
         assert report.witness == ("support", 0, 0, (1,))
 
+    @pytest.mark.parametrize(
+        "entry, witness",
+        [((0, 0, mask_of((0, 1, 5))), ("support", 0, 0, (0, 1, 5))),
+         ((2, 0, mask_of((0,))), ("support", 2, 0, (0,)))],
+    )
+    def test_entry_outside_the_messages_detected(self, pair_joint, entry, witness):
+        entries = dict(trivial_policy(2).entries)
+        entries[entry] = F(1)
+        report = validate_policy(ObfuscationPolicy(K=2, entries=entries), pair_joint)
+        assert not report.support_ok
+        assert report.witness == witness
+
     def test_correlated_singletons_fail_independence(self, pair_joint):
         policy = ObfuscationPolicy(
             K=2, entries={(s, x, 1 << x): F(1) for s in range(2) for x in range(2)}
