@@ -75,12 +75,17 @@ def _schedule(data) -> PrivacySchedule:
     return PrivacySchedule(horizon=horizon, private=frozenset(private))
 
 
+def _policy_for(joint: JointDistribution, data) -> ObfuscationPolicy:
+    policy = ObfuscationPolicy.from_json_dict(data)
+    if policy.K != joint.K:
+        raise ConfigError(f"policy has K={policy.K}, joint has K={joint.K}")
+    return policy
+
+
 def _transcript(data):
     cfg = data["config"]
     joint = JointDistribution.from_json_dict(data["joint"])
-    policy = ObfuscationPolicy.from_json_dict(data["policy"])
-    if policy.K != joint.K:
-        raise ConfigError(f"policy has K={policy.K}, joint has K={joint.K}")
+    policy = _policy_for(joint, data["policy"])
     # the audits report a leaking policy; one with entries outside [K] is
     # malformed input
     validation = validate_policy(policy, joint)
@@ -174,7 +179,7 @@ def cmd_two_request(args) -> int:
     length = args.length or default_length(args.servers, K)
     config = SystemConfig(N=args.servers, K=K, L=length, seed=args.seed)
     if args.policy:
-        policy = _load(args.policy, "policy", ObfuscationPolicy.from_json_dict)
+        policy = _load(args.policy, "policy", lambda data: _policy_for(joint, data))
     elif args.auto_greedy:
         cond = conditional_from_joint(joint)
         if not cond.full_support():

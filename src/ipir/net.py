@@ -8,16 +8,32 @@ travel as a '0'/'1' string so there is no endianness to argue about.
 Servers are honest-but-curious: they evaluate queries against an immutable
 replica and keep no per-client state. Download-cost accounting counts
 answer payload bits only; framing overhead is tracked separately.
+
+Connections: a ``RemoteTransport`` keeps one TCP connection per replica,
+opened on its first exchange and closed by ``close()``. An exchange is
+pipelined: every query frame goes out, then the replies are read in server
+order, each checked against the exchange's session id. Any failure closes
+all of the transport's connections, so the next exchange starts on fresh
+ones and can never read a reply meant for an earlier one. A server serves
+each connection on its own thread and closes a connection that sends
+nothing for ``IDLE_TIMEOUT`` seconds; a client replaces a connection its
+server has closed before writing to it. ``StoreServer.close`` ends the live
+connections and joins every thread the server started.
+
+A reply is checked for its session id, its length and its '0'/'1' alphabet
+only: a replica that flips an answer bit goes unseen here, and is caught in
+the simulator only because ``intermittent.retrieve`` compares the decoded
+message with its local store.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
 import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import MessageStore
@@ -33,6 +49,9 @@ from .pir import PirAnswer, PirQuery, pir_answer
 
 PROTO_VERSION = 1
 MAX_FRAME = 1 << 24
+# a server closes a connection that sends nothing for this many seconds, so
+# an idle, stalled or vanished client does not hold a handler thread
+IDLE_TIMEOUT = 30.0
 
 
 def send_frame(sock: socket.socket, payload: dict) -> int:
@@ -56,8 +75,8 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Read one frame; None on clean EOF."""
+def _recv_body(sock: socket.socket) -> bytes | None:
+    """The payload bytes of one frame; None on clean EOF."""
     header = _recv_exactly(sock, 4)
     if header is None:
         return None
@@ -67,6 +86,10 @@ def recv_frame(sock: socket.socket) -> dict | None:
     body = _recv_exactly(sock, length)
     if body is None:
         raise MalformedFrame("connection closed mid-frame")
+    return body
+
+
+def _decode(body: bytes) -> dict:
     try:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -76,10 +99,26 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return payload
 
 
+def recv_frame(sock: socket.socket) -> dict | None:
+    """Read one frame; None on clean EOF."""
+    body = _recv_body(sock)
+    return None if body is None else _decode(body)
+
+
 class _Handler(socketserver.BaseRequestHandler):
+    def setup(self):
+        self.request.settimeout(IDLE_TIMEOUT)
+
     def handle(self):
-        store: MessageStore = self.server.store  # type: ignore[attr-defined]
-        sock = self.request
+        try:
+            self._serve(self.server.store, self.request)  # type: ignore[attr-defined]
+        except OSError:
+            # the idle timeout, a client gone mid-frame, or close() ending
+            # the connection: nothing is left to answer
+            pass
+
+    @staticmethod
+    def _serve(store: MessageStore, sock: socket.socket):
         while True:
             try:
                 message = recv_frame(sock)
@@ -144,9 +183,58 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class _ReplicaServer(socketserver.TCPServer):
+    """Serves each connection on its own thread and keeps the live ones, so
+    that close() can end them and join their threads."""
+
     allow_reuse_address = True
-    daemon_threads = True
+
+    def __init__(self, bind, store: MessageStore):
+        super().__init__(bind, _Handler)
+        self.store = store
+        self.closing = False
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+
+    def accept_until_closed(self):
+        # handle_request blocks in select until a connection arrives or
+        # close() shuts the listening socket down
+        while not self.closing:
+            self.handle_request()
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self._serve_connection, args=(request, client_address), daemon=True
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def _serve_connection(self, request, client_address):
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+    def shutdown_request(self, request):
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def end_connections(self):
+        """Wake every handler blocked on its client, then join them all."""
+        with self._live_lock:
+            # under the lock, so no connection here has been closed yet
+            live = list(self._live.items())
+            for request, _ in live:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for _, thread in live:
+            thread.join()
 
 
 @dataclass
@@ -154,42 +242,56 @@ class StoreServer:
     """A running replica; close() tears it down."""
 
     address: tuple[str, int]
-    _server: _ThreadingServer
+    _server: _ReplicaServer
     _thread: threading.Thread
 
     def wait(self):
         self._thread.join()
 
     def close(self):
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop accepting, end the live connections and join every server
+        thread. Returns at once, without waiting for a poll or a client."""
+        server = self._server
+        if server.closing:
+            return
+        server.closing = True
+        server.socket.shutdown(socket.SHUT_RDWR)
+        self._thread.join()
+        # a persistent client would otherwise hold its handler thread until
+        # the idle timeout
+        server.end_connections()
+        server.server_close()
 
 
 def serve(store: MessageStore, bind=("127.0.0.1", 0)) -> StoreServer:
     """Serve a replica on a background thread; stateless between queries."""
-    server = _ThreadingServer(bind, _Handler)
-    server.store = store  # type: ignore[attr-defined]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = _ReplicaServer(bind, store)
+    thread = threading.Thread(target=server.accept_until_closed, daemon=True)
     thread.start()
     return StoreServer(address=server.server_address, _server=server, _thread=thread)
 
 
-def _fetch_one(address, query: PirQuery, timeout: float, session: str):
+def _endpoint(address) -> str:
+    return f"{address[0]}:{address[1]}"
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """True if an idle connection has something to read: its server closed
+    or reset it (or wrote out of turn), so it cannot carry an exchange."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _read_answer(sock, address, session: str, query: PirQuery) -> tuple[PirAnswer, int]:
+    """One server's reply, checked against its query; with the frame size."""
     try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sent = send_frame(
-                sock,
-                {
-                    "type": "query",
-                    "session": session,
-                    "combos": [[list(pair) for pair in combo] for combo in query.combos],
-                },
-            )
-            reply = recv_frame(sock)
+        body = _recv_body(sock)
+        reply = None if body is None else _decode(body)
     except (OSError, MalformedFrame) as exc:
-        raise FetchTimeout(f"{address[0]}:{address[1]}") from exc
+        raise FetchTimeout(_endpoint(address)) from exc
     if reply is None:
-        raise FetchTimeout(f"{address[0]}:{address[1]}")
+        raise FetchTimeout(_endpoint(address))
     if reply.get("type") == "error":
         raise ProtocolError(f"server {address} answered {reply.get('code')}: "
                             f"{reply.get('detail')}")
@@ -202,10 +304,7 @@ def _fetch_one(address, query: PirQuery, timeout: float, session: str):
             f"{len(query.combos)} combos"
         )
     answer = PirAnswer(server=query.server, bits=tuple(int(c) for c in bits))
-    frame_bytes = sent + 4 + len(
-        json.dumps(reply, separators=(",", ":"), sort_keys=True).encode()
-    )
-    return answer, len(bits), frame_bytes
+    return answer, 4 + len(body)
 
 
 @dataclass
@@ -213,7 +312,9 @@ class RemoteTransport:
     """Client-side exchange against one endpoint per server index.
 
     Callable with a query list, like the in-process transport; accumulates
-    answer-bit and framing-byte counters for wire accounting.
+    answer-bit and framing-byte counters for wire accounting over the
+    exchanges that succeed. Keeps one connection per endpoint until close();
+    one exchange at a time.
     """
 
     addresses: list[tuple[str, int]]
@@ -221,37 +322,69 @@ class RemoteTransport:
     answer_bits: int = 0
     frame_bytes: int = 0
     _serial: int = 0
-    _pool: ThreadPoolExecutor | None = field(default=None, repr=False)
+    _socks: dict[int, socket.socket] = field(default_factory=dict, repr=False)
 
     def __call__(self, queries: list[PirQuery]) -> list[PirAnswer]:
         if len(queries) != len(self.addresses):
             raise InvalidParams(
                 f"{len(queries)} queries for {len(self.addresses)} endpoints"
             )
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=max(len(self.addresses), 1))
         self._serial += 1
         session = f"{self._serial:08x}"
-        futures = [
-            self._pool.submit(_fetch_one, addr, query, self.timeout, session)
-            for addr, query in zip(self.addresses, queries)
-        ]
-        answers = []
-        for future in futures:
-            answer, bits, frames = future.result()
-            self.answer_bits += bits
-            self.frame_bytes += frames
-            answers.append(answer)
+        # Every query goes out before any reply is read. That cannot
+        # deadlock: a server replies only after it has read its whole frame,
+        # so taking in a query never waits on the client reading a reply.
+        try:
+            socks = []
+            sent = 0
+            for index, (address, query) in enumerate(zip(self.addresses, queries)):
+                frame = {
+                    "type": "query",
+                    "session": session,
+                    "combos": [[list(pair) for pair in combo] for combo in query.combos],
+                }
+                try:
+                    sock = self._connection(index)
+                    sent += send_frame(sock, frame)
+                except (OSError, MalformedFrame) as exc:
+                    raise FetchTimeout(_endpoint(address)) from exc
+                socks.append(sock)
+            answers = []
+            received = 0
+            for sock, address, query in zip(socks, self.addresses, queries):
+                answer, size = _read_answer(sock, address, session, query)
+                answers.append(answer)
+                received += size
+        except BaseException:
+            # a connection may hold half a frame or a late reply
+            self.close()
+            raise
+        self.answer_bits += sum(len(a.bits) for a in answers)
+        self.frame_bytes += sent + received
         return answers
 
+    def _connection(self, index: int) -> socket.socket:
+        sock = self._socks.get(index)
+        if sock is not None and _peer_closed(sock):
+            # the query has not been written yet, so nothing is re-sent
+            sock.close()
+            sock = None
+        if sock is None:
+            sock = socket.create_connection(self.addresses[index], timeout=self.timeout)
+            self._socks[index] = sock
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Close every connection; a later exchange opens new ones."""
+        for sock in self._socks.values():
+            sock.close()
+        self._socks.clear()
 
 
 def fetch(addresses, queries: list[PirQuery], timeout: float = 5.0) -> list[PirAnswer]:
-    """One-shot concurrent exchange; answers ordered like the queries."""
+    """One-shot exchange on fresh connections; answers ordered like the
+    queries."""
     transport = RemoteTransport(addresses=list(addresses), timeout=timeout)
     try:
         return transport(queries)
@@ -266,7 +399,7 @@ def hello(address, timeout: float = 5.0) -> dict:
             send_frame(sock, {"type": "hello"})
             reply = recv_frame(sock)
     except OSError as exc:
-        raise FetchTimeout(f"{address[0]}:{address[1]}") from exc
+        raise FetchTimeout(_endpoint(address)) from exc
     if not reply or reply.get("type") != "hello":
         raise ProtocolError(f"bad hello reply from {address}")
     return reply

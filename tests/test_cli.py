@@ -101,6 +101,14 @@ class TestMalformedInputs:
             capsys, ["two-request", "--joint", self.PAIR, "--policy", path], "policy"
         )
 
+    def test_policy_for_another_number_of_messages(self, tmp_path, capsys):
+        policy = {"K": 3, "entries": [{"s": 0, "x": 0, "u": [0, 1, 2], "p": "1"}]}
+        path = write(tmp_path, "policy.json", policy)
+        assert run_cli(["two-request", "--joint", self.PAIR, "--policy", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: bad policy file {path}: ")
+        assert "policy has K=3, joint has K=2" in err
+
     @pytest.mark.parametrize("command", ["two-request", "audit"])
     def test_policy_subset_outside_the_messages(self, tmp_path, capsys, command):
         policy = {

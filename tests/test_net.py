@@ -1,11 +1,14 @@
 import json
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
+from ipir import net
 from ipir.core import MessageStore, fork_rng
-from ipir.errors import FetchTimeout, ProtocolError
+from ipir.errors import FetchTimeout, LengthMismatch, MalformedFrame, ProtocolError
 from ipir.intermittent import run_two_request
 from ipir.net import (
     MAX_FRAME,
@@ -19,7 +22,22 @@ from ipir.net import (
     store_to_bytes,
 )
 from ipir.obfuscation import greedy_policy
-from ipir.pir import PirQuery, PirKey, PirSession, pir_setup
+from ipir.pir import PirQuery, PirKey, PirSession, pir_answer, pir_setup
+
+
+def other_threads():
+    return [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Servers and fakes must join every thread they start by the end of
+    the test that made them; a short grace period covers thread exit."""
+    yield
+    deadline = time.monotonic() + 2.0
+    while other_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not other_threads(), f"threads outlived the test: {other_threads()}"
 
 
 @pytest.fixture
@@ -28,6 +46,16 @@ def running_pair(store22):
     yield servers
     for s in servers:
         s.close()
+
+
+def textbook_queries():
+    params = pir_setup(2, (0, 1), 4)
+    identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+    return PirSession.from_key(params, 0, identity).queries
+
+
+def compact(payload) -> bytes:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
 
 
 class TestFraming:
@@ -89,11 +117,22 @@ class TestServer:
         assert str(address[1]) in str(err.value)
 
     def test_textbook_query_pair_downloads_six_bits(self, running_pair, store22):
-        params = pir_setup(2, (0, 1), 4)
-        identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
-        queries = PirSession.from_key(params, 0, identity).queries
-        answers = fetch([s.address for s in running_pair], queries)
+        answers = fetch([s.address for s in running_pair], textbook_queries())
         assert sum(len(a.bits) for a in answers) == 6
+
+    def test_close_ends_a_live_connection_at_once(self, store22):
+        server = serve(store22)
+        transport = RemoteTransport(addresses=[server.address])
+        try:
+            transport([PirQuery(server=0, combos=(((0, 0),),))])
+            assert len(other_threads()) == 2  # the accept loop and one handler
+            start = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - start < 0.1
+            assert other_threads() == []
+        finally:
+            transport.close()
+            server.close()
 
 
 class TestTransportTransparency:
@@ -139,6 +178,168 @@ class TestTransportTransparency:
         )
         assert transport.answer_bits == expected_bits
         assert transport.frame_bytes > 0
+
+    def test_frame_bytes_are_the_bytes_on_the_wire(self, running_pair, store22):
+        queries = textbook_queries()
+        transport = RemoteTransport(addresses=[s.address for s in running_pair])
+        try:
+            transport(queries)
+        finally:
+            transport.close()
+        expected = 0
+        for query in queries:
+            combos = [[list(pair) for pair in combo] for combo in query.combos]
+            bits = "".join(map(str, pir_answer(query, store22).bits))
+            expected += 4 + len(compact({"type": "query", "session": "00000001", "combos": combos}))
+            expected += 4 + len(compact({"type": "answer", "session": "00000001", "bits": bits}))
+        assert transport.answer_bits == 6
+        assert transport.frame_bytes == expected == 274
+
+
+class FakeReplica:
+    """A one-thread replica on 127.0.0.1:0 that misbehaves once.
+
+    ``fault(conn, message)`` handles the first query it reads and the
+    connection is then dropped; every later query gets the honest answer.
+    ``accepted`` counts the connections it took.
+    """
+
+    def __init__(self, store, fault):
+        self.store = store
+        self.fault = fault
+        self.accepted = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()[:2]
+        self.thread = threading.Thread(target=self._accept, name="fake-replica")
+        self.thread.start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted += 1
+            with conn:
+                conn.settimeout(5)
+                try:
+                    self._serve(conn)
+                except OSError:
+                    pass
+
+    def _serve(self, conn):
+        while (message := recv_frame(conn)) is not None:
+            if self.fault is not None:
+                fault, self.fault = self.fault, None
+                fault(conn, message)
+                return
+            query = PirQuery(server=0, combos=tuple(
+                tuple((m, b) for m, b in combo) for combo in message["combos"]
+            ))
+            bits = "".join(map(str, pir_answer(query, self.store).bits))
+            send_frame(conn, {"type": "answer", "session": message["session"], "bits": bits})
+
+    def close(self):
+        self.listener.shutdown(socket.SHUT_RDWR)
+        self.listener.close()
+        self.thread.join(5)
+        assert not self.thread.is_alive()
+
+
+def reply_with(**fields):
+    """A fault that sends one answer frame, changed by ``fields``."""
+
+    def fault(conn, message):
+        reply = {"type": "answer", "session": message["session"],
+                 "bits": "0" * len(message["combos"])}
+        send_frame(conn, {**reply, **fields})
+
+    return fault
+
+
+def truncated_frame(conn, message):
+    conn.sendall(struct.pack("!I", 100) + b'{"type":')
+
+
+def dies_mid_exchange(conn, message):
+    pass  # the connection closes with no reply
+
+
+def stalls(conn, message):
+    conn.recv(1)  # no reply; returns once the client gives up and hangs up
+
+
+# name: (fault, the error it must raise, the client's timeout)
+FAULTS = {
+    "truncated frame": (truncated_frame, FetchTimeout, 5.0),
+    "wrong session id": (reply_with(session="deadbeef"), ProtocolError, 5.0),
+    "peer dies mid-exchange": (dies_mid_exchange, FetchTimeout, 5.0),
+    "stalled peer": (stalls, FetchTimeout, 0.5),
+    "wrong-length answer": (reply_with(bits="0"), LengthMismatch, 5.0),
+    "answer outside 01": (reply_with(bits="02"), LengthMismatch, 5.0),
+}
+
+
+class TestFaults:
+    """The faulty replica is server 0, so server 1's reply is still unread
+    when the exchange fails; the next exchange must not read it."""
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_fault_raises_its_type_and_the_next_exchange_succeeds(
+        self, name, store22, running_pair
+    ):
+        fault, expected, timeout = FAULTS[name]
+        fake = FakeReplica(store22, fault)
+        queries = textbook_queries()
+        honest = [pir_answer(q, store22).bits for q in queries]
+        transport = RemoteTransport(
+            addresses=[fake.address, running_pair[1].address], timeout=timeout
+        )
+        try:
+            with pytest.raises(ProtocolError) as err:
+                transport(queries)
+            assert type(err.value) is expected
+            if name == "truncated frame":
+                assert isinstance(err.value.__cause__, MalformedFrame)
+            if name == "stalled peer":
+                assert isinstance(err.value.__cause__, TimeoutError)
+            assert (transport.answer_bits, transport.frame_bytes) == (0, 0)
+            assert [a.bits for a in transport(queries)] == honest
+            assert transport.answer_bits == 6
+        finally:
+            transport.close()
+            fake.close()
+        assert fake.accepted == 2
+
+    def test_one_connection_per_replica_across_exchanges(self, store22):
+        fake = FakeReplica(store22, None)
+        transport = RemoteTransport(addresses=[fake.address])
+        try:
+            for combo in range(5):
+                query = PirQuery(server=0, combos=(((0, combo % 4),),))
+                assert transport([query])[0].bits == (store22.data[0][combo % 4],)
+        finally:
+            transport.close()
+            fake.close()
+        assert fake.accepted == 1
+
+    def test_connection_closed_for_idleness_is_replaced(
+        self, store22, monkeypatch
+    ):
+        monkeypatch.setattr(net, "IDLE_TIMEOUT", 0.05)
+        server = serve(store22)
+        transport = RemoteTransport(addresses=[server.address])
+        query = PirQuery(server=0, combos=(((1, 2),),))
+        try:
+            transport([query])
+            deadline = time.monotonic() + 2.0
+            while len(other_threads()) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(other_threads()) == 1  # the handler left on its timeout
+            assert transport([query])[0].bits == (store22.data[1][2],)
+        finally:
+            transport.close()
+            server.close()
 
 
 class TestStoreFile:
