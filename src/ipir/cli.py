@@ -5,7 +5,8 @@ greedy), protocol simulation (two-request, simulate-location), privacy
 auditing (audit), and the networked pieces (serve, upload). Reports are
 deterministic JSON: same inputs and seed give byte-identical output.
 
-Exit codes: 0 success, 2 configuration error, 3 failed privacy audit.
+Exit codes: 0 success, 2 configuration or operating-system error (such as
+a missing file or a busy port), 3 failed privacy audit.
 """
 
 from __future__ import annotations
@@ -285,8 +286,10 @@ def cmd_serve(args) -> int:
     host, _, port = args.listen.rpartition(":")
     try:
         address = (host or "127.0.0.1", int(port))
+        if not 0 <= address[1] <= 65535:
+            raise ValueError(f"port {address[1]} is outside 0-65535")
     except ValueError as exc:
-        raise ConfigError(f"bad --listen {args.listen!r}") from exc
+        raise ConfigError(f"bad --listen {args.listen!r}: {exc}") from exc
     server = net.serve(store, address)
     print(f"serving K={store.K} L={store.L} on "
           f"{server.address[0]}:{server.address[1]}", flush=True)
@@ -443,7 +446,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except IpirError as exc:
+    except (IpirError, OSError) as exc:
+        # OSError: a missing or unwritable file, or a port that cannot be bound
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,14 +207,13 @@ def advance_posterior(
             if w != 0:
                 for a1 in range(K):
                     joint[a1][b] += w * row[a1]
+    tau = state.tau
     if schedule.is_private(t1):
         tau = t1
         joint = [
             [sum(joint[a1], ZERO) if a1 == b else ZERO for b in range(K)]
             for a1 in range(K)
         ]
-    else:
-        tau = state.t if schedule.is_private(state.t) else state.tau
     return PosteriorState(
         t=t1, tau=tau, joint=tuple(tuple(r) for r in joint), history=state.history
     )
@@ -439,7 +438,7 @@ def simulate(
             record, state = step_nonprivate(
                 state,
                 trace[t],
-                trace[latest_private(t, schedule)],
+                trace[state.tau],
                 model,
                 schedule,
                 config,

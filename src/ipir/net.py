@@ -9,16 +9,16 @@ Servers are honest-but-curious: they evaluate queries against an immutable
 replica and keep no per-client state. Download-cost accounting counts
 answer payload bits only; framing overhead is tracked separately.
 
-Connections: a ``RemoteTransport`` keeps one TCP connection per replica,
-opened on its first exchange and closed by ``close()``. An exchange is
-pipelined: every query frame goes out, then the replies are read in server
-order, each checked against the exchange's session id. Any failure closes
-all of the transport's connections, so the next exchange starts on fresh
-ones and can never read a reply meant for an earlier one. A server serves
-each connection on its own thread and closes a connection that sends
-nothing for ``IDLE_TIMEOUT`` seconds; a client replaces a connection its
-server has closed before writing to it. ``StoreServer.close`` ends the live
-connections and joins every thread the server started.
+Connections: a ``RemoteTransport`` keeps one TCP connection per replica
+until ``close()`` and pipelines each exchange: every query frame goes out,
+then the replies are read in server order and checked against the
+exchange's session id. Any failure closes all of its connections, so no
+later exchange can read a stale reply; a connection its server has closed
+is replaced before the query is written. A ``StoreServer`` runs one accept
+thread and one thread per connection, which ends after ``IDLE_TIMEOUT``
+seconds of silence. ``close()`` shuts the listening socket down to wake the
+accept thread, shuts every live connection down to wake its thread, and
+joins them all, without waiting for a client.
 
 A reply is checked for its session id, its length and its '0'/'1' alphabet
 only: a replica that flips an answer bit goes unseen here, and is caught in
@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import select
 import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -105,145 +104,110 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return None if body is None else _decode(body)
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def setup(self):
-        self.request.settimeout(IDLE_TIMEOUT)
-
-    def handle(self):
+def _serve(store: MessageStore, sock: socket.socket):
+    while True:
         try:
-            self._serve(self.server.store, self.request)  # type: ignore[attr-defined]
+            message = recv_frame(sock)
+        except MalformedFrame as exc:
+            try:
+                send_frame(sock, {"type": "error", "code": "frame_too_large"
+                                  if "limit" in str(exc) else "malformed",
+                                  "detail": str(exc)})
+            except OSError:
+                pass
+            return
+        if message is None:
+            return
+        kind = message.get("type")
+        if kind == "hello":
+            send_frame(
+                sock,
+                {
+                    "type": "hello",
+                    "proto_version": PROTO_VERSION,
+                    "K": store.K,
+                    "L": store.L,
+                },
+            )
+        elif kind == "query":
+            session = message.get("session", "")
+            combos = message.get("combos", [])
+            try:
+                query = PirQuery(
+                    server=0,
+                    combos=tuple(
+                        tuple((int(m), int(b)) for m, b in combo)
+                        for combo in combos
+                    ),
+                )
+                answer = pir_answer(query, store)
+            except OutOfRange as exc:
+                send_frame(
+                    sock, {"type": "error", "code": "range", "detail": str(exc)}
+                )
+                continue
+            except (TypeError, ValueError) as exc:
+                send_frame(
+                    sock,
+                    {"type": "error", "code": "malformed", "detail": str(exc)},
+                )
+                return
+            send_frame(
+                sock,
+                {
+                    "type": "answer",
+                    "session": session,
+                    "bits": "".join(str(b) for b in answer.bits),
+                },
+            )
+        else:
+            send_frame(
+                sock,
+                {"type": "error", "code": "malformed",
+                 "detail": f"unknown type {kind!r}"},
+            )
+            return
+
+
+class StoreServer:
+    """A running replica: one thread accepts, and each connection is served
+    on its own thread; close() tears it down."""
+
+    def __init__(self, store: MessageStore, bind):
+        self._store = store
+        self._listener = socket.create_server(bind)
+        self.address: tuple[str, int] = self._listener.getsockname()
+        self._closing = False
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self):
+        while not self._closing:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                # close() shut the listener down, or an accept error that
+                # ends only the connection that caused it
+                continue
+            thread = threading.Thread(target=self._handle, args=(sock,), daemon=True)
+            with self._live_lock:
+                self._live[sock] = thread
+            thread.start()
+
+    def _handle(self, sock: socket.socket):
+        try:
+            sock.settimeout(IDLE_TIMEOUT)
+            _serve(self._store, sock)
         except OSError:
             # the idle timeout, a client gone mid-frame, or close() ending
             # the connection: nothing is left to answer
             pass
-
-    @staticmethod
-    def _serve(store: MessageStore, sock: socket.socket):
-        while True:
-            try:
-                message = recv_frame(sock)
-            except MalformedFrame as exc:
-                try:
-                    send_frame(sock, {"type": "error", "code": "frame_too_large"
-                                      if "limit" in str(exc) else "malformed",
-                                      "detail": str(exc)})
-                except OSError:
-                    pass
-                return
-            if message is None:
-                return
-            kind = message.get("type")
-            if kind == "hello":
-                send_frame(
-                    sock,
-                    {
-                        "type": "hello",
-                        "proto_version": PROTO_VERSION,
-                        "K": store.K,
-                        "L": store.L,
-                    },
-                )
-            elif kind == "query":
-                session = message.get("session", "")
-                combos = message.get("combos", [])
-                try:
-                    query = PirQuery(
-                        server=0,
-                        combos=tuple(
-                            tuple((int(m), int(b)) for m, b in combo)
-                            for combo in combos
-                        ),
-                    )
-                    answer = pir_answer(query, store)
-                except OutOfRange as exc:
-                    send_frame(
-                        sock, {"type": "error", "code": "range", "detail": str(exc)}
-                    )
-                    continue
-                except (TypeError, ValueError) as exc:
-                    send_frame(
-                        sock,
-                        {"type": "error", "code": "malformed", "detail": str(exc)},
-                    )
-                    return
-                send_frame(
-                    sock,
-                    {
-                        "type": "answer",
-                        "session": session,
-                        "bits": "".join(str(b) for b in answer.bits),
-                    },
-                )
-            else:
-                send_frame(
-                    sock,
-                    {"type": "error", "code": "malformed",
-                     "detail": f"unknown type {kind!r}"},
-                )
-                return
-
-
-class _ReplicaServer(socketserver.TCPServer):
-    """Serves each connection on its own thread and keeps the live ones, so
-    that close() can end them and join their threads."""
-
-    allow_reuse_address = True
-
-    def __init__(self, bind, store: MessageStore):
-        super().__init__(bind, _Handler)
-        self.store = store
-        self.closing = False
-        self._live: dict[socket.socket, threading.Thread] = {}
-        self._live_lock = threading.Lock()
-
-    def accept_until_closed(self):
-        # handle_request blocks in select until a connection arrives or
-        # close() shuts the listening socket down
-        while not self.closing:
-            self.handle_request()
-
-    def process_request(self, request, client_address):
-        thread = threading.Thread(
-            target=self._serve_connection, args=(request, client_address), daemon=True
-        )
-        with self._live_lock:
-            self._live[request] = thread
-        thread.start()
-
-    def _serve_connection(self, request, client_address):
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
         finally:
-            self.shutdown_request(request)
-
-    def shutdown_request(self, request):
-        with self._live_lock:
-            self._live.pop(request, None)
-        super().shutdown_request(request)
-
-    def end_connections(self):
-        """Wake every handler blocked on its client, then join them all."""
-        with self._live_lock:
-            # under the lock, so no connection here has been closed yet
-            live = list(self._live.items())
-            for request, _ in live:
-                try:
-                    request.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        for _, thread in live:
-            thread.join()
-
-
-@dataclass
-class StoreServer:
-    """A running replica; close() tears it down."""
-
-    address: tuple[str, int]
-    _server: _ReplicaServer
-    _thread: threading.Thread
+            with self._live_lock:
+                del self._live[sock]
+            sock.close()
 
     def wait(self):
         self._thread.join()
@@ -251,24 +215,27 @@ class StoreServer:
     def close(self):
         """Stop accepting, end the live connections and join every server
         thread. Returns at once, without waiting for a poll or a client."""
-        server = self._server
-        if server.closing:
+        if self._closing:
             return
-        server.closing = True
-        server.socket.shutdown(socket.SHUT_RDWR)
+        self._closing = True
+        self._listener.shutdown(socket.SHUT_RDWR)
         self._thread.join()
-        # a persistent client would otherwise hold its handler thread until
-        # the idle timeout
-        server.end_connections()
-        server.server_close()
+        with self._live_lock:
+            # under the lock, so no connection here has been closed yet
+            live = list(self._live.items())
+            for sock, _ in live:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for _, thread in live:
+            thread.join()
+        self._listener.close()
 
 
 def serve(store: MessageStore, bind=("127.0.0.1", 0)) -> StoreServer:
-    """Serve a replica on a background thread; stateless between queries."""
-    server = _ReplicaServer(bind, store)
-    thread = threading.Thread(target=server.accept_until_closed, daemon=True)
-    thread.start()
-    return StoreServer(address=server.server_address, _server=server, _thread=thread)
+    """Serve a replica on background threads; stateless between queries."""
+    return StoreServer(store, bind)
 
 
 def _endpoint(address) -> str:
@@ -298,6 +265,8 @@ def _read_answer(sock, address, session: str, query: PirQuery) -> tuple[PirAnswe
     if reply.get("type") != "answer" or reply.get("session") != session:
         raise ProtocolError(f"unexpected reply {reply.get('type')!r} from {address}")
     bits = reply.get("bits", "")
+    if not isinstance(bits, str):
+        raise LengthMismatch(f"server {address} answered bits as a {type(bits).__name__}")
     if len(bits) != len(query.combos) or any(c not in "01" for c in bits):
         raise LengthMismatch(
             f"server {address} answered {len(bits)} bits for "
@@ -380,16 +349,6 @@ class RemoteTransport:
         for sock in self._socks.values():
             sock.close()
         self._socks.clear()
-
-
-def fetch(addresses, queries: list[PirQuery], timeout: float = 5.0) -> list[PirAnswer]:
-    """One-shot exchange on fresh connections; answers ordered like the
-    queries."""
-    transport = RemoteTransport(addresses=list(addresses), timeout=timeout)
-    try:
-        return transport(queries)
-    finally:
-        transport.close()
 
 
 def hello(address, timeout: float = 5.0) -> dict:

@@ -43,9 +43,6 @@ class SchemeParams:
     blocks: int
     L: int
 
-    def per_server_length(self) -> int:
-        return self.blocks * (self.n_servers**self.k - 1) // (self.n_servers - 1)
-
 
 def pir_setup(n_servers: int, subset, L: int) -> SchemeParams:
     subset = tuple(sorted(set(subset)))

@@ -1,11 +1,17 @@
 import json
+import random
+import signal
+import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from ipir.cli import main
+from ipir.net import RemoteTransport, load_store
+from ipir.pir import open_session, pir_setup
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,6 +133,37 @@ class TestMalformedInputs:
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert "policy fails validation: ('support', 0, 0, (0, 1, 5))" in err
+
+    def test_listen_port_outside_the_port_range(self, tmp_path, capsys):
+        store = str(tmp_path / "replica.bin")
+        assert run_cli(["upload", "--store", store, "-K", "2", "-L", "8"]) == 0
+        assert run_cli(["serve", "--store", store, "--listen", "127.0.0.1:99999"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad --listen '127.0.0.1:99999'")
+
+    @pytest.mark.parametrize(
+        "case",
+        ["serve a missing store", "serve on a busy port",
+         "upload into a missing directory", "output into a missing directory"],
+    )
+    def test_operating_system_error(self, tmp_path, capsys, case):
+        store = str(tmp_path / "replica.bin")
+        assert run_cli(["upload", "--store", store, "-K", "2", "-L", "8"]) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing"
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            args = {
+                "serve a missing store": ["serve", "--store", str(missing / "r.bin")],
+                "serve on a busy port":
+                    ["serve", "--store", store, "--listen", f"127.0.0.1:{port}"],
+                "upload into a missing directory":
+                    ["upload", "--store", str(missing / "r.bin"), "-K", "2", "-L", "8"],
+                "output into a missing directory":
+                    ["solve-lp", "--joint", self.PAIR, "-o", str(missing / "lp.json")],
+            }[case]
+            assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
 
 
 class TestTwoRequestCommand:
@@ -286,10 +323,35 @@ class TestStoreCommands:
         assert run_cli(
             ["upload", "--store", str(store_path), "-K", "2", "-L", "8", "--seed", "4"]
         ) == 0
-        from ipir.net import load_store
-
         store = load_store(store_path)
         assert store.K == 2 and store.L == 8
+
+    def test_served_replica_answers_and_exits_on_sigint(self, tmp_path):
+        store_path = str(tmp_path / "replica.bin")
+        assert run_cli(["upload", "--store", store_path, "-K", "2", "-L", "8"]) == 0
+        store = load_store(store_path)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ipir.cli", "serve", "--store", store_path],
+            stdout=subprocess.PIPE, text=True,
+        )
+        transport = None
+        try:
+            # "serving K=2 L=8 on HOST:PORT"
+            host, _, port = proc.stdout.readline().split()[-1].rpartition(":")
+            # both queries go to the one replica, on two connections
+            transport = RemoteTransport(addresses=[(host, int(port))] * 2)
+            session = open_session(pir_setup(2, (0, 1), 8), 1, random.Random(0))
+            assert session.decode(transport(session.queries)) == store.data[1]
+            start = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+            assert time.monotonic() - start < 2.0
+        finally:
+            if transport is not None:
+                transport.close()
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
     def test_upload_rejects_unaligned_length(self, tmp_path):
         code = run_cli(

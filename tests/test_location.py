@@ -172,6 +172,22 @@ class TestSteps:
         assert record.decoded == self.store.data[0]
         assert 0 in record.subset
 
+    def test_tracked_tau_is_the_latest_private_instant(self):
+        # simulate reads the true latest private location as trace[state.tau]
+        sched = PrivacySchedule(horizon=7, private=frozenset({0, 1, 4}))
+        state = initial_posterior(self.model)
+        for t in range(sched.horizon + 1):
+            assert (state.t, state.tau) == (t, latest_private(t, sched))
+            rng = fork_rng(5, "step", t)
+            if sched.is_private(t):
+                _, state = step_private(
+                    state, 0, self.model, sched, self.config, self.store, rng
+                )
+            else:
+                _, state = step_nonprivate(
+                    state, 0, 0, self.model, sched, self.config, self.store, rng
+                )
+
     def test_lp_policy_on_a_sparse_posterior(self):
         # P(current=a, private=b) with zero cells; private location 1 has no mass
         joint = (

@@ -13,7 +13,6 @@ from ipir.intermittent import run_two_request
 from ipir.net import (
     MAX_FRAME,
     RemoteTransport,
-    fetch,
     hello,
     recv_frame,
     send_frame,
@@ -90,13 +89,21 @@ class TestServer:
 
     def test_single_lookup(self, running_pair, store22):
         query = PirQuery(server=0, combos=(((0, 0),),))
-        answers = fetch([running_pair[0].address], [query])
+        transport = RemoteTransport(addresses=[running_pair[0].address])
+        try:
+            answers = transport([query])
+        finally:
+            transport.close()
         assert answers[0].bits == (store22.data[0][0],)
 
     def test_out_of_range_is_reported(self, running_pair):
         query = PirQuery(server=0, combos=(((0, 99),),))
-        with pytest.raises(ProtocolError) as err:
-            fetch([running_pair[0].address], [query])
+        transport = RemoteTransport(addresses=[running_pair[0].address])
+        try:
+            with pytest.raises(ProtocolError) as err:
+                transport([query])
+        finally:
+            transport.close()
         assert "range" in str(err.value)
 
     def test_oversized_frame_is_refused(self, running_pair):
@@ -112,13 +119,69 @@ class TestServer:
         address = server.address
         server.close()
         query = PirQuery(server=0, combos=(((0, 0),),))
-        with pytest.raises(FetchTimeout) as err:
-            fetch([address], [query], timeout=0.5)
+        transport = RemoteTransport(addresses=[address], timeout=0.5)
+        try:
+            with pytest.raises(FetchTimeout) as err:
+                transport([query])
+        finally:
+            transport.close()
         assert str(address[1]) in str(err.value)
 
     def test_textbook_query_pair_downloads_six_bits(self, running_pair, store22):
-        answers = fetch([s.address for s in running_pair], textbook_queries())
+        transport = RemoteTransport(addresses=[s.address for s in running_pair])
+        try:
+            answers = transport(textbook_queries())
+        finally:
+            transport.close()
         assert sum(len(a.bits) for a in answers) == 6
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xff{not json",
+            compact({"type": "bogus"}),
+            compact({"type": "query", "session": "s", "combos": [[["a", 0]]]}),
+        ],
+        ids=["undecodable frame", "unknown type", "non-integer combo"],
+    )
+    def test_malformed_frame_gets_an_error_and_the_connection_ends(
+        self, running_pair, body
+    ):
+        with socket.create_connection(running_pair[0].address, timeout=5) as sock:
+            sock.sendall(struct.pack("!I", len(body)) + body)
+            reply = recv_frame(sock)
+            assert (reply["type"], reply["code"]) == ("error", "malformed")
+            assert recv_frame(sock) is None
+
+    def test_out_of_range_keeps_the_connection_open(self, running_pair, store22):
+        with socket.create_connection(running_pair[0].address, timeout=5) as sock:
+            send_frame(sock, {"type": "query", "session": "a", "combos": [[[0, 99]]]})
+            reply = recv_frame(sock)
+            assert (reply["type"], reply["code"]) == ("error", "range")
+            send_frame(sock, {"type": "query", "session": "b", "combos": [[[1, 2]]]})
+            reply = recv_frame(sock)
+            assert reply == {"type": "answer", "session": "b",
+                             "bits": str(store22.data[1][2])}
+
+    def test_two_clients_at_once_are_both_answered(self, running_pair, store22):
+        address = running_pair[0].address
+        with socket.create_connection(address, timeout=5) as first, \
+                socket.create_connection(address, timeout=5) as second:
+            # the second client is answered while the first one's
+            # connection is open and silent
+            for sock in (second, first):
+                send_frame(sock, {"type": "hello"})
+                assert recv_frame(sock)["K"] == store22.K
+
+    def test_close_is_idempotent_and_ends_wait(self, store22):
+        server = serve(store22)
+        waiter = threading.Thread(target=server.wait)
+        waiter.start()
+        server.close()
+        waiter.join(5)
+        assert not waiter.is_alive()
+        server.close()
+        server.wait()
 
     def test_close_ends_a_live_connection_at_once(self, store22):
         server = serve(store22)
@@ -277,6 +340,7 @@ FAULTS = {
     "stalled peer": (stalls, FetchTimeout, 0.5),
     "wrong-length answer": (reply_with(bits="0"), LengthMismatch, 5.0),
     "answer outside 01": (reply_with(bits="02"), LengthMismatch, 5.0),
+    "answer that is not a string": (reply_with(bits=[0, 1, 1]), LengthMismatch, 5.0),
 }
 
 

@@ -34,7 +34,8 @@ class TestSetup:
     def test_single_message_two_blocks(self):
         p = pir_setup(2, (0,), 4)
         assert p.k == 1 and p.block == 2 and p.blocks == 2
-        assert p.per_server_length() == 2
+        session = open_session(p, 0, random.Random(0))
+        assert [len(q.combos) for q in session.queries] == [2, 2]
 
     def test_three_servers_pair(self):
         p = pir_setup(3, (1, 4), 9)
