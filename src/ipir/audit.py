@@ -211,8 +211,9 @@ def audit_query_privacy(
     at each server. When that key space exceeds EXACT_STATE_CAP the audit
     runs in empirical mode instead, and its first check records the
     fallback. Empirical mode compares the sampled query law across s values
-    by total variation distance at each server. Any other mode raises
-    InvalidParams.
+    by total variation distance at each server from ``trials`` samples per
+    private value. Any other mode, and an empirical audit with fewer than
+    one trial, raise InvalidParams.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
@@ -222,6 +223,8 @@ def audit_query_privacy(
         report.checks.append(
             AuditCheck(name="exact-mode-infeasible (fell back to empirical)", passed=True)
         )
+    if report.mode == "empirical" and trials < 1:
+        raise InvalidParams(f"an empirical audit needs at least 1 trial, got {trials}")
     if report.mode == "exact":
         for server in range(config.N):
             dj = _query_law(joint, policy, config, server)
@@ -265,9 +268,11 @@ def audit_query_privacy(
                 params_cache[mask] = params
             session = pir.open_session(params, x, rng)
             for query in session.queries:
-                pattern_counts[query.server][s].setdefault(mask, Counter())[
-                    pir.query_pattern(params, query)
-                ] += 1
+                by_mask = pattern_counts[query.server][s]
+                counts = by_mask.get(mask)
+                if counts is None:
+                    counts = by_mask[mask] = Counter()
+                counts[pir.query_pattern(params, query)] += 1
 
     support = list(cond.support)
     for server in range(config.N):

@@ -21,7 +21,7 @@ from .core import (
     capacity_cost,
     fork_rng,
 )
-from .errors import InconsistentAnswers
+from .errors import InconsistentAnswers, InvalidParams
 from .obfuscation import (
     LikelihoodProfile,
     ObfuscationPolicy,
@@ -147,8 +147,11 @@ def run_two_request(
     query, answer, decode, count bits). The private retrieval has a
     deterministic cost, so ``private_each_trial=False`` executes it once per
     distinct s instead of once per trial; results are unchanged because only
-    the non-private cost is a statistic.
+    the non-private cost is a statistic. A negative ``trials`` raises
+    InvalidParams.
     """
+    if trials < 0:
+        raise InvalidParams(f"trials must be >= 0, got {trials}")
     transport = transport or local_transport(store)
     pair_sampler = WeightedSampler(
         ((s, x), joint.table[s][x])

@@ -8,7 +8,8 @@ constructors are provided:
 * an exact covering linear program over the subset marginal P(U=u)
   minimizing the expected retrieval cost E[C(N, |U|)] over all valid
   policies (optimal; 2^K - 1 subset variables and at most 2^K - 1 rows),
-  with the policy routed out of the optimal marginal per private value, and
+  with each private value's row p(.|s) then routed onto the optimal
+  marginal by an exact augmenting-path flow, and
 * a polynomial-time greedy construction driven by the sorted-likelihood
   profile of p(x|s), which guarantees P(|U| <= i) >= sum of the first i
   size weights (and therefore a matching cost bound) without solving the LP.
@@ -348,10 +349,11 @@ def build_lp(
 def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     """Vertex-optimal policy for the instance, in exact rationals.
 
-    The LP gives the subset marginal m. Each supported s then splits p(x|s)
-    over the subsets u with m(u) > 0 by a zero-cost transport solve (supply
-    p(x|s) at each x, demand m(u) at each u, arcs x in u), and
-    p(u|x,s) = f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no entries.
+    The covering LP gives the subset marginal m; it is the one simplex
+    solve. Each supported s then splits p(x|s) over the subsets u with
+    m(u) > 0 by an exact feasibility flow (supply p(x|s) at each x, demand
+    m(u) at each u, arcs x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs
+    with p(x|s) = 0 get no entries.
     """
     solution = minimize(instance.costs, instance.rows, instance.rhs)
     # m = 1 on the full set is always feasible, so the LP cannot be
@@ -366,20 +368,64 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     entries = {}
     for s in instance.cond.support:
         row = instance.cond.rows[s]
-        xs = [x for x in range(instance.K) if row[x] != 0]
-        arcs = [(x, u) for x in xs for u in marginal if u >> x & 1]
-        flow = minimize(
-            [ZERO] * len(arcs),
-            [[ONE if ax == x else ZERO for ax, _ in arcs] for x in xs]
-            + [[ONE if au == u else ZERO for _, au in arcs] for u in marginal],
-            [row[x] for x in xs] + list(marginal.values()),
-        )
-        if flow.status != "optimal":
-            raise ConstructionFailed(f"row {s} cannot be routed onto the subset marginal")
+        flow = _route(s, row, marginal)
         entries.update(
-            ((s, x, u), f / row[x]) for (x, u), f in zip(arcs, flow.x) if f != 0
+            ((s, x, u), f / row[x]) for (x, u), f in sorted(flow.items()) if f != 0
         )
     return ObfuscationPolicy(K=instance.K, entries=entries)
+
+
+def _route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int, int], Fraction]:
+    """Exact flow f(x, u) from supplies row[x] = p(x|s) onto demands
+    marginal[u] along the arcs x in u; raises ConstructionFailed when some
+    demand cannot be met.
+
+    Edmonds-Karp: each round augments along a shortest residual path found
+    by breadth-first search from the x with supply left (ascending), which
+    steps x -> u forward in the marginal's mask order and u -> x' backward
+    along positive flow (x' ascending), so the flow is deterministic. By
+    Gale's theorem it meets every demand whenever m satisfies the covering
+    rows and both sides sum to 1.
+    """
+    supply = list(row)
+    demand = dict(marginal)
+    flow: dict[tuple[int, int], Fraction] = {}
+    xs = range(len(row))
+    while any(demand.values()):
+        queue = [x for x in xs if supply[x] != 0]
+        back = dict.fromkeys(queue)  # x -> u it was reached from, None at a source
+        forward: dict[int, int] = {}  # u -> x it was reached from
+        end = None
+        for x in queue:  # the queue grows while it is scanned
+            for u in demand:
+                if u >> x & 1 and u not in forward:
+                    forward[u] = x
+                    if demand[u] != 0:
+                        end = u
+                        break
+                    for y in xs:
+                        if y not in back and flow.get((y, u), ZERO) != 0:
+                            back[y] = u
+                            queue.append(y)
+            if end is not None:
+                break
+        if end is None:
+            raise ConstructionFailed(f"row {s} cannot be routed onto the subset marginal")
+        # forward arcs (x, u) gain delta, backward arcs (y, u) lose it
+        path = []
+        u = end
+        while u is not None:
+            x = forward[u]
+            path.append((x, u))
+            u = back[x]
+            if u is not None:
+                path.append((x, u))
+        delta = min([demand[end], supply[path[-1][0]]] + [flow[a] for a in path[1::2]])
+        for i, arc in enumerate(path):
+            flow[arc] = flow.get(arc, ZERO) + (delta if i % 2 == 0 else -delta)
+        supply[path[-1][0]] -= delta
+        demand[end] -= delta
+    return flow
 
 
 @dataclass(frozen=True)

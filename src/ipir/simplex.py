@@ -23,7 +23,7 @@ STALL_LIMIT = 12
 
 
 class _Unbounded(Exception):
-    pass
+    """Raised by ``_run``; ``args[0]`` is the pivot count so far."""
 
 
 @dataclass
@@ -31,6 +31,7 @@ class SimplexSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None
     x: list[Fraction] | None
+    pivots: int  # every tableau pivot, phase 1 and phase 2
 
 
 def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
@@ -60,7 +61,7 @@ def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
 
     pivots = _run(tableau, z, basis, max_pivots)
     if z[-1] != 0:
-        return SimplexSolution(status="infeasible", objective=None, x=None)
+        return SimplexSolution(status="infeasible", objective=None, x=None, pivots=pivots)
 
     # drive leftover artificials out of the basis; all-zero rows are redundant
     keep = []
@@ -70,6 +71,7 @@ def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
             if col is None:
                 continue
             _pivot(tableau, z, basis, i, col)
+            pivots += 1
         keep.append(i)
     tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
@@ -85,14 +87,16 @@ def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
             z[-1] -= coeff * row[-1]
 
     try:
-        _run(tableau, z, basis, max_pivots - pivots)
-    except _Unbounded:
-        return SimplexSolution(status="unbounded", objective=None, x=None)
+        pivots += _run(tableau, z, basis, max_pivots - pivots)
+    except _Unbounded as exc:
+        return SimplexSolution(
+            status="unbounded", objective=None, x=None, pivots=pivots + exc.args[0]
+        )
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         x[var] = tableau[i][-1]
-    return SimplexSolution(status="optimal", objective=-z[-1], x=x)
+    return SimplexSolution(status="optimal", objective=-z[-1], x=x, pivots=pivots)
 
 
 def _run(tableau, z, basis, budget: int) -> int:
@@ -132,7 +136,7 @@ def _run(tableau, z, basis, budget: int) -> int:
                     best_ratio = ratio
                     leaving = i
         if leaving is None:
-            raise _Unbounded
+            raise _Unbounded(pivots)
 
         before = z[-1]
         _pivot(tableau, z, basis, leaving, entering)

@@ -32,7 +32,13 @@ from ipir.location import (
     latest_private,
     policy_for_posterior,
 )
-from ipir.obfuscation import DEFAULT_LP_CAP, ObfuscationPolicy, full_mask, indices_of
+from ipir.obfuscation import (
+    DEFAULT_LP_CAP,
+    LpInstance,
+    ObfuscationPolicy,
+    full_mask,
+    indices_of,
+)
 from ipir.simplex import minimize
 from ipir import pir
 
@@ -418,4 +424,46 @@ def sxu_solve_lp(instance: SxuLpInstance) -> ObfuscationPolicy:
         for var, value in zip(instance.variables, solution.x)
         if value != 0
     }
+    return ObfuscationPolicy(K=instance.K, entries=entries)
+
+
+# The simplex routing that ipir.obfuscation.solve_lp replaced with an exact
+# flow: the covering LP's marginal, then one zero-cost transport solve per
+# supported s.
+
+
+def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
+    """The covering LP's optimal subset marginal (nonzero masks, in mask
+    order) and its optimal cost."""
+    solution = minimize(instance.costs, instance.rows, instance.rhs)
+    if solution.status != "optimal":
+        raise ConstructionFailed(f"LP solve ended with status {solution.status}")
+    marginal = {
+        u: value
+        for (kind, u), value in zip(instance.variables, solution.x)
+        if kind == "m" and value != 0
+    }
+    return marginal, solution.objective
+
+
+def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> ObfuscationPolicy:
+    """Split each supported row p(.|s) over ``marginal`` by a zero-cost
+    transport simplex solve (supply p(x|s) at each x, demand m(u) at each
+    u, arcs x in u); p(u|x,s) = f(x,u) / p(x|s)."""
+    entries = {}
+    for s in instance.cond.support:
+        row = instance.cond.rows[s]
+        xs = [x for x in range(instance.K) if row[x] != 0]
+        arcs = [(x, u) for x in xs for u in marginal if u >> x & 1]
+        flow = minimize(
+            [ZERO] * len(arcs),
+            [[ONE if ax == x else ZERO for ax, _ in arcs] for x in xs]
+            + [[ONE if au == u else ZERO for _, au in arcs] for u in marginal],
+            [row[x] for x in xs] + list(marginal.values()),
+        )
+        if flow.status != "optimal":
+            raise ConstructionFailed(f"row {s} cannot be routed onto the subset marginal")
+        entries.update(
+            ((s, x, u), f / row[x]) for (x, u), f in zip(arcs, flow.x) if f != 0
+        )
     return ObfuscationPolicy(K=instance.K, entries=entries)

@@ -114,6 +114,23 @@ class TestQueryPrivacyExact:
         with pytest.raises(InvalidParams):
             audit_query_privacy(pair_joint, greedy_policy(pair_cond), config22, mode="nope")
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_empirical_audit_without_trials_rejected(
+        self, pair_joint, pair_cond, config22, trials
+    ):
+        # zero samples would audit nothing and still read passed, TV 0.0
+        with pytest.raises(InvalidParams):
+            audit_query_privacy(
+                pair_joint, greedy_policy(pair_cond), config22, mode="empirical",
+                trials=trials,
+            )
+
+    def test_exact_audit_ignores_trials(self, pair_joint, pair_cond, config22):
+        report = audit_query_privacy(
+            pair_joint, greedy_policy(pair_cond), config22, mode="exact", trials=0
+        )
+        assert report.mode == "exact" and report.passed
+
 
 class TestLeakEquivalence:
     def test_reference_instance(self, pair_joint, pair_cond, config22):

@@ -58,3 +58,22 @@ def test_tracer_wraps_and_restores_every_point():
     assert t.count("location.step_nonprivate") == 2
     assert t.counters["pir.answer_bits"] > 0
     assert [owner.__dict__[attr] for owner, attr, _, _ in points] == originals
+
+
+def test_one_simplex_solve_per_lp_policy():
+    # the bench's simplex.calls counts covering LPs: solve_lp routes each
+    # private row by a flow, never by another simplex solve
+    tracer = load_tracer()
+    model = location.MobilityModel.build(
+        [F(1, 2), F(1, 2)], [[[F(3, 4), F(1, 4)], [F(1, 3), F(2, 3)]]]
+    )
+    schedule = location.PrivacySchedule(horizon=4, private=frozenset({0}))
+    config = SystemConfig(N=2, K=2, L=4, seed=5)
+    store = MessageStore.random(2, 4, fork_rng(5, "store"))
+
+    with tracer.Tracer(ipir) as t:
+        location.simulate(model, schedule, config, store, solver="lp")
+
+    # steps 1..4 are non-private, one LP policy each
+    assert t.count("obfuscation.solve_lp") == 4
+    assert t.count("simplex.minimize") == t.count("obfuscation.solve_lp")

@@ -217,6 +217,17 @@ class TestTwoRequestCommand:
         assert code == 0
 
 
+    def test_negative_trials_exit_2(self, capsys):
+        code = run_cli(
+            ["two-request", "--joint", str(SCENARIOS / "correlated_pair.json"),
+             "--auto-lp", "--trials", "-3"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 0, got -3\n"
+
+
 class TestSimulateLocationCommand:
     def test_trace_report(self, tmp_path):
         out = tmp_path / "trace.json"

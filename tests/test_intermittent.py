@@ -9,7 +9,7 @@ from ipir.core import (
     fork_rng,
     validate_joint,
 )
-from ipir.errors import InconsistentAnswers
+from ipir.errors import InconsistentAnswers, InvalidParams
 from ipir.intermittent import (
     guaranteed_cost_bound,
     retrieve,
@@ -121,6 +121,14 @@ class TestRunTwoRequest:
         )
         assert report.cost_x_expected == F(51, 40)
         assert abs(float(report.cost_x_empirical) - 51 / 40) < 0.02
+
+    def test_negative_trials_rejected(self, pair_joint, config22, store22):
+        with pytest.raises(InvalidParams):
+            run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=-3)
+
+    def test_zero_trials_report_no_samples(self, pair_joint, config22, store22):
+        report = run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=0)
+        assert report.samples == [] and report.cost_x_empirical == 0
 
     def test_deterministic_under_seed(self, pair_joint, pair_cond, config22, store22):
         policy = greedy_policy(pair_cond)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ from ipir.core import (
     fork_rng,
     validate_joint,
 )
-from ipir.errors import PartialSupport, TooLarge, UnsupportedPair
+from ipir.errors import ConstructionFailed, PartialSupport, TooLarge, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
     build_lp,
@@ -26,7 +27,7 @@ from ipir.obfuscation import (
     validate_policy,
 )
 
-from oracles import sxu_build_lp, sxu_solve_lp
+from oracles import lp_marginal, simplex_route, sxu_build_lp, sxu_solve_lp
 
 
 def random_cond(rng, K, denmax=60):
@@ -76,6 +77,23 @@ def check_against_oracle(joint, n_servers=2):
             marginal = policy.subset_marginal(cond, s)
             for x in range(2):
                 assert marginal.get(1 << x, 0) == min(cond.rows[t][x] for t in cond.support)
+
+
+def check_routing(joint, n_servers=2):
+    """The flow routing of solve_lp against the simplex routing it replaced:
+    a valid policy at the LP optimum whose subset law is the LP marginal at
+    every supported s. At K=2 the routing is forced, so both are equal."""
+    instance = build_lp(joint, n_servers)
+    marginal, optimum = lp_marginal(instance)
+    policy = solve_lp(instance)
+    oracle = simplex_route(instance, marginal)
+    assert validate_policy(policy, joint).all_ok
+    assert expected_cost(policy, joint, n_servers) == optimum
+    assert expected_cost(oracle, joint, n_servers) == optimum
+    for s in instance.cond.support:
+        assert policy.subset_marginal(instance.cond, s) == marginal
+    if joint.K == 2:
+        assert policy.entries == oracle.entries
 
 
 def uniform_prior_joint(cond):
@@ -253,6 +271,34 @@ class TestCoveringLpEquivalence:
         joint = validate_joint([[F(1, 2), 0, F(1, 4)], [0, 0, 0], [0, F(1, 8), F(1, 8)]])
         policy = solve_lp(build_lp(joint, 2))
         assert policy.pairs() == ((0, 0), (0, 2), (2, 1), (2, 2))
+
+
+class TestFlowRouting:
+    @pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 10), (5, 2)])
+    def test_seeded_sparse_joints(self, K, count):
+        rng = random.Random(f"flow-routing:{K}")
+        for i in range(count):
+            check_routing(sparse_joint(rng, K, zero_row=i % 2 == 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(cell_matrices))
+    def test_hypothesis_joints(self, cells):
+        total = sum(map(sum, cells))
+        check_routing(validate_joint([[F(c, total) for c in row] for row in cells]))
+
+    def test_unroutable_row_raises(self):
+        # without the covering rows the LP puts all mass on {0}, which the
+        # row (1/2, 1/2) cannot reach from message 1
+        joint = validate_joint([[F(1, 4)] * 2] * 2)
+        instance = dataclasses.replace(
+            build_lp(joint, 2),
+            variables=(("m", 1), ("m", 2), ("m", 3)),
+            costs=(F(1), F(2), F(2)),
+            rows=((F(1), F(1), F(1)),),
+            rhs=(F(1),),
+        )
+        with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
+            solve_lp(instance)
 
 
 class TestPolicyValidation:

@@ -18,6 +18,14 @@ def test_known_small_lp():
     assert sum(sol.x[0:2]) == 4
 
 
+def test_pivot_count_covers_both_phases():
+    # phase 1 brings y in (Dantzig, reduced cost -4), then s1, which makes
+    # the artificials zero; phase 2 then brings x in for s1: x=3, y=1
+    sol = minimize([-1, -1, 0, 0], [[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6])
+    assert sol.x == [F(3), F(1), F(0), F(0)]
+    assert sol.pivots == 3
+
+
 def test_equality_only_instance():
     # min x + 2y  s.t.  x + y = 3, x - y = 1  ->  x=2, y=1
     sol = minimize([1, 2], [[1, 1], [1, -1]], [3, 1])
