@@ -108,7 +108,7 @@ def _emit(report: dict, output: str | None) -> None:
         print(text)
 
 
-def _policy_report(policy, joint, n_servers) -> dict:
+def _policy_report(policy, joint, n_servers) -> tuple[dict, bool]:
     report = validate_policy(policy, joint)
     cost = expected_cost(policy, joint, n_servers)
     out = {

@@ -23,8 +23,6 @@ from .errors import (
     SumNotOne,
 )
 
-Rational = Fraction
-
 ONE = Fraction(1)
 ZERO = Fraction(0)
 

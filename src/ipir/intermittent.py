@@ -109,12 +109,13 @@ def retrieve(
         raise InconsistentAnswers(
             f"message {desired} over subset {params.subset}: decode mismatch"
         )
+    # the store's tuple equals the decode; sharing it keeps kept records small
     return RetrievalRecord(
         desired=desired,
         subset=params.subset,
         queries=session.queries,
         answers=answers,
-        decoded=decoded,
+        decoded=store.data[desired],
     )
 
 
@@ -146,9 +147,12 @@ def run_two_request(
     Every trial runs the obfuscated retrieval end to end (sample the subset,
     query, answer, decode, count bits). The private retrieval has a
     deterministic cost, so ``private_each_trial=False`` executes it once per
-    distinct s instead of once per trial; results are unchanged because only
-    the non-private cost is a statistic. A negative ``trials`` raises
-    InvalidParams.
+    distinct s instead of once per trial. That leaves the law of the
+    non-private cost, ``cost_s``, ``cost_x_expected`` and every trial's
+    (s, x) draw unchanged, but a skipped private key draw shifts the rest
+    of that trial's stream, so the sampled subsets, and with them
+    ``cost_x_empirical``, differ from a run with the flag on. A negative
+    ``trials`` raises InvalidParams.
     """
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")

@@ -275,7 +275,7 @@ def policy_for_posterior(
     return trivial_policy(K), "trivial"
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     t: int
     private: bool

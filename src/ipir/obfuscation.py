@@ -7,7 +7,8 @@ constructors are provided:
 
 * an exact covering linear program over the subset marginal P(U=u)
   minimizing the expected retrieval cost E[C(N, |U|)] over all valid
-  policies (optimal; 2^K - 1 subset variables and at most 2^K - 1 rows),
+  policies (optimal; one variable per proper subset, 2^K - 2 of them, with
+  the full set taking the rest of the mass, and 2^K - 1 rows),
   with each private value's row p(.|s) then routed onto the optimal
   marginal by an exact augmenting-path flow, and
 * a polynomial-time greedy construction driven by the sorted-likelihood
@@ -296,21 +297,24 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
 
 @dataclass(frozen=True)
 class LpInstance:
-    """Covering LP over the subset marginal m(u) = P(U=u).
+    """Covering LP over the subset marginal m(u) = P(U=u), in <= form.
 
-    Variables are ("m", u) for every nonempty mask u, then ("slack", b) for
-    every proper nonempty mask b. Equality rows: sum_u m(u) = 1, and per b
-    sum_{u within b} m(u) + slack_b = min_s p(b|s) over the supported s.
-    By Gale's supply-demand theorem these rows admit exactly the marginals
-    onto which every supported row p(.|s) can be routed along the arcs
-    x in u, so any feasible m is the subset law of some valid policy.
-    Non-negativity is implicit.
+    The variables are the masks u of every nonempty proper subset; the
+    full set's mass is the remainder m([K]) = 1 - sum_u m(u). Rows: the sum
+    of all variables is at most 1, and per proper nonempty mask b,
+    sum_{u within b} m(u) <= min_s p(b|s) over the supported s. Costs are
+    C(N, |u|) - C(N, K), so the optimum plus C(N, K) is the least expected
+    cost. By Gale's supply-demand theorem these rows admit exactly the
+    marginals onto which every supported row p(.|s) can be routed along
+    the arcs x in u, so any feasible m is the subset law of some valid
+    policy. Non-negativity is implicit, and m = 0 (all mass on the full
+    set) is the feasible vertex the simplex starts from.
     """
 
     K: int
     n_servers: int
     cond: ConditionalMatrix
-    variables: tuple[tuple[str, int], ...]
+    variables: tuple[int, ...]
     costs: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
@@ -323,25 +327,20 @@ def build_lp(
         raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
     K = joint.K
     cond = conditional_from_joint(joint)
-    masks = range(1, 1 << K)
-    proper = masks[:-1]
-    variables = [("m", u) for u in masks] + [("slack", b) for b in proper]
-    costs = [capacity_cost(n_servers, u.bit_count()) for u in masks] + [ZERO] * len(proper)
-    rows = [[ONE] * len(masks) + [ZERO] * len(proper)]
+    proper = range(1, full_mask(K))
+    full_cost = capacity_cost(n_servers, K)
+    rows = [(ONE,) * len(proper)]
     rhs = [ONE]
-    for j, b in enumerate(proper):
-        rows.append(
-            [ONE if u & b == u else ZERO for u in masks]
-            + [ONE if i == j else ZERO for i in range(len(proper))]
-        )
+    for b in proper:
+        rows.append(tuple(ONE if u & b == u else ZERO for u in proper))
         rhs.append(min(sum((cond.rows[s][x] for x in indices_of(b)), ZERO) for s in cond.support))
     return LpInstance(
         K=K,
         n_servers=n_servers,
         cond=cond,
-        variables=tuple(variables),
-        costs=tuple(costs),
-        rows=tuple(tuple(r) for r in rows),
+        variables=tuple(proper),
+        costs=tuple(capacity_cost(n_servers, u.bit_count()) - full_cost for u in proper),
+        rows=tuple(rows),
         rhs=tuple(rhs),
     )
 
@@ -349,22 +348,23 @@ def build_lp(
 def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     """Vertex-optimal policy for the instance, in exact rationals.
 
-    The covering LP gives the subset marginal m; it is the one simplex
-    solve. Each supported s then splits p(x|s) over the subsets u with
-    m(u) > 0 by an exact feasibility flow (supply p(x|s) at each x, demand
-    m(u) at each u, arcs x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs
-    with p(x|s) = 0 get no entries.
+    The covering LP gives the subset marginal m over the proper subsets;
+    it is the one simplex solve. The full set takes the rest of the mass,
+    appended last so the marginal stays in mask order. Each supported s
+    then splits p(x|s) over the subsets u with m(u) > 0 by an exact
+    feasibility flow (supply p(x|s) at each x, demand m(u) at each u, arcs
+    x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no
+    entries.
     """
     solution = minimize(instance.costs, instance.rows, instance.rhs)
-    # m = 1 on the full set is always feasible, so the LP cannot be
-    # infeasible or unbounded for well-formed instances
+    # every variable is bounded by the first row, so the LP cannot be
+    # unbounded for well-formed instances
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
-    marginal = {
-        u: value
-        for (kind, u), value in zip(instance.variables, solution.x)
-        if kind == "m" and value != 0
-    }
+    marginal = {u: value for u, value in zip(instance.variables, solution.x) if value != 0}
+    rest = ONE - sum(marginal.values(), ZERO)
+    if rest != 0:
+        marginal[full_mask(instance.K)] = rest
     entries = {}
     for s in instance.cond.support:
         row = instance.cond.rows[s]

@@ -99,7 +99,7 @@ def key_count(params: SchemeParams) -> int:
     return math.factorial(params.block) ** (params.k * params.blocks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PirQuery:
     """Canonical query for one server: sorted XOR-combos of (msg, bit) pairs."""
 
@@ -107,7 +107,7 @@ class PirQuery:
     combos: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PirAnswer:
     server: int
     bits: tuple[int, ...]
@@ -124,10 +124,11 @@ def _template(n_servers: int, k: int, desired_pos: int):
     order.
 
     Returns ``(singles, getters, decode)``. A block's pool is its atom list
-    followed by a 1-tuple for each atom in ``singles``; ``getters[n]`` holds
-    one itemgetter per combo of server n, in generation order, that reads
-    the combo off the pool. Decode entries are (atom, server, getter, side
-    server, side getter); singletons have no side.
+    followed by the shared 1-tuple of each atom j * N^k + t, listed as
+    (j, t) in ``singles``; ``getters[n]`` holds one itemgetter per combo of
+    server n, in generation order, that reads the combo off the pool.
+    Decode entries are (atom, server, getter, side server, side getter);
+    singletons have no side.
     """
     block = n_servers**k
     drawn = [0] * k
@@ -181,19 +182,25 @@ def _template(n_servers: int, k: int, desired_pos: int):
         (a, n, getters[n][i], m, None if m is None else getters[m][j])
         for a, n, i, m, j in decode
     )
-    return tuple(singles), tuple(map(tuple, getters)), plan
+    return tuple(divmod(a, block) for a in singles), tuple(map(tuple, getters)), plan
 
 
 @lru_cache(maxsize=None)
 def _cells(subset: tuple[int, ...], L: int):
-    """Per subset member, its (message, position) atoms. Sessions share
-    them, so the queries a caller keeps hold no per-session copies."""
-    return tuple(_atoms(msg, L) for msg in subset)
+    """Per subset member, its (message, position) atoms and their 1-tuple
+    combos. Sessions share them, so the queries a caller keeps hold no
+    per-session copies of either."""
+    return tuple(_atoms(msg, L) for msg in subset), tuple(_units(msg, L) for msg in subset)
 
 
 @lru_cache(maxsize=None)
 def _atoms(msg: int, L: int) -> tuple[tuple[int, int], ...]:
     return tuple((msg, pos) for pos in range(L))
+
+
+@lru_cache(maxsize=None)
+def _units(msg: int, L: int) -> tuple[tuple[tuple[int, int]], ...]:
+    return tuple((atom,) for atom in _atoms(msg, L))
 
 
 def query_pattern(params: SchemeParams, query: PirQuery):
@@ -258,11 +265,11 @@ class PirSession:
         singles, getters, plan = _template(
             params.n_servers, params.k, params.subset.index(desired)
         )
-        cells = _cells(params.subset, params.L)
+        cells, units = _cells(params.subset, params.L)
         pools = []
         for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
             pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
-            pool += [(pool[a],) for a in singles]
+            pool += [units[j][rows[j][t] + offset] for j, t in singles]
             pools.append(pool)
         queries = [
             PirQuery(n, tuple(sorted([get(pool) for pool in pools for get in combos])))

@@ -1,11 +1,16 @@
 """Exact primal simplex over rationals.
 
-Solves   minimize c.x  subject to  A x = b,  x >= 0   with every pivot in
-Fraction arithmetic, so optima are exact vertices. Pivoting uses Dantzig's
-rule for speed and falls back to Bland's rule whenever the objective stalls,
-which rules out cycling while keeping typical runs short. Problem sizes in
-this package are tiny (the covering LP has 2^K - 1 rows), so a dense
-tableau is fine.
+Solves   minimize c.x  subject to  A x <= b,  x >= 0,  b >= 0   with every
+pivot in Fraction arithmetic, so optima are exact vertices. Each row has an
+implicit slack, and since b >= 0 the slacks form a feasible first basis
+(x = 0), so a single phase suffices. The tableau is kept in dictionary form
+(Chvatal, Linear Programming, 1983, ch. 2-3): one column per nonbasic
+variable, and a pivot swaps the entering and the leaving variable, so no
+slack or artificial column is ever stored. Pivoting uses Dantzig's rule for
+speed and falls back to Bland's rule whenever the objective stalls, which
+rules out cycling while keeping typical runs short. Problem sizes in this
+package are tiny (the covering LP has 2^K - 2 columns and 2^K - 1 rows), so
+a dense tableau is fine.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IterationLimit
+from .errors import InvalidParams, IterationLimit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,91 +33,53 @@ class _Unbounded(Exception):
 
 @dataclass
 class SimplexSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     objective: Fraction | None
     x: list[Fraction] | None
-    pivots: int  # every tableau pivot, phase 1 and phase 2
+    pivots: int  # every tableau pivot
 
 
 def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
-    """Two-phase simplex for min c.x s.t. A x = b, x >= 0 (equalities only)."""
+    """Simplex for min c.x s.t. A x <= b, x >= 0, started from the slack basis.
+
+    Variable j < n is column j of A; variable n + i is the slack of row i.
+    A negative entry of b raises InvalidParams.
+    """
     n = len(costs)
-    costs = [Fraction(c) for c in costs]
-    tableau = []
-    b = []
-    for row, value in zip(rows, rhs):
-        row = [Fraction(v) for v in row]
-        value = Fraction(value)
-        if value < 0:
-            row = [-v for v in row]
-            value = -value
-        tableau.append(row)
-        b.append(value)
-    m = len(tableau)
-
-    # phase 1: one artificial variable per row, basis = artificials;
-    # reduced costs r_j = -sum_i A_ij for original columns, 0 for artificials
-    for i in range(m):
-        tableau[i].extend(ONE if i == j else ZERO for j in range(m))
-        tableau[i].append(b[i])
-    basis = [n + i for i in range(m)]
-    z = [-sum(tableau[i][j] for i in range(m)) for j in range(n)]
-    z += [ZERO] * m + [-sum(b)]
-
-    pivots = _run(tableau, z, basis, max_pivots)
-    if z[-1] != 0:
-        return SimplexSolution(status="infeasible", objective=None, x=None, pivots=pivots)
-
-    # drive leftover artificials out of the basis; all-zero rows are redundant
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if col is None:
-                continue
-            _pivot(tableau, z, basis, i, col)
-            pivots += 1
-        keep.append(i)
-    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    # phase 2: original objective expressed over the current basis
-    z = costs + [ZERO]
-    for i, var in enumerate(basis):
-        coeff = z[var]
-        if coeff != 0:
-            row = tableau[i]
-            for j in range(n):
-                z[j] -= coeff * row[j]
-            z[-1] -= coeff * row[-1]
+    b = [Fraction(v) for v in rhs]
+    if any(v < 0 for v in b):
+        raise InvalidParams(f"rhs must be >= 0, got {min(b)}")
+    tableau = [[Fraction(v) for v in row] + [value] for row, value in zip(rows, b)]
+    z = [Fraction(c) for c in costs] + [ZERO]
+    basis = [n + i for i in range(len(tableau))]
+    nonbasic = list(range(n))
 
     try:
-        pivots += _run(tableau, z, basis, max_pivots - pivots)
+        pivots = _run(tableau, z, basis, nonbasic, max_pivots)
     except _Unbounded as exc:
-        return SimplexSolution(
-            status="unbounded", objective=None, x=None, pivots=pivots + exc.args[0]
-        )
+        return SimplexSolution(status="unbounded", objective=None, x=None, pivots=exc.args[0])
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
-        x[var] = tableau[i][-1]
+        if var < n:
+            x[var] = tableau[i][-1]
     return SimplexSolution(status="optimal", objective=-z[-1], x=x, pivots=pivots)
 
 
-def _run(tableau, z, basis, budget: int) -> int:
+def _run(tableau, z, basis, nonbasic, budget: int) -> int:
     """Pivot to optimality in place; returns the pivot count."""
     m = len(tableau)
-    n = len(z) - 1
+    n = len(nonbasic)
     pivots = 0
     stall = 0
     bland = False
     while True:
         entering = None
         if bland:
+            # the smallest variable, not column, with a negative reduced cost
             for j in range(n):
-                if z[j] < 0:
+                if z[j] < 0 and (entering is None or nonbasic[j] < nonbasic[entering]):
                     entering = j
-                    break
         else:
             best = ZERO
             for j in range(n):
@@ -139,7 +106,7 @@ def _run(tableau, z, basis, budget: int) -> int:
             raise _Unbounded(pivots)
 
         before = z[-1]
-        _pivot(tableau, z, basis, leaving, entering)
+        _pivot(tableau, z, basis, nonbasic, leaving, entering)
         pivots += 1
         if pivots >= budget:
             raise IterationLimit(f"no optimum within {budget} pivots")
@@ -152,17 +119,22 @@ def _run(tableau, z, basis, budget: int) -> int:
             bland = False
 
 
-def _pivot(tableau, z, basis, row: int, col: int):
+def _pivot(tableau, z, basis, nonbasic, row: int, col: int):
+    """Swap basis[row] and nonbasic[col]; the leaving variable takes over
+    column ``col``, whose entries become 1/p in the pivot row and -a/p
+    elsewhere (p the pivot, a the row's old entry in the column)."""
     pivot_row = tableau[row]
     inv = ONE / pivot_row[col]
-    tableau[row] = [v * inv for v in pivot_row]
-    pivot_row = tableau[row]
+    pivot_row[col] = ONE
+    pivot_row = tableau[row] = [v * inv for v in pivot_row]
     for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            factor = other[col]
+        factor = other[col]
+        if i != row and factor != 0:
+            other[col] = ZERO
             tableau[i] = [v - factor * p for v, p in zip(other, pivot_row)]
-    if z[col] != 0:
-        factor = z[col]
+    factor = z[col]
+    if factor != 0:
+        z[col] = ZERO
         for j in range(len(z)):
             z[j] -= factor * pivot_row[j]
-    basis[row] = col
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]

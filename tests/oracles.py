@@ -21,7 +21,7 @@ from ipir.core import (
     capacity_cost,
     conditional_from_joint,
 )
-from ipir.errors import ConstructionFailed, TooLarge
+from ipir.errors import ConstructionFailed, IterationLimit, TooLarge
 from ipir.location import (
     MobilityModel,
     PosteriorState,
@@ -39,7 +39,7 @@ from ipir.obfuscation import (
     full_mask,
     indices_of,
 )
-from ipir.simplex import minimize
+from ipir.simplex import SimplexSolution, minimize
 from ipir import pir
 
 ZERO = Fraction(0)
@@ -338,6 +338,152 @@ def session_plan(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     return queries, decode
 
 
+# The two-phase simplex for equality rows that ipir.simplex.minimize
+# replaced with a one-phase solve from the slack basis: the solver of the
+# (s, x, u) LP, of the equality-form covering LP and of the simplex routing.
+
+# consecutive non-improving pivots tolerated before switching to Bland
+STALL_LIMIT = 12
+
+
+class _Unbounded(Exception):
+    """Raised by ``_two_phase_run``; ``args[0]`` is the pivot count so far."""
+
+
+def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
+    """Two-phase simplex for min c.x s.t. A x = b, x >= 0 (equalities only)."""
+    n = len(costs)
+    costs = [Fraction(c) for c in costs]
+    tableau = []
+    b = []
+    for row, value in zip(rows, rhs):
+        row = [Fraction(v) for v in row]
+        value = Fraction(value)
+        if value < 0:
+            row = [-v for v in row]
+            value = -value
+        tableau.append(row)
+        b.append(value)
+    m = len(tableau)
+
+    # phase 1: one artificial variable per row, basis = artificials;
+    # reduced costs r_j = -sum_i A_ij for original columns, 0 for artificials
+    for i in range(m):
+        tableau[i].extend(ONE if i == j else ZERO for j in range(m))
+        tableau[i].append(b[i])
+    basis = [n + i for i in range(m)]
+    z = [-sum(tableau[i][j] for i in range(m)) for j in range(n)]
+    z += [ZERO] * m + [-sum(b)]
+
+    pivots = _two_phase_run(tableau, z, basis, max_pivots)
+    if z[-1] != 0:
+        return SimplexSolution(status="infeasible", objective=None, x=None, pivots=pivots)
+
+    # drive leftover artificials out of the basis; all-zero rows are redundant
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if col is None:
+                continue
+            _two_phase_pivot(tableau, z, basis, i, col)
+            pivots += 1
+        keep.append(i)
+    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    # phase 2: original objective expressed over the current basis
+    z = costs + [ZERO]
+    for i, var in enumerate(basis):
+        coeff = z[var]
+        if coeff != 0:
+            row = tableau[i]
+            for j in range(n):
+                z[j] -= coeff * row[j]
+            z[-1] -= coeff * row[-1]
+
+    try:
+        pivots += _two_phase_run(tableau, z, basis, max_pivots - pivots)
+    except _Unbounded as exc:
+        return SimplexSolution(
+            status="unbounded", objective=None, x=None, pivots=pivots + exc.args[0]
+        )
+
+    x = [ZERO] * n
+    for i, var in enumerate(basis):
+        x[var] = tableau[i][-1]
+    return SimplexSolution(status="optimal", objective=-z[-1], x=x, pivots=pivots)
+
+
+def _two_phase_run(tableau, z, basis, budget: int) -> int:
+    """Pivot to optimality in place; returns the pivot count."""
+    m = len(tableau)
+    n = len(z) - 1
+    pivots = 0
+    stall = 0
+    bland = False
+    while True:
+        entering = None
+        if bland:
+            for j in range(n):
+                if z[j] < 0:
+                    entering = j
+                    break
+        else:
+            best = ZERO
+            for j in range(n):
+                if z[j] < best:
+                    best = z[j]
+                    entering = j
+        if entering is None:
+            return pivots
+
+        leaving = None
+        best_ratio = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            raise _Unbounded(pivots)
+
+        before = z[-1]
+        _two_phase_pivot(tableau, z, basis, leaving, entering)
+        pivots += 1
+        if pivots >= budget:
+            raise IterationLimit(f"no optimum within {budget} pivots")
+        if z[-1] == before:
+            stall += 1
+            if stall > STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+            bland = False
+
+
+def _two_phase_pivot(tableau, z, basis, row: int, col: int):
+    pivot_row = tableau[row]
+    inv = ONE / pivot_row[col]
+    tableau[row] = [v * inv for v in pivot_row]
+    pivot_row = tableau[row]
+    for i, other in enumerate(tableau):
+        if i != row and other[col] != 0:
+            factor = other[col]
+            tableau[i] = [v - factor * p for v, p in zip(other, pivot_row)]
+    if z[col] != 0:
+        factor = z[col]
+        for j in range(len(z)):
+            z[j] -= factor * pivot_row[j]
+    basis[row] = col
+
+
 # The (s, x, u) formulation of the obfuscation LP, the reference for the
 # covering LP in ipir.obfuscation: one variable p(u|x,s) per triple with
 # x in u, a normalization row per (s, x) and a marginal-matching row per
@@ -414,7 +560,7 @@ def sxu_build_lp(
 
 def sxu_solve_lp(instance: SxuLpInstance) -> ObfuscationPolicy:
     """Vertex-optimal policy for the instance, in exact rationals."""
-    solution = minimize(instance.costs, instance.rows, instance.rhs)
+    solution = two_phase_minimize(instance.costs, instance.rows, instance.rhs)
     # the full-set policy is always feasible, so the LP cannot be infeasible
     # or unbounded for well-formed instances
     if solution.status != "optimal":
@@ -427,15 +573,49 @@ def sxu_solve_lp(instance: SxuLpInstance) -> ObfuscationPolicy:
     return ObfuscationPolicy(K=instance.K, entries=entries)
 
 
-# The simplex routing that ipir.obfuscation.solve_lp replaced with an exact
-# flow: the covering LP's marginal, then one zero-cost transport solve per
-# supported s.
+# The covering LP in equality form, which ipir.obfuscation.build_lp
+# replaced with the <= form that leaves out m([K]): a variable m(u) for
+# every nonempty mask u, then a slack per proper mask b. Solved by the
+# two-phase simplex, its optimum is the least expected cost itself.
 
 
-def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
-    """The covering LP's optimal subset marginal (nonzero masks, in mask
-    order) and its optimal cost."""
-    solution = minimize(instance.costs, instance.rows, instance.rhs)
+def equality_build_lp(
+    joint: JointDistribution, n_servers: int, cap: int = DEFAULT_LP_CAP
+) -> LpInstance:
+    """Variables ("m", u) for every nonempty mask u, then ("slack", b) for
+    every proper nonempty mask b. Equality rows: sum_u m(u) = 1, and per b
+    sum_{u within b} m(u) + slack_b = min_s p(b|s) over the supported s."""
+    if joint.K > cap:
+        raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
+    K = joint.K
+    cond = conditional_from_joint(joint)
+    masks = range(1, 1 << K)
+    proper = masks[:-1]
+    variables = [("m", u) for u in masks] + [("slack", b) for b in proper]
+    costs = [capacity_cost(n_servers, u.bit_count()) for u in masks] + [ZERO] * len(proper)
+    rows = [[ONE] * len(masks) + [ZERO] * len(proper)]
+    rhs = [ONE]
+    for j, b in enumerate(proper):
+        rows.append(
+            [ONE if u & b == u else ZERO for u in masks]
+            + [ONE if i == j else ZERO for i in range(len(proper))]
+        )
+        rhs.append(min(sum((cond.rows[s][x] for x in indices_of(b)), ZERO) for s in cond.support))
+    return LpInstance(
+        K=K,
+        n_servers=n_servers,
+        cond=cond,
+        variables=tuple(variables),
+        costs=tuple(costs),
+        rows=tuple(tuple(r) for r in rows),
+        rhs=tuple(rhs),
+    )
+
+
+def equality_lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
+    """The equality-form covering LP's optimal subset marginal (nonzero
+    masks, in mask order) and its optimal cost, by the two-phase simplex."""
+    solution = two_phase_minimize(instance.costs, instance.rows, instance.rhs)
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
     marginal = {
@@ -444,6 +624,24 @@ def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
         if kind == "m" and value != 0
     }
     return marginal, solution.objective
+
+
+# The simplex routing that ipir.obfuscation.solve_lp replaced with an exact
+# flow: the covering LP's marginal, then one zero-cost transport solve per
+# supported s.
+
+
+def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
+    """The covering LP's optimal subset marginal (nonzero masks, in mask
+    order, the full set's remainder last) and its optimal expected cost."""
+    solution = minimize(instance.costs, instance.rows, instance.rhs)
+    if solution.status != "optimal":
+        raise ConstructionFailed(f"LP solve ended with status {solution.status}")
+    marginal = {u: value for u, value in zip(instance.variables, solution.x) if value != 0}
+    rest = ONE - sum(marginal.values(), ZERO)
+    if rest != 0:
+        marginal[full_mask(instance.K)] = rest
+    return marginal, solution.objective + capacity_cost(instance.n_servers, instance.K)
 
 
 def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> ObfuscationPolicy:
@@ -455,7 +653,7 @@ def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> Obfusc
         row = instance.cond.rows[s]
         xs = [x for x in range(instance.K) if row[x] != 0]
         arcs = [(x, u) for x in xs for u in marginal if u >> x & 1]
-        flow = minimize(
+        flow = two_phase_minimize(
             [ZERO] * len(arcs),
             [[ONE if ax == x else ZERO for ax, _ in arcs] for x in xs]
             + [[ONE if au == u else ZERO for _, au in arcs] for u in marginal],

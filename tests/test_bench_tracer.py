@@ -77,3 +77,26 @@ def test_one_simplex_solve_per_lp_policy():
     # steps 1..4 are non-private, one LP policy each
     assert t.count("obfuscation.solve_lp") == 4
     assert t.count("simplex.minimize") == t.count("obfuscation.solve_lp")
+
+
+def test_covering_lp_has_no_slack_columns():
+    # at K=3 the covering LP has a variable per proper subset (6) and a row
+    # per proper subset plus the total-mass row (7); the bench reads these
+    # as obfuscation.lp_vars and obfuscation.lp_rows
+    tracer = load_tracer()
+    third = F(1, 3)
+    model = location.MobilityModel.build(
+        [third] * 3,
+        [[[F(1, 2), F(1, 4), F(1, 4)], [F(1, 6), F(2, 3), F(1, 6)], [F(1, 5), F(1, 5), F(3, 5)]]],
+    )
+    schedule = location.PrivacySchedule(horizon=3, private=frozenset({0}))
+    config = SystemConfig(N=2, K=3, L=8, seed=6)
+    store = MessageStore.random(3, 8, fork_rng(6, "store"))
+
+    with tracer.Tracer(ipir) as t:
+        location.simulate(model, schedule, config, store, solver="lp")
+
+    builds = t.count("obfuscation.build_lp")
+    assert builds == 3
+    assert t.counters["obfuscation.lp_vars"] == 6 * builds
+    assert t.counters["obfuscation.lp_rows"] == 7 * builds

@@ -130,6 +130,23 @@ class TestRunTwoRequest:
         report = run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=0)
         assert report.samples == [] and report.cost_x_empirical == 0
 
+    def test_private_once_per_s_keeps_requests_and_exact_costs(self, skew_cond, skew_joint):
+        # skipping the private key draw shifts the rest of a trial's stream:
+        # the requests and the exact costs stay, the subsets need not
+        policy = greedy_policy(skew_cond)
+        config = SystemConfig(N=2, K=3, L=8, seed=12)
+        store = MessageStore.random(3, 8, fork_rng(12, "s"))
+        each, once = (
+            run_two_request(
+                skew_joint, policy, config, store, trials=400, private_each_trial=flag
+            )
+            for flag in (True, False)
+        )
+        assert [(s, x) for s, x, _ in each.samples] == [(s, x) for s, x, _ in once.samples]
+        assert each.cost_x_expected == once.cost_x_expected == F(51, 40)
+        assert each.cost_s == once.cost_s
+        assert [u for *_, u in each.samples] != [u for *_, u in once.samples]
+
     def test_deterministic_under_seed(self, pair_joint, pair_cond, config22, store22):
         policy = greedy_policy(pair_cond)
         a = run_two_request(pair_joint, policy, config22, store22, trials=300)

@@ -27,7 +27,14 @@ from ipir.obfuscation import (
     validate_policy,
 )
 
-from oracles import lp_marginal, simplex_route, sxu_build_lp, sxu_solve_lp
+from oracles import (
+    equality_build_lp,
+    equality_lp_marginal,
+    lp_marginal,
+    simplex_route,
+    sxu_build_lp,
+    sxu_solve_lp,
+)
 
 
 def random_cond(rng, K, denmax=60):
@@ -94,6 +101,20 @@ def check_routing(joint, n_servers=2):
         assert policy.subset_marginal(instance.cond, s) == marginal
     if joint.K == 2:
         assert policy.entries == oracle.entries
+
+
+def check_against_equality_form(joint, n_servers=2):
+    """The <= form covering LP, one-phase from its slack basis, against the
+    equality form solved by the two-phase oracle: its optimum plus C(N, K)
+    is the same exact cost. At K=2 the policy is also the one the equality
+    form gives, entry for entry."""
+    instance = build_lp(joint, n_servers)
+    _, optimum = lp_marginal(instance)
+    reference = equality_build_lp(joint, n_servers)
+    marginal, reference_optimum = equality_lp_marginal(reference)
+    assert optimum == reference_optimum
+    if joint.K == 2:
+        assert solve_lp(instance).entries == simplex_route(reference, marginal).entries
 
 
 def uniform_prior_joint(cond):
@@ -205,16 +226,16 @@ class TestLpInstance:
 
     def test_covering_pair_shape(self, pair_joint):
         inst = build_lp(pair_joint, 2)
-        # three subset marginals, then the slacks of {0} and {1}
-        assert inst.variables == (("m", 1), ("m", 2), ("m", 3), ("slack", 1), ("slack", 2))
-        assert inst.costs == (1, 1, F(3, 2), 0, 0)
-        # sum m = 1, then m(u within B) + slack_B = min_s p(B|s) for B = {0}, {1}
-        assert inst.rows == ((1, 1, 1, 0, 0), (1, 0, 0, 1, 0), (0, 1, 0, 0, 1))
+        # m({0}) and m({1}); the full set {0, 1} takes the rest
+        assert inst.variables == (1, 2)
+        assert inst.costs == (-F(1, 2), -F(1, 2))
+        # sum m <= 1, then m(u within B) <= min_s p(B|s) for B = {0}, {1}
+        assert inst.rows == ((1, 1), (1, 0), (0, 1))
         assert inst.rhs == (1, F(1, 4), F(1, 4))
 
     def test_covering_size_at_three(self, skew_joint):
         inst = build_lp(skew_joint, 2)
-        assert (len(inst.variables), len(inst.rows)) == (13, 7)
+        assert (len(inst.variables), len(inst.rows)) == (6, 7)
 
     def test_single_message(self):
         inst = build_lp(validate_joint([[1]]), 3)
@@ -273,6 +294,20 @@ class TestCoveringLpEquivalence:
         assert policy.pairs() == ((0, 0), (0, 2), (2, 1), (2, 2))
 
 
+class TestSlackBasisEquivalence:
+    @pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 10), (5, 3)])
+    def test_seeded_sparse_joints(self, K, count):
+        rng = random.Random(f"slack-basis:{K}")
+        for i in range(count):
+            check_against_equality_form(sparse_joint(rng, K, zero_row=i % 2 == 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(cell_matrices))
+    def test_hypothesis_joints(self, cells):
+        total = sum(map(sum, cells))
+        check_against_equality_form(validate_joint([[F(c, total) for c in row] for row in cells]))
+
+
 class TestFlowRouting:
     @pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 10), (5, 2)])
     def test_seeded_sparse_joints(self, K, count):
@@ -290,11 +325,11 @@ class TestFlowRouting:
         # without the covering rows the LP puts all mass on {0}, which the
         # row (1/2, 1/2) cannot reach from message 1
         joint = validate_joint([[F(1, 4)] * 2] * 2)
+        # (costs 1, 2 and 2 on {0}, {1} and {0, 1}, less the full set's 2)
         instance = dataclasses.replace(
             build_lp(joint, 2),
-            variables=(("m", 1), ("m", 2), ("m", 3)),
-            costs=(F(1), F(2), F(2)),
-            rows=((F(1), F(1), F(1)),),
+            costs=(F(-1), F(0)),
+            rows=((F(1), F(1)),),
             rhs=(F(1),),
         )
         with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):

@@ -219,6 +219,15 @@ class TestTemplatePlan:
                 assert session.queries == queries
                 assert session._decode == decode
 
+    def test_sessions_share_singleton_combos(self):
+        # a kept query holds no per-session copy of its one-atom combos
+        params = pir_setup(2, (0, 1, 2), 8)
+        rng = fork_rng(22, "shared")
+        first, second = (open_session(params, 1, rng) for _ in range(2))
+        ones = {c: c for q in first.queries for c in q.combos if len(c) == 1}
+        shared = [c for q in second.queries for c in q.combos if c in ones]
+        assert shared and all(ones[c] is c for c in shared)
+
 
 class TestQueryPrivacy:
     def test_exact_distribution_equality_by_key_enumeration(self):

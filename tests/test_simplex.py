@@ -1,10 +1,22 @@
+"""The one-phase solver of ipir.simplex, and the two-phase equality-form
+solver it replaced, kept in tests/oracles.py as the reference of the
+covering-LP equivalence tests; both are checked against scipy."""
+
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from ipir import simplex
+from ipir.errors import InvalidParams, IterationLimit
 from ipir.simplex import minimize
 
+from oracles import two_phase_minimize
+
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
+
+
+# the two-phase oracle: min c.x s.t. A x = b, x >= 0
 
 
 def test_known_small_lp():
@@ -12,7 +24,7 @@ def test_known_small_lp():
     costs = [-1, -1, 0, 0]
     rows = [[1, 1, 1, 0], [1, 3, 0, 1]]
     rhs = [4, 6]
-    sol = minimize(costs, rows, rhs)
+    sol = two_phase_minimize(costs, rows, rhs)
     assert sol.status == "optimal"
     assert sol.objective == -4
     assert sum(sol.x[0:2]) == 4
@@ -21,14 +33,14 @@ def test_known_small_lp():
 def test_pivot_count_covers_both_phases():
     # phase 1 brings y in (Dantzig, reduced cost -4), then s1, which makes
     # the artificials zero; phase 2 then brings x in for s1: x=3, y=1
-    sol = minimize([-1, -1, 0, 0], [[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6])
+    sol = two_phase_minimize([-1, -1, 0, 0], [[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6])
     assert sol.x == [F(3), F(1), F(0), F(0)]
     assert sol.pivots == 3
 
 
 def test_equality_only_instance():
     # min x + 2y  s.t.  x + y = 3, x - y = 1  ->  x=2, y=1
-    sol = minimize([1, 2], [[1, 1], [1, -1]], [3, 1])
+    sol = two_phase_minimize([1, 2], [[1, 1], [1, -1]], [3, 1])
     assert sol.status == "optimal"
     assert sol.x == [F(2), F(1)]
     assert sol.objective == 4
@@ -36,18 +48,18 @@ def test_equality_only_instance():
 
 def test_infeasible():
     # x = 1 and x = 2 cannot both hold
-    sol = minimize([1], [[1], [1]], [1, 2])
+    sol = two_phase_minimize([1], [[1], [1]], [1, 2])
     assert sol.status == "infeasible"
 
 
 def test_unbounded():
     # min -x with only x - y = 0: x can grow without limit
-    sol = minimize([-1, 0], [[1, -1]], [0])
+    sol = two_phase_minimize([-1, 0], [[1, -1]], [0])
     assert sol.status == "unbounded"
 
 
 def test_redundant_rows_are_dropped():
-    sol = minimize([1, 1], [[1, 1], [2, 2]], [2, 4])
+    sol = two_phase_minimize([1, 1], [[1, 1], [2, 2]], [2, 4])
     assert sol.status == "optimal"
     assert sol.objective == 2
 
@@ -61,21 +73,19 @@ def test_degenerate_vertex_terminates():
         [0, 0, 1, 0, 0, 0, 1],
     ]
     rhs = [0, 0, 1]
-    sol = minimize(costs, rows, rhs)
+    sol = two_phase_minimize(costs, rows, rhs)
     assert sol.status == "optimal"
     assert sol.objective == -F(1, 20)
 
 
 def test_matches_float_solver_on_random_instances():
-    import random
-
     rng = random.Random(5)
     for trial in range(40):
         n, m = 6, 3
         costs = [F(rng.randrange(-5, 6)) for _ in range(n)]
         rows = [[F(rng.randrange(0, 4)) for _ in range(n)] for _ in range(m)]
         rhs = [F(rng.randrange(1, 6)) for _ in range(m)]
-        exact = minimize(costs, rows, rhs)
+        exact = two_phase_minimize(costs, rows, rhs)
         ref = scipy_linprog(
             [float(c) for c in costs],
             A_eq=[[float(v) for v in row] for row in rows],
@@ -90,3 +100,86 @@ def test_matches_float_solver_on_random_instances():
             assert not ref.success
         else:
             assert ref.status in (3, 4)  # unbounded family
+
+
+# the one-phase solver: min c.x s.t. A x <= b, x >= 0, b >= 0
+
+
+def test_slack_basis_needs_no_phase_one():
+    # min -x - y  s.t.  x + y <= 4, x + 3y <= 6: from x = y = 0, x enters
+    # (Dantzig, first of the tied -1s) for the first slack, and y's reduced
+    # cost is then 0
+    sol = minimize([-1, -1], [[1, 1], [1, 3]], [4, 6])
+    assert sol.status == "optimal"
+    assert sol.objective == -4
+    assert sol.x == [F(4), F(0)]
+    assert sol.pivots == 1
+
+
+def test_one_phase_unbounded():
+    # min -x - y  s.t.  x - y <= 2: y, and then x with it, grows without limit
+    sol = minimize([-1, -1], [[1, -1]], [2])
+    assert sol.status == "unbounded"
+    assert sol.objective is None and sol.x is None
+    assert sol.pivots == 1
+
+
+BEALE = (
+    [-F(3, 4), 150, -F(1, 50), 6],
+    [[F(1, 4), -60, -F(1, 25), 9], [F(1, 2), -90, -F(1, 50), 3], [0, 0, 1, 0]],
+    [0, 0, 1],
+)
+
+
+def test_one_phase_degenerate_start_needs_bland(monkeypatch):
+    # Beale's example: the zero rhs makes the slack basis degenerate, and
+    # Dantzig's rule with smallest-index ties cycles through it
+    sol = minimize(*BEALE)
+    assert sol.status == "optimal"
+    assert sol.objective == -F(1, 20)
+    assert sol.x == [F(1, 25), F(0), F(1), F(0)]
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
+    with pytest.raises(IterationLimit):
+        minimize(*BEALE, max_pivots=200)
+
+
+def test_negative_rhs_rejected():
+    with pytest.raises(InvalidParams, match="rhs must be >= 0"):
+        minimize([1, 1], [[1, 0], [0, 1]], [1, -1])
+
+
+def test_zero_variable_lp():
+    # the covering LP at K=1: no proper subset, one row 0 <= 1
+    sol = minimize([], [[]], [1])
+    assert sol.status == "optimal"
+    assert (sol.objective, sol.x, sol.pivots) == (0, [], 0)
+
+
+def test_one_phase_matches_float_solver_on_random_instances():
+    rng = random.Random(11)
+    statuses = set()
+    for trial in range(80):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 5)
+        costs = [F(rng.randrange(-5, 6)) for _ in range(n)]
+        rows = [[F(rng.randrange(-2, 4), rng.randrange(1, 3)) for _ in range(n)] for _ in range(m)]
+        # about a third of the rhs entries are zero: degenerate starts
+        rhs = [F(rng.choice((0, rng.randrange(1, 6)))) for _ in range(m)]
+        exact = minimize(costs, rows, rhs)
+        ref = scipy_linprog(
+            [float(c) for c in costs],
+            A_ub=[[float(v) for v in row] for row in rows],
+            b_ub=[float(v) for v in rhs],
+            bounds=[(0, None)] * n,
+            method="highs",
+        )
+        statuses.add(exact.status)
+        if exact.status == "optimal":
+            assert ref.success
+            assert abs(float(exact.objective) - ref.fun) < 1e-8
+            assert exact.objective == sum(c * v for c, v in zip(costs, exact.x))
+            assert all(v >= 0 for v in exact.x)
+            for row, b in zip(rows, rhs):
+                assert sum(a * v for a, v in zip(row, exact.x)) <= b
+        else:
+            assert ref.status == 3  # unbounded
+    assert statuses == {"optimal", "unbounded"}
