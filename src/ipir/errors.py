@@ -35,7 +35,8 @@ class PartialSupport(IpirError):
 
 
 class ConstructionFailed(IpirError):
-    """The greedy policy construction found no feasible companion index."""
+    """A construction could not meet its invariant: the greedy policy, the
+    LP solve and routing, or a retrieval template."""
 
 
 class TooLarge(IpirError):

@@ -8,11 +8,20 @@ some *other* server already answered verbatim, so the desired bit is
 recovered with a single XOR. Sums without the desired message consume fresh
 bits. Every bit position of every message is used at most once globally,
 per-message positions are scrambled by private uniform permutations drawn
-fresh per retrieval, and emitted combos are sorted, so the per-server query
-distribution is the same whichever subset member is desired.
+fresh per retrieval, and emitted combos are in canonical (sorted) order, so
+the per-server query distribution is the same whichever subset member is
+desired.
 
 Messages longer than one block run the construction independently per block
 of N^k bits with independent permutations.
+
+A key draw consumes the rng exactly as ``random.Random.shuffle`` does, one
+shuffle per (subset member, block), so seeded streams reproduce. Within one
+server's query every (message, position) atom appears at most once, so the
+first atoms of its combos are distinct and the lexicographic order of the
+combos is the order of their first atoms, (subset position, bit position):
+a session places each combo by its first atom instead of sorting, and
+decode finds a combo's answer bit by its first atom.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from operator import itemgetter
 
 from .errors import (
     BlockMismatch,
+    ConstructionFailed,
     DesiredNotInSubset,
     InconsistentAnswers,
     InvalidParams,
@@ -69,16 +79,31 @@ class PirKey:
 
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> "PirKey":
-        shuffle, identity = rng.shuffle, range(params.block)
+        """One uniform permutation per (subset member, block), drawn with
+        the same ``getrandbits`` calls as ``rng.shuffle`` on the identity."""
+        getrandbits, steps = rng.getrandbits, _shuffle_steps(params.block)
+        identity = range(params.block)
         perms = []
         for _ in range(params.k):
             rows = []
             for _ in range(params.blocks):
                 row = list(identity)
-                shuffle(row)
+                for i, width in steps:
+                    j = getrandbits(width)
+                    while j > i:
+                        j = getrandbits(width)
+                    row[i], row[j] = row[j], row[i]
                 rows.append(tuple(row))
             perms.append(tuple(rows))
         return cls(perms=tuple(perms))
+
+
+@lru_cache(maxsize=None)
+def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """The Fisher-Yates steps of ``random.Random.shuffle`` on ``size`` items:
+    for i from size-1 down to 1, swap item i with a uniform j <= i, drawn as
+    ``getrandbits((i+1).bit_length())`` until it is at most i."""
+    return tuple((i, (i + 1).bit_length()) for i in reversed(range(1, size)))
 
 
 def enumerate_keys(params: SchemeParams):
@@ -121,14 +146,20 @@ def _template(n_servers: int, k: int, desired_pos: int):
     Atom j * N^k + t stands for message subset[j] at the t-th position drawn
     from its block's permutation, key.perms[j][b][t] + b * N^k. Each combo is
     a tuple of atom indices in ascending order, which is ascending message
-    order.
+    order, so its first atom has the smallest subset position.
 
-    Returns ``(singles, getters, decode)``. A block's pool is its atom list
+    Returns ``(singles, getters, plan)``. A block's pool is its atom list
     followed by the shared 1-tuple of each atom j * N^k + t, listed as
-    (j, t) in ``singles``; ``getters[n]`` holds one itemgetter per combo of
-    server n, in generation order, that reads the combo off the pool.
-    Decode entries are (atom, server, getter, side server, side getter);
+    (j, t) in ``singles``. ``getters[n]`` holds one ``(getter, j)`` pair per
+    combo of server n, in generation order: the getter reads the combo off
+    the pool, and j is the subset position of its first atom. Plan entries
+    are (atom, server, first, side server, side first), where first is the
+    pool index of the first atom of the combo that carries the desired
+    atom, and side first that of the side combo it is XORed with;
     singletons have no side.
+
+    Raises ``ConstructionFailed`` if two combos of one server share a first
+    atom: the canonical order and the decode lookup both key on it.
     """
     block = n_servers**k
     drawn = [0] * k
@@ -145,7 +176,7 @@ def _template(n_servers: int, k: int, desired_pos: int):
         for j in range(k):
             a = atom(j)
             if j == desired_pos:
-                decode.append((a, n, len(per_server[n]), None, None))
+                decode.append((a, n, a, None, None))
             else:
                 side_pool.setdefault((j,), [[] for _ in range(n_servers)])[n].append(
                     len(per_server[n])
@@ -162,8 +193,9 @@ def _template(n_servers: int, k: int, desired_pos: int):
                         continue
                     for side in side_pool[side_type][m]:
                         a = atom(desired_pos)
-                        decode.append((a, n, len(per_server[n]), m, side))
-                        per_server[n].append(tuple(sorted(per_server[m][side] + (a,))))
+                        combo = tuple(sorted(per_server[m][side] + (a,)))
+                        decode.append((a, n, combo[0], m, per_server[m][side][0]))
+                        per_server[n].append(combo)
             for group in combinations(others, size):
                 for _ in range((n_servers - 1) ** (size - 1)):
                     new_pool.setdefault(group, [[] for _ in range(n_servers)])[n].append(
@@ -172,17 +204,22 @@ def _template(n_servers: int, k: int, desired_pos: int):
                     per_server[n].append(tuple(atom(j) for j in group))
         side_pool = new_pool
 
+    for n, combos in enumerate(per_server):
+        if len({c[0] for c in combos}) != len(combos):
+            raise ConstructionFailed(
+                f"server {n} repeats a first atom at N={n_servers}, k={k}, "
+                f"desired position {desired_pos}"
+            )
     singles = [c[0] for combos in per_server for c in combos if len(c) == 1]
     slot = {a: k * block + i for i, a in enumerate(singles)}
-    getters = [
-        [itemgetter(slot[c[0]]) if len(c) == 1 else itemgetter(*c) for c in combos]
+    getters = tuple(
+        tuple(
+            (itemgetter(slot[c[0]]) if len(c) == 1 else itemgetter(*c), c[0] // block)
+            for c in combos
+        )
         for combos in per_server
-    ]
-    plan = tuple(
-        (a, n, getters[n][i], m, None if m is None else getters[m][j])
-        for a, n, i, m, j in decode
     )
-    return tuple(divmod(a, block) for a in singles), tuple(map(tuple, getters)), plan
+    return tuple(divmod(a, block) for a in singles), getters, tuple(decode)
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +286,13 @@ def answer_length(query: PirQuery) -> int:
 
 @dataclass
 class PirSession:
-    """One retrieval's state: key, canonical queries, and the decode plan."""
+    """One retrieval's state: key, canonical queries, and the decode plan.
+
+    Each decode entry is (position, server, first atom, side server, side
+    first atom): the desired bit at that position is the answer to the
+    server's combo with that first atom, XORed with the side server's
+    answer to its combo with the side first atom, if there is one.
+    """
 
     params: SchemeParams
     desired: int
@@ -271,14 +314,22 @@ class PirSession:
             pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
             pool += [units[j][rows[j][t] + offset] for j, t in singles]
             pools.append(pool)
-        queries = [
-            PirQuery(n, tuple(sorted([get(pool) for pool in pools for get in combos])))
-            for n, combos in enumerate(getters)
-        ]
+        # a combo's first atom (subset[j], p) is unique within its server's
+        # query, so slot j * L + p puts the combos in canonical order
+        L = params.L
+        queries = []
+        for n, combos in enumerate(getters):
+            slots = [None] * (params.k * L)
+            placed = [(get, j * L) for get, j in combos]
+            for pool in pools:
+                for get, base in placed:
+                    combo = get(pool)
+                    slots[base + combo[0][1]] = combo
+            queries.append(PirQuery(n, tuple(filter(None, slots))))
         decode = [
-            (pool[a][1], n, get(pool), m, None if m is None else side(pool))
+            (pool[a][1], n, pool[first], m, None if m is None else pool[side])
             for pool in pools
-            for a, n, get, m, side in plan
+            for a, n, first, m, side in plan
         ]
         return cls(params=params, desired=desired, key=key, queries=queries, _decode=decode)
 
@@ -295,12 +346,12 @@ class PirSession:
                     f"server {query.server} answered {len(answer.bits)} bits "
                     f"for {len(query.combos)} combos"
                 )
-            lookup.append(dict(zip(query.combos, answer.bits)))
+            lookup.append(dict(zip([c[0] for c in query.combos], answer.bits)))
         bits = [0] * self.params.L
-        for pos, n, combo, side_server, side_combo in self._decode:
-            value = lookup[n][combo]
-            if side_combo is not None:
-                value ^= lookup[side_server][side_combo]
+        for pos, n, first, side_server, side_first in self._decode:
+            value = lookup[n][first]
+            if side_first is not None:
+                value ^= lookup[side_server][side_first]
             bits[pos] = value
         return tuple(bits)
 

@@ -338,6 +338,41 @@ def session_plan(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     return queries, decode
 
 
+def shuffle_key(params: pir.SchemeParams, rng) -> pir.PirKey:
+    """The key draw that ``PirKey.random`` inlines: one ``rng.shuffle`` of
+    the identity per (subset member, block), members outermost."""
+    perms = []
+    for _ in range(params.k):
+        rows = []
+        for _ in range(params.blocks):
+            row = list(range(params.block))
+            rng.shuffle(row)
+            rows.append(tuple(row))
+        perms.append(tuple(rows))
+    return pir.PirKey(perms=tuple(perms))
+
+
+def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
+    """Canonical queries by a lexicographic sort of the template's combos.
+
+    This is the construction that ``PirSession.from_key`` replaced with
+    placing each combo by its first atom; both must agree exactly.
+    """
+    singles, getters, _ = pir._template(
+        params.n_servers, params.k, params.subset.index(desired)
+    )
+    cells, units = pir._cells(params.subset, params.L)
+    pools = []
+    for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
+        pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
+        pool += [units[j][rows[j][t] + offset] for j, t in singles]
+        pools.append(pool)
+    return [
+        pir.PirQuery(n, tuple(sorted([get(pool) for pool in pools for get, _ in combos])))
+        for n, combos in enumerate(getters)
+    ]
+
+
 # The two-phase simplex for equality rows that ipir.simplex.minimize
 # replaced with a one-phase solve from the slack basis: the solver of the
 # (s, x, u) LP, of the equality-form covering LP and of the simplex routing.

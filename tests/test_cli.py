@@ -217,6 +217,22 @@ class TestTwoRequestCommand:
         assert code == 0
 
 
+    def test_lp_policy_below_the_greedy_size_bound_exits_0(self, tmp_path):
+        # the size bound is the greedy construction's guarantee; this K=4
+        # LP optimum misses it at rank 3 (7/8 < 1) and is still valid
+        eighths = [[1, 4, 2, 1], [2, 2, 3, 1], [1, 1, 4, 2], [1, 2, 1, 4]]
+        joint = write(tmp_path, "k4.json",
+                      {"K": 4, "p": [[f"{c}/32" for c in row] for row in eighths]})
+        out = tmp_path / "rep.json"
+        code = run_cli(
+            ["two-request", "--joint", joint, "--auto-lp", "--trials", "20",
+             "--seed", "1", "-o", str(out)]
+        )
+        assert code == 0
+        audits = json.loads(out.read_text())["audits"]
+        assert not audits["size-bound"]["passed"]
+        assert audits["subset-independence"]["passed"]
+
     def test_negative_trials_exit_2(self, capsys):
         code = run_cli(
             ["two-request", "--joint", str(SCENARIOS / "correlated_pair.json"),
@@ -338,11 +354,24 @@ class TestStoreCommands:
         assert store.K == 2 and store.L == 8
 
     def test_served_replica_answers_and_exits_on_sigint(self, tmp_path):
+        self._serve_answer_and_interrupt(tmp_path, [sys.executable, "-m", "ipir.cli"])
+
+    def test_replica_started_with_sigint_ignored_still_exits_on_it(self, tmp_path):
+        # a background job of a non-interactive shell starts with SIGINT
+        # ignored, and a Python child keeps that disposition
+        ignoring = ("import os, signal, sys; "
+                    "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                    "os.execv(sys.executable, "
+                    "[sys.executable, '-m', 'ipir.cli'] + sys.argv[1:])")
+        self._serve_answer_and_interrupt(tmp_path, [sys.executable, "-c", ignoring])
+
+    @staticmethod
+    def _serve_answer_and_interrupt(tmp_path, command):
         store_path = str(tmp_path / "replica.bin")
         assert run_cli(["upload", "--store", store_path, "-K", "2", "-L", "8"]) == 0
         store = load_store(store_path)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ipir.cli", "serve", "--store", store_path],
+            command + ["serve", "--store", store_path],
             stdout=subprocess.PIPE, text=True,
         )
         transport = None

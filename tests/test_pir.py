@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir.core import MessageStore, capacity_cost, fork_rng
 from ipir.errors import (
@@ -23,7 +24,7 @@ from ipir.pir import (
     pir_setup,
 )
 
-from oracles import session_plan
+from oracles import block_plan, session_plan, shuffle_key, sorted_queries
 
 
 class TestSetup:
@@ -191,6 +192,22 @@ class TestDecode:
             assert rebuilt.decode(answers) == session.decode(answers) == store.data[desired]
 
 
+class TestKeyDraw:
+    # every block size N^k up to 81, each with its number of members k
+    SHAPES = [(n, k) for n in range(2, 82) for k in range(1, 7) if n**k <= 81]
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_matches_shuffle_oracle(self, blocks):
+        # the inlined Fisher-Yates draws what rng.shuffle draws and leaves
+        # the stream at the same place
+        for n, k in self.SHAPES:
+            params = pir_setup(n, range(k), blocks * n**k)
+            for seed in range(200):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert PirKey.random(params, rng) == shuffle_key(params, ref)
+                assert rng.getrandbits(64) == ref.getrandbits(64)
+
+
 class TestTemplatePlan:
     @pytest.mark.parametrize(
         "n,subset,L",
@@ -208,7 +225,9 @@ class TestTemplatePlan:
     )
     def test_from_key_matches_direct_construction(self, n, subset, L):
         # the cached key-free template and the combo-by-combo construction
-        # give identical queries and decode plans for every desired index
+        # give identical queries and decode plans for every desired index;
+        # a session keys each decode entry by its combos' first atoms, which
+        # are distinct per server (test_first_atoms_distinct_per_server)
         params = pir_setup(n, subset, L)
         rng = fork_rng(21, "template", n, subset, L)
         for desired in params.subset:
@@ -216,8 +235,44 @@ class TestTemplatePlan:
                 key = PirKey.random(params, rng)
                 session = PirSession.from_key(params, desired, key)
                 queries, decode = session_plan(params, desired, key)
-                assert session.queries == queries
-                assert session._decode == decode
+                assert session.queries == queries == sorted_queries(params, desired, key)
+                assert session._decode == [
+                    (pos, server, combo[0], side_server, None if side is None else side[0])
+                    for pos, server, combo, side_server, side in decode
+                ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 4).flatmap(
+            lambda k: st.sets(st.integers(0, 7), min_size=k, max_size=k)
+        ),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_placement_matches_sorted_oracle(self, n, subset, blocks, data):
+        # placing combos by first atom gives the lexicographic sort
+        params = pir_setup(n, subset, blocks * n ** len(subset))
+        desired = data.draw(st.sampled_from(params.subset))
+        key = PirKey.random(params, fork_rng(data.draw(st.integers(0, 2**32))))
+        assert PirSession.from_key(params, desired, key).queries == sorted_queries(
+            params, desired, key
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_first_atoms_distinct_per_server(self, n, k):
+        # canonical placement and decode lookups both key a combo by its
+        # first atom, so no server's query may repeat one
+        params = pir_setup(n, range(k), n**k)
+        identity = PirKey(perms=((tuple(range(params.block)),),) * k)
+        for desired_pos in range(k):
+            per_server, _ = block_plan(params, desired_pos, identity, 0)
+            for combos in per_server:
+                firsts = [combo[0] for combo in combos]
+                assert len(set(firsts)) == len(firsts)
+            for query in PirSession.from_key(params, desired_pos, identity).queries:
+                assert len({combo[0] for combo in query.combos}) == len(query.combos)
 
     def test_sessions_share_singleton_combos(self):
         # a kept query holds no per-session copy of its one-atom combos
