@@ -28,6 +28,7 @@ from .obfuscation import (
     ObfuscationPolicy,
     indices_of,
     likelihood_profile,
+    subset_samplers,
 )
 from . import pir
 
@@ -212,11 +213,16 @@ def audit_query_privacy(
     runs in empirical mode instead, and its first check records the
     fallback. Empirical mode compares the sampled query law across s values
     by total variation distance at each server from ``trials`` samples per
-    private value. Any other mode, and an empirical audit with fewer than
-    one trial, raise InvalidParams.
+    private value. A sample keeps only each server's query pattern, drawn
+    by ``pir.sample_patterns`` with the same draws as a full session and
+    ``pir.query_pattern`` of its queries. Any other mode, and an empirical
+    audit with fewer than one trial, raise InvalidParams; a policy with no
+    entries at a request pair of positive mass raises UnsupportedPair, in
+    either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
+    samplers = subset_samplers(policy, joint)
     report = AuditReport(mode=mode)
     if mode == "exact" and _exact_enumeration_size(policy, config) > EXACT_STATE_CAP:
         report.mode = "empirical"
@@ -239,46 +245,63 @@ def audit_query_privacy(
             )
         return report
 
+    counts = _pattern_counts(joint, samplers, config, trials, seed)
+    report.checks.extend(_empirical_checks(counts, threshold))
+    return report
+
+
+def _pattern_counts(
+    joint: JointDistribution,
+    samplers: dict,
+    config: SystemConfig,
+    trials: int,
+    seed: int,
+) -> list[dict[int, dict[int, Counter]]]:
+    """``counts[server][s][mask]``: the sampled query patterns at one server
+    for private value s and released subset mask, from ``trials`` samples
+    per supported s. Each s draws from its own named stream; a sample
+    draws the non-private request x, then the subset, then the PIR key."""
     cond = conditional_from_joint(joint)
-    samplers = {
-        (s, x): WeightedSampler(policy.at(s, x))
-        for s, x in policy.pairs()
-        if s in cond.support and cond.rows[s][x] != 0
-    }
-    params_cache: dict[int, pir.SchemeParams] = {}
-    # the query splits into the released subset (small support; the pinned
-    # threshold is ~3x its sampling noise) and the position-pattern within
-    # the subset (positions are exchangeable under the uniform key, so the
-    # pattern is a sufficient statistic; its support is larger, so its
-    # threshold is scaled to the pattern-level sampling noise)
-    pattern_counts: list[dict[int, dict[int, Counter]]] = [
-        {s: {} for s in cond.support} for _ in range(config.N)
-    ]
+    counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
     for s in cond.support:
         x_sampler = WeightedSampler(
             (x, cond.rows[s][x]) for x in range(config.K) if cond.rows[s][x] != 0
         )
         rng = fork_rng(seed, "audit-empirical", s)
+        by_mask: dict[int, tuple] = {}
         for _ in range(trials):
             x = x_sampler.draw(rng)
             mask = samplers[(s, x)].draw(rng)
-            params = params_cache.get(mask)
-            if params is None:
+            entry = by_mask.get(mask)
+            if entry is None:
                 params = pir.pir_setup(config.N, indices_of(mask), config.L)
-                params_cache[mask] = params
-            session = pir.open_session(params, x, rng)
-            for query in session.queries:
-                by_mask = pattern_counts[query.server][s]
-                counts = by_mask.get(mask)
-                if counts is None:
-                    counts = by_mask[mask] = Counter()
-                counts[pir.query_pattern(params, query)] += 1
+                entry = by_mask[mask] = (params, [Counter() for _ in range(config.N)])
+            params, per_server = entry
+            for server_counts, pattern in zip(per_server, pir.sample_patterns(params, x, rng)):
+                server_counts[pattern] += 1
+        for server, by_s in enumerate(counts):
+            by_s[s] = {mask: entry[1][server] for mask, entry in by_mask.items()}
+    return counts
 
-    support = list(cond.support)
-    for server in range(config.N):
+
+def _empirical_checks(
+    counts: list[dict[int, dict[int, Counter]]], threshold: float
+) -> list[AuditCheck]:
+    """Two checks per server from ``counts[server][s][mask]``, as
+    ``_pattern_counts`` returns them.
+
+    The query splits into the released subset (small support; the pinned
+    threshold is ~3x its sampling noise) and the position pattern within
+    the subset (positions are exchangeable under the uniform key, so the
+    pattern is a sufficient statistic; its support is larger, so its
+    threshold is scaled to the pattern-level sampling noise).
+    """
+    checks = []
+    for server, by_s in enumerate(counts):
+        support = list(by_s)
         subset_counts = {
             s: Counter({mask: sum(c.values()) for mask, c in by_mask.items()})
-            for s, by_mask in pattern_counts[server].items()
+            for s, by_mask in by_s.items()
         }
         worst = 0.0
         witness = None
@@ -288,7 +311,7 @@ def audit_query_privacy(
                 if tv > worst:
                     worst = tv
                     witness = (s1, s2)
-        report.checks.append(
+        checks.append(
             AuditCheck(
                 name=f"query-privacy-server-{server}: subset marginal (TV<{threshold})",
                 passed=worst < threshold,
@@ -298,11 +321,11 @@ def audit_query_privacy(
         )
         worst_excess = 0.0
         witness = None
-        for mask in sorted(params_cache):
+        for mask in sorted({mask for by_mask in by_s.values() for mask in by_mask}):
             for i, s1 in enumerate(support):
                 for s2 in support[i + 1 :]:
-                    c1 = pattern_counts[server][s1].get(mask, Counter())
-                    c2 = pattern_counts[server][s2].get(mask, Counter())
+                    c1 = by_s[s1].get(mask, Counter())
+                    c2 = by_s[s2].get(mask, Counter())
                     n1, n2 = subset_counts[s1][mask], subset_counts[s2][mask]
                     if min(n1, n2) < 100:
                         continue
@@ -316,7 +339,7 @@ def audit_query_privacy(
                     if excess > worst_excess:
                         worst_excess = excess
                         witness = (indices_of(mask), s1, s2, tv, limit)
-        report.checks.append(
+        checks.append(
             AuditCheck(
                 name=f"query-privacy-server-{server}: in-subset pattern "
                 "(noise-scaled TV)",
@@ -325,7 +348,7 @@ def audit_query_privacy(
                 witness=None if worst_excess < 1.0 else witness,
             )
         )
-    return report
+    return checks
 
 
 def audit_leak_equivalence(

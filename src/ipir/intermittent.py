@@ -27,6 +27,7 @@ from .obfuscation import (
     ObfuscationPolicy,
     expected_cost,
     indices_of,
+    subset_samplers,
 )
 from . import pir
 
@@ -152,7 +153,9 @@ def run_two_request(
     (s, x) draw unchanged, but a skipped private key draw shifts the rest
     of that trial's stream, so the sampled subsets, and with them
     ``cost_x_empirical``, differ from a run with the flag on. A negative
-    ``trials`` raises InvalidParams.
+    ``trials`` raises InvalidParams, and a policy with no entries at a
+    request pair of positive mass raises UnsupportedPair, both before any
+    draw.
     """
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")
@@ -163,9 +166,7 @@ def run_two_request(
         for x in range(joint.K)
         if joint.table[s][x] != 0
     )
-    subset_samplers = {
-        (s, x): WeightedSampler(policy.at(s, x)) for s, x in policy.pairs()
-    }
+    samplers = subset_samplers(policy, joint)
     params_by_mask = {
         mask: pir.pir_setup(config.N, indices_of(mask), config.L)
         for (_, _, mask) in policy.entries
@@ -188,7 +189,7 @@ def run_two_request(
             private = retrieve(full_params, s, store, trial_rng, transport)
             private_seen.add(s)
 
-        mask = subset_samplers[(s, x)].draw(trial_rng)
+        mask = samplers[(s, x)].draw(trial_rng)
         nonprivate = retrieve(params_by_mask[mask], x, store, trial_rng, transport)
         bits_x_total += sum(map(pir.answer_length, nonprivate.queries))
         samples.append((s, x, nonprivate.subset))

@@ -507,6 +507,23 @@ def expected_cost(
     return total
 
 
+def subset_samplers(
+    policy: ObfuscationPolicy, joint: JointDistribution
+) -> dict[tuple[int, int], WeightedSampler]:
+    """A subset sampler per request pair (s, x) of positive mass under the
+    joint. Raises UnsupportedPair at the first such pair, in (s, x) order,
+    where the policy has no entries, so callers fail before any draw."""
+    samplers = {}
+    for s, row in enumerate(joint.table):
+        for x, p in enumerate(row):
+            if p != 0:
+                choices = policy.at(s, x)
+                if not choices:
+                    raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
+                samplers[(s, x)] = WeightedSampler(choices)
+    return samplers
+
+
 def sample_subset(
     policy: ObfuscationPolicy, s: int, x: int, rng: random.Random
 ) -> tuple[int, ...]:

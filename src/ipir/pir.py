@@ -22,6 +22,12 @@ first atoms of its combos are distinct and the lexicographic order of the
 combos is the order of their first atoms, (subset position, bit position):
 a session places each combo by its first atom instead of sorting, and
 decode finds a combo's answer bit by its first atom.
+
+The empirical privacy audit keeps only each query's ``query_pattern``.
+``sample_patterns`` draws the same key and reads the N patterns straight
+off the template: with every atom at most once per server, an atom's
+first-appearance rank in its (message, block) cell is the number of that
+cell's atoms placed before it, so no session is built.
 """
 
 from __future__ import annotations
@@ -148,15 +154,16 @@ def _template(n_servers: int, k: int, desired_pos: int):
     a tuple of atom indices in ascending order, which is ascending message
     order, so its first atom has the smallest subset position.
 
-    Returns ``(singles, getters, plan)``. A block's pool is its atom list
-    followed by the shared 1-tuple of each atom j * N^k + t, listed as
+    Returns ``(singles, getters, plan, shapes)``. A block's pool is its atom
+    list followed by the shared 1-tuple of each atom j * N^k + t, listed as
     (j, t) in ``singles``. ``getters[n]`` holds one ``(getter, j)`` pair per
     combo of server n, in generation order: the getter reads the combo off
     the pool, and j is the subset position of its first atom. Plan entries
     are (atom, server, first, side server, side first), where first is the
     pool index of the first atom of the combo that carries the desired
     atom, and side first that of the side combo it is XORed with;
-    singletons have no side.
+    singletons have no side. ``shapes[n]`` lists the same combos as
+    ``getters[n]``, each as its atoms' (j, t) pairs.
 
     Raises ``ConstructionFailed`` if two combos of one server share a first
     atom: the canonical order and the decode lookup both key on it.
@@ -219,7 +226,10 @@ def _template(n_servers: int, k: int, desired_pos: int):
         )
         for combos in per_server
     )
-    return tuple(divmod(a, block) for a in singles), getters, tuple(decode)
+    shapes = tuple(
+        tuple(tuple(divmod(a, block) for a in c) for c in combos) for combos in per_server
+    )
+    return tuple(divmod(a, block) for a in singles), getters, tuple(decode), shapes
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +260,10 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     first-appearance rank within its cell therefore loses nothing when
     comparing query distributions, while shrinking the support enough for
     sampled comparisons to resolve.
+
+    This is the reference for ``sample_patterns``, which the audit uses
+    instead: on the same rng, ``sample_patterns`` equals this function over
+    ``open_session(...).queries``.
     """
     ranks: dict[tuple[int, int], dict[int, int]] = {}
     pattern = []
@@ -263,6 +277,77 @@ def query_pattern(params: SchemeParams, query: PirQuery):
             out.append((msg, cell[1], seen[pos]))
         pattern.append(tuple(out))
     return tuple(pattern)
+
+
+def sample_patterns(params: SchemeParams, desired: int, rng: random.Random):
+    """The N servers' ``query_pattern`` of one fresh session, without the
+    session.
+
+    Draws the key with ``PirKey.random``, so the stream moves exactly as in
+    ``open_session``. Each combo of server n goes to the slot of its first
+    atom, as in ``PirSession.from_key``. Within one server's query every
+    atom appears at most once, so an atom's first-appearance rank in its
+    (message, block) cell is the number of that cell's atoms met before it
+    in canonical order: scanning the slots gives the pattern.
+    """
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    rows = [row for perms in PirKey.random(params, rng).perms for row in perms]
+    servers, labels, size = _pattern_plan(
+        params.n_servers, params.subset, params.L, params.subset.index(desired)
+    )
+    patterns = []
+    for placed in servers:
+        slots = [None] * size
+        for r, t, base, cells in placed:
+            slots[base + rows[r][t]] = cells
+        ranks = [iter(cell).__next__ for cell in labels]
+        patterns.append(
+            tuple(
+                tuple([ranks[c]() for c in cells])
+                for cells in slots
+                if cells is not None
+            )
+        )
+    return patterns
+
+
+@lru_cache(maxsize=None)
+def _pattern_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: int):
+    """Key-free placement for ``sample_patterns``, built once per scheme
+    and desired position.
+
+    Cell c = j * blocks + b is message subset[j] in block b, and key row c
+    is ``key.perms[j][b]``. Returns ``(servers, labels, size)``:
+    ``servers[n]`` holds one ``(row, t, base, cells)`` entry per combo of
+    server n and block: its first atom (j, t) lands at slot base plus item
+    t of key row ``row``, base = j * L + b * N^k, and its atoms fall in
+    ``cells`` in combo order. ``labels[c]`` lists the pattern entries
+    (subset[j], b, rank) of cell c by rank, and ``size`` is k * L slots.
+    """
+    k = len(subset)
+    block = n_servers**k
+    blocks = L // block
+    *_, shapes = _template(n_servers, k, desired_pos)
+    servers = tuple(
+        tuple(
+            (
+                combo[0][0] * blocks + b,
+                combo[0][1],
+                combo[0][0] * L + b * block,
+                tuple(j * blocks + b for j, _ in combo),
+            )
+            for b in range(blocks)
+            for combo in combos
+        )
+        for combos in shapes
+    )
+    labels = tuple(
+        tuple((subset[j], b, rank) for rank in range(block))
+        for j in range(k)
+        for b in range(blocks)
+    )
+    return servers, labels, k * L
 
 
 def pir_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
@@ -305,7 +390,7 @@ class PirSession:
         """Deterministic canonical queries and decode plan for (params, desired, key)."""
         if desired not in params.subset:
             raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-        singles, getters, plan = _template(
+        singles, getters, plan, _ = _template(
             params.n_servers, params.k, params.subset.index(desired)
         )
         cells, units = _cells(params.subset, params.L)

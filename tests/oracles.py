@@ -10,6 +10,7 @@ of the equivalence tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,8 +19,10 @@ from ipir.audit import DiscreteJoint, mutual_information, query_distribution
 from ipir.core import (
     JointDistribution,
     SystemConfig,
+    WeightedSampler,
     capacity_cost,
     conditional_from_joint,
+    fork_rng,
 )
 from ipir.errors import ConstructionFailed, IterationLimit, TooLarge
 from ipir.location import (
@@ -358,7 +361,7 @@ def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     This is the construction that ``PirSession.from_key`` replaced with
     placing each combo by its first atom; both must agree exactly.
     """
-    singles, getters, _ = pir._template(
+    singles, getters, _, _ = pir._template(
         params.n_servers, params.k, params.subset.index(desired)
     )
     cells, units = pir._cells(params.subset, params.L)
@@ -371,6 +374,53 @@ def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
         pir.PirQuery(n, tuple(sorted([get(pool) for pool in pools for get, _ in combos])))
         for n, combos in enumerate(getters)
     ]
+
+
+def session_pattern_counts(
+    joint: JointDistribution,
+    policy: ObfuscationPolicy,
+    config: SystemConfig,
+    trials: int,
+    seed: int,
+):
+    """``counts[server][s][mask]`` of the empirical query-privacy audit,
+    counted from full sessions.
+
+    This is the loop that ``audit._pattern_counts`` replaced with
+    ``pir.sample_patterns``: it opens every PIR session and keeps
+    ``query_pattern`` of each query. Both must agree exactly, down to the
+    order in which each Counter first sees its patterns.
+    """
+    cond = conditional_from_joint(joint)
+    samplers = {
+        (s, x): WeightedSampler(policy.at(s, x))
+        for s, x in policy.pairs()
+        if s in cond.support and cond.rows[s][x] != 0
+    }
+    params_cache: dict[int, pir.SchemeParams] = {}
+    pattern_counts: list[dict[int, dict[int, Counter]]] = [
+        {s: {} for s in cond.support} for _ in range(config.N)
+    ]
+    for s in cond.support:
+        x_sampler = WeightedSampler(
+            (x, cond.rows[s][x]) for x in range(config.K) if cond.rows[s][x] != 0
+        )
+        rng = fork_rng(seed, "audit-empirical", s)
+        for _ in range(trials):
+            x = x_sampler.draw(rng)
+            mask = samplers[(s, x)].draw(rng)
+            params = params_cache.get(mask)
+            if params is None:
+                params = pir.pir_setup(config.N, indices_of(mask), config.L)
+                params_cache[mask] = params
+            session = pir.open_session(params, x, rng)
+            for query in session.queries:
+                by_mask = pattern_counts[query.server][s]
+                counts = by_mask.get(mask)
+                if counts is None:
+                    counts = by_mask[mask] = Counter()
+                counts[pir.query_pattern(params, query)] += 1
+    return pattern_counts
 
 
 # The two-phase simplex for equality rows that ipir.simplex.minimize

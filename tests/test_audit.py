@@ -4,9 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from ipir.core import SystemConfig, validate_joint
+from ipir.core import SystemConfig, WeightedSampler, conditional_from_joint, validate_joint
 from ipir.audit import (
+    TV_THRESHOLD,
+    AuditReport,
     DiscreteJoint,
+    _empirical_checks,
+    _pattern_counts,
     audit_online_privacy,
     audit_policy_independence,
     audit_leak_equivalence,
@@ -23,14 +27,20 @@ from ipir.location import (
     initial_posterior,
     policy_for_posterior,
 )
-from ipir.errors import InvalidParams
-from ipir.obfuscation import ObfuscationPolicy, greedy_policy, trivial_policy
+from ipir.errors import InvalidParams, UnsupportedPair
+from ipir.obfuscation import (
+    ObfuscationPolicy,
+    greedy_policy,
+    subset_samplers,
+    trivial_policy,
+)
 
 from oracles import (
     enumerate_mechanism,
     node_query_leak,
     online_privacy_factorization,
     query_history_equivalence,
+    session_pattern_counts,
 )
 
 
@@ -130,6 +140,76 @@ class TestQueryPrivacyExact:
             pair_joint, greedy_policy(pair_cond), config22, mode="exact", trials=0
         )
         assert report.mode == "exact" and report.passed
+
+
+class TestEmpiricalCounts:
+    # the direct pattern sampler against the session-by-session counting
+    # loop it replaced, on the report and on the counts themselves
+    @staticmethod
+    def assert_matches_oracle(joint, policy, config, trials, seed):
+        report = audit_query_privacy(
+            joint, policy, config, mode="empirical", trials=trials, seed=seed
+        )
+        counts = session_pattern_counts(joint, policy, config, trials, seed)
+        direct = _pattern_counts(joint, subset_samplers(policy, joint), config, trials, seed)
+        assert direct == counts
+        for by_s, ref_by_s in zip(direct, counts):
+            for s, by_mask in by_s.items():
+                assert list(by_mask) == list(ref_by_s[s])
+                for mask, c in by_mask.items():
+                    assert list(c) == list(ref_by_s[s][mask])
+        oracle = AuditReport(mode="empirical", checks=_empirical_checks(counts, TV_THRESHOLD))
+        assert report.to_json_dict() == oracle.to_json_dict()
+        return report
+
+    def test_skew_law(self, skew_joint, skew_cond):
+        # acceptance criterion 5's law
+        config = SystemConfig(N=2, K=3, L=8, seed=1)
+        self.assert_matches_oracle(skew_joint, greedy_policy(skew_cond), config, 2_000, 5)
+
+    def test_three_servers(self):
+        joint = validate_joint([[F(1, 4), F(1, 8)], [F(1, 8), F(1, 2)]])
+        config = SystemConfig(N=3, K=2, L=9, seed=2)
+        policy = greedy_policy(conditional_from_joint(joint))
+        self.assert_matches_oracle(joint, policy, config, 2_000, 6)
+
+    def test_leaking_policy_witnesses(self, pair_joint, config22):
+        report = self.assert_matches_oracle(
+            pair_joint, singleton_policy(2), config22, 1_000, 7
+        )
+        assert not report.passed
+        assert all(c.witness is not None for c in report.checks if not c.passed)
+
+
+class TestIncompletePolicy:
+    # K=2 uniform law with the trivial policy missing its (0, 1) entry
+    @pytest.fixture
+    def joint(self):
+        return validate_joint([[F(1, 4)] * 2] * 2)
+
+    @pytest.fixture
+    def policy(self):
+        entries = dict(trivial_policy(2).entries)
+        del entries[(0, 1, 3)]
+        return ObfuscationPolicy(K=2, entries=entries)
+
+    @pytest.mark.parametrize("mode", ["exact", "empirical"])
+    def test_audit_names_the_pair_before_any_draw(
+        self, joint, policy, config22, mode, monkeypatch
+    ):
+        def no_draw(self, rng):
+            raise AssertionError("drew before checking the policy")
+
+        monkeypatch.setattr(WeightedSampler, "draw", no_draw)
+        with pytest.raises(UnsupportedPair, match=r"\(s=0, x=1\)"):
+            audit_query_privacy(joint, policy, config22, mode=mode, trials=10)
+
+    def test_uncovered_zero_mass_pair_is_fine(self, config22):
+        # a pair the joint never draws needs no entries
+        joint = validate_joint([[F(1, 2), 0], [F(1, 4), F(1, 4)]])
+        entries = {key: p for key, p in trivial_policy(2).entries.items() if key[:2] != (0, 1)}
+        report = audit_query_privacy(joint, ObfuscationPolicy(K=2, entries=entries), config22)
+        assert report.passed
 
 
 class TestLeakEquivalence:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import ipir
-from ipir import intermittent, location, net  # noqa: F401  (net is traced too)
+from ipir import audit, intermittent, location, net  # noqa: F401  (net is traced too)
 from ipir.core import (
     MessageStore,
     SystemConfig,
@@ -100,3 +100,24 @@ def test_covering_lp_has_no_slack_columns():
     assert builds == 3
     assert t.counters["obfuscation.lp_vars"] == 6 * builds
     assert t.counters["obfuscation.lp_rows"] == 7 * builds
+
+
+def test_empirical_audit_samples_patterns_without_sessions():
+    # the audit draws one key per sample and builds the patterns directly:
+    # no session is opened and query_pattern is never called
+    tracer = load_tracer()
+    joint = validate_joint([[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]])
+    policy = greedy_policy(conditional_from_joint(joint))
+    config = SystemConfig(N=2, K=2, L=4, seed=7)
+    trials = 50
+
+    with tracer.Tracer(ipir) as t:
+        report = audit.audit_query_privacy(
+            joint, policy, config, mode="empirical", trials=trials
+        )
+
+    assert report.mode == "empirical"
+    assert t.count("audit.audit_query_privacy") == 1
+    assert t.count("pir.key_draw") == trials * joint.K
+    assert t.count("pir.open_session") == 0
+    assert t.count("audit.query_pattern") == 0

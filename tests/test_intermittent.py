@@ -9,13 +9,14 @@ from ipir.core import (
     fork_rng,
     validate_joint,
 )
-from ipir.errors import InconsistentAnswers, InvalidParams
+from ipir.errors import InconsistentAnswers, InvalidParams, UnsupportedPair
 from ipir.intermittent import (
     guaranteed_cost_bound,
     retrieve,
     run_two_request,
 )
 from ipir.obfuscation import (
+    ObfuscationPolicy,
     expected_cost,
     greedy_policy,
     likelihood_profile,
@@ -125,6 +126,21 @@ class TestRunTwoRequest:
     def test_negative_trials_rejected(self, pair_joint, config22, store22):
         with pytest.raises(InvalidParams):
             run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=-3)
+
+    def test_incomplete_policy_names_the_pair_before_any_draw(self, config22, store22):
+        # K=2 uniform law with the trivial policy missing its (0, 1) entry
+        joint = validate_joint([[F(1, 4)] * 2] * 2)
+        entries = dict(trivial_policy(2).entries)
+        del entries[(0, 1, 3)]
+
+        def transport(queries):
+            raise AssertionError("retrieved before checking the policy")
+
+        with pytest.raises(UnsupportedPair, match=r"\(s=0, x=1\)"):
+            run_two_request(
+                joint, ObfuscationPolicy(K=2, entries=entries), config22, store22,
+                trials=5, transport=transport,
+            )
 
     def test_zero_trials_report_no_samples(self, pair_joint, config22, store22):
         report = run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=0)

@@ -22,6 +22,8 @@ from ipir.pir import (
     open_session,
     pir_answer,
     pir_setup,
+    query_pattern,
+    sample_patterns,
 )
 
 from oracles import block_plan, session_plan, shuffle_key, sorted_queries
@@ -284,6 +286,50 @@ class TestTemplatePlan:
         assert shared and all(ones[c] is c for c in shared)
 
 
+class TestSamplePatterns:
+    # N = 2..4 and k = 1..4: block sizes N^k up to 256
+    SHAPES = [(n, k) for n in (2, 3, 4) for k in (1, 2, 3, 4)]
+
+    @staticmethod
+    def assert_matches_sessions(params, desired, seed):
+        # the direct sampler gives each server's query_pattern and leaves
+        # the stream where a full session leaves it
+        rng, ref = random.Random(seed), random.Random(seed)
+        expected = [query_pattern(params, q) for q in open_session(params, desired, ref).queries]
+        assert sample_patterns(params, desired, rng) == expected
+        assert rng.getrandbits(64) == ref.getrandbits(64)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_matches_session_patterns(self, blocks):
+        for n, k in self.SHAPES:
+            # odd message indices, so a subset position is not its message
+            params = pir_setup(n, range(1, 2 * k, 2), blocks * n**k)
+            for desired in params.subset:
+                for seed in range(10):
+                    self.assert_matches_sessions(params, desired, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SHAPES).flatmap(
+            lambda shape: st.tuples(
+                st.just(shape[0]),
+                st.sets(st.integers(0, 7), min_size=shape[1], max_size=shape[1]),
+            )
+        ),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_matches_session_patterns_hypothesis(self, shape, blocks, data):
+        n, subset = shape
+        params = pir_setup(n, subset, blocks * n ** len(subset))
+        desired = data.draw(st.sampled_from(params.subset))
+        self.assert_matches_sessions(params, desired, data.draw(st.integers(0, 2**32)))
+
+    def test_desired_must_be_in_subset(self):
+        with pytest.raises(DesiredNotInSubset):
+            sample_patterns(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
+
+
 class TestQueryPrivacy:
     def test_exact_distribution_equality_by_key_enumeration(self):
         # the full key space is tractable for a 4-bit block over 2 messages
@@ -312,7 +358,6 @@ class TestQueryPrivacy:
     @pytest.mark.parametrize("n,k,L", [(2, 3, 8), (3, 2, 9)])
     def test_empirical_pattern_closeness(self, n, k, L):
         from ipir.audit import total_variation
-        from ipir.pir import query_pattern
 
         params = pir_setup(n, range(k), L)
         trials = 20_000
@@ -334,8 +379,6 @@ class TestQueryPrivacy:
     def test_pattern_is_exact_on_the_enumerable_instance(self):
         # sanity for the quotient: pattern distributions also match exactly
         # where the raw-query enumeration already matches
-        from ipir.pir import query_pattern
-
         params = pir_setup(2, (0, 1), 4)
         per_desired = []
         for desired in (0, 1):
