@@ -16,9 +16,12 @@ exchange's session id. Any failure closes all of its connections, so no
 later exchange can read a stale reply; a connection its server has closed
 is replaced before the query is written. A ``StoreServer`` runs one accept
 thread and one thread per connection, which ends after ``IDLE_TIMEOUT``
-seconds of silence. ``close()`` shuts the listening socket down to wake the
-accept thread, shuts every live connection down to wake its thread, and
-joins them all, without waiting for a client.
+seconds of silence. An accept that fails (say, out of file descriptors) is
+logged once per run of failures and retried every ``ACCEPT_BACKOFF``
+seconds. ``close()`` shuts the listening socket down to wake the accept
+thread, shuts every live connection down to wake its thread, and joins
+them all, without waiting for a client and for at most ``CLOSE_TIMEOUT``
+seconds.
 
 A reply is checked for its session id, its length and its '0'/'1' alphabet
 only: a replica that flips an answer bit goes unseen here, and is caught in
@@ -33,6 +36,7 @@ import select
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .core import MessageStore
@@ -51,6 +55,11 @@ MAX_FRAME = 1 << 24
 # a server closes a connection that sends nothing for this many seconds, so
 # an idle, stalled or vanished client does not hold a handler thread
 IDLE_TIMEOUT = 30.0
+# seconds between retries of a failing accept, so a persistent error such
+# as EMFILE does not spin the accept thread
+ACCEPT_BACKOFF = 0.05
+# seconds close() waits, in all, for the server's threads to end
+CLOSE_TIMEOUT = 5.0
 
 
 def send_frame(sock: socket.socket, payload: dict) -> int:
@@ -177,20 +186,35 @@ class StoreServer:
         self._store = store
         self._listener = socket.create_server(bind)
         self.address: tuple[str, int] = self._listener.getsockname()
-        self._closing = False
+        self._closing = threading.Event()
         self._live: dict[socket.socket, threading.Thread] = {}
         self._live_lock = threading.Lock()
         self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
 
     def _accept(self):
-        while not self._closing:
+        failing = False
+        while not self._closing.is_set():
             try:
                 sock, _ = self._listener.accept()
-            except OSError:
-                # close() shut the listener down, or an accept error that
-                # ends only the connection that caused it
+            except OSError as exc:
+                # close() shut the listener down, or the accept failed: wait
+                # before the retry, in case the error persists
+                if self._closing.is_set():
+                    break
+                if not failing:
+                    # imported here, on a failure path, because importing
+                    # logging adds about 0.4 MB to every process using ipir
+                    import logging
+
+                    logging.getLogger(__name__).warning(
+                        "replica %s: accept failed (%s); retrying every %s s",
+                        _endpoint(self.address), exc, ACCEPT_BACKOFF,
+                    )
+                    failing = True
+                self._closing.wait(ACCEPT_BACKOFF)
                 continue
+            failing = False
             thread = threading.Thread(target=self._handle, args=(sock,), daemon=True)
             with self._live_lock:
                 self._live[sock] = thread
@@ -214,12 +238,14 @@ class StoreServer:
 
     def close(self):
         """Stop accepting, end the live connections and join every server
-        thread. Returns at once, without waiting for a poll or a client."""
-        if self._closing:
+        thread. Returns at once, without waiting for a poll or a client;
+        a thread that has not ended within CLOSE_TIMEOUT is left behind."""
+        if self._closing.is_set():
             return
-        self._closing = True
+        self._closing.set()
+        deadline = time.monotonic() + CLOSE_TIMEOUT
         self._listener.shutdown(socket.SHUT_RDWR)
-        self._thread.join()
+        self._thread.join(CLOSE_TIMEOUT)
         with self._live_lock:
             # under the lock, so no connection here has been closed yet
             live = list(self._live.items())
@@ -229,7 +255,7 @@ class StoreServer:
                 except OSError:
                     pass
         for _, thread in live:
-            thread.join()
+            thread.join(max(0.0, deadline - time.monotonic()))
         self._listener.close()
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     ConditionalMatrix,
@@ -308,7 +309,9 @@ class LpInstance:
     marginals onto which every supported row p(.|s) can be routed along
     the arcs x in u, so any feasible m is the subset law of some valid
     policy. Non-negativity is implicit, and m = 0 (all mass on the full
-    set) is the feasible vertex the simplex starts from.
+    set) is the feasible vertex the simplex starts from. Only the rhs
+    depends on the law: the 0/1 rows (plain ints) are built once per K and
+    the costs once per (K, N), and instances share them.
     """
 
     K: int
@@ -316,7 +319,7 @@ class LpInstance:
     cond: ConditionalMatrix
     variables: tuple[int, ...]
     costs: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     rhs: tuple[Fraction, ...]
 
 
@@ -328,21 +331,40 @@ def build_lp(
     K = joint.K
     cond = conditional_from_joint(joint)
     proper = range(1, full_mask(K))
-    full_cost = capacity_cost(n_servers, K)
-    rows = [(ONE,) * len(proper)]
-    rhs = [ONE]
-    for b in proper:
-        rows.append(tuple(ONE if u & b == u else ZERO for u in proper))
-        rhs.append(min(sum((cond.rows[s][x] for x in indices_of(b)), ZERO) for s in cond.support))
+    # p(b|s) for every mask b, each from b less its lowest bit
+    mass = []
+    for s in cond.support:
+        row = cond.rows[s]
+        sums = [ZERO]
+        for b in proper:
+            low = b & -b
+            sums.append(sums[b ^ low] + row[low.bit_length() - 1])
+        mass.append(sums)
     return LpInstance(
         K=K,
         n_servers=n_servers,
         cond=cond,
         variables=tuple(proper),
-        costs=tuple(capacity_cost(n_servers, u.bit_count()) - full_cost for u in proper),
-        rows=tuple(rows),
-        rhs=tuple(rhs),
+        costs=_covering_costs(K, n_servers),
+        rows=_covering_rows(K),
+        rhs=(ONE, *(min(sums[b] for sums in mass) for b in proper)),
     )
+
+
+@lru_cache(maxsize=None)
+def _covering_rows(K: int) -> tuple[tuple[int, ...], ...]:
+    """The covering LP's 0/1 rows, which depend on K alone: the sum of
+    every variable, then per proper mask b the sum of those within b."""
+    proper = range(1, full_mask(K))
+    return ((1,) * len(proper), *(tuple(int(u & b == u) for u in proper) for b in proper))
+
+
+@lru_cache(maxsize=None)
+def _covering_costs(K: int, n_servers: int) -> tuple[Fraction, ...]:
+    """C(N, |u|) - C(N, K) per proper mask u."""
+    full_cost = capacity_cost(n_servers, K)
+    proper = range(1, full_mask(K))
+    return tuple(capacity_cost(n_servers, u.bit_count()) - full_cost for u in proper)
 
 
 def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
@@ -460,12 +482,15 @@ def validate_policy(policy: ObfuscationPolicy, joint: JointDistribution) -> Vali
             witness = witness or ("support", s, x, indices_of(mask))
             break
 
+    totals: dict[tuple[int, int], Fraction] = {}
+    for (s, x, _), p in policy.entries.items():
+        totals[s, x] = totals.get((s, x), ZERO) + p
     normalization_ok = True
     for s in cond.support:
         for x in range(policy.K):
             if cond.rows[s][x] == 0:
                 continue
-            total = sum((p for (es, ex, _), p in policy.entries.items() if es == s and ex == x), ZERO)
+            total = totals.get((s, x), ZERO)
             if total != 1:
                 normalization_ok = False
                 witness = witness or ("normalization", s, x, total)

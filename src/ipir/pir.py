@@ -253,13 +253,16 @@ def _units(msg: int, L: int) -> tuple[tuple[tuple[int, int]], ...]:
 def query_pattern(params: SchemeParams, query: PirQuery):
     """Positional-equivalence class of a query.
 
-    The key applies an independent uniform permutation to every
-    (message, block) cell, so bit positions within a cell are exchangeable:
-    the observable law of a query is the law of its pattern times a uniform
-    assignment of distinct positions. Replacing each position by its
-    first-appearance rank within its cell therefore loses nothing when
-    comparing query distributions, while shrinking the support enough for
-    sampled comparisons to resolve.
+    Each position is replaced by its first-appearance rank within its
+    (message, block) cell, which shrinks the support enough for sampled
+    comparisons to resolve. The pattern is a function of the query, so a
+    query law that does not depend on the desired message gives a pattern
+    law that does not either: equal pattern laws are necessary for query
+    privacy. They are not shown to be sufficient: the key permutes each
+    cell uniformly, but the pattern is not constant on an orbit of those
+    permutations (relabelling a cell's positions can change it), so the
+    query law need not be the pattern law times a uniform assignment of
+    positions.
 
     This is the reference for ``sample_patterns``, which the audit uses
     instead: on the same rng, ``sample_patterns`` equals this function over

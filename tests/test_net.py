@@ -1,4 +1,6 @@
+import errno
 import json
+import logging
 import socket
 import struct
 import threading
@@ -195,6 +197,69 @@ class TestServer:
             assert other_threads() == []
         finally:
             transport.close()
+            server.close()
+
+    def test_persistent_accept_error_backs_off(self, store22, monkeypatch, caplog):
+        # a listener out of file descriptors fails every accept at once
+        calls = []
+
+        def accept(sock):
+            calls.append(sock)
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        with caplog.at_level(logging.WARNING, logger="ipir.net"):
+            server = serve(store22)
+            time.sleep(0.3)
+            start = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - start < 0.1
+        # one retry per ACCEPT_BACKOFF (0.05 s) in 0.3 s, not a spin
+        assert 2 <= len(calls) <= 12
+        warnings = [r for r in caplog.records if r.name == "ipir.net"]
+        assert len(warnings) == 1 and "Too many open files" in warnings[0].getMessage()
+
+    def test_accept_recovers_after_an_error(self, store22, monkeypatch):
+        real_accept = socket.socket.accept
+        failures = []
+
+        def accept(sock):
+            if not failures:
+                failures.append(sock)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        server = serve(store22)
+        try:
+            with socket.create_connection(server.address, timeout=5) as client:
+                send_frame(client, {"type": "hello"})
+                assert recv_frame(client)["K"] == store22.K
+            assert len(failures) == 1
+        finally:
+            server.close()
+
+    def test_close_gives_up_on_a_stuck_connection(self, store22, monkeypatch):
+        # a handler that ignores the shutdown holds close() for at most
+        # CLOSE_TIMEOUT; it is released afterwards, so no thread outlives
+        # the test
+        started, release = threading.Event(), threading.Event()
+
+        def stuck(store, sock):
+            started.set()
+            release.wait(10)
+
+        monkeypatch.setattr(net, "_serve", stuck)
+        monkeypatch.setattr(net, "CLOSE_TIMEOUT", 0.2)
+        server = serve(store22)
+        try:
+            with socket.create_connection(server.address, timeout=5):
+                assert started.wait(5)
+                start = time.perf_counter()
+                server.close()
+                assert 0.15 < time.perf_counter() - start < 1.0
+        finally:
+            release.set()
             server.close()
 
 

@@ -356,6 +356,20 @@ class TestPolicyValidation:
         assert report.witness[0] == "normalization"
         assert report.witness[1:3] == (0, 0)
 
+    def test_normalization_witness_is_the_first_pair(self):
+        # (1, 2) sums to 3/2 and (2, 1) to 0; pairs are checked in (s, x)
+        # order, and the zero cell (0, 1) needs no entries
+        joint = validate_joint([[F(1, 8), 0, F(1, 8)], [F(1, 8)] * 3, [F(1, 8)] * 3])
+        entries = {(s, x, u): p for (s, x, u), p in trivial_policy(3).entries.items() if (s, x) != (0, 1)}
+        entries[(1, 2, mask_of((1, 2)))] = F(1, 2)
+        del entries[(2, 1, mask_of((0, 1, 2)))]
+        report = validate_policy(ObfuscationPolicy(K=3, entries=entries), joint)
+        assert report.support_ok and not report.normalization_ok
+        assert report.witness == ("normalization", 1, 2, F(3, 2))
+        entries[(1, 2, mask_of((1, 2)))] = F(0)
+        report = validate_policy(ObfuscationPolicy(K=3, entries=entries), joint)
+        assert report.witness == ("normalization", 2, 1, 0)
+
     def test_support_violation_detected(self, pair_joint):
         policy = ObfuscationPolicy(K=2, entries={(0, 0, mask_of((1,))): F(1)})
         report = validate_policy(policy, pair_joint)

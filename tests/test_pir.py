@@ -361,20 +361,21 @@ class TestQueryPrivacy:
 
         params = pir_setup(n, range(k), L)
         trials = 20_000
-        for server in range(min(n, 2)):
-            counters = []
-            for desired in range(k):
-                rng = fork_rng(31, n, k, desired)
-                c = Counter()
-                for _ in range(trials):
-                    key = PirKey.random(params, rng)
-                    query = PirSession.from_key(params, desired, key).queries[server]
-                    c[query_pattern(params, query)] += 1
-                counters.append(c)
-            for i in range(1, len(counters)):
-                support = len(set(counters[0]) | set(counters[i]))
+        servers = range(min(n, 2))
+        # every server's counters read the same stream per desired value,
+        # so one draw fills them all
+        counters = [[Counter() for _ in range(k)] for _ in servers]
+        for desired in range(k):
+            rng = fork_rng(31, n, k, desired)
+            for _ in range(trials):
+                patterns = sample_patterns(params, desired, rng)
+                for server in servers:
+                    counters[server][desired][patterns[server]] += 1
+        for per_desired in counters:
+            for i in range(1, k):
+                support = len(set(per_desired[0]) | set(per_desired[i]))
                 noise = (support / 3.1416 / trials) ** 0.5
-                assert total_variation(counters[0], counters[i]) < 4 * noise
+                assert total_variation(per_desired[0], per_desired[i]) < 4 * noise
 
     def test_pattern_is_exact_on_the_enumerable_instance(self):
         # sanity for the quotient: pattern distributions also match exactly

@@ -1,17 +1,23 @@
-"""The one-phase solver of ipir.simplex, and the two-phase equality-form
-solver it replaced, kept in tests/oracles.py as the reference of the
-covering-LP equivalence tests; both are checked against scipy."""
+"""The one-phase integer-tableau solver of ipir.simplex, checked against
+scipy and, pivot for pivot, against the Fraction solver it replaced
+(tests/oracles.py ``fraction_minimize``); and the two-phase equality-form
+solver before that, kept in tests/oracles.py as the reference of the
+covering-LP equivalence tests."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir import simplex
 from ipir.errors import InvalidParams, IterationLimit
+from ipir.obfuscation import build_lp
 from ipir.simplex import minimize
 
-from oracles import two_phase_minimize
+from oracles import fraction_minimize, two_phase_minimize
+from test_obfuscation import sparse_joint
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -183,3 +189,128 @@ def test_one_phase_matches_float_solver_on_random_instances():
         else:
             assert ref.status == 3  # unbounded
     assert statuses == {"optimal", "unbounded"}
+
+
+# the integer tableau against the Fraction solver: same status, objective,
+# x and pivot count, with every Bareiss division exact
+
+
+@contextmanager
+def exact_divisions():
+    """Run ``minimize`` with a twin of its row update that takes every
+    division by divmod and fails on a nonzero remainder; yields a list
+    whose length is the number of divisions made."""
+    divisions = []
+
+    def eliminate(other, pivot_row, p, col, d):
+        a = other[col]
+        new = []
+        for v, q in zip(other, pivot_row):
+            quotient, remainder = divmod(p * v - a * q, d)
+            assert remainder == 0, (p * v - a * q, d)
+            new.append(quotient)
+            divisions.append(d)
+        new[col] = -a
+        return new
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_eliminate", eliminate)
+        yield divisions
+
+
+def assert_matches_fraction_solver(costs, rows, rhs) -> tuple[str, int]:
+    """Both integer runs (plain, and with every division checked) equal
+    the oracle's solution; returns its status and the divisions checked."""
+    expected = fraction_minimize(costs, rows, rhs)
+    solution = minimize(costs, rows, rhs)
+    assert solution == expected
+    if solution.status == "optimal":
+        assert all(type(v) is F for v in [solution.objective, *solution.x])
+    with exact_divisions() as divisions:
+        assert minimize(costs, rows, rhs) == expected
+    return solution.status, len(divisions)
+
+
+def random_instance(rng):
+    n, m = rng.randrange(1, 8), rng.randrange(1, 6)
+    costs = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(n)]
+    rows = [[F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(n)] for _ in range(m)]
+    # about a third of the rhs entries are zero: degenerate starts
+    rhs = [F(rng.choice((0, 0, rng.randrange(1, 6))), rng.randrange(1, 5)) for _ in range(m)]
+    return costs, rows, rhs
+
+
+def test_integer_tableau_matches_fraction_solver_on_random_instances():
+    rng = random.Random(17)
+    statuses = set()
+    divisions = 0
+    for _ in range(600):
+        status, checked = assert_matches_fraction_solver(*random_instance(rng))
+        statuses.add(status)
+        divisions += checked
+    assert statuses == {"optimal", "unbounded"}
+    assert divisions > 0
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(rationals, min_size=n, max_size=n),
+            st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=5),
+        )
+    ),
+    st.data(),
+)
+def test_integer_tableau_matches_fraction_solver_on_hypothesis_instances(shape, data):
+    costs, rows = shape
+    rhs = data.draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=5, max_denominator=6),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    assert_matches_fraction_solver(costs, rows, rhs)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(BEALE, id="beale"),
+        pytest.param(([], [[]], [1]), id="zero-variables"),
+        pytest.param(([-1, -1], [[1, -1]], [2]), id="unbounded"),
+        pytest.param(([-1, -1], [[1, 1], [1, 3]], [4, 6]), id="int-entries"),
+    ],
+)
+def test_integer_tableau_matches_fraction_solver_on_named_instances(instance):
+    assert_matches_fraction_solver(*instance)
+
+
+# Beale's example behind a first pivot (x0 <= 1 at cost -1000) that leaves
+# the objective at -1000 while it cycles: the stall check must see equal
+# objectives under different denominators d
+BEALE_OFFSET = (
+    [-1000, *BEALE[0]],
+    [[0, *row] for row in BEALE[1]] + [[1, 0, 0, 0, 0]],
+    [*BEALE[2], 1],
+)
+
+
+def test_stall_check_compares_objectives_across_denominators(monkeypatch):
+    # the cycle only ends through the Bland fallback
+    assert minimize(*BEALE_OFFSET, max_pivots=200) == fraction_minimize(*BEALE_OFFSET)
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
+    with pytest.raises(IterationLimit):
+        minimize(*BEALE_OFFSET, max_pivots=200)
+
+
+@pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 10), (5, 3)])
+def test_integer_tableau_matches_fraction_solver_on_covering_lps(K, count):
+    rng = random.Random(f"integer-tableau:{K}")
+    for i in range(count):
+        instance = build_lp(sparse_joint(rng, K, zero_row=i % 2 == 1), 2 + i % 2)
+        assert_matches_fraction_solver(instance.costs, instance.rows, instance.rhs)
