@@ -16,7 +16,9 @@ exchange's session id. Any failure closes all of its connections, so no
 later exchange can read a stale reply; a connection its server has closed
 is replaced before the query is written. A ``StoreServer`` runs one accept
 thread and one thread per connection, which ends after ``IDLE_TIMEOUT``
-seconds of silence. An accept that fails (say, out of file descriptors) is
+seconds of silence; beyond ``MAX_CONNECTIONS`` live connections a new one
+gets a ``busy`` error frame and is closed, which the client raises as a
+``ProtocolError``. An accept that fails (say, out of file descriptors) is
 logged once per run of failures and retried every ``ACCEPT_BACKOFF``
 seconds. ``close()`` shuts the listening socket down to wake the accept
 thread, shuts every live connection down to wake its thread, and joins
@@ -55,6 +57,9 @@ MAX_FRAME = 1 << 24
 # a server closes a connection that sends nothing for this many seconds, so
 # an idle, stalled or vanished client does not hold a handler thread
 IDLE_TIMEOUT = 30.0
+# live connections a server serves at once, so its handler threads are
+# bounded; one more is refused with a "busy" error frame
+MAX_CONNECTIONS = 64
 # seconds between retries of a failing accept, so a persistent error such
 # as EMFILE does not spin the accept thread
 ACCEPT_BACKOFF = 0.05
@@ -215,10 +220,15 @@ class StoreServer:
                 self._closing.wait(ACCEPT_BACKOFF)
                 continue
             failing = False
-            thread = threading.Thread(target=self._handle, args=(sock,), daemon=True)
             with self._live_lock:
-                self._live[sock] = thread
-            thread.start()
+                busy = len(self._live) >= MAX_CONNECTIONS
+                if not busy:
+                    thread = threading.Thread(target=self._handle, args=(sock,), daemon=True)
+                    self._live[sock] = thread
+            if busy:
+                _refuse(sock)
+            else:
+                thread.start()
 
     def _handle(self, sock: socket.socket):
         try:
@@ -257,6 +267,20 @@ class StoreServer:
         for _, thread in live:
             thread.join(max(0.0, deadline - time.monotonic()))
         self._listener.close()
+
+
+def _refuse(sock: socket.socket):
+    """Tell a connection over the cap that the server is busy, and close it.
+    The frame fits an empty send buffer, so the accept thread never waits
+    on the client."""
+    try:
+        sock.setblocking(False)
+        send_frame(sock, {"type": "error", "code": "busy",
+                          "detail": f"more than {MAX_CONNECTIONS} connections"})
+    except OSError:
+        pass
+    finally:
+        sock.close()
 
 
 def serve(store: MessageStore, bind=("127.0.0.1", 0)) -> StoreServer:

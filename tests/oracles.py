@@ -29,11 +29,15 @@ from ipir.location import (
     MobilityModel,
     PosteriorState,
     PrivacySchedule,
+    TraceReport,
     advance_posterior,
     condition_posterior,
     initial_posterior,
     latest_private,
     policy_for_posterior,
+    sample_trace,
+    step_nonprivate,
+    step_private,
 )
 from ipir.obfuscation import (
     DEFAULT_LP_CAP,
@@ -857,3 +861,44 @@ def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> Obfusc
             ((s, x, u), f / row[x]) for (x, u), f in zip(arcs, flow.x) if f != 0
         )
     return ObfuscationPolicy(K=instance.K, entries=entries)
+
+
+def simulate_stepwise(
+    model: MobilityModel,
+    schedule: PrivacySchedule,
+    config: SystemConfig,
+    store,
+    solver: str = "lp",
+    posteriors: list | None = None,
+) -> TraceReport:
+    """``location.simulate`` as it was before it kept the solved posteriors:
+    every non-private step solves and audits its posterior afresh. The
+    posterior of each non-private step is appended to ``posteriors``."""
+    trace = sample_trace(model, schedule.horizon, fork_rng(config.seed, "trace"))
+    state = initial_posterior(model)
+    steps = []
+    total = ZERO
+    for t in range(schedule.horizon + 1):
+        rng = fork_rng(config.seed, "step", t)
+        if schedule.is_private(t):
+            record, state = step_private(
+                state, trace[t], model, schedule, config, store, rng
+            )
+        else:
+            if posteriors is not None:
+                posteriors.append(state.joint)
+            record, state = step_nonprivate(
+                state, trace[t], trace[state.tau], model, schedule, config, store,
+                rng, solver,
+            )
+        steps.append(record)
+        total += record.cost
+    return TraceReport(
+        K=config.K,
+        n_servers=config.N,
+        horizon=schedule.horizon,
+        solver=solver,
+        trace=trace,
+        steps=steps,
+        total_cost=total,
+    )

@@ -16,6 +16,8 @@ from ipir.core import (
 )
 from ipir.obfuscation import greedy_policy
 
+from oracles import simulate_stepwise
+
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
 
 
@@ -60,9 +62,25 @@ def test_tracer_wraps_and_restores_every_point():
     assert [owner.__dict__[attr] for owner, attr, _, _ in points] == originals
 
 
+def distinct_posteriors(model, schedule, config, store):
+    """Distinct posteriors over the non-private steps of the step-by-step
+    run, which solves one LP at each of them."""
+    posteriors = []
+    simulate_stepwise(model, schedule, config, store, posteriors=posteriors)
+    return len(set(posteriors))
+
+
+def assert_policy_layers_seen(t):
+    # the per-simulation reuse of solved posteriors must leave the spans
+    # behind location.policy_s and audit.online_s in place
+    assert t.count("location.policy_for_posterior") >= 1
+    assert t.count("audit.audit_online_privacy") >= 1
+
+
 def test_one_simplex_solve_per_lp_policy():
     # the bench's simplex.calls counts covering LPs: solve_lp routes each
-    # private row by a flow, never by another simplex solve
+    # private row by a flow, never by another simplex solve, and a
+    # simulation solves each distinct posterior once
     tracer = load_tracer()
     model = location.MobilityModel.build(
         [F(1, 2), F(1, 2)], [[[F(3, 4), F(1, 4)], [F(1, 3), F(2, 3)]]]
@@ -74,9 +92,10 @@ def test_one_simplex_solve_per_lp_policy():
     with tracer.Tracer(ipir) as t:
         location.simulate(model, schedule, config, store, solver="lp")
 
-    # steps 1..4 are non-private, one LP policy each
-    assert t.count("obfuscation.solve_lp") == 4
+    # steps 1..4 are non-private, one LP policy per distinct posterior
+    assert t.count("obfuscation.solve_lp") == distinct_posteriors(model, schedule, config, store)
     assert t.count("simplex.minimize") == t.count("obfuscation.solve_lp")
+    assert_policy_layers_seen(t)
 
 
 def test_covering_lp_has_no_slack_columns():
@@ -97,9 +116,10 @@ def test_covering_lp_has_no_slack_columns():
         location.simulate(model, schedule, config, store, solver="lp")
 
     builds = t.count("obfuscation.build_lp")
-    assert builds == 3
+    assert builds == distinct_posteriors(model, schedule, config, store)
     assert t.counters["obfuscation.lp_vars"] == 6 * builds
     assert t.counters["obfuscation.lp_rows"] == 7 * builds
+    assert_policy_layers_seen(t)
 
 
 def test_empirical_audit_samples_patterns_without_sessions():

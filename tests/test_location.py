@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from ipir import audit, location
 from ipir.core import (
     MessageStore,
     SystemConfig,
@@ -31,13 +33,27 @@ from ipir.location import (
 from ipir.audit import audit_online_privacy
 from ipir.obfuscation import expected_cost, mask_of, validate_policy
 
-from oracles import enumerate_mechanism, sxu_build_lp, sxu_solve_lp
+from oracles import enumerate_mechanism, simulate_stepwise, sxu_build_lp, sxu_solve_lp
 
 
 def two_state_model():
     return MobilityModel.build(
         [F(1, 2), F(1, 2)], [[[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]]
     )
+
+
+def random_model(rng, K, denmax=12):
+    """Uniform prior and one transition matrix with random positive rows."""
+    rows = []
+    for _ in range(K):
+        cells = [rng.randrange(1, denmax) for _ in range(K)]
+        rows.append([F(c, sum(cells)) for c in cells])
+    return MobilityModel.build([F(1, K)] * K, [rows])
+
+
+def run_setup(K, seed):
+    config = SystemConfig(N=2, K=K, L=2**K, seed=seed)
+    return config, MessageStore.random(K, 2**K, fork_rng(seed, "store"))
 
 
 class TestSchedule:
@@ -375,3 +391,104 @@ class TestTrackedVersusBruteForce:
         nodes = enumerate_mechanism(model, sched, config)
         for node in nodes:
             assert node.tracked.joint == node.brute_joint
+
+
+class TestSolvedOncePerPosterior:
+    """simulate solves and audits each distinct posterior once per call and
+    gives the same report as the step loop that solves at every step."""
+
+    @pytest.mark.parametrize("solver", ["lp", "greedy"])
+    @pytest.mark.parametrize(
+        "K, horizon, private", [(2, 10, {0, 5}), (3, 12, {0, 6}), (4, 12, {0})]
+    )
+    def test_report_equals_stepwise(self, K, horizon, private, solver):
+        model = random_model(random.Random(f"equal:{K}"), K)
+        sched = PrivacySchedule(horizon=horizon, private=frozenset(private))
+        config, store = run_setup(K, seed=10 + K)
+        posteriors = []
+        oracle = simulate_stepwise(model, sched, config, store, solver, posteriors=posteriors)
+        report = simulate(model, sched, config, store, solver)
+        assert len(set(posteriors)) < len(posteriors)  # some posterior repeats
+        assert report.trace == oracle.trace
+        for step, ref in zip(report.steps, oracle.steps, strict=True):
+            assert (step.subset, step.solver, step.cost) == (ref.subset, ref.solver, ref.cost)
+            assert step.online_privacy_bits == ref.online_privacy_bits
+            assert step.online_privacy_zero == ref.online_privacy_zero
+        assert report.total_cost == oracle.total_cost
+        assert report == oracle
+        assert {s.solver for s in report.steps if not s.private} == {solver}
+
+    @pytest.mark.parametrize("solver", ["lp", "greedy"])
+    def test_sparse_chain_that_loses_support(self, solver):
+        # nothing moves to location 2, so from t=1 on it has no mass and the
+        # private location taken at t=4 has partial support: both solvers
+        # then run the LP
+        half, third = F(1, 2), F(1, 3)
+        model = MobilityModel.build(
+            [third] * 3,
+            [[[half, half, F(0)], [third, 2 * third, F(0)], [half, half, F(0)]]],
+        )
+        sched = PrivacySchedule(horizon=9, private=frozenset({0, 4}))
+        config, store = run_setup(3, seed=21)
+        posteriors = []
+        oracle = simulate_stepwise(model, sched, config, store, solver, posteriors=posteriors)
+        report = simulate(model, sched, config, store, solver)
+        assert report == oracle
+        assert report.all_private_zero() and report.all_decoded(store)
+        # private location 2 has no mass in the law at every step after t=4
+        assert all(all(row[2] == 0 for row in joint) for joint in posteriors[3:])
+        assert {s.solver for s in report.steps[5:]} == {"lp"}
+
+    def test_each_exact_posterior_has_its_own_entry(self):
+        # two posteriors that differ only in their last row, then the first
+        # again, made of new Fraction objects
+        model = random_model(random.Random("entry"), 3)
+        sched = PrivacySchedule(horizon=2, private=frozenset({0}))
+        config, store = run_setup(3, seed=5)
+        first = tuple(tuple(F(w, 13) for w in row) for row in ((3, 1, 1), (1, 2, 1), (1, 1, 2)))
+        second = first[:2] + ((F(2, 13), F(1, 13), F(1, 13)),)
+        again = tuple(tuple(F(v.numerator, v.denominator) for v in row) for row in first)
+        solved = {}
+        for joint in (first, second, again):
+            state = PosteriorState(t=1, tau=0, joint=joint)
+            args = (state, 0, 0, model, sched, config, store)
+            record, _ = step_nonprivate(*args, fork_rng(5, "entry"), solved=solved)
+            assert record == step_nonprivate(*args, fork_rng(5, "entry"))[0]
+        assert len(solved) == 2
+        policies = [policy for policy, _, _ in solved.values()]
+        assert policies == [policy_for_posterior(j, 2)[0] for j in (first, second)]
+        assert policies[0] != policies[1]
+
+    @pytest.mark.parametrize(
+        "K, horizon, private", [(3, 12, {0, 6}), (3, 40, {0}), (4, 16, {0, 8})]
+    )
+    def test_one_lp_solve_per_distinct_posterior(self, monkeypatch, K, horizon, private):
+        model = random_model(random.Random(f"count:{K}:{horizon}"), K)
+        sched = PrivacySchedule(horizon=horizon, private=frozenset(private))
+        config, store = run_setup(K, seed=K + horizon)
+        posteriors = []
+        simulate_stepwise(model, sched, config, store, posteriors=posteriors)
+        distinct = len(set(posteriors))
+        assert distinct < len(posteriors)
+
+        calls = {"solve_lp": 0, "policy": 0, "audit": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(location, "solve_lp", counting("solve_lp", location.solve_lp))
+        monkeypatch.setattr(
+            location, "policy_for_posterior",
+            counting("policy", location.policy_for_posterior),
+        )
+        monkeypatch.setattr(
+            audit, "audit_online_privacy", counting("audit", audit.audit_online_privacy)
+        )
+        # a second call solves everything again: nothing is kept across calls
+        for run in (1, 2):
+            simulate(model, sched, config, store)
+            assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
+                             "audit": distinct * run}

@@ -175,6 +175,47 @@ class TestServer:
                 send_frame(sock, {"type": "hello"})
                 assert recv_frame(sock)["K"] == store22.K
 
+    def test_a_connection_beyond_the_cap_is_told_busy(self, store22, monkeypatch):
+        monkeypatch.setattr(net, "MAX_CONNECTIONS", 2)
+        server = serve(store22)
+        try:
+            with socket.create_connection(server.address, timeout=5) as first, \
+                    socket.create_connection(server.address, timeout=5) as second:
+                for sock in (first, second):  # both are being served
+                    send_frame(sock, {"type": "hello"})
+                    assert recv_frame(sock)["K"] == store22.K
+                with socket.create_connection(server.address, timeout=5) as third:
+                    reply = recv_frame(third)
+                    assert reply["type"] == "error" and reply["code"] == "busy"
+                    assert recv_frame(third) is None  # and closed
+                assert len(other_threads()) == 3  # the accept loop and two handlers
+                send_frame(first, {"type": "hello"})
+                assert recv_frame(first)["K"] == store22.K
+        finally:
+            server.close()
+
+    def test_client_over_the_cap_raises_and_is_served_later(self, store22, monkeypatch):
+        monkeypatch.setattr(net, "MAX_CONNECTIONS", 2)
+        server = serve(store22)
+        transport = RemoteTransport(addresses=[server.address])
+        query = [PirQuery(server=0, combos=(((0, 0),),))]
+        try:
+            with socket.create_connection(server.address, timeout=5) as first, \
+                    socket.create_connection(server.address, timeout=5) as second:
+                for sock in (first, second):
+                    send_frame(sock, {"type": "hello"})
+                    recv_frame(sock)
+                with pytest.raises(ProtocolError, match="busy"):
+                    transport(query)
+            # the two connections closed; their handlers leave on EOF
+            deadline = time.monotonic() + 5
+            while len(other_threads()) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert transport(query)[0].bits == pir_answer(query[0], store22).bits
+        finally:
+            transport.close()
+            server.close()
+
     def test_close_is_idempotent_and_ends_wait(self, store22):
         server = serve(store22)
         waiter = threading.Thread(target=server.wait)

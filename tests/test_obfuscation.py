@@ -48,7 +48,10 @@ def random_cond(rng, K, denmax=60):
 
 
 def sparse_joint(rng, K, zero_row, denmax=30):
-    """Random joint law with zero cells; ``zero_row`` empties one row."""
+    """Random joint law with zero cells; ``zero_row`` empties one row, which
+    needs K >= 2 to leave any mass."""
+    if zero_row and K < 2:
+        raise ValueError(f"emptying a row empties every row of a K={K} joint")
     while True:
         cells = [[rng.choice((0, rng.randrange(1, denmax))) for _ in range(K)] for _ in range(K)]
         if zero_row:
@@ -292,6 +295,12 @@ class TestCoveringLpEquivalence:
         joint = validate_joint([[F(1, 2), 0, F(1, 4)], [0, 0, 0], [0, F(1, 8), F(1, 8)]])
         policy = solve_lp(build_lp(joint, 2))
         assert policy.pairs() == ((0, 0), (0, 2), (2, 1), (2, 2))
+
+
+class TestSparseJointHelper:
+    def test_emptying_the_only_row_is_refused_at_once(self):
+        with pytest.raises(ValueError, match="K=1"):
+            sparse_joint(random.Random(0), 1, zero_row=True)
 
 
 class TestSlackBasisEquivalence:
