@@ -213,9 +213,10 @@ def audit_query_privacy(
     runs in empirical mode instead, and its first check records the
     fallback. Empirical mode compares the sampled query law across s values
     by total variation distance at each server from ``trials`` samples per
-    private value. A sample keeps only each server's query pattern, drawn
-    by ``pir.sample_patterns`` with the same draws as a full session and
-    ``pir.query_pattern`` of its queries. Any other mode, and an empirical
+    private value. A sample keeps only each server's combo order, drawn
+    by ``pir.sample_orders`` with the same draws as a full session, and
+    each distinct order is mapped once to the ``pir.query_pattern`` of
+    its query by ``pir.order_pattern``. Any other mode, and an empirical
     audit with fewer than one trial, raise InvalidParams; a policy with no
     entries at a request pair of positive mass raises UnsupportedPair, in
     either mode.
@@ -260,9 +261,18 @@ def _pattern_counts(
     """``counts[server][s][mask]``: the sampled query patterns at one server
     for private value s and released subset mask, from ``trials`` samples
     per supported s. Each s draws from its own named stream; a sample
-    draws the non-private request x, then the subset, then the PIR key."""
+    draws the non-private request x, then the subset, then the PIR key.
+
+    A sample keeps each server's combo order from ``pir.sample_orders``.
+    A pattern is a function of the order alone, whatever x is, so the
+    orders are counted, and each distinct (mask, order) is mapped to its
+    pattern once by ``pir.order_pattern``. Merging the order counts in
+    first-seen order gives each Counter its patterns in the order a
+    sample first met them, as counting patterns would.
+    """
     cond = conditional_from_joint(joint)
     counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
+    patterns: dict = {}  # (mask, order) -> pattern, over the whole audit
     for s in cond.support:
         x_sampler = WeightedSampler(
             (x, cond.rows[s][x]) for x in range(config.K) if cond.rows[s][x] != 0
@@ -275,12 +285,20 @@ def _pattern_counts(
             entry = by_mask.get(mask)
             if entry is None:
                 params = pir.pir_setup(config.N, indices_of(mask), config.L)
-                entry = by_mask[mask] = (params, [Counter() for _ in range(config.N)])
+                entry = by_mask[mask] = (params, [{} for _ in range(config.N)])
             params, per_server = entry
-            for server_counts, pattern in zip(per_server, pir.sample_patterns(params, x, rng)):
-                server_counts[pattern] += 1
-        for server, by_s in enumerate(counts):
-            by_s[s] = {mask: entry[1][server] for mask, entry in by_mask.items()}
+            for orders, order in zip(per_server, pir.sample_orders(params, x, rng)):
+                orders[order] = orders.get(order, 0) + 1
+        for by_s in counts:
+            by_s[s] = {}
+        for mask, (params, per_server) in by_mask.items():
+            for by_s, orders in zip(counts, per_server):
+                merged = by_s[s][mask] = Counter()
+                for order, n in orders.items():
+                    pattern = patterns.get((mask, order))
+                    if pattern is None:
+                        pattern = patterns[mask, order] = pir.order_pattern(params, order)
+                    merged[pattern] += n
     return counts
 
 
@@ -435,18 +453,29 @@ def audit_leak_equivalence(
     return report
 
 
-def audit_online_privacy(state, policy: ObfuscationPolicy) -> AuditReport:
+def posterior_law(joint_matrix) -> JointDistribution:
+    """The validated law P(private=b, current=a) of a location posterior
+    ``joint_matrix[a][b]`` = P(current=a, private=b): its transpose, in
+    which the latest private location plays the private request's role."""
+    K = len(joint_matrix)
+    return validate_joint([[joint_matrix[a][b] for a in range(K)] for b in range(K)])
+
+
+def audit_online_privacy(
+    state, policy: ObfuscationPolicy, law: JointDistribution | None = None
+) -> AuditReport:
     """Exact independence of the step's released subset from the latest
     private location, given the history.
 
     ``state`` is a tracked posterior (any object with a ``joint`` matrix,
     ``joint[a][b]`` = P(current=a, private=b)). The latest private location
     plays the private request's role, so this is audit_policy_independence
-    on the transposed law P(private=b, current=a); its one check is named
-    ``subset-independence`` and its witness is ``(b, subset indices)``.
+    on ``law``, the transposed law ``posterior_law(state.joint)``, built
+    here if not given; its one check is named ``subset-independence`` and
+    its witness is ``(b, subset indices)``.
     """
-    K = len(state.joint)
-    law = validate_joint([[state.joint[a][b] for a in range(K)] for b in range(K)])
+    if law is None:
+        law = posterior_law(state.joint)
     return audit_policy_independence(policy, law)
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    JointDistribution,
     MessageStore,
     SystemConfig,
     WeightedSampler,
@@ -36,7 +37,6 @@ from .core import (
     format_rational,
     fork_rng,
     parse_rational,
-    validate_joint,
 )
 from .errors import (
     DegeneratePosterior,
@@ -254,7 +254,7 @@ def condition_posterior(
 
 
 def policy_for_posterior(
-    joint_matrix, n_servers: int, solver: str = "lp"
+    joint_matrix, n_servers: int, solver: str = "lp", law: JointDistribution | None = None
 ) -> tuple[ObfuscationPolicy, str]:
     """Build the step policy from a posterior joint over (current, private).
 
@@ -264,15 +264,15 @@ def policy_for_posterior(
     K <= DEFAULT_LP_CAP and either it was asked for or the posterior has a
     private value of zero mass, which the greedy construction cannot take.
     Otherwise the greedy construction runs on full support, and the trivial
-    policy on partial support. Returns the policy and which constructor
+    policy on partial support. ``law`` is ``audit.posterior_law(joint_matrix)``,
+    built here if not given. Returns the policy and which constructor
     produced it.
     """
     if solver not in ("lp", "greedy"):
         raise InvalidParams(f"unknown solver {solver!r}")
     K = len(joint_matrix)
-    law = validate_joint(
-        [[joint_matrix[a][b] for a in range(K)] for b in range(K)]
-    )
+    if law is None:
+        law = audit.posterior_law(joint_matrix)
     # the entries are non-negative, so a private value has mass iff its
     # row has a nonzero entry
     full_support = all(any(row) for row in law.table)
@@ -367,8 +367,9 @@ def step_nonprivate(
     key = tuple([v.as_integer_ratio() for row in state.joint for v in row])
     entry = solved.get(key)
     if entry is None:
-        policy, used = policy_for_posterior(state.joint, config.N, solver)
-        entry = solved[key] = policy, used, audit.audit_online_privacy(state, policy)
+        law = audit.posterior_law(state.joint)
+        policy, used = policy_for_posterior(state.joint, config.N, solver, law)
+        entry = solved[key] = policy, used, audit.audit_online_privacy(state, policy, law)
     policy, used, check = entry
     subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)
     params = pir.pir_setup(config.N, indices_of(subset_mask), config.L)

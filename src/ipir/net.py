@@ -118,6 +118,14 @@ def recv_frame(sock: socket.socket) -> dict | None:
     return None if body is None else _decode(body)
 
 
+def _atom(msg, pos) -> tuple[int, int]:
+    """A query atom as the wire gave it; JSON numbers with a fraction or an
+    exponent, strings and booleans are refused, not converted."""
+    if type(msg) is not int or type(pos) is not int:
+        raise TypeError(f"atom [{msg!r}, {pos!r}] is not a pair of integers")
+    return msg, pos
+
+
 def _serve(store: MessageStore, sock: socket.socket):
     while True:
         try:
@@ -149,10 +157,7 @@ def _serve(store: MessageStore, sock: socket.socket):
             try:
                 query = PirQuery(
                     server=0,
-                    combos=tuple(
-                        tuple((int(m), int(b)) for m, b in combo)
-                        for combo in combos
-                    ),
+                    combos=tuple(tuple(_atom(m, b) for m, b in combo) for combo in combos),
                 )
                 answer = pir_answer(query, store)
             except OutOfRange as exc:

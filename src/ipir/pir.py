@@ -24,10 +24,12 @@ a session places each combo by its first atom instead of sorting, and
 decode finds a combo's answer bit by its first atom.
 
 The empirical privacy audit keeps only each query's ``query_pattern``.
-``sample_patterns`` draws the same key and reads the N patterns straight
-off the template: with every atom at most once per server, an atom's
-first-appearance rank in its (message, block) cell is the number of that
-cell's atoms placed before it, so no session is built.
+``sample_orders`` draws the same key and places each combo of the template
+by its first atom, as a session does, but as a small id of the cells its
+atoms fall in, so no session is built. A server's ``query_pattern`` is a
+function of its order of ids alone (``order_pattern``), and the orders
+take few distinct values, so the audit counts orders and maps each one
+once.
 """
 
 from __future__ import annotations
@@ -264,9 +266,9 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     query law need not be the pattern law times a uniform assignment of
     positions.
 
-    This is the reference for ``sample_patterns``, which the audit uses
-    instead: on the same rng, ``sample_patterns`` equals this function over
-    ``open_session(...).queries``.
+    This is the reference for ``order_pattern`` over ``sample_orders``,
+    which the audit uses instead: on the same rng, those patterns equal
+    this function over ``open_session(...).queries``.
     """
     ranks: dict[tuple[int, int], dict[int, int]] = {}
     pattern = []
@@ -282,55 +284,71 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     return tuple(pattern)
 
 
-def sample_patterns(params: SchemeParams, desired: int, rng: random.Random):
-    """The N servers' ``query_pattern`` of one fresh session, without the
-    session.
+def sample_orders(params: SchemeParams, desired: int, rng: random.Random):
+    """The N servers' canonical combo orders of one fresh session, without
+    the session.
 
     Draws the key with ``PirKey.random``, so the stream moves exactly as in
     ``open_session``. Each combo of server n goes to the slot of its first
-    atom, as in ``PirSession.from_key``. Within one server's query every
-    atom appears at most once, so an atom's first-appearance rank in its
-    (message, block) cell is the number of that cell's atoms met before it
-    in canonical order: scanning the slots gives the pattern.
+    atom, as in ``PirSession.from_key``, and stands there as the id of the
+    cells its atoms fall in (see ``_pattern_plan``); server n's order is
+    its ids in slot order. ``order_pattern`` turns an order into that
+    server's ``query_pattern``.
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
     rows = [row for perms in PirKey.random(params, rng).perms for row in perms]
-    servers, labels, size = _pattern_plan(
-        params.n_servers, params.subset, params.L, params.subset.index(desired)
+    servers, size = _pattern_plan(
+        params.n_servers, params.k, params.blocks, params.subset.index(desired)
     )
-    patterns = []
+    orders = []
     for placed in servers:
-        slots = [None] * size
-        for r, t, base, cells in placed:
-            slots[base + rows[r][t]] = cells
-        ranks = [iter(cell).__next__ for cell in labels]
-        patterns.append(
-            tuple(
-                tuple([ranks[c]() for c in cells])
-                for cells in slots
-                if cells is not None
-            )
-        )
-    return patterns
+        slots = [0] * size
+        for r, t, base, cid in placed:
+            slots[base + rows[r][t]] = cid
+        orders.append(tuple(filter(None, slots)))
+    return orders
+
+
+def order_pattern(params: SchemeParams, order: tuple[int, ...]):
+    """The ``query_pattern`` of the query whose combos ``sample_orders``
+    gave as ``order``.
+
+    Within one server's query every atom appears at most once, so an
+    atom's first-appearance rank in its (message, block) cell is the
+    number of that cell's atoms met before it in canonical order.
+    """
+    k, subset = params.k, params.subset
+    seen = [0] * (k * params.blocks)
+    pattern = []
+    for cid in order:
+        b = cid >> k
+        out = []
+        for j in range(k):
+            if cid >> j & 1:
+                c = j * params.blocks + b
+                out.append((subset[j], b, seen[c]))
+                seen[c] += 1
+        pattern.append(tuple(out))
+    return tuple(pattern)
 
 
 @lru_cache(maxsize=None)
-def _pattern_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: int):
-    """Key-free placement for ``sample_patterns``, built once per scheme
-    and desired position.
+def _pattern_plan(n_servers: int, k: int, blocks: int, desired_pos: int):
+    """Key-free placement for ``sample_orders``, built once per scheme
+    shape and desired position.
 
-    Cell c = j * blocks + b is message subset[j] in block b, and key row c
-    is ``key.perms[j][b]``. Returns ``(servers, labels, size)``:
-    ``servers[n]`` holds one ``(row, t, base, cells)`` entry per combo of
-    server n and block: its first atom (j, t) lands at slot base plus item
-    t of key row ``row``, base = j * L + b * N^k, and its atoms fall in
-    ``cells`` in combo order. ``labels[c]`` lists the pattern entries
-    (subset[j], b, rank) of cell c by rank, and ``size`` is k * L slots.
+    Cell c = j * blocks + b is subset member j in block b, and key row c is
+    ``key.perms[j][b]``. A combo's atoms in block b fall in the cells of
+    the subset positions j set in a mask m, so ``b << k | m`` (positive,
+    as m is) names them: the id does not depend on the server or the
+    desired position. Returns ``(servers, size)``: ``servers[n]`` holds one
+    ``(row, t, base, id)`` entry per combo of server n and block: its first
+    atom (j, t) lands at slot base plus item t of key row ``row``, base =
+    j * L + b * N^k. ``size`` is k * L slots.
     """
-    k = len(subset)
     block = n_servers**k
-    blocks = L // block
+    L = blocks * block
     *_, shapes = _template(n_servers, k, desired_pos)
     servers = tuple(
         tuple(
@@ -338,19 +356,14 @@ def _pattern_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: 
                 combo[0][0] * blocks + b,
                 combo[0][1],
                 combo[0][0] * L + b * block,
-                tuple(j * blocks + b for j, _ in combo),
+                b << k | sum(1 << j for j, _ in combo),
             )
             for b in range(blocks)
             for combo in combos
         )
         for combos in shapes
     )
-    labels = tuple(
-        tuple((subset[j], b, rank) for rank in range(block))
-        for j in range(k)
-        for b in range(blocks)
-    )
-    return servers, labels, k * L
+    return servers, k * L
 
 
 def pir_answer(query: PirQuery, store: MessageStore) -> PirAnswer:

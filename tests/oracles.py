@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from ipir.audit import DiscreteJoint, mutual_information, query_distribution
@@ -24,7 +25,13 @@ from ipir.core import (
     conditional_from_joint,
     fork_rng,
 )
-from ipir.errors import ConstructionFailed, InvalidParams, IterationLimit, TooLarge
+from ipir.errors import (
+    ConstructionFailed,
+    DesiredNotInSubset,
+    InvalidParams,
+    IterationLimit,
+    TooLarge,
+)
 from ipir.location import (
     MobilityModel,
     PosteriorState,
@@ -380,6 +387,79 @@ def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     ]
 
 
+def sample_patterns(params: pir.SchemeParams, desired: int, rng):
+    """The N servers' ``query_pattern`` of one fresh session, without the
+    session, built pattern by pattern.
+
+    This is the sampler that ``pir.sample_orders`` with ``pir.order_pattern``
+    replaced in the empirical audit; on the same rng all three routes give
+    the same patterns. Draws the key with ``PirKey.random``, so the stream
+    moves exactly as in ``open_session``. Each combo of server n goes to the
+    slot of its first atom, as in ``PirSession.from_key``. Within one
+    server's query every atom appears at most once, so an atom's
+    first-appearance rank in its (message, block) cell is the number of
+    that cell's atoms met before it in canonical order: scanning the slots
+    gives the pattern.
+    """
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    rows = [row for perms in pir.PirKey.random(params, rng).perms for row in perms]
+    servers, labels, size = _cell_plan(
+        params.n_servers, params.subset, params.L, params.subset.index(desired)
+    )
+    patterns = []
+    for placed in servers:
+        slots = [None] * size
+        for r, t, base, cells in placed:
+            slots[base + rows[r][t]] = cells
+        ranks = [iter(cell).__next__ for cell in labels]
+        patterns.append(
+            tuple(
+                tuple([ranks[c]() for c in cells])
+                for cells in slots
+                if cells is not None
+            )
+        )
+    return patterns
+
+
+@lru_cache(maxsize=None)
+def _cell_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: int):
+    """Key-free placement for ``sample_patterns``.
+
+    Cell c = j * blocks + b is message subset[j] in block b, and key row c
+    is ``key.perms[j][b]``. Returns ``(servers, labels, size)``:
+    ``servers[n]`` holds one ``(row, t, base, cells)`` entry per combo of
+    server n and block: its first atom (j, t) lands at slot base plus item
+    t of key row ``row``, base = j * L + b * N^k, and its atoms fall in
+    ``cells`` in combo order. ``labels[c]`` lists the pattern entries
+    (subset[j], b, rank) of cell c by rank, and ``size`` is k * L slots.
+    """
+    k = len(subset)
+    block = n_servers**k
+    blocks = L // block
+    *_, shapes = pir._template(n_servers, k, desired_pos)
+    servers = tuple(
+        tuple(
+            (
+                combo[0][0] * blocks + b,
+                combo[0][1],
+                combo[0][0] * L + b * block,
+                tuple(j * blocks + b for j, _ in combo),
+            )
+            for b in range(blocks)
+            for combo in combos
+        )
+        for combos in shapes
+    )
+    labels = tuple(
+        tuple((subset[j], b, rank) for rank in range(block))
+        for j in range(k)
+        for b in range(blocks)
+    )
+    return servers, labels, k * L
+
+
 def session_pattern_counts(
     joint: JointDistribution,
     policy: ObfuscationPolicy,
@@ -390,8 +470,9 @@ def session_pattern_counts(
     """``counts[server][s][mask]`` of the empirical query-privacy audit,
     counted from full sessions.
 
-    This is the loop that ``audit._pattern_counts`` replaced with
-    ``pir.sample_patterns``: it opens every PIR session and keeps
+    This is the loop that ``audit._pattern_counts`` replaced with counting
+    the combo orders of ``pir.sample_orders`` and mapping each distinct one
+    to its pattern once: it opens every PIR session and keeps
     ``query_pattern`` of each query. Both must agree exactly, down to the
     order in which each Counter first sees its patterns.
     """

@@ -31,9 +31,11 @@ from ipir.errors import InvalidParams, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
     greedy_policy,
+    indices_of,
     subset_samplers,
     trivial_policy,
 )
+from ipir import pir
 
 from oracles import (
     enumerate_mechanism,
@@ -143,7 +145,7 @@ class TestQueryPrivacyExact:
 
 
 class TestEmpiricalCounts:
-    # the direct pattern sampler against the session-by-session counting
+    # the order counting against the session-by-session counting
     # loop it replaced, on the report and on the counts themselves
     @staticmethod
     def assert_matches_oracle(joint, policy, config, trials, seed):
@@ -172,6 +174,45 @@ class TestEmpiricalCounts:
         config = SystemConfig(N=3, K=2, L=9, seed=2)
         policy = greedy_policy(conditional_from_joint(joint))
         self.assert_matches_oracle(joint, policy, config, 2_000, 6)
+
+    def test_multi_block(self, pair_joint, pair_cond):
+        # at L=8 a one-message subset has 4 blocks and the pair has 2
+        config = SystemConfig(N=2, K=2, L=8, seed=3)
+        policy = greedy_policy(pair_cond)
+        self.assert_matches_oracle(pair_joint, policy, config, 2_000, 8)
+        blocks = {
+            pir.pir_setup(2, indices_of(mask), 8).blocks
+            for s, x in policy.pairs()
+            for mask, _ in policy.at(s, x)
+        }
+        assert blocks == {2, 4}
+
+    def test_each_order_is_mapped_once(self, skew_joint, skew_cond, monkeypatch):
+        # order_pattern runs once per distinct (subset, order) of the whole
+        # audit, never once per sample
+        drawn, mapped = [], []
+        sample_orders, order_pattern = pir.sample_orders, pir.order_pattern
+
+        def recording_orders(params, desired, rng):
+            orders = sample_orders(params, desired, rng)
+            drawn.extend((params.subset, order) for order in orders)
+            return orders
+
+        def counting_patterns(params, order):
+            mapped.append((params.subset, order))
+            return order_pattern(params, order)
+
+        monkeypatch.setattr(pir, "sample_orders", recording_orders)
+        monkeypatch.setattr(pir, "order_pattern", counting_patterns)
+        config = SystemConfig(N=2, K=3, L=8, seed=1)
+        trials = 3_000
+        report = audit_query_privacy(
+            skew_joint, greedy_policy(skew_cond), config, mode="empirical", trials=trials
+        )
+        assert report.mode == "empirical"
+        assert len(drawn) == trials * 3 * config.N
+        assert len(mapped) == len(set(mapped)) == len(set(drawn)) < len(drawn) // 10
+        assert set(mapped) == set(drawn)
 
     def test_leaking_policy_witnesses(self, pair_joint, config22):
         report = self.assert_matches_oracle(

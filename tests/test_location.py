@@ -471,7 +471,7 @@ class TestSolvedOncePerPosterior:
         distinct = len(set(posteriors))
         assert distinct < len(posteriors)
 
-        calls = {"solve_lp": 0, "policy": 0, "audit": 0}
+        calls = {"solve_lp": 0, "policy": 0, "audit": 0, "validate": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -487,8 +487,13 @@ class TestSolvedOncePerPosterior:
         monkeypatch.setattr(
             audit, "audit_online_privacy", counting("audit", audit.audit_online_privacy)
         )
+        # a new posterior's transposed law is built and validated once, for
+        # both its policy and its online audit
+        validate = counting("validate", audit.validate_joint)
+        monkeypatch.setattr(audit, "validate_joint", validate)
+        monkeypatch.setattr(location, "validate_joint", validate, raising=False)
         # a second call solves everything again: nothing is kept across calls
         for run in (1, 2):
             simulate(model, sched, config, store)
             assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
-                             "audit": distinct * run}
+                             "audit": distinct * run, "validate": distinct * run}

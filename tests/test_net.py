@@ -143,8 +143,12 @@ class TestServer:
             b"\xff{not json",
             compact({"type": "bogus"}),
             compact({"type": "query", "session": "s", "combos": [[["a", 0]]]}),
+            compact({"type": "query", "session": "s", "combos": [[[0, 1.7]]]}),
+            compact({"type": "query", "session": "s", "combos": [[["1", "2"]]]}),
+            compact({"type": "query", "session": "s", "combos": [[[True, 3]]]}),
         ],
-        ids=["undecodable frame", "unknown type", "non-integer combo"],
+        ids=["undecodable frame", "unknown type", "non-integer combo",
+             "fractional position", "numeric strings", "boolean message"],
     )
     def test_malformed_frame_gets_an_error_and_the_connection_ends(
         self, running_pair, body

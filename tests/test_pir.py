@@ -20,13 +20,14 @@ from ipir.pir import (
     enumerate_keys,
     key_count,
     open_session,
+    order_pattern,
     pir_answer,
     pir_setup,
     query_pattern,
-    sample_patterns,
+    sample_orders,
 )
 
-from oracles import block_plan, session_plan, shuffle_key, sorted_queries
+from oracles import block_plan, sample_patterns, session_plan, shuffle_key, sorted_queries
 
 
 class TestSetup:
@@ -292,12 +293,18 @@ class TestSamplePatterns:
 
     @staticmethod
     def assert_matches_sessions(params, desired, seed):
-        # the direct sampler gives each server's query_pattern and leaves
-        # the stream where a full session leaves it
-        rng, ref = random.Random(seed), random.Random(seed)
+        # on the same rng, each server's order mapped through order_pattern
+        # equals the pattern oracle, which equals query_pattern of the
+        # session's query; the orders and the oracle both leave the stream
+        # where a full session leaves it
+        rng, oracle, ref = (random.Random(seed) for _ in range(3))
         expected = [query_pattern(params, q) for q in open_session(params, desired, ref).queries]
-        assert sample_patterns(params, desired, rng) == expected
-        assert rng.getrandbits(64) == ref.getrandbits(64)
+        assert sample_patterns(params, desired, oracle) == expected
+        orders = sample_orders(params, desired, rng)
+        assert [order_pattern(params, order) for order in orders] == expected
+        assert all(type(cid) is int and cid > 0 for order in orders for cid in order)
+        tail = ref.getrandbits(64)
+        assert rng.getrandbits(64) == tail and oracle.getrandbits(64) == tail
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_matches_session_patterns(self, blocks):
@@ -326,8 +333,9 @@ class TestSamplePatterns:
         self.assert_matches_sessions(params, desired, data.draw(st.integers(0, 2**32)))
 
     def test_desired_must_be_in_subset(self):
-        with pytest.raises(DesiredNotInSubset):
-            sample_patterns(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
+        for sampler in (sample_orders, sample_patterns):
+            with pytest.raises(DesiredNotInSubset):
+                sampler(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
 
 
 class TestQueryPrivacy:
@@ -363,14 +371,19 @@ class TestQueryPrivacy:
         trials = 20_000
         servers = range(min(n, 2))
         # every server's counters read the same stream per desired value,
-        # so one draw fills them all
+        # so one draw fills them all; each distinct order is mapped to its
+        # pattern once, in the order the draws first met it
         counters = [[Counter() for _ in range(k)] for _ in servers]
         for desired in range(k):
             rng = fork_rng(31, n, k, desired)
+            orders = [Counter() for _ in servers]
             for _ in range(trials):
-                patterns = sample_patterns(params, desired, rng)
+                drawn = sample_orders(params, desired, rng)
                 for server in servers:
-                    counters[server][desired][patterns[server]] += 1
+                    orders[server][drawn[server]] += 1
+            for server in servers:
+                for order, count in orders[server].items():
+                    counters[server][desired][order_pattern(params, order)] += count
         for per_desired in counters:
             for i in range(1, k):
                 support = len(set(per_desired[0]) | set(per_desired[i]))
