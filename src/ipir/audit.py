@@ -1,8 +1,11 @@
 """Exact and empirical privacy verification.
 
 Independence is decided by exact rational factorization of finite joint
-laws (p(a,b) == p(a) p(b) everywhere); the bits value attached to each
-check is a floating-point diagnostic only and never part of the decision.
+laws (p(a,b) == p(a) p(b) everywhere), on integers: the law is scaled by
+D, the lcm of its denominators, to weights W, and the check is
+W(a,b) D == W_a W_b. The bits value attached to each check is a
+floating-point diagnostic only and never part of the decision; its terms
+are int ratios, correctly rounded as float(Fraction) is.
 Query-level checks enumerate the scheme's key space where affordable and
 fall back to sampled total-variation comparisons where not.
 """
@@ -21,6 +24,7 @@ from .core import (
     WeightedSampler,
     conditional_from_joint,
     fork_rng,
+    scale_to_integers,
     validate_joint,
 )
 from .errors import ExactModeInfeasible, InvalidParams
@@ -46,47 +50,69 @@ class DiscreteJoint:
 
     entries: dict
 
-    def marginals(self):
-        pa: dict = {}
-        pb: dict = {}
-        for (a, b), p in self.entries.items():
-            if p != 0:
-                pa[a] = pa.get(a, ZERO) + p
-                pb[b] = pb.get(b, ZERO) + p
-        return pa, pb
+
+def _scaled(entries: dict) -> tuple[dict, int]:
+    """The entries over one common denominator D: (numerators, D)."""
+    numerators, scale = scale_to_integers(entries.values())
+    return dict(zip(entries, numerators)), scale
+
+
+def _marginals(weights: dict) -> tuple[dict, dict]:
+    """Row and column sums of the nonzero weights, keyed in first-seen order."""
+    wa: dict = {}
+    wb: dict = {}
+    for (a, b), w in weights.items():
+        if w != 0:
+            wa[a] = wa.get(a, 0) + w
+            wb[b] = wb.get(b, 0) + w
+    return wa, wb
+
+
+def _factorization(weights: dict, scale: int) -> tuple[bool, float]:
+    """(independent?, bits) of the law p(a, b) = weights[a, b] / scale.
+
+    p(a,b) = p(a) p(b) times scale^2 is W(a,b) scale = W_a W_b, decided
+    over the product of the marginal supports in integers. Every float is
+    an int ratio, correctly rounded as float(Fraction) is, and the terms
+    are summed in the entries' order.
+    """
+    wa, wb = _marginals(weights)
+    exact_zero = all(
+        weights.get((a, b), 0) * scale == x * y for a, x in wa.items() for b, y in wb.items()
+    )
+    bits = 0.0
+    if not exact_zero:
+        for (a, b), w in weights.items():
+            if w != 0:
+                p = w / scale
+                bits += p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
+        bits = max(bits, 0.0)
+    return exact_zero, bits
+
+
+def _witness(weights: dict, scale: int):
+    """The first (a, b), labels ordered by str, where the law of
+    ``weights`` / scale does not factorize; None if it does."""
+    wa, wb = _marginals(weights)
+    for a, x in sorted(wa.items(), key=str):
+        for b, y in sorted(wb.items(), key=str):
+            if weights.get((a, b), 0) * scale != x * y:
+                return (a, b)
+    return None
 
 
 def mutual_information(joint: DiscreteJoint) -> tuple[bool, float]:
     """(exactly independent?, mutual information in bits).
 
-    The boolean comes from rational factorization over the product of the
-    marginal supports; the bits value is diagnostic.
+    The boolean comes from factorization over the product of the marginal
+    supports, decided exactly on the entries scaled to integers over one
+    common denominator; the bits value is diagnostic.
     """
-    pa, pb = joint.marginals()
-    exact_zero = True
-    for a, wa in pa.items():
-        for b, wb in pb.items():
-            if joint.entries.get((a, b), ZERO) != wa * wb:
-                exact_zero = False
-                break
-        if not exact_zero:
-            break
-    bits = 0.0
-    if not exact_zero:
-        for (a, b), p in joint.entries.items():
-            if p != 0:
-                bits += float(p) * math.log2(float(p) / (float(pa[a]) * float(pb[b])))
-        bits = max(bits, 0.0)
-    return exact_zero, bits
+    return _factorization(*_scaled(joint.entries))
 
 
 def independence_witness(joint: DiscreteJoint):
-    pa, pb = joint.marginals()
-    for a, wa in sorted(pa.items(), key=str):
-        for b, wb in sorted(pb.items(), key=str):
-            if joint.entries.get((a, b), ZERO) != wa * wb:
-                return (a, b)
-    return None
+    return _witness(*_scaled(joint.entries))
 
 
 @dataclass
@@ -135,20 +161,40 @@ def audit_policy_independence(
     policy: ObfuscationPolicy, joint: JointDistribution
 ) -> AuditReport:
     """Exact check that the released subset is independent of the private
-    request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes."""
-    entries: dict = {}
+    request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes.
+
+    The joint is built in integers: each product's numerator is scaled to
+    the lcm of the products' denominators, so no Fraction is formed."""
+    terms = []
+    denominators = set()
+    table = joint.table
     for (s, x, mask), p in policy.entries.items():
-        w = joint.table[s][x] * p
-        if w != 0:
-            key = (s, indices_of(mask))
-            entries[key] = entries.get(key, ZERO) + w
-    dj = DiscreteJoint(entries=entries)
-    zero, bits = mutual_information(dj)
+        t = table[s][x]
+        n = t.numerator * p.numerator
+        if n != 0:
+            d = t.denominator * p.denominator
+            denominators.add(d)
+            terms.append((s, mask, n, d))
+    scale = math.lcm(*denominators)
+    by_mask: dict = {}
+    for s, mask, n, d in terms:
+        key = (s, mask)
+        by_mask[key] = by_mask.get(key, 0) + n * (scale // d)
+    # the witness orders labels by str, so each mask becomes its indices,
+    # once per mask
+    labels: dict = {}
+    weights = {}
+    for (s, mask), w in by_mask.items():
+        subset = labels.get(mask)
+        if subset is None:
+            subset = labels[mask] = indices_of(mask)
+        weights[s, subset] = w
+    zero, bits = _factorization(weights, scale)
     check = AuditCheck(
         name="subset-independence",
         passed=zero,
         bits=bits,
-        witness=None if zero else independence_witness(dj),
+        witness=None if zero else _witness(weights, scale),
     )
     return AuditReport(checks=[check])
 
@@ -210,10 +256,10 @@ def audit_query_privacy(
 
     Exact mode factor-checks the (S, Q_i) law enumerated over (s, x, u, key)
     at each server. When that key space exceeds EXACT_STATE_CAP the audit
-    runs in empirical mode instead, and its first check records the
-    fallback. Empirical mode compares the sampled query law across s values
-    by total variation distance at each server from ``trials`` samples per
-    private value. A sample keeps only each server's combo order, drawn
+    runs in empirical mode instead, its first check records the fallback,
+    and the ``ipir.audit`` logger logs it at INFO. Empirical mode compares
+    the sampled query law across s values by total variation distance at
+    each server from ``trials`` samples per private value. A sample keeps only each server's combo order, drawn
     by ``pir.sample_orders`` with the same draws as a full session, and
     each distinct order is mapped once to the ``pir.query_pattern`` of
     its query by ``pir.order_pattern``. Any other mode, and an empirical
@@ -225,7 +271,18 @@ def audit_query_privacy(
         raise InvalidParams(f"unknown audit mode {mode!r}")
     samplers = subset_samplers(policy, joint)
     report = AuditReport(mode=mode)
-    if mode == "exact" and _exact_enumeration_size(policy, config) > EXACT_STATE_CAP:
+    size = _exact_enumeration_size(policy, config) if mode == "exact" else 0
+    if size > EXACT_STATE_CAP:
+        # imported here, on a fallback path, because importing logging adds
+        # about 0.4 MB to every process using ipir
+        import logging
+
+        logging.getLogger(__name__).info(
+            "exact query-privacy audit needs %d key states, over the cap %d; "
+            "running the empirical audit",
+            size,
+            EXACT_STATE_CAP,
+        )
         report.mode = "empirical"
         report.checks.append(
             AuditCheck(name="exact-mode-infeasible (fell back to empirical)", passed=True)

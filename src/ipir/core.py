@@ -47,6 +47,14 @@ def approx(value: Fraction, digits: int = 4) -> str:
     return f"{format_rational(value)} (≈{float(value):.{digits}f})"
 
 
+def scale_to_integers(values) -> tuple[list[int], int]:
+    """``values`` times D, the lcm of their denominators, and D. Int and
+    Fraction values are read as they are, anything else through Fraction."""
+    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint law p(S, X) over [K] x [K]; ``table[s][x]`` = p(S=s, X=x).

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     JointDistribution,
@@ -64,7 +65,13 @@ class RetrievalRecord:
     def cost(self) -> CostReport:
         """Downloaded answer bits, normalized by the message length."""
         bits = sum(map(pir.answer_length, self.queries))
-        return CostReport(total=Fraction(bits, len(self.decoded)))
+        return CostReport(total=_normalized(bits, len(self.decoded)))
+
+
+@lru_cache(maxsize=4096)
+def _normalized(bits: int, L: int) -> Fraction:
+    """bits / L, one shared Fraction per pair, as records keep it."""
+    return Fraction(bits, L)
 
 
 @dataclass

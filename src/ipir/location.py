@@ -17,9 +17,11 @@ the policy, the solver used and the online audit in a dict that lives for
 that call only; nothing is cached across calls. Reuse moves no random
 draw, so a seed gives the same report as solving at every step.
 
-Posterior tracking is the standard exact forward recursion; everything is
-Fraction arithmetic so the per-step independence checks are equalities,
-not approximations.
+Posterior tracking is the standard exact forward recursion, so the
+per-step independence checks are equalities, not approximations. The
+updates run on integer numerators over one common denominator and build
+each posterior entry once, as a Fraction: a ``PosteriorState`` holds
+Fractions, as the policy and the online audit read them.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     JointDistribution,
@@ -37,6 +40,7 @@ from .core import (
     format_rational,
     fork_rng,
     parse_rational,
+    scale_to_integers,
 )
 from .errors import (
     DegeneratePosterior,
@@ -193,6 +197,17 @@ def initial_posterior(model: MobilityModel) -> PosteriorState:
     return PosteriorState(t=0, tau=0, joint=joint)
 
 
+def _numerators(matrix) -> tuple[list[list[int]], int]:
+    """A square matrix over one common denominator D: (numerators, D)."""
+    K = len(matrix)
+    flat, scale = scale_to_integers([v for row in matrix for v in row])
+    return [flat[i : i + K] for i in range(0, K * K, K)], scale
+
+
+def _over(numerator: int, denominator: int) -> Fraction:
+    return Fraction(numerator, denominator) if numerator else ZERO
+
+
 def advance_posterior(
     state: PosteriorState, model: MobilityModel, schedule: PrivacySchedule
 ) -> PosteriorState:
@@ -200,46 +215,65 @@ def advance_posterior(
 
     The current coordinate moves one step while the private coordinate
     rides along. If t+1 is private the pair then collapses to the diagonal
-    of the pushed-forward current marginal.
+    of the pushed-forward current marginal. The K^3 products and sums run
+    on integers: the joint over its common denominator times the kernel
+    over its own, so each entry is built once, over their product.
     """
     K = model.K
     t1 = state.t + 1
-    trans = model.transition_at(state.t)
-    joint = [[ZERO] * K for _ in range(K)]
+    weights, joint_scale = _numerators(state.joint)
+    trans, trans_scale = _numerators(model.transition_at(state.t))
+    scale = joint_scale * trans_scale
+    pushed = [[0] * K for _ in range(K)]
     for a in range(K):
         row = trans[a]
         for b in range(K):
-            w = state.joint[a][b]
+            w = weights[a][b]
             if w != 0:
                 for a1 in range(K):
-                    joint[a1][b] += w * row[a1]
+                    pushed[a1][b] += w * row[a1]
     tau = state.tau
     if schedule.is_private(t1):
         tau = t1
-        joint = [
-            [sum(joint[a1], ZERO) if a1 == b else ZERO for b in range(K)]
+        joint = tuple(
+            tuple(_over(sum(pushed[a1]), scale) if a1 == b else ZERO for b in range(K))
             for a1 in range(K)
-        ]
-    return PosteriorState(
-        t=t1, tau=tau, joint=tuple(tuple(r) for r in joint), history=state.history
-    )
+        )
+    else:
+        joint = tuple(tuple(_over(n, scale) for n in row) for row in pushed)
+    return PosteriorState(t=t1, tau=tau, joint=joint, history=state.history)
 
 
 def condition_posterior(
     state: PosteriorState, policy: ObfuscationPolicy, subset_mask: int
 ) -> PosteriorState:
-    """Condition the tracked joint on a realized subset and renormalize."""
+    """Condition the tracked joint on a realized subset and renormalize.
+
+    The products p(a, b) p(u|a, b) are formed on integer numerators over
+    the lcm of their denominators, which cancels in the renormalization,
+    so each entry is built once, as its numerator over their total.
+    """
     K = len(state.joint)
-    conditioned = [[ZERO] * K for _ in range(K)]
-    total = ZERO
+    terms = []
+    denominators = set()
+    entries = policy.entries
     for a in range(K):
+        row = state.joint[a]
         for b in range(K):
-            w = state.joint[a][b]
+            w = row[b]
             if w != 0:
-                p = policy.entries.get((b, a, subset_mask), ZERO)
-                if p != 0:
-                    conditioned[a][b] = w * p
-                    total += w * p
+                p = entries.get((b, a, subset_mask))
+                if p:
+                    d = w.denominator * p.denominator
+                    denominators.add(d)
+                    terms.append((a, b, w.numerator * p.numerator, d))
+    scale = lcm(*denominators)
+    conditioned = [[0] * K for _ in range(K)]
+    total = 0
+    for a, b, n, d in terms:
+        n *= scale // d
+        conditioned[a][b] = n
+        total += n
     if total == 0:
         raise DegeneratePosterior(
             f"step {state.t}: realized subset has zero tracked probability"
@@ -248,7 +282,7 @@ def condition_posterior(
     return PosteriorState(
         t=state.t,
         tau=state.tau,
-        joint=tuple(tuple(v / total for v in row) for row in conditioned),
+        joint=tuple(tuple(_over(n, total) for n in row) for row in conditioned),
         history=state.history + (subset,),
     )
 
@@ -266,7 +300,8 @@ def policy_for_posterior(
     Otherwise the greedy construction runs on full support, and the trivial
     policy on partial support. ``law`` is ``audit.posterior_law(joint_matrix)``,
     built here if not given. Returns the policy and which constructor
-    produced it.
+    produced it; when that is not ``solver``, the fallback is logged at
+    INFO on the ``ipir.location`` logger.
     """
     if solver not in ("lp", "greedy"):
         raise InvalidParams(f"unknown solver {solver!r}")
@@ -277,10 +312,25 @@ def policy_for_posterior(
     # row has a nonzero entry
     full_support = all(any(row) for row in law.table)
     if K <= DEFAULT_LP_CAP and (solver == "lp" or not full_support):
-        return solve_lp(build_lp(law, n_servers)), "lp"
-    if full_support:
-        return greedy_policy(conditional_from_joint(law)), "greedy"
-    return trivial_policy(K), "trivial"
+        policy, used = solve_lp(build_lp(law, n_servers)), "lp"
+    elif full_support:
+        policy, used = greedy_policy(conditional_from_joint(law)), "greedy"
+    else:
+        policy, used = trivial_policy(K), "trivial"
+    if used != solver:
+        # imported here, on a fallback path, because importing logging adds
+        # about 0.4 MB to every process using ipir
+        import logging
+
+        logging.getLogger(__name__).info(
+            "K=%d: solver %r asked, %r ran (LP cap %d, %s support)",
+            K,
+            solver,
+            used,
+            DEFAULT_LP_CAP,
+            "full" if full_support else "partial",
+        )
+    return policy, used
 
 
 @dataclass(slots=True)

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .core import (
     ConditionalMatrix,
@@ -376,7 +377,9 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     then splits p(x|s) over the subsets u with m(u) > 0 by an exact
     feasibility flow (supply p(x|s) at each x, demand m(u) at each u, arcs
     x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no
-    entries.
+    entries. The flow runs on integers: both sides are scaled by D_s, the
+    lcm of the denominators of p(.|s) and m, so that p(u|x,s) is
+    F(x,u) / (D_s p(x|s)), one exact ratio of integers per entry.
     """
     solution = minimize(instance.costs, instance.rows, instance.rhs)
     # every variable is bounded by the first row, so the LP cannot be
@@ -387,32 +390,46 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     rest = ONE - sum(marginal.values(), ZERO)
     if rest != 0:
         marginal[full_mask(instance.K)] = rest
+    # the marginal over its own lcm, widened to D_s per row below
+    base = lcm(*(v.denominator for v in marginal.values()))
+    demand = {u: v.numerator * (base // v.denominator) for u, v in marginal.items()}
     entries = {}
     for s in instance.cond.support:
         row = instance.cond.rows[s]
-        flow = _route(s, row, marginal)
+        scale = lcm(base, *(v.denominator for v in row))
+        supply = [v.numerator * (scale // v.denominator) for v in row]
+        widen = scale // base
+        flow = _route(s, supply, {u: v * widen for u, v in demand.items()})
         entries.update(
-            ((s, x, u), f / row[x]) for (x, u), f in sorted(flow.items()) if f != 0
+            ((s, x, u), Fraction(f, supply[x]))
+            for (x, u), f in sorted(flow.items())
+            if f != 0
         )
     return ObfuscationPolicy(K=instance.K, entries=entries)
 
 
-def _route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int, int], Fraction]:
-    """Exact flow f(x, u) from supplies row[x] = p(x|s) onto demands
-    marginal[u] along the arcs x in u; raises ConstructionFailed when some
+def _route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int, int], int]:
+    """Exact flow f(x, u) from supplies ``supply[x]`` onto demands
+    ``demand[u]`` along the arcs x in u; raises ConstructionFailed when some
     demand cannot be met.
+
+    ``solve_lp`` passes p(x|s) and m(u) times D_s, the lcm of their
+    denominators, so every amount is an integer and the flow is D_s times
+    the rational one: the search reads only which amounts are nonzero and
+    each augmentation adds the least amount along its path, and scaling
+    changes neither.
 
     Edmonds-Karp: each round augments along a shortest residual path found
     by breadth-first search from the x with supply left (ascending), which
-    steps x -> u forward in the marginal's mask order and u -> x' backward
+    steps x -> u forward in the demands' mask order and u -> x' backward
     along positive flow (x' ascending), so the flow is deterministic. By
     Gale's theorem it meets every demand whenever m satisfies the covering
     rows and both sides sum to 1.
     """
-    supply = list(row)
-    demand = dict(marginal)
-    flow: dict[tuple[int, int], Fraction] = {}
-    xs = range(len(row))
+    supply = list(supply)
+    demand = dict(demand)
+    flow: dict[tuple[int, int], int] = {}
+    xs = range(len(supply))
     while any(demand.values()):
         queue = [x for x in xs if supply[x] != 0]
         back = dict.fromkeys(queue)  # x -> u it was reached from, None at a source
@@ -426,7 +443,7 @@ def _route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int, int], 
                         end = u
                         break
                     for y in xs:
-                        if y not in back and flow.get((y, u), ZERO) != 0:
+                        if y not in back and flow.get((y, u), 0) != 0:
                             back[y] = u
                             queue.append(y)
             if end is not None:
@@ -444,7 +461,7 @@ def _route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int, int], 
                 path.append((x, u))
         delta = min([demand[end], supply[path[-1][0]]] + [flow[a] for a in path[1::2]])
         for i, arc in enumerate(path):
-            flow[arc] = flow.get(arc, ZERO) + (delta if i % 2 == 0 else -delta)
+            flow[arc] = flow.get(arc, 0) + (delta if i % 2 == 0 else -delta)
         supply[path[-1][0]] -= delta
         demand[end] -= delta
     return flow

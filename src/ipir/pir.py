@@ -63,7 +63,14 @@ class SchemeParams:
 
 
 def pir_setup(n_servers: int, subset, L: int) -> SchemeParams:
-    subset = tuple(sorted(set(subset)))
+    """The scheme over ``subset`` (any order, repeats ignored). Equal
+    arguments share one SchemeParams, so the records that keep
+    ``params.subset`` share one tuple per subset."""
+    return _scheme_params(n_servers, tuple(sorted(set(subset))), L)
+
+
+@lru_cache(maxsize=4096)
+def _scheme_params(n_servers: int, subset: tuple[int, ...], L: int) -> SchemeParams:
     if n_servers < 2:
         raise InvalidParams(f"need at least 2 servers, got {n_servers}")
     if not subset:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
+from .core import scale_to_integers
 from .errors import InvalidParams, IterationLimit
 
 # consecutive non-improving pivots tolerated before switching to Bland
@@ -63,10 +63,10 @@ def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
     tableau = []
     scale = [1] * n  # per variable: the factor its reduced cost is compared at
     for row, value in zip(rows, b):
-        scaled, factor = _integers([*row, value])
+        scaled, factor = scale_to_integers([*row, value])
         tableau.append(scaled)
         scale.append(factor)
-    z, mu = _integers([*costs, 0])
+    z, mu = scale_to_integers([*costs, 0])
     basis = [n + i for i in range(len(tableau))]
     nonbasic = list(range(n))
 
@@ -82,13 +82,6 @@ def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
     return SimplexSolution(
         status="optimal", objective=Fraction(-z[-1], d * mu), x=x, pivots=pivots
     )
-
-
-def _integers(values) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, and that lcm."""
-    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    factor = lcm(*(v.denominator for v in exact))
-    return [v.numerator * (factor // v.denominator) for v in exact], factor
 
 
 def _run(tableau, z, basis, nonbasic, scale, budget: int) -> tuple[int, int]:

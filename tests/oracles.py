@@ -10,6 +10,7 @@ of the equivalence tests.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from ipir.core import (
 )
 from ipir.errors import (
     ConstructionFailed,
+    DegeneratePosterior,
     DesiredNotInSubset,
     InvalidParams,
     IterationLimit,
@@ -982,4 +984,166 @@ def simulate_stepwise(
         trace=trace,
         steps=steps,
         total_cost=total,
+    )
+
+
+# The Fraction arithmetic that the library's step layers replaced with
+# integer numerators over one common denominator: the flow of
+# ipir.obfuscation.solve_lp, the factorization of ipir.audit, and the
+# posterior updates of ipir.location.
+
+
+def fraction_route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int, int], Fraction]:
+    """Exact flow f(x, u) from supplies row[x] = p(x|s) onto demands
+    marginal[u] along the arcs x in u, by the Edmonds-Karp rounds of
+    ``ipir.obfuscation._route`` in Fractions; raises ConstructionFailed
+    when some demand cannot be met."""
+    supply = list(row)
+    demand = dict(marginal)
+    flow: dict[tuple[int, int], Fraction] = {}
+    xs = range(len(row))
+    while any(demand.values()):
+        queue = [x for x in xs if supply[x] != 0]
+        back = dict.fromkeys(queue)
+        forward: dict[int, int] = {}
+        end = None
+        for x in queue:
+            for u in demand:
+                if u >> x & 1 and u not in forward:
+                    forward[u] = x
+                    if demand[u] != 0:
+                        end = u
+                        break
+                    for y in xs:
+                        if y not in back and flow.get((y, u), ZERO) != 0:
+                            back[y] = u
+                            queue.append(y)
+            if end is not None:
+                break
+        if end is None:
+            raise ConstructionFailed(f"row {s} cannot be routed onto the subset marginal")
+        path = []
+        u = end
+        while u is not None:
+            x = forward[u]
+            path.append((x, u))
+            u = back[x]
+            if u is not None:
+                path.append((x, u))
+        delta = min([demand[end], supply[path[-1][0]]] + [flow[a] for a in path[1::2]])
+        for i, arc in enumerate(path):
+            flow[arc] = flow.get(arc, ZERO) + (delta if i % 2 == 0 else -delta)
+        supply[path[-1][0]] -= delta
+        demand[end] -= delta
+    return flow
+
+
+def fraction_marginals(joint: DiscreteJoint):
+    pa: dict = {}
+    pb: dict = {}
+    for (a, b), p in joint.entries.items():
+        if p != 0:
+            pa[a] = pa.get(a, ZERO) + p
+            pb[b] = pb.get(b, ZERO) + p
+    return pa, pb
+
+
+def fraction_mutual_information(joint: DiscreteJoint) -> tuple[bool, float]:
+    """(p(a,b) == p(a) p(b) over the product of the marginal supports,
+    bits), with the marginals and every product in Fractions."""
+    pa, pb = fraction_marginals(joint)
+    exact_zero = True
+    for a, wa in pa.items():
+        for b, wb in pb.items():
+            if joint.entries.get((a, b), ZERO) != wa * wb:
+                exact_zero = False
+                break
+        if not exact_zero:
+            break
+    bits = 0.0
+    if not exact_zero:
+        for (a, b), p in joint.entries.items():
+            if p != 0:
+                bits += float(p) * math.log2(float(p) / (float(pa[a]) * float(pb[b])))
+        bits = max(bits, 0.0)
+    return exact_zero, bits
+
+
+def fraction_independence_witness(joint: DiscreteJoint):
+    pa, pb = fraction_marginals(joint)
+    for a, wa in sorted(pa.items(), key=str):
+        for b, wb in sorted(pb.items(), key=str):
+            if joint.entries.get((a, b), ZERO) != wa * wb:
+                return (a, b)
+    return None
+
+
+def fraction_policy_independence(policy: ObfuscationPolicy, joint: JointDistribution):
+    """(passed, bits, witness) of ``audit_policy_independence``, from the
+    (S, U) law summed in Fractions."""
+    entries: dict = {}
+    for (s, x, mask), p in policy.entries.items():
+        w = joint.table[s][x] * p
+        if w != 0:
+            key = (s, indices_of(mask))
+            entries[key] = entries.get(key, ZERO) + w
+    dj = DiscreteJoint(entries=entries)
+    zero, bits = fraction_mutual_information(dj)
+    return zero, bits, None if zero else fraction_independence_witness(dj)
+
+
+def fraction_advance_posterior(
+    state: PosteriorState, model: MobilityModel, schedule: PrivacySchedule
+) -> PosteriorState:
+    """``ipir.location.advance_posterior`` with every product and sum in
+    Fractions."""
+    K = model.K
+    t1 = state.t + 1
+    trans = model.transition_at(state.t)
+    joint = [[ZERO] * K for _ in range(K)]
+    for a in range(K):
+        row = trans[a]
+        for b in range(K):
+            w = state.joint[a][b]
+            if w != 0:
+                for a1 in range(K):
+                    joint[a1][b] += w * row[a1]
+    tau = state.tau
+    if schedule.is_private(t1):
+        tau = t1
+        joint = [
+            [sum(joint[a1], ZERO) if a1 == b else ZERO for b in range(K)]
+            for a1 in range(K)
+        ]
+    return PosteriorState(
+        t=t1, tau=tau, joint=tuple(tuple(r) for r in joint), history=state.history
+    )
+
+
+def fraction_condition_posterior(
+    state: PosteriorState, policy: ObfuscationPolicy, subset_mask: int
+) -> PosteriorState:
+    """``ipir.location.condition_posterior`` with every product, the total
+    and the renormalization in Fractions."""
+    K = len(state.joint)
+    conditioned = [[ZERO] * K for _ in range(K)]
+    total = ZERO
+    for a in range(K):
+        for b in range(K):
+            w = state.joint[a][b]
+            if w != 0:
+                p = policy.entries.get((b, a, subset_mask), ZERO)
+                if p != 0:
+                    conditioned[a][b] = w * p
+                    total += w * p
+    if total == 0:
+        raise DegeneratePosterior(
+            f"step {state.t}: realized subset has zero tracked probability"
+        )
+    subset = tuple(i for i in range(K) if subset_mask >> i & 1)
+    return PosteriorState(
+        t=state.t,
+        tau=state.tau,
+        joint=tuple(tuple(v / total for v in row) for row in conditioned),
+        history=state.history + (subset,),
     )

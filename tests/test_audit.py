@@ -1,21 +1,27 @@
+import logging
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir.core import SystemConfig, WeightedSampler, conditional_from_joint, validate_joint
 from ipir.audit import (
+    EXACT_STATE_CAP,
     TV_THRESHOLD,
     AuditReport,
     DiscreteJoint,
     _empirical_checks,
+    _exact_enumeration_size,
     _pattern_counts,
+    _query_law,
     audit_online_privacy,
     audit_policy_independence,
     audit_leak_equivalence,
     audit_query_privacy,
     check_size_bound,
+    independence_witness,
     mutual_information,
     total_variation,
 )
@@ -39,6 +45,9 @@ from ipir import pir
 
 from oracles import (
     enumerate_mechanism,
+    fraction_independence_witness,
+    fraction_mutual_information,
+    fraction_policy_independence,
     node_query_leak,
     online_privacy_factorization,
     query_history_equivalence,
@@ -78,6 +87,106 @@ class TestMutualInformation:
         assert not zero and bits > 0.9
 
 
+def assert_same_factorization(entries):
+    """The integer factorization of the library against the Fraction one
+    it replaced: the same verdict, bit-identical bits, the same witness."""
+    dj = DiscreteJoint(entries=entries)
+    expected = fraction_mutual_information(dj)
+    assert mutual_information(dj) == expected
+    assert independence_witness(dj) == fraction_independence_witness(dj)
+    return expected
+
+
+# an exact entry: a Fraction, possibly zero, or a plain int
+exact_entries = st.one_of(
+    st.builds(F, st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=12)),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+def policies(K):
+    """Strategy: a policy-shaped table of exact entries, valid or not."""
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=K - 1),
+        st.integers(min_value=0, max_value=K - 1),
+        st.integers(min_value=1, max_value=(1 << K) - 1),
+    )
+    values = st.builds(
+        F, st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=6)
+    )
+    return st.dictionaries(keys, values, max_size=3 * K * K).map(
+        lambda entries: ObfuscationPolicy(K=K, entries=entries)
+    )
+
+
+class TestIntegerFactorization:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from("abc")),
+            exact_entries,
+            max_size=12,
+        )
+    )
+    def test_hypothesis_joints(self, entries):
+        # zero entries, int entries, and a mass that need not be 1
+        assert_same_factorization(entries)
+
+    def test_mass_other_than_one(self):
+        # p(a,b) = p(a) p(b) holds for a product law of mass 1 and fails
+        # once it is scaled to mass 3, in both arithmetics alike
+        product = {(a, b): F(a + 1, 3) * F(b + 2, 9) for a in range(2) for b in range(3)}
+        assert assert_same_factorization(product) == (True, 0.0)
+        assert not assert_same_factorization({k: 3 * v for k, v in product.items()})[0]
+
+    def test_int_entries(self):
+        # a point mass written in ints, then ints beside Fractions
+        assert assert_same_factorization({(0, 0): 1, (0, 1): 0, (1, 0): 0})[0]
+        assert not assert_same_factorization({(0, 0): 1, (1, 1): F(1, 2), (0, 1): 0})[0]
+
+    def test_leaking_audit_instance(self, pair_joint, config22):
+        # the exact (S, Q) laws behind tests/golden/audit_leaking.json
+        for server in range(config22.N):
+            law = _query_law(pair_joint, singleton_policy(2), config22, server)
+            zero, bits = assert_same_factorization(law.entries)
+            assert (zero, bits) == (False, 0.18872187554086717)
+            assert independence_witness(law)[0] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda K: st.tuples(
+                st.lists(
+                    st.lists(st.integers(min_value=0, max_value=4), min_size=K, max_size=K),
+                    min_size=K,
+                    max_size=K,
+                ).filter(lambda rows: sum(map(sum, rows)) > 0),
+                policies(K),
+            )
+        )
+    )
+    def test_policy_independence_hypothesis(self, case):
+        cells, policy = case
+        total = sum(map(sum, cells))
+        joint = validate_joint([[F(c, total) for c in row] for row in cells])
+        check = audit_policy_independence(policy, joint).checks[0]
+        assert (check.passed, check.bits, check.witness) == fraction_policy_independence(
+            policy, joint
+        )
+
+    @pytest.mark.parametrize("make", [greedy_policy, None, trivial_policy])
+    def test_policy_independence_on_library_policies(self, make, skew_joint, skew_cond):
+        policy = (
+            singleton_policy(3) if make is None
+            else make(skew_cond) if make is greedy_policy
+            else make(3)
+        )
+        check = audit_policy_independence(policy, skew_joint).checks[0]
+        expected = fraction_policy_independence(policy, skew_joint)
+        assert (check.passed, check.bits, check.witness) == expected
+        assert check.passed == (make is not None)
+
+
 class TestPolicyIndependence:
     def test_reference_policies_pass(self, pair_joint, pair_cond, skew_joint, skew_cond):
         assert audit_policy_independence(greedy_policy(pair_cond), pair_joint).passed
@@ -114,6 +223,26 @@ class TestQueryPrivacyExact:
         assert report.mode == "empirical"
         assert "fell back" in report.checks[0].name
         assert report.passed
+
+    def test_fallback_is_logged_with_the_state_count(self, skew_joint, skew_cond, caplog):
+        config = SystemConfig(N=2, K=3, L=8, seed=1)
+        policy = greedy_policy(skew_cond)
+        size = _exact_enumeration_size(policy, config)
+        with caplog.at_level(logging.INFO, logger="ipir.audit"):
+            report = audit_query_privacy(skew_joint, policy, config, mode="exact", trials=50)
+        assert report.mode == "empirical"
+        (record,) = [r for r in caplog.records if r.name == "ipir.audit"]
+        assert record.levelno == logging.INFO
+        assert f"{size} key states" in record.getMessage()
+        assert f"cap {EXACT_STATE_CAP}" in record.getMessage()
+
+    def test_exact_audit_within_the_cap_logs_nothing(
+        self, pair_joint, pair_cond, config22, caplog
+    ):
+        with caplog.at_level(logging.DEBUG, logger="ipir"):
+            report = audit_query_privacy(pair_joint, greedy_policy(pair_cond), config22)
+        assert report.mode == "exact"
+        assert not [r for r in caplog.records if r.name.startswith("ipir")]
 
     def test_empirical_mode_passes_reference(self, pair_joint, pair_cond, config22):
         policy = greedy_policy(pair_cond)

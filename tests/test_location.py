@@ -1,7 +1,9 @@
+import logging
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir import audit, location
 from ipir.core import (
@@ -12,6 +14,7 @@ from ipir.core import (
     validate_joint,
 )
 from ipir.errors import (
+    DegeneratePosterior,
     DistributionError,
     InconsistentAnswers,
     InvalidParams,
@@ -31,9 +34,23 @@ from ipir.location import (
     step_private,
 )
 from ipir.audit import audit_online_privacy
-from ipir.obfuscation import expected_cost, mask_of, validate_policy
+from ipir.obfuscation import (
+    ObfuscationPolicy,
+    expected_cost,
+    greedy_policy,
+    mask_of,
+    validate_policy,
+)
+from ipir.core import conditional_from_joint
 
-from oracles import enumerate_mechanism, simulate_stepwise, sxu_build_lp, sxu_solve_lp
+from oracles import (
+    enumerate_mechanism,
+    fraction_advance_posterior,
+    fraction_condition_posterior,
+    simulate_stepwise,
+    sxu_build_lp,
+    sxu_solve_lp,
+)
 
 
 def two_state_model():
@@ -497,3 +514,182 @@ class TestSolvedOncePerPosterior:
             simulate(model, sched, config, store)
             assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
                              "audit": distinct * run, "validate": distinct * run}
+
+
+@st.composite
+def posterior_cases(draw):
+    """(state, model, policy) at K = 1..3: a tracked joint with zero
+    entries, a kernel with zero entries, and a policy-shaped table whose
+    entries need not form a valid policy."""
+    K = draw(st.integers(min_value=1, max_value=3))
+    small = st.integers(min_value=0, max_value=5)
+
+    def law(cells):
+        total = sum(cells) or 1
+        return [F(c, total) for c in cells]
+
+    cells = draw(st.lists(small, min_size=K * K, max_size=K * K))
+    joint = law(cells)
+    state = PosteriorState(
+        t=draw(st.integers(min_value=0, max_value=3)),
+        tau=0,
+        joint=tuple(tuple(joint[a * K : a * K + K]) for a in range(K)),
+    )
+    rows = []
+    for _ in range(K):
+        cells = draw(st.lists(small, min_size=K, max_size=K).filter(any))
+        rows.append(law(cells))
+    model = MobilityModel.build([F(1, K)] * K, [rows])
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=K - 1),
+        st.integers(min_value=0, max_value=K - 1),
+        st.integers(min_value=1, max_value=(1 << K) - 1),
+    )
+    values = st.builds(F, small, st.integers(min_value=1, max_value=6))
+    policy = ObfuscationPolicy(K=K, entries=draw(st.dictionaries(keys, values, max_size=12)))
+    return state, model, policy
+
+
+def assert_same_posterior(state, oracle):
+    assert state == oracle
+    assert all(type(v) is F for row in state.joint for v in row)
+    assert [[v.as_integer_ratio() for v in row] for row in state.joint] == [
+        [v.as_integer_ratio() for v in row] for row in oracle.joint
+    ]
+
+
+class TestIntegerPosterior:
+    """The integer posterior updates against the Fraction ones they replaced
+    (oracles.fraction_condition_posterior and fraction_advance_posterior)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(posterior_cases(), st.booleans())
+    def test_hypothesis_advance(self, case, private_next):
+        state, model, _ = case
+        private = {0, state.t + 1} if private_next else {0}
+        sched = PrivacySchedule(horizon=state.t + 1, private=frozenset(private))
+        assert_same_posterior(
+            advance_posterior(state, model, sched),
+            fraction_advance_posterior(state, model, sched),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(posterior_cases(), st.integers(min_value=1, max_value=7))
+    def test_hypothesis_condition(self, case, mask):
+        state, _, policy = case
+        mask &= (1 << policy.K) - 1
+        try:
+            expected = fraction_condition_posterior(state, policy, mask)
+        except DegeneratePosterior as exc:
+            with pytest.raises(DegeneratePosterior) as caught:
+                condition_posterior(state, policy, mask)
+            assert str(caught.value) == str(exc)
+            return
+        assert_same_posterior(condition_posterior(state, policy, mask), expected)
+
+    def test_collapse_onto_a_private_instant(self):
+        model = random_model(random.Random("collapse"), 3)
+        sched = PrivacySchedule(horizon=2, private=frozenset({0, 2}))
+        state = advance_posterior(initial_posterior(model), model, sched)
+        policy = greedy_policy(conditional_from_joint(audit.posterior_law(state.joint)))
+        conditioned = condition_posterior(state, policy, 0b011)
+        assert conditioned == fraction_condition_posterior(state, policy, 0b011)
+        collapsed = advance_posterior(conditioned, model, sched)
+        assert_same_posterior(collapsed, fraction_advance_posterior(conditioned, model, sched))
+        assert collapsed.tau == 2
+        assert all(v == 0 for a, row in enumerate(collapsed.joint) for b, v in enumerate(row) if a != b)
+
+    def test_degenerate_posterior_raises_the_same_error(self):
+        state = PosteriorState(t=3, tau=0, joint=((F(1, 2), F(0)), (F(0), F(1, 2))))
+        policy = ObfuscationPolicy(K=2, entries={(0, 0, 0b01): F(1), (1, 1, 0b10): F(1)})
+        with pytest.raises(DegeneratePosterior, match="step 3") as caught:
+            condition_posterior(state, policy, 0b11)
+        with pytest.raises(DegeneratePosterior) as expected:
+            fraction_condition_posterior(state, policy, 0b11)
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize("solver", ["lp", "greedy"])
+    def test_every_step_of_a_walk(self, solver):
+        # each update of a simulated walk, against the oracles on the same input
+        model = random_model(random.Random(f"walk:{solver}"), 3)
+        sched = PrivacySchedule(horizon=14, private=frozenset({0, 7}))
+        state = initial_posterior(model)
+        rng = random.Random(3)
+        for t in range(sched.horizon):
+            if not sched.is_private(t):
+                policy, _ = policy_for_posterior(state.joint, 2, solver)
+                masks = sorted({mask for (_, _, mask) in policy.entries})
+                mask = rng.choice(masks)
+                try:
+                    expected = fraction_condition_posterior(state, policy, mask)
+                except DegeneratePosterior:
+                    with pytest.raises(DegeneratePosterior):
+                        condition_posterior(state, policy, mask)
+                    mask = masks[-1]
+                    expected = fraction_condition_posterior(state, policy, mask)
+                state = condition_posterior(state, policy, mask)
+                assert_same_posterior(state, expected)
+            expected = fraction_advance_posterior(state, model, sched)
+            state = advance_posterior(state, model, sched)
+            assert_same_posterior(state, expected)
+
+
+class TestKeptSteps:
+    def test_steps_over_one_subset_share_the_tuple_and_cost(self):
+        model = random_model(random.Random("shared"), 3)
+        sched = PrivacySchedule(horizon=12, private=frozenset({0, 6}))
+        config, store = run_setup(3, seed=4)
+        report = simulate(model, sched, config, store)
+        by_subset = {}
+        for step in report.steps:
+            first = by_subset.setdefault(step.subset, step)
+            assert step.subset is first.subset
+            if step.cost == first.cost:
+                assert step.cost is first.cost
+        assert len(by_subset) < len(report.steps)
+
+
+class TestFallbackLogs:
+    def records(self, caplog):
+        return [r for r in caplog.records if r.name == "ipir.location"]
+
+    def test_lp_run_at_k3_logs_nothing(self, caplog):
+        model = random_model(random.Random("quiet"), 3)
+        sched = PrivacySchedule(horizon=8, private=frozenset({0, 4}))
+        config, store = run_setup(3, seed=2)
+        with caplog.at_level(logging.DEBUG, logger="ipir"):
+            report = simulate(model, sched, config, store, solver="lp")
+        assert {s.solver for s in report.steps if not s.private} == {"lp"}
+        assert not [r for r in caplog.records if r.name.startswith("ipir")]
+
+    def test_greedy_on_partial_support_logs_the_lp(self, caplog):
+        joint = ((F(1, 2), F(0)), (F(1, 2), F(0)))
+        with caplog.at_level(logging.INFO, logger="ipir.location"):
+            _, used = policy_for_posterior(joint, 2, "greedy")
+        assert used == "lp"
+        (record,) = self.records(caplog)
+        assert record.levelno == logging.INFO
+        assert record.getMessage() == (
+            "K=2: solver 'greedy' asked, 'lp' ran (LP cap 6, partial support)"
+        )
+
+    def test_lp_above_the_cap_logs_the_greedy_construction(self, caplog):
+        K = location.DEFAULT_LP_CAP + 1
+        joint = [[F(1, K * K)] * K for _ in range(K)]
+        with caplog.at_level(logging.INFO, logger="ipir.location"):
+            _, used = policy_for_posterior(joint, 2, "lp")
+        assert used == "greedy"
+        (record,) = self.records(caplog)
+        assert record.getMessage() == (
+            f"K={K}: solver 'lp' asked, 'greedy' ran (LP cap {K - 1}, full support)"
+        )
+
+    def test_lp_above_the_cap_on_partial_support_logs_the_trivial_policy(self, caplog):
+        K = location.DEFAULT_LP_CAP + 1
+        joint = [[F(1, K)] + [F(0)] * (K - 1) for _ in range(K)]
+        with caplog.at_level(logging.INFO, logger="ipir.location"):
+            _, used = policy_for_posterior(joint, 2, "lp")
+        assert used == "trivial"
+        (record,) = self.records(caplog)
+        assert "'trivial' ran" in record.getMessage()
+        assert "partial support" in record.getMessage()

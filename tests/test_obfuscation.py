@@ -10,11 +10,13 @@ from ipir.core import (
     capacity_cost,
     conditional_from_joint,
     fork_rng,
+    scale_to_integers,
     validate_joint,
 )
 from ipir.errors import ConstructionFailed, PartialSupport, TooLarge, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
+    _route,
     build_lp,
     expected_cost,
     greedy_policy,
@@ -30,6 +32,7 @@ from ipir.obfuscation import (
 from oracles import (
     equality_build_lp,
     equality_lp_marginal,
+    fraction_route,
     lp_marginal,
     simplex_route,
     sxu_build_lp,
@@ -343,6 +346,87 @@ class TestFlowRouting:
         )
         with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
             solve_lp(instance)
+
+
+def integer_route(s, row, marginal):
+    """``_route`` on the row and the marginal scaled by D_s, the lcm of
+    their denominators, as solve_lp scales them: (flow, D_s)."""
+    numerators, scale = scale_to_integers([*row, *marginal.values()])
+    demand = dict(zip(marginal, numerators[len(row) :]))
+    return _route(s, numerators[: len(row)], demand), scale
+
+
+def check_integer_route(s, row, marginal):
+    """The integer flow over D_s is the Fraction flow, arc for arc, or both
+    raise the same ConstructionFailed."""
+    try:
+        expected = fraction_route(s, row, marginal)
+    except ConstructionFailed as exc:
+        with pytest.raises(ConstructionFailed) as caught:
+            integer_route(s, row, marginal)
+        assert str(caught.value) == str(exc)
+        return False
+    flow, scale = integer_route(s, row, marginal)
+    assert all(type(f) is int for f in flow.values())
+    assert list(flow) == list(expected)
+    assert {arc: F(f, scale) for arc, f in flow.items()} == expected
+    return True
+
+
+@st.composite
+def route_inputs(draw):
+    """A row with zero supplies allowed and a marginal over random masks,
+    each over its own denominators, with equal or unequal totals."""
+    K = draw(st.integers(min_value=1, max_value=4))
+    amounts = st.integers(min_value=0, max_value=5)
+    denominators = st.integers(min_value=1, max_value=12)
+    row = [F(draw(amounts), draw(denominators)) for _ in range(K)]
+    masks = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << K) - 1), min_size=1, unique=True)
+    )
+    marginal = {u: F(draw(amounts), draw(denominators)) for u in masks}
+    return draw(st.integers(min_value=0, max_value=K - 1)), row, marginal
+
+
+class TestIntegerRoute:
+    """solve_lp's flow on integers over D_s against the Fraction flow it
+    replaced (oracles.fraction_route)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(route_inputs())
+    def test_hypothesis_rows_and_marginals(self, inputs):
+        check_integer_route(*inputs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(cell_matrices))
+    def test_lp_policies_equal_the_fraction_flow(self, cells):
+        # every LP policy, entry for entry and in the same order, is the
+        # Fraction flow of the LP marginal divided by p(x|s)
+        total = sum(map(sum, cells))
+        joint = validate_joint([[F(c, total) for c in row] for row in cells])
+        instance = build_lp(joint, 2)
+        marginal, _ = lp_marginal(instance)
+        expected = {}
+        for s in instance.cond.support:
+            row = instance.cond.rows[s]
+            assert check_integer_route(s, row, marginal)
+            flow = fraction_route(s, row, marginal)
+            expected.update(
+                ((s, x, u), f / row[x]) for (x, u), f in sorted(flow.items()) if f != 0
+            )
+        assert list(solve_lp(instance).entries.items()) == list(expected.items())
+
+    def test_zero_supplies(self):
+        row = [F(0), F(2, 3), F(0), F(1, 3)]
+        marginal = {0b0010: F(1, 2), 0b1010: F(1, 6), 0b1111: F(1, 3)}
+        assert check_integer_route(1, row, marginal)
+
+    def test_unroutable_marginal_raises_the_same_error(self):
+        # message 1's supply can reach no demand: all mass is on {0}
+        row = [F(1, 2), F(1, 2)]
+        assert not check_integer_route(0, row, {0b01: F(1)})
+        with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
+            integer_route(0, row, {0b01: F(1)})
 
 
 class TestPolicyValidation:

@@ -48,6 +48,15 @@ class TestSetup:
     def test_block_mismatch(self):
         with pytest.raises(BlockMismatch):
             pir_setup(2, (0, 1), 6)
+        # a refused setup is refused again, not remembered
+        with pytest.raises(BlockMismatch):
+            pir_setup(2, (1, 0), 6)
+
+    def test_equal_arguments_share_one_params(self):
+        p = pir_setup(2, (1, 0), 8)
+        assert pir_setup(2, [0, 1, 1], 8) is p
+        assert pir_setup(2, (0, 1), 16) is not p
+        assert p.subset == (0, 1)
 
 
 class TestQueryStructure:
