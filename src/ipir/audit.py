@@ -25,7 +25,6 @@ from .core import (
     conditional_from_joint,
     fork_rng,
     scale_to_integers,
-    validate_joint,
 )
 from .errors import ExactModeInfeasible, InvalidParams
 from .obfuscation import (
@@ -49,12 +48,6 @@ class DiscreteJoint:
     """Finite joint law over two labelled variables; entries are exact."""
 
     entries: dict
-
-
-def _scaled(entries: dict) -> tuple[dict, int]:
-    """The entries over one common denominator D: (numerators, D)."""
-    numerators, scale = scale_to_integers(entries.values())
-    return dict(zip(entries, numerators)), scale
 
 
 def _marginals(weights: dict) -> tuple[dict, dict]:
@@ -108,11 +101,13 @@ def mutual_information(joint: DiscreteJoint) -> tuple[bool, float]:
     supports, decided exactly on the entries scaled to integers over one
     common denominator; the bits value is diagnostic.
     """
-    return _factorization(*_scaled(joint.entries))
+    numerators, scale = scale_to_integers(joint.entries.values())
+    return _factorization(dict(zip(joint.entries, numerators)), scale)
 
 
 def independence_witness(joint: DiscreteJoint):
-    return _witness(*_scaled(joint.entries))
+    numerators, scale = scale_to_integers(joint.entries.values())
+    return _witness(dict(zip(joint.entries, numerators)), scale)
 
 
 @dataclass
@@ -163,23 +158,19 @@ def audit_policy_independence(
     """Exact check that the released subset is independent of the private
     request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes.
 
-    The joint is built in integers: each product's numerator is scaled to
-    the lcm of the products' denominators, so no Fraction is formed."""
-    terms = []
-    denominators = set()
-    table = joint.table
-    for (s, x, mask), p in policy.entries.items():
-        t = table[s][x]
-        n = t.numerator * p.numerator
-        if n != 0:
-            d = t.denominator * p.denominator
-            denominators.add(d)
-            terms.append((s, mask, n, d))
-    scale = math.lcm(*denominators)
+    The joint is built in integers: the law's weights W(s, x) over its
+    scale D times the policy's entries as numerators over their own common
+    denominator, so no Fraction is formed."""
+    table = joint.weights
+    entries = policy.entries
+    numerators, scale = scale_to_integers(entries.values())
     by_mask: dict = {}
-    for s, mask, n, d in terms:
-        key = (s, mask)
-        by_mask[key] = by_mask.get(key, 0) + n * (scale // d)
+    for (s, x, mask), n in zip(entries, numerators):
+        w = table[s][x] * n
+        if w:
+            key = (s, mask)
+            by_mask[key] = by_mask.get(key, 0) + w
+    scale *= joint.scale
     # the witness orders labels by str, so each mask becomes its indices,
     # once per mask
     labels: dict = {}
@@ -510,30 +501,17 @@ def audit_leak_equivalence(
     return report
 
 
-def posterior_law(joint_matrix) -> JointDistribution:
-    """The validated law P(private=b, current=a) of a location posterior
-    ``joint_matrix[a][b]`` = P(current=a, private=b): its transpose, in
-    which the latest private location plays the private request's role."""
-    K = len(joint_matrix)
-    return validate_joint([[joint_matrix[a][b] for a in range(K)] for b in range(K)])
-
-
-def audit_online_privacy(
-    state, policy: ObfuscationPolicy, law: JointDistribution | None = None
-) -> AuditReport:
+def audit_online_privacy(state, policy: ObfuscationPolicy) -> AuditReport:
     """Exact independence of the step's released subset from the latest
     private location, given the history.
 
-    ``state`` is a tracked posterior (any object with a ``joint`` matrix,
-    ``joint[a][b]`` = P(current=a, private=b)). The latest private location
+    ``state`` is a tracked posterior (any object with a ``law``, a
+    JointDistribution of (current, private)). The latest private location
     plays the private request's role, so this is audit_policy_independence
-    on ``law``, the transposed law ``posterior_law(state.joint)``, built
-    here if not given; its one check is named ``subset-independence`` and
-    its witness is ``(b, subset indices)``.
+    on the transposed law, ``state.law.transposed()``; its one check is
+    named ``subset-independence`` and its witness is ``(b, subset indices)``.
     """
-    if law is None:
-        law = posterior_law(state.joint)
-    return audit_policy_independence(policy, law)
+    return audit_policy_independence(policy, state.law.transposed())
 
 
 def check_size_bound(policy: ObfuscationPolicy, cond: ConditionalMatrix) -> AuditReport:

@@ -299,9 +299,11 @@ def cmd_serve(args) -> int:
     # job of a non-interactive shell, which inherits SIGINT as ignored
     signal.signal(signal.SIGINT, signal.default_int_handler)
     server = net.serve(store, address)
-    print(f"serving K={store.K} L={store.L} on "
-          f"{server.address[0]}:{server.address[1]}", flush=True)
+    # a client may send SIGINT as soon as it reads the banner, so the
+    # handler is in place before it is printed
     try:
+        print(f"serving K={store.K} L={store.L} on "
+              f"{server.address[0]}:{server.address[1]}", flush=True)
         server.wait()
     except KeyboardInterrupt:
         server.close()

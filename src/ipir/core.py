@@ -1,9 +1,10 @@
 """Exact probability primitives, message storage, and shared configuration.
 
-All probability values are `fractions.Fraction`. The privacy requirements
-checked elsewhere in the package are exact equalities (zero mutual
-information), so probability-critical paths never touch floating point;
-floats appear only in human-readable reporting.
+Every probability is exact: a `fractions.Fraction`, or an integer numerator
+over a common denominator, as a ``JointDistribution`` holds its law. The
+privacy requirements checked elsewhere in the package are exact equalities
+(zero mutual information), so probability-critical paths never touch
+floating point; floats appear only in human-readable reporting.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import accumulate
+from math import gcd, lcm
 
 from .errors import (
     DistributionError,
@@ -50,27 +53,57 @@ def approx(value: Fraction, digits: int = 4) -> str:
 def scale_to_integers(values) -> tuple[list[int], int]:
     """``values`` times D, the lcm of their denominators, and D. Int and
     Fraction values are read as they are, anything else through Fraction."""
-    exact = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*(v.denominator for v in exact))
-    return [v.numerator * (scale // v.denominator) for v in exact], scale
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+        for v in values
+    ]
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint law p(S, X) over [K] x [K]; ``table[s][x]`` = p(S=s, X=x).
+    """Joint law p(S, X) over [K] x [K]: p(S=s, X=x) = weights[s][x] / scale.
 
+    The weights are integers over one common denominator in lowest terms,
+    so ``scale`` is the lcm of the entries' denominators and equal laws are
+    equal values; ``table[s][x]`` is the entry as a Fraction. A law from
+    outside the package enters through ``validate_joint``; one derived
+    exactly from another is built with ``over`` and not validated again.
     Indices are 0-based throughout the package.
     """
 
-    K: int
-    table: tuple[tuple[Fraction, ...], ...]
+    weights: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @classmethod
+    def over(cls, weights, scale: int) -> "JointDistribution":
+        """The law ``weights`` / ``scale`` in lowest terms, taken as given:
+        the caller vouches that the weights are non-negative and sum to
+        ``scale``."""
+        divisor = gcd(scale, *(w for row in weights for w in row))
+        return cls(
+            tuple(tuple(w // divisor for w in row) for row in weights), scale // divisor
+        )
+
+    @property
+    def K(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def table(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(w, self.scale) for w in row) for row in self.weights)
+
+    def transposed(self) -> "JointDistribution":
+        """The law of (X, S)."""
+        return JointDistribution(tuple(zip(*self.weights)), self.scale)
 
     def p_s(self, s: int) -> Fraction:
-        return sum(self.table[s], ZERO)
+        return Fraction(sum(self.weights[s]), self.scale)
 
     def support(self) -> tuple[int, ...]:
         """Indices s with p(S=s) > 0."""
-        return tuple(s for s in range(self.K) if self.p_s(s) > 0)
+        return tuple(s for s, row in enumerate(self.weights) if any(row))
 
     def to_json_dict(self) -> dict:
         return {"K": self.K, "p": [[format_rational(v) for v in row] for row in self.table]}
@@ -121,19 +154,20 @@ def validate_joint(raw) -> JointDistribution:
     but consistent inputs (rows of zeros) are accepted.
     """
     K = len(raw)
-    table = []
+    entries = []
     for s, row in enumerate(raw):
         if len(row) != K:
             raise DistributionError(f"matrix not square: row {s} has {len(row)} entries, expected {K}")
-        frozen = tuple(Fraction(v) for v in row)
-        for x, v in enumerate(frozen):
+        for x, v in enumerate(row):
+            v = Fraction(v)
             if v < 0:
                 raise NegativeEntry(f"entry ({s}, {x}) = {v} is negative")
-        table.append(frozen)
-    total = sum((v for row in table for v in row), ZERO)
+            entries.append(v)
+    weights, scale = scale_to_integers(entries)
+    total = Fraction(sum(weights), scale)
     if total != 1:
         raise SumNotOne(total, 1 - total)
-    return JointDistribution(K=K, table=tuple(table))
+    return JointDistribution(tuple(tuple(weights[i : i + K]) for i in range(0, K * K, K)), scale)
 
 
 def conditional_from_joint(joint: JointDistribution) -> ConditionalMatrix:
@@ -143,13 +177,13 @@ def conditional_from_joint(joint: JointDistribution) -> ConditionalMatrix:
     """
     rows = []
     support = []
-    for s in range(joint.K):
-        mass = joint.p_s(s)
+    for s, row in enumerate(joint.weights):
+        mass = sum(row)
         if mass > 0:
-            rows.append(tuple(v / mass for v in joint.table[s]))
+            rows.append(tuple(Fraction(w, mass) for w in row))
             support.append(s)
         else:
-            rows.append(tuple(ZERO for _ in range(joint.K)))
+            rows.append((ZERO,) * joint.K)
     return ConditionalMatrix(K=joint.K, rows=tuple(rows), support=tuple(support))
 
 
@@ -237,18 +271,12 @@ class WeightedSampler:
         items = list(items)
         if not items:
             raise InvalidParams("nothing to sample from")
-        self.denominator = lcm(*[w.denominator for _, w in items])
-        self.values = []
-        self.thresholds = []
-        acc = 0
-        for value, weight in items:
-            acc += weight.numerator * (self.denominator // weight.denominator)
-            self.values.append(value)
-            self.thresholds.append(acc)
-        if acc != self.denominator:
-            raise DistributionError(
-                f"weights sum to {Fraction(acc, self.denominator)}, expected 1"
-            )
+        self.values, weights = zip(*items)
+        numerators, self.denominator = scale_to_integers(weights)
+        self.thresholds = list(accumulate(numerators))
+        if self.thresholds[-1] != self.denominator:
+            total = Fraction(self.thresholds[-1], self.denominator)
+            raise DistributionError(f"weights sum to {total}, expected 1")
 
     def draw(self, rng: random.Random):
         # the first value whose cumulative numerator exceeds the pick

@@ -18,18 +18,20 @@ that call only; nothing is cached across calls. Reuse moves no random
 draw, so a seed gives the same report as solving at every step.
 
 Posterior tracking is the standard exact forward recursion, so the
-per-step independence checks are equalities, not approximations. The
-updates run on integer numerators over one common denominator and build
-each posterior entry once, as a Fraction: a ``PosteriorState`` holds
-Fractions, as the policy and the online audit read them.
+per-step independence checks are equalities, not approximations. A
+``PosteriorState`` holds its law as a ``JointDistribution``: integer
+numerators over one common denominator in lowest terms, which the updates
+produce directly from the model's transition numerators, scaled once per
+matrix. The policy, the online audit and the reuse of solved posteriors
+read those integers; the law was validated where it entered, as the
+model's initial law and kernels, so no step validates it again.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
 
 from .core import (
     JointDistribution,
@@ -41,6 +43,7 @@ from .core import (
     fork_rng,
     parse_rational,
     scale_to_integers,
+    validate_joint,
 )
 from .errors import (
     DegeneratePosterior,
@@ -62,7 +65,6 @@ from . import pir
 from .intermittent import retrieve
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,15 @@ class MobilityModel:
 
     ``transitions`` holds one row-stochastic matrix for a time-invariant
     chain, or one matrix per step t -> t+1 for a time-variant chain.
+    ``kernels`` holds each matrix as (integer rows, D): its entries times
+    D, the lcm of their denominators, scaled once when the model is built.
     """
 
     K: int
     pi0: tuple[Fraction, ...]
     transitions: tuple[tuple[tuple[Fraction, ...], ...], ...]
     time_variant: bool = False
+    kernels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pi0) != self.K:
@@ -87,21 +92,32 @@ class MobilityModel:
             raise DistributionError("pi0 does not sum to 1")
         if not self.transitions:
             raise DistributionError("no transition matrix given")
+        kernels = []
         for matrix in self.transitions:
             if len(matrix) != self.K:
                 raise DistributionError("transition matrix is not K x K")
-            for row in matrix:
-                if len(row) != self.K or any(v < 0 for v in row):
-                    raise DistributionError("bad transition row")
-                if sum(row, ZERO) != 1:
-                    raise DistributionError("transition row does not sum to 1")
+            if any(len(row) != self.K or any(v < 0 for v in row) for row in matrix):
+                raise DistributionError("bad transition row")
+            flat, scale = scale_to_integers([v for row in matrix for v in row])
+            rows = tuple(tuple(flat[i : i + self.K]) for i in range(0, len(flat), self.K))
+            if any(sum(row) != scale for row in rows):
+                raise DistributionError("transition row does not sum to 1")
+            kernels.append((rows, scale))
+        object.__setattr__(self, "kernels", tuple(kernels))
 
-    def transition_at(self, t: int):
+    def _index(self, t: int) -> int:
         if not self.time_variant:
-            return self.transitions[0]
+            return 0
         if t >= len(self.transitions):
             raise InvalidParams(f"no transition matrix for step {t}")
-        return self.transitions[t]
+        return t
+
+    def transition_at(self, t: int):
+        return self.transitions[self._index(t)]
+
+    def kernel_at(self, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The step t -> t+1 matrix as (integer rows, D)."""
+        return self.kernels[self._index(t)]
 
     @classmethod
     def build(cls, pi0, transitions, time_variant=None) -> "MobilityModel":
@@ -181,31 +197,23 @@ def latest_private(t: int, schedule: PrivacySchedule) -> int:
 @dataclass(frozen=True)
 class PosteriorState:
     """Tracked joint law of (current location, latest private location)
-    given the realized subset history; ``joint[a][b]`` = P(X_t=a, X_tau=b)."""
+    given the realized subset history: ``law`` over (current, private), so
+    ``joint[a][b]`` = P(X_t=a, X_tau=b) as a Fraction."""
 
     t: int
     tau: int
-    joint: tuple[tuple[Fraction, ...], ...]
+    law: JointDistribution
     history: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def joint(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.law.table
 
 
 def initial_posterior(model: MobilityModel) -> PosteriorState:
-    joint = tuple(
-        tuple(model.pi0[a] if a == b else ZERO for b in range(model.K))
-        for a in range(model.K)
-    )
-    return PosteriorState(t=0, tau=0, joint=joint)
-
-
-def _numerators(matrix) -> tuple[list[list[int]], int]:
-    """A square matrix over one common denominator D: (numerators, D)."""
-    K = len(matrix)
-    flat, scale = scale_to_integers([v for row in matrix for v in row])
-    return [flat[i : i + K] for i in range(0, K * K, K)], scale
-
-
-def _over(numerator: int, denominator: int) -> Fraction:
-    return Fraction(numerator, denominator) if numerator else ZERO
+    weights, scale = scale_to_integers(model.pi0)
+    diagonal = [[w if a == b else 0 for b in range(model.K)] for a, w in enumerate(weights)]
+    return PosteriorState(t=0, tau=0, law=JointDistribution.over(diagonal, scale))
 
 
 def advance_posterior(
@@ -216,14 +224,13 @@ def advance_posterior(
     The current coordinate moves one step while the private coordinate
     rides along. If t+1 is private the pair then collapses to the diagonal
     of the pushed-forward current marginal. The K^3 products and sums run
-    on integers: the joint over its common denominator times the kernel
-    over its own, so each entry is built once, over their product.
+    on integers: the law's weights over its scale times the kernel's
+    numerators over theirs, reduced once to lowest terms.
     """
     K = model.K
     t1 = state.t + 1
-    weights, joint_scale = _numerators(state.joint)
-    trans, trans_scale = _numerators(model.transition_at(state.t))
-    scale = joint_scale * trans_scale
+    weights = state.law.weights
+    trans, trans_scale = model.kernel_at(state.t)
     pushed = [[0] * K for _ in range(K)]
     for a in range(K):
         row = trans[a]
@@ -235,13 +242,9 @@ def advance_posterior(
     tau = state.tau
     if schedule.is_private(t1):
         tau = t1
-        joint = tuple(
-            tuple(_over(sum(pushed[a1]), scale) if a1 == b else ZERO for b in range(K))
-            for a1 in range(K)
-        )
-    else:
-        joint = tuple(tuple(_over(n, scale) for n in row) for row in pushed)
-    return PosteriorState(t=t1, tau=tau, joint=joint, history=state.history)
+        pushed = [[sum(pushed[a1]) if a1 == b else 0 for b in range(K)] for a1 in range(K)]
+    law = JointDistribution.over(pushed, state.law.scale * trans_scale)
+    return PosteriorState(t=t1, tau=tau, law=law, history=state.history)
 
 
 def condition_posterior(
@@ -249,41 +252,28 @@ def condition_posterior(
 ) -> PosteriorState:
     """Condition the tracked joint on a realized subset and renormalize.
 
-    The products p(a, b) p(u|a, b) are formed on integer numerators over
-    the lcm of their denominators, which cancels in the renormalization,
-    so each entry is built once, as its numerator over their total.
+    The products p(a, b) p(u|a, b) are formed on integers, the law's
+    weights times the policy's entries as numerators over their common
+    denominator; both scales cancel in the renormalization, so the
+    conditioned law is the products over their total, in lowest terms.
     """
-    K = len(state.joint)
-    terms = []
-    denominators = set()
+    K = state.law.K
+    weights = state.law.weights
     entries = policy.entries
-    for a in range(K):
-        row = state.joint[a]
-        for b in range(K):
-            w = row[b]
-            if w != 0:
-                p = entries.get((b, a, subset_mask))
-                if p:
-                    d = w.denominator * p.denominator
-                    denominators.add(d)
-                    terms.append((a, b, w.numerator * p.numerator, d))
-    scale = lcm(*denominators)
+    cells = [(a, b) for a in range(K) for b in range(K) if weights[a][b]]
+    numerators, _ = scale_to_integers([entries.get((b, a, subset_mask), 0) for a, b in cells])
     conditioned = [[0] * K for _ in range(K)]
-    total = 0
-    for a, b, n, d in terms:
-        n *= scale // d
-        conditioned[a][b] = n
-        total += n
+    for (a, b), n in zip(cells, numerators):
+        conditioned[a][b] = weights[a][b] * n
+    total = sum(map(sum, conditioned))
     if total == 0:
         raise DegeneratePosterior(
             f"step {state.t}: realized subset has zero tracked probability"
         )
-    subset = tuple(i for i in range(K) if subset_mask >> i & 1)
-    return PosteriorState(
-        t=state.t,
-        tau=state.tau,
-        joint=tuple(tuple(_over(n, total) for n in row) for row in conditioned),
-        history=state.history + (subset,),
+    return replace(
+        state,
+        law=JointDistribution.over(conditioned, total),
+        history=state.history + (indices_of(subset_mask),),
     )
 
 
@@ -298,19 +288,20 @@ def policy_for_posterior(
     K <= DEFAULT_LP_CAP and either it was asked for or the posterior has a
     private value of zero mass, which the greedy construction cannot take.
     Otherwise the greedy construction runs on full support, and the trivial
-    policy on partial support. ``law`` is ``audit.posterior_law(joint_matrix)``,
-    built here if not given. Returns the policy and which constructor
-    produced it; when that is not ``solver``, the fallback is logged at
-    INFO on the ``ipir.location`` logger.
+    policy on partial support. ``law`` is the transposed law, P(private=b,
+    current=a); if not given, it is built here from ``joint_matrix`` by
+    ``validate_joint``. Returns the policy and which constructor produced
+    it; when that is not ``solver``, the fallback is logged at INFO on the
+    ``ipir.location`` logger.
     """
     if solver not in ("lp", "greedy"):
         raise InvalidParams(f"unknown solver {solver!r}")
     K = len(joint_matrix)
     if law is None:
-        law = audit.posterior_law(joint_matrix)
-    # the entries are non-negative, so a private value has mass iff its
-    # row has a nonzero entry
-    full_support = all(any(row) for row in law.table)
+        law = validate_joint([[joint_matrix[a][b] for a in range(K)] for b in range(K)])
+    # the weights are non-negative, so a private value has mass iff its
+    # row has a nonzero weight
+    full_support = all(any(row) for row in law.weights)
     if K <= DEFAULT_LP_CAP and (solver == "lp" or not full_support):
         policy, used = solve_lp(build_lp(law, n_servers)), "lp"
     elif full_support:
@@ -376,12 +367,7 @@ def step_private(
         online_privacy_zero=True,  # the subset is a constant
         solver="none",
     )
-    conditioned = PosteriorState(
-        t=state.t,
-        tau=state.tau,
-        joint=state.joint,
-        history=state.history + (retrieval.subset,),
-    )
+    conditioned = replace(state, history=state.history + (retrieval.subset,))
     if state.t < schedule.horizon:
         return record, advance_posterior(conditioned, model, schedule)
     return record, conditioned
@@ -407,19 +393,18 @@ def step_nonprivate(
     ``solved``, if given, holds the (policy, solver used, online audit) of
     each posterior already met at this ``config.N`` and ``solver``; such a
     posterior is neither solved nor audited again, and a new one is added.
-    Its keys are the posterior's entries as integer ratios: the same exact
-    values, hashed about five times faster than the Fractions.
+    Its keys are the posteriors' laws, in lowest terms, so equal posteriors
+    share a key.
     """
     if schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is private")
     if solved is None:
         solved = {}
-    key = tuple([v.as_integer_ratio() for row in state.joint for v in row])
-    entry = solved.get(key)
+    entry = solved.get(state.law)
     if entry is None:
-        law = audit.posterior_law(state.joint)
+        law = state.law.transposed()
         policy, used = policy_for_posterior(state.joint, config.N, solver, law)
-        entry = solved[key] = policy, used, audit.audit_online_privacy(state, policy, law)
+        entry = solved[state.law] = policy, used, audit.audit_online_privacy(state, policy)
     policy, used, check = entry
     subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)
     params = pir.pir_setup(config.N, indices_of(subset_mask), config.L)

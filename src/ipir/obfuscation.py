@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .core import (
     ConditionalMatrix,
@@ -34,6 +33,7 @@ from .core import (
     conditional_from_joint,
     format_rational,
     parse_rational,
+    scale_to_integers,
 )
 from .errors import (
     ConstructionFailed,
@@ -312,12 +312,13 @@ class LpInstance:
     policy. Non-negativity is implicit, and m = 0 (all mass on the full
     set) is the feasible vertex the simplex starts from. Only the rhs
     depends on the law: the 0/1 rows (plain ints) are built once per K and
-    the costs once per (K, N), and instances share them.
+    the costs once per (K, N), and instances share them. ``joint`` is the
+    law the instance was built from, whose rows ``solve_lp`` routes.
     """
 
     K: int
     n_servers: int
-    cond: ConditionalMatrix
+    joint: JointDistribution
     variables: tuple[int, ...]
     costs: tuple[Fraction, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -330,25 +331,29 @@ def build_lp(
     if joint.K > cap:
         raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
     K = joint.K
-    cond = conditional_from_joint(joint)
     proper = range(1, full_mask(K))
-    # p(b|s) for every mask b, each from b less its lowest bit
-    mass = []
-    for s in cond.support:
-        row = cond.rows[s]
-        sums = [ZERO]
-        for b in proper:
-            low = b & -b
-            sums.append(sums[b ^ low] + row[low.bit_length() - 1])
-        mass.append(sums)
+    # min_s p(b|s) over the rows of mass W_s > 0, as the ratio (W_s(b), W_s)
+    # of the row's integer subset sum, built from b less its lowest bit, to
+    # its mass; ratios are compared by cross-multiplication, from p <= 1
+    least = dict.fromkeys(proper, (1, 1))
+    for row in joint.weights:
+        mass = sum(row)
+        if mass:
+            sums = [0]
+            for b in proper:
+                low = b & -b
+                sums.append(sums[b ^ low] + row[low.bit_length() - 1])
+                n, d = least[b]
+                if sums[b] * d < n * mass:
+                    least[b] = sums[b], mass
     return LpInstance(
         K=K,
         n_servers=n_servers,
-        cond=cond,
+        joint=joint,
         variables=tuple(proper),
         costs=_covering_costs(K, n_servers),
         rows=_covering_rows(K),
-        rhs=(ONE, *(min(sums[b] for sums in mass) for b in proper)),
+        rhs=(ONE, *(Fraction(n, d) for n, d in least.values())),
     )
 
 
@@ -377,9 +382,10 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     then splits p(x|s) over the subsets u with m(u) > 0 by an exact
     feasibility flow (supply p(x|s) at each x, demand m(u) at each u, arcs
     x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no
-    entries. The flow runs on integers: both sides are scaled by D_s, the
-    lcm of the denominators of p(.|s) and m, so that p(u|x,s) is
-    F(x,u) / (D_s p(x|s)), one exact ratio of integers per entry.
+    entries. The flow runs on integers: with the law's row weights W(s, x)
+    of mass W_s and the marginal as numerators M(u) over D, both sides are
+    scaled by D W_s, to supplies W(s, x) D and demands M(u) W_s, so that
+    p(u|x,s) is F(x,u) / (W(s, x) D), one exact ratio of integers per entry.
     """
     solution = minimize(instance.costs, instance.rows, instance.rhs)
     # every variable is bounded by the first row, so the LP cannot be
@@ -390,16 +396,14 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     rest = ONE - sum(marginal.values(), ZERO)
     if rest != 0:
         marginal[full_mask(instance.K)] = rest
-    # the marginal over its own lcm, widened to D_s per row below
-    base = lcm(*(v.denominator for v in marginal.values()))
-    demand = {u: v.numerator * (base // v.denominator) for u, v in marginal.items()}
+    numerators, scale = scale_to_integers(marginal.values())
     entries = {}
-    for s in instance.cond.support:
-        row = instance.cond.rows[s]
-        scale = lcm(base, *(v.denominator for v in row))
-        supply = [v.numerator * (scale // v.denominator) for v in row]
-        widen = scale // base
-        flow = _route(s, supply, {u: v * widen for u, v in demand.items()})
+    for s, row in enumerate(instance.joint.weights):
+        mass = sum(row)
+        if mass == 0:
+            continue
+        supply = [w * scale for w in row]
+        flow = _route(s, supply, {u: m * mass for u, m in zip(marginal, numerators)})
         entries.update(
             ((s, x, u), Fraction(f, supply[x]))
             for (x, u), f in sorted(flow.items())
@@ -413,11 +417,11 @@ def _route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int,
     ``demand[u]`` along the arcs x in u; raises ConstructionFailed when some
     demand cannot be met.
 
-    ``solve_lp`` passes p(x|s) and m(u) times D_s, the lcm of their
-    denominators, so every amount is an integer and the flow is D_s times
-    the rational one: the search reads only which amounts are nonzero and
-    each augmentation adds the least amount along its path, and scaling
-    changes neither.
+    ``solve_lp`` passes p(x|s) and m(u) times one common multiple of their
+    denominators, so every amount is an integer and the flow is that
+    multiple times the rational one: the search reads only which amounts
+    are nonzero and each augmentation adds the least amount along its path,
+    and scaling changes neither.
 
     Edmonds-Karp: each round augments along a shortest residual path found
     by breadth-first search from the x with supply left (ascending), which

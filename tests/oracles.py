@@ -25,6 +25,8 @@ from ipir.core import (
     capacity_cost,
     conditional_from_joint,
     fork_rng,
+    scale_to_integers,
+    validate_joint,
 )
 from ipir.errors import (
     ConstructionFailed,
@@ -152,7 +154,7 @@ def enumerate_mechanism(
                     PosteriorState(
                         t=tracked.t,
                         tau=tracked.tau,
-                        joint=tracked.joint,
+                        law=tracked.law,
                         history=tracked.history + (indices_of(mask),),
                     )
                     if pol is None
@@ -883,7 +885,7 @@ def equality_build_lp(
     return LpInstance(
         K=K,
         n_servers=n_servers,
-        cond=cond,
+        joint=joint,
         variables=tuple(variables),
         costs=tuple(costs),
         rows=tuple(tuple(r) for r in rows),
@@ -927,9 +929,10 @@ def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> Obfusc
     """Split each supported row p(.|s) over ``marginal`` by a zero-cost
     transport simplex solve (supply p(x|s) at each x, demand m(u) at each
     u, arcs x in u); p(u|x,s) = f(x,u) / p(x|s)."""
+    cond = conditional_from_joint(instance.joint)
     entries = {}
-    for s in instance.cond.support:
-        row = instance.cond.rows[s]
+    for s in cond.support:
+        row = cond.rows[s]
         xs = [x for x in range(instance.K) if row[x] != 0]
         arcs = [(x, u) for x in xs for u in marginal if u >> x & 1]
         flow = two_phase_minimize(
@@ -985,6 +988,16 @@ def simulate_stepwise(
         steps=steps,
         total_cost=total,
     )
+
+
+def state_of(t: int, tau: int, joint, history=()) -> PosteriorState:
+    """A tracked posterior whose law is the Fraction matrix ``joint``
+    (``joint[a][b]`` = P(current=a, private=b)), in lowest terms over the
+    lcm of its denominators; not validated, so it may be all zeros."""
+    K = len(joint)
+    flat, scale = scale_to_integers([v for row in joint for v in row])
+    law = JointDistribution(tuple(tuple(flat[i : i + K]) for i in range(0, K * K, K)), scale)
+    return PosteriorState(t=t, tau=tau, law=law, history=history)
 
 
 # The Fraction arithmetic that the library's step layers replaced with
@@ -1115,9 +1128,7 @@ def fraction_advance_posterior(
             [sum(joint[a1], ZERO) if a1 == b else ZERO for b in range(K)]
             for a1 in range(K)
         ]
-    return PosteriorState(
-        t=t1, tau=tau, joint=tuple(tuple(r) for r in joint), history=state.history
-    )
+    return state_of(t1, tau, joint, state.history)
 
 
 def fraction_condition_posterior(
@@ -1141,9 +1152,97 @@ def fraction_condition_posterior(
             f"step {state.t}: realized subset has zero tracked probability"
         )
     subset = tuple(i for i in range(K) if subset_mask >> i & 1)
-    return PosteriorState(
-        t=state.t,
-        tau=state.tau,
-        joint=tuple(tuple(v / total for v in row) for row in conditioned),
-        history=state.history + (subset,),
+    return state_of(
+        state.t,
+        state.tau,
+        [[v / total for v in row] for row in conditioned],
+        state.history + (subset,),
     )
+
+
+# What the library did before a location posterior carried one exact
+# integer law: each new posterior was re-validated as a Fraction matrix,
+# the covering LP's rhs was summed over the conditional rows in Fractions,
+# and each advance rescaled the joint and the model's kernel to integers.
+
+
+def posterior_law(joint_matrix) -> JointDistribution:
+    """The validated law P(private=b, current=a) of a location posterior
+    ``joint_matrix[a][b]`` = P(current=a, private=b): its transpose, in
+    which the latest private location plays the private request's role."""
+    K = len(joint_matrix)
+    return validate_joint([[joint_matrix[a][b] for a in range(K)] for b in range(K)])
+
+
+def fraction_build_lp(
+    joint: JointDistribution, n_servers: int, cap: int = DEFAULT_LP_CAP
+) -> LpInstance:
+    """``ipir.obfuscation.build_lp`` with the rhs min_s p(b|s) summed over
+    the rows of ``conditional_from_joint`` and compared in Fractions."""
+    if joint.K > cap:
+        raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
+    K = joint.K
+    cond = conditional_from_joint(joint)
+    proper = range(1, full_mask(K))
+    # p(b|s) for every mask b, each from b less its lowest bit
+    mass = []
+    for s in cond.support:
+        row = cond.rows[s]
+        sums = [ZERO]
+        for b in proper:
+            low = b & -b
+            sums.append(sums[b ^ low] + row[low.bit_length() - 1])
+        mass.append(sums)
+    full_cost = capacity_cost(n_servers, K)
+    return LpInstance(
+        K=K,
+        n_servers=n_servers,
+        joint=joint,
+        variables=tuple(proper),
+        costs=tuple(capacity_cost(n_servers, u.bit_count()) - full_cost for u in proper),
+        rows=((1,) * len(proper), *(tuple(int(u & b == u) for u in proper) for b in proper)),
+        rhs=(ONE, *(min(sums[b] for sums in mass) for b in proper)),
+    )
+
+
+def _numerators(matrix) -> tuple[list[list[int]], int]:
+    """A square matrix over one common denominator D: (numerators, D)."""
+    K = len(matrix)
+    flat, scale = scale_to_integers([v for row in matrix for v in row])
+    return [flat[i : i + K] for i in range(0, K * K, K)], scale
+
+
+def _over(numerator: int, denominator: int) -> Fraction:
+    return Fraction(numerator, denominator) if numerator else ZERO
+
+
+def numerator_advance_posterior(
+    state: PosteriorState, model: MobilityModel, schedule: PrivacySchedule
+) -> PosteriorState:
+    """``ipir.location.advance_posterior`` on the joint's Fractions and the
+    kernel rescaled to integers at every step: the K^3 products and sums
+    over the product of the two common denominators, each entry built as
+    its own Fraction."""
+    K = model.K
+    t1 = state.t + 1
+    weights, joint_scale = _numerators(state.joint)
+    trans, trans_scale = _numerators(model.transition_at(state.t))
+    scale = joint_scale * trans_scale
+    pushed = [[0] * K for _ in range(K)]
+    for a in range(K):
+        row = trans[a]
+        for b in range(K):
+            w = weights[a][b]
+            if w != 0:
+                for a1 in range(K):
+                    pushed[a1][b] += w * row[a1]
+    tau = state.tau
+    if schedule.is_private(t1):
+        tau = t1
+        joint = [
+            [_over(sum(pushed[a1]), scale) if a1 == b else ZERO for b in range(K)]
+            for a1 in range(K)
+        ]
+    else:
+        joint = [[_over(n, scale) for n in row] for row in pushed]
+    return state_of(t1, tau, joint, state.history)

@@ -460,7 +460,7 @@ class TestOnlinePrivacy:
             cells[rng.randrange(K)][rng.randrange(K)] += 1
             total = sum(map(sum, cells))
             joint = tuple(tuple(F(v, total) for v in row) for row in cells)
-            states.append(PosteriorState(t=1, tau=0, joint=joint))
+            states.append(PosteriorState(t=1, tau=0, law=validate_joint(joint)))
         leaks = 0
         for state in states:
             K = len(state.joint)

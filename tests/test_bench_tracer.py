@@ -62,6 +62,28 @@ def test_tracer_wraps_and_restores_every_point():
     assert [owner.__dict__[attr] for owner, attr, _, _ in points] == originals
 
 
+def test_posterior_spans_cover_every_update():
+    # location.posterior_s sums these two spans: one advance per step
+    # before the horizon and one conditioning per non-private step, however
+    # the posterior state is represented
+    tracer = load_tracer()
+    model = location.MobilityModel.build(
+        [F(1, 3), F(2, 3)], [[[F(3, 4), F(1, 4)], [F(1, 3), F(2, 3)]]]
+    )
+    schedule = location.PrivacySchedule(horizon=7, private=frozenset({0, 3}))
+    config = SystemConfig(N=2, K=2, L=4, seed=4)
+    store = MessageStore.random(2, 4, fork_rng(4, "store"))
+
+    with tracer.Tracer(ipir) as t:
+        location.simulate(model, schedule, config, store)
+
+    assert t.count("location.advance_posterior") == schedule.horizon
+    assert t.count("location.condition_posterior") == schedule.horizon + 1 - 2
+    assert t.errors("location.advance_posterior") == 0
+    assert t.busy("location.advance_posterior") > 0
+    assert t.busy("location.condition_posterior") > 0
+
+
 def distinct_posteriors(model, schedule, config, store):
     """Distinct posteriors over the non-private steps of the step-by-step
     run, which solves one LP at each of them."""

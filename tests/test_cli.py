@@ -365,6 +365,25 @@ class TestStoreCommands:
                     "[sys.executable, '-m', 'ipir.cli'] + sys.argv[1:])")
         self._serve_answer_and_interrupt(tmp_path, [sys.executable, "-c", ignoring])
 
+    def test_sigint_right_after_the_banner_exits_cleanly(self, tmp_path):
+        # no exchange first: the signal comes as soon as the banner is read
+        store_path = str(tmp_path / "replica.bin")
+        assert run_cli(["upload", "--store", store_path, "-K", "2", "-L", "8"]) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ipir.cli", "serve", "--store", store_path],
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith("serving K=2 L=8 on ")
+            start = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+            assert time.monotonic() - start < 2.0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
     @staticmethod
     def _serve_answer_and_interrupt(tmp_path, command):
         store_path = str(tmp_path / "replica.bin")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,20 @@ class TestValidateJoint:
     def test_json_round_trip(self, pair_joint):
         again = JointDistribution.from_json_dict(pair_joint.to_json_dict())
         assert again == pair_joint
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(fractions_matrix))
+    def test_weights_are_the_table_in_lowest_terms(self, cells):
+        # a validated law and one built from the same integers with ``over``
+        # are the same value: weights over the lcm of the entries'
+        # denominators
+        total = sum(map(sum, cells))
+        law = validate_joint([[F(c, total) for c in row] for row in cells])
+        entries = [v for row in law.table for v in row]
+        assert law.scale == math.lcm(*(v.denominator for v in entries))
+        assert [w for row in law.weights for w in row] == [v * law.scale for v in entries]
+        assert JointDistribution.over(cells, total) == law
+        assert law.transposed().table == tuple(zip(*law.table))
+        assert law.transposed().transposed() == law
 
 
 class TestConditionalFromJoint:

@@ -1,12 +1,16 @@
+import json
 import logging
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipir import audit, location
+from ipir import audit, cli, core, location
 from ipir.core import (
+    JointDistribution,
     MessageStore,
     SystemConfig,
     capacity_cost,
@@ -14,11 +18,14 @@ from ipir.core import (
     validate_joint,
 )
 from ipir.errors import (
+    ConfigError,
     DegeneratePosterior,
     DistributionError,
     InconsistentAnswers,
     InvalidParams,
+    NegativeEntry,
     ScheduleMismatch,
+    SumNotOne,
 )
 from ipir.location import (
     MobilityModel,
@@ -47,10 +54,16 @@ from oracles import (
     enumerate_mechanism,
     fraction_advance_posterior,
     fraction_condition_posterior,
+    numerator_advance_posterior,
+    posterior_law,
     simulate_stepwise,
+    state_of,
     sxu_build_lp,
     sxu_solve_lp,
 )
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def two_state_model():
@@ -186,7 +199,7 @@ class TestSteps:
 
     def test_private_step_requires_private_slot(self):
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))
-        state = PosteriorState(t=1, tau=0, joint=initial_posterior(self.model).joint)
+        state = PosteriorState(t=1, tau=0, law=initial_posterior(self.model).law)
         with pytest.raises(ScheduleMismatch):
             step_private(
                 state, 0, self.model, sched, self.config, self.store, fork_rng(2, "p")
@@ -235,7 +248,7 @@ class TestSteps:
         assert policy.pairs() == ((0, 0), (0, 1), (2, 1), (2, 2))
         oracle = sxu_solve_lp(sxu_build_lp(law, 2))
         assert expected_cost(policy, law, 2) == expected_cost(oracle, law, 2)
-        state = PosteriorState(t=1, tau=0, joint=joint)
+        state = PosteriorState(t=1, tau=0, law=validate_joint(joint))
         assert audit_online_privacy(state, policy).passed
 
     @pytest.mark.parametrize(
@@ -467,7 +480,7 @@ class TestSolvedOncePerPosterior:
         again = tuple(tuple(F(v.numerator, v.denominator) for v in row) for row in first)
         solved = {}
         for joint in (first, second, again):
-            state = PosteriorState(t=1, tau=0, joint=joint)
+            state = PosteriorState(t=1, tau=0, law=validate_joint(joint))
             args = (state, 0, 0, model, sched, config, store)
             record, _ = step_nonprivate(*args, fork_rng(5, "entry"), solved=solved)
             assert record == step_nonprivate(*args, fork_rng(5, "entry"))[0]
@@ -504,16 +517,20 @@ class TestSolvedOncePerPosterior:
         monkeypatch.setattr(
             audit, "audit_online_privacy", counting("audit", audit.audit_online_privacy)
         )
-        # a new posterior's transposed law is built and validated once, for
-        # both its policy and its online audit
-        validate = counting("validate", audit.validate_joint)
-        monkeypatch.setattr(audit, "validate_joint", validate)
-        monkeypatch.setattr(location, "validate_joint", validate, raising=False)
+        # a new posterior is exact by construction: its transposed law goes
+        # to the policy and the online audit without validation
+        validate = counting("validate", core.validate_joint)
+        monkeypatch.setattr(core, "validate_joint", validate)
+        monkeypatch.setattr(location, "validate_joint", validate)
         # a second call solves everything again: nothing is kept across calls
         for run in (1, 2):
             simulate(model, sched, config, store)
             assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
-                             "audit": distinct * run, "validate": distinct * run}
+                             "audit": distinct * run, "validate": 0}
+        # a public call with a raw matrix validates it, once
+        state = initial_posterior(model)
+        policy_for_posterior(state.joint, config.N)
+        assert calls["validate"] == 1
 
 
 @st.composite
@@ -530,7 +547,7 @@ def posterior_cases(draw):
 
     cells = draw(st.lists(small, min_size=K * K, max_size=K * K))
     joint = law(cells)
-    state = PosteriorState(
+    state = state_of(
         t=draw(st.integers(min_value=0, max_value=3)),
         tau=0,
         joint=tuple(tuple(joint[a * K : a * K + K]) for a in range(K)),
@@ -591,7 +608,7 @@ class TestIntegerPosterior:
         model = random_model(random.Random("collapse"), 3)
         sched = PrivacySchedule(horizon=2, private=frozenset({0, 2}))
         state = advance_posterior(initial_posterior(model), model, sched)
-        policy = greedy_policy(conditional_from_joint(audit.posterior_law(state.joint)))
+        policy = greedy_policy(conditional_from_joint(posterior_law(state.joint)))
         conditioned = condition_posterior(state, policy, 0b011)
         assert conditioned == fraction_condition_posterior(state, policy, 0b011)
         collapsed = advance_posterior(conditioned, model, sched)
@@ -599,8 +616,31 @@ class TestIntegerPosterior:
         assert collapsed.tau == 2
         assert all(v == 0 for a, row in enumerate(collapsed.joint) for b, v in enumerate(row) if a != b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(posterior_cases(), st.booleans())
+    def test_hypothesis_advance_against_rescaling(self, case, private_next):
+        # the kernel scaled once per model against the joint and the kernel
+        # rescaled to integers at every step
+        state, model, _ = case
+        private = {0, state.t + 1} if private_next else {0}
+        sched = PrivacySchedule(horizon=state.t + 1, private=frozenset(private))
+        assert_same_posterior(
+            advance_posterior(state, model, sched),
+            numerator_advance_posterior(state, model, sched),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(posterior_cases())
+    def test_hypothesis_transposed_law_is_the_validated_one(self, case):
+        state, _, _ = case
+        if not any(map(any, state.law.weights)):
+            with pytest.raises(SumNotOne):
+                posterior_law(state.joint)
+            return
+        assert state.law.transposed() == posterior_law(state.joint)
+
     def test_degenerate_posterior_raises_the_same_error(self):
-        state = PosteriorState(t=3, tau=0, joint=((F(1, 2), F(0)), (F(0), F(1, 2))))
+        state = PosteriorState(t=3, tau=0, law=validate_joint(((F(1, 2), F(0)), (F(0), F(1, 2)))))
         policy = ObfuscationPolicy(K=2, entries={(0, 0, 0b01): F(1), (1, 1, 0b10): F(1)})
         with pytest.raises(DegeneratePosterior, match="step 3") as caught:
             condition_posterior(state, policy, 0b11)
@@ -632,6 +672,163 @@ class TestIntegerPosterior:
             expected = fraction_advance_posterior(state, model, sched)
             state = advance_posterior(state, model, sched)
             assert_same_posterior(state, expected)
+
+
+def recorded_states(monkeypatch, model, sched, seed, solver="lp"):
+    """Every posterior that ``simulate`` builds, in order: the initial one,
+    then each conditioned and each advanced one."""
+    states = [initial_posterior(model)]
+    for name in ("advance_posterior", "condition_posterior"):
+        def record(*args, _update=getattr(location, name)):
+            state = _update(*args)
+            states.append(state)
+            return state
+        monkeypatch.setattr(location, name, record)
+    config, store = run_setup(model.K, seed)
+    simulate(model, sched, config, store, solver)
+    return states
+
+
+def time_variant_model(rng, K, steps):
+    """A chain with its own random matrix per step; rows may have zeros."""
+    def row():
+        cells = [rng.choice([0, 1, 2, 3, 5]) for _ in range(K)]
+        cells[rng.randrange(K)] += 1
+        return [F(c, sum(cells)) for c in cells]
+
+    return MobilityModel.build(row(), [[row() for _ in range(K)] for _ in range(steps)])
+
+
+class TestCanonicalLaw:
+    """A posterior's law is its entries in lowest terms: the common
+    denominator is the lcm of the Fraction entries' denominators."""
+
+    def assert_canonical(self, state):
+        entries = [v for row in state.joint for v in row]
+        assert state.law.scale == math.lcm(*(v.denominator for v in entries))
+        assert [w for row in state.law.weights for w in row] == [
+            v * state.law.scale for v in entries
+        ]
+
+    @pytest.mark.parametrize("solver", ["lp", "greedy"])
+    def test_long_walk(self, monkeypatch, solver):
+        model = random_model(random.Random("canonical"), 3)
+        sched = PrivacySchedule(horizon=40, private=frozenset({0, 17}))
+        states = recorded_states(monkeypatch, model, sched, seed=8, solver=solver)
+        # one advance per step before the horizon, one conditioning per
+        # non-private step
+        assert len(states) == 1 + 40 + 39
+        for state in states:
+            self.assert_canonical(state)
+
+    def test_time_variant_chain(self, monkeypatch):
+        model = time_variant_model(random.Random("canonical-tv"), 3, 10)
+        sched = PrivacySchedule(horizon=10, private=frozenset({0, 4}))
+        states = recorded_states(monkeypatch, model, sched, seed=9)
+        assert len(states) == 1 + 10 + 9
+        for state in states:
+            self.assert_canonical(state)
+
+    def test_each_transition_matrix_is_scaled_once_per_model(self, monkeypatch):
+        rng = random.Random("scaled-once")
+        calls = []
+
+        def recording(values):
+            values = list(values)
+            calls.append(values)
+            return scale_to_integers(values)
+
+        scale_to_integers = location.scale_to_integers
+        monkeypatch.setattr(location, "scale_to_integers", recording)
+        model = time_variant_model(rng, 3, 6)
+        matrices = [[v for row in m for v in row] for m in model.transitions]
+        assert calls == matrices
+        for t, (rows, scale) in enumerate(model.kernels):
+            assert model.kernel_at(t) is model.kernels[t]
+            assert [n for row in rows for n in row] == [v * scale for v in matrices[t]]
+        calls.clear()
+        config, store = run_setup(3, seed=6)
+        simulate(model, PrivacySchedule(horizon=6, private=frozenset({0})), config, store)
+        assert calls and not [c for c in calls if c in matrices]
+
+    def test_no_matrix_past_the_last(self):
+        model = time_variant_model(random.Random("past"), 2, 3)
+        sched = PrivacySchedule(horizon=4, private=frozenset({0}))
+        with pytest.raises(InvalidParams, match="no transition matrix for step 3"):
+            model.transition_at(3)
+        with pytest.raises(InvalidParams, match="no transition matrix for step 3"):
+            model.kernel_at(3)
+        state = PosteriorState(t=3, tau=0, law=initial_posterior(model).law)
+        with pytest.raises(InvalidParams, match="no transition matrix for step 3"):
+            advance_posterior(state, model, sched)
+
+
+class TestValidationAtTheBoundary:
+    """A law from outside is validated where it enters, with the same typed
+    errors as before the steps stopped validating their posteriors."""
+
+    NEGATIVE = [[F(5, 4), F(-1, 4)], [F(0), F(0)]]
+    UNNORMALIZED = [[F(1, 2), F(1, 4)], [F(0), F(0)]]
+
+    def test_validate_joint(self):
+        with pytest.raises(NegativeEntry, match=r"entry \(0, 1\) = -1/4 is negative"):
+            validate_joint(self.NEGATIVE)
+        with pytest.raises(SumNotOne) as caught:
+            validate_joint(self.UNNORMALIZED)
+        assert (caught.value.total, caught.value.deficit) == (F(3, 4), F(1, 4))
+
+    def test_json(self):
+        text = lambda rows: {"K": 2, "p": [[str(v) for v in row] for row in rows]}  # noqa: E731
+        with pytest.raises(NegativeEntry):
+            JointDistribution.from_json_dict(text(self.NEGATIVE))
+        with pytest.raises(SumNotOne):
+            JointDistribution.from_json_dict(text(self.UNNORMALIZED))
+
+    @pytest.mark.parametrize(
+        "pi0, row, message",
+        [
+            ([F(5, 4), F(-1, 4)], [F(1, 2)] * 2, "pi0 has a negative entry"),
+            ([F(1, 2), F(1, 4)], [F(1, 2)] * 2, "pi0 does not sum to 1"),
+            ([F(1, 2)] * 2, [F(5, 4), F(-1, 4)], "bad transition row"),
+            ([F(1, 2)] * 2, [F(1, 2), F(1, 4)], "transition row does not sum to 1"),
+        ],
+    )
+    def test_mobility_model(self, pi0, row, message):
+        with pytest.raises(DistributionError, match=message):
+            MobilityModel.build(pi0, [[row, row]])
+
+    def test_public_calls_with_a_raw_matrix(self):
+        with pytest.raises(NegativeEntry):
+            policy_for_posterior(self.NEGATIVE, 2)
+        with pytest.raises(SumNotOne):
+            policy_for_posterior(self.UNNORMALIZED, 2)
+
+    @pytest.mark.parametrize(
+        "what, bad, error",
+        [
+            ("joint", "NEGATIVE", NegativeEntry),
+            ("joint", "UNNORMALIZED", SumNotOne),
+            ("model", "NEGATIVE", DistributionError),
+            ("model", "UNNORMALIZED", DistributionError),
+        ],
+    )
+    def test_cli(self, tmp_path, capsys, what, bad, error):
+        rows = [[str(v) for v in row] for row in getattr(self, bad)]
+        schedule = str(SCENARIOS / "first_instant_private.json")
+        path = tmp_path / "input.json"
+        if what == "joint":
+            path.write_text(json.dumps({"K": 2, "p": rows}))
+            parse, args = JointDistribution.from_json_dict, ["solve-lp", "--joint", str(path)]
+        else:
+            # the first row as the initial law of a two-state chain
+            path.write_text(json.dumps({"K": 2, "pi0": rows[0], "transitions": [[1, 0], [0, 1]]}))
+            parse = MobilityModel.from_json_dict
+            args = ["simulate-location", "--model", str(path), "--schedule", schedule]
+        with pytest.raises(ConfigError) as caught:
+            cli._load(str(path), what, parse)
+        assert isinstance(caught.value.__cause__, error)
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: bad {what} file")
 
 
 class TestKeptSteps:

@@ -32,6 +32,7 @@ from ipir.obfuscation import (
 from oracles import (
     equality_build_lp,
     equality_lp_marginal,
+    fraction_build_lp,
     fraction_route,
     lp_marginal,
     simplex_route,
@@ -103,8 +104,9 @@ def check_routing(joint, n_servers=2):
     assert validate_policy(policy, joint).all_ok
     assert expected_cost(policy, joint, n_servers) == optimum
     assert expected_cost(oracle, joint, n_servers) == optimum
-    for s in instance.cond.support:
-        assert policy.subset_marginal(instance.cond, s) == marginal
+    cond = conditional_from_joint(joint)
+    for s in cond.support:
+        assert policy.subset_marginal(cond, s) == marginal
     if joint.K == 2:
         assert policy.entries == oracle.entries
 
@@ -260,6 +262,29 @@ class TestLpInstance:
     def test_cap(self, pair_joint):
         with pytest.raises(TooLarge):
             build_lp(pair_joint, 2, cap=1)
+        with pytest.raises(TooLarge):
+            fraction_build_lp(pair_joint, 2, cap=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(cell_matrices),
+        st.integers(min_value=2, max_value=4),
+    )
+    def test_hypothesis_equals_the_fraction_build(self, cells, n_servers):
+        # the rhs from integer subset sums compared by cross-multiplication,
+        # against the conditional rows summed and compared in Fractions, on
+        # laws with zero cells and zero rows
+        total = sum(map(sum, cells))
+        joint = validate_joint([[F(c, total) for c in row] for row in cells])
+        instance = build_lp(joint, n_servers)
+        assert instance == fraction_build_lp(joint, n_servers)
+        assert all(type(v) is F for v in instance.rhs)
+
+    def test_seeded_sparse_joints_equal_the_fraction_build(self):
+        rng = random.Random("fraction-build")
+        for i in range(40):
+            joint = sparse_joint(rng, 2 + i % 4, zero_row=i % 2 == 1)
+            assert build_lp(joint, 2) == fraction_build_lp(joint, 2)
 
 
 class TestLpSolve:
@@ -407,8 +432,9 @@ class TestIntegerRoute:
         instance = build_lp(joint, 2)
         marginal, _ = lp_marginal(instance)
         expected = {}
-        for s in instance.cond.support:
-            row = instance.cond.rows[s]
+        cond = conditional_from_joint(joint)
+        for s in cond.support:
+            row = cond.rows[s]
             assert check_integer_route(s, row, marginal)
             flow = fraction_route(s, row, marginal)
             expected.update(
