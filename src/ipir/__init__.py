@@ -65,7 +65,6 @@ from .location import (
 )
 from .audit import (
     AuditReport,
-    DiscreteJoint,
     audit_online_privacy,
     audit_policy_independence,
     audit_leak_equivalence,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import (
     ConditionalMatrix,
@@ -29,85 +28,70 @@ from .core import (
 from .errors import ExactModeInfeasible, InvalidParams
 from .obfuscation import (
     ObfuscationPolicy,
+    full_mask,
     indices_of,
     likelihood_profile,
     subset_samplers,
 )
 from . import pir
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 EXACT_STATE_CAP = 10_000_000
 EMPIRICAL_TRIALS = 100_000
 TV_THRESHOLD = 0.01
 
 
-@dataclass(frozen=True)
-class DiscreteJoint:
-    """Finite joint law over two labelled variables; entries are exact."""
+def _factorization(weights: dict, scale: int) -> tuple[bool, float, object]:
+    """(independent?, bits, witness) of the law p(a, b) = weights[a, b] / scale.
 
-    entries: dict
-
-
-def _marginals(weights: dict) -> tuple[dict, dict]:
-    """Row and column sums of the nonzero weights, keyed in first-seen order."""
-    wa: dict = {}
+    p(a,b) = p(a) p(b) times scale^2 is W(a,b) scale = W_a W_b, decided
+    over the product of the marginal supports in integers. Every float is
+    an int ratio, correctly rounded as float(Fraction) is, and the terms
+    are summed in the entries' order. The witness is the first (a, b),
+    labels ordered by str, where the law does not factorize; None if it
+    does.
+    """
+    wa: dict = {}  # the marginals of the nonzero weights, in first-seen order
     wb: dict = {}
     for (a, b), w in weights.items():
         if w != 0:
             wa[a] = wa.get(a, 0) + w
             wb[b] = wb.get(b, 0) + w
-    return wa, wb
-
-
-def _factorization(weights: dict, scale: int) -> tuple[bool, float]:
-    """(independent?, bits) of the law p(a, b) = weights[a, b] / scale.
-
-    p(a,b) = p(a) p(b) times scale^2 is W(a,b) scale = W_a W_b, decided
-    over the product of the marginal supports in integers. Every float is
-    an int ratio, correctly rounded as float(Fraction) is, and the terms
-    are summed in the entries' order.
-    """
-    wa, wb = _marginals(weights)
-    exact_zero = all(
+    if all(
         weights.get((a, b), 0) * scale == x * y for a, x in wa.items() for b, y in wb.items()
-    )
+    ):
+        return True, 0.0, None
     bits = 0.0
-    if not exact_zero:
-        for (a, b), w in weights.items():
-            if w != 0:
-                p = w / scale
-                bits += p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
-        bits = max(bits, 0.0)
-    return exact_zero, bits
+    for (a, b), w in weights.items():
+        if w != 0:
+            p = w / scale
+            bits += p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
+    columns = sorted(wb.items(), key=str)
+    witness = next(
+        (a, b)
+        for a, x in sorted(wa.items(), key=str)
+        for b, y in columns
+        if weights.get((a, b), 0) * scale != x * y
+    )
+    return False, max(bits, 0.0), witness
 
 
-def _witness(weights: dict, scale: int):
-    """The first (a, b), labels ordered by str, where the law of
-    ``weights`` / scale does not factorize; None if it does."""
-    wa, wb = _marginals(weights)
-    for a, x in sorted(wa.items(), key=str):
-        for b, y in sorted(wb.items(), key=str):
-            if weights.get((a, b), 0) * scale != x * y:
-                return (a, b)
-    return None
-
-
-def mutual_information(joint: DiscreteJoint) -> tuple[bool, float]:
-    """(exactly independent?, mutual information in bits).
+def mutual_information(entries: dict) -> tuple[bool, float]:
+    """(exactly independent?, mutual information in bits) of the law
+    ``entries[a, b]``, exact values keyed by label pairs.
 
     The boolean comes from factorization over the product of the marginal
     supports, decided exactly on the entries scaled to integers over one
     common denominator; the bits value is diagnostic.
     """
-    numerators, scale = scale_to_integers(joint.entries.values())
-    return _factorization(dict(zip(joint.entries, numerators)), scale)
+    numerators, scale = scale_to_integers(entries.values())
+    return _factorization(dict(zip(entries, numerators)), scale)[:2]
 
 
-def independence_witness(joint: DiscreteJoint):
-    numerators, scale = scale_to_integers(joint.entries.values())
-    return _witness(dict(zip(joint.entries, numerators)), scale)
+def independence_witness(entries: dict):
+    """The first (a, b), labels ordered by str, where the law ``entries``
+    does not factorize; None if it does."""
+    numerators, scale = scale_to_integers(entries.values())
+    return _factorization(dict(zip(entries, numerators)), scale)[2]
 
 
 @dataclass
@@ -180,24 +164,21 @@ def audit_policy_independence(
         if subset is None:
             subset = labels[mask] = indices_of(mask)
         weights[s, subset] = w
-    zero, bits = _factorization(weights, scale)
-    check = AuditCheck(
-        name="subset-independence",
-        passed=zero,
-        bits=bits,
-        witness=None if zero else _witness(weights, scale),
-    )
+    zero, bits, witness = _factorization(weights, scale)
+    check = AuditCheck(name="subset-independence", passed=zero, bits=bits, witness=witness)
     return AuditReport(checks=[check])
 
 
-def query_distribution(params: pir.SchemeParams, desired: int, server: int) -> dict:
-    """Exact law of the canonical query at one server over a uniform key."""
-    total = pir.key_count(params)
-    counts: Counter = Counter()
+def _query_counts(params: pir.SchemeParams, desired: int) -> list[Counter]:
+    """Per server, how many keys of the scheme give each canonical query
+    (its combos), from one walk over the key space: the query law at
+    server n over a uniform key is ``counts[n][q] / pir.key_count(params)``."""
+    counts = [Counter() for _ in range(params.n_servers)]
     for key in pir.enumerate_keys(params):
-        query = pir.PirSession.from_key(params, desired, key).queries[server]
-        counts[query.combos] += 1
-    return {combos: Fraction(n, total) for combos, n in counts.items()}
+        session = pir.PirSession.from_key(params, desired, key)
+        for by_query, query in zip(counts, session.queries):
+            by_query[query.combos] += 1
+    return counts
 
 
 def _exact_enumeration_size(policy: ObfuscationPolicy, config: SystemConfig) -> int:
@@ -209,28 +190,41 @@ def _exact_enumeration_size(policy: ObfuscationPolicy, config: SystemConfig) -> 
     return size
 
 
-def _query_law(
+def _query_laws(
     joint: JointDistribution,
     policy: ObfuscationPolicy,
     config: SystemConfig,
-    server: int,
-) -> DiscreteJoint:
-    """Exact law of (S, Q_server), the private request and the non-private
-    query at one server: p(s, x) p(u|x,s) times the query law of the scheme
-    over u for a uniform key, summed over x and u."""
-    dists: dict = {}
-    entries: dict = {}
-    for (s, x, mask), p in policy.entries.items():
-        weight = joint.table[s][x] * p
-        if weight == 0:
-            continue
-        if (mask, x) not in dists:
+    counts: dict,
+) -> tuple[list[dict], int]:
+    """The law of (S, Q_n), the private request and the non-private query,
+    at every server n, as integer weights over one scale: p(s, x) p(u|x,s)
+    times the query law of the scheme over u for a uniform key, summed over
+    x and u.
+
+    The weight of (s, q) sums W(s, x) P(s, x, u) count_(u,x)(q) T/key_count(u)
+    over the law's weights W, the policy's entries as numerators P over
+    their common denominator, the key counts of ``_query_counts`` and T,
+    the lcm of the key counts of the subsets used. ``counts`` keeps each
+    (mask, x)'s counts, walked once.
+    """
+    numerators, scale = scale_to_integers(policy.entries.values())
+    terms = []
+    for (s, x, mask), n in zip(policy.entries, numerators):
+        w = joint.weights[s][x] * n
+        if w:
             params = pir.pir_setup(config.N, indices_of(mask), config.L)
-            dists[(mask, x)] = query_distribution(params, x, server)
-        for combos, q in dists[(mask, x)].items():
-            key = (s, combos)
-            entries[key] = entries.get(key, ZERO) + weight * q
-    return DiscreteJoint(entries=entries)
+            if (mask, x) not in counts:
+                counts[mask, x] = _query_counts(params, x)
+            terms.append((s, w, pir.key_count(params), counts[mask, x]))
+    T = math.lcm(*(total for _, _, total, _ in terms))
+    laws: list[dict] = [{} for _ in range(config.N)]
+    for s, w, total, per_server in terms:
+        w *= T // total
+        for law, by_query in zip(laws, per_server):
+            for combos, c in by_query.items():
+                key = (s, combos)
+                law[key] = law.get(key, 0) + w * c
+    return laws, joint.scale * scale * T
 
 
 def audit_query_privacy(
@@ -245,12 +239,14 @@ def audit_query_privacy(
     """Per-server independence of the non-private query from the private
     request.
 
-    Exact mode factor-checks the (S, Q_i) law enumerated over (s, x, u, key)
-    at each server. When that key space exceeds EXACT_STATE_CAP the audit
-    runs in empirical mode instead, its first check records the fallback,
-    and the ``ipir.audit`` logger logs it at INFO. Empirical mode compares
-    the sampled query law across s values by total variation distance at
-    each server from ``trials`` samples per private value. A sample keeps only each server's combo order, drawn
+    Exact mode factor-checks the (S, Q_i) law at each server, built in
+    integers by ``_query_laws`` from one walk over the key space per
+    released subset and request. When that key space exceeds
+    EXACT_STATE_CAP the audit runs in empirical mode instead, its first
+    check records the fallback, and the ``ipir.audit`` logger logs it at
+    INFO. Empirical mode compares the sampled query law across s values by
+    total variation distance at each server from ``trials`` samples per
+    private value. A sample keeps only each server's combo order, drawn
     by ``pir.sample_orders`` with the same draws as a full session, and
     each distinct order is mapped once to the ``pir.query_pattern`` of
     its query by ``pir.order_pattern``. Any other mode, and an empirical
@@ -281,15 +277,15 @@ def audit_query_privacy(
     if report.mode == "empirical" and trials < 1:
         raise InvalidParams(f"an empirical audit needs at least 1 trial, got {trials}")
     if report.mode == "exact":
-        for server in range(config.N):
-            dj = _query_law(joint, policy, config, server)
-            zero, bits = mutual_information(dj)
+        laws, scale = _query_laws(joint, policy, config, {})
+        for server, law in enumerate(laws):
+            zero, bits, witness = _factorization(law, scale)
             report.checks.append(
                 AuditCheck(
                     name=f"query-privacy-server-{server}",
                     passed=zero,
                     bits=bits,
-                    witness=None if zero else independence_witness(dj)[0],
+                    witness=None if zero else witness[0],
                 )
             )
         return report
@@ -434,23 +430,26 @@ def audit_leak_equivalence(
     if size > EXACT_STATE_CAP:
         raise ExactModeInfeasible(f"{size} states exceed the cap {EXACT_STATE_CAP}")
 
-    cond = conditional_from_joint(joint)
+    counts: dict = {}
+    laws, scale = _query_laws(joint, policy, config, counts)
+    full, total = full_mask(config.K), pir.key_count(full_params)
+    masses = {s: sum(joint.weights[s]) for s in joint.support()}
+    qs_counts = {s: counts.get((full, s)) or _query_counts(full_params, s) for s in masses}
     report = AuditReport()
-    for server in range(config.N):
-        qs_dist = {
-            s: query_distribution(full_params, s, server) for s in cond.support
-        }
-        s_qx = _query_law(joint, policy, config, server).entries
+    for server, s_qx in enumerate(laws):
         s_qs = {
-            (s, qs): joint.p_s(s) * ws for s in cond.support for qs, ws in qs_dist[s].items()
+            (s, qs): mass * c
+            for s, mass in masses.items()
+            for qs, c in qs_counts[s][server].items()
         }
-        s_qx_qs = {
-            (s, (qx, qs)): w * ws
-            for (s, qx), w in s_qx.items()
-            for qs, ws in qs_dist[s].items()
-        }
+        # (S, (Q_x, Q_s)) over scale * total, and its row at each s
+        s_qx_qs: dict = {}
+        rows: dict = {s: {} for s in masses}
+        for (s, qx), w in s_qx.items():
+            for qs, c in qs_counts[s][server].items():
+                s_qx_qs[s, (qx, qs)] = rows[s][qx, qs] = w * c
 
-        zero_qs, bits_qs = mutual_information(DiscreteJoint(entries=s_qs))
+        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale * total)
         report.checks.append(
             AuditCheck(
                 name=f"server-{server}: private query independent of request",
@@ -460,15 +459,13 @@ def audit_leak_equivalence(
         )
         cond_zero = True
         cond_bits = 0.0
-        for s in cond.support:
-            pairs = {pair: w for (es, pair), w in s_qx_qs.items() if es == s}
-            mass = sum(pairs.values(), ZERO)
-            if mass == 0:
+        for s, row in rows.items():
+            row_mass = sum(row.values())
+            if row_mass == 0:
                 continue
-            scaled = {k: v / mass for k, v in pairs.items()}
-            z, b = mutual_information(DiscreteJoint(entries=scaled))
+            z, b, _ = _factorization(row, row_mass)
             cond_zero = cond_zero and z
-            cond_bits += float(joint.p_s(s)) * b
+            cond_bits += masses[s] / joint.scale * b
         report.checks.append(
             AuditCheck(
                 name=f"server-{server}: queries conditionally independent given request",
@@ -476,8 +473,8 @@ def audit_leak_equivalence(
                 bits=cond_bits,
             )
         )
-        zero_qx, bits_qx = mutual_information(DiscreteJoint(entries=s_qx))
-        zero_pair, bits_pair = mutual_information(DiscreteJoint(entries=s_qx_qs))
+        zero_qx, bits_qx, _ = _factorization(s_qx, scale)
+        zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale * total)
         report.checks.append(
             AuditCheck(
                 name=f"server-{server}: joint-leak zero iff single-leak zero",
@@ -520,8 +517,7 @@ def check_size_bound(policy: ObfuscationPolicy, cond: ConditionalMatrix) -> Audi
     profile = likelihood_profile(cond)
     sizes = policy.size_marginal(cond)
     report = AuditReport()
-    cum = ZERO
-    cum_weights = ZERO
+    cum = cum_weights = 0
     for i in range(policy.K):
         cum += sizes[i]
         cum_weights += profile.size_weights[i]

@@ -26,7 +26,6 @@ from .errors import (
     SumNotOne,
 )
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
@@ -206,6 +205,10 @@ class MessageStore:
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.K < 1:
+            raise InvalidParams(f"need at least 1 message, got {self.K}")
+        if self.L < 1:
+            raise InvalidParams(f"need at least 1 bit per message, got {self.L}")
         if len(self.data) != self.K:
             raise InvalidParams(f"expected {self.K} messages, got {len(self.data)}")
         for m, bits in enumerate(self.data):

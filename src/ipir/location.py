@@ -43,7 +43,6 @@ from .core import (
     fork_rng,
     parse_rational,
     scale_to_integers,
-    validate_joint,
 )
 from .errors import (
     DegeneratePosterior,
@@ -278,27 +277,25 @@ def condition_posterior(
 
 
 def policy_for_posterior(
-    joint_matrix, n_servers: int, solver: str = "lp", law: JointDistribution | None = None
+    posterior: JointDistribution, n_servers: int, solver: str = "lp"
 ) -> tuple[ObfuscationPolicy, str]:
-    """Build the step policy from a posterior joint over (current, private).
+    """Build the step policy from a posterior law over (current, private).
 
-    ``joint_matrix[a][b]`` = P(current=a, private=b). The private coordinate
-    plays the correlated-request role, so the law handed to the optimizer is
-    the transpose. ``solver`` is "lp" or "greedy"; the exact LP runs when
+    ``posterior`` is P(current=a, private=b); a caller that holds a raw
+    matrix builds it with ``validate_joint``. The private coordinate plays
+    the correlated-request role, so the law handed to the optimizer is the
+    transpose. ``solver`` is "lp" or "greedy"; the exact LP runs when
     K <= DEFAULT_LP_CAP and either it was asked for or the posterior has a
     private value of zero mass, which the greedy construction cannot take.
     Otherwise the greedy construction runs on full support, and the trivial
-    policy on partial support. ``law`` is the transposed law, P(private=b,
-    current=a); if not given, it is built here from ``joint_matrix`` by
-    ``validate_joint``. Returns the policy and which constructor produced
-    it; when that is not ``solver``, the fallback is logged at INFO on the
-    ``ipir.location`` logger.
+    policy on partial support. Returns the policy and which constructor
+    produced it; when that is not ``solver``, the fallback is logged at
+    INFO on the ``ipir.location`` logger.
     """
     if solver not in ("lp", "greedy"):
         raise InvalidParams(f"unknown solver {solver!r}")
-    K = len(joint_matrix)
-    if law is None:
-        law = validate_joint([[joint_matrix[a][b] for a in range(K)] for b in range(K)])
+    K = posterior.K
+    law = posterior.transposed()
     # the weights are non-negative, so a private value has mass iff its
     # row has a nonzero weight
     full_support = all(any(row) for row in law.weights)
@@ -402,8 +399,7 @@ def step_nonprivate(
         solved = {}
     entry = solved.get(state.law)
     if entry is None:
-        law = state.law.transposed()
-        policy, used = policy_for_posterior(state.joint, config.N, solver, law)
+        policy, used = policy_for_posterior(state.law, config.N, solver)
         entry = solved[state.law] = policy, used, audit.audit_online_privacy(state, policy)
     policy, used, check = entry
     subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)

@@ -54,15 +54,15 @@ def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
     """Simplex for min c.x s.t. A x <= b, x >= 0, started from the slack basis.
 
     Variable j < n is column j of A; variable n + i is the slack of row i.
-    A negative entry of b raises InvalidParams.
+    Entries are ints or Fractions, read as they are (anything else goes
+    through Fraction). A negative entry of b raises InvalidParams.
     """
     n = len(costs)
-    b = [Fraction(v) for v in rhs]
-    if any(v < 0 for v in b):
-        raise InvalidParams(f"rhs must be >= 0, got {min(b)}")
+    if any(v < 0 for v in rhs):
+        raise InvalidParams(f"rhs must be >= 0, got {Fraction(min(rhs))}")
     tableau = []
     scale = [1] * n  # per variable: the factor its reduced cost is compared at
-    for row, value in zip(rows, b):
+    for row, value in zip(rows, rhs):
         scaled, factor = scale_to_integers([*row, value])
         tableau.append(scaled)
         scale.append(factor)

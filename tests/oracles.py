@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from ipir.audit import DiscreteJoint, mutual_information, query_distribution
+from ipir.audit import AuditCheck, AuditReport, mutual_information
 from ipir.core import (
     JointDistribution,
     SystemConfig,
@@ -62,6 +62,17 @@ from ipir import pir
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def query_distribution(params: pir.SchemeParams, desired: int, server: int) -> dict:
+    """Exact law of the canonical query at one server over a uniform key,
+    from its own walk over the key space."""
+    total = pir.key_count(params)
+    counts: Counter = Counter()
+    for key in pir.enumerate_keys(params):
+        query = pir.PirSession.from_key(params, desired, key).queries[server]
+        counts[query.combos] += 1
+    return {combos: Fraction(n, total) for combos, n in counts.items()}
 
 
 @dataclass
@@ -114,7 +125,7 @@ def enumerate_mechanism(
         for tracked, prefix_weights, prob in frontier:
             policy = None
             if not private:
-                policy, _ = policy_for_posterior(tracked.joint, config.N, solver)
+                policy, _ = policy_for_posterior(tracked.law, config.N, solver)
             nodes.append(
                 MechanismNode(
                     t=t,
@@ -203,7 +214,7 @@ def node_query_leak(
             for query, q in dist_cache[cache_key].items():
                 key = (label, query)
                 entries[key] = entries.get(key, ZERO) + weight * p * q
-    return mutual_information(DiscreteJoint(entries=entries))
+    return mutual_information(entries)
 
 
 def online_privacy_factorization(state, policy: ObfuscationPolicy) -> tuple[bool, float]:
@@ -221,7 +232,7 @@ def online_privacy_factorization(state, policy: ObfuscationPolicy) -> tuple[bool
                 if p != 0:
                     key = (b, mask)
                     entries[key] = entries.get(key, ZERO) + w * p
-    return mutual_information(DiscreteJoint(entries=entries))
+    return mutual_information(entries)
 
 
 def query_history_equivalence(
@@ -238,7 +249,7 @@ def query_history_equivalence(
         x0: query_distribution(params_full, x0, server) for x0 in range(K)
     }
     state1 = advance_posterior(initial_posterior(model), model, schedule)
-    policy, _ = policy_for_posterior(state1.joint, config.N, "lp")
+    policy, _ = policy_for_posterior(state1.law, config.N, "lp")
 
     y1_dist: dict = {}
     for (_, x, mask), _p in policy.entries.items():
@@ -1051,42 +1062,42 @@ def fraction_route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int
     return flow
 
 
-def fraction_marginals(joint: DiscreteJoint):
+def fraction_marginals(entries: dict):
     pa: dict = {}
     pb: dict = {}
-    for (a, b), p in joint.entries.items():
+    for (a, b), p in entries.items():
         if p != 0:
             pa[a] = pa.get(a, ZERO) + p
             pb[b] = pb.get(b, ZERO) + p
     return pa, pb
 
 
-def fraction_mutual_information(joint: DiscreteJoint) -> tuple[bool, float]:
+def fraction_mutual_information(entries: dict) -> tuple[bool, float]:
     """(p(a,b) == p(a) p(b) over the product of the marginal supports,
     bits), with the marginals and every product in Fractions."""
-    pa, pb = fraction_marginals(joint)
+    pa, pb = fraction_marginals(entries)
     exact_zero = True
     for a, wa in pa.items():
         for b, wb in pb.items():
-            if joint.entries.get((a, b), ZERO) != wa * wb:
+            if entries.get((a, b), ZERO) != wa * wb:
                 exact_zero = False
                 break
         if not exact_zero:
             break
     bits = 0.0
     if not exact_zero:
-        for (a, b), p in joint.entries.items():
+        for (a, b), p in entries.items():
             if p != 0:
                 bits += float(p) * math.log2(float(p) / (float(pa[a]) * float(pb[b])))
         bits = max(bits, 0.0)
     return exact_zero, bits
 
 
-def fraction_independence_witness(joint: DiscreteJoint):
-    pa, pb = fraction_marginals(joint)
+def fraction_independence_witness(entries: dict):
+    pa, pb = fraction_marginals(entries)
     for a, wa in sorted(pa.items(), key=str):
         for b, wb in sorted(pb.items(), key=str):
-            if joint.entries.get((a, b), ZERO) != wa * wb:
+            if entries.get((a, b), ZERO) != wa * wb:
                 return (a, b)
     return None
 
@@ -1100,9 +1111,110 @@ def fraction_policy_independence(policy: ObfuscationPolicy, joint: JointDistribu
         if w != 0:
             key = (s, indices_of(mask))
             entries[key] = entries.get(key, ZERO) + w
-    dj = DiscreteJoint(entries=entries)
-    zero, bits = fraction_mutual_information(dj)
-    return zero, bits, None if zero else fraction_independence_witness(dj)
+    zero, bits = fraction_mutual_information(entries)
+    return zero, bits, None if zero else fraction_independence_witness(entries)
+
+
+def fraction_query_law(
+    joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig, server: int
+) -> dict:
+    """The (S, Q_server) law of the exact query audit, summed in Fractions
+    from ``query_distribution``, one walk over the keys per server."""
+    dists: dict = {}
+    entries: dict = {}
+    for (s, x, mask), p in policy.entries.items():
+        weight = joint.table[s][x] * p
+        if weight == 0:
+            continue
+        if (mask, x) not in dists:
+            params = pir.pir_setup(config.N, indices_of(mask), config.L)
+            dists[(mask, x)] = query_distribution(params, x, server)
+        for combos, q in dists[(mask, x)].items():
+            key = (s, combos)
+            entries[key] = entries.get(key, ZERO) + weight * q
+    return entries
+
+
+def fraction_query_privacy(
+    joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig
+) -> AuditReport:
+    """The exact-mode report of ``audit_query_privacy``, in Fractions."""
+    report = AuditReport(mode="exact")
+    for server in range(config.N):
+        entries = fraction_query_law(joint, policy, config, server)
+        zero, bits = fraction_mutual_information(entries)
+        report.checks.append(
+            AuditCheck(
+                name=f"query-privacy-server-{server}",
+                passed=zero,
+                bits=bits,
+                witness=None if zero else fraction_independence_witness(entries)[0],
+            )
+        )
+    return report
+
+
+def fraction_leak_equivalence(
+    joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig
+) -> AuditReport:
+    """The report of ``audit_leak_equivalence``, with every law summed and
+    every conditional row normalized in Fractions."""
+    full_params = pir.pir_setup(config.N, range(config.K), config.L)
+    support = conditional_from_joint(joint).support
+    report = AuditReport()
+    for server in range(config.N):
+        qs_dist = {s: query_distribution(full_params, s, server) for s in support}
+        s_qx = fraction_query_law(joint, policy, config, server)
+        s_qs = {
+            (s, qs): joint.p_s(s) * ws for s in support for qs, ws in qs_dist[s].items()
+        }
+        s_qx_qs = {
+            (s, (qx, qs)): w * ws
+            for (s, qx), w in s_qx.items()
+            for qs, ws in qs_dist[s].items()
+        }
+        zero_qs, bits_qs = fraction_mutual_information(s_qs)
+        report.checks.append(
+            AuditCheck(
+                name=f"server-{server}: private query independent of request",
+                passed=zero_qs,
+                bits=bits_qs,
+            )
+        )
+        cond_zero = True
+        cond_bits = 0.0
+        for s in support:
+            pairs = {pair: w for (es, pair), w in s_qx_qs.items() if es == s}
+            mass = sum(pairs.values(), ZERO)
+            if mass == 0:
+                continue
+            z, b = fraction_mutual_information({k: v / mass for k, v in pairs.items()})
+            cond_zero = cond_zero and z
+            cond_bits += float(joint.p_s(s)) * b
+        report.checks.append(
+            AuditCheck(
+                name=f"server-{server}: queries conditionally independent given request",
+                passed=cond_zero,
+                bits=cond_bits,
+            )
+        )
+        zero_qx, bits_qx = fraction_mutual_information(s_qx)
+        zero_pair, bits_pair = fraction_mutual_information(s_qx_qs)
+        report.checks.append(
+            AuditCheck(
+                name=f"server-{server}: joint-leak zero iff single-leak zero",
+                passed=zero_pair == zero_qx,
+                bits=abs(bits_pair - bits_qx),
+                witness=(zero_pair, zero_qx) if zero_pair != zero_qx else None,
+            )
+        )
+        report.checks.append(
+            AuditCheck(name=f"server-{server}: single-query leak", passed=zero_qx, bits=bits_qx)
+        )
+        report.checks.append(
+            AuditCheck(name=f"server-{server}: joint-query leak", passed=zero_pair, bits=bits_pair)
+        )
+    return report
 
 
 def fraction_advance_posterior(

@@ -11,11 +11,12 @@ from ipir.audit import (
     EXACT_STATE_CAP,
     TV_THRESHOLD,
     AuditReport,
-    DiscreteJoint,
     _empirical_checks,
     _exact_enumeration_size,
+    _factorization,
     _pattern_counts,
-    _query_law,
+    _query_counts,
+    _query_laws,
     audit_online_privacy,
     audit_policy_independence,
     audit_leak_equivalence,
@@ -36,8 +37,10 @@ from ipir.location import (
 from ipir.errors import InvalidParams, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
+    build_lp,
     greedy_policy,
     indices_of,
+    solve_lp,
     subset_samplers,
     trivial_policy,
 )
@@ -46,10 +49,14 @@ from ipir import pir
 from oracles import (
     enumerate_mechanism,
     fraction_independence_witness,
+    fraction_leak_equivalence,
     fraction_mutual_information,
     fraction_policy_independence,
+    fraction_query_law,
+    fraction_query_privacy,
     node_query_leak,
     online_privacy_factorization,
+    query_distribution,
     query_history_equivalence,
     session_pattern_counts,
 )
@@ -63,37 +70,32 @@ def singleton_policy(K):
 
 class TestMutualInformation:
     def test_independent_uniform(self):
-        dj = DiscreteJoint(entries={(a, b): F(1, 4) for a in range(2) for b in range(2)})
-        assert mutual_information(dj) == (True, 0.0)
+        entries = {(a, b): F(1, 4) for a in range(2) for b in range(2)}
+        assert mutual_information(entries) == (True, 0.0)
 
     def test_correlated_pair_bits(self, pair_joint):
-        dj = DiscreteJoint(
-            entries={(s, x): pair_joint.table[s][x] for s in range(2) for x in range(2)}
-        )
-        zero, bits = mutual_information(dj)
+        entries = {(s, x): pair_joint.table[s][x] for s in range(2) for x in range(2)}
+        zero, bits = mutual_information(entries)
         assert not zero
         # independent formula: 2*(3/8)lg(3/2) + 2*(1/8)lg(1/2)
         expected = 2 * (3 / 8) * math.log2(3 / 2) + 2 * (1 / 8) * math.log2(1 / 2)
         assert abs(bits - expected) < 1e-12
 
     def test_point_mass_factorizes(self):
-        dj = DiscreteJoint(entries={(1, 1): F(1)})
-        assert mutual_information(dj) == (True, 0.0)
+        assert mutual_information({(1, 1): F(1)}) == (True, 0.0)
 
     def test_structural_zero_detected(self):
         # marginals full but a product cell is missing
-        dj = DiscreteJoint(entries={(0, 0): F(1, 2), (1, 1): F(1, 2)})
-        zero, bits = mutual_information(dj)
+        zero, bits = mutual_information({(0, 0): F(1, 2), (1, 1): F(1, 2)})
         assert not zero and bits > 0.9
 
 
 def assert_same_factorization(entries):
     """The integer factorization of the library against the Fraction one
     it replaced: the same verdict, bit-identical bits, the same witness."""
-    dj = DiscreteJoint(entries=entries)
-    expected = fraction_mutual_information(dj)
-    assert mutual_information(dj) == expected
-    assert independence_witness(dj) == fraction_independence_witness(dj)
+    expected = fraction_mutual_information(entries)
+    assert mutual_information(entries) == expected
+    assert independence_witness(entries) == fraction_independence_witness(entries)
     return expected
 
 
@@ -146,11 +148,14 @@ class TestIntegerFactorization:
 
     def test_leaking_audit_instance(self, pair_joint, config22):
         # the exact (S, Q) laws behind tests/golden/audit_leaking.json
-        for server in range(config22.N):
-            law = _query_law(pair_joint, singleton_policy(2), config22, server)
-            zero, bits = assert_same_factorization(law.entries)
+        laws, scale = _query_laws(pair_joint, singleton_policy(2), config22, {})
+        for server, law in enumerate(laws):
+            entries = fraction_query_law(pair_joint, singleton_policy(2), config22, server)
+            assert list(entries.items()) == [(k, F(w, scale)) for k, w in law.items()]
+            zero, bits = assert_same_factorization(entries)
             assert (zero, bits) == (False, 0.18872187554086717)
-            assert independence_witness(law)[0] == 0
+            assert _factorization(law, scale) == (False, bits, independence_witness(entries))
+            assert independence_witness(entries)[0] == 0
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -271,6 +276,116 @@ class TestQueryPrivacyExact:
             pair_joint, greedy_policy(pair_cond), config22, mode="exact", trials=0
         )
         assert report.mode == "exact" and report.passed
+
+
+# (N, K, L) instances whose exact audits stay small; at (2, 2, 8) and
+# (3, 2, 9) the whole message set has too many keys, so only the leaking
+# singleton policy, which never releases it, is audited there
+SMALL = [(2, 2, 4), (2, 1, 2), (3, 1, 3), (3, 1, 6)]
+SINGLETON_ONLY = [(2, 2, 8), (3, 2, 9)]
+
+
+def make_policy(kind, joint, n_servers):
+    if kind == "leaking":
+        return singleton_policy(joint.K)
+    if kind == "greedy":
+        return greedy_policy(conditional_from_joint(joint))
+    return solve_lp(build_lp(joint, n_servers))
+
+
+@st.composite
+def audit_cases(draw, sizes=SMALL + SINGLETON_ONLY):
+    """(joint, policy, config): a drawn law with zero cells and a greedy,
+    LP or leaking policy for it."""
+    kind = draw(st.sampled_from(["greedy", "lp", "leaking"]))
+    N, K, L = draw(st.sampled_from(sizes if kind == "leaking" else SMALL))
+    # the greedy construction needs every private value to have mass
+    low = 1 if kind == "greedy" else 0
+    cells = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=K, max_size=K).filter(
+                lambda row: sum(row) >= low
+            ),
+            min_size=K,
+            max_size=K,
+        ).filter(lambda rows: sum(map(sum, rows)) > 0)
+    )
+    total = sum(map(sum, cells))
+    joint = validate_joint([[F(c, total) for c in row] for row in cells])
+    return joint, make_policy(kind, joint, N), SystemConfig(N=N, K=K, L=L, seed=0)
+
+
+class TestIntegerQueryAudit:
+    # the key counts and integer laws of the exact audits against the
+    # Fraction laws they replaced
+    @pytest.mark.parametrize(
+        "N, subset, L",
+        [(2, (0,), 4), (2, (1,), 8), (2, (0, 1), 4), (3, (1,), 3), (3, (0,), 9),
+         (2, (0, 2), 4)],
+    )
+    def test_counts_over_key_count_are_the_query_law(self, N, subset, L):
+        params = pir.pir_setup(N, subset, L)
+        total = pir.key_count(params)
+        for desired in subset:
+            counts = _query_counts(params, desired)
+            assert len(counts) == N
+            for server, by_query in enumerate(counts):
+                assert sum(by_query.values()) == total
+                expected = query_distribution(params, desired, server)
+                assert list(expected.items()) == [
+                    (q, F(c, total)) for q, c in by_query.items()
+                ]
+
+    def test_one_walk_per_subset_and_request(self, pair_joint, pair_cond, config22, monkeypatch):
+        policy = greedy_policy(pair_cond)
+        calls = []
+        from_key = pir.PirSession.from_key
+
+        def counting(params, desired, key):
+            calls.append((params.subset, desired))
+            return from_key(params, desired, key)
+
+        monkeypatch.setattr(pir.PirSession, "from_key", staticmethod(counting))
+        report = audit_query_privacy(pair_joint, policy, config22)
+        assert report.mode == "exact" and report.passed
+        walked = {
+            (indices_of(mask), x)
+            for (s, x, mask), p in policy.entries.items()
+            if pair_joint.table[s][x] * p
+        }
+        assert len(walked) > 1
+        expected = sum(pir.key_count(pir.pir_setup(2, u, config22.L)) for u, _ in walked)
+        assert len(calls) == expected
+        assert set(calls) == walked
+
+    @settings(max_examples=40, deadline=None)
+    @given(audit_cases())
+    def test_exact_audit_matches_fraction_oracle(self, case):
+        joint, policy, config = case
+        assert _exact_enumeration_size(policy, config) <= EXACT_STATE_CAP
+        report = audit_query_privacy(joint, policy, config, mode="exact")
+        expected = fraction_query_privacy(joint, policy, config)
+        assert report == expected
+        assert [c.bits for c in report.checks] == [c.bits for c in expected.checks]
+        assert report.to_json_dict() == expected.to_json_dict()
+
+    @settings(max_examples=6, deadline=None)
+    @given(audit_cases(sizes=SMALL))
+    def test_leak_equivalence_matches_fraction_oracle(self, case):
+        joint, policy, config = case
+        report = audit_leak_equivalence(joint, policy, config)
+        expected = fraction_leak_equivalence(joint, policy, config)
+        assert report == expected
+        assert [c.bits for c in report.checks] == [c.bits for c in expected.checks]
+
+    @pytest.mark.parametrize("kind", ["greedy", "leaking"])
+    def test_pair_instance_reports(self, kind, pair_joint, config22):
+        policy = make_policy(kind, pair_joint, 2)
+        exact = audit_query_privacy(pair_joint, policy, config22)
+        assert exact == fraction_query_privacy(pair_joint, policy, config22)
+        assert exact.passed == (kind != "leaking")
+        leak = audit_leak_equivalence(pair_joint, policy, config22)
+        assert leak == fraction_leak_equivalence(pair_joint, policy, config22)
 
 
 class TestEmpiricalCounts:
@@ -414,7 +529,7 @@ class TestOnlinePrivacy:
         )
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))
         state = advance_posterior(initial_posterior(model), model, sched)
-        policy, _ = policy_for_posterior(state.joint, 2, "lp")
+        policy, _ = policy_for_posterior(state.law, 2, "lp")
         assert audit_online_privacy(state, policy).passed
 
     def test_dependent_step_policy_fails(self):
@@ -465,8 +580,8 @@ class TestOnlinePrivacy:
         for state in states:
             K = len(state.joint)
             policies = [
-                policy_for_posterior(state.joint, 2, "lp")[0],
-                policy_for_posterior(state.joint, 2, "greedy")[0],
+                policy_for_posterior(state.law, 2, "lp")[0],
+                policy_for_posterior(state.law, 2, "greedy")[0],
                 singleton_policy(K),
             ]
             for policy in policies:

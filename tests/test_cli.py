@@ -418,6 +418,13 @@ class TestStoreCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("K, L", [("2", "0"), ("0", "8")])
+    def test_upload_rejects_an_empty_store(self, tmp_path, capsys, K, L):
+        path = tmp_path / "z.bin"
+        assert run_cli(["upload", "--store", str(path), "-K", K, "-L", L]) == 2
+        assert not path.exists()
+        assert "need at least 1" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_rationals_are_annotated(self, tmp_path, capsys):

@@ -177,6 +177,14 @@ class TestMessageStore:
         with pytest.raises(InvalidParams):
             MessageStore(K=1, L=4, data=((0, 1),))
 
+    @pytest.mark.parametrize("K, L", [(0, 8), (2, 0), (0, 0), (-1, 8), (2, -8)])
+    def test_empty_store_rejected(self, K, L):
+        # no retrieval can use a store without a message or a bit
+        with pytest.raises(InvalidParams):
+            MessageStore(K=K, L=L, data=((),) * max(K, 0))
+        with pytest.raises(InvalidParams):
+            MessageStore.random(K, L, fork_rng(0, "s"))
+
 
 class TestRandomness:
     def test_fork_is_deterministic_and_labelled(self):

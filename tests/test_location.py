@@ -208,7 +208,7 @@ class TestSteps:
     def test_nonprivate_step_reduces_to_pair_policy(self, pair_joint):
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))
         state = advance_posterior(initial_posterior(self.model), self.model, sched)
-        policy, used = policy_for_posterior(state.joint, 2, "lp")
+        policy, used = policy_for_posterior(state.law, 2, "lp")
         assert used == "lp"
         assert expected_cost(policy, pair_joint, 2) == F(5, 4)
         record, nxt = step_nonprivate(
@@ -241,7 +241,7 @@ class TestSteps:
             (F(1, 8), F(0), F(1, 8)),
             (F(0), F(0), F(1, 2)),
         )
-        policy, used = policy_for_posterior(joint, 2, "lp")
+        policy, used = policy_for_posterior(validate_joint(joint), 2, "lp")
         assert used == "lp"
         law = validate_joint([[joint[a][b] for a in range(3)] for b in range(3)])
         assert validate_policy(policy, law).all_ok
@@ -265,17 +265,17 @@ class TestSteps:
                    for a in range(K)]
         total = sum(map(sum, weights))
         joint = tuple(tuple(F(w, total) for w in row) for row in weights)
-        policy, got = policy_for_posterior(joint, 2, solver)
+        policy, got = policy_for_posterior(validate_joint(joint), 2, solver)
         assert got == used
         law = validate_joint([[joint[a][b] for a in range(K)] for b in range(K)])
         assert validate_policy(policy, law).all_ok
 
     def test_unknown_solver_rejected_before_any_work(self, pair_joint):
         with pytest.raises(InvalidParams):
-            policy_for_posterior(pair_joint.table, 2, "nope")
-        # the matrix would fail validation; the solver name is checked first
+            policy_for_posterior(pair_joint, 2, "nope")
+        # the law is not normalized; the solver name is checked first
         with pytest.raises(InvalidParams):
-            policy_for_posterior(((F(1, 2),),), 2, "nope")
+            policy_for_posterior(JointDistribution(((1,),), 2), 2, "nope")
 
     def test_independent_posterior_gives_singletons(self):
         iid = MobilityModel.build([F(1, 2), F(1, 2)], [[[F(1, 2), F(1, 2)]] * 2])
@@ -290,7 +290,7 @@ class TestSteps:
     def test_conditioning_matches_direct_bayes(self):
         sched = PrivacySchedule(horizon=2, private=frozenset({0}))
         state = advance_posterior(initial_posterior(self.model), self.model, sched)
-        policy, _ = policy_for_posterior(state.joint, 2, "lp")
+        policy, _ = policy_for_posterior(state.law, 2, "lp")
         mask = mask_of((0, 1))
         conditioned = condition_posterior(state, policy, mask)
         # direct Bayes: joint[a][b] * p(u | x=a, s=b), renormalized
@@ -486,7 +486,7 @@ class TestSolvedOncePerPosterior:
             assert record == step_nonprivate(*args, fork_rng(5, "entry"))[0]
         assert len(solved) == 2
         policies = [policy for policy, _, _ in solved.values()]
-        assert policies == [policy_for_posterior(j, 2)[0] for j in (first, second)]
+        assert policies == [policy_for_posterior(validate_joint(j), 2)[0] for j in (first, second)]
         assert policies[0] != policies[1]
 
     @pytest.mark.parametrize(
@@ -517,20 +517,45 @@ class TestSolvedOncePerPosterior:
         monkeypatch.setattr(
             audit, "audit_online_privacy", counting("audit", audit.audit_online_privacy)
         )
-        # a new posterior is exact by construction: its transposed law goes
-        # to the policy and the online audit without validation
-        validate = counting("validate", core.validate_joint)
-        monkeypatch.setattr(core, "validate_joint", validate)
-        monkeypatch.setattr(location, "validate_joint", validate)
+        # a new posterior is exact by construction: its law goes to the
+        # policy and the online audit without validation
+        monkeypatch.setattr(core, "validate_joint", counting("validate", core.validate_joint))
         # a second call solves everything again: nothing is kept across calls
         for run in (1, 2):
             simulate(model, sched, config, store)
             assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
                              "audit": distinct * run, "validate": 0}
-        # a public call with a raw matrix validates it, once
+        # a public call takes a law and validates nothing; a caller that
+        # holds a raw matrix validates it first, once
         state = initial_posterior(model)
-        policy_for_posterior(state.joint, config.N)
+        policy_for_posterior(state.law, config.N)
+        assert calls["validate"] == 0
+        policy_for_posterior(core.validate_joint(state.joint), config.N)
         assert calls["validate"] == 1
+
+    @pytest.mark.parametrize("solver", ["lp", "greedy"])
+    def test_no_posterior_builds_its_fraction_table(self, monkeypatch, solver):
+        # a step reads each law's integer weights; its Fraction table is
+        # built only when a caller asks for state.joint
+        built = []
+        table = JointDistribution.table
+
+        def recording(law):
+            built.append(law)
+            return table.func(law)
+
+        monkeypatch.setattr(JointDistribution, "table", property(recording))
+        for model, horizon, private in [
+            (random_model(random.Random("no-table"), 3), 20, {0, 9}),
+            (time_variant_model(random.Random("no-table-tv"), 3, 8), 8, {0, 3}),
+        ]:
+            sched = PrivacySchedule(horizon=horizon, private=frozenset(private))
+            config, store = run_setup(3, seed=3)
+            report = simulate(model, sched, config, store, solver)
+            assert {s.solver for s in report.steps if not s.private} <= {"lp", "greedy"}
+        assert built == []
+        state = initial_posterior(model)
+        assert state.joint == table.func(state.law) and built == [state.law]
 
 
 @st.composite
@@ -657,7 +682,7 @@ class TestIntegerPosterior:
         rng = random.Random(3)
         for t in range(sched.horizon):
             if not sched.is_private(t):
-                policy, _ = policy_for_posterior(state.joint, 2, solver)
+                policy, _ = policy_for_posterior(state.law, 2, solver)
                 masks = sorted({mask for (_, _, mask) in policy.entries})
                 mask = rng.choice(masks)
                 try:
@@ -798,10 +823,12 @@ class TestValidationAtTheBoundary:
             MobilityModel.build(pi0, [[row, row]])
 
     def test_public_calls_with_a_raw_matrix(self):
+        # policy_for_posterior takes a law; a caller that holds a raw
+        # matrix builds the law with validate_joint, which refuses these
         with pytest.raises(NegativeEntry):
-            policy_for_posterior(self.NEGATIVE, 2)
+            policy_for_posterior(validate_joint(self.NEGATIVE), 2)
         with pytest.raises(SumNotOne):
-            policy_for_posterior(self.UNNORMALIZED, 2)
+            policy_for_posterior(validate_joint(self.UNNORMALIZED), 2)
 
     @pytest.mark.parametrize(
         "what, bad, error",
@@ -862,7 +889,7 @@ class TestFallbackLogs:
     def test_greedy_on_partial_support_logs_the_lp(self, caplog):
         joint = ((F(1, 2), F(0)), (F(1, 2), F(0)))
         with caplog.at_level(logging.INFO, logger="ipir.location"):
-            _, used = policy_for_posterior(joint, 2, "greedy")
+            _, used = policy_for_posterior(validate_joint(joint), 2, "greedy")
         assert used == "lp"
         (record,) = self.records(caplog)
         assert record.levelno == logging.INFO
@@ -874,7 +901,7 @@ class TestFallbackLogs:
         K = location.DEFAULT_LP_CAP + 1
         joint = [[F(1, K * K)] * K for _ in range(K)]
         with caplog.at_level(logging.INFO, logger="ipir.location"):
-            _, used = policy_for_posterior(joint, 2, "lp")
+            _, used = policy_for_posterior(validate_joint(joint), 2, "lp")
         assert used == "greedy"
         (record,) = self.records(caplog)
         assert record.getMessage() == (
@@ -885,7 +912,7 @@ class TestFallbackLogs:
         K = location.DEFAULT_LP_CAP + 1
         joint = [[F(1, K)] + [F(0)] * (K - 1) for _ in range(K)]
         with caplog.at_level(logging.INFO, logger="ipir.location"):
-            _, used = policy_for_posterior(joint, 2, "lp")
+            _, used = policy_for_posterior(validate_joint(joint), 2, "lp")
         assert used == "trivial"
         (record,) = self.records(caplog)
         assert "'trivial' ran" in record.getMessage()

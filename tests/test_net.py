@@ -10,7 +10,13 @@ import pytest
 
 from ipir import net
 from ipir.core import MessageStore, fork_rng
-from ipir.errors import FetchTimeout, LengthMismatch, MalformedFrame, ProtocolError
+from ipir.errors import (
+    FetchTimeout,
+    InvalidParams,
+    LengthMismatch,
+    MalformedFrame,
+    ProtocolError,
+)
 from ipir.intermittent import run_two_request
 from ipir.net import (
     MAX_FRAME,
@@ -537,3 +543,9 @@ class TestStoreFile:
         store = MessageStore.random(2, 8, fork_rng(4, "s"))
         with pytest.raises(Exception):
             store_from_bytes(store_to_bytes(store)[:-1])
+
+    @pytest.mark.parametrize("K, L", [(0, 8), (2, 0), (0, 0)])
+    def test_empty_store_rejected(self, K, L):
+        # with K * L == 0 the header alone is a file of the right length
+        with pytest.raises(InvalidParams):
+            store_from_bytes(struct.pack("!II", K, L))

@@ -152,6 +152,28 @@ def test_one_phase_degenerate_start_needs_bland(monkeypatch):
 def test_negative_rhs_rejected():
     with pytest.raises(InvalidParams, match="rhs must be >= 0"):
         minimize([1, 1], [[1, 0], [0, 1]], [1, -1])
+    # the offending entry is named as a rational whatever its type
+    for rhs in ([1, F(-1, 2)], [1, -0.5], [F(1), F(-1, 2)]):
+        with pytest.raises(InvalidParams, match="rhs must be >= 0, got -1/2$"):
+            minimize([1, 1], [[1, 0], [0, 1]], rhs)
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        ([4, 6, 3], [F(4), F(6), F(3)], [4, F(12, 2), 3]),
+        ([F(7, 2), 5, F(9, 4)], [F(7, 2), F(5), F(9, 4)], [F(14, 4), F(5), F(9, 4)]),
+        ([0, 0, 1], [F(0), F(0), F(1)], [F(0), 0, F(1)]),
+    ],
+)
+def test_int_fraction_and_mixed_rhs_give_equal_solutions(rhs):
+    # the rhs is read as it is: an int and the equal Fraction are one value
+    costs = [-1, -2, F(-1, 2)]
+    rows = [[1, 1, 0], [F(1, 2), 2, 1], [0, 1, 3]]
+    solutions = [minimize(costs, rows, b) for b in rhs]
+    assert solutions[0].status == "optimal"
+    assert solutions[1:] == solutions[:1] * 2
+    assert solutions[0] == fraction_minimize(costs, rows, rhs[1])
 
 
 def test_zero_variable_lp():
