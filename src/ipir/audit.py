@@ -247,9 +247,10 @@ def audit_query_privacy(
     INFO. Empirical mode compares the sampled query law across s values by
     total variation distance at each server from ``trials`` samples per
     private value. A sample keeps only each server's combo order, drawn
-    by ``pir.sample_orders`` with the same draws as a full session, and
-    each distinct order is mapped once to the ``pir.query_pattern`` of
-    its query by ``pir.order_pattern``. Any other mode, and an empirical
+    by ``pir.sample_orders`` with the same ``getrandbits`` calls as a full
+    session's key draw but with no ``PirKey`` or session built, and each
+    distinct order is mapped once to the ``pir.query_pattern`` of its
+    query by ``pir.order_pattern``. Any other mode, and an empirical
     audit with fewer than one trial, raise InvalidParams; a policy with no
     entries at a request pair of positive mass raises UnsupportedPair, in
     either mode.
@@ -305,7 +306,8 @@ def _pattern_counts(
     """``counts[server][s][mask]``: the sampled query patterns at one server
     for private value s and released subset mask, from ``trials`` samples
     per supported s. Each s draws from its own named stream; a sample
-    draws the non-private request x, then the subset, then the PIR key.
+    draws the non-private request x, then the subset, then the PIR key's
+    shuffles.
 
     A sample keeps each server's combo order from ``pir.sample_orders``.
     A pattern is a function of the order alone, whatever x is, so the

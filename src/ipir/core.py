@@ -267,7 +267,10 @@ class WeightedSampler:
     """Exact sampler over (value, Fraction-weight) pairs summing to 1.
 
     A uniform integer below the common denominator is compared against
-    cumulative numerators, so no float bias enters.
+    cumulative numerators, so no float bias enters. The pick takes the
+    ``getrandbits`` calls that ``randrange(denominator)`` takes on a
+    ``random.Random``: words of the denominator's bit length until one is
+    below it.
     """
 
     def __init__(self, items):
@@ -277,13 +280,17 @@ class WeightedSampler:
         self.values, weights = zip(*items)
         numerators, self.denominator = scale_to_integers(weights)
         self.thresholds = list(accumulate(numerators))
+        self.width = self.denominator.bit_length()
         if self.thresholds[-1] != self.denominator:
             total = Fraction(self.thresholds[-1], self.denominator)
             raise DistributionError(f"weights sum to {total}, expected 1")
 
     def draw(self, rng: random.Random):
         # the first value whose cumulative numerator exceeds the pick
-        pick = rng.randrange(self.denominator)
+        getrandbits, n, width = rng.getrandbits, self.denominator, self.width
+        pick = getrandbits(width)
+        while pick >= n:
+            pick = getrandbits(width)
         return self.values[bisect_right(self.thresholds, pick)]
 
 

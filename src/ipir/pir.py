@@ -24,12 +24,13 @@ a session places each combo by its first atom instead of sorting, and
 decode finds a combo's answer bit by its first atom.
 
 The empirical privacy audit keeps only each query's ``query_pattern``.
-``sample_orders`` draws the same key and places each combo of the template
-by its first atom, as a session does, but as a small id of the cells its
-atoms fall in, so no session is built. A server's ``query_pattern`` is a
-function of its order of ids alone (``order_pattern``), and the orders
-take few distinct values, so the audit counts orders and maps each one
-once.
+``sample_orders`` draws the key rows with ``_shuffled_rows``, as
+``PirKey.random`` does, lays them end to end in one flat list, and places
+each combo of the template by its first atom, as a session does, as a small
+id of the cells its atoms fall in, so neither a key nor a session is built.
+A server's ``query_pattern`` is a function of its order of ids alone
+(``order_pattern``), and the orders take few distinct values, so the audit
+counts orders and maps each one once.
 """
 
 from __future__ import annotations
@@ -95,22 +96,26 @@ class PirKey:
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> "PirKey":
         """One uniform permutation per (subset member, block), drawn with
-        the same ``getrandbits`` calls as ``rng.shuffle`` on the identity."""
-        getrandbits, steps = rng.getrandbits, _shuffle_steps(params.block)
-        identity = range(params.block)
-        perms = []
-        for _ in range(params.k):
-            rows = []
-            for _ in range(params.blocks):
-                row = list(identity)
-                for i, width in steps:
-                    j = getrandbits(width)
-                    while j > i:
-                        j = getrandbits(width)
-                    row[i], row[j] = row[j], row[i]
-                rows.append(tuple(row))
-            perms.append(tuple(rows))
-        return cls(perms=tuple(perms))
+        the same ``getrandbits`` calls as ``rng.shuffle`` on the identity:
+        the rows of ``_shuffled_rows``, ``blocks`` to a subset member."""
+        rows = map(tuple, _shuffled_rows(params, rng))
+        return cls(perms=tuple(zip(*[rows] * params.blocks)))
+
+
+def _shuffled_rows(params: SchemeParams, rng: random.Random):
+    """The key's k * blocks rows as lists, row c = j * blocks + b the
+    permutation of subset member j in block b: each the identity shuffled
+    in place with the ``getrandbits`` calls of ``rng.shuffle``."""
+    getrandbits, steps = rng.getrandbits, _shuffle_steps(params.block)
+    identity = range(params.block)
+    for _ in range(params.k * params.blocks):
+        row = list(identity)
+        for i, width in steps:
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            row[i], row[j] = row[j], row[i]
+        yield row
 
 
 @lru_cache(maxsize=None)
@@ -295,24 +300,28 @@ def sample_orders(params: SchemeParams, desired: int, rng: random.Random):
     """The N servers' canonical combo orders of one fresh session, without
     the session.
 
-    Draws the key with ``PirKey.random``, so the stream moves exactly as in
-    ``open_session``. Each combo of server n goes to the slot of its first
-    atom, as in ``PirSession.from_key``, and stands there as the id of the
-    cells its atoms fall in (see ``_pattern_plan``); server n's order is
-    its ids in slot order. ``order_pattern`` turns an order into that
-    server's ``query_pattern``.
+    Draws the key rows with ``_shuffled_rows``, as ``PirKey.random`` does,
+    so the stream moves exactly as in ``open_session``, but lays them end to
+    end in one flat list instead of building a ``PirKey``. Each combo of
+    server n goes to the slot of its first atom, as in
+    ``PirSession.from_key``, and stands there as the id of the cells its
+    atoms fall in (see ``_pattern_plan``); server n's order is its ids in
+    slot order. ``order_pattern`` turns an order into that server's
+    ``query_pattern``.
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    rows = [row for perms in PirKey.random(params, rng).perms for row in perms]
-    servers, size = _pattern_plan(
+    empty, servers = _pattern_plan(
         params.n_servers, params.k, params.blocks, params.subset.index(desired)
     )
+    flat = []
+    for row in _shuffled_rows(params, rng):
+        flat += row
     orders = []
     for placed in servers:
-        slots = [0] * size
-        for r, t, base, cid in placed:
-            slots[base + rows[r][t]] = cid
+        slots = [*empty]
+        for base, r, cid in placed:
+            slots[base + flat[r]] = cid
         orders.append(tuple(filter(None, slots)))
     return orders
 
@@ -346,13 +355,16 @@ def _pattern_plan(n_servers: int, k: int, blocks: int, desired_pos: int):
     shape and desired position.
 
     Cell c = j * blocks + b is subset member j in block b, and key row c is
-    ``key.perms[j][b]``. A combo's atoms in block b fall in the cells of
-    the subset positions j set in a mask m, so ``b << k | m`` (positive,
-    as m is) names them: the id does not depend on the server or the
-    desired position. Returns ``(servers, size)``: ``servers[n]`` holds one
-    ``(row, t, base, id)`` entry per combo of server n and block: its first
-    atom (j, t) lands at slot base plus item t of key row ``row``, base =
-    j * L + b * N^k. ``size`` is k * L slots.
+    ``key.perms[j][b]``, items c * N^k to c * N^k + N^k - 1 of the flat key
+    rows. A combo's atoms in block b fall in the cells of the subset
+    positions j set in a mask m, so ``b << k | m`` (positive, as m is)
+    names them: the id does not depend on the server or the desired
+    position.
+
+    Returns ``(empty, servers)``: the k * L empty slots, and ``servers[n]``
+    with one ``(base, r, id)`` entry per combo of server n and block: its
+    first atom (j, t) lands at slot base plus item r = c * N^k + t of the
+    ``_shuffled_rows`` laid end to end, base = j * L + b * N^k.
     """
     block = n_servers**k
     L = blocks * block
@@ -360,9 +372,8 @@ def _pattern_plan(n_servers: int, k: int, blocks: int, desired_pos: int):
     servers = tuple(
         tuple(
             (
-                combo[0][0] * blocks + b,
-                combo[0][1],
                 combo[0][0] * L + b * block,
+                (combo[0][0] * blocks + b) * block + combo[0][1],
                 b << k | sum(1 << j for j, _ in combo),
             )
             for b in range(blocks)
@@ -370,7 +381,7 @@ def _pattern_plan(n_servers: int, k: int, blocks: int, desired_pos: int):
         )
         for combos in shapes
     )
-    return servers, k * L
+    return (0,) * (k * L), servers
 
 
 def pir_answer(query: PirQuery, store: MessageStore) -> PirAnswer:

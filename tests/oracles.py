@@ -402,13 +402,41 @@ def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     ]
 
 
+def keyed_sample_orders(params: pir.SchemeParams, desired: int, rng):
+    """The N servers' canonical combo orders of one fresh session, from a
+    drawn key.
+
+    This is the sampler that ``pir.sample_orders`` replaced with a read of
+    the key rows from one flat list: it draws the key with ``PirKey.random``,
+    so the stream moves exactly as in ``open_session``, and scatters each
+    combo of server n by its first atom (j, t) to slot
+    j * L + b * N^k + ``perms[j][b][t]``, as the id ``b << k | m`` of the
+    cells its atoms fall in, m the mask of their subset positions. Both must
+    agree exactly, and leave the stream at the same place.
+    """
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    key = pir.PirKey.random(params, rng)
+    *_, shapes = pir._template(params.n_servers, params.k, params.subset.index(desired))
+    orders = []
+    for combos in shapes:
+        slots = [0] * (params.k * params.L)
+        for b in range(params.blocks):
+            for combo in combos:
+                j, t = combo[0]
+                slot = j * params.L + b * params.block + key.perms[j][b][t]
+                slots[slot] = b << params.k | sum(1 << i for i, _ in combo)
+        orders.append(tuple(filter(None, slots)))
+    return orders
+
+
 def sample_patterns(params: pir.SchemeParams, desired: int, rng):
     """The N servers' ``query_pattern`` of one fresh session, without the
     session, built pattern by pattern.
 
     This is the sampler that ``pir.sample_orders`` with ``pir.order_pattern``
-    replaced in the empirical audit; on the same rng all three routes give
-    the same patterns. Draws the key with ``PirKey.random``, so the stream
+    replaced in the empirical audit; on the same rng every route gives the
+    same patterns. Draws the key with ``PirKey.random``, so the stream
     moves exactly as in ``open_session``. Each combo of server n goes to the
     slot of its first atom, as in ``PirSession.from_key``. Within one
     server's query every atom appears at most once, so an atom's

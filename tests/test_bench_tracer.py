@@ -145,8 +145,9 @@ def test_covering_lp_has_no_slack_columns():
 
 
 def test_empirical_audit_samples_patterns_without_sessions():
-    # the audit draws one key per sample and builds the patterns directly:
-    # no session is opened and query_pattern is never called
+    # a sample draws the request and the subset through the traced sampler
+    # and the key's shuffles straight into combo orders: no key object or
+    # session is built and query_pattern is never called
     tracer = load_tracer()
     joint = validate_joint([[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]])
     policy = greedy_policy(conditional_from_joint(joint))
@@ -160,6 +161,9 @@ def test_empirical_audit_samples_patterns_without_sessions():
 
     assert report.mode == "empirical"
     assert t.count("audit.audit_query_privacy") == 1
-    assert t.count("pir.key_draw") == trials * joint.K
+    assert t.count("core.draw") == 2 * trials * joint.K
+    # no PirKey is built, so the tracer's key-draw point never fires: the
+    # key shuffles run untraced inside pir.sample_orders, which has no point
+    assert t.count("pir.key_draw") == 0
     assert t.count("pir.open_session") == 0
     assert t.count("audit.query_pattern") == 0

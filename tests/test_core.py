@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -222,6 +223,32 @@ class TestRandomness:
                     expected = value
                     break
             assert sampler.draw(fast) == expected
+
+    @pytest.mark.parametrize(
+        "denominator",
+        [1, 2, 2**5, 2**32, 2**64, 3, 2**5 + 1, 2**32 + 1, 2**69 + 1]
+        + [random.Random(m).randrange(1, 2**70) for m in range(6)],
+    )
+    def test_pick_is_randrange(self, denominator):
+        # the pick takes what rng.randrange(denominator) takes, rejections
+        # included (about half the words at 2^m + 1), and leaves the
+        # stream where randrange leaves it
+        shapes = random.Random(denominator)
+        for seed in range(20):
+            low = shapes.randrange(denominator)
+            sampler = WeightedSampler(
+                [
+                    (0, F(1, denominator)),
+                    (1, F(low, denominator)),
+                    (2, F(denominator - 1 - low, denominator)),
+                ]
+            )
+            assert sampler.denominator == denominator
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                pick = slow.randrange(denominator)
+                assert sampler.draw(fast) == (0 if pick < 1 else 1 if pick < 1 + low else 2)
+                assert fast.getstate() == slow.getstate()
 
 
 class TestConditionalMatrix:

@@ -27,7 +27,14 @@ from ipir.pir import (
     sample_orders,
 )
 
-from oracles import block_plan, sample_patterns, session_plan, shuffle_key, sorted_queries
+from oracles import (
+    block_plan,
+    keyed_sample_orders,
+    sample_patterns,
+    session_plan,
+    shuffle_key,
+    sorted_queries,
+)
 
 
 class TestSetup:
@@ -302,18 +309,21 @@ class TestSamplePatterns:
 
     @staticmethod
     def assert_matches_sessions(params, desired, seed):
-        # on the same rng, each server's order mapped through order_pattern
+        # on the same rng, the flat draw gives the orders of the keyed
+        # oracle, and each server's order mapped through order_pattern
         # equals the pattern oracle, which equals query_pattern of the
-        # session's query; the orders and the oracle both leave the stream
+        # session's query; the orders and both oracles leave the stream
         # where a full session leaves it
-        rng, oracle, ref = (random.Random(seed) for _ in range(3))
+        rng, keyed, oracle, ref = (random.Random(seed) for _ in range(4))
         expected = [query_pattern(params, q) for q in open_session(params, desired, ref).queries]
         assert sample_patterns(params, desired, oracle) == expected
         orders = sample_orders(params, desired, rng)
+        assert orders == keyed_sample_orders(params, desired, keyed)
         assert [order_pattern(params, order) for order in orders] == expected
         assert all(type(cid) is int and cid > 0 for order in orders for cid in order)
         tail = ref.getrandbits(64)
-        assert rng.getrandbits(64) == tail and oracle.getrandbits(64) == tail
+        assert rng.getrandbits(64) == tail
+        assert keyed.getrandbits(64) == tail and oracle.getrandbits(64) == tail
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
     def test_matches_session_patterns(self, blocks):
@@ -342,7 +352,7 @@ class TestSamplePatterns:
         self.assert_matches_sessions(params, desired, data.draw(st.integers(0, 2**32)))
 
     def test_desired_must_be_in_subset(self):
-        for sampler in (sample_orders, sample_patterns):
+        for sampler in (sample_orders, keyed_sample_orders, sample_patterns):
             with pytest.raises(DesiredNotInSubset):
                 sampler(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
 

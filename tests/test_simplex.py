@@ -306,6 +306,16 @@ def test_integer_tableau_matches_fraction_solver_on_hypothesis_instances(shape, 
         pytest.param(([], [[]], [1]), id="zero-variables"),
         pytest.param(([-1, -1], [[1, -1]], [2]), id="unbounded"),
         pytest.param(([-1, -1], [[1, 1], [1, 3]], [4, 6]), id="int-entries"),
+        # int rows next to Fraction rows (an integral Fraction entry among
+        # them); the int rows with rhs 7/4 and 9/4 bind at the optimum
+        pytest.param(
+            (
+                [-1, -2, F(-1, 2)],
+                [[1, 1, 0], [F(1, 2), 2, 1], [0, 1, 3], [F(2), 1, 1], [1, 0, 2]],
+                [F(7, 4), 5, F(9, 4), 4, 0.5],
+            ),
+            id="int-and-fraction-rows",
+        ),
     ],
 )
 def test_integer_tableau_matches_fraction_solver_on_named_instances(instance):
