@@ -15,22 +15,23 @@ desired.
 Messages longer than one block run the construction independently per block
 of N^k bits with independent permutations.
 
-A key draw consumes the rng exactly as ``random.Random.shuffle`` does, one
-shuffle per (subset member, block), so seeded streams reproduce. Within one
-server's query every (message, position) atom appears at most once, so the
-first atoms of its combos are distinct and the lexicographic order of the
-combos is the order of their first atoms, (subset position, bit position):
-a session places each combo by its first atom instead of sorting, and
-decode finds a combo's answer bit by its first atom.
+A key is one flat list of k * L slots: it sends atom j * L + b * N^k + t,
+the t-th position the construction draws for subset member j in block b,
+to slot j * L + b * N^k + p, bit b * N^k + p of message subset[j]. Its
+draw shuffles each row of N^k slots in place with the ``getrandbits``
+calls of ``random.Random.shuffle``, so seeded streams reproduce.
 
-The empirical privacy audit keeps only each query's ``query_pattern``.
-``sample_orders`` draws the key rows with ``_shuffled_rows``, as
-``PirKey.random`` does, lays them end to end in one flat list, and places
-each combo of the template by its first atom, as a session does, as a small
-id of the cells its atoms fall in, so neither a key nor a session is built.
-A server's ``query_pattern`` is a function of its order of ids alone
-(``order_pattern``), and the orders take few distinct values, so the audit
-counts orders and maps each one once.
+Within one server's query every (message, position) atom appears at most
+once, so the lexicographic order of its combos is the order of their
+first atoms' slots. Each (N, k, blocks, desired position) compiles once
+into ``itemgetter`` tables over the atoms: a session gathers every combo
+through the key's slots and places it by its first atom's slot instead of
+sorting, and decode reads the desired bits through the same tables. The
+empirical audit keeps only each query's ``query_pattern``:
+``sample_orders`` draws the same flat key and places a small cell id per
+combo, building neither key nor session; a server's pattern is a function
+of its order of ids (``order_pattern``), and orders take few distinct
+values, so the audit counts orders and maps each one once.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from operator import itemgetter
+from itertools import chain, combinations, groupby, permutations, product
+from operator import itemgetter, xor
 
 from .errors import (
     BlockMismatch,
@@ -89,55 +90,93 @@ def _scheme_params(n_servers: int, subset: tuple[int, ...], L: int) -> SchemePar
 
 @dataclass(frozen=True)
 class PirKey:
-    """Per (subset position, block): a private permutation of bit positions."""
+    """Per (subset member, block): a private permutation of bit positions,
+    held as one flat list of slots (see the module docstring): item
+    j * L + b * N^k + t is j * L + b * N^k + ``perms[j][b][t]``."""
 
-    perms: tuple[tuple[tuple[int, ...], ...], ...]
+    slots: list[int]
+    block: int
+    blocks: int
+    __hash__ = None  # the slots are a list
 
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> "PirKey":
         """One uniform permutation per (subset member, block), drawn with
-        the same ``getrandbits`` calls as ``rng.shuffle`` on the identity:
-        the rows of ``_shuffled_rows``, ``blocks`` to a subset member."""
-        rows = map(tuple, _shuffled_rows(params, rng))
-        return cls(perms=tuple(zip(*[rows] * params.blocks)))
+        the same ``getrandbits`` calls as ``rng.shuffle`` on the identity."""
+        return cls(_shuffled_slots(params, rng), params.block, params.blocks)
+
+    @classmethod
+    def from_perms(cls, perms) -> "PirKey":
+        """The key whose ``perms`` are ``perms``: per subset member, one
+        permutation of range(N^k) per block."""
+        rows = [row for member in perms for row in member]
+        block = len(rows[0])
+        return cls([c * block + p for c, row in enumerate(rows) for p in row], block, len(perms[0]))
+
+    @property
+    def perms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        block, slots = self.block, self.slots
+        rows = (
+            tuple(p - base for p in slots[base : base + block])
+            for base in range(0, len(slots), block)
+        )
+        return tuple(zip(*[rows] * self.blocks))
 
 
-def _shuffled_rows(params: SchemeParams, rng: random.Random):
-    """The key's k * blocks rows as lists, row c = j * blocks + b the
-    permutation of subset member j in block b: each the identity shuffled
-    in place with the ``getrandbits`` calls of ``rng.shuffle``."""
-    getrandbits, steps = rng.getrandbits, _shuffle_steps(params.block)
-    identity = range(params.block)
-    for _ in range(params.k * params.blocks):
-        row = list(identity)
-        for i, width in steps:
+def _shuffled_slots(params: SchemeParams, rng: random.Random) -> list[int]:
+    """A key's flat slot list: the identity on k * L slots with each row of
+    N^k slots shuffled in place, rows in order, with the ``getrandbits``
+    calls of ``rng.shuffle`` on that row."""
+    getrandbits = rng.getrandbits
+    slots = [*_identity(params.k * params.L)]
+    for i, width, at, base in _shuffle_steps(params.k * params.L, params.block):
+        j = getrandbits(width)
+        while j > i:
             j = getrandbits(width)
-            while j > i:
-                j = getrandbits(width)
-            row[i], row[j] = row[j], row[i]
-        yield row
+        j += base
+        slots[at], slots[j] = slots[j], slots[at]
+    return slots
+
+
+@lru_cache(maxsize=64)
+def _identity(size: int) -> tuple[int, ...]:
+    """range(size) as one shared tuple, so keys and tables share its ints;
+    it is cut from a pool of ``_ints``, so identities of every size share
+    them too."""
+    return _ints((size - 1).bit_length())[:size]
 
 
 @lru_cache(maxsize=None)
-def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
-    """The Fisher-Yates steps of ``random.Random.shuffle`` on ``size`` items:
-    for i from size-1 down to 1, swap item i with a uniform j <= i, drawn as
-    ``getrandbits((i+1).bit_length())`` until it is at most i."""
-    return tuple((i, (i + 1).bit_length()) for i in reversed(range(1, size)))
+def _ints(bits: int) -> tuple[int, ...]:
+    """range(2**bits): the pool of bits - 1 and the ints it lacks."""
+    return _ints(bits - 1) + tuple(range(1 << (bits - 1), 1 << bits)) if bits else (0,)
+
+
+@lru_cache(maxsize=64)
+def _shuffle_steps(size: int, block: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The Fisher-Yates steps of ``random.Random.shuffle`` on each row of
+    ``block`` slots of ``size``: for i from block-1 down to 1, swap slot
+    base + i with base + j for a uniform j <= i, drawn as
+    ``getrandbits((i+1).bit_length())`` until it is at most i. Entries are
+    (i, width, base + i, base)."""
+    ids = _identity(size)
+    steps = [(i, (i + 1).bit_length()) for i in reversed(range(1, block))]
+    return tuple(
+        (i, width, ids[base + i], ids[base])
+        for base in range(0, size, block)
+        for i, width in steps
+    )
 
 
 def enumerate_keys(params: SchemeParams):
     """All keys of the scheme; (block!)^(k * blocks) of them."""
+    block = params.block
     pools = [
-        list(permutations(range(params.block)))
-        for _ in range(params.k * params.blocks)
+        [tuple(base + p for p in perm) for perm in permutations(range(block))]
+        for base in range(0, params.k * params.L, block)
     ]
-    for combo in product(*pools):
-        perms = tuple(
-            tuple(combo[j * params.blocks + b] for b in range(params.blocks))
-            for j in range(params.k)
-        )
-        yield PirKey(perms=perms)
+    for rows in product(*pools):
+        yield PirKey([*chain.from_iterable(rows)], block, params.blocks)
 
 
 def key_count(params: SchemeParams) -> int:
@@ -159,45 +198,36 @@ class PirAnswer:
 
 
 @lru_cache(maxsize=None)
-def _template(n_servers: int, k: int, desired_pos: int):
+def _block_template(n_servers: int, k: int, desired_pos: int):
     """Key-free shape of one block, built once per (N, k, desired position).
 
-    A key only fills in bit positions, and every block has the same shape.
-    Atom j * N^k + t stands for message subset[j] at the t-th position drawn
-    from its block's permutation, key.perms[j][b][t] + b * N^k. Each combo is
-    a tuple of atom indices in ascending order, which is ascending message
-    order, so its first atom has the smallest subset position.
-
-    Returns ``(singles, getters, plan, shapes)``. A block's pool is its atom
-    list followed by the shared 1-tuple of each atom j * N^k + t, listed as
-    (j, t) in ``singles``. ``getters[n]`` holds one ``(getter, j)`` pair per
-    combo of server n, in generation order: the getter reads the combo off
-    the pool, and j is the subset position of its first atom. Plan entries
-    are (atom, server, first, side server, side first), where first is the
-    pool index of the first atom of the combo that carries the desired
-    atom, and side first that of the side combo it is XORed with;
-    singletons have no side. ``shapes[n]`` lists the same combos as
-    ``getters[n]``, each as its atoms' (j, t) pairs.
+    Returns ``(shapes, plan)``. ``shapes[n]`` lists server n's combos in
+    generation order, each as its atoms' (j, t) pairs, atom (j, t) the t-th
+    position drawn for subset member j. A combo's atoms are in ascending j,
+    which is ascending message order, so its first atom has the smallest
+    subset position. ``plan`` has one entry (t, n, i, m, side) per desired
+    atom (desired_pos, t), ascending in t: the desired bit is server n's
+    answer to its combo i, XORed with server m's answer to its combo side;
+    singletons have neither m nor side.
 
     Raises ``ConstructionFailed`` if two combos of one server share a first
-    atom: the canonical order and the decode lookup both key on it.
+    atom: the canonical order keys on it.
     """
-    block = n_servers**k
     drawn = [0] * k
 
     def atom(j):
         t = drawn[j]
         drawn[j] = t + 1
-        return j * block + t
+        return j, t
 
     per_server: list[list] = [[] for _ in range(n_servers)]
-    decode = []
+    plan = []
     side_pool: dict[tuple, list[list]] = {}
     for n in range(n_servers):
         for j in range(k):
             a = atom(j)
             if j == desired_pos:
-                decode.append((a, n, a, None, None))
+                plan.append((a[1], n, len(per_server[n]), None, None))
             else:
                 side_pool.setdefault((j,), [[] for _ in range(n_servers)])[n].append(
                     len(per_server[n])
@@ -214,9 +244,8 @@ def _template(n_servers: int, k: int, desired_pos: int):
                         continue
                     for side in side_pool[side_type][m]:
                         a = atom(desired_pos)
-                        combo = tuple(sorted(per_server[m][side] + (a,)))
-                        decode.append((a, n, combo[0], m, per_server[m][side][0]))
-                        per_server[n].append(combo)
+                        plan.append((a[1], n, len(per_server[n]), m, side))
+                        per_server[n].append(tuple(sorted(per_server[m][side] + (a,))))
             for group in combinations(others, size):
                 for _ in range((n_servers - 1) ** (size - 1)):
                     new_pool.setdefault(group, [[] for _ in range(n_servers)])[n].append(
@@ -231,37 +260,85 @@ def _template(n_servers: int, k: int, desired_pos: int):
                 f"server {n} repeats a first atom at N={n_servers}, k={k}, "
                 f"desired position {desired_pos}"
             )
-    singles = [c[0] for combos in per_server for c in combos if len(c) == 1]
-    slot = {a: k * block + i for i, a in enumerate(singles)}
-    getters = tuple(
-        tuple(
-            (itemgetter(slot[c[0]]) if len(c) == 1 else itemgetter(*c), c[0] // block)
-            for c in combos
+    return tuple(map(tuple, per_server)), tuple(sorted(plan))
+
+
+@lru_cache(maxsize=256)
+def _tables(n_servers: int, k: int, blocks: int, desired_pos: int):
+    """Compiled gathers of one (N, k, blocks, desired position):
+    ``(servers, first, side, size)``.
+
+    Every combo of every server has a template index, from 1 to size - 1;
+    index 0 stands for a zero bit. ``servers[n]`` is ``(firsts, ids,
+    singles, groups, indices)`` for server n's combos in template index
+    order: singletons first, then by size, block and generation order.
+    ``firsts`` reads the key slots of their first atoms off the slot list,
+    the first ``singles`` of them singletons, and ``ids`` are their cell
+    ids (see ``sample_orders``); ``groups`` holds one ``(size, getter)`` per
+    larger combo size, the getter reading all their atoms, combo after
+    combo, off the atoms placed by the key; ``indices`` is the range of
+    their template indices. ``first`` and ``side`` read, off the answer
+    bits in template order, the two bits that XOR to each desired bit, for
+    the desired atoms in ascending order.
+    """
+    shapes, plan = _block_template(n_servers, k, desired_pos)
+    block = n_servers**k
+    L = blocks * block
+    # atom ids, cell ids and template indices, as ints shared with keys
+    ids = _identity(max(k * L, blocks * sum(map(len, shapes)) + 1))
+
+    def at(atom, b):
+        j, t = atom
+        return ids[j * L + b * block + t]
+
+    index: dict[tuple[int, int, int], int] = {}
+    servers = []
+    for n, combos in enumerate(shapes):
+        order = sorted((len(c), b, i) for b in range(blocks) for i, c in enumerate(combos))
+        start = len(index) + 1
+        for position, (_, b, i) in enumerate(order, start):
+            index[n, b, i] = ids[position]
+        singles = sum(size == 1 for size, _, _ in order)
+        groups = tuple(
+            (size, itemgetter(*[at(a, b) for _, b, i in run for a in combos[i]]))
+            for size, run in groupby(order[singles:], key=itemgetter(0))
         )
-        for combos in per_server
-    )
-    shapes = tuple(
-        tuple(tuple(divmod(a, block) for a in c) for c in combos) for combos in per_server
-    )
-    return tuple(divmod(a, block) for a in singles), getters, tuple(decode), shapes
+        servers.append(
+            (
+                _getter([at(combos[i][0], b) for _, b, i in order]),
+                tuple(ids[b << k | sum(1 << j for j, _ in combos[i])] for _, b, i in order),
+                singles,
+                groups,
+                range(start, len(index) + 1),
+            )
+        )
+    entries = [(b, entry) for b in range(blocks) for entry in plan]
+    first = _getter([index[n, b, i] for b, (_, n, i, _, _) in entries])
+    side = _getter([0 if m is None else index[m, b, s] for b, (_, _, _, m, s) in entries])
+    return tuple(servers), first, side, len(index) + 1
 
 
-@lru_cache(maxsize=None)
-def _cells(subset: tuple[int, ...], L: int):
-    """Per subset member, its (message, position) atoms and their 1-tuple
-    combos. Sessions share them, so the queries a caller keeps hold no
-    per-session copies of either."""
-    return tuple(_atoms(msg, L) for msg in subset), tuple(_units(msg, L) for msg in subset)
+def _getter(indices):
+    """``itemgetter(*indices)``, returning a tuple for one index too."""
+    if len(indices) == 1:
+        return lambda items, i=indices[0]: (items[i],)
+    return itemgetter(*indices)
 
 
-@lru_cache(maxsize=None)
-def _atoms(msg: int, L: int) -> tuple[tuple[int, int], ...]:
-    return tuple((msg, pos) for pos in range(L))
+@lru_cache(maxsize=256)
+def _atom_table(subset: tuple[int, ...], L: int):
+    """The (message, position) atoms and their 1-tuple combos at every
+    slot j * L + p, p < L, of a key over ``subset``. Tables of different
+    subsets share the atoms and 1-tuples of each message, so the queries a
+    caller keeps hold no per-session copies of either."""
+    cells = [_message_cells(msg, L) for msg in subset]
+    return tuple(chain(*(a for a, _ in cells))), tuple(chain(*(u for _, u in cells)))
 
 
-@lru_cache(maxsize=None)
-def _units(msg: int, L: int) -> tuple[tuple[tuple[int, int]], ...]:
-    return tuple((atom,) for atom in _atoms(msg, L))
+@lru_cache(maxsize=256)
+def _message_cells(msg: int, L: int):
+    atoms = tuple((msg, pos) for pos in range(L))
+    return atoms, tuple((atom,) for atom in atoms)
 
 
 def query_pattern(params: SchemeParams, query: PirQuery):
@@ -300,29 +377,23 @@ def sample_orders(params: SchemeParams, desired: int, rng: random.Random):
     """The N servers' canonical combo orders of one fresh session, without
     the session.
 
-    Draws the key rows with ``_shuffled_rows``, as ``PirKey.random`` does,
-    so the stream moves exactly as in ``open_session``, but lays them end to
-    end in one flat list instead of building a ``PirKey``. Each combo of
-    server n goes to the slot of its first atom, as in
-    ``PirSession.from_key``, and stands there as the id of the cells its
-    atoms fall in (see ``_pattern_plan``); server n's order is its ids in
-    slot order. ``order_pattern`` turns an order into that server's
-    ``query_pattern``.
+    Draws the key's slots as ``PirKey.random`` does, so the stream moves
+    exactly as in ``open_session``. Each combo goes to the slot of its first
+    atom, as in ``PirSession.from_key``, as the id ``b << k | m`` (positive)
+    of the cells its atoms fall in: block b, subset positions in the mask m.
+    Server n's order is its ids in slot order; ``order_pattern`` turns it
+    into that server's ``query_pattern``.
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    empty, servers = _pattern_plan(
-        params.n_servers, params.k, params.blocks, params.subset.index(desired)
-    )
-    flat = []
-    for row in _shuffled_rows(params, rng):
-        flat += row
+    servers = _tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))[0]
+    slots = _shuffled_slots(params, rng)
     orders = []
-    for placed in servers:
-        slots = [*empty]
-        for base, r, cid in placed:
-            slots[base + flat[r]] = cid
-        orders.append(tuple(filter(None, slots)))
+    for firsts, ids, _, _, _ in servers:
+        placed = [0] * len(slots)
+        for slot, cid in zip(firsts(slots), ids):
+            placed[slot] = cid
+        orders.append(tuple(filter(None, placed)))
     return orders
 
 
@@ -349,43 +420,35 @@ def order_pattern(params: SchemeParams, order: tuple[int, ...]):
     return tuple(pattern)
 
 
-@lru_cache(maxsize=None)
-def _pattern_plan(n_servers: int, k: int, blocks: int, desired_pos: int):
-    """Key-free placement for ``sample_orders``, built once per scheme
-    shape and desired position.
-
-    Cell c = j * blocks + b is subset member j in block b, and key row c is
-    ``key.perms[j][b]``, items c * N^k to c * N^k + N^k - 1 of the flat key
-    rows. A combo's atoms in block b fall in the cells of the subset
-    positions j set in a mask m, so ``b << k | m`` (positive, as m is)
-    names them: the id does not depend on the server or the desired
-    position.
-
-    Returns ``(empty, servers)``: the k * L empty slots, and ``servers[n]``
-    with one ``(base, r, id)`` entry per combo of server n and block: its
-    first atom (j, t) lands at slot base plus item r = c * N^k + t of the
-    ``_shuffled_rows`` laid end to end, base = j * L + b * N^k.
-    """
-    block = n_servers**k
-    L = blocks * block
-    *_, shapes = _template(n_servers, k, desired_pos)
-    servers = tuple(
-        tuple(
-            (
-                combo[0][0] * L + b * block,
-                (combo[0][0] * blocks + b) * block + combo[0][1],
-                b << k | sum(1 << j for j, _ in combo),
-            )
-            for b in range(blocks)
-            for combo in combos
-        )
-        for combos in shapes
-    )
-    return (0,) * (k * L), servers
-
-
 def pir_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
-    """XOR-evaluate each combo against the store; deterministic."""
+    """XOR-evaluate each combo against the store; deterministic.
+
+    An atom must pass one sign test, ``(msg | pos) >= 0``, and index the
+    store; any failure reruns the evaluation with every atom checked,
+    which raises what the checked loop raises at the first bad atom."""
+    data = store.data
+    bits = []
+    append = bits.append
+    try:
+        for combo in query.combos:
+            if len(combo) == 1:
+                ((msg, pos),) = combo
+                if (msg | pos) < 0:
+                    raise IndexError
+                append(data[msg][pos])
+                continue
+            acc = 0
+            for msg, pos in combo:
+                if (msg | pos) < 0:
+                    raise IndexError
+                acc ^= data[msg][pos]
+            append(acc)
+    except (IndexError, TypeError):
+        return _checked_answer(query, store)
+    return PirAnswer(server=query.server, bits=tuple(bits))
+
+
+def _checked_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
     data = store.data
     K, L = store.K, store.L
     bits = []
@@ -407,50 +470,42 @@ def answer_length(query: PirQuery) -> int:
 class PirSession:
     """One retrieval's state: key, canonical queries, and the decode plan.
 
-    Each decode entry is (position, server, first atom, side server, side
-    first atom): the desired bit at that position is the answer to the
-    server's combo with that first atom, XORed with the side server's
-    answer to its combo with the side first atom, if there is one.
+    ``_orders[n]`` lists the template index of each combo of server n's
+    query, in query order; decode places the answer bits by it and reads
+    the desired bits through the compiled tables.
     """
 
     params: SchemeParams
     desired: int
     key: PirKey
     queries: list[PirQuery]
-    _decode: list
+    _orders: list[tuple[int, ...]]
+    _tables: tuple
 
     @classmethod
     def from_key(cls, params: SchemeParams, desired: int, key: PirKey) -> "PirSession":
         """Deterministic canonical queries and decode plan for (params, desired, key)."""
         if desired not in params.subset:
             raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-        singles, getters, plan, _ = _template(
-            params.n_servers, params.k, params.subset.index(desired)
-        )
-        cells, units = _cells(params.subset, params.L)
-        pools = []
-        for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
-            pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
-            pool += [units[j][rows[j][t] + offset] for j, t in singles]
-            pools.append(pool)
-        # a combo's first atom (subset[j], p) is unique within its server's
-        # query, so slot j * L + p puts the combos in canonical order
-        L = params.L
-        queries = []
-        for n, combos in enumerate(getters):
-            slots = [None] * (params.k * L)
-            placed = [(get, j * L) for get, j in combos]
-            for pool in pools:
-                for get, base in placed:
-                    combo = get(pool)
-                    slots[base + combo[0][1]] = combo
-            queries.append(PirQuery(n, tuple(filter(None, slots))))
-        decode = [
-            (pool[a][1], n, pool[first], m, None if m is None else pool[side])
-            for pool in pools
-            for a, n, first, m, side in plan
-        ]
-        return cls(params=params, desired=desired, key=key, queries=queries, _decode=decode)
+        tables = _tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))
+        atoms, units = _atom_table(params.subset, params.L)
+        slots = key.slots
+        placed = itemgetter(*slots)(atoms)
+        combos = [None]
+        orders = []
+        for firsts, _, singles, groups, indices in tables[0]:
+            heads = firsts(slots)
+            combos += _getter(heads[:singles])(units)
+            for size, get in groups:
+                combos += zip(*[iter(get(placed))] * size)
+            # a combo's first atom is unique within its server's query, so
+            # its slot puts the combos in canonical order
+            order = [0] * len(slots)
+            for slot, i in zip(heads, indices):
+                order[slot] = i
+            orders.append(tuple(filter(None, order)))
+        queries = [PirQuery(n, _getter(order)(combos)) for n, order in enumerate(orders)]
+        return cls(params, desired, key, queries, orders, tables)
 
     def decode(self, answers: list[PirAnswer]) -> tuple[int, ...]:
         """Recover all L bits of the desired message; zero error by construction."""
@@ -458,21 +513,25 @@ class PirSession:
             raise InconsistentAnswers(
                 f"{len(answers)} answers for {len(self.queries)} queries"
             )
-        lookup = []
-        for query, answer in zip(self.queries, answers):
-            if len(answer.bits) != len(query.combos):
+        _, first, side, size = self._tables
+        bits = [0] * size
+        for n, (order, answer) in enumerate(zip(self._orders, answers)):
+            if len(answer.bits) != len(order):
                 raise InconsistentAnswers(
-                    f"server {query.server} answered {len(answer.bits)} bits "
-                    f"for {len(query.combos)} combos"
+                    f"server {n} answered {len(answer.bits)} bits for {len(order)} combos"
                 )
-            lookup.append(dict(zip([c[0] for c in query.combos], answer.bits)))
-        bits = [0] * self.params.L
-        for pos, n, first, side_server, side_first in self._decode:
-            value = lookup[n][first]
-            if side_first is not None:
-                value ^= lookup[side_server][side_first]
-            bits[pos] = value
-        return tuple(bits)
+            for i, bit in zip(order, answer.bits):
+                bits[i] = bit
+        # the desired atoms land, in ascending order, at the desired
+        # member's slots j * L + p, p their bit positions
+        L = self.params.L
+        start = self.params.subset.index(self.desired) * L
+        out = [0] * (start + L)
+        for slot, bit in zip(
+            self.key.slots[start : start + L], map(xor, first(bits), side(bits))
+        ):
+            out[slot] = bit
+        return tuple(out[start:])
 
 
 def open_session(params: SchemeParams, desired: int, rng: random.Random) -> PirSession:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
 from ipir.core import (
@@ -32,8 +33,10 @@ from ipir.errors import (
     ConstructionFailed,
     DegeneratePosterior,
     DesiredNotInSubset,
+    InconsistentAnswers,
     InvalidParams,
     IterationLimit,
+    OutOfRange,
     TooLarge,
 )
 from ipir.location import (
@@ -306,7 +309,8 @@ def block_plan(params: pir.SchemeParams, desired_pos: int, key: pir.PirKey, bloc
     """
     n_servers, k, subset = params.n_servers, params.k, params.subset
     offset = block * params.block
-    streams = [iter(key.perms[j][block]) for j in range(k)]
+    perms = key.perms
+    streams = [iter(perms[j][block]) for j in range(k)]
     per_server: list[list] = [[] for _ in range(n_servers)]
     decode = []
     side_pool: dict[tuple, list[list]] = {}
@@ -378,24 +382,216 @@ def shuffle_key(params: pir.SchemeParams, rng) -> pir.PirKey:
             rng.shuffle(row)
             rows.append(tuple(row))
         perms.append(tuple(rows))
-    return pir.PirKey(perms=tuple(perms))
+    return pir.PirKey.from_perms(tuple(perms))
 
 
-def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
-    """Canonical queries by a lexicographic sort of the template's combos.
+@lru_cache(maxsize=None)
+def pooled_template(n_servers: int, k: int, desired_pos: int):
+    """Key-free shape of one block, built once per (N, k, desired position).
 
-    This is the construction that ``PirSession.from_key`` replaced with
-    placing each combo by its first atom; both must agree exactly.
+    This is the block template that ``PirSession.from_key`` compiled into
+    flat gather tables over the key's slots; ``pooled_session`` fills it
+    block by block.
+
+    A key only fills in bit positions, and every block has the same shape.
+    Atom j * N^k + t stands for message subset[j] at the t-th position drawn
+    from its block's permutation, key.perms[j][b][t] + b * N^k. Each combo is
+    a tuple of atom indices in ascending order, which is ascending message
+    order, so its first atom has the smallest subset position.
+
+    Returns ``(singles, getters, plan, shapes)``. A block's pool is its atom
+    list followed by the shared 1-tuple of each atom j * N^k + t, listed as
+    (j, t) in ``singles``. ``getters[n]`` holds one ``(getter, j)`` pair per
+    combo of server n, in generation order: the getter reads the combo off
+    the pool, and j is the subset position of its first atom. Plan entries
+    are (atom, server, first, side server, side first), where first is the
+    pool index of the first atom of the combo that carries the desired
+    atom, and side first that of the side combo it is XORed with;
+    singletons have no side. ``shapes[n]`` lists the same combos as
+    ``getters[n]``, each as its atoms' (j, t) pairs.
+
+    Raises ``ConstructionFailed`` if two combos of one server share a first
+    atom: the canonical order and the decode lookup both key on it.
     """
-    singles, getters, _, _ = pir._template(
-        params.n_servers, params.k, params.subset.index(desired)
+    block = n_servers**k
+    drawn = [0] * k
+
+    def atom(j):
+        t = drawn[j]
+        drawn[j] = t + 1
+        return j * block + t
+
+    per_server: list[list] = [[] for _ in range(n_servers)]
+    decode = []
+    side_pool: dict[tuple, list[list]] = {}
+    for n in range(n_servers):
+        for j in range(k):
+            a = atom(j)
+            if j == desired_pos:
+                decode.append((a, n, a, None, None))
+            else:
+                side_pool.setdefault((j,), [[] for _ in range(n_servers)])[n].append(
+                    len(per_server[n])
+                )
+            per_server[n].append((a,))
+
+    others = [j for j in range(k) if j != desired_pos]
+    for size in range(2, k + 1):
+        new_pool: dict[tuple, list[list]] = {}
+        for n in range(n_servers):
+            for side_type in sorted(side_pool):
+                for m in range(n_servers):
+                    if m == n:
+                        continue
+                    for side in side_pool[side_type][m]:
+                        a = atom(desired_pos)
+                        combo = tuple(sorted(per_server[m][side] + (a,)))
+                        decode.append((a, n, combo[0], m, per_server[m][side][0]))
+                        per_server[n].append(combo)
+            for group in combinations(others, size):
+                for _ in range((n_servers - 1) ** (size - 1)):
+                    new_pool.setdefault(group, [[] for _ in range(n_servers)])[n].append(
+                        len(per_server[n])
+                    )
+                    per_server[n].append(tuple(atom(j) for j in group))
+        side_pool = new_pool
+
+    for n, combos in enumerate(per_server):
+        if len({c[0] for c in combos}) != len(combos):
+            raise ConstructionFailed(
+                f"server {n} repeats a first atom at N={n_servers}, k={k}, "
+                f"desired position {desired_pos}"
+            )
+    singles = [c[0] for combos in per_server for c in combos if len(c) == 1]
+    slot = {a: k * block + i for i, a in enumerate(singles)}
+    getters = tuple(
+        tuple(
+            (itemgetter(slot[c[0]]) if len(c) == 1 else itemgetter(*c), c[0] // block)
+            for c in combos
+        )
+        for combos in per_server
     )
-    cells, units = pir._cells(params.subset, params.L)
+    shapes = tuple(
+        tuple(tuple(divmod(a, block) for a in c) for c in combos) for combos in per_server
+    )
+    return tuple(divmod(a, block) for a in singles), getters, tuple(decode), shapes
+
+
+@lru_cache(maxsize=None)
+def _pooled_cells(subset: tuple[int, ...], L: int):
+    """Per subset member, its (message, position) atoms and their 1-tuple
+    combos."""
+    atoms = tuple(tuple((msg, pos) for pos in range(L)) for msg in subset)
+    return atoms, tuple(tuple((atom,) for atom in row) for row in atoms)
+
+
+def _pools(params: pir.SchemeParams, desired: int, key: pir.PirKey):
+    """Per block, the key's atoms of every subset member followed by the
+    1-tuples of the template's singletons: the pools the template's getters
+    read."""
+    singles, *_ = pooled_template(params.n_servers, params.k, params.subset.index(desired))
+    cells, units = _pooled_cells(params.subset, params.L)
     pools = []
     for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
         pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
         pool += [units[j][rows[j][t] + offset] for j, t in singles]
         pools.append(pool)
+    return pools
+
+
+@dataclass
+class PooledSession:
+    """Queries and decode of one retrieval built from per-block pools.
+
+    This is the construction that ``PirSession.from_key`` and
+    ``PirSession.decode`` replaced with gathers through the key's flat
+    slots: per block, a pool of the key's atoms feeds the template's
+    per-combo getters, each combo goes to slot j * L + p of its first atom
+    (subset[j], p), and decode looks each combo's answer bit up by its
+    first atom. Both must agree exactly.
+    """
+
+    params: pir.SchemeParams
+    queries: list
+    plan: list  # (position, server, first atom, side server, side first atom)
+
+    def decode(self, answers) -> tuple[int, ...]:
+        if len(answers) != len(self.queries):
+            raise InconsistentAnswers(
+                f"{len(answers)} answers for {len(self.queries)} queries"
+            )
+        lookup = []
+        for query, answer in zip(self.queries, answers):
+            if len(answer.bits) != len(query.combos):
+                raise InconsistentAnswers(
+                    f"server {query.server} answered {len(answer.bits)} bits "
+                    f"for {len(query.combos)} combos"
+                )
+            lookup.append(dict(zip([c[0] for c in query.combos], answer.bits)))
+        bits = [0] * self.params.L
+        for pos, n, first, side_server, side_first in self.plan:
+            value = lookup[n][first]
+            if side_first is not None:
+                value ^= lookup[side_server][side_first]
+            bits[pos] = value
+        return tuple(bits)
+
+
+def pooled_session(params: pir.SchemeParams, desired: int, key: pir.PirKey) -> PooledSession:
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    _, getters, plan, _ = pooled_template(
+        params.n_servers, params.k, params.subset.index(desired)
+    )
+    pools = _pools(params, desired, key)
+    L = params.L
+    queries = []
+    for n, combos in enumerate(getters):
+        slots = [None] * (params.k * L)
+        placed = [(get, j * L) for get, j in combos]
+        for pool in pools:
+            for get, base in placed:
+                combo = get(pool)
+                slots[base + combo[0][1]] = combo
+        queries.append(pir.PirQuery(n, tuple(filter(None, slots))))
+    decode = [
+        (pool[a][1], n, pool[first], m, None if m is None else pool[side])
+        for pool in pools
+        for a, n, first, m, side in plan
+    ]
+    return PooledSession(params, queries, decode)
+
+
+def checked_answer(query: pir.PirQuery, store) -> pir.PirAnswer:
+    """XOR-evaluate each combo, checking every atom before reading it.
+
+    This is the loop that ``pir.pir_answer`` replaced with one sign test
+    per atom; both must give the same bits, and raise the same exception
+    with the same message.
+    """
+    data = store.data
+    K, L = store.K, store.L
+    bits = []
+    for combo in query.combos:
+        acc = 0
+        for msg, pos in combo:
+            if not (0 <= msg < K) or not (0 <= pos < L):
+                raise OutOfRange(f"combo references ({msg}, {pos})")
+            acc ^= data[msg][pos]
+        bits.append(acc)
+    return pir.PirAnswer(server=query.server, bits=tuple(bits))
+
+
+def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
+    """Canonical queries by a lexicographic sort of the template's combos.
+
+    This is the construction that placing each combo by its first atom
+    replaced; both must agree exactly.
+    """
+    _, getters, _, _ = pooled_template(
+        params.n_servers, params.k, params.subset.index(desired)
+    )
+    pools = _pools(params, desired, key)
     return [
         pir.PirQuery(n, tuple(sorted([get(pool) for pool in pools for get, _ in combos])))
         for n, combos in enumerate(getters)
@@ -416,15 +612,15 @@ def keyed_sample_orders(params: pir.SchemeParams, desired: int, rng):
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    key = pir.PirKey.random(params, rng)
-    *_, shapes = pir._template(params.n_servers, params.k, params.subset.index(desired))
+    perms = pir.PirKey.random(params, rng).perms
+    *_, shapes = pooled_template(params.n_servers, params.k, params.subset.index(desired))
     orders = []
     for combos in shapes:
         slots = [0] * (params.k * params.L)
         for b in range(params.blocks):
             for combo in combos:
                 j, t = combo[0]
-                slot = j * params.L + b * params.block + key.perms[j][b][t]
+                slot = j * params.L + b * params.block + perms[j][b][t]
                 slots[slot] = b << params.k | sum(1 << i for i, _ in combo)
         orders.append(tuple(filter(None, slots)))
     return orders
@@ -481,7 +677,7 @@ def _cell_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: int
     k = len(subset)
     block = n_servers**k
     blocks = L // block
-    *_, shapes = pir._template(n_servers, k, desired_pos)
+    *_, shapes = pooled_template(n_servers, k, desired_pos)
     servers = tuple(
         tuple(
             (

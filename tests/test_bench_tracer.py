@@ -62,6 +62,34 @@ def test_tracer_wraps_and_restores_every_point():
     assert [owner.__dict__[attr] for owner, attr, _, _ in points] == originals
 
 
+def test_every_session_draws_one_traced_key():
+    # pir.key_draw_s and pir.plan_s read the key-draw point and the
+    # session's self time: on the two-request and the location runs each
+    # session must draw its key through the traced name, and both spans
+    # must take time
+    tracer = load_tracer()
+    joint = validate_joint([[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]])
+    config = SystemConfig(N=2, K=2, L=4, seed=8)
+    store = MessageStore.random(2, 4, fork_rng(8, "store"))
+    model = location.MobilityModel.build(
+        [F(1, 2), F(1, 2)], [[[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]]
+    )
+    schedule = location.PrivacySchedule(horizon=3, private=frozenset({0}))
+    runs = [
+        lambda: intermittent.run_two_request(
+            joint, greedy_policy(conditional_from_joint(joint)), config, store, trials=4
+        ),
+        lambda: location.simulate(model, schedule, config, store),
+    ]
+    for run in runs:
+        with tracer.Tracer(ipir) as t:
+            run()
+        assert t.count("pir.open_session") > 0
+        assert t.count("pir.key_draw") == t.count("pir.open_session")
+        assert t.busy("pir.key_draw") > 0
+        assert t.busy("pir.open_session") > 0
+
+
 def test_posterior_spans_cover_every_update():
     # location.posterior_s sums these two spans: one advance per step
     # before the horizon and one conditioning per non-private step, however

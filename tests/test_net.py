@@ -57,7 +57,7 @@ def running_pair(store22):
 
 def textbook_queries():
     params = pir_setup(2, (0, 1), 4)
-    identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+    identity = PirKey.from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
     return PirSession.from_key(params, 0, identity).queries
 
 

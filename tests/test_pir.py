@@ -29,12 +29,47 @@ from ipir.pir import (
 
 from oracles import (
     block_plan,
+    checked_answer,
     keyed_sample_orders,
+    pooled_session,
     sample_patterns,
     session_plan,
     shuffle_key,
     sorted_queries,
 )
+
+
+def plan_decode(queries, plan, answers, L):
+    """Decode by ``session_plan``'s entries: each desired bit is the answer
+    to its combo, XORed with the answer to its side combo, if any."""
+    bit = {
+        (q.server, combo): b for q, a in zip(queries, answers) for combo, b in zip(q.combos, a.bits)
+    }
+    out = [0] * L
+    for pos, server, combo, side_server, side in plan:
+        out[pos] = bit[server, combo] ^ (0 if side is None else bit[side_server, side])
+    return tuple(out)
+
+
+def assert_session_matches_oracles(params, desired, key, rng):
+    """The session from ``key`` equals the pooled and the direct oracle:
+    the same queries, and the same decode of answers from a store and of
+    arbitrary answer bits."""
+    session = PirSession.from_key(params, desired, key)
+    pooled = pooled_session(params, desired, key)
+    queries, plan = session_plan(params, desired, key)
+    assert session.queries == pooled.queries == queries == sorted_queries(params, desired, key)
+    store = MessageStore.random(max(params.subset) + 1, params.L, rng)
+    answers = [pir_answer(q, store) for q in session.queries]
+    assert session.decode(answers) == pooled.decode(answers) == store.data[desired]
+    noise = [
+        PirAnswer(q.server, tuple(rng.getrandbits(1) for _ in q.combos)) for q in session.queries
+    ]
+    assert (
+        session.decode(noise)
+        == pooled.decode(noise)
+        == plan_decode(queries, plan, noise, params.L)
+    )
 
 
 class TestSetup:
@@ -69,7 +104,7 @@ class TestSetup:
 class TestQueryStructure:
     def test_identity_key_reproduces_the_textbook_pair(self):
         params = pir_setup(2, (0, 1), 4)
-        identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+        identity = PirKey.from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
         queries = PirSession.from_key(params, 0, identity).queries
         assert set(queries[0].combos) == {
             ((0, 0),),
@@ -145,11 +180,76 @@ class TestAnswers:
             pir_answer(PirQuery(server=0, combos=(((0, 9),),)), store)
 
 
+def outcome(answer, query, store):
+    """The bits an answer function gives, or the type and message of what
+    it raises."""
+    try:
+        return answer(query, store).bits
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestAnswerParity:
+    # the store's atoms are (msg, pos), msg < 2 and pos < 4
+    STORE = MessageStore(K=2, L=4, data=((1, 0, 1, 1), (0, 1, 1, 0)))
+    VALID = (((0, 1),), ((0, 2), (1, 3)), ((1, 0),))
+    BAD = [(2, 0), (0, 4), (-1, 0), (0, -1), (-1, 9), (7, -2), (10**30, 0)]
+    MALFORMED = [
+        (True, 1), (0, False), (1.0, 0), (0, 2.0), (-1.0, 0), (9.0, 1), ("0", 1), (0, None)
+    ]
+
+    @staticmethod
+    def placements(atom):
+        # the atom alone, in a combo after a valid atom, and in the last
+        # combo after valid ones, as a singleton or in a pair
+        valid = TestAnswerParity.VALID
+        yield ((atom,),)
+        yield (((0, 0), atom),)
+        yield valid + ((atom,),)
+        yield valid + (((0, 3), atom),)
+
+    def lean_outcomes(self, atom):
+        # what pir_answer gives for each placement, checked against the
+        # checked loop
+        outcomes = []
+        for combos in self.placements(atom):
+            query = PirQuery(1, combos)
+            lean = outcome(pir_answer, query, self.STORE)
+            assert lean == outcome(checked_answer, query, self.STORE), combos
+            outcomes.append(lean)
+        return outcomes
+
+    def test_valid_queries(self):
+        params = pir_setup(2, (0, 1), 4)
+        for desired in params.subset:
+            for key in enumerate_keys(params):
+                for query in PirSession.from_key(params, desired, key).queries:
+                    assert pir_answer(query, self.STORE) == checked_answer(query, self.STORE)
+
+    @pytest.mark.parametrize("atom", BAD)
+    def test_out_of_range_message(self, atom):
+        for lean in self.lean_outcomes(atom):
+            assert lean == (OutOfRange, f"combo references {atom}")
+
+    @pytest.mark.parametrize("atom", MALFORMED)
+    def test_malformed_atoms_raise_the_same(self, atom):
+        # a bool is an int, so it answers as 0 or 1; a float raises
+        # TypeError when it indexes the store, or OutOfRange when it is out
+        # of range first; a str or None fails the comparison
+        for lean in self.lean_outcomes(atom):
+            if any(type(v) is bool for v in atom):
+                assert type(lean) is tuple and all(b in (0, 1) for b in lean)
+            elif any(type(v) is float for v in atom):
+                assert lean[0] in (OutOfRange, TypeError)
+            else:
+                assert lean[0] is TypeError
+
+
 class TestDecode:
     def test_textbook_side_information_cancels(self):
         store = MessageStore(K=2, L=4, data=((1, 0, 1, 1), (0, 1, 1, 0)))
         params = pir_setup(2, (0, 1), 4)
-        identity = PirKey(perms=(((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+        identity = PirKey.from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
         session = PirSession.from_key(params, 0, identity)
         answers = [pir_answer(q, store) for q in session.queries]
         assert session.decode(answers) == (1, 0, 1, 1)
@@ -243,22 +343,14 @@ class TestTemplatePlan:
         ],
     )
     def test_from_key_matches_direct_construction(self, n, subset, L):
-        # the cached key-free template and the combo-by-combo construction
-        # give identical queries and decode plans for every desired index;
-        # a session keys each decode entry by its combos' first atoms, which
-        # are distinct per server (test_first_atoms_distinct_per_server)
+        # the compiled tables, the pooled block-by-block construction and
+        # the combo-by-combo construction give identical queries, and
+        # decode every set of answer bits alike, for every desired index
         params = pir_setup(n, subset, L)
         rng = fork_rng(21, "template", n, subset, L)
         for desired in params.subset:
             for _ in range(5):
-                key = PirKey.random(params, rng)
-                session = PirSession.from_key(params, desired, key)
-                queries, decode = session_plan(params, desired, key)
-                assert session.queries == queries == sorted_queries(params, desired, key)
-                assert session._decode == [
-                    (pos, server, combo[0], side_server, None if side is None else side[0])
-                    for pos, server, combo, side_server, side in decode
-                ]
+                assert_session_matches_oracles(params, desired, PirKey.random(params, rng), rng)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -273,10 +365,49 @@ class TestTemplatePlan:
         # placing combos by first atom gives the lexicographic sort
         params = pir_setup(n, subset, blocks * n ** len(subset))
         desired = data.draw(st.sampled_from(params.subset))
-        key = PirKey.random(params, fork_rng(data.draw(st.integers(0, 2**32))))
+        rng = fork_rng(data.draw(st.integers(0, 2**32)))
+        key = PirKey.random(params, rng)
         assert PirSession.from_key(params, desired, key).queries == sorted_queries(
             params, desired, key
         )
+        assert_session_matches_oracles(params, desired, key, rng)
+
+    # N = 2..4 and k = 1..4: block sizes N^k up to 256
+    SHAPES = [(n, k) for n in (2, 3, 4) for k in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_sessions_match_pooled_oracle(self, blocks):
+        # for every desired position, a session drawn on the rng equals the
+        # oracles over the key rng.shuffle draws, and leaves the stream
+        # where the shuffles leave it
+        for n, k in self.SHAPES:
+            # odd message indices, so a subset position is not its message
+            params = pir_setup(n, range(1, 2 * k, 2), blocks * n**k)
+            for desired in params.subset:
+                for seed in range(2):
+                    rng, ref = (fork_rng(23, n, k, blocks, desired, seed) for _ in range(2))
+                    session = open_session(params, desired, rng)
+                    key = shuffle_key(params, ref)
+                    assert session.key == key
+                    assert_session_matches_oracles(params, desired, key, fork_rng(24, seed))
+                    assert rng.getrandbits(64) == ref.getrandbits(64)
+
+    @pytest.mark.parametrize(
+        "n,subset,L",
+        [(2, (0,), 2), (3, (1,), 3), (2, (0,), 4), (2, (1,), 4), (2, (0, 1), 4)],
+    )
+    def test_every_key_of_small_shapes(self, n, subset, L):
+        # a gather of one index must still give a tuple: at N=2, k=1, L=2
+        # and N=3, k=1, L=3 each server asks for one combo; N=2, K=2, L=4
+        # holds every shape of the two-request reproduction's sessions
+        params = pir_setup(n, subset, L)
+        rng = fork_rng(25, n, subset, L)
+        for desired in params.subset:
+            for key in enumerate_keys(params):
+                assert_session_matches_oracles(params, desired, key, rng)
+        if L == n:
+            session = open_session(params, subset[0], rng)
+            assert [len(q.combos) for q in session.queries] == [1] * n
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -284,7 +415,7 @@ class TestTemplatePlan:
         # canonical placement and decode lookups both key a combo by its
         # first atom, so no server's query may repeat one
         params = pir_setup(n, range(k), n**k)
-        identity = PirKey(perms=((tuple(range(params.block)),),) * k)
+        identity = PirKey.from_perms(((tuple(range(params.block)),),) * k)
         for desired_pos in range(k):
             per_server, _ = block_plan(params, desired_pos, identity, 0)
             for combos in per_server:
