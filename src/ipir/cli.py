@@ -68,13 +68,14 @@ def _cond(data) -> ConditionalMatrix:
     )
 
 
-def _schedule(data) -> PrivacySchedule:
+def _schedule(data) -> tuple[int, PrivacySchedule]:
+    """The file's horizon, and its schedule shifted to start private."""
     horizon = int(data["horizon"])
     private = [int(t) for t in data["private"]]
     if 0 not in private:
         log.warning("schedule lacks t=0; shifting time so it starts private")
-        return PrivacySchedule.normalized(horizon, private)
-    return PrivacySchedule(horizon=horizon, private=frozenset(private))
+        return horizon, PrivacySchedule.normalized(horizon, private)
+    return horizon, PrivacySchedule(horizon=horizon, private=frozenset(private))
 
 
 def _policy_for(joint: JointDistribution, data) -> ObfuscationPolicy:
@@ -87,6 +88,8 @@ def _policy_for(joint: JointDistribution, data) -> ObfuscationPolicy:
 def _transcript(data):
     cfg = data["config"]
     joint = JointDistribution.from_json_dict(data["joint"])
+    if cfg["K"] != joint.K:
+        raise ConfigError(f"config has K={cfg['K']!r}, joint has K={joint.K}")
     policy = _policy_for(joint, data["policy"])
     # the audits report a leaking policy; one with entries outside [K] is
     # malformed input
@@ -159,13 +162,13 @@ def _store_for(config: SystemConfig) -> MessageStore:
     return MessageStore.random(config.K, config.L, fork_rng(config.seed, "store"))
 
 
-def _audits(joint, policy, config: SystemConfig, query_mode: str) -> dict:
-    """Audit reports by section name. The size bound needs full support;
-    query privacy runs in ``query_mode`` unless that is "none"."""
+def _audits(joint, cond, policy, config: SystemConfig, query_mode: str) -> dict:
+    """Audit reports by section name; ``cond`` is the joint's conditional
+    matrix. The size bound needs full support; query privacy runs in
+    ``query_mode`` unless that is "none"."""
     audits = {
         "subset-independence": audit_mod.audit_policy_independence(policy, joint)
     }
-    cond = conditional_from_joint(joint)
     if cond.full_support():
         audits["size-bound"] = audit_mod.check_size_bound(policy, cond)
     if query_mode != "none":
@@ -180,10 +183,10 @@ def cmd_two_request(args) -> int:
     K = joint.K
     length = args.length or default_length(args.servers, K)
     config = SystemConfig(N=args.servers, K=K, L=length, seed=args.seed)
+    cond = conditional_from_joint(joint)
     if args.policy:
         policy = _load(args.policy, "policy", lambda data: _policy_for(joint, data))
     elif args.auto_greedy:
-        cond = conditional_from_joint(joint)
         if not cond.full_support():
             raise ConfigError("greedy construction needs full support; use --auto-lp")
         policy = greedy_policy(cond)
@@ -193,14 +196,13 @@ def cmd_two_request(args) -> int:
     if not validation.all_ok:
         raise ConfigError(f"policy fails validation: {validation.witness}")
 
-    cond = conditional_from_joint(joint)
     bound = None
     if cond.full_support():
         bound = guaranteed_cost_bound(likelihood_profile(cond), args.servers)
     store = _store_for(config)
     report = run_two_request(joint, policy, config, store, trials=args.trials)
 
-    audits = _audits(joint, policy, config, args.query_audit)
+    audits = _audits(joint, cond, policy, config, args.query_audit)
 
     handle = None
     if args.audit_handle:
@@ -236,11 +238,10 @@ def cmd_two_request(args) -> int:
 
 def cmd_simulate_location(args) -> int:
     model = _load(args.model, "model", MobilityModel.from_json_dict)
-    schedule = _load(args.schedule, "schedule", _schedule)
-    if args.horizon is not None and args.horizon != schedule.horizon:
+    horizon, schedule = _load(args.schedule, "schedule", _schedule)
+    if args.horizon is not None and args.horizon != horizon:
         raise ConfigError(
-            f"--horizon {args.horizon} disagrees with the schedule file "
-            f"horizon {schedule.horizon}"
+            f"--horizon {args.horizon} disagrees with the schedule file horizon {horizon}"
         )
     length = args.length or default_length(args.servers, model.K)
     config = SystemConfig(N=args.servers, K=model.K, L=length, seed=args.seed)
@@ -279,7 +280,7 @@ def cmd_audit(args) -> int:
     joint, policy, config = _load(args.transcript, "transcript", _transcript)
 
     mode = "empirical" if args.empirical else "exact"
-    sections = _audits(joint, policy, config, mode)
+    sections = _audits(joint, conditional_from_joint(joint), policy, config, mode)
     out = {name: rep.to_json_dict() for name, rep in sections.items()}
     out["passed"] = all(rep.passed for rep in sections.values())
     _emit(out, args.output)

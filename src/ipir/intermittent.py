@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
+    ZERO,
     JointDistribution,
     MessageStore,
     SystemConfig,
@@ -31,8 +32,6 @@ from .obfuscation import (
     subset_samplers,
 )
 from . import pir
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import (
+    ZERO,
     JointDistribution,
     MessageStore,
     SystemConfig,
@@ -62,8 +63,6 @@ from .obfuscation import (
 from . import audit
 from . import pir
 from .intermittent import retrieve
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -196,13 +195,12 @@ def latest_private(t: int, schedule: PrivacySchedule) -> int:
 @dataclass(frozen=True)
 class PosteriorState:
     """Tracked joint law of (current location, latest private location)
-    given the realized subset history: ``law`` over (current, private), so
-    ``joint[a][b]`` = P(X_t=a, X_tau=b) as a Fraction."""
+    given the realized subsets (the step records keep them): ``law`` over
+    (current, private), so ``joint[a][b]`` = P(X_t=a, X_tau=b), a Fraction."""
 
     t: int
     tau: int
     law: JointDistribution
-    history: tuple[tuple[int, ...], ...] = ()
 
     @property
     def joint(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -243,7 +241,7 @@ def advance_posterior(
         tau = t1
         pushed = [[sum(pushed[a1]) if a1 == b else 0 for b in range(K)] for a1 in range(K)]
     law = JointDistribution.over(pushed, state.law.scale * trans_scale)
-    return PosteriorState(t=t1, tau=tau, law=law, history=state.history)
+    return PosteriorState(t=t1, tau=tau, law=law)
 
 
 def condition_posterior(
@@ -269,11 +267,7 @@ def condition_posterior(
         raise DegeneratePosterior(
             f"step {state.t}: realized subset has zero tracked probability"
         )
-    return replace(
-        state,
-        law=JointDistribution.over(conditioned, total),
-        history=state.history + (indices_of(subset_mask),),
-    )
+    return replace(state, law=JointDistribution.over(conditioned, total))
 
 
 def policy_for_posterior(
@@ -364,10 +358,9 @@ def step_private(
         online_privacy_zero=True,  # the subset is a constant
         solver="none",
     )
-    conditioned = replace(state, history=state.history + (retrieval.subset,))
     if state.t < schedule.horizon:
-        return record, advance_posterior(conditioned, model, schedule)
-    return record, conditioned
+        return record, advance_posterior(state, model, schedule)
+    return record, state
 
 
 def step_nonprivate(

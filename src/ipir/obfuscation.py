@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import (
+    ZERO,
     ConditionalMatrix,
     JointDistribution,
     WeightedSampler,
@@ -42,9 +43,6 @@ from .errors import (
     UnsupportedPair,
 )
 from .simplex import minimize
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_LP_CAP = 6
 
@@ -101,7 +99,7 @@ def likelihood_profile(cond: ConditionalMatrix) -> LikelihoodProfile:
             prev = rank_sums[j - 2] if j >= 2 else ZERO
             weights.append(rank_sums[j - 1] - prev)
         elif j == unit_rank + 1:
-            weights.append(ONE - rank_sums[unit_rank - 1])
+            weights.append(1 - rank_sums[unit_rank - 1])
         else:
             weights.append(ZERO)
     return LikelihoodProfile(
@@ -177,7 +175,7 @@ def trivial_policy(K: int) -> ObfuscationPolicy:
     """The always-feasible policy that hides every request in the full set."""
     mask = full_mask(K)
     return ObfuscationPolicy(
-        K=K, entries={(s, x, mask): ONE for s in range(K) for x in range(K)}
+        K=K, entries={(s, x, mask): Fraction(1) for s in range(K) for x in range(K)}
     )
 
 
@@ -202,7 +200,7 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
     K = cond.K
     order = profile.order
     sigma = profile.unit_rank
-    leftover = ONE - profile.rank_sums[sigma - 1]
+    leftover = 1 - profile.rank_sums[sigma - 1]
     last_round = sigma + 1 if leftover > 0 else sigma
     # increment[c-1][i]: fresh mass column i contributes in round c; the
     # round sigma+1 increments are capped so they sum to the per-row
@@ -353,7 +351,7 @@ def build_lp(
         variables=tuple(proper),
         costs=_covering_costs(K, n_servers),
         rows=_covering_rows(K),
-        rhs=(ONE, *(Fraction(n, d) for n, d in least.values())),
+        rhs=(Fraction(1), *(Fraction(n, d) for n, d in least.values())),
     )
 
 
@@ -393,7 +391,7 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
     marginal = {u: value for u, value in zip(instance.variables, solution.x) if value != 0}
-    rest = ONE - sum(marginal.values(), ZERO)
+    rest = 1 - sum(marginal.values(), ZERO)
     if rest != 0:
         marginal[full_mask(instance.K)] = rest
     numerators, scale = scale_to_integers(marginal.values())

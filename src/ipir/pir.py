@@ -15,7 +15,7 @@ desired.
 Messages longer than one block run the construction independently per block
 of N^k bits with independent permutations.
 
-A key is one flat list of k * L slots: it sends atom j * L + b * N^k + t,
+A key is only its flat list of k * L slots: it sends atom j * L + b * N^k + t,
 the t-th position the construction draws for subset member j in block b,
 to slot j * L + b * N^k + p, bit b * N^k + p of message subset[j]. Its
 draw shuffles each row of N^k slots in place with the ``getrandbits``
@@ -91,36 +91,16 @@ def _scheme_params(n_servers: int, subset: tuple[int, ...], L: int) -> SchemePar
 @dataclass(frozen=True)
 class PirKey:
     """Per (subset member, block): a private permutation of bit positions,
-    held as one flat list of slots (see the module docstring): item
-    j * L + b * N^k + t is j * L + b * N^k + ``perms[j][b][t]``."""
+    held as one flat list of slots (see the module docstring)."""
 
     slots: list[int]
-    block: int
-    blocks: int
     __hash__ = None  # the slots are a list
 
     @classmethod
     def random(cls, params: SchemeParams, rng: random.Random) -> "PirKey":
         """One uniform permutation per (subset member, block), drawn with
         the same ``getrandbits`` calls as ``rng.shuffle`` on the identity."""
-        return cls(_shuffled_slots(params, rng), params.block, params.blocks)
-
-    @classmethod
-    def from_perms(cls, perms) -> "PirKey":
-        """The key whose ``perms`` are ``perms``: per subset member, one
-        permutation of range(N^k) per block."""
-        rows = [row for member in perms for row in member]
-        block = len(rows[0])
-        return cls([c * block + p for c, row in enumerate(rows) for p in row], block, len(perms[0]))
-
-    @property
-    def perms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        block, slots = self.block, self.slots
-        rows = (
-            tuple(p - base for p in slots[base : base + block])
-            for base in range(0, len(slots), block)
-        )
-        return tuple(zip(*[rows] * self.blocks))
+        return cls(_shuffled_slots(params, rng))
 
 
 def _shuffled_slots(params: SchemeParams, rng: random.Random) -> list[int]:
@@ -176,7 +156,7 @@ def enumerate_keys(params: SchemeParams):
         for base in range(0, params.k * params.L, block)
     ]
     for rows in product(*pools):
-        yield PirKey([*chain.from_iterable(rows)], block, params.blocks)
+        yield PirKey([*chain.from_iterable(rows)])
 
 
 def key_count(params: SchemeParams) -> int:

@@ -118,14 +118,15 @@ def enumerate_mechanism(
     for x0 in range(K):
         if model.pi0[x0] != 0:
             start_weights[(x0,)] = model.pi0[x0]
-    frontier = [(initial_posterior(model), start_weights, ONE)]
+    # (tracked posterior, subset history, trace prefix weights, P(history))
+    frontier = [(initial_posterior(model), (), start_weights, ONE)]
     nodes: list[MechanismNode] = []
 
     for t in range(schedule.horizon + 1):
         private = schedule.is_private(t)
         tau = latest_private(t, schedule)
         next_frontier = []
-        for tracked, prefix_weights, prob in frontier:
+        for tracked, history, prefix_weights, prob in frontier:
             policy = None
             if not private:
                 policy, _ = policy_for_posterior(tracked.law, config.N, solver)
@@ -133,7 +134,7 @@ def enumerate_mechanism(
                 MechanismNode(
                     t=t,
                     tau=tau,
-                    history=tracked.history,
+                    history=history,
                     prob=prob,
                     tracked=tracked,
                     brute_joint=_brute_joint(prefix_weights, t, tau, K),
@@ -164,16 +165,7 @@ def enumerate_mechanism(
                         continue
                     total = sum(child_weights.values(), ZERO)
                     child_prob = prob * (total / sum(prefix_weights.values(), ZERO))
-                child_tracked = (
-                    PosteriorState(
-                        t=tracked.t,
-                        tau=tracked.tau,
-                        law=tracked.law,
-                        history=tracked.history + (indices_of(mask),),
-                    )
-                    if pol is None
-                    else condition_posterior(tracked, pol, mask)
-                )
+                child_tracked = tracked if pol is None else condition_posterior(tracked, pol, mask)
                 if t < schedule.horizon:
                     child_tracked = advance_posterior(child_tracked, model, schedule)
                     trans = model.transition_at(t)
@@ -184,7 +176,9 @@ def enumerate_mechanism(
                             if row[x1] != 0:
                                 extended[prefix + (x1,)] = w * row[x1]
                     child_weights = extended
-                next_frontier.append((child_tracked, child_weights, child_prob))
+                next_frontier.append(
+                    (child_tracked, history + (indices_of(mask),), child_weights, child_prob)
+                )
         frontier = next_frontier
     return nodes
 
@@ -309,7 +303,7 @@ def block_plan(params: pir.SchemeParams, desired_pos: int, key: pir.PirKey, bloc
     """
     n_servers, k, subset = params.n_servers, params.k, params.subset
     offset = block * params.block
-    perms = key.perms
+    perms = key_perms(params, key)
     streams = [iter(perms[j][block]) for j in range(k)]
     per_server: list[list] = [[] for _ in range(n_servers)]
     decode = []
@@ -371,6 +365,27 @@ def session_plan(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     return queries, decode
 
 
+def key_from_perms(perms) -> pir.PirKey:
+    """The key whose permutations are ``perms``: per subset member, one
+    permutation of range(N^k) per block. Row (j, b) of its slots is
+    ``perms[j][b]`` plus the row's base j * L + b * N^k."""
+    rows = [row for member in perms for row in member]
+    block = len(rows[0])
+    return pir.PirKey([c * block + p for c, row in enumerate(rows) for p in row])
+
+
+def key_perms(params: pir.SchemeParams, key: pir.PirKey):
+    """The permutations of ``key``, per subset member one per block: row
+    (j, b) of its slots less the row's base, the inverse of
+    ``key_from_perms``."""
+    block, slots = params.block, key.slots
+    rows = (
+        tuple(p - base for p in slots[base : base + block])
+        for base in range(0, len(slots), block)
+    )
+    return tuple(zip(*[rows] * params.blocks))
+
+
 def shuffle_key(params: pir.SchemeParams, rng) -> pir.PirKey:
     """The key draw that ``PirKey.random`` inlines: one ``rng.shuffle`` of
     the identity per (subset member, block), members outermost."""
@@ -382,7 +397,7 @@ def shuffle_key(params: pir.SchemeParams, rng) -> pir.PirKey:
             rng.shuffle(row)
             rows.append(tuple(row))
         perms.append(tuple(rows))
-    return pir.PirKey.from_perms(tuple(perms))
+    return key_from_perms(tuple(perms))
 
 
 @lru_cache(maxsize=None)
@@ -395,9 +410,10 @@ def pooled_template(n_servers: int, k: int, desired_pos: int):
 
     A key only fills in bit positions, and every block has the same shape.
     Atom j * N^k + t stands for message subset[j] at the t-th position drawn
-    from its block's permutation, key.perms[j][b][t] + b * N^k. Each combo is
-    a tuple of atom indices in ascending order, which is ascending message
-    order, so its first atom has the smallest subset position.
+    from its block's permutation, key_perms(params, key)[j][b][t] + b * N^k.
+    Each combo is a tuple of atom indices in ascending order, which is
+    ascending message order, so its first atom has the smallest subset
+    position.
 
     Returns ``(singles, getters, plan, shapes)``. A block's pool is its atom
     list followed by the shared 1-tuple of each atom j * N^k + t, listed as
@@ -492,7 +508,7 @@ def _pools(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     singles, *_ = pooled_template(params.n_servers, params.k, params.subset.index(desired))
     cells, units = _pooled_cells(params.subset, params.L)
     pools = []
-    for offset, rows in zip(range(0, params.L, params.block), zip(*key.perms)):
+    for offset, rows in zip(range(0, params.L, params.block), zip(*key_perms(params, key))):
         pool = [atoms[p + offset] for atoms, row in zip(cells, rows) for p in row]
         pool += [units[j][rows[j][t] + offset] for j, t in singles]
         pools.append(pool)
@@ -612,7 +628,7 @@ def keyed_sample_orders(params: pir.SchemeParams, desired: int, rng):
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    perms = pir.PirKey.random(params, rng).perms
+    perms = key_perms(params, pir.PirKey.random(params, rng))
     *_, shapes = pooled_template(params.n_servers, params.k, params.subset.index(desired))
     orders = []
     for combos in shapes:
@@ -642,7 +658,7 @@ def sample_patterns(params: pir.SchemeParams, desired: int, rng):
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    rows = [row for perms in pir.PirKey.random(params, rng).perms for row in perms]
+    rows = [row for perms in key_perms(params, pir.PirKey.random(params, rng)) for row in perms]
     servers, labels, size = _cell_plan(
         params.n_servers, params.subset, params.L, params.subset.index(desired)
     )
@@ -667,7 +683,7 @@ def _cell_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: int
     """Key-free placement for ``sample_patterns``.
 
     Cell c = j * blocks + b is message subset[j] in block b, and key row c
-    is ``key.perms[j][b]``. Returns ``(servers, labels, size)``:
+    is ``key_perms(params, key)[j][b]``. Returns ``(servers, labels, size)``:
     ``servers[n]`` holds one ``(row, t, base, cells)`` entry per combo of
     server n and block: its first atom (j, t) lands at slot base plus item
     t of key row ``row``, base = j * L + b * N^k, and its atoms fall in
@@ -1225,14 +1241,14 @@ def simulate_stepwise(
     )
 
 
-def state_of(t: int, tau: int, joint, history=()) -> PosteriorState:
+def state_of(t: int, tau: int, joint) -> PosteriorState:
     """A tracked posterior whose law is the Fraction matrix ``joint``
     (``joint[a][b]`` = P(current=a, private=b)), in lowest terms over the
     lcm of its denominators; not validated, so it may be all zeros."""
     K = len(joint)
     flat, scale = scale_to_integers([v for row in joint for v in row])
     law = JointDistribution(tuple(tuple(flat[i : i + K]) for i in range(0, K * K, K)), scale)
-    return PosteriorState(t=t, tau=tau, law=law, history=history)
+    return PosteriorState(t=t, tau=tau, law=law)
 
 
 # The Fraction arithmetic that the library's step layers replaced with
@@ -1464,7 +1480,7 @@ def fraction_advance_posterior(
             [sum(joint[a1], ZERO) if a1 == b else ZERO for b in range(K)]
             for a1 in range(K)
         ]
-    return state_of(t1, tau, joint, state.history)
+    return state_of(t1, tau, joint)
 
 
 def fraction_condition_posterior(
@@ -1487,13 +1503,7 @@ def fraction_condition_posterior(
         raise DegeneratePosterior(
             f"step {state.t}: realized subset has zero tracked probability"
         )
-    subset = tuple(i for i in range(K) if subset_mask >> i & 1)
-    return state_of(
-        state.t,
-        state.tau,
-        [[v / total for v in row] for row in conditioned],
-        state.history + (subset,),
-    )
+    return state_of(state.t, state.tau, [[v / total for v in row] for row in conditioned])
 
 
 # What the library did before a location posterior carried one exact
@@ -1581,4 +1591,4 @@ def numerator_advance_posterior(
         ]
     else:
         joint = [[_over(n, scale) for n in row] for row in pushed]
-    return state_of(t1, tau, joint, state.history)
+    return state_of(t1, tau, joint)

@@ -115,6 +115,17 @@ class TestMalformedInputs:
         assert err.startswith(f"configuration error: bad policy file {path}: ")
         assert "policy has K=3, joint has K=2" in err
 
+    def test_transcript_config_for_another_number_of_messages(self, tmp_path, capsys):
+        entries = [{"s": s, "x": x, "u": [0, 1], "p": "1"} for s in range(2) for x in range(2)]
+        policy = {"K": 2, "entries": entries}
+        transcript = {"joint": json.loads(Path(self.PAIR).read_text()),
+                      "policy": policy, "config": {"N": 2, "K": 3, "L": 8}}
+        path = write(tmp_path, "t.json", transcript)
+        assert run_cli(["audit", "--transcript", path, "--empirical"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: bad transcript file {path}: ")
+        assert "config has K=3, joint has K=2" in err
+
     @pytest.mark.parametrize("command", ["two-request", "audit"])
     def test_policy_subset_outside_the_messages(self, tmp_path, capsys, command):
         policy = {
@@ -277,6 +288,18 @@ class TestSimulateLocationCommand:
              "--horizon", "9"]
         )
         assert code == 2
+
+    def test_horizon_is_the_schedule_file_horizon_before_the_shift(self, tmp_path, capsys):
+        # the schedule starts private at t=2, so it runs shifted over 0..3
+        schedule = write(tmp_path, "schedule.json", {"horizon": 5, "private": [2]})
+        out = tmp_path / "trace.json"
+        args = ["simulate-location", "--model", str(SCENARIOS / "two_state_walk.json"),
+                "--schedule", schedule, "-o", str(out)]
+        assert run_cli(args + ["--horizon", "5"]) == 0
+        assert json.loads(out.read_text())["config"]["horizon"] == 3
+        assert run_cli(args + ["--horizon", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --horizon 3 disagrees with the schedule file horizon 5" in err
 
     def test_determinism(self, tmp_path):
         outs = []

@@ -195,7 +195,9 @@ class TestSteps:
         assert record.cost == capacity_cost(2, 2)
         assert record.decoded == self.store.data[1]
         assert nxt.t == 1
-        assert nxt.history == (((0, 1)),)
+        # the full-K subset tells nothing: the posterior only advances
+        assert record.subset == (0, 1)
+        assert nxt == advance_posterior(state, self.model, sched)
 
     def test_private_step_requires_private_slot(self):
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))

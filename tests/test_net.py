@@ -29,7 +29,9 @@ from ipir.net import (
     store_to_bytes,
 )
 from ipir.obfuscation import greedy_policy
-from ipir.pir import PirQuery, PirKey, PirSession, pir_answer, pir_setup
+from ipir.pir import PirQuery, PirSession, pir_answer, pir_setup
+
+from oracles import key_from_perms
 
 
 def other_threads():
@@ -57,7 +59,7 @@ def running_pair(store22):
 
 def textbook_queries():
     params = pir_setup(2, (0, 1), 4)
-    identity = PirKey.from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+    identity = key_from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
     return PirSession.from_key(params, 0, identity).queries
 
 

@@ -525,6 +525,14 @@ class TestExpectedCost:
         policy = greedy_policy(skew_cond)
         assert expected_cost(policy, skew_joint, 2) == F(51, 40)
 
+    def test_exact_values_stay_fractions(self, pair_joint, skew_cond):
+        # the zero and one these start from must not leak an int
+        assert type(expected_cost(ObfuscationPolicy(K=2, entries={}), pair_joint, 2)) is F
+        assert type(capacity_cost(2, 1)) is F
+        assert all(type(p) is F for p in trivial_policy(3).entries.values())
+        assert all(type(v) is F for v in greedy_policy(skew_cond).size_marginal(skew_cond))
+        assert all(type(v) is F for v in build_lp(pair_joint, 2).rhs)
+
 
 class TestSampleSubset:
     def test_deterministic_branch(self, pair_cond):

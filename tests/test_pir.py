@@ -30,6 +30,8 @@ from ipir.pir import (
 from oracles import (
     block_plan,
     checked_answer,
+    key_from_perms,
+    key_perms,
     keyed_sample_orders,
     pooled_session,
     sample_patterns,
@@ -104,7 +106,7 @@ class TestSetup:
 class TestQueryStructure:
     def test_identity_key_reproduces_the_textbook_pair(self):
         params = pir_setup(2, (0, 1), 4)
-        identity = PirKey.from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+        identity = key_from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
         queries = PirSession.from_key(params, 0, identity).queries
         assert set(queries[0].combos) == {
             ((0, 0),),
@@ -249,7 +251,7 @@ class TestDecode:
     def test_textbook_side_information_cancels(self):
         store = MessageStore(K=2, L=4, data=((1, 0, 1, 1), (0, 1, 1, 0)))
         params = pir_setup(2, (0, 1), 4)
-        identity = PirKey.from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
+        identity = key_from_perms((((0, 1, 2, 3),), ((0, 1, 2, 3),)))
         session = PirSession.from_key(params, 0, identity)
         answers = [pir_answer(q, store) for q in session.queries]
         assert session.decode(answers) == (1, 0, 1, 1)
@@ -325,6 +327,17 @@ class TestKeyDraw:
                 rng, ref = random.Random(seed), random.Random(seed)
                 assert PirKey.random(params, rng) == shuffle_key(params, ref)
                 assert rng.getrandbits(64) == ref.getrandbits(64)
+
+    def test_keys_are_their_slots(self):
+        # a key holds only its slots, compares by them, and the oracles'
+        # permutation reading of them round-trips
+        params = pir_setup(3, (0, 2), 18)
+        key = PirKey.random(params, fork_rng(5, "slots"))
+        assert PirKey(list(key.slots)) == key
+        assert key != PirKey(sorted(key.slots))
+        assert key_from_perms(key_perms(params, key)) == key
+        with pytest.raises(TypeError):
+            hash(key)
 
 
 class TestTemplatePlan:
@@ -415,7 +428,7 @@ class TestTemplatePlan:
         # canonical placement and decode lookups both key a combo by its
         # first atom, so no server's query may repeat one
         params = pir_setup(n, range(k), n**k)
-        identity = PirKey.from_perms(((tuple(range(params.block)),),) * k)
+        identity = key_from_perms(((tuple(range(params.block)),),) * k)
         for desired_pos in range(k):
             per_server, _ = block_plan(params, desired_pos, identity, 0)
             for combos in per_server:
