@@ -1,31 +1,52 @@
 """Networked replica servers and the client-side exchange.
 
-Wire format: each frame is a 4-byte big-endian length prefix followed by a
-UTF-8 JSON payload of at most 2**24 bytes. Messages carry a "type" field
-(hello / query / answer / error); unknown fields are ignored. Answer bits
-travel as a '0'/'1' string so there is no endianness to argue about.
+Wire format, protocol version 2: each frame is a 4-byte big-endian length
+prefix followed by a body of at most 2**24 bytes, a one-byte tag and then
+big-endian fields:
+
+- hello (0x01): nothing more from a client; from a server the u32 words
+  ``[proto_version, K, L]``.
+- query (0x02): u32 words ``[session, n_combos, size_0 ... size_{n-1},
+  msg, pos, msg, pos, ...]``, each combo's atom count and then the atoms
+  of every combo in order.
+- answer (0x03): a u32 session, then one byte, 0 or 1, per combo.
+- error (0x04): a one-byte length, the ASCII code (``range``,
+  ``malformed``, ``frame_too_large`` or ``busy``), then the UTF-8 detail.
+
+Any other body, a version-1 peer's JSON among them, gets a ``malformed``
+error and the connection ends.
 
 Servers are honest-but-curious: they evaluate queries against an immutable
 replica and keep no per-client state. Download-cost accounting counts
 answer payload bits only; framing overhead is tracked separately.
 
+Memory: a replica refuses a frame announced longer than
+``1 + 4·(2 + 3·K·L)`` bytes with ``frame_too_large`` before it reads the
+body. A valid query names each (message, position) at most once, so it
+fits: at most K·L sizes and K·L atoms. A connection therefore holds at most
+one body of ``12·K·L + 9`` bytes, decoded into at most ``3·K·L + 2`` words
+and as many tuples, and an answer frame of at most ``3·K·L + 9`` bytes.
+Decoding and answering the worst such query takes about 60 bytes per word:
+under 0.8 MB at K=4, L=1024 (tracemalloc peak, CPython 3.11), so under
+``MAX_CONNECTIONS`` × 0.8 MB = 51 MB for a full replica.
+
 Connections: a ``RemoteTransport`` keeps one TCP connection per replica
 until ``close()`` and pipelines each exchange: every query frame goes out,
 then the replies are read in server order and checked against the
-exchange's session id. Any failure closes all of its connections, so no
-later exchange can read a stale reply; a connection its server has closed
-is replaced before the query is written. A ``StoreServer`` runs one accept
-thread and one thread per connection, which ends after ``IDLE_TIMEOUT``
-seconds of silence; beyond ``MAX_CONNECTIONS`` live connections a new one
-gets a ``busy`` error frame and is closed, which the client raises as a
-``ProtocolError``. An accept that fails (say, out of file descriptors) is
-logged once per run of failures and retried every ``ACCEPT_BACKOFF``
-seconds. ``close()`` shuts the listening socket down to wake the accept
-thread, shuts every live connection down to wake its thread, and joins
-them all, without waiting for a client and for at most ``CLOSE_TIMEOUT``
-seconds.
+exchange's session id, which counts up modulo 2**32. Any failure closes all
+of its connections, so no later exchange can read a stale reply; a
+connection its server has closed is replaced before the query is written.
+A ``StoreServer`` runs one accept thread and one thread per connection,
+which ends after ``IDLE_TIMEOUT`` seconds of silence; beyond
+``MAX_CONNECTIONS`` live connections a new one gets a ``busy`` error frame
+and is closed, which the client raises as a ``ProtocolError``. An accept
+that fails (say, out of file descriptors) is logged once per run of
+failures and retried every ``ACCEPT_BACKOFF`` seconds. ``close()`` shuts
+the listening socket down to wake the accept thread, shuts every live
+connection down to wake its thread, and joins them all, without waiting for
+a client and for at most ``CLOSE_TIMEOUT`` seconds.
 
-A reply is checked for its session id, its length and its '0'/'1' alphabet
+A reply is checked for its session id, its length and its 0/1 alphabet
 only: a replica that flips an answer bit goes unseen here, and is caught in
 the simulator only because ``intermittent.retrieve`` compares the decoded
 message with its local store.
@@ -33,7 +54,6 @@ message with its local store.
 
 from __future__ import annotations
 
-import json
 import select
 import socket
 import struct
@@ -52,8 +72,13 @@ from .errors import (
 )
 from .pir import PirAnswer, PirQuery, pir_answer
 
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 MAX_FRAME = 1 << 24
+# frame tags, the first byte of every body
+HELLO, QUERY, ANSWER, ERROR = 1, 2, 3, 4
+_WORD = struct.Struct("!I")
+_TAGGED_WORD = struct.Struct("!BI")
+_HELLO_REPLY = struct.Struct("!BIII")
 # a server closes a connection that sends nothing for this many seconds, so
 # an idle, stalled or vanished client does not hold a handler thread
 IDLE_TIMEOUT = 30.0
@@ -67,18 +92,115 @@ ACCEPT_BACKOFF = 0.05
 CLOSE_TIMEOUT = 5.0
 
 
-def send_frame(sock: socket.socket, payload: dict) -> int:
-    """Send one frame; returns the number of bytes written."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+class _TooLarge(MalformedFrame):
+    """A frame announced longer than its reader takes."""
+
+
+def _query_body(session: int, combos) -> bytes:
+    words = [session, len(combos), *map(len, combos)]
+    for combo in combos:
+        for atom in combo:
+            words += atom
+    try:
+        return struct.pack(f"!B{len(words)}I", QUERY, *words)
+    except struct.error as exc:
+        raise OutOfRange(f"a query word is not a u32: {exc}") from exc
+
+
+def _answer_body(session: int, bits) -> bytes:
+    return _TAGGED_WORD.pack(ANSWER, session) + bytes(bits)
+
+
+def _decode_query(body: bytes) -> dict:
+    count, rest = divmod(len(body) - 1, 4)
+    if rest:
+        raise MalformedFrame(f"query of {len(body) - 1} bytes is not whole u32 words")
+    if count < 2:
+        raise MalformedFrame("query lacks its session or its combo count")
+    words = struct.unpack_from(f"!{count}I", body, 1)
+    start = 2 + words[1]
+    if start > count:
+        raise MalformedFrame(f"{words[1]} combo sizes run past the end of the query")
+    sizes = words[2:start]
+    if start + 2 * sum(sizes) != count:
+        raise MalformedFrame(f"combo sizes name {sum(sizes)} atoms in "
+                             f"{count - start} words")
+    atoms = iter(words[start:])
+    pairs = list(zip(atoms, atoms))
+    combos = []
+    first = 0
+    for size in sizes:
+        combos.append(tuple(pairs[first:first + size]))
+        first += size
+    return {"type": "query", "session": words[0], "combos": tuple(combos)}
+
+
+def encode(message: dict) -> bytes:
+    """The body of one frame: a message as ``decode`` returns it."""
+    kind = message["type"]
+    if kind == "query":
+        return _query_body(message["session"], message["combos"])
+    if kind == "answer":
+        return _answer_body(message["session"], message["bits"])
+    if kind == "hello":
+        if "K" not in message:
+            return bytes((HELLO,))
+        return _HELLO_REPLY.pack(HELLO, message["proto_version"], message["K"], message["L"])
+    if kind == "error":
+        code = message["code"].encode("ascii")
+        return bytes((ERROR, len(code))) + code + message["detail"].encode("utf-8")
+    raise InvalidParams(f"no frame type {kind!r}")
+
+
+def decode(body: bytes) -> dict:
+    """One frame body as a message: a query's combos are tuples of
+    (msg, pos) pairs, an answer's bits are bytes."""
+    if not body:
+        raise MalformedFrame("empty frame")
+    tag = body[0]
+    if tag == QUERY:
+        return _decode_query(body)
+    if tag == ANSWER:
+        if len(body) < 5:
+            raise MalformedFrame("answer shorter than its session id")
+        return {"type": "answer", "session": _WORD.unpack_from(body, 1)[0], "bits": body[5:]}
+    if tag == HELLO:
+        if len(body) == 1:
+            return {"type": "hello"}
+        if len(body) != _HELLO_REPLY.size:
+            raise MalformedFrame(f"hello of {len(body)} bytes")
+        _, version, K, L = _HELLO_REPLY.unpack(body)
+        return {"type": "hello", "proto_version": version, "K": K, "L": L}
+    if tag == ERROR:
+        end = 2 + body[1] if len(body) > 1 else 0
+        if not 2 <= end <= len(body):
+            raise MalformedFrame("error frame shorter than its code")
+        try:
+            code, detail = body[2:end].decode("ascii"), body[end:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFrame(f"undecodable error frame: {exc}") from exc
+        return {"type": "error", "code": code, "detail": detail}
+    raise MalformedFrame(f"unknown frame tag 0x{tag:02x}")
+
+
+def _send(sock: socket.socket, body: bytes) -> int:
     if len(body) > MAX_FRAME:
         raise MalformedFrame(f"payload of {len(body)} bytes exceeds the frame limit")
-    sock.sendall(struct.pack("!I", len(body)) + body)
+    sock.sendall(_WORD.pack(len(body)) + body)
     return 4 + len(body)
 
 
+def send_frame(sock: socket.socket, message: dict) -> int:
+    """Send one frame; returns the number of bytes written."""
+    return _send(sock, encode(message))
+
+
 def _recv_exactly(sock: socket.socket, n: int) -> bytes | None:
-    chunks = []
-    got = 0
+    data = sock.recv(n)
+    if len(data) == n:
+        return data
+    chunks = [data]
+    got = len(data)
     while got < n:
         chunk = sock.recv(n - got)
         if not chunk:
@@ -88,103 +210,56 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def _recv_body(sock: socket.socket) -> bytes | None:
-    """The payload bytes of one frame; None on clean EOF."""
+def _recv_body(sock: socket.socket, limit: int = MAX_FRAME) -> bytes | None:
+    """The body bytes of one frame; None on clean EOF."""
     header = _recv_exactly(sock, 4)
     if header is None:
         return None
-    (length,) = struct.unpack("!I", header)
-    if length > MAX_FRAME:
-        raise MalformedFrame(f"announced frame of {length} bytes exceeds the limit")
+    (length,) = _WORD.unpack(header)
+    if length > limit:
+        raise _TooLarge(f"announced frame of {length} bytes exceeds the limit of {limit}")
     body = _recv_exactly(sock, length)
     if body is None:
         raise MalformedFrame("connection closed mid-frame")
     return body
 
 
-def _decode(body: bytes) -> dict:
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedFrame(f"undecodable frame: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise MalformedFrame("frame payload is not an object")
-    return payload
-
-
 def recv_frame(sock: socket.socket) -> dict | None:
     """Read one frame; None on clean EOF."""
     body = _recv_body(sock)
-    return None if body is None else _decode(body)
-
-
-def _atom(msg, pos) -> tuple[int, int]:
-    """A query atom as the wire gave it; JSON numbers with a fraction or an
-    exponent, strings and booleans are refused, not converted."""
-    if type(msg) is not int or type(pos) is not int:
-        raise TypeError(f"atom [{msg!r}, {pos!r}] is not a pair of integers")
-    return msg, pos
+    return None if body is None else decode(body)
 
 
 def _serve(store: MessageStore, sock: socket.socket):
+    # tag, session, count, then at most K·L sizes and K·L atoms
+    limit = min(MAX_FRAME, 1 + 4 * (2 + 3 * store.K * store.L))
     while True:
         try:
-            message = recv_frame(sock)
+            body = _recv_body(sock, limit)
+            if body is None:
+                return
+            message = decode(body)
         except MalformedFrame as exc:
+            code = "frame_too_large" if isinstance(exc, _TooLarge) else "malformed"
             try:
-                send_frame(sock, {"type": "error", "code": "frame_too_large"
-                                  if "limit" in str(exc) else "malformed",
-                                  "detail": str(exc)})
+                send_frame(sock, {"type": "error", "code": code, "detail": str(exc)})
             except OSError:
                 pass
             return
-        if message is None:
-            return
-        kind = message.get("type")
-        if kind == "hello":
-            send_frame(
-                sock,
-                {
-                    "type": "hello",
-                    "proto_version": PROTO_VERSION,
-                    "K": store.K,
-                    "L": store.L,
-                },
-            )
-        elif kind == "query":
-            session = message.get("session", "")
-            combos = message.get("combos", [])
+        kind = message["type"]
+        if kind == "query":
             try:
-                query = PirQuery(
-                    server=0,
-                    combos=tuple(tuple(_atom(m, b) for m, b in combo) for combo in combos),
-                )
-                answer = pir_answer(query, store)
+                answer = pir_answer(PirQuery(server=0, combos=message["combos"]), store)
             except OutOfRange as exc:
-                send_frame(
-                    sock, {"type": "error", "code": "range", "detail": str(exc)}
-                )
+                send_frame(sock, {"type": "error", "code": "range", "detail": str(exc)})
                 continue
-            except (TypeError, ValueError) as exc:
-                send_frame(
-                    sock,
-                    {"type": "error", "code": "malformed", "detail": str(exc)},
-                )
-                return
-            send_frame(
-                sock,
-                {
-                    "type": "answer",
-                    "session": session,
-                    "bits": "".join(str(b) for b in answer.bits),
-                },
-            )
+            _send(sock, _answer_body(message["session"], answer.bits))
+        elif kind == "hello":
+            send_frame(sock, {"type": "hello", "proto_version": PROTO_VERSION,
+                              "K": store.K, "L": store.L})
         else:
-            send_frame(
-                sock,
-                {"type": "error", "code": "malformed",
-                 "detail": f"unknown type {kind!r}"},
-            )
+            send_frame(sock, {"type": "error", "code": "malformed",
+                              "detail": f"unexpected {kind} frame"})
             return
 
 
@@ -305,30 +380,28 @@ def _peer_closed(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-def _read_answer(sock, address, session: str, query: PirQuery) -> tuple[PirAnswer, int]:
+def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[PirAnswer, int]:
     """One server's reply, checked against its query; with the frame size."""
     try:
         body = _recv_body(sock)
-        reply = None if body is None else _decode(body)
+        reply = None if body is None else decode(body)
     except (OSError, MalformedFrame) as exc:
         raise FetchTimeout(_endpoint(address)) from exc
     if reply is None:
         raise FetchTimeout(_endpoint(address))
-    if reply.get("type") == "error":
-        raise ProtocolError(f"server {address} answered {reply.get('code')}: "
-                            f"{reply.get('detail')}")
-    if reply.get("type") != "answer" or reply.get("session") != session:
-        raise ProtocolError(f"unexpected reply {reply.get('type')!r} from {address}")
-    bits = reply.get("bits", "")
-    if not isinstance(bits, str):
-        raise LengthMismatch(f"server {address} answered bits as a {type(bits).__name__}")
-    if len(bits) != len(query.combos) or any(c not in "01" for c in bits):
+    kind = reply["type"]
+    if kind == "error":
+        raise ProtocolError(f"server {address} answered {reply['code']}: "
+                            f"{reply['detail']}")
+    if kind != "answer" or reply["session"] != session:
+        raise ProtocolError(f"unexpected reply {kind!r} from {address}")
+    bits = reply["bits"]
+    if len(bits) != len(query.combos) or bits.translate(None, b"\x00\x01"):
         raise LengthMismatch(
             f"server {address} answered {len(bits)} bits for "
             f"{len(query.combos)} combos"
         )
-    answer = PirAnswer(server=query.server, bits=tuple(int(c) for c in bits))
-    return answer, 4 + len(body)
+    return PirAnswer(server=query.server, bits=tuple(bits)), 4 + len(body)
 
 
 @dataclass
@@ -338,7 +411,8 @@ class RemoteTransport:
     Callable with a query list, like the in-process transport; accumulates
     answer-bit and framing-byte counters for wire accounting over the
     exchanges that succeed. Keeps one connection per endpoint until close();
-    one exchange at a time.
+    one exchange at a time. A query atom that no u32 word holds raises
+    ``OutOfRange`` before anything is sent.
     """
 
     addresses: list[tuple[str, int]]
@@ -353,23 +427,18 @@ class RemoteTransport:
             raise InvalidParams(
                 f"{len(queries)} queries for {len(self.addresses)} endpoints"
             )
-        self._serial += 1
-        session = f"{self._serial:08x}"
+        self._serial = session = (self._serial + 1) & 0xFFFFFFFF
         # Every query goes out before any reply is read. That cannot
         # deadlock: a server replies only after it has read its whole frame,
         # so taking in a query never waits on the client reading a reply.
         try:
+            bodies = [_query_body(session, query.combos) for query in queries]
             socks = []
             sent = 0
-            for index, (address, query) in enumerate(zip(self.addresses, queries)):
-                frame = {
-                    "type": "query",
-                    "session": session,
-                    "combos": [[list(pair) for pair in combo] for combo in query.combos],
-                }
+            for index, (address, body) in enumerate(zip(self.addresses, bodies)):
                 try:
                     sock = self._connection(index)
-                    sent += send_frame(sock, frame)
+                    sent += _send(sock, body)
                 except (OSError, MalformedFrame) as exc:
                     raise FetchTimeout(_endpoint(address)) from exc
                 socks.append(sock)
@@ -414,7 +483,7 @@ def hello(address, timeout: float = 5.0) -> dict:
             reply = recv_frame(sock)
     except OSError as exc:
         raise FetchTimeout(_endpoint(address)) from exc
-    if not reply or reply.get("type") != "hello":
+    if not reply or reply["type"] != "hello" or "K" not in reply:
         raise ProtocolError(f"bad hello reply from {address}")
     return reply
 

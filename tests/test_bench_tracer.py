@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import ipir
-from ipir import audit, intermittent, location, net  # noqa: F401  (net is traced too)
+from ipir import audit, intermittent, location, net, pir
 from ipir.core import (
     MessageStore,
     SystemConfig,
@@ -60,6 +60,34 @@ def test_tracer_wraps_and_restores_every_point():
     assert t.count("location.step_nonprivate") == 2
     assert t.counters["pir.answer_bits"] > 0
     assert [owner.__dict__[attr] for owner, attr, _, _ in points] == originals
+
+
+def test_loopback_exchanges_and_replica_answers_are_traced():
+    # net.exchange_s and net.server_eval_s read these two points: each
+    # exchange must go through RemoteTransport.__call__, and each replica
+    # must answer through the pir_answer name that net imported
+    tracer = load_tracer()
+    store = MessageStore.random(2, 4, fork_rng(9, "store"))
+    params = pir.pir_setup(2, (0, 1), 4)
+    rng = fork_rng(9, "keys")
+    exchanges = 5
+
+    with tracer.Tracer(ipir) as t:
+        servers = [net.serve(store) for _ in range(params.n_servers)]
+        transport = net.RemoteTransport(addresses=[s.address for s in servers])
+        try:
+            for i in range(exchanges):
+                session = pir.open_session(params, i % 2, rng)
+                assert session.decode(transport(session.queries)) == store.data[i % 2]
+        finally:
+            transport.close()
+            for server in servers:
+                server.close()
+
+    assert t.count("net.exchange") == exchanges
+    assert t.count("net.server_eval") == exchanges * params.n_servers
+    assert t.errors("net.exchange") == t.errors("net.server_eval") == 0
+    assert t.busy("net.exchange") > 0 and t.busy("net.server_eval") > 0
 
 
 def test_every_session_draws_one_traced_key():

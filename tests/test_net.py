@@ -5,8 +5,10 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir import net
 from ipir.core import MessageStore, fork_rng
@@ -15,12 +17,16 @@ from ipir.errors import (
     InvalidParams,
     LengthMismatch,
     MalformedFrame,
+    OutOfRange,
     ProtocolError,
 )
 from ipir.intermittent import run_two_request
 from ipir.net import (
     MAX_FRAME,
+    QUERY,
     RemoteTransport,
+    decode,
+    encode,
     hello,
     recv_frame,
     send_frame,
@@ -63,16 +69,43 @@ def textbook_queries():
     return PirSession.from_key(params, 0, identity).queries
 
 
-def compact(payload) -> bytes:
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+def query_frame(*words) -> bytes:
+    """A query body of the given u32 words, checked by nothing."""
+    return bytes((QUERY,)) + struct.pack(f"!{len(words)}I", *words)
+
+
+u32 = st.integers(0, 2**32 - 1)
+MESSAGES = st.one_of(
+    st.builds(
+        lambda session, combos: {"type": "query", "session": session, "combos": combos},
+        u32,
+        st.lists(st.lists(st.tuples(u32, u32), max_size=4).map(tuple), max_size=6).map(tuple),
+    ),
+    st.builds(
+        lambda session, bits: {"type": "answer", "session": session, "bits": bits},
+        u32,
+        st.binary(max_size=12),
+    ),
+    st.just({"type": "hello"}),
+    st.builds(
+        lambda version, K, L: {"type": "hello", "proto_version": version, "K": K, "L": L},
+        u32, u32, u32,
+    ),
+    st.builds(
+        lambda code, detail: {"type": "error", "code": code, "detail": detail},
+        st.text(st.characters(max_codepoint=127), max_size=40),
+        st.text(max_size=40),
+    ),
+)
 
 
 class TestFraming:
     def test_round_trip_over_a_socketpair(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"type": "hello", "extra": [1, 2]})
-            assert recv_frame(b) == {"type": "hello", "extra": [1, 2]}
+            reply = {"type": "hello", "proto_version": 2, "K": 3, "L": 8}
+            send_frame(a, reply)
+            assert recv_frame(b) == reply
         finally:
             a.close()
             b.close()
@@ -80,14 +113,52 @@ class TestFraming:
     def test_length_prefix_is_big_endian(self):
         a, b = socket.socketpair()
         try:
-            send_frame(a, {"k": 1})
+            send_frame(a, {"type": "answer", "session": 1, "bits": b"\x01\x00"})
             header = b.recv(4)
             (length,) = struct.unpack("!I", header)
             body = b.recv(length)
-            assert json.loads(body) == {"k": 1}
+            assert body == b"\x03" + b"\x00\x00\x00\x01" + b"\x01\x00"
         finally:
             a.close()
             b.close()
+
+    def test_query_is_big_endian_words(self):
+        combos = (((0, 1),), ((1, 2), (2, 3)))
+        body = encode({"type": "query", "session": 258, "combos": combos})
+        assert body == query_frame(258, 2, 1, 2, 0, 1, 1, 2, 2, 3)
+        assert body[1:5] == b"\x00\x00\x01\x02"
+
+    def test_error_layout(self):
+        body = encode({"type": "error", "code": "busy", "detail": "é"})
+        assert body == b"\x04\x04busy" + "é".encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(MESSAGES)
+    def test_every_message_round_trips(self, message):
+        assert decode(encode(message)) == message
+
+    @pytest.mark.parametrize("shape", ["singletons", "empty combos", "one combo"])
+    def test_the_longest_admissible_query_takes_under_0_8_mb(self, shape):
+        # the net docstring's bound at K=4, L=1024: decoding and answering
+        # a query of up to 1 + 4·(2 + 3·K·L) bytes, repeated atoms and all
+        K, L = 4, 1024
+        store = MessageStore.random(K, L, fork_rng(5, "s"))
+        atoms = [(m, b) for m in range(K) for b in range(L)]
+        combos = {
+            "singletons": [(atom,) for atom in atoms],
+            "empty combos": [()] * (3 * K * L),
+            "one combo": [tuple((atoms * 2)[:(3 * K * L - 1) // 2])],
+        }[shape]
+        body = encode({"type": "query", "session": 1, "combos": tuple(combos)})
+        assert 1 + 4 * (1 + 3 * K * L) <= len(body) <= 1 + 4 * (2 + 3 * K * L)
+        tracemalloc.start()
+        try:
+            message = decode(body)
+            pir_answer(PirQuery(server=0, combos=message["combos"]), store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 800_000
 
 
 class TestServer:
@@ -95,7 +166,7 @@ class TestServer:
         reply = hello(running_pair[0].address)
         assert reply["K"] == store22.K
         assert reply["L"] == store22.L
-        assert reply["proto_version"] == 1
+        assert reply["proto_version"] == 2
 
     def test_single_lookup(self, running_pair, store22):
         query = PirQuery(server=0, combos=(((0, 0),),))
@@ -145,37 +216,77 @@ class TestServer:
             transport.close()
         assert sum(len(a.bits) for a in answers) == 6
 
+    def test_query_longer_than_the_store_allows_is_refused_unread(
+        self, running_pair, store22
+    ):
+        # sizes and atoms of a query naming every (message, position) once
+        bound = 1 + 4 * (2 + 3 * store22.K * store22.L)
+        with socket.create_connection(running_pair[0].address, timeout=5) as sock:
+            sock.sendall(struct.pack("!I", bound + 1))  # and no body
+            reply = recv_frame(sock)
+            assert (reply["type"], reply["code"]) == ("error", "frame_too_large")
+            assert recv_frame(sock) is None
+
+    def test_query_of_every_atom_once_is_answered(self, running_pair, store22):
+        combos = tuple(((m, b),) for m in range(store22.K) for b in range(store22.L))
+        message = {"type": "query", "session": 7, "combos": combos}
+        assert len(encode(message)) == 1 + 4 * (2 + 3 * store22.K * store22.L)
+        with socket.create_connection(running_pair[0].address, timeout=5) as sock:
+            send_frame(sock, message)
+            reply = recv_frame(sock)
+        assert reply == {"type": "answer", "session": 7,
+                         "bits": bytes(bit for row in store22.data for bit in row)}
+
     @pytest.mark.parametrize(
-        "body",
+        "body, detail",
         [
-            b"\xff{not json",
-            compact({"type": "bogus"}),
-            compact({"type": "query", "session": "s", "combos": [[["a", 0]]]}),
-            compact({"type": "query", "session": "s", "combos": [[[0, 1.7]]]}),
-            compact({"type": "query", "session": "s", "combos": [[["1", "2"]]]}),
-            compact({"type": "query", "session": "s", "combos": [[[True, 3]]]}),
+            (b"\xff{not json", "unknown frame tag 0xff"),
+            (encode({"type": "answer", "session": 1, "bits": b"\x00"}),
+             "unexpected answer frame"),
+            (json.dumps({"type": "hello"}).encode(), "unknown frame tag 0x7b"),
+            (query_frame(1, 1, 1, 0, 0)[:-1], "not whole u32 words"),
+            (query_frame(1, 5, 1, 0, 0), "5 combo sizes run past the end"),
+            (query_frame(1, 2, 1, 2, 0, 0, 1, 1), "sizes name 3 atoms in 4 words"),
+            (b"", "empty frame"),
         ],
-        ids=["undecodable frame", "unknown type", "non-integer combo",
-             "fractional position", "numeric strings", "boolean message"],
+        ids=["undecodable frame", "unknown type", "version-1 JSON hello",
+             "body not whole words", "combo count past the end",
+             "sizes disagree with the atoms", "empty body"],
     )
     def test_malformed_frame_gets_an_error_and_the_connection_ends(
-        self, running_pair, body
+        self, running_pair, body, detail
     ):
         with socket.create_connection(running_pair[0].address, timeout=5) as sock:
             sock.sendall(struct.pack("!I", len(body)) + body)
             reply = recv_frame(sock)
             assert (reply["type"], reply["code"]) == ("error", "malformed")
+            assert detail in reply["detail"]
             assert recv_frame(sock) is None
 
     def test_out_of_range_keeps_the_connection_open(self, running_pair, store22):
         with socket.create_connection(running_pair[0].address, timeout=5) as sock:
-            send_frame(sock, {"type": "query", "session": "a", "combos": [[[0, 99]]]})
+            send_frame(sock, {"type": "query", "session": 1, "combos": (((0, 99),),)})
             reply = recv_frame(sock)
             assert (reply["type"], reply["code"]) == ("error", "range")
-            send_frame(sock, {"type": "query", "session": "b", "combos": [[[1, 2]]]})
+            send_frame(sock, {"type": "query", "session": 2, "combos": (((1, 2),),)})
             reply = recv_frame(sock)
-            assert reply == {"type": "answer", "session": "b",
-                             "bits": str(store22.data[1][2])}
+            assert reply == {"type": "answer", "session": 2,
+                             "bits": bytes([store22.data[1][2]])}
+
+    def test_atom_that_no_word_holds_is_refused_before_sending(
+        self, running_pair, store22
+    ):
+        transport = RemoteTransport(addresses=[running_pair[0].address])
+        good = [PirQuery(server=0, combos=(((1, 2),),))]
+        try:
+            transport(good)
+            with pytest.raises(OutOfRange):
+                transport([PirQuery(server=0, combos=(((-1, 0),),))])
+            assert transport._socks == {}  # every connection was dropped
+            assert transport(good)[0].bits == (store22.data[1][2],)
+            assert transport.answer_bits == 2
+        finally:
+            transport.close()
 
     def test_two_clients_at_once_are_both_answered(self, running_pair, store22):
         address = running_pair[0].address
@@ -369,12 +480,14 @@ class TestTransportTransparency:
             transport.close()
         expected = 0
         for query in queries:
-            combos = [[list(pair) for pair in combo] for combo in query.combos]
-            bits = "".join(map(str, pir_answer(query, store22).bits))
-            expected += 4 + len(compact({"type": "query", "session": "00000001", "combos": combos}))
-            expected += 4 + len(compact({"type": "answer", "session": "00000001", "bits": bits}))
+            combos = len(query.combos)
+            atoms = sum(map(len, query.combos))
+            # prefix, tag, then session, count, sizes and atom words
+            expected += 4 + 1 + 4 * (2 + combos + 2 * atoms)
+            # prefix, tag, session, then one byte per combo
+            expected += 4 + 1 + 4 + combos
         assert transport.answer_bits == 6
-        assert transport.frame_bytes == expected == 274
+        assert transport.frame_bytes == expected == 138
 
 
 class FakeReplica:
@@ -389,6 +502,7 @@ class FakeReplica:
         self.store = store
         self.fault = fault
         self.accepted = 0
+        self.sessions = []
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.address = self.listener.getsockname()[:2]
         self.thread = threading.Thread(target=self._accept, name="fake-replica")
@@ -410,14 +524,13 @@ class FakeReplica:
 
     def _serve(self, conn):
         while (message := recv_frame(conn)) is not None:
+            self.sessions.append(message["session"])
             if self.fault is not None:
                 fault, self.fault = self.fault, None
                 fault(conn, message)
                 return
-            query = PirQuery(server=0, combos=tuple(
-                tuple((m, b) for m, b in combo) for combo in message["combos"]
-            ))
-            bits = "".join(map(str, pir_answer(query, self.store).bits))
+            query = PirQuery(server=0, combos=message["combos"])
+            bits = pir_answer(query, self.store).bits
             send_frame(conn, {"type": "answer", "session": message["session"], "bits": bits})
 
     def close(self):
@@ -432,14 +545,24 @@ def reply_with(**fields):
 
     def fault(conn, message):
         reply = {"type": "answer", "session": message["session"],
-                 "bits": "0" * len(message["combos"])}
+                 "bits": bytes(len(message["combos"]))}
         send_frame(conn, {**reply, **fields})
 
     return fault
 
 
+def bit_outside_01(conn, message):
+    bits = bytearray(len(message["combos"]))
+    bits[-1] = 2
+    send_frame(conn, {"type": "answer", "session": message["session"], "bits": bits})
+
+
+def hello_for_answer(conn, message):
+    send_frame(conn, {"type": "hello", "proto_version": net.PROTO_VERSION, "K": 2, "L": 4})
+
+
 def truncated_frame(conn, message):
-    conn.sendall(struct.pack("!I", 100) + b'{"type":')
+    conn.sendall(struct.pack("!I", 100) + b"\x03\x00\x00")
 
 
 def dies_mid_exchange(conn, message):
@@ -453,12 +576,12 @@ def stalls(conn, message):
 # name: (fault, the error it must raise, the client's timeout)
 FAULTS = {
     "truncated frame": (truncated_frame, FetchTimeout, 5.0),
-    "wrong session id": (reply_with(session="deadbeef"), ProtocolError, 5.0),
+    "wrong session id": (reply_with(session=0xDEADBEEF), ProtocolError, 5.0),
     "peer dies mid-exchange": (dies_mid_exchange, FetchTimeout, 5.0),
     "stalled peer": (stalls, FetchTimeout, 0.5),
-    "wrong-length answer": (reply_with(bits="0"), LengthMismatch, 5.0),
-    "answer outside 01": (reply_with(bits="02"), LengthMismatch, 5.0),
-    "answer that is not a string": (reply_with(bits=[0, 1, 1]), LengthMismatch, 5.0),
+    "wrong-length answer": (reply_with(bits=b"\x00"), LengthMismatch, 5.0),
+    "answer outside 01": (bit_outside_01, LengthMismatch, 5.0),
+    "a hello frame in place of the answer": (hello_for_answer, ProtocolError, 5.0),
 }
 
 
@@ -504,6 +627,18 @@ class TestFaults:
             transport.close()
             fake.close()
         assert fake.accepted == 1
+
+    def test_session_ids_wrap_modulo_2_to_the_32(self, store22):
+        fake = FakeReplica(store22, None)
+        transport = RemoteTransport(addresses=[fake.address], _serial=2**32 - 1)
+        query = PirQuery(server=0, combos=(((1, 2),),))
+        try:
+            for _ in range(2):
+                assert transport([query])[0].bits == (store22.data[1][2],)
+        finally:
+            transport.close()
+            fake.close()
+        assert fake.sessions == [0, 1]
 
     def test_connection_closed_for_idleness_is_replaced(
         self, store22, monkeypatch
