@@ -34,7 +34,6 @@ from .core import (
     conditional_from_joint,
     format_rational,
     parse_rational,
-    scale_to_integers,
 )
 from .errors import (
     ConstructionFailed,
@@ -42,9 +41,11 @@ from .errors import (
     TooLarge,
     UnsupportedPair,
 )
-from .simplex import minimize
+from .simplex import BasisCache, minimize
 
 DEFAULT_LP_CAP = 6
+# the covering LP's certified optimal bases, one cache per (K, N)
+_BASES: dict[tuple[int, int], BasisCache] = {}
 
 
 def mask_of(indices) -> int:
@@ -308,10 +309,12 @@ class LpInstance:
     marginals onto which every supported row p(.|s) can be routed along
     the arcs x in u, so any feasible m is the subset law of some valid
     policy. Non-negativity is implicit, and m = 0 (all mass on the full
-    set) is the feasible vertex the simplex starts from. Only the rhs
-    depends on the law: the 0/1 rows (plain ints) are built once per K and
-    the costs once per (K, N), and instances share them. ``joint`` is the
-    law the instance was built from, whose rows ``solve_lp`` routes.
+    set) is the feasible vertex the simplex starts from. Only the rhs, in
+    Fractions, depends on the law: the 0/1 rows (plain ints) are built once
+    per K and the costs once per (K, N), and instances share them, so every
+    optimal basis of one law is dual feasible for all (see ``solve_lp``).
+    ``joint`` is the law the instance was built from, whose rows
+    ``solve_lp`` routes.
     """
 
     K: int
@@ -375,33 +378,38 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     """Vertex-optimal policy for the instance, in exact rationals.
 
     The covering LP gives the subset marginal m over the proper subsets;
-    it is the one simplex solve. The full set takes the rest of the mass,
-    appended last so the marginal stays in mask order. Each supported s
-    then splits p(x|s) over the subsets u with m(u) > 0 by an exact
-    feasibility flow (supply p(x|s) at each x, demand m(u) at each u, arcs
-    x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no
-    entries. The flow runs on integers: with the law's row weights W(s, x)
-    of mass W_s and the marginal as numerators M(u) over D, both sides are
-    scaled by D W_s, to supplies W(s, x) D and demands M(u) W_s, so that
-    p(u|x,s) is F(x,u) / (W(s, x) D), one exact ratio of integers per entry.
+    it is the one simplex solve, started from the certified bases that
+    earlier solves at the same (K, N) left in ``_BASES``, which never change
+    its result. The full set takes the rest of the mass, appended last so
+    the marginal stays in mask order. Each supported s then splits p(x|s)
+    over the subsets u with m(u) > 0 by an exact feasibility flow (supply
+    p(x|s) at each x, demand m(u) at each u, arcs x in u), and p(u|x,s) =
+    f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no entries. The flow runs on
+    integers: with the law's row weights W(s, x) of mass W_s and the
+    solver's numerators M(u) over D, both sides are scaled by D W_s, to
+    supplies W(s, x) D and demands M(u) W_s, so that p(u|x,s) is
+    F(x,u) / (W(s, x) D), one exact ratio of integers per entry.
     """
-    solution = minimize(instance.costs, instance.rows, instance.rhs)
+    key, bases = (instance.K, instance.n_servers), None
+    if instance.costs is _covering_costs(*key) and instance.rows is _covering_rows(key[0]):
+        bases = _BASES.get(key) or _BASES.setdefault(key, BasisCache(instance.costs, instance.rows))
+    solution = minimize(instance.costs, instance.rows, instance.rhs, bases=bases)
     # every variable is bounded by the first row, so the LP cannot be
     # unbounded for well-formed instances
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
-    marginal = {u: value for u, value in zip(instance.variables, solution.x) if value != 0}
-    rest = 1 - sum(marginal.values(), ZERO)
+    scale = solution.denominator
+    marginal = {u: m for u, m in zip(instance.variables, solution.numerators) if m != 0}
+    rest = scale - sum(marginal.values())
     if rest != 0:
         marginal[full_mask(instance.K)] = rest
-    numerators, scale = scale_to_integers(marginal.values())
     entries = {}
     for s, row in enumerate(instance.joint.weights):
         mass = sum(row)
         if mass == 0:
             continue
         supply = [w * scale for w in row]
-        flow = _route(s, supply, {u: m * mass for u, m in zip(marginal, numerators)})
+        flow = _route(s, supply, {u: m * mass for u, m in marginal.items()})
         entries.update(
             ((s, x, u), Fraction(f, supply[x]))
             for (x, u), f in sorted(flow.items())

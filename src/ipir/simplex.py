@@ -24,18 +24,26 @@ the stall check compare by cross-multiplication, so the pivots are those of
 the same simplex run in rationals. Problem sizes in this package are tiny
 (the covering LP has 2^K - 2 columns and 2^K - 1 rows), so a dense tableau
 is fine.
+
+A ``BasisCache`` warm-starts LPs that differ only in b: an optimal basis B
+stays dual feasible, so it is optimal whenever B^-1 b >= 0 (Chvatal 1983,
+ch. 10), and unique, the cold solve's x, if no reduced cost is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .core import scale_to_integers
 from .errors import InvalidParams, IterationLimit
 
 # consecutive non-improving pivots tolerated before switching to Bland
 STALL_LIMIT = 12
+# certified bases a BasisCache keeps, the least recently hit dropped first
+BASIS_CAP = 16
 
 
 class _Unbounded(Exception):
@@ -44,44 +52,126 @@ class _Unbounded(Exception):
 
 @dataclass
 class SimplexSolution:
+    """x is ``numerators`` / ``denominator`` in lowest terms, or None."""
+
     status: str  # "optimal" | "unbounded"
     objective: Fraction | None
-    x: list[Fraction] | None
-    pivots: int  # every tableau pivot
+    numerators: list[int] | None
+    denominator: int
+    pivots: int  # every tableau pivot; 0 on a cache hit
+
+    @property
+    def x(self) -> list[Fraction] | None:
+        numerators, d = self.numerators, self.denominator
+        return None if numerators is None else [Fraction(v, d) for v in numerators]
 
 
-def minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
+class BasisCache:
+    """Certified optimal bases of the LPs with these costs and rows.
+
+    A basis is its basic variable per row and the integer inverse G / delta
+    of its matrix in [A | I], so the basic values at b = beta / D are
+    G beta / (delta D). Only bases whose nonbasic reduced costs, slacks
+    included, are all > 0 are kept, at most ``BASIS_CAP``. At the covering
+    LP's largest size, K = ``DEFAULT_LP_CAP`` = 6 (63 rows), that is at most
+    16 inverses of 63 x 63 ints: 0.6 MB of tuples and 64k int objects, under
+    3 MB while entries fit in 30 bits. Lookups read a snapshot and updates
+    rebind the list, so concurrent solves stay correct; a lost update costs
+    at most one miss.
+    """
+
+    def __init__(self, costs, rows):
+        self.costs, self.rows = tuple(costs), tuple(map(tuple, rows))
+        self._rows = [scale_to_integers(row) for row in self.rows]
+        self._costs, self._mu = scale_to_integers([*costs, 0])
+        self._bases = []  # (basic variable per row, G, delta), most recently hit first
+
+    def _add(self, basis, nonbasic, tableau, d: int, scale) -> None:
+        """Store the final basis of a cold run. Column k of its inverse is
+        the tableau column of slack k, or a unit column if k is basic; each
+        row is read back in the rows' own units and reduced."""
+        m, n = len(basis), len(nonbasic)
+        column = {v - n: j for j, v in enumerate(nonbasic) if v >= n}
+        rows = []
+        for var, row in zip(basis, tableau):
+            inverse = [
+                (row[column[k]] if k in column else d * (var == n + k)) * scale[n + k]
+                for k in range(m)
+            ]
+            g = gcd(d * scale[var], *inverse)
+            rows.append(([v // g for v in inverse], d * scale[var] // g))
+        delta = lcm(*[den for _, den in rows])
+        inverse = tuple(tuple(v * (delta // den) for v in row) for row, den in rows)
+        self._bases = [(tuple(basis), inverse, delta), *self._bases[: BASIS_CAP - 1]]
+
+
+def minimize(
+    costs, rows, rhs, max_pivots: int = 200_000, bases: BasisCache | None = None
+) -> SimplexSolution:
     """Simplex for min c.x s.t. A x <= b, x >= 0, started from the slack basis.
 
     Variable j < n is column j of A; variable n + i is the slack of row i.
     Entries are ints or Fractions, read as they are (anything else goes
     through Fraction). A negative entry of b raises InvalidParams.
+
+    ``bases``, built for these costs and rows (else InvalidParams), is
+    tried first: the first basis with B^-1 b >= 0 gives the optimum with
+    ``pivots == 0``. Otherwise the cold solve runs on the cache's integer
+    rows and stores its final basis if certified. The result never
+    depends on what the cache holds.
     """
     n = len(costs)
-    if any(v < 0 for v in rhs):
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in rhs
+    ]
+    if any(p < 0 for p, _ in ratios):
         raise InvalidParams(f"rhs must be >= 0, got {Fraction(min(rhs))}")
-    tableau = []
-    scale = [1] * n  # per variable: the factor its reduced cost is compared at
-    for row, value in zip(rows, rhs):
-        scaled, factor = scale_to_integers([*row, value])
-        tableau.append(scaled)
-        scale.append(factor)
-    z, mu = scale_to_integers([*costs, 0])
-    basis = [n + i for i in range(len(tableau))]
-    nonbasic = list(range(n))
+    if bases is None:
+        bases = BasisCache(costs, rows)
+    elif tuple(costs) != bases.costs or tuple(map(tuple, rows)) != bases.rows:
+        raise InvalidParams("the basis cache was built for other costs or rows")
+    scale_b = lcm(*[q for _, q in ratios])
+    beta = [p * (scale_b // q) for p, q in ratios]
+    snapshot = bases._bases
+    for k, (basis, inverse, delta) in enumerate(snapshot):
+        values = [sum(map(mul, row, beta)) for row in inverse]
+        if all(v >= 0 for v in values):
+            if k:
+                bases._bases = [snapshot[k], *snapshot[:k], *snapshot[k + 1 :]]
+            denominator, pivots = delta * scale_b, 0
+            break
+    else:
+        tableau = []
+        scale = [1] * n  # per variable: the factor its reduced cost is compared at
+        for (row, row_scale), (p, q) in zip(bases._rows, ratios):
+            factor = lcm(row_scale, q)
+            tableau.append([a * (factor // row_scale) for a in row] + [p * (factor // q)])
+            scale.append(factor)
+        z = list(bases._costs)
+        basis = [n + i for i in range(len(tableau))]
+        nonbasic = list(range(n))
+        try:
+            pivots, denominator = _run(tableau, z, basis, nonbasic, scale, max_pivots)
+        except _Unbounded as exc:
+            return SimplexSolution("unbounded", None, None, 1, exc.args[0])
+        if _certified(z):
+            bases._add(basis, nonbasic, tableau, denominator, scale)
+        values = [row[-1] for row in tableau]
 
-    try:
-        pivots, d = _run(tableau, z, basis, nonbasic, scale, max_pivots)
-    except _Unbounded as exc:
-        return SimplexSolution(status="unbounded", objective=None, x=None, pivots=exc.args[0])
-
-    x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
+    numerators = [0] * n
+    for var, v in zip(basis, values):
         if var < n:
-            x[var] = Fraction(tableau[i][-1], d)
+            numerators[var] = v
+    g = gcd(denominator, *numerators)
+    objective = Fraction(sum(map(mul, bases._costs, numerators)), denominator * bases._mu)
     return SimplexSolution(
-        status="optimal", objective=Fraction(-z[-1], d * mu), x=x, pivots=pivots
+        "optimal", objective, [v // g for v in numerators], denominator // g, pivots
     )
+
+
+def _certified(z) -> bool:
+    """All nonbasic reduced costs, slacks included, are > 0: x is unique."""
+    return all(v > 0 for v in z[:-1])
 
 
 def _run(tableau, z, basis, nonbasic, scale, budget: int) -> tuple[int, int]:
@@ -125,12 +215,12 @@ def _run(tableau, z, basis, nonbasic, scale, budget: int) -> tuple[int, int]:
                     leaving, best_b, best_a = i, tableau[i][-1], a
         if leaving is None:
             raise _Unbounded(pivots)
+        if pivots >= budget:
+            raise IterationLimit(f"no optimum within {budget} pivots")
 
         before = z[-1]
         p = _pivot(tableau, z, basis, nonbasic, leaving, entering, d)
         pivots += 1
-        if pivots >= budget:
-            raise IterationLimit(f"no optimum within {budget} pivots")
         # objective before: -before/(d mu); after: -z[-1]/(p mu)
         if z[-1] * d == before * p:
             stall += 1

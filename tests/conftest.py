@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from ipir import obfuscation
 from ipir.core import (
     ConditionalMatrix,
     MessageStore,
@@ -48,6 +49,16 @@ def skew_joint(skew_cond):
     return validate_joint(
         [[skew_cond.rows[s][x] / K for x in range(K)] for s in range(K)]
     )
+
+
+@pytest.fixture
+def empty_bases(monkeypatch):
+    """Empty covering-LP basis caches for one test, so that what it solves
+    does not depend on the tests before it; the module's own caches come
+    back afterwards. Returns the new (K, N) -> BasisCache dict."""
+    bases = {}
+    monkeypatch.setattr(obfuscation, "_BASES", bases)
+    return bases
 
 
 @pytest.fixture

@@ -776,6 +776,12 @@ class _Unbounded(Exception):
     the pivot count so far."""
 
 
+def _solution(status: str, objective, x, pivots: int) -> SimplexSolution:
+    """A ``SimplexSolution`` from its x as Fractions (None if there is none)."""
+    numerators, denominator = (None, 1) if x is None else scale_to_integers(x)
+    return SimplexSolution(status, objective, numerators, denominator, pivots)
+
+
 def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
     """Two-phase simplex for min c.x s.t. A x = b, x >= 0 (equalities only)."""
     n = len(costs)
@@ -803,7 +809,7 @@ def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSo
 
     pivots = _two_phase_run(tableau, z, basis, max_pivots)
     if z[-1] != 0:
-        return SimplexSolution(status="infeasible", objective=None, x=None, pivots=pivots)
+        return _solution("infeasible", None, None, pivots)
 
     # drive leftover artificials out of the basis; all-zero rows are redundant
     keep = []
@@ -831,14 +837,12 @@ def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSo
     try:
         pivots += _two_phase_run(tableau, z, basis, max_pivots - pivots)
     except _Unbounded as exc:
-        return SimplexSolution(
-            status="unbounded", objective=None, x=None, pivots=pivots + exc.args[0]
-        )
+        return _solution("unbounded", None, None, pivots + exc.args[0])
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         x[var] = tableau[i][-1]
-    return SimplexSolution(status="optimal", objective=-z[-1], x=x, pivots=pivots)
+    return _solution("optimal", -z[-1], x, pivots)
 
 
 def _two_phase_run(tableau, z, basis, budget: int) -> int:
@@ -879,12 +883,12 @@ def _two_phase_run(tableau, z, basis, budget: int) -> int:
                     leaving = i
         if leaving is None:
             raise _Unbounded(pivots)
+        if pivots >= budget:
+            raise IterationLimit(f"no optimum within {budget} pivots")
 
         before = z[-1]
         _two_phase_pivot(tableau, z, basis, leaving, entering)
         pivots += 1
-        if pivots >= budget:
-            raise IterationLimit(f"no optimum within {budget} pivots")
         if z[-1] == before:
             stall += 1
             if stall > STALL_LIMIT:
@@ -933,13 +937,13 @@ def fraction_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSol
     try:
         pivots = _fraction_run(tableau, z, basis, nonbasic, max_pivots)
     except _Unbounded as exc:
-        return SimplexSolution(status="unbounded", objective=None, x=None, pivots=exc.args[0])
+        return _solution("unbounded", None, None, exc.args[0])
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = tableau[i][-1]
-    return SimplexSolution(status="optimal", objective=-z[-1], x=x, pivots=pivots)
+    return _solution("optimal", -z[-1], x, pivots)
 
 
 def _fraction_run(tableau, z, basis, nonbasic, budget: int) -> int:
@@ -980,12 +984,12 @@ def _fraction_run(tableau, z, basis, nonbasic, budget: int) -> int:
                     leaving = i
         if leaving is None:
             raise _Unbounded(pivots)
+        if pivots >= budget:
+            raise IterationLimit(f"no optimum within {budget} pivots")
 
         before = z[-1]
         _fraction_pivot(tableau, z, basis, nonbasic, leaving, entering)
         pivots += 1
-        if pivots >= budget:
-            raise IterationLimit(f"no optimum within {budget} pivots")
         if z[-1] == before:
             stall += 1
             if stall > STALL_LIMIT:

@@ -61,6 +61,7 @@ from oracles import (
     sxu_build_lp,
     sxu_solve_lp,
 )
+from test_obfuscation import recorded_pivots
 
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -558,6 +559,34 @@ class TestSolvedOncePerPosterior:
         assert built == []
         state = initial_posterior(model)
         assert state.joint == table.func(state.law) and built == [state.law]
+
+
+class TestWarmStartedSimulation:
+    """Non-private steps solve the covering LP from the certified bases of
+    earlier solves at the same (K, N), which no report depends on."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("K", [3, 4, 5])
+    def test_report_does_not_depend_on_the_caches(self, empty_bases, K, N):
+        model, other = (random_model(random.Random(f"warm:{K}:{name}"), K) for name in "ab")
+        sched = PrivacySchedule(horizon=8, private=frozenset({0, 4}))
+        config = SystemConfig(N=N, K=K, L=N**K, seed=K + N)
+        store = MessageStore.random(K, N**K, fork_rng(K + N, "store"))
+        cold = simulate(model, sched, config, store)
+        empty_bases.clear()
+        simulate(other, sched, config, store)  # caches warmed by other posteriors
+        assert simulate(model, sched, config, store) == cold
+        assert {s.solver for s in cold.steps if not s.private} == {"lp"}
+
+    def test_most_k3_solves_skip_the_simplex(self, empty_bases, monkeypatch):
+        pivots = recorded_pivots(monkeypatch)
+        sched = PrivacySchedule(horizon=12, private=frozenset({0, 6}))
+        config, store = run_setup(3, seed=3)
+        # a run of simulations like the location benchmark's, one model each
+        for i in range(30):
+            simulate(random_model(random.Random(f"hits:{i}"), 3), sched, config, store)
+        assert len(pivots) > 200
+        assert pivots.count(0) >= 0.8 * len(pivots)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from ipir.core import (
     scale_to_integers,
     validate_joint,
 )
+from ipir import obfuscation
 from ipir.errors import ConstructionFailed, PartialSupport, TooLarge, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
@@ -49,6 +50,13 @@ def random_cond(rng, K, denmax=60):
         parts = [b - a for a, b in zip([0] + cuts, cuts + [d])]
         rows.append([F(p, d) for p in parts])
     return ConditionalMatrix.from_rows(rows)
+
+
+def positive_joint(rng, K, denmax=30):
+    """Random joint law with every cell positive, like a location posterior."""
+    cells = [[rng.randrange(1, denmax) for _ in range(K)] for _ in range(K)]
+    total = sum(map(sum, cells))
+    return validate_joint([[F(c, total) for c in row] for row in cells])
 
 
 def sparse_joint(rng, K, zero_row, denmax=30):
@@ -371,6 +379,57 @@ class TestFlowRouting:
         )
         with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
             solve_lp(instance)
+
+
+def recorded_pivots(monkeypatch) -> list[int]:
+    """The pivot count of every simplex solve that solve_lp makes from now on."""
+    pivots = []
+    minimize = obfuscation.minimize
+
+    def recording(*args, **kwargs):
+        solution = minimize(*args, **kwargs)
+        pivots.append(solution.pivots)
+        return solution
+
+    monkeypatch.setattr(obfuscation, "minimize", recording)
+    return pivots
+
+
+class TestWarmStart:
+    """solve_lp starts from the certified bases of earlier solves at the
+    same (K, N); what the caches hold never changes a policy."""
+
+    def test_first_solve_is_cold_and_stores_its_basis(self, empty_bases, monkeypatch):
+        pivots = recorded_pivots(monkeypatch)
+        rng = random.Random("cold-path")
+        laws = [positive_joint(rng, 3) for _ in range(12)]
+        policies = [solve_lp(build_lp(law, 2)) for law in laws]
+        assert pivots[0] > 0 and list(empty_bases) == [(3, 2)]
+        assert empty_bases[3, 2]._bases and pivots.count(0) >= 6
+        for law, policy in zip(laws, policies):
+            empty_bases.clear()
+            assert solve_lp(build_lp(law, 2)) == policy
+            assert validate_policy(policy, law).all_ok
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("K, count", [(3, 40), (4, 12), (5, 4)])
+    def test_entries_do_not_depend_on_the_caches(self, empty_bases, K, N, count):
+        rng = random.Random(f"warm-policies:{K}:{N}")
+        laws = [
+            positive_joint(rng, K) if i % 3 else sparse_joint(rng, K, zero_row=i % 2 == 1)
+            for i in range(count)
+        ]
+        cold = []
+        for law in laws:
+            empty_bases.clear()
+            cold.append(list(solve_lp(build_lp(law, N)).entries.items()))
+        for order in (laws, laws[::-1]):
+            # each law is solved with the caches that the laws before it left
+            empty_bases.clear()
+            warm = {id(law): list(solve_lp(build_lp(law, N)).entries.items()) for law in order}
+            assert [warm[id(law)] for law in laws] == cold
+        if K == 3:
+            assert empty_bases[K, N]._bases
 
 
 def integer_route(s, row, marginal):

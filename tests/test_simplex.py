@@ -1,10 +1,12 @@
 """The one-phase integer-tableau solver of ipir.simplex, checked against
 scipy and, pivot for pivot, against the Fraction solver it replaced
-(tests/oracles.py ``fraction_minimize``); and the two-phase equality-form
-solver before that, kept in tests/oracles.py as the reference of the
-covering-LP equivalence tests."""
+(tests/oracles.py ``fraction_minimize``), cold and warm-started from a
+``BasisCache``; and the two-phase equality-form solver before that, kept in
+tests/oracles.py as the reference of the covering-LP equivalence tests."""
 
 import random
+import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction as F
 
@@ -14,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 from ipir import simplex
 from ipir.errors import InvalidParams, IterationLimit
 from ipir.obfuscation import build_lp
-from ipir.simplex import minimize
+from ipir.simplex import BasisCache, minimize
 
 from oracles import fraction_minimize, two_phase_minimize
-from test_obfuscation import sparse_joint
+from test_obfuscation import positive_joint, sparse_joint
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -346,3 +348,236 @@ def test_integer_tableau_matches_fraction_solver_on_covering_lps(K, count):
     for i in range(count):
         instance = build_lp(sparse_joint(rng, K, zero_row=i % 2 == 1), 2 + i % 2)
         assert_matches_fraction_solver(instance.costs, instance.rows, instance.rhs)
+
+
+# the pivot budget: max_pivots pivots may be made, and IterationLimit is
+# raised only when one more is needed
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(([-1], [[1]], [1]), id="one-pivot"),
+        pytest.param(([-1, -1], [[1, 1], [1, 3]], [4, 6]), id="int-entries"),
+        pytest.param(BEALE, id="beale"),
+        pytest.param(BEALE_OFFSET, id="beale-offset"),
+    ],
+)
+def test_budget_of_exactly_the_pivots_needed(instance):
+    needed = minimize(*instance).pivots
+    assert needed > 0
+    for solve in (minimize, fraction_minimize):
+        assert solve(*instance, max_pivots=needed) == minimize(*instance)
+        with pytest.raises(IterationLimit, match=f"no optimum within {needed - 1} pivots"):
+            solve(*instance, max_pivots=needed - 1)
+
+
+def test_two_phase_budget_of_exactly_the_pivots_needed():
+    instance = ([-1, -1, 0, 0], [[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6])
+    needed = two_phase_minimize(*instance).pivots  # 3, over both phases
+    assert two_phase_minimize(*instance, max_pivots=needed).pivots == needed
+    with pytest.raises(IterationLimit):
+        two_phase_minimize(*instance, max_pivots=needed - 1)
+
+
+def test_a_solve_that_needs_no_pivot_fits_a_zero_budget():
+    assert minimize([1], [[1]], [1], max_pivots=0).pivots == 0
+
+
+# warm starts: certified bases of one rhs answer another with no pivot, and
+# a warm solve equals the cold one in status, objective and x
+
+
+def assert_warm_matches_fraction_solver(costs, rows, warm, rhs) -> bool:
+    """Warm a cache on ``warm``, then solve ``rhs`` with it: the result
+    equals the oracle's but for the pivot count; returns whether it hit."""
+    bases = BasisCache(costs, rows)
+    assert minimize(costs, rows, warm, bases=bases) == fraction_minimize(costs, rows, warm)
+    expected = fraction_minimize(costs, rows, rhs)
+    solution = minimize(costs, rows, rhs, bases=bases)
+    assert (solution.status, solution.objective, solution.x) == (
+        expected.status, expected.objective, expected.x
+    )
+    return solution.pivots == 0 < expected.pivots
+
+
+def test_warm_start_matches_fraction_solver_on_random_instances():
+    rng = random.Random(23)
+    hits = 0
+    for _ in range(300):
+        costs, rows, rhs = random_instance(rng)
+        other = random_instance(rng)[2][: len(rhs)]
+        other += [F(1)] * (len(rhs) - len(other))
+        # twice the rhs keeps every basis feasible; another rhs may not
+        hits += assert_warm_matches_fraction_solver(costs, rows, rhs, [2 * v for v in rhs])
+        hits += assert_warm_matches_fraction_solver(costs, rows, rhs, other)
+    assert hits > 50
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(rationals, min_size=n, max_size=n),
+            st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=5),
+        )
+    ),
+    st.data(),
+)
+def test_warm_start_matches_fraction_solver_on_hypothesis_instances(shape, data):
+    costs, rows = shape
+    warm, rhs = (
+        data.draw(
+            st.lists(
+                st.fractions(min_value=0, max_value=5, max_denominator=6),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        )
+        for _ in range(2)
+    )
+    assert_warm_matches_fraction_solver(costs, rows, warm, rhs)
+
+
+@pytest.mark.parametrize(
+    "instance, rhs",
+    [
+        pytest.param(BEALE, [1, 2, 3], id="beale"),
+        pytest.param(([], [[]], [1]), [F(5, 2)], id="zero-variables"),
+        pytest.param(([-1, -1], [[1, -1]], [2]), [0], id="unbounded"),
+        pytest.param(([-1, -2], [[1, 1], [1, 3]], [4, 6]), [F(9, 2), 12], id="int-entries"),
+    ],
+)
+def test_warm_start_matches_fraction_solver_on_named_instances(instance, rhs):
+    costs, rows, warm = instance
+    assert_warm_matches_fraction_solver(costs, rows, warm, rhs)
+
+
+@pytest.mark.parametrize("K, count", [(3, 30), (4, 12), (5, 3)])
+def test_warm_start_matches_fraction_solver_on_covering_lps(K, count):
+    # random positive laws certify a basis at K = 3; at K = 4 and 5 the
+    # costs, which depend on |u| alone, tend to leave zero reduced costs,
+    # which the certificate refuses
+    rng = random.Random(f"warm-start:{K}")
+    hits = 0
+    for i in range(count):
+        law, other = (positive_joint(rng, K) for _ in range(2))
+        warm, instance = build_lp(law, 2 + i % 2), build_lp(other, 2 + i % 2)
+        hits += assert_warm_matches_fraction_solver(
+            instance.costs, instance.rows, warm.rhs, instance.rhs
+        )
+        warm = build_lp(sparse_joint(rng, K, zero_row=i % 2 == 1), 2 + i % 2)
+        assert_warm_matches_fraction_solver(instance.costs, instance.rows, warm.rhs, instance.rhs)
+    if K == 3:
+        assert hits > 0
+
+
+# min -2y - 2z s.t. 2y + z <= b0, x + 2y <= b1: x costs nothing, so at
+# b = (4, 1) the whole edge y = 0, z = 4, 0 <= x <= 1 is optimal. The
+# basis that the degenerate b = (0, 0) ends in is optimal there too but
+# keeps x = 0, while a cold solve ends at x = 1.
+DUAL_DEGENERATE = ([0, -2, -2], [[0, 2, 1], [1, 2, 0]])
+
+
+def test_dual_degenerate_basis_is_not_cached():
+    bases = BasisCache(*DUAL_DEGENERATE)
+    minimize(*DUAL_DEGENERATE, [0, 0], bases=bases)
+    assert len(bases._bases) == 0  # x's reduced cost is 0: no certificate
+    solution = minimize(*DUAL_DEGENERATE, [4, 1], bases=bases)
+    assert solution == fraction_minimize(*DUAL_DEGENERATE, [4, 1])
+    assert solution.x == [F(1), F(0), F(4)] and solution.pivots > 0
+
+
+def test_cache_without_the_certificate_returns_another_vertex(monkeypatch):
+    # the mutant that stores every optimal basis answers b = (4, 1) from
+    # the basis of b = (0, 0), an optimum but not the cold solve's
+    monkeypatch.setattr(simplex, "_certified", lambda z: True)
+    bases = BasisCache(*DUAL_DEGENERATE)
+    minimize(*DUAL_DEGENERATE, [0, 0], bases=bases)
+    solution = minimize(*DUAL_DEGENERATE, [4, 1], bases=bases)
+    expected = fraction_minimize(*DUAL_DEGENERATE, [4, 1])
+    assert solution.pivots == 0 and solution.objective == expected.objective
+    assert solution.x == [F(0), F(0), F(4)] != expected.x
+
+
+def test_cache_is_tried_most_recent_hit_first_and_bounded(monkeypatch):
+    monkeypatch.setattr(simplex, "BASIS_CAP", 2)
+    # min -x - 2y s.t. x <= b0, y <= b1, x + y <= b2 has three certified
+    # optimal bases: {x, y, s2}, {y, s0, s1} and {x, y, s0} (x, y are
+    # variables 0, 1 and s_i is variable 2 + i)
+    costs, rows = [-1, -2], [[1, 0], [0, 1], [1, 1]]
+    bases = BasisCache(costs, rows)
+
+    def held():
+        return [set(basis) for basis, _, _ in bases._bases]
+
+    for rhs in ([1, 1, 3], [1, 3, 2], [3, 1, 2]):
+        assert minimize(costs, rows, rhs, bases=bases).pivots > 0
+    assert held() == [{0, 1, 2}, {1, 2, 3}]  # {x, y, s2} was dropped
+    assert minimize(costs, rows, [2, 3, 2], bases=bases).pivots == 0
+    assert held() == [{1, 2, 3}, {0, 1, 2}]  # the hit moves to the front
+    assert minimize(costs, rows, [2, 2, 9], bases=bases).pivots > 0
+    assert held() == [{0, 1, 4}, {1, 2, 3}]
+
+
+def test_cache_holds_at_most_its_cap(monkeypatch):
+    # a dense 6 x 6 LP whose random rhs reach 28 certified optimal bases
+    rng = random.Random(0)
+    costs = [-rng.randrange(1, 9) for _ in range(6)]
+    rows = [[rng.randrange(0, 5) for _ in range(6)] for _ in range(6)]
+    stored = []
+    add = BasisCache._add
+    monkeypatch.setattr(BasisCache, "_add", lambda self, *args: stored.append(add(self, *args)))
+    bases = BasisCache(costs, rows)
+    rng = random.Random(31)
+    for _ in range(200):
+        rhs = [rng.randrange(1, 20) for _ in range(6)]
+        solution = minimize(costs, rows, rhs, bases=bases)
+        expected = fraction_minimize(costs, rows, rhs)
+        assert (solution.objective, solution.x) == (expected.objective, expected.x)
+        assert len(bases._bases) <= simplex.BASIS_CAP
+    assert len(stored) > simplex.BASIS_CAP
+
+
+def test_concurrent_solves_share_one_cache():
+    # threads that hit, reorder, store and drop bases of one cache at once
+    # (28 certified bases over a cap of 16) still get the cold solutions
+    rng = random.Random(0)
+    costs = [-rng.randrange(1, 9) for _ in range(6)]
+    rows = [[rng.randrange(0, 5) for _ in range(6)] for _ in range(6)]
+    rng = random.Random(37)
+    cases = [[rng.randrange(1, 20) for _ in range(6)] for _ in range(60)]
+    expected = [minimize(costs, rows, rhs) for rhs in cases]
+    bases = BasisCache(costs, rows)
+    wrong = []
+
+    def solve(offset):
+        try:
+            for i in range(3 * len(cases)):
+                j = (offset + 7 * i) % len(cases)
+                solution = minimize(costs, rows, cases[j], bases=bases)
+                if (solution.objective, solution.x) != (expected[j].objective, expected[j].x):
+                    wrong.append(j)
+        except Exception as exc:  # reported by the assert below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == [] and len(bases._bases) <= simplex.BASIS_CAP
+
+
+def test_cache_for_other_costs_or_rows_is_rejected():
+    bases = BasisCache([-1, -1], [[1, 1], [1, 3]])
+    minimize([-1, -1], ((1, 1), (1, 3)), [4, 6], bases=bases)  # equal values
+    for costs, rows in (([-1, -2], [[1, 1], [1, 3]]), ([-1, -1], [[1, 1], [1, 2]])):
+        with pytest.raises(InvalidParams, match="basis cache was built for other"):
+            minimize(costs, rows, [4, 6], bases=bases)
