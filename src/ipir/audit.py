@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .core import (
     ConditionalMatrix,
     JointDistribution,
     SystemConfig,
     WeightedSampler,
-    conditional_from_joint,
     fork_rng,
     scale_to_integers,
 )
@@ -31,6 +31,7 @@ from .obfuscation import (
     full_mask,
     indices_of,
     likelihood_profile,
+    policy_weights,
     subset_samplers,
 )
 from . import pir
@@ -142,29 +143,20 @@ def audit_policy_independence(
     """Exact check that the released subset is independent of the private
     request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes.
 
-    The joint is built in integers: the law's weights W(s, x) over its
-    scale D times the policy's entries as numerators over their own common
-    denominator, so no Fraction is formed."""
-    table = joint.weights
-    entries = policy.entries
-    numerators, scale = scale_to_integers(entries.values())
-    by_mask: dict = {}
-    for (s, x, mask), n in zip(entries, numerators):
-        w = table[s][x] * n
-        if w:
-            key = (s, mask)
-            by_mask[key] = by_mask.get(key, 0) + w
-    scale *= joint.scale
+    The joint is the integer (S, X, U) law of ``policy_weights`` summed
+    over x, in the policy's entry order, so no Fraction is formed."""
+    weights, scale = policy_weights(policy, joint)
     # the witness orders labels by str, so each mask becomes its indices,
     # once per mask
     labels: dict = {}
-    weights = {}
-    for (s, mask), w in by_mask.items():
+    by_subset: dict = {}
+    for (s, _, mask), w in weights.items():
         subset = labels.get(mask)
         if subset is None:
             subset = labels[mask] = indices_of(mask)
-        weights[s, subset] = w
-    zero, bits, witness = _factorization(weights, scale)
+        key = (s, subset)
+        by_subset[key] = by_subset.get(key, 0) + w
+    zero, bits, witness = _factorization(by_subset, scale)
     check = AuditCheck(name="subset-independence", passed=zero, bits=bits, witness=witness)
     return AuditReport(checks=[check])
 
@@ -201,21 +193,18 @@ def _query_laws(
     times the query law of the scheme over u for a uniform key, summed over
     x and u.
 
-    The weight of (s, q) sums W(s, x) P(s, x, u) count_(u,x)(q) T/key_count(u)
-    over the law's weights W, the policy's entries as numerators P over
-    their common denominator, the key counts of ``_query_counts`` and T,
-    the lcm of the key counts of the subsets used. ``counts`` keeps each
-    (mask, x)'s counts, walked once.
+    The weight of (s, q) sums W(s, x, u) count_(u,x)(q) T/key_count(u)
+    over the (S, X, U) weights W of ``policy_weights``, the key counts of
+    ``_query_counts`` and T, the lcm of the key counts of the subsets used.
+    ``counts`` keeps each (mask, x)'s counts, walked once.
     """
-    numerators, scale = scale_to_integers(policy.entries.values())
+    weights, scale = policy_weights(policy, joint)
     terms = []
-    for (s, x, mask), n in zip(policy.entries, numerators):
-        w = joint.weights[s][x] * n
-        if w:
-            params = pir.pir_setup(config.N, indices_of(mask), config.L)
-            if (mask, x) not in counts:
-                counts[mask, x] = _query_counts(params, x)
-            terms.append((s, w, pir.key_count(params), counts[mask, x]))
+    for (s, x, mask), w in weights.items():
+        params = pir.pir_setup(config.N, indices_of(mask), config.L)
+        if (mask, x) not in counts:
+            counts[mask, x] = _query_counts(params, x)
+        terms.append((s, w, pir.key_count(params), counts[mask, x]))
     T = math.lcm(*(total for _, _, total, _ in terms))
     laws: list[dict] = [{} for _ in range(config.N)]
     for s, w, total, per_server in terms:
@@ -224,7 +213,7 @@ def _query_laws(
             for combos, c in by_query.items():
                 key = (s, combos)
                 law[key] = law.get(key, 0) + w * c
-    return laws, joint.scale * scale * T
+    return laws, scale * T
 
 
 def audit_query_privacy(
@@ -306,8 +295,8 @@ def _pattern_counts(
     """``counts[server][s][mask]``: the sampled query patterns at one server
     for private value s and released subset mask, from ``trials`` samples
     per supported s. Each s draws from its own named stream; a sample
-    draws the non-private request x, then the subset, then the PIR key's
-    shuffles.
+    draws the non-private request x, from p(x|s) = W(s, x) / W_s off the
+    law's weights, then the subset, then the PIR key's shuffles.
 
     A sample keeps each server's combo order from ``pir.sample_orders``.
     A pattern is a function of the order alone, whatever x is, so the
@@ -316,13 +305,12 @@ def _pattern_counts(
     first-seen order gives each Counter its patterns in the order a
     sample first met them, as counting patterns would.
     """
-    cond = conditional_from_joint(joint)
     counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
     patterns: dict = {}  # (mask, order) -> pattern, over the whole audit
-    for s in cond.support:
-        x_sampler = WeightedSampler(
-            (x, cond.rows[s][x]) for x in range(config.K) if cond.rows[s][x] != 0
-        )
+    for s in joint.support():
+        row = joint.weights[s]
+        mass = sum(row)
+        x_sampler = WeightedSampler((x, Fraction(w, mass)) for x, w in enumerate(row) if w)
         rng = fork_rng(seed, "audit-empirical", s)
         by_mask: dict[int, tuple] = {}
         for _ in range(trials):
@@ -358,29 +346,32 @@ def _empirical_checks(
     threshold is ~3x its sampling noise) and the position pattern within
     the subset (positions are exchangeable under the uniform key, so the
     pattern is a sufficient statistic; its support is larger, so its
-    threshold is scaled to the pattern-level sampling noise).
+    threshold is scaled to the pattern-level sampling noise). Every sample
+    counts once at every server, so the subset counts, and the subset
+    check, are the same at each server and are computed once.
     """
+    support = list(counts[0])
+    subset_counts = {
+        s: Counter({mask: sum(c.values()) for mask, c in by_mask.items()})
+        for s, by_mask in counts[0].items()
+    }
+    worst = 0.0
+    subset_witness = None
+    for i, s1 in enumerate(support):
+        for s2 in support[i + 1 :]:
+            tv = total_variation(subset_counts[s1], subset_counts[s2])
+            if tv > worst:
+                worst = tv
+                subset_witness = (s1, s2)
+    subset_passed = worst < threshold
     checks = []
     for server, by_s in enumerate(counts):
-        support = list(by_s)
-        subset_counts = {
-            s: Counter({mask: sum(c.values()) for mask, c in by_mask.items()})
-            for s, by_mask in by_s.items()
-        }
-        worst = 0.0
-        witness = None
-        for i, s1 in enumerate(support):
-            for s2 in support[i + 1 :]:
-                tv = total_variation(subset_counts[s1], subset_counts[s2])
-                if tv > worst:
-                    worst = tv
-                    witness = (s1, s2)
         checks.append(
             AuditCheck(
                 name=f"query-privacy-server-{server}: subset marginal (TV<{threshold})",
-                passed=worst < threshold,
+                passed=subset_passed,
                 bits=worst,
-                witness=None if worst < threshold else witness,
+                witness=None if subset_passed else subset_witness,
             )
         )
         worst_excess = 0.0

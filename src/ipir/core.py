@@ -270,7 +270,8 @@ class WeightedSampler:
     cumulative numerators, so no float bias enters. The pick takes the
     ``getrandbits`` calls that ``randrange(denominator)`` takes on a
     ``random.Random``: words of the denominator's bit length until one is
-    below it.
+    below it. A negative weight raises NegativeEntry, and weights that do
+    not sum to 1 raise DistributionError, when the sampler is built.
     """
 
     def __init__(self, items):
@@ -279,6 +280,9 @@ class WeightedSampler:
             raise InvalidParams("nothing to sample from")
         self.values, weights = zip(*items)
         numerators, self.denominator = scale_to_integers(weights)
+        least = min(numerators)
+        if least < 0:
+            raise NegativeEntry(f"weight {Fraction(least, self.denominator)} is negative")
         self.thresholds = list(accumulate(numerators))
         self.width = self.denominator.bit_length()
         if self.thresholds[-1] != self.denominator:

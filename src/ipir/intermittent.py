@@ -159,9 +159,9 @@ def run_two_request(
     (s, x) draw unchanged, but a skipped private key draw shifts the rest
     of that trial's stream, so the sampled subsets, and with them
     ``cost_x_empirical``, differ from a run with the flag on. A negative
-    ``trials`` raises InvalidParams, and a policy with no entries at a
-    request pair of positive mass raises UnsupportedPair, both before any
-    draw.
+    ``trials`` raises InvalidParams, a policy with no entries at a request
+    pair of positive mass raises UnsupportedPair, and a negative policy
+    entry there raises NegativeEntry, all before any draw.
     """
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")

@@ -31,9 +31,9 @@ from .core import (
     JointDistribution,
     WeightedSampler,
     capacity_cost,
-    conditional_from_joint,
     format_rational,
     parse_rational,
+    scale_to_integers,
 )
 from .errors import (
     ConstructionFailed,
@@ -116,9 +116,10 @@ def likelihood_profile(cond: ConditionalMatrix) -> LikelihoodProfile:
 class ObfuscationPolicy:
     """Sparse conditional law p(U=u | X=x, S=s); absent entries are zero.
 
-    Keys are (s, x, mask). Invariants (checked by validate_policy): every
-    stored mask contains x, probabilities at each supported (s, x) sum to 1,
-    and the marginal P(U=u | S=s) is the same for every supported s.
+    Keys are (s, x, mask). Invariants (checked by validate_policy on the
+    integer (S, X, U) law of ``policy_weights``): every stored mask
+    contains x, probabilities at each (s, x) of positive mass sum to 1, and
+    P(U=u | S=s) is the same for every supported s.
     """
 
     K: int
@@ -134,16 +135,6 @@ class ObfuscationPolicy:
         ]
         return sorted(found)
 
-    def subset_marginal(self, cond: ConditionalMatrix, s: int) -> dict[int, Fraction]:
-        """P(U=u | S=s) for one supported s."""
-        out: dict[int, Fraction] = {}
-        for (es, x, mask), p in self.entries.items():
-            if es == s:
-                w = cond.rows[s][x] * p
-                if w != 0:
-                    out[mask] = out.get(mask, ZERO) + w
-        return out
-
     def size_marginal(self, cond: ConditionalMatrix) -> tuple[Fraction, ...]:
         """P(|U| = j) for j = 1..K, computed at the first supported s.
 
@@ -151,8 +142,9 @@ class ObfuscationPolicy:
         """
         s = cond.support[0]
         sizes = [ZERO] * self.K
-        for mask, w in self.subset_marginal(cond, s).items():
-            sizes[mask.bit_count() - 1] += w
+        for (es, x, mask), p in self.entries.items():
+            if es == s:
+                sizes[mask.bit_count() - 1] += cond.rows[s][x] * p
         return tuple(sizes)
 
     def to_json_dict(self) -> dict:
@@ -477,6 +469,23 @@ def _route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int,
     return flow
 
 
+def policy_weights(policy: ObfuscationPolicy, joint: JointDistribution) -> tuple[dict, int]:
+    """The law of (S, X, U) in integers: p(s, x) p(u|x,s) is
+    ``weights[s, x, u] / scale``, each weight W(s, x)·n(s, x, u), the law's
+    weights times the policy's entries as numerators over their common
+    denominator. Weights come in the policy's entry order; zero weights,
+    and entries whose s or x lies outside the law's [K], are left out.
+    """
+    table, K = joint.weights, joint.K
+    numerators, scale = scale_to_integers(policy.entries.values())
+    weights = {}
+    for key, n in zip(policy.entries, numerators):
+        s, x, _ = key
+        if 0 <= s < K and 0 <= x < K and n and table[s][x]:
+            weights[key] = table[s][x] * n
+    return weights, joint.scale * scale
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     support_ok: bool
@@ -493,70 +502,61 @@ def validate_policy(policy: ObfuscationPolicy, joint: JointDistribution) -> Vali
     """Exact check of the three policy invariants against a joint law.
 
     The support check rejects an entry whose s, x or subset lies outside
-    [K], whose subset lacks x, or whose probability is negative. The first
-    failing check records a witness: (s, x, u) for support or
-    normalization, (s, s_ref, u) for a marginal mismatch.
+    [K], whose subset lacks x, or whose probability is negative. The other
+    two read the weights W of ``policy_weights``, entries over their common
+    denominator D: the weights at each (s, x) with W(s, x) > 0 sum to
+    W(s, x)·D, and each supported row's W(s, u) / W_s equals the first
+    one's, cross-multiplied, at every mask. The first failing check records
+    a witness: (s, x, u) for support, (s, x, sum of p) for normalization,
+    (s, s_ref, u) for a marginal mismatch.
     """
-    cond = conditional_from_joint(joint)
-    witness = None
-
     K = policy.K
-    support_ok = True
-    for (s, x, mask), p in sorted(policy.entries.items()):
-        in_range = 0 <= s < K and 0 <= x < K and mask >> K == 0
-        if not in_range or not (mask >> x & 1) or p < 0:
-            support_ok = False
-            witness = witness or ("support", s, x, indices_of(mask))
-            break
-
-    totals: dict[tuple[int, int], Fraction] = {}
-    for (s, x, _), p in policy.entries.items():
-        totals[s, x] = totals.get((s, x), ZERO) + p
-    normalization_ok = True
-    for s in cond.support:
-        for x in range(policy.K):
-            if cond.rows[s][x] == 0:
-                continue
-            total = totals.get((s, x), ZERO)
-            if total != 1:
-                normalization_ok = False
-                witness = witness or ("normalization", s, x, total)
-                break
-        if not normalization_ok:
-            break
-
-    independence_ok = True
-    if cond.support:
-        ref = cond.support[0]
-        ref_marginal = policy.subset_marginal(cond, ref)
-        for s in cond.support[1:]:
-            marginal = policy.subset_marginal(cond, s)
-            for mask in sorted(set(ref_marginal) | set(marginal)):
-                if ref_marginal.get(mask, ZERO) != marginal.get(mask, ZERO):
-                    independence_ok = False
-                    witness = witness or ("independence", s, ref, indices_of(mask))
-                    break
-            if not independence_ok:
-                break
-
+    support = next(
+        (("support", s, x, indices_of(mask))
+         for (s, x, mask), p in sorted(policy.entries.items())
+         if not (0 <= s < K and 0 <= x < K and mask >> K == 0 and mask >> x & 1) or p < 0),
+        None,
+    )
+    weights, scale = policy_weights(policy, joint)
+    D = scale // joint.scale
+    totals: dict[tuple[int, int], int] = {}
+    marginals: dict[int, dict[int, int]] = {}  # s -> u -> W(s, u)
+    for (s, x, mask), w in weights.items():
+        totals[s, x] = totals.get((s, x), 0) + w
+        row = marginals.setdefault(s, {})
+        row[mask] = row.get(mask, 0) + w
+    unnormalized = next(
+        (("normalization", s, x, Fraction(totals.get((s, x), 0), w * D))
+         for s, row in enumerate(joint.weights)
+         for x, w in enumerate(row)
+         if w and totals.get((s, x), 0) != w * D),
+        None,
+    )
+    rows = [(s, sum(row), marginals.get(s, {})) for s, row in enumerate(joint.weights) if any(row)]
+    ref, ref_mass, ref_marginal = rows[0]
+    leak = next(
+        (("independence", s, ref, indices_of(u))
+         for s, mass, marginal in rows[1:]
+         for u in sorted(ref_marginal.keys() | marginal.keys())
+         if marginal.get(u, 0) * ref_mass != ref_marginal.get(u, 0) * mass),
+        None,
+    )
     return ValidationReport(
-        support_ok=support_ok,
-        normalization_ok=normalization_ok,
-        independence_ok=independence_ok,
-        witness=witness,
+        support_ok=support is None,
+        normalization_ok=unnormalized is None,
+        independence_ok=leak is None,
+        witness=support or unnormalized or leak,
     )
 
 
 def expected_cost(
     policy: ObfuscationPolicy, joint: JointDistribution, n_servers: int
 ) -> Fraction:
-    """E[C(N, |U|)] under the joint law and the policy."""
-    total = ZERO
-    for (s, x, mask), p in policy.entries.items():
-        weight = joint.table[s][x]
-        if weight != 0:
-            total += weight * p * capacity_cost(n_servers, mask.bit_count())
-    return total
+    """E[C(N, |U|)] under the joint law and the policy: the sum of
+    W·C(N, |u|) over the weights W of ``policy_weights``, over its scale."""
+    weights, scale = policy_weights(policy, joint)
+    costs = (w * capacity_cost(n_servers, u.bit_count()) for (_, _, u), w in weights.items())
+    return sum(costs, ZERO) / scale
 
 
 def subset_samplers(

@@ -20,6 +20,7 @@ from operator import itemgetter
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
 from ipir.core import (
+    ConditionalMatrix,
     JointDistribution,
     SystemConfig,
     WeightedSampler,
@@ -57,6 +58,7 @@ from ipir.obfuscation import (
     DEFAULT_LP_CAP,
     LpInstance,
     ObfuscationPolicy,
+    ValidationReport,
     full_mask,
     indices_of,
 )
@@ -1357,6 +1359,92 @@ def fraction_policy_independence(policy: ObfuscationPolicy, joint: JointDistribu
             entries[key] = entries.get(key, ZERO) + w
     zero, bits = fraction_mutual_information(entries)
     return zero, bits, None if zero else fraction_independence_witness(entries)
+
+
+# The Fraction policy checks that obfuscation.policy_weights replaced:
+# each reads p(x|s) off the conditional rows and sums the policy's entries
+# in Fractions.
+
+
+def fraction_subset_marginal(
+    policy: ObfuscationPolicy, cond: ConditionalMatrix, s: int
+) -> dict[int, Fraction]:
+    """P(U=u | S=s) for one supported s."""
+    out: dict[int, Fraction] = {}
+    for (es, x, mask), p in policy.entries.items():
+        if es == s:
+            w = cond.rows[s][x] * p
+            if w != 0:
+                out[mask] = out.get(mask, ZERO) + w
+    return out
+
+
+def fraction_validate_policy(
+    policy: ObfuscationPolicy, joint: JointDistribution
+) -> ValidationReport:
+    """``validate_policy`` on the conditional matrix, in Fractions: the
+    same checks in the same order, with the same witnesses. An entry whose
+    x lies at or past K makes it index past a row."""
+    cond = conditional_from_joint(joint)
+    witness = None
+
+    K = policy.K
+    support_ok = True
+    for (s, x, mask), p in sorted(policy.entries.items()):
+        in_range = 0 <= s < K and 0 <= x < K and mask >> K == 0
+        if not in_range or not (mask >> x & 1) or p < 0:
+            support_ok = False
+            witness = witness or ("support", s, x, indices_of(mask))
+            break
+
+    totals: dict[tuple[int, int], Fraction] = {}
+    for (s, x, _), p in policy.entries.items():
+        totals[s, x] = totals.get((s, x), ZERO) + p
+    normalization_ok = True
+    for s in cond.support:
+        for x in range(policy.K):
+            if cond.rows[s][x] == 0:
+                continue
+            total = totals.get((s, x), ZERO)
+            if total != 1:
+                normalization_ok = False
+                witness = witness or ("normalization", s, x, total)
+                break
+        if not normalization_ok:
+            break
+
+    independence_ok = True
+    if cond.support:
+        ref = cond.support[0]
+        ref_marginal = fraction_subset_marginal(policy, cond, ref)
+        for s in cond.support[1:]:
+            marginal = fraction_subset_marginal(policy, cond, s)
+            for mask in sorted(set(ref_marginal) | set(marginal)):
+                if ref_marginal.get(mask, ZERO) != marginal.get(mask, ZERO):
+                    independence_ok = False
+                    witness = witness or ("independence", s, ref, indices_of(mask))
+                    break
+            if not independence_ok:
+                break
+
+    return ValidationReport(
+        support_ok=support_ok,
+        normalization_ok=normalization_ok,
+        independence_ok=independence_ok,
+        witness=witness,
+    )
+
+
+def fraction_expected_cost(
+    policy: ObfuscationPolicy, joint: JointDistribution, n_servers: int
+) -> Fraction:
+    """E[C(N, |U|)] summed in Fractions over the policy's entries."""
+    total = ZERO
+    for (s, x, mask), p in policy.entries.items():
+        weight = joint.table[s][x]
+        if weight != 0:
+            total += weight * p * capacity_cost(n_servers, mask.bit_count())
+    return total
 
 
 def fraction_query_law(

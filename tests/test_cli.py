@@ -126,14 +126,10 @@ class TestMalformedInputs:
         assert err.startswith(f"configuration error: bad transcript file {path}: ")
         assert "config has K=3, joint has K=2" in err
 
-    @pytest.mark.parametrize("command", ["two-request", "audit"])
-    def test_policy_subset_outside_the_messages(self, tmp_path, capsys, command):
-        policy = {
-            "K": 2,
-            "entries": [
-                {"s": s, "x": x, "u": [0, 1, 5], "p": "1"} for s in range(2) for x in range(2)
-            ],
-        }
+    def expect_support_failure(self, tmp_path, capsys, command, entries, witness):
+        """``command`` run on a K=2 policy of ``entries`` exits 2 and names
+        its support ``witness``."""
+        policy = {"K": 2, "entries": entries}
         if command == "two-request":
             args = ["two-request", "--joint", self.PAIR,
                     "--policy", write(tmp_path, "policy.json", policy)]
@@ -143,7 +139,27 @@ class TestMalformedInputs:
             args = ["audit", "--transcript", write(tmp_path, "t.json", transcript)]
         assert run_cli(args) == 2
         err = capsys.readouterr().err
-        assert "policy fails validation: ('support', 0, 0, (0, 1, 5))" in err
+        assert err.startswith("configuration error: ")
+        assert f"policy fails validation: {witness}" in err
+
+    @pytest.mark.parametrize("command", ["two-request", "audit"])
+    def test_policy_subset_outside_the_messages(self, tmp_path, capsys, command):
+        entries = [
+            {"s": s, "x": x, "u": [0, 1, 5], "p": "1"} for s in range(2) for x in range(2)
+        ]
+        self.expect_support_failure(
+            tmp_path, capsys, command, entries, ("support", 0, 0, (0, 1, 5))
+        )
+
+    @pytest.mark.parametrize("command", ["two-request", "audit"])
+    def test_policy_request_outside_the_messages(self, tmp_path, capsys, command):
+        # an entry at x = 5 >= K is a support failure, not an index error
+        entries = [{"s": 0, "x": 5, "u": [0, 1], "p": "1"}] + [
+            {"s": s, "x": x, "u": [0, 1], "p": "1"} for s in range(2) for x in range(2)
+        ]
+        self.expect_support_failure(
+            tmp_path, capsys, command, entries, ("support", 0, 5, (0, 1))
+        )
 
     def test_listen_port_outside_the_port_range(self, tmp_path, capsys):
         store = str(tmp_path / "replica.bin")
@@ -347,6 +363,25 @@ class TestGoldenReports:
             assert code == 0
             reports.append(out.read_bytes())
         assert b"".join(reports) == (GOLDEN / "simulate_location_seeds.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("solve_lp.json",
+             ["solve-lp", "--joint", str(SCENARIOS / "correlated_pair.json")]),
+            ("greedy.json", ["greedy", "--cond", str(SCENARIOS / "skewed_three.json")]),
+            # the validation flags and expected cost of both constructors,
+            # and the subset-marginal and pattern TVs of the empirical audit
+            ("audit_empirical.json",
+             ["audit", "--transcript", str(GOLDEN / "two_request_transcript.json"),
+              "--empirical"]),
+        ],
+        ids=["solve-lp", "greedy", "audit-empirical"],
+    )
+    def test_policy_and_empirical_audit_reports(self, tmp_path, golden, args):
+        out = tmp_path / golden
+        assert run_cli([*args, "-o", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_failing_audit(self, tmp_path):
         singleton = {

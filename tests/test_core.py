@@ -208,6 +208,15 @@ class TestRandomness:
         with pytest.raises(Exception):
             WeightedSampler([("a", F(1, 3))]).draw(fork_rng(0))
 
+    @pytest.mark.parametrize(
+        "items",
+        [[(0, F(3, 2)), (1, F(-1, 2))], [(0, F(-1, 4)), (1, F(1, 4)), (2, F(1))]],
+    )
+    def test_negative_weight_is_refused_before_any_draw(self, items):
+        # these weights sum to 1, so only the sign check catches them
+        with pytest.raises(NegativeEntry, match="weight -1/[24] is negative"):
+            WeightedSampler(items)
+
     def test_draw_is_the_first_threshold_above_the_pick(self):
         # the bisected draw equals a linear scan of cumulative numerators,
         # zero weights included, on the same random stream

@@ -5,11 +5,12 @@ import pytest
 from ipir.core import (
     MessageStore,
     SystemConfig,
+    WeightedSampler,
     capacity_cost,
     fork_rng,
     validate_joint,
 )
-from ipir.errors import InconsistentAnswers, InvalidParams, UnsupportedPair
+from ipir.errors import InconsistentAnswers, InvalidParams, NegativeEntry, UnsupportedPair
 from ipir.intermittent import (
     guaranteed_cost_bound,
     retrieve,
@@ -140,6 +141,24 @@ class TestRunTwoRequest:
             run_two_request(
                 joint, ObfuscationPolicy(K=2, entries=entries), config22, store22,
                 trials=5, transport=transport,
+            )
+
+    def test_negative_policy_entry_is_refused_before_any_draw(
+        self, pair_joint, config22, store22, monkeypatch
+    ):
+        # p(u|x,s) of 3/2 and -1/2 at (0, 0) sum to 1: an unvalidated policy
+        # that once always drew the first subset
+        entries = dict(trivial_policy(2).entries)
+        entries[(0, 0, 1)], entries[(0, 0, 3)] = F(3, 2), F(-1, 2)
+
+        def no_draw(self, rng):
+            raise AssertionError("drew before checking the policy")
+
+        monkeypatch.setattr(WeightedSampler, "draw", no_draw)
+        with pytest.raises(NegativeEntry, match="weight -1/2 is negative"):
+            run_two_request(
+                pair_joint, ObfuscationPolicy(K=2, entries=entries), config22, store22,
+                trials=5,
             )
 
     def test_zero_trials_report_no_samples(self, pair_joint, config22, store22):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ipir.audit import audit_policy_independence
 from ipir.core import (
     ConditionalMatrix,
     capacity_cost,
@@ -20,10 +21,12 @@ from ipir.obfuscation import (
     _route,
     build_lp,
     expected_cost,
+    full_mask,
     greedy_policy,
     indices_of,
     likelihood_profile,
     mask_of,
+    policy_weights,
     sample_subset,
     solve_lp,
     trivial_policy,
@@ -34,7 +37,11 @@ from oracles import (
     equality_build_lp,
     equality_lp_marginal,
     fraction_build_lp,
+    fraction_expected_cost,
+    fraction_policy_independence,
     fraction_route,
+    fraction_subset_marginal,
+    fraction_validate_policy,
     lp_marginal,
     simplex_route,
     sxu_build_lp,
@@ -96,7 +103,7 @@ def check_against_oracle(joint, n_servers=2):
                 if joint.table[s][x] != 0:
                     assert policy.at(s, x) == oracle.at(s, x)
             # the unique optimum puts m({x}) = min_s p(x|s) on each singleton
-            marginal = policy.subset_marginal(cond, s)
+            marginal = fraction_subset_marginal(policy, cond, s)
             for x in range(2):
                 assert marginal.get(1 << x, 0) == min(cond.rows[t][x] for t in cond.support)
 
@@ -114,7 +121,7 @@ def check_routing(joint, n_servers=2):
     assert expected_cost(oracle, joint, n_servers) == optimum
     cond = conditional_from_joint(joint)
     for s in cond.support:
-        assert policy.subset_marginal(cond, s) == marginal
+        assert fraction_subset_marginal(policy, cond, s) == marginal
     if joint.K == 2:
         assert policy.entries == oracle.entries
 
@@ -519,11 +526,11 @@ class TestPolicyValidation:
         policy = greedy_policy(pair_cond)
         report = validate_policy(policy, pair_joint)
         assert report.all_ok
-        marginal = policy.subset_marginal(pair_cond, 0)
+        marginal = fraction_subset_marginal(policy, pair_cond, 0)
         assert marginal[mask_of((0,))] == F(1, 4)
         assert marginal[mask_of((1,))] == F(1, 4)
         assert marginal[mask_of((0, 1))] == F(1, 2)
-        assert marginal == policy.subset_marginal(pair_cond, 1)
+        assert marginal == fraction_subset_marginal(policy, pair_cond, 1)
 
     def test_broken_normalization_detected(self, pair_cond, pair_joint):
         policy = greedy_policy(pair_cond)
@@ -591,6 +598,117 @@ class TestExpectedCost:
         assert all(type(p) is F for p in trivial_policy(3).entries.values())
         assert all(type(v) is F for v in greedy_policy(skew_cond).size_marginal(skew_cond))
         assert all(type(v) is F for v in build_lp(pair_joint, 2).rhs)
+
+
+def check_policy_law(policy, joint, n_servers=2):
+    """The readers of ``policy_weights`` against their Fraction oracles:
+    the same validation verdicts and witnesses wherever the oracle does not
+    index past a row; where every entry's s and x lie in [K], the same
+    expected cost; and where the entries are also non-negative, so that
+    the (S, U) law is one, the same subset-independence check, bits
+    included."""
+    report = validate_policy(policy, joint)
+    try:
+        expected = fraction_validate_policy(policy, joint)
+    except IndexError:
+        assert not report.support_ok and report.witness[0] == "support"
+    else:
+        assert report == expected and repr(report.witness) == repr(expected.witness)
+    K = joint.K
+    if all(0 <= s < K and 0 <= x < K for s, x, _ in policy.entries):
+        cost = expected_cost(policy, joint, n_servers)
+        assert type(cost) is F and cost == fraction_expected_cost(policy, joint, n_servers)
+    if all(0 <= s < K and 0 <= x < K and p >= 0 for (s, x, _), p in policy.entries.items()):
+        check = audit_policy_independence(policy, joint).checks[0]
+        assert (check.passed, check.bits, check.witness) == fraction_policy_independence(
+            policy, joint
+        )
+    return report
+
+
+def broken_policies(policy, K, rng):
+    """A valid policy, then that policy with broken normalization, with a
+    leak that keeps normalization, and with an entry outside [K]."""
+    yield policy
+    entries = dict(policy.entries)
+    key = rng.choice(sorted(entries))
+    entries[key] *= rng.choice((F(1, 2), F(3, 2), 0))
+    yield ObfuscationPolicy(K=K, entries=entries)
+    # one (s, x) of several subsets moves mass between two of them
+    pairs = [(s, x) for s, x in policy.pairs() if len(policy.at(s, x)) > 1]
+    if pairs:
+        s, x = rng.choice(pairs)
+        (u, p), (v, q) = policy.at(s, x)[:2]
+        delta = min(p, q) / 2
+        entries = dict(policy.entries)
+        entries[s, x, u], entries[s, x, v] = p - delta, q + delta
+        yield ObfuscationPolicy(K=K, entries=entries)
+    yield ObfuscationPolicy(
+        K=K, entries={(s, x, 1 << x): F(1) for s in range(K) for x in range(K)}
+    )
+    for extra in ((0, K, full_mask(K)), (K, 0, 1), (0, 0, 1 << K | 1)):
+        yield ObfuscationPolicy(K=K, entries={**policy.entries, extra: F(1)})
+
+
+def raw_policies(K):
+    """Strategy: a table of exact entries, valid or not, with s and x up to
+    K and subsets up to K + 1 bits, negative, zero and unnormalized values."""
+    keys = st.tuples(
+        st.integers(min_value=0, max_value=K),
+        st.integers(min_value=0, max_value=K),
+        st.integers(min_value=1, max_value=(1 << K + 1) - 1),
+    )
+    values = st.builds(
+        F, st.integers(min_value=-1, max_value=4), st.integers(min_value=1, max_value=6)
+    )
+    return st.dictionaries(keys, values, max_size=3 * K * K).map(
+        lambda entries: ObfuscationPolicy(K=K, entries=entries)
+    )
+
+
+class TestPolicyWeights:
+    """The integer (S, X, U) law behind every policy check against the
+    Fraction bodies it replaced (oracles.fraction_validate_policy,
+    fraction_expected_cost and fraction_policy_independence)."""
+
+    def test_weights_are_the_fraction_law_in_entry_order(self, skew_cond, skew_joint):
+        entries = dict(greedy_policy(skew_cond).entries)
+        expected = [(key, skew_joint.table[key[0]][key[1]] * p) for key, p in entries.items()]
+        entries[(0, 5, 1)] = entries[(5, 0, 1)] = F(1)  # outside [K]: left out
+        entries[(0, 0, 3)] = F(0)  # zero: left out
+        weights, scale = policy_weights(ObfuscationPolicy(K=3, entries=entries), skew_joint)
+        assert all(type(w) is int for w in weights.values())
+        assert [(key, F(w, scale)) for key, w in weights.items()] == expected
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_seeded_policies(self, K):
+        rng = random.Random(f"policy-law:{K}")
+        verdicts = set()
+        for i in range(12):
+            joint = positive_joint(rng, K) if i % 2 else sparse_joint(rng, K, zero_row=K > 1)
+            policies = [solve_lp(build_lp(joint, 2)), trivial_policy(K)]
+            if K > 1 and i % 2:
+                policies.append(greedy_policy(conditional_from_joint(joint)))
+            for policy in policies:
+                for case in broken_policies(policy, K, rng):
+                    report = check_policy_law(case, joint, n_servers=2 + i % 2)
+                    verdicts.add((report.witness or ("ok",))[0])
+        assert verdicts == {"ok", "support", "normalization"} | (
+            {"independence"} if K > 1 else set()
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda K: st.tuples(cell_matrices(K), raw_policies(K))
+    ))
+    def test_hypothesis_policies(self, case):
+        cells, policy = case
+        total = sum(map(sum, cells))
+        check_policy_law(policy, validate_joint([[F(c, total) for c in row] for row in cells]))
+
+    def test_empty_policy(self, pair_joint):
+        report = check_policy_law(ObfuscationPolicy(K=2, entries={}), pair_joint)
+        assert report.witness == ("normalization", 0, 0, 0)
 
 
 class TestSampleSubset:

@@ -1,11 +1,17 @@
 """Static checks on the package source: no module-level import or constant,
-and no function, class or method, that nothing reads."""
+and no function, class or method, that nothing reads. Also: the README's
+library sketch runs as written."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).parent.parent / "src" / "ipir"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "ipir"
 
 # Defs that no module of the package reads, each with the reader outside
 # it that keeps it. An entry that the package reads or that names no def
@@ -172,3 +178,14 @@ def test_the_check_finds_unread_names():
     assert unread_names(sources, outside) == expected
     stale = {**outside, "b.Box.shared": "read in the package now", "b.gone": "no such def"}
     assert unread_names(sources, stale) == expected + ["outside:b.Box.shared", "outside:b.gone"]
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", sketch], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("5/4 ")
