@@ -30,7 +30,6 @@ from .obfuscation import (
     expected_cost,
     greedy_policy,
     likelihood_profile,
-    sample_subset,
     solve_lp,
     trivial_policy,
     validate_policy,
@@ -58,7 +57,6 @@ from .location import (
     PosteriorState,
     PrivacySchedule,
     initial_posterior,
-    latest_private,
     simulate,
     step_nonprivate,
     step_private,

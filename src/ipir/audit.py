@@ -25,7 +25,7 @@ from .core import (
     fork_rng,
     scale_to_integers,
 )
-from .errors import ExactModeInfeasible, InvalidParams
+from .errors import ExactModeInfeasible, InvalidParams, NegativeEntry
 from .obfuscation import (
     ObfuscationPolicy,
     full_mask,
@@ -88,13 +88,6 @@ def mutual_information(entries: dict) -> tuple[bool, float]:
     return _factorization(dict(zip(entries, numerators)), scale)[:2]
 
 
-def independence_witness(entries: dict):
-    """The first (a, b), labels ordered by str, where the law ``entries``
-    does not factorize; None if it does."""
-    numerators, scale = scale_to_integers(entries.values())
-    return _factorization(dict(zip(entries, numerators)), scale)[2]
-
-
 @dataclass
 class AuditCheck:
     name: str
@@ -144,16 +137,19 @@ def audit_policy_independence(
     request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes.
 
     The joint is the integer (S, X, U) law of ``policy_weights`` summed
-    over x, in the policy's entry order, so no Fraction is formed."""
+    over x, in the policy's entry order, so no Fraction is formed. A
+    negative weight raises NegativeEntry before any log is taken."""
     weights, scale = policy_weights(policy, joint)
     # the witness orders labels by str, so each mask becomes its indices,
     # once per mask
     labels: dict = {}
     by_subset: dict = {}
-    for (s, _, mask), w in weights.items():
+    for (s, x, mask), w in weights.items():
         subset = labels.get(mask)
         if subset is None:
             subset = labels[mask] = indices_of(mask)
+        if w < 0:
+            raise NegativeEntry(f"policy entry (s={s}, x={x}, u={subset}) is negative")
         key = (s, subset)
         by_subset[key] = by_subset.get(key, 0) + w
     zero, bits, witness = _factorization(by_subset, scale)

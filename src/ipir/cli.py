@@ -91,10 +91,10 @@ def _transcript(data):
     if cfg["K"] != joint.K:
         raise ConfigError(f"config has K={cfg['K']!r}, joint has K={joint.K}")
     policy = _policy_for(joint, data["policy"])
-    # the audits report a leaking policy; one with entries outside [K] is
-    # malformed input
+    # the audits report a leaking policy; one with entries outside [K], or
+    # that fails normalization, is malformed input
     validation = validate_policy(policy, joint)
-    if not validation.support_ok:
+    if not (validation.support_ok and validation.normalization_ok):
         raise ConfigError(f"policy fails validation: {validation.witness}")
     return (
         joint,

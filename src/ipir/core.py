@@ -30,10 +30,15 @@ ZERO = Fraction(0)
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "a/b", "a", or an int into an exact Fraction."""
-    if isinstance(text, int):
+    """Parse "a/b", "a", or an int into an exact Fraction. Anything else
+    that does not read as a number, a bool included, and a zero
+    denominator raise DistributionError."""
+    if type(text) is int:
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise DistributionError(f"{text!r} is not a rational number") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -97,9 +102,6 @@ class JointDistribution:
         """The law of (X, S)."""
         return JointDistribution(tuple(zip(*self.weights)), self.scale)
 
-    def p_s(self, s: int) -> Fraction:
-        return Fraction(sum(self.weights[s]), self.scale)
-
     def support(self) -> tuple[int, ...]:
         """Indices s with p(S=s) > 0."""
         return tuple(s for s, row in enumerate(self.weights) if any(row))
@@ -132,6 +134,8 @@ class ConditionalMatrix:
     def from_rows(cls, rows) -> "ConditionalMatrix":
         """Build from explicit row-stochastic rows (all rows supported)."""
         K = len(rows)
+        if K == 0:
+            raise DistributionError("a conditional matrix needs at least one row")
         frozen = []
         for s, row in enumerate(rows):
             row = tuple(Fraction(v) for v in row)
@@ -227,8 +231,9 @@ class MessageStore:
 class SystemConfig:
     """System-wide parameters: server count, message count and length, seed.
 
-    L must be a multiple of N^K so the retrieval sub-scheme works for every
-    subset size without per-retrieval padding.
+    N, K and L are ints, not bools or floats, and L must be a multiple of
+    N^K so the retrieval sub-scheme works for every subset size without
+    per-retrieval padding.
     """
 
     N: int
@@ -237,6 +242,10 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.N, self.K, self.L)):
+            raise InvalidParams(
+                f"N, K and L must be ints, got {self.N!r}, {self.K!r}, {self.L!r}"
+            )
         if self.N < 2:
             raise InvalidParams(f"need at least 2 servers, got {self.N}")
         if self.K < 1:

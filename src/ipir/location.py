@@ -40,7 +40,6 @@ from .core import (
     SystemConfig,
     WeightedSampler,
     conditional_from_joint,
-    format_rational,
     fork_rng,
     parse_rational,
     scale_to_integers,
@@ -129,17 +128,6 @@ class MobilityModel:
             time_variant = len(mats) > 1
         return cls(K=K, pi0=pi, transitions=mats, time_variant=time_variant)
 
-    def to_json_dict(self) -> dict:
-        mats = [
-            [[format_rational(v) for v in row] for row in matrix]
-            for matrix in self.transitions
-        ]
-        return {
-            "K": self.K,
-            "pi0": [format_rational(v) for v in self.pi0],
-            "transitions": mats if self.time_variant else mats[0],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "MobilityModel":
         pi0 = [parse_rational(v) for v in data["pi0"]]
@@ -187,24 +175,15 @@ class PrivacySchedule:
         return t in self.private
 
 
-def latest_private(t: int, schedule: PrivacySchedule) -> int:
-    """Most recent private instant at or before t."""
-    return max(i for i in schedule.private if i <= t)
-
-
 @dataclass(frozen=True)
 class PosteriorState:
     """Tracked joint law of (current location, latest private location)
     given the realized subsets (the step records keep them): ``law`` over
-    (current, private), so ``joint[a][b]`` = P(X_t=a, X_tau=b), a Fraction."""
+    (current, private), so ``law.table[a][b]`` = P(X_t=a, X_tau=b)."""
 
     t: int
     tau: int
     law: JointDistribution
-
-    @property
-    def joint(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.law.table
 
 
 def initial_posterior(model: MobilityModel) -> PosteriorState:

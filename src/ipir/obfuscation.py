@@ -20,7 +20,6 @@ Subsets are encoded as K-bit masks; bit x set means message x is in the set.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .core import (
 )
 from .errors import (
     ConstructionFailed,
+    DistributionError,
     PartialSupport,
     TooLarge,
     UnsupportedPair,
@@ -125,9 +125,6 @@ class ObfuscationPolicy:
     K: int
     entries: dict[tuple[int, int, int], Fraction]
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted({(s, x) for s, x, _ in self.entries}))
-
     def at(self, s: int, x: int) -> list[tuple[int, Fraction]]:
         """(mask, probability) choices at one (s, x) pair, mask-ascending."""
         found = [
@@ -156,11 +153,20 @@ class ObfuscationPolicy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ObfuscationPolicy":
+        """Raises DistributionError on an entry whose s or x is not an int
+        or whose u is not a list of non-negative ints, a bool being no int."""
         entries: dict[tuple[int, int, int], Fraction] = {}
         for item in data["entries"]:
+            s, x, u = item["s"], item["x"], item["u"]
+            if type(s) is not int or type(x) is not int or type(u) is not list or any(
+                type(i) is not int or i < 0 for i in u
+            ):
+                raise DistributionError(
+                    f"policy entry {item!r} needs ints s and x and a list u of non-negative ints"
+                )
             p = parse_rational(item["p"])
             if p != 0:
-                entries[(item["s"], item["x"], mask_of(item["u"]))] = p
+                entries[(s, x, mask_of(u))] = p
         return cls(K=data["K"], entries=entries)
 
 
@@ -574,14 +580,3 @@ def subset_samplers(
                     raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
                 samplers[(s, x)] = WeightedSampler(choices)
     return samplers
-
-
-def sample_subset(
-    policy: ObfuscationPolicy, s: int, x: int, rng: random.Random
-) -> tuple[int, ...]:
-    """Draw a subset for requests (s, x); always contains x."""
-    choices = policy.at(s, x)
-    if not choices:
-        raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
-    mask = WeightedSampler(choices).draw(rng)
-    return indices_of(mask)

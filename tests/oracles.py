@@ -48,7 +48,6 @@ from ipir.location import (
     advance_posterior,
     condition_posterior,
     initial_posterior,
-    latest_private,
     policy_for_posterior,
     sample_trace,
     step_nonprivate,
@@ -126,7 +125,7 @@ def enumerate_mechanism(
 
     for t in range(schedule.horizon + 1):
         private = schedule.is_private(t)
-        tau = latest_private(t, schedule)
+        tau = max(i for i in schedule.private if i <= t)  # the latest private instant
         next_frontier = []
         for tracked, history, prefix_weights, prob in frontier:
             policy = None
@@ -224,7 +223,7 @@ def online_privacy_factorization(state, policy: ObfuscationPolicy) -> tuple[bool
     entries: dict = {}
     for a in range(K):
         for b in range(K):
-            w = state.joint[a][b]
+            w = state.law.table[a][b]
             if w == 0:
                 continue
             for mask, p in policy.at(b, a):
@@ -736,7 +735,7 @@ def session_pattern_counts(
     cond = conditional_from_joint(joint)
     samplers = {
         (s, x): WeightedSampler(policy.at(s, x))
-        for s, x in policy.pairs()
+        for s, x in sorted({(s, x) for s, x, _ in policy.entries})
         if s in cond.support and cond.rows[s][x] != 0
     }
     params_cache: dict[int, pir.SchemeParams] = {}
@@ -1229,7 +1228,7 @@ def simulate_stepwise(
             )
         else:
             if posteriors is not None:
-                posteriors.append(state.joint)
+                posteriors.append(state.law.table)
             record, state = step_nonprivate(
                 state, trace[t], trace[state.tau], model, schedule, config, store,
                 rng, solver,
@@ -1498,7 +1497,9 @@ def fraction_leak_equivalence(
         qs_dist = {s: query_distribution(full_params, s, server) for s in support}
         s_qx = fraction_query_law(joint, policy, config, server)
         s_qs = {
-            (s, qs): joint.p_s(s) * ws for s in support for qs, ws in qs_dist[s].items()
+            (s, qs): Fraction(sum(joint.weights[s]), joint.scale) * ws
+            for s in support
+            for qs, ws in qs_dist[s].items()
         }
         s_qx_qs = {
             (s, (qx, qs)): w * ws
@@ -1522,7 +1523,7 @@ def fraction_leak_equivalence(
                 continue
             z, b = fraction_mutual_information({k: v / mass for k, v in pairs.items()})
             cond_zero = cond_zero and z
-            cond_bits += float(joint.p_s(s)) * b
+            cond_bits += float(Fraction(sum(joint.weights[s]), joint.scale)) * b
         report.checks.append(
             AuditCheck(
                 name=f"server-{server}: queries conditionally independent given request",
@@ -1561,7 +1562,7 @@ def fraction_advance_posterior(
     for a in range(K):
         row = trans[a]
         for b in range(K):
-            w = state.joint[a][b]
+            w = state.law.table[a][b]
             if w != 0:
                 for a1 in range(K):
                     joint[a1][b] += w * row[a1]
@@ -1580,12 +1581,12 @@ def fraction_condition_posterior(
 ) -> PosteriorState:
     """``ipir.location.condition_posterior`` with every product, the total
     and the renormalization in Fractions."""
-    K = len(state.joint)
+    K = len(state.law.table)
     conditioned = [[ZERO] * K for _ in range(K)]
     total = ZERO
     for a in range(K):
         for b in range(K):
-            w = state.joint[a][b]
+            w = state.law.table[a][b]
             if w != 0:
                 p = policy.entries.get((b, a, subset_mask), ZERO)
                 if p != 0:
@@ -1663,7 +1664,7 @@ def numerator_advance_posterior(
     its own Fraction."""
     K = model.K
     t1 = state.t + 1
-    weights, joint_scale = _numerators(state.joint)
+    weights, joint_scale = _numerators(state.law.table)
     trans, trans_scale = _numerators(model.transition_at(state.t))
     scale = joint_scale * trans_scale
     pushed = [[0] * K for _ in range(K)]

@@ -265,7 +265,7 @@ def test_criterion_6_tracked_posterior_equals_brute_force():
     for horizon, private in SCHEDULES:
         schedule = PrivacySchedule(horizon=horizon, private=frozenset(private))
         for node in enumerate_mechanism(model, schedule, config):
-            assert node.tracked.joint == node.brute_joint, (
+            assert node.tracked.law.table == node.brute_joint, (
                 private, node.t, node.history,
             )
             if node.policy is not None:

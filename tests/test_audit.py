@@ -6,7 +6,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipir.core import SystemConfig, WeightedSampler, conditional_from_joint, validate_joint
+from ipir.core import (
+    SystemConfig,
+    WeightedSampler,
+    conditional_from_joint,
+    scale_to_integers,
+    validate_joint,
+)
 from ipir.audit import (
     EXACT_STATE_CAP,
     TV_THRESHOLD,
@@ -22,7 +28,6 @@ from ipir.audit import (
     audit_leak_equivalence,
     audit_query_privacy,
     check_size_bound,
-    independence_witness,
     mutual_information,
     total_variation,
 )
@@ -34,7 +39,7 @@ from ipir.location import (
     initial_posterior,
     policy_for_posterior,
 )
-from ipir.errors import InvalidParams, UnsupportedPair
+from ipir.errors import InvalidParams, NegativeEntry, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
     build_lp,
@@ -88,6 +93,13 @@ class TestMutualInformation:
         # marginals full but a product cell is missing
         zero, bits = mutual_information({(0, 0): F(1, 2), (1, 1): F(1, 2)})
         assert not zero and bits > 0.9
+
+
+def independence_witness(entries: dict):
+    """The witness of ``_factorization`` for the law ``entries``, scaled
+    to integers over one common denominator."""
+    numerators, scale = scale_to_integers(entries.values())
+    return _factorization(dict(zip(entries, numerators)), scale)[2]
 
 
 def assert_same_factorization(entries):
@@ -203,6 +215,22 @@ class TestPolicyIndependence:
         check = report.checks[0]
         assert check.witness is not None
         assert abs(check.bits - 0.18872) < 1e-3
+
+    def test_negative_entry_is_refused_before_any_log(self, monkeypatch):
+        # at s = 0 the entries 3/2 at {0} and -1/2 at {0, 1} sum to 1, yet
+        # make the (S, U) weight of (0, {0, 1}) negative
+        joint = validate_joint([[F(1, 4)] * 2] * 2)
+        policy = ObfuscationPolicy(K=2, entries={
+            (0, 0, 0b01): F(3, 2), (0, 0, 0b11): F(-1, 2), (0, 1, 0b10): F(1),
+            (1, 0, 0b11): F(1), (1, 1, 0b11): F(1),
+        })
+
+        def no_log(value):
+            raise AssertionError(f"log2({value}) taken")
+
+        monkeypatch.setattr(math, "log2", no_log)
+        with pytest.raises(NegativeEntry, match=r"\(s=0, x=0, u=\(0, 1\)\) is negative"):
+            audit_policy_independence(policy, joint)
 
 
 class TestQueryPrivacyExact:
@@ -426,7 +454,7 @@ class TestEmpiricalCounts:
         self.assert_matches_oracle(pair_joint, policy, config, 2_000, 8)
         blocks = {
             pir.pir_setup(2, indices_of(mask), 8).blocks
-            for s, x in policy.pairs()
+            for s, x in sorted({(s, x) for s, x, _ in policy.entries})
             for mask, _ in policy.at(s, x)
         }
         assert blocks == {2, 4}
@@ -578,7 +606,7 @@ class TestOnlinePrivacy:
             states.append(PosteriorState(t=1, tau=0, law=validate_joint(joint)))
         leaks = 0
         for state in states:
-            K = len(state.joint)
+            K = state.law.K
             policies = [
                 policy_for_posterior(state.law, 2, "lp")[0],
                 policy_for_posterior(state.law, 2, "greedy")[0],

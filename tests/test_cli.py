@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import random
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipir.cli import main
 from ipir.net import RemoteTransport, load_store
@@ -126,9 +132,9 @@ class TestMalformedInputs:
         assert err.startswith(f"configuration error: bad transcript file {path}: ")
         assert "config has K=3, joint has K=2" in err
 
-    def expect_support_failure(self, tmp_path, capsys, command, entries, witness):
+    def expect_validation_failure(self, tmp_path, capsys, command, entries, witness):
         """``command`` run on a K=2 policy of ``entries`` exits 2 and names
-        its support ``witness``."""
+        its validation ``witness``."""
         policy = {"K": 2, "entries": entries}
         if command == "two-request":
             args = ["two-request", "--joint", self.PAIR,
@@ -147,7 +153,7 @@ class TestMalformedInputs:
         entries = [
             {"s": s, "x": x, "u": [0, 1, 5], "p": "1"} for s in range(2) for x in range(2)
         ]
-        self.expect_support_failure(
+        self.expect_validation_failure(
             tmp_path, capsys, command, entries, ("support", 0, 0, (0, 1, 5))
         )
 
@@ -157,8 +163,75 @@ class TestMalformedInputs:
         entries = [{"s": 0, "x": 5, "u": [0, 1], "p": "1"}] + [
             {"s": s, "x": x, "u": [0, 1], "p": "1"} for s in range(2) for x in range(2)
         ]
-        self.expect_support_failure(
+        self.expect_validation_failure(
             tmp_path, capsys, command, entries, ("support", 0, 5, (0, 1))
+        )
+
+    @pytest.mark.parametrize("command", ["two-request", "audit"])
+    def test_unnormalized_policy_names_the_pair(self, tmp_path, capsys, command):
+        # p(u | s=0, x=0) sums to 1/2; a transcript is refused as two-request
+        # --policy refuses it, by the pair, before any sampler is built
+        entries = [{"s": 0, "x": 0, "u": [0], "p": "1/2"}] + [
+            {"s": s, "x": x, "u": [0, 1], "p": "1"} for s, x in [(0, 1), (1, 0), (1, 1)]
+        ]
+        self.expect_validation_failure(
+            tmp_path, capsys, command, entries, ("normalization", 0, 0, Fraction(1, 2))
+        )
+
+    def one_line_error(self, capsys, args, message):
+        """``args`` exit 2 with ``message`` on one stderr line, no traceback."""
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "command", ["solve-lp", "greedy", "two-request", "simulate-location", "audit"]
+    )
+    def test_zero_denominator(self, tmp_path, capsys, command):
+        joint = json.loads(Path(self.PAIR).read_text())
+        joint["p"][0][0] = "1/0"
+        if command == "greedy":
+            cond = json.loads((SCENARIOS / "skewed_three.json").read_text())
+            cond["rows"][1][2] = "1/0"
+            args = ["greedy", "--cond", write(tmp_path, "cond.json", cond)]
+        elif command == "simulate-location":
+            model = json.loads(Path(self.WALK).read_text())
+            model["transitions"][0][1] = "1/0"
+            args = ["simulate-location", "--model", write(tmp_path, "model.json", model),
+                    "--schedule", self.FIRST]
+        elif command == "audit":
+            transcript = json.loads((GOLDEN / "two_request_transcript.json").read_text())
+            transcript["joint"] = joint
+            args = ["audit", "--transcript", write(tmp_path, "t.json", transcript)]
+        else:
+            args = [command, "--joint", write(tmp_path, "joint.json", joint)]
+        self.one_line_error(capsys, args, "'1/0' is not a rational number")
+
+    @pytest.mark.parametrize("field", ["N", "K", "L"])
+    def test_transcript_config_of_floats(self, tmp_path, capsys, field):
+        # 2.0 == 2, so a float that passed the range checks reached the
+        # scheme and failed there with a TypeError
+        transcript = json.loads((GOLDEN / "two_request_transcript.json").read_text())
+        transcript["config"][field] = float(transcript["config"][field])
+        args = ["audit", "--transcript", write(tmp_path, "t.json", transcript)]
+        self.one_line_error(capsys, args, "N, K and L must be ints")
+
+    @pytest.mark.parametrize("rows", [[], ""])
+    def test_conditional_matrix_without_rows(self, tmp_path, capsys, rows):
+        args = ["greedy", "--cond", write(tmp_path, "cond.json", {"K": 0, "rows": rows})]
+        self.one_line_error(capsys, args, "a conditional matrix needs at least one row")
+
+    @pytest.mark.parametrize(
+        "field, value", [("s", None), ("s", 1.5), ("x", True), ("u", [0, "1"])]
+    )
+    def test_policy_entry_of_the_wrong_type(self, tmp_path, capsys, field, value):
+        entries = [{"s": s, "x": x, "u": [0, 1], "p": "1"} for s in range(2) for x in range(2)]
+        entries[1][field] = value
+        path = write(tmp_path, "policy.json", {"K": 2, "entries": entries})
+        self.one_line_error(
+            capsys, ["two-request", "--joint", self.PAIR, "--policy", path],
+            f"bad policy file {path}: policy entry {entries[1]!r} needs ints s and x",
         )
 
     def test_listen_port_outside_the_port_range(self, tmp_path, capsys):
@@ -191,6 +264,96 @@ class TestMalformedInputs:
             }[case]
             assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("error: [Errno ")
+
+
+# what a mutation puts in place of a value
+FUZZ_VALUES = ("1/0", None, 1.5, True, "", [], -1)
+# the inputs that are mutated, by the kind of file each is
+FUZZ_SOURCES = {
+    "joint": SCENARIOS / "correlated_pair.json",
+    "conditional": SCENARIOS / "skewed_three.json",
+    "model": SCENARIOS / "two_state_walk.json",
+    "schedule": SCENARIOS / "first_instant_private.json",
+    "transcript": GOLDEN / "two_request_transcript.json",
+}
+FUZZ_DOCS = {name: json.loads(path.read_text()) for name, path in FUZZ_SOURCES.items()}
+
+
+@st.composite
+def mutated(draw, doc):
+    """A deep copy of the JSON value ``doc`` with one to three mutations,
+    each at a node reached from the root by descending into a child chosen
+    at random for as long as a coin says so: the node's value replaced by
+    one of FUZZ_VALUES, its key dropped from its dict, or, for a list,
+    the list emptied."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        kinds = ["replace"] if parent is not None else []
+        kinds += ["drop"] if isinstance(parent, dict) else []
+        kinds += ["empty"] if isinstance(node, list) and node else []
+        if not kinds:
+            continue
+        kind = draw(st.sampled_from(kinds))
+        if kind == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        elif kind == "drop":
+            del parent[key]
+        elif parent is None:
+            doc = []
+        else:
+            parent[key] = []
+    return doc
+
+
+def fuzz_runs(name, path, doc, folder):
+    """The commands that read the mutated ``name`` file ``path``; a
+    transcript's joint and policy also go through two-request --policy."""
+    model, schedule = str(FUZZ_SOURCES["model"]), str(FUZZ_SOURCES["schedule"])
+    runs = {
+        "joint": [["solve-lp", "--joint", path],
+                  ["two-request", "--joint", path, "--trials", "5"]],
+        "conditional": [["greedy", "--cond", path]],
+        "model": [["simulate-location", "--model", path, "--schedule", schedule]],
+        "schedule": [["simulate-location", "--model", model, "--schedule", path]],
+        "transcript": [["audit", "--transcript", path, "--exact"]],
+    }[name]
+    if name == "transcript" and isinstance(doc, dict) and "joint" in doc and "policy" in doc:
+        joint, policy = folder / "joint.json", folder / "policy.json"
+        joint.write_text(json.dumps(doc["joint"]))
+        policy.write_text(json.dumps(doc["policy"]))
+        runs.append(["two-request", "--joint", str(joint), "--policy", str(policy),
+                     "--trials", "5"])
+    return runs
+
+
+class TestFuzzedInputs:
+    """Mutated copies of the shipped inputs end in a report, a failed
+    audit or a one-line error (exit 0, 3 or 2), never in a traceback. The
+    examples are derandomized, so a run is repeatable, and 200 of them
+    take about 2 s."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(FUZZ_SOURCES)).flatmap(
+        lambda name: st.tuples(st.just(name), mutated(FUZZ_DOCS[name]))
+    ))
+    def test_cli_on_mutated_inputs(self, case):
+        name, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            for args in fuzz_runs(name, str(path), doc, Path(tmp)):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run_cli(args)
+                assert code in (0, 2, 3), (args, doc)
+                if code == 2:
+                    last = err.getvalue().splitlines()[-1]
+                    assert last.startswith(("configuration error: ", "error: ")), (args, doc)
 
 
 class TestTwoRequestCommand:

@@ -18,7 +18,7 @@ from ipir.core import (
     parse_rational,
     validate_joint,
 )
-from ipir.errors import InvalidParams, NegativeEntry, SumNotOne
+from ipir.errors import DistributionError, InvalidParams, NegativeEntry, SumNotOne
 
 
 def fractions_matrix(K, denominator=24):
@@ -43,7 +43,7 @@ class TestValidateJoint:
 
     def test_degenerate_point_mass_is_valid(self):
         j = validate_joint([[1, 0], [0, 0]])
-        assert j.p_s(0) == 1
+        assert F(sum(j.weights[0]), j.scale) == 1
         assert j.support() == (0,)
 
     def test_negative_entry(self):
@@ -95,7 +95,7 @@ class TestConditionalFromJoint:
         joint = validate_joint([[F(v, total) for v in row] for row in cells])
         cond = conditional_from_joint(joint)
         for s in cond.support:
-            mass = joint.p_s(s)
+            mass = F(sum(joint.weights[s]), joint.scale)
             for x in range(3):
                 assert cond.rows[s][x] * mass == joint.table[s][x]
 
@@ -150,6 +150,15 @@ class TestRationalText:
         assert parse_rational("2") == F(2)
         assert format_rational(F(6, 4)) == "3/2"
         assert format_rational(F(4, 2)) == "2"
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", None, True, "", [], "nan", "1/2/3"])
+    def test_not_a_rational(self, text):
+        with pytest.raises(DistributionError, match="is not a rational number"):
+            parse_rational(text)
+
+    def test_ints_and_floats_are_read_as_before(self):
+        assert parse_rational(-1) == -1 and type(parse_rational(3)) is F
+        assert parse_rational(1.5) == F(3, 2) and parse_rational(" 1/4 ") == F(1, 4)
 
     @given(st.integers(-50, 50), st.integers(1, 50))
     def test_round_trip(self, num, den):
@@ -264,3 +273,7 @@ class TestConditionalMatrix:
     def test_rows_must_be_stochastic(self):
         with pytest.raises(SumNotOne):
             ConditionalMatrix.from_rows([[F(1, 2), F(1, 4)], [F(1, 2), F(1, 2)]])
+
+    def test_empty_matrix_refused(self):
+        with pytest.raises(DistributionError, match="at least one row"):
+            ConditionalMatrix.from_rows([])

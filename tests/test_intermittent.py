@@ -20,8 +20,8 @@ from ipir.obfuscation import (
     ObfuscationPolicy,
     expected_cost,
     greedy_policy,
+    indices_of,
     likelihood_profile,
-    sample_subset,
     solve_lp,
     build_lp,
     trivial_policy,
@@ -36,7 +36,7 @@ def retrieve_private(s, config, store, rng):
 
 
 def retrieve_nonprivate(x, s, policy, config, store, rng):
-    subset = sample_subset(policy, s, x, rng)
+    subset = indices_of(WeightedSampler(policy.at(s, x)).draw(rng))
     return retrieve(pir_setup(config.N, subset, config.L), x, store, rng)
 
 

@@ -34,7 +34,6 @@ from ipir.location import (
     advance_posterior,
     condition_posterior,
     initial_posterior,
-    latest_private,
     policy_for_posterior,
     simulate,
     step_nonprivate,
@@ -87,17 +86,25 @@ def run_setup(K, seed):
     return config, MessageStore.random(K, 2**K, fork_rng(seed, "store"))
 
 
+def tracked_taus(sched):
+    """The latest private instant a tracked posterior carries at each t."""
+    model = two_state_model()
+    state = initial_posterior(model)
+    taus = [state.tau]
+    for _ in range(sched.horizon):
+        state = advance_posterior(state, model, sched)
+        taus.append(state.tau)
+    return taus
+
+
 class TestSchedule:
     def test_latest_private(self):
         sched = PrivacySchedule(horizon=5, private=frozenset({0, 3}))
-        assert latest_private(2, sched) == 0
-        assert latest_private(3, sched) == 3
-        assert latest_private(5, sched) == 3
+        assert tracked_taus(sched) == [0, 0, 0, 3, 3, 3]
 
     def test_always_private_origin(self):
         sched = PrivacySchedule(horizon=9, private=frozenset({0}))
-        for t in range(10):
-            assert latest_private(t, sched) == 0
+        assert tracked_taus(sched) == [0] * 10
 
     def test_zero_must_be_private(self):
         with pytest.raises(InvalidParams):
@@ -130,9 +137,11 @@ class TestMobilityModel:
             model.transition_at(2)
 
     def test_json_round_trip(self):
-        model = two_state_model()
-        again = MobilityModel.from_json_dict(model.to_json_dict())
-        assert again == model
+        data = json.loads((SCENARIOS / "two_state_walk.json").read_text())
+        assert MobilityModel.from_json_dict(data) == two_state_model()
+        # a list of matrices is a time-variant chain
+        again = MobilityModel.from_json_dict({**data, "transitions": [data["transitions"]] * 2})
+        assert again.time_variant and again.transitions == two_state_model().transitions * 2
 
     def test_bad_initial_distribution_rejected(self):
         with pytest.raises(DistributionError):
@@ -143,9 +152,9 @@ class TestPosterior:
     def test_initial_is_diagonal(self):
         model = MobilityModel.build([F(1, 3), F(2, 3)], [[[F(1, 2), F(1, 2)]] * 2])
         state = initial_posterior(model)
-        assert state.joint[0][0] == F(1, 3)
-        assert state.joint[1][1] == F(2, 3)
-        assert state.joint[0][1] == 0
+        assert state.law.table[0][0] == F(1, 3)
+        assert state.law.table[1][1] == F(2, 3)
+        assert state.law.table[0][1] == 0
 
     def test_point_mass_advance_to_nonprivate(self):
         # from a known private location, the pair law is transition-row x point
@@ -153,30 +162,30 @@ class TestPosterior:
         sched = PrivacySchedule(horizon=2, private=frozenset({0}))
         state = advance_posterior(initial_posterior(model), model, sched)
         assert state.t == 1 and state.tau == 0
-        assert state.joint[0][1] == F(1, 4)
-        assert state.joint[1][1] == F(3, 4)
-        assert state.joint[0][0] == 0 and state.joint[1][0] == 0
+        assert state.law.table[0][1] == F(1, 4)
+        assert state.law.table[1][1] == F(3, 4)
+        assert state.law.table[0][0] == 0 and state.law.table[1][0] == 0
 
     def test_advance_to_private_collapses_to_diagonal(self):
         model = two_state_model()
         sched = PrivacySchedule(horizon=2, private=frozenset({0, 1}))
         state = advance_posterior(initial_posterior(model), model, sched)
         assert state.tau == 1
-        assert all(state.joint[a][b] == 0 for a in range(2) for b in range(2) if a != b)
+        assert all(state.law.table[a][b] == 0 for a in range(2) for b in range(2) if a != b)
 
     def test_identity_transitions_preserve_diagonal(self):
         model = MobilityModel.build([F(1, 2), F(1, 2)], [[[F(1), F(0)], [F(0), F(1)]]])
         sched = PrivacySchedule(horizon=2, private=frozenset({0}))
         state = advance_posterior(initial_posterior(model), model, sched)
-        assert state.joint[0][0] == F(1, 2)
-        assert state.joint[1][1] == F(1, 2)
+        assert state.law.table[0][0] == F(1, 2)
+        assert state.law.table[1][1] == F(1, 2)
 
     def test_first_step_posterior_matches_pair_law(self, pair_joint):
         model = two_state_model()
         sched = PrivacySchedule(horizon=3, private=frozenset({0}))
         state = advance_posterior(initial_posterior(model), model, sched)
         law = validate_joint(
-            [[state.joint[a][b] for a in range(2)] for b in range(2)]
+            [[state.law.table[a][b] for a in range(2)] for b in range(2)]
         )
         assert law == pair_joint
 
@@ -226,7 +235,7 @@ class TestSteps:
         sched = PrivacySchedule(horizon=7, private=frozenset({0, 1, 4}))
         state = initial_posterior(self.model)
         for t in range(sched.horizon + 1):
-            assert (state.t, state.tau) == (t, latest_private(t, sched))
+            assert (state.t, state.tau) == (t, max(i for i in sched.private if i <= t))
             rng = fork_rng(5, "step", t)
             if sched.is_private(t):
                 _, state = step_private(
@@ -248,7 +257,7 @@ class TestSteps:
         assert used == "lp"
         law = validate_joint([[joint[a][b] for a in range(3)] for b in range(3)])
         assert validate_policy(policy, law).all_ok
-        assert policy.pairs() == ((0, 0), (0, 1), (2, 1), (2, 2))
+        assert sorted({(s, x) for s, x, _ in policy.entries}) == [(0, 0), (0, 1), (2, 1), (2, 2)]
         oracle = sxu_solve_lp(sxu_build_lp(law, 2))
         assert expected_cost(policy, law, 2) == expected_cost(oracle, law, 2)
         state = PosteriorState(t=1, tau=0, law=validate_joint(joint))
@@ -299,7 +308,7 @@ class TestSteps:
         # direct Bayes: joint[a][b] * p(u | x=a, s=b), renormalized
         direct = [
             [
-                state.joint[a][b] * policy.entries.get((b, a, mask), F(0))
+                state.law.table[a][b] * policy.entries.get((b, a, mask), F(0))
                 for b in range(2)
             ]
             for a in range(2)
@@ -307,7 +316,7 @@ class TestSteps:
         total = sum(v for row in direct for v in row)
         for a in range(2):
             for b in range(2):
-                assert conditioned.joint[a][b] == direct[a][b] / total
+                assert conditioned.law.table[a][b] == direct[a][b] / total
 
 
 class TestSimulate:
@@ -412,7 +421,7 @@ class TestTrackedVersusBruteForce:
         nodes = enumerate_mechanism(model, sched, config)
         assert nodes, "no realizable histories"
         for node in nodes:
-            assert node.tracked.joint == node.brute_joint
+            assert node.tracked.law.table == node.brute_joint
         mass = sum(n.prob for n in nodes if n.t == 3)
         assert mass == 1
 
@@ -423,7 +432,7 @@ class TestTrackedVersusBruteForce:
         sched = PrivacySchedule(horizon=2, private=frozenset({0}))
         nodes = enumerate_mechanism(model, sched, config)
         for node in nodes:
-            assert node.tracked.joint == node.brute_joint
+            assert node.tracked.law.table == node.brute_joint
 
 
 class TestSolvedOncePerPosterior:
@@ -533,13 +542,13 @@ class TestSolvedOncePerPosterior:
         state = initial_posterior(model)
         policy_for_posterior(state.law, config.N)
         assert calls["validate"] == 0
-        policy_for_posterior(core.validate_joint(state.joint), config.N)
+        policy_for_posterior(core.validate_joint(state.law.table), config.N)
         assert calls["validate"] == 1
 
     @pytest.mark.parametrize("solver", ["lp", "greedy"])
     def test_no_posterior_builds_its_fraction_table(self, monkeypatch, solver):
         # a step reads each law's integer weights; its Fraction table is
-        # built only when a caller asks for state.joint
+        # built only when a caller asks for state.law.table
         built = []
         table = JointDistribution.table
 
@@ -558,7 +567,7 @@ class TestSolvedOncePerPosterior:
             assert {s.solver for s in report.steps if not s.private} <= {"lp", "greedy"}
         assert built == []
         state = initial_posterior(model)
-        assert state.joint == table.func(state.law) and built == [state.law]
+        assert state.law.table == table.func(state.law) and built == [state.law]
 
 
 class TestWarmStartedSimulation:
@@ -625,9 +634,9 @@ def posterior_cases(draw):
 
 def assert_same_posterior(state, oracle):
     assert state == oracle
-    assert all(type(v) is F for row in state.joint for v in row)
-    assert [[v.as_integer_ratio() for v in row] for row in state.joint] == [
-        [v.as_integer_ratio() for v in row] for row in oracle.joint
+    assert all(type(v) is F for row in state.law.table for v in row)
+    assert [[v.as_integer_ratio() for v in row] for row in state.law.table] == [
+        [v.as_integer_ratio() for v in row] for row in oracle.law.table
     ]
 
 
@@ -664,13 +673,13 @@ class TestIntegerPosterior:
         model = random_model(random.Random("collapse"), 3)
         sched = PrivacySchedule(horizon=2, private=frozenset({0, 2}))
         state = advance_posterior(initial_posterior(model), model, sched)
-        policy = greedy_policy(conditional_from_joint(posterior_law(state.joint)))
+        policy = greedy_policy(conditional_from_joint(posterior_law(state.law.table)))
         conditioned = condition_posterior(state, policy, 0b011)
         assert conditioned == fraction_condition_posterior(state, policy, 0b011)
         collapsed = advance_posterior(conditioned, model, sched)
         assert_same_posterior(collapsed, fraction_advance_posterior(conditioned, model, sched))
         assert collapsed.tau == 2
-        assert all(v == 0 for a, row in enumerate(collapsed.joint) for b, v in enumerate(row) if a != b)
+        assert all(v == 0 for a, row in enumerate(collapsed.law.table) for b, v in enumerate(row) if a != b)
 
     @settings(max_examples=150, deadline=None)
     @given(posterior_cases(), st.booleans())
@@ -691,9 +700,9 @@ class TestIntegerPosterior:
         state, _, _ = case
         if not any(map(any, state.law.weights)):
             with pytest.raises(SumNotOne):
-                posterior_law(state.joint)
+                posterior_law(state.law.table)
             return
-        assert state.law.transposed() == posterior_law(state.joint)
+        assert state.law.transposed() == posterior_law(state.law.table)
 
     def test_degenerate_posterior_raises_the_same_error(self):
         state = PosteriorState(t=3, tau=0, law=validate_joint(((F(1, 2), F(0)), (F(0), F(1, 2)))))
@@ -760,7 +769,7 @@ class TestCanonicalLaw:
     denominator is the lcm of the Fraction entries' denominators."""
 
     def assert_canonical(self, state):
-        entries = [v for row in state.joint for v in row]
+        entries = [v for row in state.law.table for v in row]
         assert state.law.scale == math.lcm(*(v.denominator for v in entries))
         assert [w for row in state.law.weights for w in row] == [
             v * state.law.scale for v in entries

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ipir.audit import audit_policy_independence
 from ipir.core import (
     ConditionalMatrix,
+    WeightedSampler,
     capacity_cost,
     conditional_from_joint,
     fork_rng,
@@ -27,8 +28,8 @@ from ipir.obfuscation import (
     likelihood_profile,
     mask_of,
     policy_weights,
-    sample_subset,
     solve_lp,
+    subset_samplers,
     trivial_policy,
     validate_policy,
 )
@@ -337,7 +338,7 @@ class TestCoveringLpEquivalence:
     def test_zero_mass_pairs_get_no_entries(self):
         joint = validate_joint([[F(1, 2), 0, F(1, 4)], [0, 0, 0], [0, F(1, 8), F(1, 8)]])
         policy = solve_lp(build_lp(joint, 2))
-        assert policy.pairs() == ((0, 0), (0, 2), (2, 1), (2, 2))
+        assert sorted({(s, x) for s, x, _ in policy.entries}) == [(0, 0), (0, 2), (2, 1), (2, 2)]
 
 
 class TestSparseJointHelper:
@@ -635,7 +636,8 @@ def broken_policies(policy, K, rng):
     entries[key] *= rng.choice((F(1, 2), F(3, 2), 0))
     yield ObfuscationPolicy(K=K, entries=entries)
     # one (s, x) of several subsets moves mass between two of them
-    pairs = [(s, x) for s, x in policy.pairs() if len(policy.at(s, x)) > 1]
+    pairs = [(s, x) for s, x in sorted({(s, x) for s, x, _ in policy.entries})
+             if len(policy.at(s, x)) > 1]
     if pairs:
         s, x = rng.choice(pairs)
         (u, p), (v, q) = policy.at(s, x)[:2]
@@ -711,6 +713,12 @@ class TestPolicyWeights:
         assert report.witness == ("normalization", 0, 0, 0)
 
 
+def sample_subset(policy, s, x, rng):
+    """The subset drawn for requests (s, x): one exact draw over the
+    policy's choices there, as indices."""
+    return indices_of(WeightedSampler(policy.at(s, x)).draw(rng))
+
+
 class TestSampleSubset:
     def test_deterministic_branch(self, pair_cond):
         policy = greedy_policy(pair_cond)
@@ -734,10 +742,11 @@ class TestSampleSubset:
         draws2 = [sample_subset(policy, 0, 0, fork_rng(5, "s", i)) for i in range(50)]
         assert draws1 == draws2
 
-    def test_unsupported_pair(self, pair_cond):
+    def test_unsupported_pair(self, pair_cond, pair_joint):
         policy = greedy_policy(pair_cond)
-        with pytest.raises(UnsupportedPair):
-            sample_subset(policy, 0, 5, fork_rng(0))
+        entries = {key: p for key, p in policy.entries.items() if key[:2] != (0, 1)}
+        with pytest.raises(UnsupportedPair, match=r"\(s=0, x=1\)"):
+            subset_samplers(ObfuscationPolicy(K=2, entries=entries), pair_joint)
 
     def test_subset_always_contains_request(self, skew_cond):
         policy = greedy_policy(skew_cond)

@@ -8,21 +8,21 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "ipir"
 
-# Defs that no module of the package reads, each with the reader outside
-# it that keeps it. An entry that the package reads or that names no def
-# fails the check, so the map cannot outlive its reasons.
+# Defs that no module of the package reads, each with the file outside
+# src/ and tests/ that reads it, as a path from the repository root. An
+# entry that the package reads, that names no def, or whose file does not
+# name its def fails the check, so the map cannot outlive its reasons.
 OUTSIDE_READERS = {
-    "pir.query_pattern": "the audit.query_pattern trace point of bench/tracer.py",
-    "net.RemoteTransport": "the bench's loopback workload and the README's drop-in transport",
-    "net.hello": "the client half of the hello frame that net._serve answers",
-    "core.JointDistribution.p_s": "a public accessor of the law: P(s)",
-    "obfuscation.ObfuscationPolicy.pairs": "a public accessor of the policy: its request pairs",
-    "audit.independence_witness": "a public audit helper: where a law fails to factorize",
+    "pir.query_pattern": "bench/tracer.py",
+    "net.RemoteTransport": "bench/workloads.py",
+    "net.hello": "README.md",
+    "audit.mutual_information": "README.md",
+    "audit.audit_leak_equivalence": "README.md",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -71,17 +71,30 @@ def reads(tree: ast.AST) -> tuple[Counter, Counter]:
     return names, attributes
 
 
-def unread_names(sources: dict, outside: dict) -> list[str]:
+def names_word(path: str, name: str, readers: dict) -> bool:
+    """Whether ``path``, a relative path outside src/ and tests/ whose
+    text is ``readers[path]``, has ``name`` as a word."""
+    where = PurePosixPath(path)
+    if where.is_absolute() or ".." in where.parts or where.parts[:1] in (("src",), ("tests",)):
+        return False
+    return re.search(rf"\b{re.escape(name)}\b", readers.get(path, "")) is not None
+
+
+def unread_names(sources: dict, outside: dict, readers: dict) -> list[str]:
     """``module:line name`` for each module-level import, constant,
     function or class, and each method, in ``sources`` (module name ->
     source text) that no module reads: a module-level name by name in its
     own module, as an attribute anywhere, or through an import of it by
     another module; a method as an attribute anywhere. Reads inside a def
-    itself do not count for it. The package ``__init__``'s imports are its
-    exports. A def named ``module.name`` in ``outside`` is exempt; such an
-    entry that a module reads, or that names no def, is reported as
+    itself do not count for it, and neither does the package
+    ``__init__``: an export is not a read. A def named ``module.name`` in
+    ``outside`` is exempt when the file it maps to, whose text is in
+    ``readers``, names it (``names_word``); an entry that a module reads,
+    that names no def, or whose file does not name its def is reported as
     ``outside:module.name``."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
+    trees = {
+        module: ast.parse(text) for module, text in sources.items() if module != "__init__"
+    }
     loaded, attributes = {}, Counter()
     for module, tree in trees.items():
         loaded[module], module_attributes = reads(tree)
@@ -94,8 +107,6 @@ def unread_names(sources: dict, outside: dict) -> list[str]:
     unread = []
     stale = set(outside)
     for module, tree in trees.items():
-        if module == "__init__":
-            continue
         for name, line in module_names(tree):
             if name == "__version__":
                 continue
@@ -108,9 +119,10 @@ def unread_names(sources: dict, outside: dict) -> list[str]:
             read = attributes[attribute] > own_attributes[attribute]
             if "." not in name:
                 read = read or loaded[module][name] > own_names[name] or (module, name) in imported
-            if f"{module}.{name}" in outside:
-                if not read:
-                    stale.discard(f"{module}.{name}")
+            entry = f"{module}.{name}"
+            if entry in outside:
+                if not read and names_word(outside[entry], attribute, readers):
+                    stale.discard(entry)
             elif not read:
                 unread.append(f"{module}:{node.lineno} {name}")
     return unread + [f"outside:{entry}" for entry in sorted(stale)]
@@ -119,12 +131,21 @@ def unread_names(sources: dict, outside: dict) -> list[str]:
 def test_no_unread_module_level_name():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert "audit" in sources and "core" in sources
-    assert unread_names(sources, OUTSIDE_READERS) == []
+    readers = {
+        path: (ROOT / path).read_text()
+        for path in set(OUTSIDE_READERS.values())
+        if (ROOT / path).is_file()
+    }
+    assert unread_names(sources, OUTSIDE_READERS, readers) == []
 
 
 def test_the_check_finds_unread_names():
     sources = {
-        "__init__": "from .a import Used, Exported\n__version__ = '0'\n",
+        "__init__": (
+            "from .a import Used, Exported\n"
+            "from .b import exported_only\n"
+            "__version__ = '0'\n"
+        ),
         "a": (
             "from __future__ import annotations\n"
             "import math\n"
@@ -158,26 +179,45 @@ def test_the_check_finds_unread_names():
             "        return cls()\n"
             "    def kept(self):\n"
             "        return 0\n"
+            "def exported_only():\n"
+            "    return 0\n"
         ),
-        "c": "from . import a\nSHARED = a.TWO\ndef h(box):\n    return box.shared()\n",
+        "c": "from . import a\nSHARED = a.TWO\ndef h(box):\n    return box.shared(a.Used)\n",
     }
-    outside = {"b.Box.kept": "a reader elsewhere"}
+    outside = {"b.Box.kept": "docs/box.md"}
+    readers = {"docs/box.md": "Call `Box.kept()` to keep one.\n", "tests/test_box.py": "build"}
     expected = [
         "a:4 Unused",
         "a:5 ONE",
+        "a:7 Exported",  # exported, read nowhere
         "a:8 f",
         "a:10 g",
         "b:1 LIMIT",
         "b:10 Box.method",
         "b:13 Box.prop",
         "b:16 Box.build",
+        "b:20 exported_only",  # an export-only def
         "c:2 SHARED",
         "c:3 h",
     ]
     # Box.shared is read only as an attribute in another module
-    assert unread_names(sources, outside) == expected
-    stale = {**outside, "b.Box.shared": "read in the package now", "b.gone": "no such def"}
-    assert unread_names(sources, stale) == expected + ["outside:b.Box.shared", "outside:b.gone"]
+    assert unread_names(sources, outside, readers) == expected
+    stale = {
+        **outside,
+        "b.Box.shared": "docs/box.md",  # read in the package now
+        "b.gone": "docs/box.md",  # no such def
+        "b.Box.prop": "docs/box.md",  # the file does not name prop
+        "b.Box.method": "docs/missing.md",  # no such file
+        "b.Box.build": "tests/test_box.py",  # a test is not an outside reader
+    }
+    kept = [name for name in expected if name.split()[1] not in ("Box.method", "Box.prop", "Box.build")]
+    assert unread_names(sources, stale, readers) == kept + [
+        "outside:b.Box.build",
+        "outside:b.Box.method",
+        "outside:b.Box.prop",
+        "outside:b.Box.shared",
+        "outside:b.gone",
+    ]
 
 
 def test_readme_library_sketch_runs():
