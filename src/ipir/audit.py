@@ -130,31 +130,9 @@ def total_variation(counts_a: Counter, counts_b: Counter) -> float:
     )
 
 
-def audit_policy_independence(
-    policy: ObfuscationPolicy, joint: JointDistribution
-) -> AuditReport:
-    """Exact check that the released subset is independent of the private
-    request: the (S, U) joint, p(s, x) p(u|x,s) summed over x, factorizes.
-
-    The joint is the integer (S, X, U) law of ``policy_weights`` summed
-    over x, in the policy's entry order, so no Fraction is formed. A
-    negative weight raises NegativeEntry before any log is taken."""
-    weights, scale = policy_weights(policy, joint)
-    # the witness orders labels by str, so each mask becomes its indices,
-    # once per mask
-    labels: dict = {}
-    by_subset: dict = {}
-    for (s, x, mask), w in weights.items():
-        subset = labels.get(mask)
-        if subset is None:
-            subset = labels[mask] = indices_of(mask)
-        if w < 0:
-            raise NegativeEntry(f"policy entry (s={s}, x={x}, u={subset}) is negative")
-        key = (s, subset)
-        by_subset[key] = by_subset.get(key, 0) + w
-    zero, bits, witness = _factorization(by_subset, scale)
-    check = AuditCheck(name="subset-independence", passed=zero, bits=bits, witness=witness)
-    return AuditReport(checks=[check])
+def audit_policy_independence(policy: ObfuscationPolicy, joint: JointDistribution) -> AuditReport:
+    """``audit_online_privacy`` on the integer (S, X, U) law of ``policy_weights``."""
+    return audit_online_privacy(*policy_weights(policy, joint))
 
 
 def _query_counts(params: pir.SchemeParams, desired: int) -> list[Counter]:
@@ -487,17 +465,28 @@ def audit_leak_equivalence(
     return report
 
 
-def audit_online_privacy(state, policy: ObfuscationPolicy) -> AuditReport:
-    """Exact independence of the step's released subset from the latest
-    private location, given the history.
-
-    ``state`` is a tracked posterior (any object with a ``law``, a
-    JointDistribution of (current, private)). The latest private location
-    plays the private request's role, so this is audit_policy_independence
-    on the transposed law, ``state.law.transposed()``; its one check is
-    named ``subset-independence`` and its witness is ``(b, subset indices)``.
-    """
-    return audit_policy_independence(policy, state.law.transposed())
+def audit_online_privacy(weights: dict, scale: int) -> AuditReport:
+    """Exact check, named ``subset-independence``, that the released subset
+    is independent of the private request: the integer (S, X, U) law
+    ``weights`` / ``scale`` of ``policy_weights``, summed over x in its
+    order, factorizes. A location step passes its policy's law under the
+    transposed posterior. A negative weight raises NegativeEntry before
+    any log is taken."""
+    # the witness orders labels by str, so each mask becomes its indices,
+    # once per mask
+    labels: dict = {}
+    by_subset: dict = {}
+    for (s, x, mask), w in weights.items():
+        subset = labels.get(mask)
+        if subset is None:
+            subset = labels[mask] = indices_of(mask)
+        if w < 0:
+            raise NegativeEntry(f"policy entry (s={s}, x={x}, u={subset}) is negative")
+        key = (s, subset)
+        by_subset[key] = by_subset.get(key, 0) + w
+    zero, bits, witness = _factorization(by_subset, scale)
+    check = AuditCheck(name="subset-independence", passed=zero, bits=bits, witness=witness)
+    return AuditReport(checks=[check])
 
 
 def check_size_bound(policy: ObfuscationPolicy, cond: ConditionalMatrix) -> AuditReport:

@@ -11,11 +11,14 @@ released subset is exactly independent of the latest private location given
 the history, which by the Markov structure protects every earlier private
 location as well.
 
-A walk often comes back to a posterior it has already seen. ``simulate``
-therefore solves and audits each distinct posterior once per call, keeping
-the policy, the solver used and the online audit in a dict that lives for
-that call only; nothing is cached across calls. Reuse moves no random
-draw, so a seed gives the same report as solving at every step.
+Each new posterior gets one integer law, ``policy_weights`` of its policy
+under the transposed posterior, which the online audit and every
+conditioning at that posterior read. A walk often comes back to a
+posterior it has already seen. ``simulate`` therefore solves and audits
+each distinct posterior once per call, keeping the policy, the solver
+used, the integer law and the online audit in a dict that lives for that
+call only; nothing is cached across calls. Reuse moves no random draw, so
+a seed gives the same report as solving at every step.
 
 Posterior tracking is the standard exact forward recursion, so the
 per-step independence checks are equalities, not approximations. A
@@ -56,6 +59,7 @@ from .obfuscation import (
     build_lp,
     greedy_policy,
     indices_of,
+    policy_weights,
     solve_lp,
     trivial_policy,
 )
@@ -224,23 +228,17 @@ def advance_posterior(
 
 
 def condition_posterior(
-    state: PosteriorState, policy: ObfuscationPolicy, subset_mask: int
+    state: PosteriorState, weights: dict, subset_mask: int
 ) -> PosteriorState:
     """Condition the tracked joint on a realized subset and renormalize.
 
-    The products p(a, b) p(u|a, b) are formed on integers, the law's
-    weights times the policy's entries as numerators over their common
-    denominator; both scales cancel in the renormalization, so the
-    conditioned law is the products over their total, in lowest terms.
+    ``weights`` is the step's integer law, ``policy_weights`` of its policy
+    under the transposed posterior, so ``weights[b, a, subset_mask]`` is
+    p(a, b) p(u|a, b) times a common factor, which cancels: the
+    conditioned law is these products over their total, in lowest terms.
     """
     K = state.law.K
-    weights = state.law.weights
-    entries = policy.entries
-    cells = [(a, b) for a in range(K) for b in range(K) if weights[a][b]]
-    numerators, _ = scale_to_integers([entries.get((b, a, subset_mask), 0) for a, b in cells])
-    conditioned = [[0] * K for _ in range(K)]
-    for (a, b), n in zip(cells, numerators):
-        conditioned[a][b] = weights[a][b] * n
+    conditioned = [[weights.get((b, a, subset_mask), 0) for b in range(K)] for a in range(K)]
     total = sum(map(sum, conditioned))
     if total == 0:
         raise DegeneratePosterior(
@@ -309,6 +307,36 @@ class StepRecord:
     solver: str
 
 
+def _close_step(
+    state: PosteriorState,
+    x_t: int,
+    retrieval,
+    model: MobilityModel,
+    schedule: PrivacySchedule,
+    check: audit.AuditReport | None = None,
+    solver: str = "none",
+) -> tuple[StepRecord, PosteriorState]:
+    """The step's record, and ``state`` advanced to t+1 unless t is the
+    horizon. A private step passes no ``check``: its subset, the full set,
+    is a constant, so nothing leaks."""
+    record = StepRecord(
+        t=state.t,
+        private=check is None,
+        x=x_t,
+        subset=retrieval.subset,
+        queries=retrieval.queries,
+        answers=retrieval.answers,
+        decoded=retrieval.decoded,
+        cost=retrieval.cost.total,
+        online_privacy_bits=0.0 if check is None else check.checks[0].bits,
+        online_privacy_zero=check is None or check.passed,
+        solver=solver,
+    )
+    if state.t < schedule.horizon:
+        return record, advance_posterior(state, model, schedule)
+    return record, state
+
+
 def step_private(
     state: PosteriorState,
     x_t: int,
@@ -324,22 +352,7 @@ def step_private(
         raise ScheduleMismatch(f"t={state.t} is not private")
     params = pir.pir_setup(config.N, range(config.K), config.L)
     retrieval = retrieve(params, x_t, store, rng, transport)
-    record = StepRecord(
-        t=state.t,
-        private=True,
-        x=x_t,
-        subset=retrieval.subset,
-        queries=retrieval.queries,
-        answers=retrieval.answers,
-        decoded=retrieval.decoded,
-        cost=retrieval.cost.total,
-        online_privacy_bits=0.0,
-        online_privacy_zero=True,  # the subset is a constant
-        solver="none",
-    )
-    if state.t < schedule.horizon:
-        return record, advance_posterior(state, model, schedule)
-    return record, state
+    return _close_step(state, x_t, retrieval, model, schedule)
 
 
 def step_nonprivate(
@@ -359,11 +372,11 @@ def step_nonprivate(
     subset around the true location, retrieve, condition, advance.
 
     ``x_tau`` is the true latest private location, known to the user.
-    ``solved``, if given, holds the (policy, solver used, online audit) of
-    each posterior already met at this ``config.N`` and ``solver``; such a
-    posterior is neither solved nor audited again, and a new one is added.
-    Its keys are the posteriors' laws, in lowest terms, so equal posteriors
-    share a key.
+    ``solved``, if given, holds the (policy, solver used, integer law,
+    online audit) of each posterior already met at this ``config.N`` and
+    ``solver``; such a posterior is neither solved nor audited again, and a
+    new one is added. Its keys are the posteriors' laws, in lowest terms,
+    so equal posteriors share a key.
     """
     if schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is private")
@@ -372,30 +385,15 @@ def step_nonprivate(
     entry = solved.get(state.law)
     if entry is None:
         policy, used = policy_for_posterior(state.law, config.N, solver)
-        entry = solved[state.law] = policy, used, audit.audit_online_privacy(state, policy)
-    policy, used, check = entry
+        weights, scale = policy_weights(policy, state.law.transposed())
+        check = audit.audit_online_privacy(weights, scale)
+        entry = solved[state.law] = policy, used, weights, check
+    policy, used, weights, check = entry
     subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)
     params = pir.pir_setup(config.N, indices_of(subset_mask), config.L)
     retrieval = retrieve(params, x_t, store, rng, transport)
-
-    new_state = condition_posterior(state, policy, subset_mask)
-
-    record = StepRecord(
-        t=state.t,
-        private=False,
-        x=x_t,
-        subset=retrieval.subset,
-        queries=retrieval.queries,
-        answers=retrieval.answers,
-        decoded=retrieval.decoded,
-        cost=retrieval.cost.total,
-        online_privacy_bits=check.checks[0].bits,
-        online_privacy_zero=check.passed,
-        solver=used,
-    )
-    if state.t < schedule.horizon:
-        return record, advance_posterior(new_state, model, schedule)
-    return record, new_state
+    conditioned = condition_posterior(state, weights, subset_mask)
+    return _close_step(conditioned, x_t, retrieval, model, schedule, check, used)
 
 
 @dataclass
@@ -451,7 +449,7 @@ def simulate(
     state = initial_posterior(model)
     steps: list[StepRecord] = []
     total = ZERO
-    solved: dict = {}  # posterior -> (policy, solver used, online audit)
+    solved: dict = {}  # posterior -> (policy, solver used, integer law, online audit)
     for t in range(schedule.horizon + 1):
         rng = fork_rng(config.seed, "step", t)
         if schedule.is_private(t):

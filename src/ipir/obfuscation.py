@@ -153,8 +153,11 @@ class ObfuscationPolicy:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ObfuscationPolicy":
-        """Raises DistributionError on an entry whose s or x is not an int
-        or whose u is not a list of non-negative ints, a bool being no int."""
+        """Raises DistributionError when K, or an entry's s or x, is not an
+        int, or an entry's u is not a list of non-negative ints (no bools)."""
+        K = data["K"]
+        if type(K) is not int:
+            raise DistributionError(f"policy K must be an int, got {K!r}")
         entries: dict[tuple[int, int, int], Fraction] = {}
         for item in data["entries"]:
             s, x, u = item["s"], item["x"], item["u"]
@@ -167,7 +170,7 @@ class ObfuscationPolicy:
             p = parse_rational(item["p"])
             if p != 0:
                 entries[(s, x, mask_of(u))] = p
-        return cls(K=data["K"], entries=entries)
+        return cls(K=K, entries=entries)
 
 
 def trivial_policy(K: int) -> ObfuscationPolicy:
@@ -387,10 +390,13 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     solver's numerators M(u) over D, both sides are scaled by D W_s, to
     supplies W(s, x) D and demands M(u) W_s, so that p(u|x,s) is
     F(x,u) / (W(s, x) D), one exact ratio of integers per entry.
+    An instance whose costs or rows are not the covering LP's at its
+    (K, N) raises InvalidParams.
     """
-    key, bases = (instance.K, instance.n_servers), None
-    if instance.costs is _covering_costs(*key) and instance.rows is _covering_rows(key[0]):
-        bases = _BASES.get(key) or _BASES.setdefault(key, BasisCache(instance.costs, instance.rows))
+    K, N = instance.K, instance.n_servers
+    bases = _BASES.get((K, N)) or _BASES.setdefault(
+        (K, N), BasisCache(_covering_costs(K, N), _covering_rows(K))
+    )
     solution = minimize(instance.costs, instance.rows, instance.rhs, bases=bases)
     # every variable is bounded by the first row, so the LP cannot be
     # unbounded for well-formed instances

@@ -67,8 +67,14 @@ class SchemeParams:
 def pir_setup(n_servers: int, subset, L: int) -> SchemeParams:
     """The scheme over ``subset`` (any order, repeats ignored). Equal
     arguments share one SchemeParams, so the records that keep
-    ``params.subset`` share one tuple per subset."""
-    return _scheme_params(n_servers, tuple(sorted(set(subset))), L)
+    ``params.subset`` share one tuple per subset, so N, L and each member
+    must be ints (InvalidParams): a float 2.0 == 2 would be shared too."""
+    members = set(subset)
+    if {type(n_servers), type(L), *map(type, members)} != {int}:
+        raise InvalidParams(
+            f"N, L and the subset must be ints, got {n_servers!r}, {L!r}, {subset!r}"
+        )
+    return _scheme_params(n_servers, tuple(sorted(members)), L)
 
 
 @lru_cache(maxsize=4096)

@@ -1,3 +1,4 @@
+import os
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -5,6 +6,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the CLI tests start `python -m ipir.cli` children, which must import this
+# checkout's package as the tests do, also when pytest alone put src/ on
+# sys.path (its `pythonpath` setting)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 from ipir import obfuscation
 from ipir.core import (

@@ -60,6 +60,7 @@ from ipir.obfuscation import (
     ValidationReport,
     full_mask,
     indices_of,
+    policy_weights,
 )
 from ipir.simplex import SimplexSolution, minimize
 from ipir import pir
@@ -166,7 +167,10 @@ def enumerate_mechanism(
                         continue
                     total = sum(child_weights.values(), ZERO)
                     child_prob = prob * (total / sum(prefix_weights.values(), ZERO))
-                child_tracked = tracked if pol is None else condition_posterior(tracked, pol, mask)
+                child_tracked = (
+                    tracked if pol is None
+                    else condition_posterior(tracked, step_law(tracked, pol)[0], mask)
+                )
                 if t < schedule.horizon:
                     child_tracked = advance_posterior(child_tracked, model, schedule)
                     trans = model.transition_at(t)
@@ -1244,6 +1248,12 @@ def simulate_stepwise(
         steps=steps,
         total_cost=total,
     )
+
+
+def step_law(state: PosteriorState, policy: ObfuscationPolicy) -> tuple[dict, int]:
+    """The integer (S, X, U) law that a location step at ``state`` reads:
+    ``policy_weights`` of the policy under the transposed posterior."""
+    return policy_weights(policy, state.law.transposed())
 
 
 def state_of(t: int, tau: int, joint) -> PosteriorState:

@@ -37,7 +37,7 @@ from ipir.obfuscation import (
 )
 from ipir import pir
 
-from oracles import enumerate_mechanism, node_query_leak
+from oracles import enumerate_mechanism, node_query_leak, step_law
 
 PAIR_TABLE = [[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]]
 SKEW_ROWS = [
@@ -271,7 +271,7 @@ def test_criterion_6_tracked_posterior_equals_brute_force():
             if node.policy is not None:
                 from ipir.audit import audit_online_privacy
 
-                assert audit_online_privacy(node.tracked, node.policy).passed
+                assert audit_online_privacy(*step_law(node.tracked, node.policy)).passed
             nodes_checked += 1
         # decoded content matches the store on simulated traces
         for seed in range(3):

@@ -64,6 +64,7 @@ from oracles import (
     query_distribution,
     query_history_equivalence,
     session_pattern_counts,
+    step_law,
 )
 
 
@@ -187,9 +188,13 @@ class TestIntegerFactorization:
         total = sum(map(sum, cells))
         joint = validate_joint([[F(c, total) for c in row] for row in cells])
         check = audit_policy_independence(policy, joint).checks[0]
-        assert (check.passed, check.bits, check.witness) == fraction_policy_independence(
-            policy, joint
-        )
+        expected = fraction_policy_independence(policy, joint)
+        assert (check.passed, check.bits, check.witness) == expected
+        # a location step whose posterior transposes to this law, on the
+        # integer law it keeps
+        state = PosteriorState(t=1, tau=0, law=joint.transposed())
+        step = audit_online_privacy(*step_law(state, policy)).checks[0]
+        assert (step.passed, step.bits, step.witness) == expected
 
     @pytest.mark.parametrize("make", [greedy_policy, None, trivial_policy])
     def test_policy_independence_on_library_policies(self, make, skew_joint, skew_cond):
@@ -558,7 +563,7 @@ class TestOnlinePrivacy:
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))
         state = advance_posterior(initial_posterior(model), model, sched)
         policy, _ = policy_for_posterior(state.law, 2, "lp")
-        assert audit_online_privacy(state, policy).passed
+        assert audit_online_privacy(*step_law(state, policy)).passed
 
     def test_dependent_step_policy_fails(self):
         model = MobilityModel.build(
@@ -566,7 +571,7 @@ class TestOnlinePrivacy:
         )
         sched = PrivacySchedule(horizon=1, private=frozenset({0}))
         state = advance_posterior(initial_posterior(model), model, sched)
-        report = audit_online_privacy(state, singleton_policy(2))
+        report = audit_online_privacy(*step_law(state, singleton_policy(2)))
         assert not report.passed
         assert report.checks[0].witness is not None
 
@@ -581,7 +586,7 @@ class TestOnlinePrivacy:
         nodes = enumerate_mechanism(model, sched, config)
         for node in nodes:
             if node.policy is not None:
-                assert audit_online_privacy(node.tracked, node.policy).passed
+                assert audit_online_privacy(*step_law(node.tracked, node.policy)).passed
             for server in range(config.N):
                 zero, bits = node_query_leak(node, sched, config, server)
                 assert zero, (node.t, node.history, server, bits)
@@ -613,7 +618,7 @@ class TestOnlinePrivacy:
                 singleton_policy(K),
             ]
             for policy in policies:
-                report = audit_online_privacy(state, policy)
+                report = audit_online_privacy(*step_law(state, policy))
                 zero, bits = online_privacy_factorization(state, policy)
                 assert report.passed == zero
                 assert math.isclose(report.checks[0].bits, bits, rel_tol=1e-12)

@@ -217,6 +217,23 @@ class TestMalformedInputs:
         args = ["audit", "--transcript", write(tmp_path, "t.json", transcript)]
         self.one_line_error(capsys, args, "N, K and L must be ints")
 
+    @pytest.mark.parametrize("command", ["audit", "two-request"])
+    def test_policy_k_of_a_float(self, tmp_path, capsys, command):
+        # 2.0 == 2 passed the K comparison with the joint and failed in the
+        # policy checks with a TypeError
+        transcript = json.loads((GOLDEN / "two_request_transcript.json").read_text())
+        transcript["policy"]["K"] = 2.0
+        if command == "audit":
+            path = write(tmp_path, "t.json", transcript)
+            args, what = ["audit", "--transcript", path], "transcript"
+        else:
+            joint = write(tmp_path, "joint.json", transcript["joint"])
+            path = write(tmp_path, "policy.json", transcript["policy"])
+            args, what = ["two-request", "--joint", joint, "--policy", path], "policy"
+        self.one_line_error(
+            capsys, args, f"bad {what} file {path}: policy K must be an int, got 2.0"
+        )
+
     @pytest.mark.parametrize("rows", [[], ""])
     def test_conditional_matrix_without_rows(self, tmp_path, capsys, rows):
         args = ["greedy", "--cond", write(tmp_path, "cond.json", {"K": 0, "rows": rows})]
@@ -284,8 +301,9 @@ def mutated(draw, doc):
     """A deep copy of the JSON value ``doc`` with one to three mutations,
     each at a node reached from the root by descending into a child chosen
     at random for as long as a coin says so: the node's value replaced by
-    one of FUZZ_VALUES, its key dropped from its dict, or, for a list,
-    the list emptied."""
+    one of FUZZ_VALUES, its key dropped from its dict, for a list, the
+    list emptied, or, for an int, the int replaced by its float twin
+    (2 by 2.0), which compares equal to it."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         parent, key, node = None, None, doc
@@ -296,6 +314,7 @@ def mutated(draw, doc):
         kinds = ["replace"] if parent is not None else []
         kinds += ["drop"] if isinstance(parent, dict) else []
         kinds += ["empty"] if isinstance(node, list) and node else []
+        kinds += ["twin"] if parent is not None and type(node) is int else []
         if not kinds:
             continue
         kind = draw(st.sampled_from(kinds))
@@ -303,6 +322,8 @@ def mutated(draw, doc):
             parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
         elif kind == "drop":
             del parent[key]
+        elif kind == "twin":
+            parent[key] = float(node)
         elif parent is None:
             doc = []
         else:

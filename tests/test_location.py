@@ -45,6 +45,7 @@ from ipir.obfuscation import (
     expected_cost,
     greedy_policy,
     mask_of,
+    policy_weights,
     validate_policy,
 )
 from ipir.core import conditional_from_joint
@@ -58,6 +59,7 @@ from oracles import (
     simulate_stepwise,
     state_of,
     sxu_build_lp,
+    step_law,
     sxu_solve_lp,
 )
 from test_obfuscation import recorded_pivots
@@ -261,7 +263,7 @@ class TestSteps:
         oracle = sxu_solve_lp(sxu_build_lp(law, 2))
         assert expected_cost(policy, law, 2) == expected_cost(oracle, law, 2)
         state = PosteriorState(t=1, tau=0, law=validate_joint(joint))
-        assert audit_online_privacy(state, policy).passed
+        assert audit_online_privacy(*step_law(state, policy)).passed
 
     @pytest.mark.parametrize(
         "solver, K, full, used",
@@ -304,7 +306,7 @@ class TestSteps:
         state = advance_posterior(initial_posterior(self.model), self.model, sched)
         policy, _ = policy_for_posterior(state.law, 2, "lp")
         mask = mask_of((0, 1))
-        conditioned = condition_posterior(state, policy, mask)
+        conditioned = condition_posterior(state, step_law(state, policy)[0], mask)
         # direct Bayes: joint[a][b] * p(u | x=a, s=b), renormalized
         direct = [
             [
@@ -497,7 +499,11 @@ class TestSolvedOncePerPosterior:
             record, _ = step_nonprivate(*args, fork_rng(5, "entry"), solved=solved)
             assert record == step_nonprivate(*args, fork_rng(5, "entry"))[0]
         assert len(solved) == 2
-        policies = [policy for policy, _, _ in solved.values()]
+        # each entry keeps the integer law of its policy under the
+        # transposed posterior, which its steps condition on
+        for law, (policy, _, weights, _) in solved.items():
+            assert weights == policy_weights(policy, law.transposed())[0]
+        policies = [policy for policy, _, _, _ in solved.values()]
         assert policies == [policy_for_posterior(validate_joint(j), 2)[0] for j in (first, second)]
         assert policies[0] != policies[1]
 
@@ -513,7 +519,8 @@ class TestSolvedOncePerPosterior:
         distinct = len(set(posteriors))
         assert distinct < len(posteriors)
 
-        calls = {"solve_lp": 0, "policy": 0, "audit": 0, "validate": 0}
+        calls = {"solve_lp": 0, "policy": 0, "weights": 0, "audit": 0, "scale": 0,
+                 "validate": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -527,7 +534,16 @@ class TestSolvedOncePerPosterior:
             counting("policy", location.policy_for_posterior),
         )
         monkeypatch.setattr(
+            location, "policy_weights", counting("weights", location.policy_weights)
+        )
+        monkeypatch.setattr(
             audit, "audit_online_privacy", counting("audit", audit.audit_online_privacy)
+        )
+        # one integer law per new posterior, which the audit and every
+        # conditioning read: no step scales a policy again, and the one
+        # scaling left in location is the initial law's
+        monkeypatch.setattr(
+            location, "scale_to_integers", counting("scale", location.scale_to_integers)
         )
         # a new posterior is exact by construction: its law goes to the
         # policy and the online audit without validation
@@ -536,7 +552,8 @@ class TestSolvedOncePerPosterior:
         for run in (1, 2):
             simulate(model, sched, config, store)
             assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
-                             "audit": distinct * run, "validate": 0}
+                             "weights": distinct * run, "audit": distinct * run,
+                             "scale": run, "validate": 0}
         # a public call takes a law and validates nothing; a caller that
         # holds a raw matrix validates it first, once
         state = initial_posterior(model)
@@ -660,21 +677,22 @@ class TestIntegerPosterior:
     def test_hypothesis_condition(self, case, mask):
         state, _, policy = case
         mask &= (1 << policy.K) - 1
+        weights, _ = step_law(state, policy)
         try:
             expected = fraction_condition_posterior(state, policy, mask)
         except DegeneratePosterior as exc:
             with pytest.raises(DegeneratePosterior) as caught:
-                condition_posterior(state, policy, mask)
+                condition_posterior(state, weights, mask)
             assert str(caught.value) == str(exc)
             return
-        assert_same_posterior(condition_posterior(state, policy, mask), expected)
+        assert_same_posterior(condition_posterior(state, weights, mask), expected)
 
     def test_collapse_onto_a_private_instant(self):
         model = random_model(random.Random("collapse"), 3)
         sched = PrivacySchedule(horizon=2, private=frozenset({0, 2}))
         state = advance_posterior(initial_posterior(model), model, sched)
         policy = greedy_policy(conditional_from_joint(posterior_law(state.law.table)))
-        conditioned = condition_posterior(state, policy, 0b011)
+        conditioned = condition_posterior(state, step_law(state, policy)[0], 0b011)
         assert conditioned == fraction_condition_posterior(state, policy, 0b011)
         collapsed = advance_posterior(conditioned, model, sched)
         assert_same_posterior(collapsed, fraction_advance_posterior(conditioned, model, sched))
@@ -708,7 +726,7 @@ class TestIntegerPosterior:
         state = PosteriorState(t=3, tau=0, law=validate_joint(((F(1, 2), F(0)), (F(0), F(1, 2)))))
         policy = ObfuscationPolicy(K=2, entries={(0, 0, 0b01): F(1), (1, 1, 0b10): F(1)})
         with pytest.raises(DegeneratePosterior, match="step 3") as caught:
-            condition_posterior(state, policy, 0b11)
+            condition_posterior(state, step_law(state, policy)[0], 0b11)
         with pytest.raises(DegeneratePosterior) as expected:
             fraction_condition_posterior(state, policy, 0b11)
         assert str(caught.value) == str(expected.value)
@@ -723,16 +741,17 @@ class TestIntegerPosterior:
         for t in range(sched.horizon):
             if not sched.is_private(t):
                 policy, _ = policy_for_posterior(state.law, 2, solver)
+                weights, _ = step_law(state, policy)
                 masks = sorted({mask for (_, _, mask) in policy.entries})
                 mask = rng.choice(masks)
                 try:
                     expected = fraction_condition_posterior(state, policy, mask)
                 except DegeneratePosterior:
                     with pytest.raises(DegeneratePosterior):
-                        condition_posterior(state, policy, mask)
+                        condition_posterior(state, weights, mask)
                     mask = masks[-1]
                     expected = fraction_condition_posterior(state, policy, mask)
-                state = condition_posterior(state, policy, mask)
+                state = condition_posterior(state, weights, mask)
                 assert_same_posterior(state, expected)
             expected = fraction_advance_posterior(state, model, sched)
             state = advance_posterior(state, model, sched)

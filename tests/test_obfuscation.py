@@ -16,7 +16,14 @@ from ipir.core import (
     validate_joint,
 )
 from ipir import obfuscation
-from ipir.errors import ConstructionFailed, PartialSupport, TooLarge, UnsupportedPair
+from ipir.errors import (
+    ConstructionFailed,
+    DistributionError,
+    InvalidParams,
+    PartialSupport,
+    TooLarge,
+    UnsupportedPair,
+)
 from ipir.obfuscation import (
     ObfuscationPolicy,
     _route,
@@ -375,17 +382,21 @@ class TestFlowRouting:
         check_routing(validate_joint([[F(c, total) for c in row] for row in cells]))
 
     def test_unroutable_row_raises(self):
-        # without the covering rows the LP puts all mass on {0}, which the
-        # row (1/2, 1/2) cannot reach from message 1
+        # all demand is on {0}, which message 1's supply cannot reach
+        with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
+            _route(0, [1, 1], {0b01: 2})
+
+    def test_instance_that_is_not_the_covering_lp_is_refused(self):
+        # costs and rows other than the covering LP's at the instance's
+        # (K, N) do not fit its basis cache
         joint = validate_joint([[F(1, 4)] * 2] * 2)
-        # (costs 1, 2 and 2 on {0}, {1} and {0, 1}, less the full set's 2)
         instance = dataclasses.replace(
             build_lp(joint, 2),
             costs=(F(-1), F(0)),
             rows=((F(1), F(1)),),
             rhs=(F(1),),
         )
-        with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
+        with pytest.raises(InvalidParams, match="other costs or rows"):
             solve_lp(instance)
 
 
@@ -762,6 +773,12 @@ class TestPolicySerialization:
         policy = greedy_policy(skew_cond)
         again = ObfuscationPolicy.from_json_dict(policy.to_json_dict())
         assert again == policy
+
+    @pytest.mark.parametrize("K", [2.0, True, "2", None])
+    def test_k_that_is_not_an_int_is_refused(self, K):
+        data = {"K": K, "entries": [{"s": 0, "x": 0, "u": [0, 1], "p": "1"}]}
+        with pytest.raises(DistributionError, match="policy K must be an int"):
+            ObfuscationPolicy.from_json_dict(data)
 
     def test_indices_of_masks(self):
         assert indices_of(mask_of((0, 2, 5))) == (0, 2, 5)

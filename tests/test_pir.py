@@ -9,6 +9,7 @@ from ipir.errors import (
     BlockMismatch,
     DesiredNotInSubset,
     InconsistentAnswers,
+    InvalidParams,
     OutOfRange,
 )
 from ipir.pir import (
@@ -95,6 +96,20 @@ class TestSetup:
         # a refused setup is refused again, not remembered
         with pytest.raises(BlockMismatch):
             pir_setup(2, (1, 0), 6)
+
+    @pytest.mark.parametrize(
+        "n_servers, subset, L",
+        [(2.0, (3, 7), 52), (2, (3, 7), 52.0), (2, (3.0, 7), 52), (True, (3, 7), 52),
+         (2, (3, True), 52)],
+    )
+    def test_float_and_bool_arguments_are_refused(self, n_servers, subset, L):
+        # 2.0 == 2 and hashes alike, so cached float params would be handed
+        # to every later int call with equal arguments
+        with pytest.raises(InvalidParams, match="must be ints"):
+            pir_setup(n_servers, subset, L)
+        params = pir_setup(2, (3, 7), 52)
+        assert [type(v) for v in (params.n_servers, params.L, *params.subset)] == [int] * 4
+        assert key_count(params) > 0
 
     def test_equal_arguments_share_one_params(self):
         p = pir_setup(2, (1, 0), 8)
