@@ -69,9 +69,13 @@ def _cond(data) -> ConditionalMatrix:
 
 
 def _schedule(data) -> tuple[int, PrivacySchedule]:
-    """The file's horizon, and its schedule shifted to start private."""
-    horizon = int(data["horizon"])
-    private = [int(t) for t in data["private"]]
+    """The file's horizon, and its schedule shifted to start private. A
+    horizon or instant that is not an int, a bool included, is refused."""
+    horizon, private = data["horizon"], data["private"]
+    if type(horizon) is not int:
+        raise ConfigError(f"schedule horizon must be an int, got {horizon!r}")
+    if any(type(t) is not int for t in private):
+        raise ConfigError(f"schedule private instants must be ints, got {private!r}")
     if 0 not in private:
         log.warning("schedule lacks t=0; shifting time so it starts private")
         return horizon, PrivacySchedule.normalized(horizon, private)

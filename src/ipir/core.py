@@ -231,9 +231,9 @@ class MessageStore:
 class SystemConfig:
     """System-wide parameters: server count, message count and length, seed.
 
-    N, K and L are ints, not bools or floats, and L must be a multiple of
-    N^K so the retrieval sub-scheme works for every subset size without
-    per-retrieval padding.
+    N, K, L and the seed are ints, not bools or floats, and L must be a
+    multiple of N^K so the retrieval sub-scheme works for every subset size
+    without per-retrieval padding.
     """
 
     N: int
@@ -246,6 +246,8 @@ class SystemConfig:
             raise InvalidParams(
                 f"N, K and L must be ints, got {self.N!r}, {self.K!r}, {self.L!r}"
             )
+        if type(self.seed) is not int:
+            raise InvalidParams(f"seed must be an int, got {self.seed!r}")
         if self.N < 2:
             raise InvalidParams(f"need at least 2 servers, got {self.N}")
         if self.K < 1:

@@ -495,14 +495,10 @@ def store_to_bytes(store: MessageStore) -> bytes:
     """Binary store file: 8-byte header (K, L) then K * L/8 payload bytes."""
     if store.L % 8 != 0:
         raise InvalidParams("file storage needs L to be a multiple of 8")
-    out = bytearray(struct.pack("!II", store.K, store.L))
-    for bits in store.data:
-        for i in range(0, store.L, 8):
-            byte = 0
-            for j in range(8):
-                byte = (byte << 1) | bits[i + j]
-            out.append(byte)
-    return bytes(out)
+    payload = "".join(f"{b:d}" for bits in store.data for b in bits)  # a bool bit as 0 or 1
+    return struct.pack("!II", store.K, store.L) + int(payload, 2).to_bytes(
+        store.K * store.L // 8, "big"
+    )
 
 
 def store_from_bytes(blob: bytes) -> MessageStore:
@@ -514,16 +510,9 @@ def store_from_bytes(blob: bytes) -> MessageStore:
     need = STORE_MAGIC_LEN + K * L // 8
     if len(blob) != need:
         raise MalformedFrame(f"store file has {len(blob)} bytes, expected {need}")
-    data = []
-    offset = STORE_MAGIC_LEN
-    for _ in range(K):
-        bits = []
-        for _ in range(L // 8):
-            byte = blob[offset]
-            offset += 1
-            bits.extend((byte >> (7 - j)) & 1 for j in range(8))
-        data.append(tuple(bits))
-    return MessageStore(K=K, L=L, data=tuple(data))
+    payload = format(int.from_bytes(blob[STORE_MAGIC_LEN:], "big"), f"0{K * L}b")
+    data = tuple(tuple(map(int, payload[m * L : (m + 1) * L])) for m in range(K))
+    return MessageStore(K=K, L=L, data=data)
 
 
 def save_store(store: MessageStore, path) -> None:

@@ -94,21 +94,14 @@ def likelihood_profile(cond: ConditionalMatrix) -> LikelihoodProfile:
         sum((cond.rows[order[x][j]][x] for x in range(K)), ZERO) for j in range(K)
     )
     unit_rank = max(j + 1 for j in range(K) if rank_sums[j] <= 1)
-    weights = []
-    for j in range(1, K + 1):
-        if j <= unit_rank:
-            prev = rank_sums[j - 2] if j >= 2 else ZERO
-            weights.append(rank_sums[j - 1] - prev)
-        elif j == unit_rank + 1:
-            weights.append(1 - rank_sums[unit_rank - 1])
-        else:
-            weights.append(ZERO)
+    points = (ZERO, *rank_sums[:unit_rank], 1)
+    steps = [high - low for low, high in zip(points, points[1:])]
     return LikelihoodProfile(
         K=K,
         order=order,
         rank_sums=rank_sums,
         unit_rank=unit_rank,
-        size_weights=tuple(weights),
+        size_weights=tuple((steps + [ZERO] * K)[:K]),
     )
 
 
@@ -187,12 +180,13 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
     Works in rounds c = 1..unit_rank. Round c moves, for every column i, the
     increment between the c-th and (c-1)-th smallest likelihood of i onto a
     subset of size at most c: rows ranked >= c contribute the mass at x = i,
-    while each lower-ranked row hides the same mass behind a companion
-    column chosen to have enough residual budget left. A final capped round
-    places the leftover per-row mass on subsets of size at most
-    unit_rank + 1. Every row receives identical per-fragment mass for the
-    same subset, so the subset marginal P(U|S=s) is constant in s by
-    construction, and the cumulative size law dominates the size weights.
+    while each lower-ranked row hides the same mass behind the first other
+    column with the most free mass, the residual that column's own later
+    rounds will not take, kept in one table. A final capped round places
+    the leftover per-row mass on subsets of size at most unit_rank + 1.
+    Every row receives identical per-fragment mass for the same subset, so
+    the subset marginal P(U|S=s) is constant in s by construction, and the
+    cumulative size law dominates the size weights.
     """
     if not cond.full_support():
         raise PartialSupport(
@@ -204,39 +198,31 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
     sigma = profile.unit_rank
     leftover = 1 - profile.rank_sums[sigma - 1]
     last_round = sigma + 1 if leftover > 0 else sigma
-    # increment[c-1][i]: fresh mass column i contributes in round c; the
-    # round sigma+1 increments are capped so they sum to the per-row
-    # leftover budget, keeping every subset at size <= sigma + 1
-    increments = []
-    for c in range(1, last_round + 1):
-        row = []
+    # increments[c-1][i]: fresh mass column i contributes in round c, the
+    # step from its (c-1)-th to its c-th smallest likelihood
+    ranked = [[ZERO] + [cond.rows[s][i] for s in order[i]] for i in range(K)]
+    increments = [
+        [ranked[i][c] - ranked[i][c - 1] for i in range(K)] for c in range(1, last_round + 1)
+    ]
+    if leftover > 0:
+        # round sigma+1 is capped to the per-row leftover budget, keeping
+        # every subset at size <= sigma + 1
+        budget = leftover
         for i in range(K):
-            high = cond.rows[order[i][c - 1]][i]
-            low = cond.rows[order[i][c - 2]][i] if c >= 2 else ZERO
-            row.append(high - low)
-        if c == sigma + 1:
-            budget = leftover
-            for i in range(K):
-                row[i] = min(row[i], budget)
-                budget -= row[i]
-        increments.append(row)
-    # rank_of[l][s]: 1-based rank of row s in column l's order
-    rank_of = [[0] * K for _ in range(K)]
-    for l in range(K):
-        for j, s in enumerate(order[l]):
-            rank_of[l][s] = j + 1
+            increments[sigma][i] = min(increments[sigma][i], budget)
+            budget -= increments[sigma][i]
 
     residual = [list(row) for row in cond.rows]
+    # free[s][l]: the residual at (s, l) that column l's own rounds not yet
+    # applied will not take; a companion may take only this. A row ranked
+    # <= sigma in column l gives its whole likelihood to those rounds (their
+    # increments sum to it); a row ranked above it takes part in every round
+    free = [[ZERO] * K for _ in range(K)]
+    for l in range(K):
+        taken = sum((row[l] for row in increments), ZERO)
+        for s in order[l][sigma:]:
+            free[s][l] = cond.rows[s][l] - taken
     assigned: dict[tuple[int, int, int], Fraction] = {}
-
-    def future_self_use(s: int, l: int, c: int, i: int) -> Fraction:
-        # mass column l will still place at row s via its own (x = l)
-        # assignments in rounds not yet applied at this decision point
-        total = ZERO
-        for cc in range(c, last_round + 1):
-            if rank_of[l][s] >= cc and (cc > c or l > i):
-                total += increments[cc - 1][l]
-        return total
 
     def place(c: int, i: int, amount: Fraction) -> None:
         """Move ``amount`` of column i's round-c increment, splitting into
@@ -246,19 +232,12 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
             members = {i}
             placement = []  # (row s, column to charge)
             fragment = remaining
-            for j in range(1, c):
-                s = order[i][j - 1]
-                best_l = None
-                best_headroom = None
-                for l in range(K):
-                    if l == i:
-                        continue
-                    headroom = residual[s][l] - future_self_use(s, l, c, i)
-                    if headroom <= 0:
-                        continue
-                    if best_headroom is None or headroom > best_headroom:
-                        best_headroom = headroom
-                        best_l = l
+            for s in order[i][: c - 1]:
+                best_l = max(
+                    (l for l in range(K) if l != i and free[s][l] > 0),
+                    key=free[s].__getitem__,
+                    default=None,
+                )
                 if best_l is None:
                     raise ConstructionFailed(
                         f"no companion with residual headroom left at row {s} "
@@ -266,9 +245,8 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
                     )
                 members.add(best_l)
                 placement.append((s, best_l))
-                fragment = min(fragment, best_headroom)
-            for j in range(c, K + 1):
-                placement.append((order[i][j - 1], i))
+                fragment = min(fragment, free[s][best_l])
+            placement += [(s, i) for s in order[i][c - 1:]]
             mask = mask_of(members)
             for s, col in placement:
                 if residual[s][col] < fragment:
@@ -277,14 +255,19 @@ def greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
                     )
             for s, col in placement:
                 residual[s][col] -= fragment
+                if col != i:
+                    # a placement at x = i lowers the residual and the mass
+                    # column i still owes alike, so only a companion's free
+                    # mass moves
+                    free[s][col] -= fragment
                 key = (s, col, mask)
                 assigned[key] = assigned.get(key, ZERO) + fragment
             remaining -= fragment
 
-    for c in range(1, last_round + 1):
+    for c, row in enumerate(increments, 1):
         for i in range(K):
-            if increments[c - 1][i] > 0:
-                place(c, i, increments[c - 1][i])
+            if row[i] > 0:
+                place(c, i, row[i])
 
     if any(v != 0 for row in residual for v in row):
         raise ConstructionFailed("construction ended with nonzero residual mass")

@@ -38,6 +38,7 @@ from ipir.errors import (
     InvalidParams,
     IterationLimit,
     OutOfRange,
+    PartialSupport,
     TooLarge,
 )
 from ipir.location import (
@@ -55,11 +56,14 @@ from ipir.location import (
 )
 from ipir.obfuscation import (
     DEFAULT_LP_CAP,
+    LikelihoodProfile,
     LpInstance,
     ObfuscationPolicy,
     ValidationReport,
     full_mask,
     indices_of,
+    likelihood_profile,
+    mask_of,
     policy_weights,
 )
 from ipir.simplex import SimplexSolution, minimize
@@ -1695,3 +1699,122 @@ def numerator_advance_posterior(
     else:
         joint = [[_over(n, scale) for n in row] for row in pushed]
     return state_of(t1, tau, joint)
+
+
+def branching_size_weights(profile: LikelihoodProfile) -> tuple[Fraction, ...]:
+    """The size weights ``likelihood_profile`` derived, case by case, before
+    they became the steps of (0, r_1, ..., r_unit_rank, 1) padded to K."""
+    rank_sums, unit_rank = profile.rank_sums, profile.unit_rank
+    weights = []
+    for j in range(1, profile.K + 1):
+        if j <= unit_rank:
+            prev = rank_sums[j - 2] if j >= 2 else ZERO
+            weights.append(rank_sums[j - 1] - prev)
+        elif j == unit_rank + 1:
+            weights.append(1 - rank_sums[unit_rank - 1])
+        else:
+            weights.append(ZERO)
+    return tuple(weights)
+
+
+def recomputing_greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
+    """``ipir.obfuscation.greedy_policy`` as it was before it kept a
+    free-mass table: each companion's headroom is its residual less the
+    mass its own rounds after the decision point will take, re-summed for
+    every candidate column through a rank table."""
+    if not cond.full_support():
+        raise PartialSupport(
+            f"greedy construction needs all {cond.K} rows, got support {cond.support}"
+        )
+    profile = likelihood_profile(cond)
+    K = cond.K
+    order = profile.order
+    sigma = profile.unit_rank
+    leftover = 1 - profile.rank_sums[sigma - 1]
+    last_round = sigma + 1 if leftover > 0 else sigma
+    increments = []
+    for c in range(1, last_round + 1):
+        row = []
+        for i in range(K):
+            high = cond.rows[order[i][c - 1]][i]
+            low = cond.rows[order[i][c - 2]][i] if c >= 2 else ZERO
+            row.append(high - low)
+        if c == sigma + 1:
+            budget = leftover
+            for i in range(K):
+                row[i] = min(row[i], budget)
+                budget -= row[i]
+        increments.append(row)
+    # rank_of[l][s]: 1-based rank of row s in column l's order
+    rank_of = [[0] * K for _ in range(K)]
+    for l in range(K):
+        for j, s in enumerate(order[l]):
+            rank_of[l][s] = j + 1
+
+    residual = [list(row) for row in cond.rows]
+    assigned: dict[tuple[int, int, int], Fraction] = {}
+
+    def future_self_use(s: int, l: int, c: int, i: int) -> Fraction:
+        # mass column l will still place at row s via its own (x = l)
+        # assignments in rounds not yet applied at this decision point
+        total = ZERO
+        for cc in range(c, last_round + 1):
+            if rank_of[l][s] >= cc and (cc > c or l > i):
+                total += increments[cc - 1][l]
+        return total
+
+    def place(c: int, i: int, amount: Fraction) -> None:
+        remaining = amount
+        while remaining > 0:
+            members = {i}
+            placement = []  # (row s, column to charge)
+            fragment = remaining
+            for j in range(1, c):
+                s = order[i][j - 1]
+                best_l = None
+                best_headroom = None
+                for l in range(K):
+                    if l == i:
+                        continue
+                    headroom = residual[s][l] - future_self_use(s, l, c, i)
+                    if headroom <= 0:
+                        continue
+                    if best_headroom is None or headroom > best_headroom:
+                        best_headroom = headroom
+                        best_l = l
+                if best_l is None:
+                    raise ConstructionFailed(
+                        f"no companion with residual headroom left at row {s} "
+                        f"in round {c} for column {i}"
+                    )
+                members.add(best_l)
+                placement.append((s, best_l))
+                fragment = min(fragment, best_headroom)
+            for j in range(c, K + 1):
+                placement.append((order[i][j - 1], i))
+            mask = mask_of(members)
+            for s, col in placement:
+                if residual[s][col] < fragment:
+                    raise ConstructionFailed(
+                        f"residual underflow at row {s}, column {col} in round {c}"
+                    )
+            for s, col in placement:
+                residual[s][col] -= fragment
+                key = (s, col, mask)
+                assigned[key] = assigned.get(key, ZERO) + fragment
+            remaining -= fragment
+
+    for c in range(1, last_round + 1):
+        for i in range(K):
+            if increments[c - 1][i] > 0:
+                place(c, i, increments[c - 1][i])
+
+    if any(v != 0 for row in residual for v in row):
+        raise ConstructionFailed("construction ended with nonzero residual mass")
+
+    entries = {
+        (s, x, mask): joint_mass / cond.rows[s][x]
+        for (s, x, mask), joint_mass in assigned.items()
+        if joint_mass != 0
+    }
+    return ObfuscationPolicy(K=K, entries=entries)

@@ -217,6 +217,36 @@ class TestMalformedInputs:
         args = ["audit", "--transcript", write(tmp_path, "t.json", transcript)]
         self.one_line_error(capsys, args, "N, K and L must be ints")
 
+    @pytest.mark.parametrize("seed", [7.0, True, None, "7"])
+    def test_transcript_seed_that_is_not_an_int(self, tmp_path, capsys, seed):
+        # the seed names the audit's random streams through str(), so 7.0
+        # audited on another stream than 7
+        transcript = json.loads((GOLDEN / "two_request_transcript.json").read_text())
+        transcript["config"]["seed"] = seed
+        path = write(tmp_path, "t.json", transcript)
+        self.one_line_error(
+            capsys, ["audit", "--transcript", path, "--empirical"],
+            f"bad transcript file {path}: seed must be an int, got {seed!r}",
+        )
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"horizon": 3.7, "private": [0, 1.9]}, "schedule horizon must be an int, got 3.7"),
+            ({"horizon": "3", "private": ["0"]}, "schedule horizon must be an int, got '3'"),
+            ({"horizon": True, "private": [False]}, "schedule horizon must be an int, got True"),
+            ({"horizon": 3, "private": [0, 1.0]},
+             "schedule private instants must be ints, got [0, 1.0]"),
+        ],
+    )
+    def test_schedule_values_that_are_not_ints(self, tmp_path, capsys, schedule, message):
+        # int() read these as horizon 3 and private {0, 1}, or horizon 1
+        path = write(tmp_path, "schedule.json", schedule)
+        self.one_line_error(
+            capsys, ["simulate-location", "--model", self.WALK, "--schedule", path],
+            f"bad schedule file {path}: {message}",
+        )
+
     @pytest.mark.parametrize("command", ["audit", "two-request"])
     def test_policy_k_of_a_float(self, tmp_path, capsys, command):
         # 2.0 == 2 passed the K comparison with the joint and failed in the

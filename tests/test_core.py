@@ -176,6 +176,13 @@ class TestSystemConfig:
         with pytest.raises(InvalidParams):
             SystemConfig(N=1, K=2, L=2, seed=0)
 
+    @pytest.mark.parametrize("seed", [7.0, True, None, "7"])
+    def test_seed_must_be_an_int(self, seed):
+        # fork_rng reads the seed through str(), so 7.0 and 7 would name
+        # different streams
+        with pytest.raises(InvalidParams, match="seed must be an int"):
+            SystemConfig(N=2, K=2, L=4, seed=seed)
+
 
 class TestMessageStore:
     def test_random_shape(self):
@@ -214,7 +221,7 @@ class TestRandomness:
         assert abs(counts["a"] / n - 1 / 3) < 0.01
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DistributionError):
             WeightedSampler([("a", F(1, 3))]).draw(fork_rng(0))
 
     @pytest.mark.parametrize(

@@ -671,14 +671,34 @@ class TestStoreFile:
         assert (K, L) == (2, 8)
         assert len(blob) == 8 + 2 * 8 // 8
 
+    @pytest.mark.parametrize(
+        "data, blob",
+        [
+            (((1, 0, 0, 0, 0, 0, 0, 1),), b"\x00\x00\x00\x01\x00\x00\x00\x08\x81"),
+            # not a palindrome, so a reversed bit or message order shows
+            (
+                ((1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+                 (0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0)),
+                b"\x00\x00\x00\x02\x00\x00\x00\x10\xc0\x01\x02\x80",
+            ),
+        ],
+    )
+    def test_payload_layout(self, data, blob):
+        # messages in order, each filling its bytes most significant bit first
+        store = MessageStore(K=len(data), L=len(data[0]), data=data)
+        assert store_to_bytes(store) == blob
+        assert store_from_bytes(blob) == store
+        bools = MessageStore(K=store.K, L=store.L, data=tuple(tuple(map(bool, m)) for m in data))
+        assert store_to_bytes(bools) == blob
+
     def test_length_must_be_byte_aligned(self):
         store = MessageStore.random(2, 4, fork_rng(3, "s"))
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidParams):
             store_to_bytes(store)
 
     def test_truncated_file_rejected(self):
         store = MessageStore.random(2, 8, fork_rng(4, "s"))
-        with pytest.raises(Exception):
+        with pytest.raises(MalformedFrame):
             store_from_bytes(store_to_bytes(store)[:-1])
 
     @pytest.mark.parametrize("K, L", [(0, 8), (2, 0), (0, 0)])

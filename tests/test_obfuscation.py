@@ -42,6 +42,7 @@ from ipir.obfuscation import (
 )
 
 from oracles import (
+    branching_size_weights,
     equality_build_lp,
     equality_lp_marginal,
     fraction_build_lp,
@@ -51,6 +52,7 @@ from oracles import (
     fraction_subset_marginal,
     fraction_validate_policy,
     lp_marginal,
+    recomputing_greedy_policy,
     simplex_route,
     sxu_build_lp,
     sxu_solve_lp,
@@ -148,6 +150,46 @@ def check_against_equality_form(joint, n_servers=2):
         assert solve_lp(instance).entries == simplex_route(reference, marginal).entries
 
 
+def tied_cond(rng, K):
+    """Random conditional matrix whose rows mix tied, zero and distinct
+    entries; one in five has K identical rows."""
+    rows = list(random_cond(rng, K, denmax=40).rows)
+    for s in range(K):
+        if rng.random() < 0.4:
+            parts = [rng.choice((0, 1, 1, 2, 3)) for _ in range(K)]
+            parts[rng.randrange(K)] += 1
+            rows[s] = [F(p, sum(parts)) for p in parts]
+    if rng.random() < 0.2:
+        rows = rows[:1] * K
+    return ConditionalMatrix.from_rows(rows)
+
+
+def conditional_matrices(K):
+    """Strategy: K x K conditional matrices of small-integer rows, so ties
+    and zeros are common; one flag makes every row the first."""
+    rows = st.lists(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=K, max_size=K).filter(any),
+        min_size=K,
+        max_size=K,
+    )
+
+    def build(case):
+        cells, same = case
+        return ConditionalMatrix.from_rows(
+            [[F(v, sum(row)) for v in row] for row in (cells[:1] * K if same else cells)]
+        )
+
+    return st.tuples(rows, st.booleans()).map(build)
+
+
+def outcome(construct, cond):
+    """A construction's entries in insertion order, or its error."""
+    try:
+        return list(construct(cond).entries.items())
+    except ConstructionFailed as exc:
+        return repr(exc)
+
+
 def uniform_prior_joint(cond):
     K = cond.K
     return validate_joint(
@@ -180,6 +222,15 @@ class TestLikelihoodProfile:
         j = validate_joint([[F(1, 2), F(1, 2)], [0, 0]])
         with pytest.raises(PartialSupport):
             likelihood_profile(conditional_from_joint(j))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+    def test_size_weights_match_the_case_by_case_oracle(self, K):
+        rng = random.Random(f"size-weights:{K}")
+        for _ in range(100):
+            prof = likelihood_profile(tied_cond(rng, K))
+            expected = branching_size_weights(prof)
+            assert prof.size_weights == expected
+            assert [type(w) for w in prof.size_weights] == [type(w) for w in expected]
 
     def test_weights_sum_to_one_and_first_rank_fits(self):
         rng = random.Random(10)
@@ -242,6 +293,25 @@ class TestGreedyConstruction:
                 cum += sizes[i]
                 cum_w += prof.size_weights[i]
                 assert cum >= cum_w
+
+
+class TestFreeMassEquivalence:
+    """greedy_policy, which keeps one free-mass table, against the
+    construction that re-summed each companion's future self-use
+    (oracles.recomputing_greedy_policy): the same entries in the same
+    order, or the same error."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6, 7])
+    def test_seeded_matrices(self, K):
+        rng = random.Random(f"free-mass:{K}")
+        for _ in range(150 if K < 6 else 40):
+            cond = tied_cond(rng, K)
+            assert outcome(greedy_policy, cond) == outcome(recomputing_greedy_policy, cond)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=2, max_value=7).flatmap(conditional_matrices))
+    def test_hypothesis_matrices(self, cond):
+        assert outcome(greedy_policy, cond) == outcome(recomputing_greedy_policy, cond)
 
 
 class TestLpInstance:

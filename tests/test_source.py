@@ -1,6 +1,7 @@
 """Static checks on the package source: no module-level import or constant,
-and no function, class or method, that nothing reads. Also: the README's
-library sketch runs as written."""
+and no function, class or method, that nothing reads. Also: no test
+expects a bare Exception, and the README's library sketch runs as
+written."""
 
 import ast
 import os
@@ -26,6 +27,8 @@ OUTSIDE_READERS = {
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# every failure of the package is a typed IpirError, so a test names it
+BROAD_ERRORS = {"Exception", "BaseException"}
 
 
 def module_names(tree: ast.Module):
@@ -218,6 +221,52 @@ def test_the_check_finds_unread_names():
         "outside:b.Box.shared",
         "outside:b.gone",
     ]
+
+
+def broad_raises(source: str) -> list[int]:
+    """Lines of ``source`` that call ``raises`` with Exception or
+    BaseException, alone or in a tuple, as the expected error."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "raises"
+            and node.args
+        ):
+            expected = node.args[0]
+            names = expected.elts if isinstance(expected, ast.Tuple) else [expected]
+            if any(isinstance(name, ast.Name) and name.id in BROAD_ERRORS for name in names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_test_expects_a_broad_error():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for line in broad_raises(path.read_text())
+    ]
+    assert found == []
+
+
+def test_the_check_finds_broad_errors():
+    offending = (
+        "import pytest\n"
+        "def test_a():\n"
+        "    with pytest.raises(Exception):\n"
+        "        f()\n"
+        "    with pytest.raises((ValueError, BaseException)):\n"
+        "        f()\n"
+    )
+    clean = (
+        "import pytest\n"
+        "def test_a():\n"
+        "    with pytest.raises(InvalidParams, match='Exception'):\n"
+        "        f()\n"
+    )
+    assert broad_raises(offending) == [3, 5]
+    assert broad_raises(clean) == []
 
 
 def test_readme_library_sketch_runs():
