@@ -35,12 +35,10 @@ from .obfuscation import (
     validate_policy,
 )
 from .pir import (
-    PirAnswer,
     PirKey,
     PirQuery,
     PirSession,
     SchemeParams,
-    answer_length,
     open_session,
     pir_answer,
     pir_setup,

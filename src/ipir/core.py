@@ -202,13 +202,16 @@ def capacity_cost(n_servers: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MessageStore:
-    """K messages of exactly L bits each, replicated at every server."""
+    """K messages of exactly L bits each, replicated at every server. K and
+    L are ints, not bools or floats; each bit is an int 0 or 1, or a bool."""
 
     K: int
     L: int
     data: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.K) is not int or type(self.L) is not int:
+            raise InvalidParams(f"K and L must be ints, got {self.K!r}, {self.L!r}")
         if self.K < 1:
             raise InvalidParams(f"need at least 1 message, got {self.K}")
         if self.L < 1:
@@ -218,7 +221,8 @@ class MessageStore:
         for m, bits in enumerate(self.data):
             if len(bits) != self.L:
                 raise InvalidParams(f"message {m} has {len(bits)} bits, expected {self.L}")
-            if any(b not in (0, 1) for b in bits):
+            # a bool is a bit; a float such as 1.0 is not
+            if not {*map(type, bits)} <= {int, bool} or not {*bits} <= {0, 1}:
                 raise InvalidParams(f"message {m} contains non-bit values")
 
     @classmethod

@@ -52,7 +52,8 @@ def local_transport(store: MessageStore):
 
 @dataclass(slots=True)
 class RetrievalRecord:
-    """One full retrieval: subset, queries, answers, decoded message."""
+    """One full retrieval: subset, queries, each server's answer bits,
+    decoded message."""
 
     desired: int
     subset: tuple[int, ...]
@@ -63,7 +64,7 @@ class RetrievalRecord:
     @property
     def cost(self) -> CostReport:
         """Downloaded answer bits, normalized by the message length."""
-        bits = sum(map(pir.answer_length, self.queries))
+        bits = sum(len(q.combos) for q in self.queries)
         return CostReport(total=_normalized(bits, len(self.decoded)))
 
 
@@ -75,19 +76,15 @@ def _normalized(bits: int, L: int) -> Fraction:
 
 @dataclass
 class TwoRequestTranscript:
-    s: int
-    x: int
-    u: tuple[int, ...]
+    """One trial's two retrievals: s is ``private.desired``, x is
+    ``nonprivate.desired`` and u is ``nonprivate.subset``."""
+
     private: RetrievalRecord
     nonprivate: RetrievalRecord
 
 
 @dataclass
 class TwoRequestReport:
-    n_servers: int
-    K: int
-    L: int
-    trials: int
     cost_s: CostReport
     cost_x_expected: Fraction
     cost_x_empirical: Fraction
@@ -197,20 +194,12 @@ def run_two_request(
 
         mask = samplers[(s, x)].draw(trial_rng)
         nonprivate = retrieve(params_by_mask[mask], x, store, trial_rng, transport)
-        bits_x_total += sum(map(pir.answer_length, nonprivate.queries))
+        bits_x_total += sum(len(q.combos) for q in nonprivate.queries)
         samples.append((s, x, nonprivate.subset))
         if keep_transcripts:
-            transcripts.append(
-                TwoRequestTranscript(
-                    s=s, x=x, u=nonprivate.subset, private=private, nonprivate=nonprivate
-                )
-            )
+            transcripts.append(TwoRequestTranscript(private, nonprivate))
 
     return TwoRequestReport(
-        n_servers=config.N,
-        K=config.K,
-        L=config.L,
-        trials=trials,
         cost_s=private.cost
         if private is not None
         else CostReport(total=capacity_cost(config.N, config.K)),

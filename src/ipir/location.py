@@ -145,14 +145,23 @@ class MobilityModel:
         return cls.build(pi0, mats, time_variant=False)
 
 
+def _check_ints(horizon, private):
+    if type(horizon) is not int:
+        raise InvalidParams(f"horizon must be an int, got {horizon!r}")
+    if any(type(t) is not int for t in private):
+        raise InvalidParams(f"private instants must be ints, got {private!r}")
+
+
 @dataclass(frozen=True)
 class PrivacySchedule:
-    """Horizon and the set of time instants whose location is private."""
+    """Horizon and the set of time instants whose location is private. The
+    horizon and every instant are ints, not bools or floats."""
 
     horizon: int
     private: frozenset[int]
 
     def __post_init__(self):
+        _check_ints(self.horizon, self.private)
         if self.horizon < 0:
             raise InvalidParams("horizon must be nonnegative")
         if not self.private:
@@ -166,7 +175,10 @@ class PrivacySchedule:
 
     @classmethod
     def normalized(cls, horizon: int, private) -> "PrivacySchedule":
-        """Shift time so the first private instant becomes t = 0."""
+        """Shift time so the first private instant becomes t = 0; checks the
+        horizon and instants are ints before the shift."""
+        private = [*private]
+        _check_ints(horizon, private)
         private = sorted(set(private))
         if not private:
             raise InvalidParams("the private set is empty; nothing to protect")
@@ -398,10 +410,6 @@ def step_nonprivate(
 
 @dataclass
 class TraceReport:
-    K: int
-    n_servers: int
-    horizon: int
-    solver: str
     trace: tuple[int, ...]
     steps: list[StepRecord]
     total_cost: Fraction
@@ -472,12 +480,4 @@ def simulate(
             )
         steps.append(record)
         total += record.cost
-    return TraceReport(
-        K=config.K,
-        n_servers=config.N,
-        horizon=schedule.horizon,
-        solver=solver,
-        trace=trace,
-        steps=steps,
-        total_cost=total,
-    )
+    return TraceReport(trace=trace, steps=steps, total_cost=total)

@@ -70,7 +70,7 @@ from .errors import (
     OutOfRange,
     ProtocolError,
 )
-from .pir import PirAnswer, PirQuery, pir_answer
+from .pir import PirQuery, pir_answer
 
 PROTO_VERSION = 2
 MAX_FRAME = 1 << 24
@@ -249,11 +249,11 @@ def _serve(store: MessageStore, sock: socket.socket):
         kind = message["type"]
         if kind == "query":
             try:
-                answer = pir_answer(PirQuery(server=0, combos=message["combos"]), store)
+                bits = pir_answer(PirQuery(message["combos"]), store)
             except OutOfRange as exc:
                 send_frame(sock, {"type": "error", "code": "range", "detail": str(exc)})
                 continue
-            _send(sock, _answer_body(message["session"], answer.bits))
+            _send(sock, _answer_body(message["session"], bits))
         elif kind == "hello":
             send_frame(sock, {"type": "hello", "proto_version": PROTO_VERSION,
                               "K": store.K, "L": store.L})
@@ -380,8 +380,9 @@ def _peer_closed(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
-def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[PirAnswer, int]:
-    """One server's reply, checked against its query; with the frame size."""
+def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[tuple[int, ...], int]:
+    """One server's answer bits, checked against its query; with the frame
+    size."""
     try:
         body = _recv_body(sock)
         reply = None if body is None else decode(body)
@@ -401,7 +402,7 @@ def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[PirAnswe
             f"server {address} answered {len(bits)} bits for "
             f"{len(query.combos)} combos"
         )
-    return PirAnswer(server=query.server, bits=tuple(bits)), 4 + len(body)
+    return tuple(bits), 4 + len(body)
 
 
 @dataclass
@@ -422,7 +423,7 @@ class RemoteTransport:
     _serial: int = 0
     _socks: dict[int, socket.socket] = field(default_factory=dict, repr=False)
 
-    def __call__(self, queries: list[PirQuery]) -> list[PirAnswer]:
+    def __call__(self, queries: list[PirQuery]) -> list[tuple[int, ...]]:
         if len(queries) != len(self.addresses):
             raise InvalidParams(
                 f"{len(queries)} queries for {len(self.addresses)} endpoints"
@@ -452,7 +453,7 @@ class RemoteTransport:
             # a connection may hold half a frame or a late reply
             self.close()
             raise
-        self.answer_bits += sum(len(a.bits) for a in answers)
+        self.answer_bits += sum(map(len, answers))
         self.frame_bytes += sent + received
         return answers
 

@@ -171,16 +171,11 @@ def key_count(params: SchemeParams) -> int:
 
 @dataclass(frozen=True, slots=True)
 class PirQuery:
-    """Canonical query for one server: sorted XOR-combos of (msg, bit) pairs."""
+    """Canonical query for one server: sorted XOR-combos of (msg, bit)
+    pairs. Its server is its position in ``PirSession.queries``; the
+    server's answer is a tuple of one bit per combo."""
 
-    server: int
     combos: tuple[tuple[tuple[int, int], ...], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class PirAnswer:
-    server: int
-    bits: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -406,8 +401,9 @@ def order_pattern(params: SchemeParams, order: tuple[int, ...]):
     return tuple(pattern)
 
 
-def pir_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
-    """XOR-evaluate each combo against the store; deterministic.
+def pir_answer(query: PirQuery, store: MessageStore) -> tuple[int, ...]:
+    """XOR-evaluate each combo against the store: one bit per combo,
+    deterministic.
 
     An atom must pass one sign test, ``(msg | pos) >= 0``, and index the
     store; any failure reruns the evaluation with every atom checked,
@@ -431,10 +427,10 @@ def pir_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
             append(acc)
     except (IndexError, TypeError):
         return _checked_answer(query, store)
-    return PirAnswer(server=query.server, bits=tuple(bits))
+    return tuple(bits)
 
 
-def _checked_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
+def _checked_answer(query: PirQuery, store: MessageStore) -> tuple[int, ...]:
     data = store.data
     K, L = store.K, store.L
     bits = []
@@ -445,11 +441,7 @@ def _checked_answer(query: PirQuery, store: MessageStore) -> PirAnswer:
                 raise OutOfRange(f"combo references ({msg}, {pos})")
             acc ^= data[msg][pos]
         bits.append(acc)
-    return PirAnswer(server=query.server, bits=tuple(bits))
-
-
-def answer_length(query: PirQuery) -> int:
-    return len(query.combos)
+    return tuple(bits)
 
 
 @dataclass
@@ -490,11 +482,12 @@ class PirSession:
             for slot, i in zip(heads, indices):
                 order[slot] = i
             orders.append(tuple(filter(None, order)))
-        queries = [PirQuery(n, _getter(order)(combos)) for n, order in enumerate(orders)]
+        queries = [PirQuery(_getter(order)(combos)) for order in orders]
         return cls(params, desired, key, queries, orders, tables)
 
-    def decode(self, answers: list[PirAnswer]) -> tuple[int, ...]:
-        """Recover all L bits of the desired message; zero error by construction."""
+    def decode(self, answers: list[tuple[int, ...]]) -> tuple[int, ...]:
+        """Recover all L bits of the desired message from each server's
+        answer bits, in server order; zero error by construction."""
         if len(answers) != len(self.queries):
             raise InconsistentAnswers(
                 f"{len(answers)} answers for {len(self.queries)} queries"
@@ -502,11 +495,11 @@ class PirSession:
         _, first, side, size = self._tables
         bits = [0] * size
         for n, (order, answer) in enumerate(zip(self._orders, answers)):
-            if len(answer.bits) != len(order):
+            if len(answer) != len(order):
                 raise InconsistentAnswers(
-                    f"server {n} answered {len(answer.bits)} bits for {len(order)} combos"
+                    f"server {n} answered {len(answer)} bits for {len(order)} combos"
                 )
-            for i, bit in zip(order, answer.bits):
+            for i, bit in zip(order, answer):
                 bits[i] = bit
         # the desired atoms land, in ascending order, at the desired
         # member's slots j * L + p, p their bit positions

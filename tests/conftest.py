@@ -23,7 +23,6 @@ from ipir.core import (
     validate_joint,
 )
 from ipir.intermittent import local_transport
-from ipir.pir import PirAnswer
 
 
 @pytest.fixture
@@ -90,8 +89,7 @@ def flipping_transport():
         def exchange(queries):
             answers = local(queries)
             if len(calls) == flip_call:
-                bits = (answers[0].bits[0] ^ 1,) + answers[0].bits[1:]
-                answers[0] = PirAnswer(server=answers[0].server, bits=bits)
+                answers[0] = (answers[0][0] ^ 1,) + answers[0][1:]
             calls.append(len(queries))
             return answers
 

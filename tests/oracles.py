@@ -367,10 +367,7 @@ def session_plan(params: pir.SchemeParams, desired: int, key: pir.PirKey):
         for n in range(params.n_servers):
             per_server[n].extend(block_combos[n])
         decode.extend(block_decode)
-    queries = [
-        pir.PirQuery(server=n, combos=tuple(sorted(per_server[n])))
-        for n in range(params.n_servers)
-    ]
+    queries = [pir.PirQuery(tuple(sorted(combos))) for combos in per_server]
     return queries, decode
 
 
@@ -546,13 +543,13 @@ class PooledSession:
                 f"{len(answers)} answers for {len(self.queries)} queries"
             )
         lookup = []
-        for query, answer in zip(self.queries, answers):
-            if len(answer.bits) != len(query.combos):
+        for n, (query, answer) in enumerate(zip(self.queries, answers)):
+            if len(answer) != len(query.combos):
                 raise InconsistentAnswers(
-                    f"server {query.server} answered {len(answer.bits)} bits "
+                    f"server {n} answered {len(answer)} bits "
                     f"for {len(query.combos)} combos"
                 )
-            lookup.append(dict(zip([c[0] for c in query.combos], answer.bits)))
+            lookup.append(dict(zip([c[0] for c in query.combos], answer)))
         bits = [0] * self.params.L
         for pos, n, first, side_server, side_first in self.plan:
             value = lookup[n][first]
@@ -578,7 +575,7 @@ def pooled_session(params: pir.SchemeParams, desired: int, key: pir.PirKey) -> P
             for get, base in placed:
                 combo = get(pool)
                 slots[base + combo[0][1]] = combo
-        queries.append(pir.PirQuery(n, tuple(filter(None, slots))))
+        queries.append(pir.PirQuery(tuple(filter(None, slots))))
     decode = [
         (pool[a][1], n, pool[first], m, None if m is None else pool[side])
         for pool in pools
@@ -587,7 +584,7 @@ def pooled_session(params: pir.SchemeParams, desired: int, key: pir.PirKey) -> P
     return PooledSession(params, queries, decode)
 
 
-def checked_answer(query: pir.PirQuery, store) -> pir.PirAnswer:
+def checked_answer(query: pir.PirQuery, store) -> tuple[int, ...]:
     """XOR-evaluate each combo, checking every atom before reading it.
 
     This is the loop that ``pir.pir_answer`` replaced with one sign test
@@ -604,7 +601,7 @@ def checked_answer(query: pir.PirQuery, store) -> pir.PirAnswer:
                 raise OutOfRange(f"combo references ({msg}, {pos})")
             acc ^= data[msg][pos]
         bits.append(acc)
-    return pir.PirAnswer(server=query.server, bits=tuple(bits))
+    return tuple(bits)
 
 
 def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
@@ -618,8 +615,8 @@ def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     )
     pools = _pools(params, desired, key)
     return [
-        pir.PirQuery(n, tuple(sorted([get(pool) for pool in pools for get, _ in combos])))
-        for n, combos in enumerate(getters)
+        pir.PirQuery(tuple(sorted([get(pool) for pool in pools for get, _ in combos])))
+        for combos in getters
     ]
 
 
@@ -763,8 +760,8 @@ def session_pattern_counts(
                 params = pir.pir_setup(config.N, indices_of(mask), config.L)
                 params_cache[mask] = params
             session = pir.open_session(params, x, rng)
-            for query in session.queries:
-                by_mask = pattern_counts[query.server][s]
+            for server, query in enumerate(session.queries):
+                by_mask = pattern_counts[server][s]
                 counts = by_mask.get(mask)
                 if counts is None:
                     counts = by_mask[mask] = Counter()
@@ -1243,15 +1240,7 @@ def simulate_stepwise(
             )
         steps.append(record)
         total += record.cost
-    return TraceReport(
-        K=config.K,
-        n_servers=config.N,
-        horizon=schedule.horizon,
-        solver=solver,
-        trace=trace,
-        steps=steps,
-        total_cost=total,
-    )
+    return TraceReport(trace=trace, steps=steps, total_cost=total)
 
 
 def step_law(state: PosteriorState, policy: ObfuscationPolicy) -> tuple[dict, int]:

@@ -82,7 +82,7 @@ def test_criterion_1_two_request_reproduction():
     # (a) the private request is a full-scheme retrieval of exactly 6 bits
     full = pir.pir_setup(config.N, range(config.K), config.L)
     record = retrieve(full, 0, store, fork_rng(config.seed, "private"))
-    bits_private = sum(len(a.bits) for a in record.answers)
+    bits_private = sum(map(len, record.answers))
     ok_a = bits_private == 6 and record.cost.total == F(3, 2) == capacity_cost(2, 2)
 
     # (b) conditioned on equal requests, the branch mix downloads 16/3 bits
@@ -100,7 +100,7 @@ def test_criterion_1_two_request_reproduction():
         session = pir.open_session(params[mask], 0, rng)
         answers = [pir.pir_answer(q, store) for q in session.queries]
         assert session.decode(answers) == store.data[0]
-        bits += sum(len(a.bits) for a in answers)
+        bits += sum(map(len, answers))
     mean_bits = bits / trials
     ok_b = abs(mean_bits - 16 / 3) <= 0.05
 

@@ -39,7 +39,7 @@ from ipir.location import (
     initial_posterior,
     policy_for_posterior,
 )
-from ipir.errors import InvalidParams, NegativeEntry, UnsupportedPair
+from ipir.errors import ExactModeInfeasible, InvalidParams, NegativeEntry, UnsupportedPair
 from ipir.obfuscation import (
     ObfuscationPolicy,
     build_lp,
@@ -49,7 +49,7 @@ from ipir.obfuscation import (
     subset_samplers,
     trivial_policy,
 )
-from ipir import pir
+from ipir import audit, pir
 
 from oracles import (
     enumerate_mechanism,
@@ -553,6 +553,21 @@ class TestLeakEquivalence:
         config = SystemConfig(N=2, K=1, L=2, seed=0)
         report = audit_leak_equivalence(joint, trivial_policy(1), config)
         assert report.passed
+
+    def test_over_the_cap_raises_before_any_enumeration(
+        self, monkeypatch, pair_joint, pair_cond, config22
+    ):
+        # the full scheme alone has (4!)^2 keys at N=2, K=2, L=4
+        full = pir.key_count(pir.pir_setup(2, range(2), 4))
+        assert full == 576
+        monkeypatch.setattr(audit, "EXACT_STATE_CAP", full - 1)
+
+        def enumerated(*args):
+            raise AssertionError("keys enumerated over the cap")
+
+        monkeypatch.setattr(pir, "enumerate_keys", enumerated)
+        with pytest.raises(ExactModeInfeasible, match="exceed the cap 575"):
+            audit_leak_equivalence(pair_joint, greedy_policy(pair_cond), config22)
 
 
 class TestOnlinePrivacy:

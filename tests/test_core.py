@@ -202,6 +202,17 @@ class TestMessageStore:
         with pytest.raises(InvalidParams):
             MessageStore.random(K, L, fork_rng(0, "s"))
 
+    @pytest.mark.parametrize("K, L", [(1, 8.0), (1.0, 8), (True, 8), (1, True)])
+    def test_sizes_that_are_not_ints_rejected(self, K, L):
+        # a float or bool size equals an int one, so only its type can refuse it
+        with pytest.raises(InvalidParams, match="K and L must be ints"):
+            MessageStore(K=K, L=L, data=((1,) * int(L),) * int(K))
+
+    @pytest.mark.parametrize("bit", [1.0, 0.0, 2, -1, "1", None])
+    def test_values_that_are_not_bits_rejected(self, bit):
+        with pytest.raises(InvalidParams, match="non-bit"):
+            MessageStore(K=1, L=8, data=((1,) * 7 + (bit,),))
+
 
 class TestRandomness:
     def test_fork_is_deterministic_and_labelled(self):

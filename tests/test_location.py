@@ -121,6 +121,28 @@ class TestSchedule:
         with pytest.raises(InvalidParams):
             PrivacySchedule.normalized(3, [])
 
+    @pytest.mark.parametrize(
+        "horizon, private",
+        [(3.7, {0, 1.5}), (3.0, {0}), (True, {0}), ("3", {0}),
+         (3, {0, 1.5}), (3, {0, 2.0}), (3, {False, 2})],
+    )
+    def test_values_that_are_not_ints_rejected(self, horizon, private):
+        with pytest.raises(InvalidParams, match="must be an int|must be ints"):
+            PrivacySchedule(horizon=horizon, private=frozenset(private))
+
+    @pytest.mark.parametrize(
+        "horizon, private, message",
+        [("3", ["1"], "horizon must be an int, got '3'"),
+         (3.0, [1], "horizon must be an int, got 3.0"),
+         (3, ["1"], r"private instants must be ints, got \['1'\]"),
+         # checked before the shift, which would make them 0 and 1.0
+         (3, [1, 2.0], r"private instants must be ints, got \[1, 2.0\]"),
+         (3, [True, 2], r"private instants must be ints, got \[True, 2\]")],
+    )
+    def test_normalized_rejects_values_that_are_not_ints(self, horizon, private, message):
+        with pytest.raises(InvalidParams, match=message):
+            PrivacySchedule.normalized(horizon, private)
+
 
 class TestMobilityModel:
     def test_rows_must_be_stochastic(self):

@@ -6,6 +6,7 @@ import struct
 import threading
 import time
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from ipir.errors import (
     OutOfRange,
     ProtocolError,
 )
-from ipir.intermittent import run_two_request
+from ipir.intermittent import local_transport, run_two_request
 from ipir.net import (
     MAX_FRAME,
     QUERY,
@@ -35,7 +36,7 @@ from ipir.net import (
     store_to_bytes,
 )
 from ipir.obfuscation import greedy_policy
-from ipir.pir import PirQuery, PirSession, pir_answer, pir_setup
+from ipir.pir import PirQuery, PirSession, open_session, pir_answer, pir_setup
 
 from oracles import key_from_perms
 
@@ -154,7 +155,7 @@ class TestFraming:
         tracemalloc.start()
         try:
             message = decode(body)
-            pir_answer(PirQuery(server=0, combos=message["combos"]), store)
+            pir_answer(PirQuery(message["combos"]), store)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -169,16 +170,16 @@ class TestServer:
         assert reply["proto_version"] == 2
 
     def test_single_lookup(self, running_pair, store22):
-        query = PirQuery(server=0, combos=(((0, 0),),))
+        query = PirQuery((((0, 0),),))
         transport = RemoteTransport(addresses=[running_pair[0].address])
         try:
             answers = transport([query])
         finally:
             transport.close()
-        assert answers[0].bits == (store22.data[0][0],)
+        assert answers[0] == (store22.data[0][0],)
 
     def test_out_of_range_is_reported(self, running_pair):
-        query = PirQuery(server=0, combos=(((0, 99),),))
+        query = PirQuery((((0, 99),),))
         transport = RemoteTransport(addresses=[running_pair[0].address])
         try:
             with pytest.raises(ProtocolError) as err:
@@ -199,7 +200,7 @@ class TestServer:
         server = serve(store22)
         address = server.address
         server.close()
-        query = PirQuery(server=0, combos=(((0, 0),),))
+        query = PirQuery((((0, 0),),))
         transport = RemoteTransport(addresses=[address], timeout=0.5)
         try:
             with pytest.raises(FetchTimeout) as err:
@@ -214,7 +215,29 @@ class TestServer:
             answers = transport(textbook_queries())
         finally:
             transport.close()
-        assert sum(len(a.bits) for a in answers) == 6
+        assert sum(map(len, answers)) == 6
+
+    def test_every_transport_answers_equal_tuples_of_ints(self, running_pair, store22):
+        # an answer is the bit tuple alone, whichever way it was fetched
+        rng = fork_rng(3, "answers")
+        transport = RemoteTransport(addresses=[s.address for s in running_pair])
+        local = local_transport(store22)
+        try:
+            for subset in ((0,), (1,), (0, 1)):
+                params = pir_setup(2, subset, 4)
+                for desired in subset:
+                    queries = open_session(params, desired, rng).queries
+                    answers = [
+                        [pir_answer(q, store22) for q in queries],
+                        local(queries),
+                        transport(queries),
+                    ]
+                    assert answers[0] == answers[1] == answers[2]
+                    for answer, query in zip(chain(*answers), queries * 3):
+                        assert type(answer) is tuple and len(answer) == len(query.combos)
+                        assert {type(b) for b in answer} == {int}
+        finally:
+            transport.close()
 
     def test_query_longer_than_the_store_allows_is_refused_unread(
         self, running_pair, store22
@@ -277,13 +300,13 @@ class TestServer:
         self, running_pair, store22
     ):
         transport = RemoteTransport(addresses=[running_pair[0].address])
-        good = [PirQuery(server=0, combos=(((1, 2),),))]
+        good = [PirQuery((((1, 2),),))]
         try:
             transport(good)
             with pytest.raises(OutOfRange):
-                transport([PirQuery(server=0, combos=(((-1, 0),),))])
+                transport([PirQuery((((-1, 0),),))])
             assert transport._socks == {}  # every connection was dropped
-            assert transport(good)[0].bits == (store22.data[1][2],)
+            assert transport(good)[0] == (store22.data[1][2],)
             assert transport.answer_bits == 2
         finally:
             transport.close()
@@ -321,7 +344,7 @@ class TestServer:
         monkeypatch.setattr(net, "MAX_CONNECTIONS", 2)
         server = serve(store22)
         transport = RemoteTransport(addresses=[server.address])
-        query = [PirQuery(server=0, combos=(((0, 0),),))]
+        query = [PirQuery((((0, 0),),))]
         try:
             with socket.create_connection(server.address, timeout=5) as first, \
                     socket.create_connection(server.address, timeout=5) as second:
@@ -334,7 +357,7 @@ class TestServer:
             deadline = time.monotonic() + 5
             while len(other_threads()) > 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert transport(query)[0].bits == pir_answer(query[0], store22).bits
+            assert transport(query)[0] == pir_answer(query[0], store22)
         finally:
             transport.close()
             server.close()
@@ -353,7 +376,7 @@ class TestServer:
         server = serve(store22)
         transport = RemoteTransport(addresses=[server.address])
         try:
-            transport([PirQuery(server=0, combos=(((0, 0),),))])
+            transport([PirQuery((((0, 0),),))])
             assert len(other_threads()) == 2  # the accept loop and one handler
             start = time.perf_counter()
             server.close()
@@ -529,8 +552,8 @@ class FakeReplica:
                 fault, self.fault = self.fault, None
                 fault(conn, message)
                 return
-            query = PirQuery(server=0, combos=message["combos"])
-            bits = pir_answer(query, self.store).bits
+            query = PirQuery(message["combos"])
+            bits = pir_answer(query, self.store)
             send_frame(conn, {"type": "answer", "session": message["session"], "bits": bits})
 
     def close(self):
@@ -596,7 +619,7 @@ class TestFaults:
         fault, expected, timeout = FAULTS[name]
         fake = FakeReplica(store22, fault)
         queries = textbook_queries()
-        honest = [pir_answer(q, store22).bits for q in queries]
+        honest = [pir_answer(q, store22) for q in queries]
         transport = RemoteTransport(
             addresses=[fake.address, running_pair[1].address], timeout=timeout
         )
@@ -609,7 +632,7 @@ class TestFaults:
             if name == "stalled peer":
                 assert isinstance(err.value.__cause__, TimeoutError)
             assert (transport.answer_bits, transport.frame_bytes) == (0, 0)
-            assert [a.bits for a in transport(queries)] == honest
+            assert transport(queries) == honest
             assert transport.answer_bits == 6
         finally:
             transport.close()
@@ -621,8 +644,8 @@ class TestFaults:
         transport = RemoteTransport(addresses=[fake.address])
         try:
             for combo in range(5):
-                query = PirQuery(server=0, combos=(((0, combo % 4),),))
-                assert transport([query])[0].bits == (store22.data[0][combo % 4],)
+                query = PirQuery((((0, combo % 4),),))
+                assert transport([query])[0] == (store22.data[0][combo % 4],)
         finally:
             transport.close()
             fake.close()
@@ -631,10 +654,10 @@ class TestFaults:
     def test_session_ids_wrap_modulo_2_to_the_32(self, store22):
         fake = FakeReplica(store22, None)
         transport = RemoteTransport(addresses=[fake.address], _serial=2**32 - 1)
-        query = PirQuery(server=0, combos=(((1, 2),),))
+        query = PirQuery((((1, 2),),))
         try:
             for _ in range(2):
-                assert transport([query])[0].bits == (store22.data[1][2],)
+                assert transport([query])[0] == (store22.data[1][2],)
         finally:
             transport.close()
             fake.close()
@@ -646,14 +669,14 @@ class TestFaults:
         monkeypatch.setattr(net, "IDLE_TIMEOUT", 0.05)
         server = serve(store22)
         transport = RemoteTransport(addresses=[server.address])
-        query = PirQuery(server=0, combos=(((1, 2),),))
+        query = PirQuery((((1, 2),),))
         try:
             transport([query])
             deadline = time.monotonic() + 2.0
             while len(other_threads()) > 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert len(other_threads()) == 1  # the handler left on its timeout
-            assert transport([query])[0].bits == (store22.data[1][2],)
+            assert transport([query])[0] == (store22.data[1][2],)
         finally:
             transport.close()
             server.close()

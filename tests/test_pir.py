@@ -13,11 +13,9 @@ from ipir.errors import (
     OutOfRange,
 )
 from ipir.pir import (
-    PirAnswer,
     PirKey,
     PirQuery,
     PirSession,
-    answer_length,
     enumerate_keys,
     key_count,
     open_session,
@@ -46,7 +44,9 @@ def plan_decode(queries, plan, answers, L):
     """Decode by ``session_plan``'s entries: each desired bit is the answer
     to its combo, XORed with the answer to its side combo, if any."""
     bit = {
-        (q.server, combo): b for q, a in zip(queries, answers) for combo, b in zip(q.combos, a.bits)
+        (n, combo): b
+        for n, (q, a) in enumerate(zip(queries, answers))
+        for combo, b in zip(q.combos, a)
     }
     out = [0] * L
     for pos, server, combo, side_server, side in plan:
@@ -65,9 +65,7 @@ def assert_session_matches_oracles(params, desired, key, rng):
     store = MessageStore.random(max(params.subset) + 1, params.L, rng)
     answers = [pir_answer(q, store) for q in session.queries]
     assert session.decode(answers) == pooled.decode(answers) == store.data[desired]
-    noise = [
-        PirAnswer(q.server, tuple(rng.getrandbits(1) for _ in q.combos)) for q in session.queries
-    ]
+    noise = [tuple(rng.getrandbits(1) for _ in q.combos) for q in session.queries]
     assert (
         session.decode(noise)
         == pooled.decode(noise)
@@ -166,42 +164,42 @@ class TestQueryStructure:
                 L = n**k
                 params = pir_setup(n, range(k), L)
                 queries = open_session(params, 0, fork_rng(n, k)).queries
-                total = sum(answer_length(q) for q in queries)
+                total = sum(len(q.combos) for q in queries)
                 assert total == L * capacity_cost(n, k)
 
     def test_eight_bit_three_message_download(self):
         params = pir_setup(2, (0, 1, 2), 8)
         queries = open_session(params, 2, fork_rng(5, "k")).queries
-        assert sum(answer_length(q) for q in queries) == 14
-        assert all(answer_length(q) == 7 for q in queries)
+        assert sum(len(q.combos) for q in queries) == 14
+        assert all(len(q.combos) == 7 for q in queries)
 
 
 class TestAnswers:
     def test_single_bit_lookup(self):
         store = MessageStore(K=2, L=4, data=((1, 0, 1, 0), (0, 1, 1, 0)))
-        q = PirQuery(server=0, combos=(((0, 0),),))
-        assert pir_answer(q, store).bits == (1,)
+        q = PirQuery((((0, 0),),))
+        assert pir_answer(q, store) == (1,)
 
     def test_xor_combo(self):
         store = MessageStore(K=2, L=4, data=((1, 0, 1, 0), (0, 1, 1, 0)))
-        q = PirQuery(server=0, combos=(((0, 2), (1, 1)),))
-        assert pir_answer(q, store).bits == (1 ^ 1,)
+        q = PirQuery((((0, 2), (1, 1)),))
+        assert pir_answer(q, store) == (1 ^ 1,)
 
     def test_empty_query(self):
         store = MessageStore(K=1, L=4, data=((1, 0, 1, 0),))
-        assert pir_answer(PirQuery(server=0, combos=()), store).bits == ()
+        assert pir_answer(PirQuery(()), store) == ()
 
     def test_out_of_range(self):
         store = MessageStore(K=1, L=4, data=((1, 0, 1, 0),))
         with pytest.raises(OutOfRange):
-            pir_answer(PirQuery(server=0, combos=(((0, 9),),)), store)
+            pir_answer(PirQuery((((0, 9),),)), store)
 
 
 def outcome(answer, query, store):
     """The bits an answer function gives, or the type and message of what
     it raises."""
     try:
-        return answer(query, store).bits
+        return answer(query, store)
     except Exception as exc:  # the exception is the outcome
         return type(exc), str(exc)
 
@@ -230,7 +228,7 @@ class TestAnswerParity:
         # checked loop
         outcomes = []
         for combos in self.placements(atom):
-            query = PirQuery(1, combos)
+            query = PirQuery(combos)
             lean = outcome(pir_answer, query, self.STORE)
             assert lean == outcome(checked_answer, query, self.STORE), combos
             outcomes.append(lean)
@@ -292,9 +290,9 @@ class TestDecode:
         store = MessageStore.random(2, 4, rng)
         session = open_session(params, 0, rng)
         answers = [pir_answer(q, store) for q in session.queries]
-        bits = list(answers[0].bits)
+        bits = list(answers[0])
         bits[0] ^= 1
-        answers[0] = PirAnswer(server=0, bits=tuple(bits))
+        answers[0] = tuple(bits)
         assert session.decode(answers) != store.data[0]
 
     def test_length_mismatch_detected(self):
@@ -303,7 +301,7 @@ class TestDecode:
         store = MessageStore.random(2, 4, rng)
         session = open_session(params, 0, rng)
         answers = [pir_answer(q, store) for q in session.queries]
-        answers[1] = PirAnswer(server=1, bits=answers[1].bits[:-1])
+        answers[1] = answers[1][:-1]
         with pytest.raises(InconsistentAnswers):
             session.decode(answers)
 
@@ -535,8 +533,8 @@ class TestQueryPrivacy:
         assert key_count(params) == 6
         c = Counter()
         for key in enumerate_keys(params):
-            for q in PirSession.from_key(params, 2, key).queries:
-                c[(q.server, q.combos)] += 1
+            for server, q in enumerate(PirSession.from_key(params, 2, key).queries):
+                c[(server, q.combos)] += 1
         # every position must appear exactly twice per server over 6 keys
         for (server, combos), n in c.items():
             assert n == 2

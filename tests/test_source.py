@@ -1,7 +1,7 @@
 """Static checks on the package source: no module-level import or constant,
 and no function, class or method, that nothing reads. Also: no test
-expects a bare Exception, and the README's library sketch runs as
-written."""
+expects a bare Exception, the README names every export of the package,
+and its library sketch runs as written."""
 
 import ast
 import os
@@ -267,6 +267,19 @@ def test_the_check_finds_broad_errors():
     )
     assert broad_raises(offending) == [3, 5]
     assert broad_raises(clean) == []
+
+
+def test_readme_names_every_export():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    readers = {"README.md": (ROOT / "README.md").read_text()}
+    assert "PirSession" in exports
+    assert [name for name in exports if not names_word("README.md", name, readers)] == []
 
 
 def test_readme_library_sketch_runs():
