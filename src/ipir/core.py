@@ -49,9 +49,9 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def approx(value: Fraction, digits: int = 4) -> str:
+def approx(value: Fraction) -> str:
     """Human-readable "a/b (≈x.xxxx)" rendering used in reports."""
-    return f"{format_rational(value)} (≈{float(value):.{digits}f})"
+    return f"{format_rational(value)} (≈{float(value):.4f})"
 
 
 def scale_to_integers(values) -> tuple[list[int], int]:
@@ -259,6 +259,14 @@ class SystemConfig:
         if self.L < 1 or self.L % (self.N**self.K) != 0:
             raise InvalidParams(
                 f"L={self.L} must be a positive multiple of N^K={self.N ** self.K}"
+            )
+
+    def check_store(self, store: MessageStore) -> None:
+        """Raise InvalidParams unless ``store`` holds K messages of L bits,
+        as this config does."""
+        if (store.K, store.L) != (self.K, self.L):
+            raise InvalidParams(
+                f"store has K={store.K}, L={store.L}; config has K={self.K}, L={self.L}"
             )
 
 

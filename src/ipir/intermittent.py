@@ -155,13 +155,17 @@ def run_two_request(
     non-private cost, ``cost_s``, ``cost_x_expected`` and every trial's
     (s, x) draw unchanged, but a skipped private key draw shifts the rest
     of that trial's stream, so the sampled subsets, and with them
-    ``cost_x_empirical``, differ from a run with the flag on. A negative
-    ``trials`` raises InvalidParams, a policy with no entries at a request
-    pair of positive mass raises UnsupportedPair, and a negative policy
-    entry there raises NegativeEntry, all before any draw.
+    ``cost_x_empirical``, differ from a run with the flag on. A ``trials``
+    that is not an int (a bool included) or is negative, and a store whose
+    K or L differs from the config's, raise InvalidParams, a policy with no
+    entries at a request pair of positive mass raises UnsupportedPair, and
+    a negative policy entry there raises NegativeEntry, all before any draw.
     """
+    if type(trials) is not int:
+        raise InvalidParams(f"trials must be an int, got {trials!r}")
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")
+    config.check_store(store)
     transport = transport or local_transport(store)
     pair_sampler = WeightedSampler(
         ((s, x), joint.table[s][x])

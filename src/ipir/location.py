@@ -73,7 +73,8 @@ class MobilityModel:
     """First-order Markov chain on [K]: initial law and transition matrices.
 
     ``transitions`` holds one row-stochastic matrix for a time-invariant
-    chain, or one matrix per step t -> t+1 for a time-variant chain.
+    chain, or one matrix per step t -> t+1 for a time-variant chain; more
+    than one matrix for a time-invariant chain raises DistributionError.
     ``kernels`` holds each matrix as (integer rows, D): its entries times
     D, the lcm of their denominators, scaled once when the model is built.
     """
@@ -93,6 +94,10 @@ class MobilityModel:
             raise DistributionError("pi0 does not sum to 1")
         if not self.transitions:
             raise DistributionError("no transition matrix given")
+        if len(self.transitions) > 1 and not self.time_variant:
+            raise DistributionError(
+                f"{len(self.transitions)} transition matrices for a time-invariant chain"
+            )
         kernels = []
         for matrix in self.transitions:
             if len(matrix) != self.K:
@@ -443,16 +448,14 @@ def simulate(
     store: MessageStore,
     solver: str = "lp",
     transport=None,
-    trace: tuple[int, ...] | None = None,
 ) -> TraceReport:
-    """Run the mechanism over a sampled (or given) trace; deterministic in
-    config.seed."""
+    """Run the mechanism over a trace sampled from the model; deterministic
+    in config.seed. A caller with a trace of its own drives
+    ``step_private`` and ``step_nonprivate``."""
     if model.K != config.K or store.K != config.K:
         raise InvalidParams("location count mismatch between model, store, and config")
-    if trace is None:
-        trace = sample_trace(model, schedule.horizon, fork_rng(config.seed, "trace"))
-    if len(trace) != schedule.horizon + 1:
-        raise InvalidParams(f"trace length {len(trace)} != horizon + 1")
+    config.check_store(store)
+    trace = sample_trace(model, schedule.horizon, fork_rng(config.seed, "trace"))
 
     state = initial_posterior(model)
     steps: list[StepRecord] = []

@@ -5,7 +5,8 @@ prefix followed by a body of at most 2**24 bytes, a one-byte tag and then
 big-endian fields:
 
 - hello (0x01): nothing more from a client; from a server the u32 words
-  ``[proto_version, K, L]``.
+  ``[proto_version, K, L]``. Replicas answer it; the library has no client
+  helper that sends it.
 - query (0x02): u32 words ``[session, n_combos, size_0 ... size_{n-1},
   msg, pos, msg, pos, ...]``, each combo's atom count and then the atoms
   of every combo in order.
@@ -224,12 +225,6 @@ def _recv_body(sock: socket.socket, limit: int = MAX_FRAME) -> bytes | None:
     return body
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Read one frame; None on clean EOF."""
-    body = _recv_body(sock)
-    return None if body is None else decode(body)
-
-
 def _serve(store: MessageStore, sock: socket.socket):
     # tag, session, count, then at most K·L sizes and K·L atoms
     limit = min(MAX_FRAME, 1 + 4 * (2 + 3 * store.K * store.L))
@@ -418,10 +413,10 @@ class RemoteTransport:
 
     addresses: list[tuple[str, int]]
     timeout: float = 5.0
-    answer_bits: int = 0
-    frame_bytes: int = 0
-    _serial: int = 0
-    _socks: dict[int, socket.socket] = field(default_factory=dict, repr=False)
+    answer_bits: int = field(default=0, init=False)
+    frame_bytes: int = field(default=0, init=False)
+    _serial: int = field(default=0, init=False)
+    _socks: dict[int, socket.socket] = field(default_factory=dict, init=False, repr=False)
 
     def __call__(self, queries: list[PirQuery]) -> list[tuple[int, ...]]:
         if len(queries) != len(self.addresses):
@@ -474,19 +469,6 @@ class RemoteTransport:
         for sock in self._socks.values():
             sock.close()
         self._socks.clear()
-
-
-def hello(address, timeout: float = 5.0) -> dict:
-    """Ask one server for its parameters."""
-    try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            send_frame(sock, {"type": "hello"})
-            reply = recv_frame(sock)
-    except OSError as exc:
-        raise FetchTimeout(_endpoint(address)) from exc
-    if not reply or reply["type"] != "hello" or "K" not in reply:
-        raise ProtocolError(f"bad hello reply from {address}")
-    return reply
 
 
 STORE_MAGIC_LEN = 8  # two 4-byte big-endian fields: K, L

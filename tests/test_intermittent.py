@@ -128,6 +128,41 @@ class TestRunTwoRequest:
         with pytest.raises(InvalidParams):
             run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=-3)
 
+    @pytest.mark.parametrize("trials", [2.5, "3", None, True], ids=repr)
+    def test_trials_that_are_not_ints_are_refused_before_any_draw(
+        self, pair_joint, config22, store22, trials, monkeypatch
+    ):
+        def no_draw(self, rng):
+            raise AssertionError("drew before checking trials")
+
+        monkeypatch.setattr(WeightedSampler, "draw", no_draw)
+        with pytest.raises(InvalidParams, match=f"trials must be an int, got {trials!r}"):
+            run_two_request(pair_joint, trivial_policy(2), config22, store22, trials=trials)
+
+    @pytest.mark.parametrize(
+        "config, store",
+        [
+            (SystemConfig(N=2, K=2, L=4), MessageStore.random(2, 8, fork_rng(1, "s"))),
+            (SystemConfig(N=2, K=2, L=8), MessageStore.random(2, 4, fork_rng(2, "s"))),
+            (SystemConfig(N=2, K=2, L=4), MessageStore.random(3, 4, fork_rng(3, "s"))),
+        ],
+        ids=["longer messages", "shorter messages", "more messages"],
+    )
+    def test_store_of_another_size_is_refused_before_any_exchange(
+        self, pair_joint, config, store, monkeypatch
+    ):
+        def no_draw(self, rng):
+            raise AssertionError("drew before checking the store")
+
+        def transport(queries):
+            raise AssertionError("exchanged before checking the store")
+
+        monkeypatch.setattr(WeightedSampler, "draw", no_draw)
+        with pytest.raises(InvalidParams, match=f"store has K={store.K}, L={store.L}"):
+            run_two_request(
+                pair_joint, trivial_policy(2), config, store, trials=5, transport=transport
+            )
+
     def test_incomplete_policy_names_the_pair_before_any_draw(self, config22, store22):
         # K=2 uniform law with the trivial policy missing its (0, 1) entry
         joint = validate_joint([[F(1, 4)] * 2] * 2)

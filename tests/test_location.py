@@ -167,6 +167,22 @@ class TestMobilityModel:
         again = MobilityModel.from_json_dict({**data, "transitions": [data["transitions"]] * 2})
         assert again.time_variant and again.transitions == two_state_model().transitions * 2
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda pi0, mats: MobilityModel.build(pi0, mats, time_variant=False),
+            lambda pi0, mats: MobilityModel(K=2, pi0=tuple(pi0), transitions=tuple(mats)),
+        ],
+        ids=["build", "constructor"],
+    )
+    def test_several_matrices_need_a_time_variant_chain(self, build):
+        # every step once ran on the first matrix, so a walk from 0 under
+        # the identity and then a swap stayed at 0
+        identity = ((F(1), F(0)), (F(0), F(1)))
+        swap = ((F(0), F(1)), (F(1), F(0)))
+        with pytest.raises(DistributionError, match="2 transition matrices"):
+            build((F(1), F(0)), (identity, swap))
+
     def test_bad_initial_distribution_rejected(self):
         with pytest.raises(DistributionError):
             MobilityModel.build([F(1, 2), F(1, 4)], [[[F(1, 2), F(1, 2)]] * 2])
@@ -415,6 +431,40 @@ class TestSimulate:
         assert report.all_private_zero()
         # after the iid step the posterior is independent: step 3 is free
         assert report.steps[2].cost == 1
+
+    @pytest.mark.parametrize(
+        "config, store, message",
+        [
+            (SystemConfig(N=2, K=2, L=4), MessageStore.random(2, 8, fork_rng(1, "s")),
+             "store has K=2, L=8; config has K=2, L=4"),
+            (SystemConfig(N=2, K=2, L=8), MessageStore.random(2, 4, fork_rng(2, "s")),
+             "store has K=2, L=4; config has K=2, L=8"),
+            (SystemConfig(N=2, K=2, L=4), MessageStore.random(3, 4, fork_rng(3, "s")),
+             "location count mismatch"),
+        ],
+        ids=["longer messages", "shorter messages", "more messages"],
+    )
+    def test_store_of_another_size_is_refused_before_any_exchange(
+        self, config, store, message
+    ):
+        def transport(queries):
+            raise AssertionError("exchanged before checking the store")
+
+        sched = PrivacySchedule(horizon=3, private=frozenset({0}))
+        with pytest.raises(InvalidParams, match=message):
+            simulate(self.model, sched, config, store, transport=transport)
+
+    def test_short_time_variant_chain_fails_before_any_exchange(self):
+        # the trace is sampled, and runs out of matrices, before step 0
+        mats = [[[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]] * 2
+        model = MobilityModel.build([F(1, 2), F(1, 2)], mats)
+
+        def transport(queries):
+            raise AssertionError("exchanged before sampling the trace")
+
+        sched = PrivacySchedule(horizon=3, private=frozenset({0}))
+        with pytest.raises(InvalidParams, match="no transition matrix for step 2"):
+            simulate(model, sched, self.config, self.store, transport=transport)
 
     @pytest.mark.parametrize("flip_call", [0, 1], ids=["private", "nonprivate"])
     def test_flipped_answer_bit_is_caught(self, flip_call, flipping_transport):

@@ -28,8 +28,6 @@ from ipir.net import (
     RemoteTransport,
     decode,
     encode,
-    hello,
-    recv_frame,
     send_frame,
     serve,
     store_from_bytes,
@@ -62,6 +60,12 @@ def running_pair(store22):
     yield servers
     for s in servers:
         s.close()
+
+
+def recv_frame(sock):
+    """Read one frame as ``decode`` returns it; None on clean EOF."""
+    body = net._recv_body(sock)
+    return None if body is None else decode(body)
 
 
 def textbook_queries():
@@ -164,7 +168,10 @@ class TestFraming:
 
 class TestServer:
     def test_hello_reports_parameters(self, running_pair, store22):
-        reply = hello(running_pair[0].address)
+        with socket.create_connection(running_pair[0].address, timeout=5) as sock:
+            send_frame(sock, {"type": "hello"})
+            reply = recv_frame(sock)
+        assert reply["type"] == "hello"
         assert reply["K"] == store22.K
         assert reply["L"] == store22.L
         assert reply["proto_version"] == 2
@@ -563,6 +570,22 @@ class FakeReplica:
         assert not self.thread.is_alive()
 
 
+@pytest.fixture
+def fake_replica(store22):
+    """Starts ``FakeReplica(store22, fault)``; every replica started is
+    closed in teardown, so a test that fails anywhere leaves no accept
+    thread behind."""
+    fakes = []
+
+    def start(fault):
+        fakes.append(FakeReplica(store22, fault))
+        return fakes[-1]
+
+    yield start
+    for fake in fakes:
+        fake.close()
+
+
 def reply_with(**fields):
     """A fault that sends one answer frame, changed by ``fields``."""
 
@@ -614,10 +637,10 @@ class TestFaults:
 
     @pytest.mark.parametrize("name", FAULTS)
     def test_fault_raises_its_type_and_the_next_exchange_succeeds(
-        self, name, store22, running_pair
+        self, name, store22, running_pair, fake_replica
     ):
         fault, expected, timeout = FAULTS[name]
-        fake = FakeReplica(store22, fault)
+        fake = fake_replica(fault)
         queries = textbook_queries()
         honest = [pir_answer(q, store22) for q in queries]
         transport = RemoteTransport(
@@ -636,11 +659,10 @@ class TestFaults:
             assert transport.answer_bits == 6
         finally:
             transport.close()
-            fake.close()
         assert fake.accepted == 2
 
-    def test_one_connection_per_replica_across_exchanges(self, store22):
-        fake = FakeReplica(store22, None)
+    def test_one_connection_per_replica_across_exchanges(self, store22, fake_replica):
+        fake = fake_replica(None)
         transport = RemoteTransport(addresses=[fake.address])
         try:
             for combo in range(5):
@@ -648,19 +670,18 @@ class TestFaults:
                 assert transport([query])[0] == (store22.data[0][combo % 4],)
         finally:
             transport.close()
-            fake.close()
         assert fake.accepted == 1
 
-    def test_session_ids_wrap_modulo_2_to_the_32(self, store22):
-        fake = FakeReplica(store22, None)
-        transport = RemoteTransport(addresses=[fake.address], _serial=2**32 - 1)
+    def test_session_ids_wrap_modulo_2_to_the_32(self, store22, fake_replica):
+        fake = fake_replica(None)
+        transport = RemoteTransport(addresses=[fake.address])
+        transport._serial = 2**32 - 1
         query = PirQuery((((1, 2),),))
         try:
             for _ in range(2):
                 assert transport([query])[0] == (store22.data[1][2],)
         finally:
             transport.close()
-            fake.close()
         assert fake.sessions == [0, 1]
 
     def test_connection_closed_for_idleness_is_replaced(

@@ -21,7 +21,6 @@ PACKAGE = ROOT / "src" / "ipir"
 OUTSIDE_READERS = {
     "pir.query_pattern": "bench/tracer.py",
     "net.RemoteTransport": "bench/workloads.py",
-    "net.hello": "README.md",
     "audit.mutual_information": "README.md",
     "audit.audit_leak_equivalence": "README.md",
 }
@@ -76,11 +75,15 @@ def reads(tree: ast.AST) -> tuple[Counter, Counter]:
 
 def names_word(path: str, name: str, readers: dict) -> bool:
     """Whether ``path``, a relative path outside src/ and tests/ whose
-    text is ``readers[path]``, has ``name`` as a word."""
+    text is ``readers[path]``, names the def ``name``: a ``.py`` file as a
+    word, since a reader may name it as a string, and any other file, a
+    markdown doc, only as a call, ``name(``, since a doc may use the same
+    word for something else, such as a wire frame."""
     where = PurePosixPath(path)
     if where.is_absolute() or ".." in where.parts or where.parts[:1] in (("src",), ("tests",)):
         return False
-    return re.search(rf"\b{re.escape(name)}\b", readers.get(path, "")) is not None
+    end = r"\b" if where.suffix == ".py" else r"\("
+    return re.search(rf"\b{re.escape(name)}{end}", readers.get(path, "")) is not None
 
 
 def unread_names(sources: dict, outside: dict, readers: dict) -> list[str]:
@@ -184,11 +187,16 @@ def test_the_check_finds_unread_names():
             "        return 0\n"
             "def exported_only():\n"
             "    return 0\n"
+            "def hello():\n"
+            "    return 0\n"
         ),
         "c": "from . import a\nSHARED = a.TWO\ndef h(box):\n    return box.shared(a.Used)\n",
     }
     outside = {"b.Box.kept": "docs/box.md"}
-    readers = {"docs/box.md": "Call `Box.kept()` to keep one.\n", "tests/test_box.py": "build"}
+    readers = {
+        "docs/box.md": "Call `Box.kept()` to keep one. Send a `hello` frame first.\n",
+        "tests/test_box.py": "build",
+    }
     expected = [
         "a:4 Unused",
         "a:5 ONE",
@@ -200,6 +208,7 @@ def test_the_check_finds_unread_names():
         "b:13 Box.prop",
         "b:16 Box.build",
         "b:20 exported_only",  # an export-only def
+        "b:22 hello",
         "c:2 SHARED",
         "c:3 h",
     ]
@@ -212,14 +221,17 @@ def test_the_check_finds_unread_names():
         "b.Box.prop": "docs/box.md",  # the file does not name prop
         "b.Box.method": "docs/missing.md",  # no such file
         "b.Box.build": "tests/test_box.py",  # a test is not an outside reader
+        "b.hello": "docs/box.md",  # the doc names a hello frame, not a call
     }
-    kept = [name for name in expected if name.split()[1] not in ("Box.method", "Box.prop", "Box.build")]
+    gone = ("Box.method", "Box.prop", "Box.build", "hello")
+    kept = [name for name in expected if name.split()[1] not in gone]
     assert unread_names(sources, stale, readers) == kept + [
         "outside:b.Box.build",
         "outside:b.Box.method",
         "outside:b.Box.prop",
         "outside:b.Box.shared",
         "outside:b.gone",
+        "outside:b.hello",
     ]
 
 
@@ -277,9 +289,9 @@ def test_readme_names_every_export():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    readers = {"README.md": (ROOT / "README.md").read_text()}
+    readme = (ROOT / "README.md").read_text()
     assert "PirSession" in exports
-    assert [name for name in exports if not names_word("README.md", name, readers)] == []
+    assert [name for name in exports if not re.search(rf"\b{name}\b", readme)] == []
 
 
 def test_readme_library_sketch_runs():
