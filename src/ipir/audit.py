@@ -25,7 +25,7 @@ from .core import (
     fork_rng,
     scale_to_integers,
 )
-from .errors import ExactModeInfeasible, InvalidParams, NegativeEntry
+from .errors import DistributionError, ExactModeInfeasible, InvalidParams, NegativeEntry
 from .obfuscation import (
     ObfuscationPolicy,
     full_mask,
@@ -82,9 +82,13 @@ def mutual_information(entries: dict) -> tuple[bool, float]:
 
     The boolean comes from factorization over the product of the marginal
     supports, decided exactly on the entries scaled to integers over one
-    common denominator; the bits value is diagnostic.
+    common denominator; the bits value is diagnostic. A negative entry
+    raises NegativeEntry.
     """
     numerators, scale = scale_to_integers(entries.values())
+    negative = next((key for key, n in zip(entries, numerators) if n < 0), None)
+    if negative is not None:
+        raise NegativeEntry(f"entry {negative!r} = {entries[negative]} is negative")
     return _factorization(dict(zip(entries, numerators)), scale)[:2]
 
 
@@ -491,7 +495,10 @@ def audit_online_privacy(weights: dict, scale: int) -> AuditReport:
 
 def check_size_bound(policy: ObfuscationPolicy, cond: ConditionalMatrix) -> AuditReport:
     """Exact per-rank comparison of the subset-size law against the
-    guaranteed size weights: P(|U| <= i) >= sum of the first i weights."""
+    guaranteed size weights: P(|U| <= i) >= sum of the first i weights.
+    A policy whose K is not the matrix's raises DistributionError."""
+    if policy.K != cond.K:
+        raise DistributionError(f"policy has K={policy.K}, the matrix K={cond.K}")
     profile = likelihood_profile(cond)
     sizes = policy.size_marginal(cond)
     report = AuditReport()

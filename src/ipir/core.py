@@ -192,7 +192,9 @@ def conditional_from_joint(joint: JointDistribution) -> ConditionalMatrix:
 
 def capacity_cost(n_servers: int, k: int) -> Fraction:
     """Optimal normalized download cost for retrieving one of k messages
-    from n_servers replicas: 1 + 1/N + ... + 1/N^(k-1), exactly."""
+    from n_servers replicas: 1 + 1/N + ... + 1/N^(k-1), exactly; N, k ints."""
+    if type(n_servers) is not int or type(k) is not int:
+        raise InvalidParams(f"N and k must be ints, got {n_servers!r}, {k!r}")
     if n_servers < 2:
         raise InvalidParams(f"need at least 2 servers, got {n_servers}")
     if k < 1:
@@ -311,6 +313,19 @@ class WeightedSampler:
         if self.thresholds[-1] != self.denominator:
             total = Fraction(self.thresholds[-1], self.denominator)
             raise DistributionError(f"weights sum to {total}, expected 1")
+
+    @classmethod
+    def of_counts(cls, items):
+        """The sampler over (value, count) pairs of non-negative ints, not
+        all 0, that draws each value with its count's share of their sum:
+        the denominator, thresholds and draws of one over those shares."""
+        sampler = cls.__new__(cls)
+        sampler.values, counts = zip(*items)
+        g = gcd(*counts)
+        sampler.thresholds = list(accumulate(c // g for c in counts))
+        sampler.denominator = sampler.thresholds[-1]
+        sampler.width = sampler.denominator.bit_length()
+        return sampler
 
     def draw(self, rng: random.Random):
         # the first value whose cumulative numerator exceeds the pick

@@ -12,9 +12,9 @@ the history, which by the Markov structure protects every earlier private
 location as well.
 
 Each new posterior gets one integer law, ``policy_weights`` of its policy
-under the transposed posterior, which the online audit and every
-conditioning at that posterior read. A walk often comes back to a
-posterior it has already seen. ``simulate`` therefore solves and audits
+under the transposed posterior, which the subset draw, the online audit
+and every conditioning at that posterior read. A walk often comes back to
+a posterior it has already seen. ``simulate`` therefore solves and audits
 each distinct posterior once per call, keeping the policy, the solver
 used, the integer law and the online audit in a dict that lives for that
 call only; nothing is cached across calls. Reuse moves no random draw, so
@@ -354,6 +354,20 @@ def _close_step(
     return record, state
 
 
+def _check_step(state, model, config, store, **locations) -> None:
+    """InvalidParams, naming the step, unless the store fits the config, the
+    model and posterior have its K, and each location is an int in [K]."""
+    config.check_store(store)
+    K = config.K
+    if model.K != K or state.law.K != K:
+        raise InvalidParams(
+            f"step {state.t}: model has K={model.K}, posterior K={state.law.K}, config K={K}"
+        )
+    for name, x in locations.items():
+        if type(x) is not int or not 0 <= x < K:
+            raise InvalidParams(f"step {state.t}: location {name}={x!r} is not an int in [0, {K})")
+
+
 def step_private(
     state: PosteriorState,
     x_t: int,
@@ -365,6 +379,7 @@ def step_private(
     transport=None,
 ) -> tuple[StepRecord, PosteriorState]:
     """Private step: full-K retrieval; posterior passes through, then advances."""
+    _check_step(state, model, config, store, x_t=x_t)
     if not schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is not private")
     params = pir.pir_setup(config.N, range(config.K), config.L)
@@ -388,13 +403,15 @@ def step_nonprivate(
     """Non-private step: solve a policy for the tracked posterior, sample the
     subset around the true location, retrieve, condition, advance.
 
-    ``x_tau`` is the true latest private location, known to the user.
+    ``x_tau`` is the true latest private location, known to the user; the
+    subset is drawn as from ``policy.at(x_tau, x_t)``, over the law's counts.
     ``solved``, if given, holds the (policy, solver used, integer law,
     online audit) of each posterior already met at this ``config.N`` and
     ``solver``; such a posterior is neither solved nor audited again, and a
     new one is added. Its keys are the posteriors' laws, in lowest terms,
     so equal posteriors share a key.
     """
+    _check_step(state, model, config, store, x_t=x_t, x_tau=x_tau)
     if schedule.is_private(state.t):
         raise ScheduleMismatch(f"t={state.t} is private")
     if solved is None:
@@ -406,7 +423,10 @@ def step_nonprivate(
         check = audit.audit_online_privacy(weights, scale)
         entry = solved[state.law] = policy, used, weights, check
     policy, used, weights, check = entry
-    subset_mask = WeightedSampler(policy.at(x_tau, x_t)).draw(rng)
+    counts = sorted((u, w) for (s, x, u), w in weights.items() if s == x_tau and x == x_t)
+    if not counts:
+        raise DegeneratePosterior(f"step {state.t}: the locations have zero tracked probability")
+    subset_mask = WeightedSampler.of_counts(counts).draw(rng)
     params = pir.pir_setup(config.N, indices_of(subset_mask), config.L)
     retrieval = retrieve(params, x_t, store, rng, transport)
     conditioned = condition_posterior(state, weights, subset_mask)

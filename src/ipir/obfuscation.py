@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .core import (
     ZERO,
@@ -37,6 +39,7 @@ from .core import (
 from .errors import (
     ConstructionFailed,
     DistributionError,
+    InvalidParams,
     PartialSupport,
     TooLarge,
     UnsupportedPair,
@@ -113,10 +116,23 @@ class ObfuscationPolicy:
     integer (S, X, U) law of ``policy_weights``): every stored mask
     contains x, probabilities at each (s, x) of positive mass sum to 1, and
     P(U=u | S=s) is the same for every supported s.
+
+    A ``solve_lp`` policy keeps its law (joint, read-only weights, scale)
+    in ``_law`` and builds ``entries`` from it on first read.
     """
 
     K: int
     entries: dict[tuple[int, int, int], Fraction]
+    _law = None  # a class attribute, not a field: only ``solve_lp`` sets it
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails
+        if name != "entries" or self._law is None:
+            raise AttributeError(name)
+        joint, weights, scale = self._law
+        D, table = scale // joint.scale, joint.weights
+        self.__dict__[name] = {k: Fraction(f, table[k[0]][k[1]] * D) for k, f in weights.items()}
+        return self.entries
 
     def at(self, s: int, x: int) -> list[tuple[int, Fraction]]:
         """(mask, probability) choices at one (s, x) pair, mask-ascending."""
@@ -167,7 +183,10 @@ class ObfuscationPolicy:
 
 
 def trivial_policy(K: int) -> ObfuscationPolicy:
-    """The always-feasible policy that hides every request in the full set."""
+    """The always-feasible policy that hides every request in the full set;
+    InvalidParams unless K is an int of at least 1."""
+    if type(K) is not int or K < 1:
+        raise InvalidParams(f"need an int K of at least 1, got {K!r}")
     mask = full_mask(K)
     return ObfuscationPolicy(
         K=K, entries={(s, x, mask): Fraction(1) for s in range(K) for x in range(K)}
@@ -293,12 +312,13 @@ class LpInstance:
     marginals onto which every supported row p(.|s) can be routed along
     the arcs x in u, so any feasible m is the subset law of some valid
     policy. Non-negativity is implicit, and m = 0 (all mass on the full
-    set) is the feasible vertex the simplex starts from. Only the rhs, in
-    Fractions, depends on the law: the 0/1 rows (plain ints) are built once
-    per K and the costs once per (K, N), and instances share them, so every
-    optimal basis of one law is dual feasible for all (see ``solve_lp``).
-    ``joint`` is the law the instance was built from, whose rows
-    ``solve_lp`` routes.
+    set) is the feasible vertex the simplex starts from. Only the rhs, ints
+    in lowest terms in units of 1/``rhs[0]`` (which scales the optimum by
+    ``rhs[0]`` and changes no pivot), depends on the law: the 0/1 rows are
+    built once per K and the costs once per (K, N), and instances share
+    them, so every optimal basis of one law is dual feasible for all (see
+    ``solve_lp``). ``joint`` is the law the instance was built from, whose
+    rows ``solve_lp`` routes.
     """
 
     K: int
@@ -307,7 +327,7 @@ class LpInstance:
     variables: tuple[int, ...]
     costs: tuple[Fraction, ...]
     rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int, ...]
 
 
 def build_lp(
@@ -331,6 +351,9 @@ def build_lp(
                 n, d = least[b]
                 if sums[b] * d < n * mass:
                     least[b] = sums[b], mass
+    unit = lcm(*(d for _, d in least.values()))
+    rhs = [unit, *(n * (unit // d) for n, d in least.values())]
+    g = gcd(*rhs)
     return LpInstance(
         K=K,
         n_servers=n_servers,
@@ -338,7 +361,7 @@ def build_lp(
         variables=tuple(proper),
         costs=_covering_costs(K, n_servers),
         rows=_covering_rows(K),
-        rhs=(Fraction(1), *(Fraction(n, d) for n, d in least.values())),
+        rhs=tuple(v // g for v in rhs),
     )
 
 
@@ -350,7 +373,7 @@ def _covering_rows(K: int) -> tuple[tuple[int, ...], ...]:
     return ((1,) * len(proper), *(tuple(int(u & b == u) for u in proper) for b in proper))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _covering_costs(K: int, n_servers: int) -> tuple[Fraction, ...]:
     """C(N, |u|) - C(N, K) per proper mask u."""
     full_cost = capacity_cost(n_servers, K)
@@ -370,9 +393,10 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     p(x|s) at each x, demand m(u) at each u, arcs x in u), and p(u|x,s) =
     f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no entries. The flow runs on
     integers: with the law's row weights W(s, x) of mass W_s and the
-    solver's numerators M(u) over D, both sides are scaled by D W_s, to
-    supplies W(s, x) D and demands M(u) W_s, so that p(u|x,s) is
-    F(x,u) / (W(s, x) D), one exact ratio of integers per entry.
+    solver's numerators M(u) over D (its denominator times ``rhs[0]``),
+    both sides are scaled by D W_s, to supplies W(s, x) D and demands
+    M(u) W_s, so that p(s, x, u) is F(x, u) / (S_J D), S_J the law's scale.
+    The policy keeps that law, s ascending, then sorted (x, u).
     An instance whose costs or rows are not the covering LP's at its
     (K, N) raises InvalidParams.
     """
@@ -385,24 +409,23 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     # unbounded for well-formed instances
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
-    scale = solution.denominator
+    scale = solution.denominator * instance.rhs[0]
     marginal = {u: m for u, m in zip(instance.variables, solution.numerators) if m != 0}
     rest = scale - sum(marginal.values())
     if rest != 0:
         marginal[full_mask(instance.K)] = rest
-    entries = {}
-    for s, row in enumerate(instance.joint.weights):
+    joint = instance.joint
+    weights = {}
+    for s, row in enumerate(joint.weights):
         mass = sum(row)
         if mass == 0:
             continue
-        supply = [w * scale for w in row]
-        flow = _route(s, supply, {u: m * mass for u, m in marginal.items()})
-        entries.update(
-            ((s, x, u), Fraction(f, supply[x]))
-            for (x, u), f in sorted(flow.items())
-            if f != 0
-        )
-    return ObfuscationPolicy(K=instance.K, entries=entries)
+        flow = _route(s, [w * scale for w in row], {u: m * mass for u, m in marginal.items()})
+        weights.update(((s, x, u), f) for (x, u), f in sorted(flow.items()) if f != 0)
+    policy = object.__new__(ObfuscationPolicy)
+    law = joint, MappingProxyType(weights), joint.scale * scale
+    policy.__dict__.update(K=instance.K, _law=law)
+    return policy
 
 
 def _route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int, int], int]:
@@ -419,14 +442,22 @@ def _route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int,
     Edmonds-Karp: each round augments along a shortest residual path found
     by breadth-first search from the x with supply left (ascending), which
     steps x -> u forward in the demands' mask order and u -> x' backward
-    along positive flow (x' ascending), so the flow is deterministic. By
-    Gale's theorem it meets every demand whenever m satisfies the covering
-    rows and both sides sum to 1.
+    along positive flow (x' ascending), so the flow is deterministic; its
+    rounds before the first backward step are direct pushes, which a first
+    pass over x, then u, makes without a search. By Gale's theorem it meets
+    every demand whenever m satisfies the covering rows and both sides sum
+    to 1.
     """
     supply = list(supply)
     demand = dict(demand)
     flow: dict[tuple[int, int], int] = {}
     xs = range(len(supply))
+    for x in xs:
+        for u, wanted in demand.items():
+            if wanted and supply[x] and u >> x & 1:
+                flow[x, u] = delta = min(supply[x], wanted)
+                demand[u] -= delta
+                supply[x] -= delta
     while any(demand.values()):
         queue = [x for x in xs if supply[x] != 0]
         back = dict.fromkeys(queue)  # x -> u it was reached from, None at a source
@@ -470,7 +501,12 @@ def policy_weights(policy: ObfuscationPolicy, joint: JointDistribution) -> tuple
     weights times the policy's entries as numerators over their common
     denominator. Weights come in the policy's entry order; zero weights,
     and entries whose s or x lies outside the law's [K], are left out.
+    A policy ``solve_lp`` kept as its law under ``joint`` gives that law,
+    this one times a constant, as a read-only mapping.
     """
+    law = policy._law
+    if law is not None and law[0] == joint:
+        return law[1], law[2]
     table, K = joint.weights, joint.K
     numerators, scale = scale_to_integers(policy.entries.values())
     weights = {}

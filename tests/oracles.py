@@ -1173,10 +1173,15 @@ def equality_lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fra
 # supported s.
 
 
+def rhs_fractions(instance: LpInstance) -> list[Fraction]:
+    """The covering LP's rhs as Fractions: its ints over ``rhs[0]``."""
+    return [Fraction(v, instance.rhs[0]) for v in instance.rhs]
+
+
 def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
     """The covering LP's optimal subset marginal (nonzero masks, in mask
     order, the full set's remainder last) and its optimal expected cost."""
-    solution = minimize(instance.costs, instance.rows, instance.rhs)
+    solution = minimize(instance.costs, instance.rows, rhs_fractions(instance))
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
     marginal = {u: value for u, value in zip(instance.variables, solution.x) if value != 0}
@@ -1308,6 +1313,85 @@ def fraction_route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int
         supply[path[-1][0]] -= delta
         demand[end] -= delta
     return flow
+
+
+# ipir.obfuscation.solve_lp before it kept its flow's integer law: the
+# covering LP solved on the rhs as Fractions, each entry one Fraction
+# F(x, u) / (W(s, x) D), and the flow found by the search alone, before
+# _route pushed the direct arcs without one.
+
+
+def search_route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int, int], int]:
+    """``ipir.obfuscation._route`` by its Edmonds-Karp search alone: every
+    augmentation, a direct push included, is found by breadth-first search
+    from the x with supply left (ascending), stepping x -> u forward in the
+    demands' order and u -> x' backward along positive flow (x'
+    ascending)."""
+    supply = list(supply)
+    demand = dict(demand)
+    flow: dict[tuple[int, int], int] = {}
+    xs = range(len(supply))
+    while any(demand.values()):
+        queue = [x for x in xs if supply[x] != 0]
+        back = dict.fromkeys(queue)  # x -> u it was reached from, None at a source
+        forward: dict[int, int] = {}  # u -> x it was reached from
+        end = None
+        for x in queue:  # the queue grows while it is scanned
+            for u in demand:
+                if u >> x & 1 and u not in forward:
+                    forward[u] = x
+                    if demand[u] != 0:
+                        end = u
+                        break
+                    for y in xs:
+                        if y not in back and flow.get((y, u), 0) != 0:
+                            back[y] = u
+                            queue.append(y)
+            if end is not None:
+                break
+        if end is None:
+            raise ConstructionFailed(f"row {s} cannot be routed onto the subset marginal")
+        # forward arcs (x, u) gain delta, backward arcs (y, u) lose it
+        path = []
+        u = end
+        while u is not None:
+            x = forward[u]
+            path.append((x, u))
+            u = back[x]
+            if u is not None:
+                path.append((x, u))
+        delta = min([demand[end], supply[path[-1][0]]] + [flow[a] for a in path[1::2]])
+        for i, arc in enumerate(path):
+            flow[arc] = flow.get(arc, 0) + (delta if i % 2 == 0 else -delta)
+        supply[path[-1][0]] -= delta
+        demand[end] -= delta
+    return flow
+
+
+def fraction_solve_lp(instance: LpInstance) -> ObfuscationPolicy:
+    """The covering LP's policy with Fraction entries: a cold simplex solve
+    on the rhs as Fractions, the marginal's numerators M(u) over its
+    denominator D, and per supported s the search flow of supplies
+    W(s, x) D onto demands M(u) W_s, each entry F(x, u) / (W(s, x) D)."""
+    solution = minimize(instance.costs, instance.rows, rhs_fractions(instance))
+    if solution.status != "optimal":
+        raise ConstructionFailed(f"LP solve ended with status {solution.status}")
+    scale = solution.denominator
+    marginal = {u: m for u, m in zip(instance.variables, solution.numerators) if m != 0}
+    rest = scale - sum(marginal.values())
+    if rest != 0:
+        marginal[full_mask(instance.K)] = rest
+    entries = {}
+    for s, row in enumerate(instance.joint.weights):
+        mass = sum(row)
+        if mass == 0:
+            continue
+        supply = [w * scale for w in row]
+        flow = search_route(s, supply, {u: m * mass for u, m in marginal.items()})
+        entries.update(
+            ((s, x, u), Fraction(f, supply[x])) for (x, u), f in sorted(flow.items()) if f != 0
+        )
+    return ObfuscationPolicy(K=instance.K, entries=entries)
 
 
 def fraction_marginals(entries: dict):
@@ -1620,7 +1704,8 @@ def fraction_build_lp(
     joint: JointDistribution, n_servers: int, cap: int = DEFAULT_LP_CAP
 ) -> LpInstance:
     """``ipir.obfuscation.build_lp`` with the rhs min_s p(b|s) summed over
-    the rows of ``conditional_from_joint`` and compared in Fractions."""
+    the rows of ``conditional_from_joint`` and compared in Fractions, then
+    scaled to ints over the lcm of their denominators."""
     if joint.K > cap:
         raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
     K = joint.K
@@ -1643,7 +1728,7 @@ def fraction_build_lp(
         variables=tuple(proper),
         costs=tuple(capacity_cost(n_servers, u.bit_count()) - full_cost for u in proper),
         rows=((1,) * len(proper), *(tuple(int(u & b == u) for u in proper) for b in proper)),
-        rhs=(ONE, *(min(sums[b] for sums in mass) for b in proper)),
+        rhs=tuple(scale_to_integers([ONE, *(min(sums[b] for sums in mass) for b in proper)])[0]),
     )
 
 

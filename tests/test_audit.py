@@ -39,7 +39,13 @@ from ipir.location import (
     initial_posterior,
     policy_for_posterior,
 )
-from ipir.errors import ExactModeInfeasible, InvalidParams, NegativeEntry, UnsupportedPair
+from ipir.errors import (
+    DistributionError,
+    ExactModeInfeasible,
+    InvalidParams,
+    NegativeEntry,
+    UnsupportedPair,
+)
 from ipir.obfuscation import (
     ObfuscationPolicy,
     build_lp,
@@ -94,6 +100,19 @@ class TestMutualInformation:
         # marginals full but a product cell is missing
         zero, bits = mutual_information({(0, 0): F(1, 2), (1, 1): F(1, 2)})
         assert not zero and bits > 0.9
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(0, 0): F(3, 2), (1, 1): F(-1, 2)},
+            {(0, 0): F(3, 2), (0, 1): F(-1, 2)},
+            {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 0): F(1, 2), (1, 1): F(-1, 2)},
+        ],
+        ids=["math domain", "silent", "division by zero"],
+    )
+    def test_negative_entry_is_refused(self, entries):
+        with pytest.raises(NegativeEntry, match="= -1/2 is negative"):
+            mutual_information(entries)
 
 
 def independence_witness(entries: dict):
@@ -662,6 +681,11 @@ class TestSizeBound:
         failing = [c for c in report.checks if not c.passed]
         assert failing  # feasible but not size-tight
         assert failing[0].witness is not None
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_policy_of_another_k_is_refused(self, skew_cond, K):
+        with pytest.raises(DistributionError, match=f"policy has K={K}, the matrix K=3"):
+            check_size_bound(trivial_policy(K), skew_cond)
 
     def test_random_greedy_policies_pass(self):
         import random

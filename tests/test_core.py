@@ -121,6 +121,11 @@ class TestCapacityCost:
                 if k > 1:
                     assert capacity_cost(n + 1, k) < capacity_cost(n, k)
 
+    @pytest.mark.parametrize("n, k", [(2.0, 3), (2, 3.0), (2, True), (True, 2)])
+    def test_sizes_that_are_not_ints_rejected(self, n, k):
+        with pytest.raises(InvalidParams, match="N and k must be ints"):
+            capacity_cost(n, k)
+
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):
             capacity_cost(1, 2)
@@ -243,6 +248,20 @@ class TestRandomness:
         # these weights sum to 1, so only the sign check catches them
         with pytest.raises(NegativeEntry, match="weight -1/[24] is negative"):
             WeightedSampler(items)
+
+    def test_counts_draw_as_their_shares(self):
+        # counts are drawn over their sum reduced, with the thresholds and
+        # draws of their shares as Fractions
+        counts = [(0, 6), (1, 0), (2, 4), (3, 10)]
+        by_counts = WeightedSampler.of_counts(counts)
+        by_shares = WeightedSampler((v, F(c, 20)) for v, c in counts)
+        assert by_counts.denominator == by_shares.denominator == 10
+        assert by_counts.thresholds == by_shares.thresholds
+        assert by_counts.values == by_shares.values
+        fast, slow = fork_rng(6, "counts"), fork_rng(6, "counts")
+        assert [by_counts.draw(fast) for _ in range(500)] == [
+            by_shares.draw(slow) for _ in range(500)
+        ]
 
     def test_draw_is_the_first_threshold_above_the_pick(self):
         # the bisected draw equals a linear scan of cumulative numerators,

@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipir import audit, cli, core, location
+from ipir import audit, cli, core, location, obfuscation
 from ipir.core import (
     JointDistribution,
     MessageStore,
     SystemConfig,
+    WeightedSampler,
     capacity_cost,
     fork_rng,
     validate_joint,
@@ -42,10 +43,12 @@ from ipir.location import (
 from ipir.audit import audit_online_privacy
 from ipir.obfuscation import (
     ObfuscationPolicy,
+    build_lp,
     expected_cost,
     greedy_policy,
     mask_of,
     policy_weights,
+    solve_lp,
     validate_policy,
 )
 from ipir.core import conditional_from_joint
@@ -54,6 +57,7 @@ from oracles import (
     enumerate_mechanism,
     fraction_advance_posterior,
     fraction_condition_posterior,
+    fraction_solve_lp,
     numerator_advance_posterior,
     posterior_law,
     simulate_stepwise,
@@ -62,7 +66,7 @@ from oracles import (
     step_law,
     sxu_solve_lp,
 )
-from test_obfuscation import recorded_pivots
+from test_obfuscation import cell_matrices, positive_joint, recorded_pivots, sparse_joint
 
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -1048,3 +1052,169 @@ class TestFallbackLogs:
         (record,) = self.records(caplog)
         assert "'trivial' ran" in record.getMessage()
         assert "partial support" in record.getMessage()
+
+
+class TestStepChecks:
+    """A step run on its own checks what ``simulate`` checks, and names
+    the step."""
+
+    def setup_method(self):
+        self.model = two_state_model()
+        self.sched = PrivacySchedule(horizon=2, private=frozenset({0}))
+        self.config = SystemConfig(N=2, K=2, L=4, seed=3)
+        self.store = MessageStore.random(2, 4, fork_rng(3, "store"))
+        self.private = initial_posterior(self.model)
+        self.nonprivate = advance_posterior(self.private, self.model, self.sched)
+
+    def run(self, private, x_t=0, x_tau=0, model=None, store=None, state=None):
+        model, store = model or self.model, store or self.store
+        rng = fork_rng(3, "step")
+        if private:
+            return step_private(
+                state or self.private, x_t, model, self.sched, self.config, store, rng
+            )
+        return step_nonprivate(
+            state or self.nonprivate, x_t, x_tau, model, self.sched, self.config, store, rng
+        )
+
+    @pytest.mark.parametrize("private", [True, False])
+    def test_store_of_another_length_is_refused(self, private):
+        # not reported as a faulty server's answers
+        store = MessageStore.random(2, 8, fork_rng(4, "store"))
+        with pytest.raises(InvalidParams, match="store has K=2, L=8; config has K=2, L=4"):
+            self.run(private, store=store)
+
+    @pytest.mark.parametrize("private", [True, False])
+    def test_model_of_another_k_is_refused(self, private):
+        model = random_model(random.Random("other-k"), 3)
+        with pytest.raises(InvalidParams, match="model has K=3, posterior K=2, config K=2"):
+            self.run(private, model=model)
+
+    @pytest.mark.parametrize("private", [True, False])
+    def test_posterior_of_another_k_is_refused(self, private):
+        law = JointDistribution.over([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+        state = PosteriorState(t=0 if private else 1, tau=0, law=law)
+        with pytest.raises(InvalidParams, match="model has K=2, posterior K=3, config K=2"):
+            self.run(private, state=state)
+
+    @pytest.mark.parametrize("x", [2, -1, 1.0, True, "1"])
+    @pytest.mark.parametrize("private", [True, False])
+    def test_current_location_outside_the_messages_is_refused(self, private, x):
+        step = 0 if private else 1
+        with pytest.raises(InvalidParams, match=rf"step {step}: location x_t={x!r} is not"):
+            self.run(private, x_t=x)
+
+    @pytest.mark.parametrize("x", [2, -1, 1.0, True])
+    def test_private_location_outside_the_messages_is_refused(self, x):
+        with pytest.raises(InvalidParams, match=rf"step 1: location x_tau={x!r} is not"):
+            self.run(False, x_tau=x)
+
+    def test_locations_of_zero_probability_are_degenerate(self):
+        # the walk never leaves 0, so current location 1 has no mass
+        model = MobilityModel.build([F(1), F(0)], [[[F(1), F(0)], [F(0), F(1)]]])
+        state = advance_posterior(initial_posterior(model), model, self.sched)
+        with pytest.raises(DegeneratePosterior, match="step 1: the locations have zero"):
+            self.run(False, x_t=1, model=model, state=state)
+
+
+def check_step_law(joint, draws=1_000):
+    """A location step at a posterior whose transpose is ``joint`` against
+    the Fraction policy of oracles.fraction_solve_lp: the same posterior
+    conditioned on every subset the policy uses, and the subset draws of
+    ``check_step_draws``."""
+    oracle = fraction_solve_lp(build_lp(joint, 2))
+    state = PosteriorState(t=1, tau=0, law=joint.transposed())
+    weights, _ = step_law(state, solve_lp(build_lp(joint, 2)))
+    expected, _ = step_law(state, oracle)
+    for mask in {u for _, _, u in expected}:
+        assert condition_posterior(state, weights, mask) == condition_posterior(
+            state, expected, mask
+        )
+    check_step_draws(joint, oracle, "lp", draws)
+
+
+def check_step_draws(joint, reference, solver, draws):
+    """At each pair of positive mass under ``joint``, the step's subset
+    sampler has the denominator, thresholds and values of one over
+    ``reference.at`` at the pair, and draws the same subsets from the same
+    stream."""
+    K = joint.K
+    state = PosteriorState(t=1, tau=0, law=joint.transposed())
+    built = []
+
+    class Recording(WeightedSampler):
+        @classmethod
+        def of_counts(cls, items):
+            built.append(super().of_counts(items))
+            return built[-1]
+
+    model = MobilityModel.build([F(1, K)] * K, [[[F(1, K)] * K] * K])
+    sched = PrivacySchedule(horizon=1, private=frozenset({0}))
+    config, store = run_setup(K, seed=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(location, "WeightedSampler", Recording)
+        for s, row in enumerate(joint.weights):
+            for x, w in enumerate(row):
+                if w:
+                    rng = fork_rng(1, "step", s, x)
+                    step_nonprivate(state, x, s, model, sched, config, store, rng, solver)
+                    sampler, expected = built.pop(), WeightedSampler(reference.at(s, x))
+                    assert sampler.denominator == expected.denominator
+                    assert sampler.thresholds == expected.thresholds
+                    assert sampler.values == expected.values
+                    fast, slow = fork_rng(2, s, x), fork_rng(2, s, x)
+                    assert [sampler.draw(fast) for _ in range(draws)] == [
+                        expected.draw(slow) for _ in range(draws)
+                    ]
+
+
+class TestIntegerLpStep:
+    """The LP step stays in integers from the rhs to the draw."""
+
+    @pytest.mark.parametrize("K, count", [(2, 6), (3, 6), (4, 3), (5, 1)])
+    def test_seeded_laws(self, K, count):
+        rng = random.Random(f"step-law:{K}")
+        for i in range(count):
+            check_step_law(
+                positive_joint(rng, K) if i % 3 else sparse_joint(rng, K, zero_row=i % 2 == 1)
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=2, max_value=4).flatmap(cell_matrices))
+    def test_hypothesis_laws(self, cells):
+        total = sum(map(sum, cells))
+        check_step_law(validate_joint([[F(c, total) for c in row] for row in cells]), draws=200)
+
+    def test_greedy_draws_are_those_of_policy_at(self):
+        # the greedy construction stores the entries at (s=0, x=2) of this
+        # law in mask order 4, 6, 5; the step draws over them mask-ascending
+        rows = [[3, 1, 6], [6, 3, 1], [1, 5, 4]]
+        joint = validate_joint([[F(c, 30) for c in row] for row in rows])
+        policy = greedy_policy(conditional_from_joint(joint))
+        assert [u for s, x, u in policy.entries if (s, x) == (0, 2)] == [4, 6, 5]
+        check_step_draws(joint, policy, "greedy", draws=1_000)
+
+    def test_lp_simulation_builds_no_entries_and_no_fraction(self, monkeypatch):
+        kept = []
+
+        def recording(instance):
+            kept.append(solve_lp(instance))
+            return kept[-1]
+
+        built = []
+
+        class Counting(F):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return F(*args, **kwargs)
+
+        monkeypatch.setattr(location, "solve_lp", recording)
+        monkeypatch.setattr(obfuscation, "Fraction", Counting)
+        model = random_model(random.Random("integer-step"), 3)
+        sched = PrivacySchedule(horizon=12, private=frozenset({0, 6}))
+        config, store = run_setup(3, seed=5)
+        report = simulate(model, sched, config, store, solver="lp")
+        assert {s.solver for s in report.steps if not s.private} == {"lp"}
+        assert kept and all("entries" not in vars(policy) for policy in kept)
+        assert built == []
+

@@ -49,10 +49,12 @@ from oracles import (
     fraction_expected_cost,
     fraction_policy_independence,
     fraction_route,
+    fraction_solve_lp,
     fraction_subset_marginal,
     fraction_validate_policy,
     lp_marginal,
     recomputing_greedy_policy,
+    search_route,
     simplex_route,
     sxu_build_lp,
     sxu_solve_lp,
@@ -330,9 +332,10 @@ class TestLpInstance:
         # m({0}) and m({1}); the full set {0, 1} takes the rest
         assert inst.variables == (1, 2)
         assert inst.costs == (-F(1, 2), -F(1, 2))
-        # sum m <= 1, then m(u within B) <= min_s p(B|s) for B = {0}, {1}
+        # sum m <= 1, then m(u within B) <= min_s p(B|s) for B = {0}, {1},
+        # in units of 1/4
         assert inst.rows == ((1, 1), (1, 0), (0, 1))
-        assert inst.rhs == (1, F(1, 4), F(1, 4))
+        assert inst.rhs == (4, 1, 1)
 
     def test_covering_size_at_three(self, skew_joint):
         inst = build_lp(skew_joint, 2)
@@ -371,7 +374,7 @@ class TestLpInstance:
         joint = validate_joint([[F(c, total) for c in row] for row in cells])
         instance = build_lp(joint, n_servers)
         assert instance == fraction_build_lp(joint, n_servers)
-        assert all(type(v) is F for v in instance.rhs)
+        assert all(type(v) is int for v in instance.rhs)
 
     def test_seeded_sparse_joints_equal_the_fraction_build(self):
         rng = random.Random("fraction-build")
@@ -603,6 +606,157 @@ class TestIntegerRoute:
             integer_route(0, row, {0b01: F(1)})
 
 
+def check_route(s, supply, demand):
+    """``_route`` against the search alone (oracles.search_route): the
+    same flow, arc for arc and in order, or the same ConstructionFailed."""
+    try:
+        expected = search_route(s, supply, demand)
+    except ConstructionFailed as exc:
+        with pytest.raises(ConstructionFailed) as caught:
+            _route(s, supply, demand)
+        assert str(caught.value) == str(exc)
+        return False
+    assert list(_route(s, supply, demand).items()) == list(expected.items())
+    return True
+
+
+class TestDirectPushes:
+    """_route pushes the direct arcs before it searches; the flow is the
+    search's alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(route_inputs())
+    def test_hypothesis_supplies_and_demands(self, inputs):
+        # equal and unequal totals, zero supplies and zero demands
+        s, row, marginal = inputs
+        numerators, _ = scale_to_integers([*row, *marginal.values()])
+        check_route(s, numerators[: len(row)], dict(zip(marginal, numerators[len(row) :])))
+
+    @pytest.mark.parametrize("K, count", [(2, 20), (3, 20), (4, 8), (5, 3)])
+    def test_every_route_of_seeded_lp_solves(self, monkeypatch, K, count):
+        routed = []
+        route = obfuscation._route
+
+        def checking(s, supply, demand):
+            routed.append(check_route(s, supply, demand))
+            return route(s, supply, demand)
+
+        monkeypatch.setattr(obfuscation, "_route", checking)
+        rng = random.Random(f"direct-pushes:{K}")
+        for i in range(count):
+            law = positive_joint(rng, K) if i % 3 else sparse_joint(rng, K, zero_row=i % 2 == 1)
+            solve_lp(build_lp(law, 2))
+        assert routed and all(routed)
+
+    def test_unroutable_demand_raises_the_search_error(self):
+        # after the direct pushes, the supply left can reach no demand left
+        assert not check_route(0, [1, 1], {0b01: 2})
+        assert not check_route(3, [1, 0, 2], {0b001: 2, 0b100: 1})
+
+
+def check_kept_law(joint, n_servers=2):
+    """solve_lp against the Fraction body it replaced
+    (oracles.fraction_solve_lp): ``policy_weights`` under the solved law
+    is the kept law, the oracle policy's law weight for weight over its
+    scale and in its order, and read before any entry is built; then the
+    entries, in order."""
+    instance = build_lp(joint, n_servers)
+    oracle = fraction_solve_lp(instance)
+    policy = solve_lp(instance)
+    weights, scale = policy_weights(policy, joint)
+    assert "entries" not in vars(policy)
+    expected, expected_scale = policy_weights(oracle, joint)
+    assert list(weights) == list(expected)
+    assert all(F(w, scale) == F(expected[key], expected_scale) for key, w in weights.items())
+    assert list(policy.entries.items()) == list(oracle.entries.items())
+    assert policy == oracle and repr(policy) == repr(oracle)
+    return policy, oracle
+
+
+def reads_the_policy_law(weights_of, policy, joint) -> bool:
+    """Whether ``weights_of(policy, joint)`` is the law that the policy's
+    entries give under ``joint``, weight for weight over its scale and in
+    order."""
+    expected, scale = policy_weights(ObfuscationPolicy(K=policy.K, entries=policy.entries), joint)
+    got, got_scale = weights_of(policy, joint)
+    return list(got) == list(expected) and all(
+        F(w, got_scale) == F(expected[key], scale) for key, w in got.items()
+    )
+
+
+class TestKeptLaw:
+    """solve_lp keeps its flow's integer (S, X, U) law, builds its entries
+    only when read, and hands the law to ``policy_weights`` for the law it
+    was solved for alone."""
+
+    @pytest.mark.parametrize("K, count", [(2, 20), (3, 20), (4, 8), (5, 3)])
+    def test_seeded_laws(self, K, count):
+        rng = random.Random(f"kept-law:{K}")
+        for i in range(count):
+            check_kept_law(
+                positive_joint(rng, K) if i % 3 else sparse_joint(rng, K, zero_row=i % 2 == 1)
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(cell_matrices),
+        st.integers(min_value=2, max_value=3),
+    )
+    def test_hypothesis_laws(self, cells, n_servers):
+        total = sum(map(sum, cells))
+        check_kept_law(validate_joint([[F(c, total) for c in row] for row in cells]), n_servers)
+
+    def test_other_laws_of_the_same_k_are_scaled(self):
+        rng = random.Random("other-laws")
+        for K in (2, 3, 4):
+            solved, other = positive_joint(rng, K), sparse_joint(rng, K, zero_row=True)
+            policy = solve_lp(build_lp(solved, 2))
+            for joint in (solved, other):
+                assert reads_the_policy_law(policy_weights, policy, joint)
+            assert validate_policy(policy, solved).all_ok
+
+    def test_the_check_catches_a_kept_law_read_for_any_joint(self):
+        # a policy_weights that skips the comparison of the laws passes on
+        # the solved law and fails on another one of the same K
+        def mutant(policy, joint):
+            return policy._law[1:]
+
+        rng = random.Random("other-laws")
+        solved, other = positive_joint(rng, 3), positive_joint(rng, 3)
+        policy = solve_lp(build_lp(solved, 2))
+        assert reads_the_policy_law(mutant, policy, solved)
+        assert not reads_the_policy_law(mutant, policy, other)
+
+    def test_the_kept_law_is_read_only(self):
+        joint = positive_joint(random.Random("read-only"), 3)
+        policy = solve_lp(build_lp(joint, 2))
+        weights, _ = policy_weights(policy, joint)
+        key = next(iter(weights))
+        with pytest.raises(TypeError):
+            weights[key] = 0
+        assert policy_weights(policy, joint)[0] is policy._law[1]
+
+    def test_policies_built_from_entries_keep_no_law(self, pair_joint):
+        policy = greedy_policy(conditional_from_joint(pair_joint))
+        assert policy._law is None
+        with pytest.raises(AttributeError):
+            policy.missing
+
+
+class TestTypedRefusals:
+    @pytest.mark.parametrize("K", [2.5, 0, -1, True])
+    def test_trivial_policy_needs_a_positive_int(self, K):
+        with pytest.raises(InvalidParams, match="need an int K of at least 1"):
+            trivial_policy(K)
+
+    def test_float_server_count_is_refused_after_an_int_solve(self, pair_joint):
+        # the (K, N) caches hold 2 and 2.0 as one key; a float N must not
+        # ride on what an int N left there
+        solve_lp(build_lp(pair_joint, 2))
+        with pytest.raises(InvalidParams, match="N and k must be ints"):
+            solve_lp(build_lp(pair_joint, 2.0))
+
+
 class TestPolicyValidation:
     def test_reference_policy_passes(self, pair_cond, pair_joint):
         policy = greedy_policy(pair_cond)
@@ -679,7 +833,8 @@ class TestExpectedCost:
         assert type(capacity_cost(2, 1)) is F
         assert all(type(p) is F for p in trivial_policy(3).entries.values())
         assert all(type(v) is F for v in greedy_policy(skew_cond).size_marginal(skew_cond))
-        assert all(type(v) is F for v in build_lp(pair_joint, 2).rhs)
+        # the rhs is ints over its first entry
+        assert all(type(v) is int for v in build_lp(pair_joint, 2).rhs)
 
 
 def check_policy_law(policy, joint, n_servers=2):
