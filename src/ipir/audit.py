@@ -218,9 +218,9 @@ def audit_query_privacy(
     session's key draw but with no ``PirKey`` or session built, and each
     distinct order is mapped once to the ``pir.query_pattern`` of its
     query by ``pir.order_pattern``. Any other mode, and an empirical
-    audit with fewer than one trial, raise InvalidParams; a policy with no
-    entries at a request pair of positive mass raises UnsupportedPair, in
-    either mode.
+    audit whose trials are not an int (a bool included) or are fewer than
+    one, raise InvalidParams; a policy with no entries at a request pair of
+    positive mass raises UnsupportedPair, in either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
@@ -242,8 +242,10 @@ def audit_query_privacy(
         report.checks.append(
             AuditCheck(name="exact-mode-infeasible (fell back to empirical)", passed=True)
         )
-    if report.mode == "empirical" and trials < 1:
-        raise InvalidParams(f"an empirical audit needs at least 1 trial, got {trials}")
+    if report.mode == "empirical" and (type(trials) is not int or trials < 1):
+        raise InvalidParams(
+            f"an empirical audit needs an int of at least 1 trial, got {trials!r}"
+        )
     if report.mode == "exact":
         laws, scale = _query_laws(joint, policy, config, {})
         for server, law in enumerate(laws):

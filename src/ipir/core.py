@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .errors import (
@@ -82,9 +82,12 @@ class JointDistribution:
 
     @classmethod
     def over(cls, weights, scale: int) -> "JointDistribution":
-        """The law ``weights`` / ``scale`` in lowest terms, taken as given:
-        the caller vouches that the weights are non-negative and sum to
-        ``scale``."""
+        """The law ``weights`` / ``scale`` in lowest terms. A negative
+        weight raises NegativeEntry; the caller vouches that the weights
+        sum to ``scale``."""
+        least = min(chain.from_iterable(weights), default=0)
+        if least < 0:
+            raise NegativeEntry(f"weight {least}/{scale} is negative")
         divisor = gcd(scale, *(w for row in weights for w in row))
         return cls(
             tuple(tuple(w // divisor for w in row) for row in weights), scale // divisor

@@ -2,20 +2,23 @@
 
 Wire format, protocol version 2: each frame is a 4-byte big-endian length
 prefix followed by a body of at most 2**24 bytes, a one-byte tag and then
-big-endian fields:
+big-endian fields. Each side parses only the frames the other side sends:
 
-- hello (0x01): nothing more from a client; from a server the u32 words
-  ``[proto_version, K, L]``. Replicas answer it; the library has no client
-  helper that sends it.
-- query (0x02): u32 words ``[session, n_combos, size_0 ... size_{n-1},
-  msg, pos, msg, pos, ...]``, each combo's atom count and then the atoms
-  of every combo in order.
-- answer (0x03): a u32 session, then one byte, 0 or 1, per combo.
-- error (0x04): a one-byte length, the ASCII code (``range``,
-  ``malformed``, ``frame_too_large`` or ``busy``), then the UTF-8 detail.
+- query (0x02), client to replica: u32 words ``[session, n_combos,
+  size_0 ... size_{n-1}, msg, pos, msg, pos, ...]``, each combo's atom
+  count and then the atoms of every combo in order.
+- hello (0x01), the bare tag to a replica, which replies with the u32
+  words ``[proto_version, K, L]``. No library call sends one.
+- answer (0x03), replica to client: a u32 session, then one byte, 0 or 1,
+  per combo.
+- error (0x04), replica to client: a one-byte length, the ASCII code
+  (``range``, ``malformed``, ``frame_too_large`` or ``busy``), then the
+  UTF-8 detail.
 
-Any other body, a version-1 peer's JSON among them, gets a ``malformed``
-error and the connection ends.
+A replica replies to any other body, a version-1 peer's JSON among them,
+with a ``malformed`` error and ends the connection. A client raises
+``ProtocolError`` on a hello or a query, and ``FetchTimeout`` on a body it
+cannot parse.
 
 Servers are honest-but-curious: they evaluate queries against an immutable
 replica and keep no per-client state. Download-cost accounting counts
@@ -77,6 +80,8 @@ PROTO_VERSION = 2
 MAX_FRAME = 1 << 24
 # frame tags, the first byte of every body
 HELLO, QUERY, ANSWER, ERROR = 1, 2, 3, 4
+_KINDS = {HELLO: "hello", QUERY: "query", ANSWER: "answer", ERROR: "error"}
+_BARE_HELLO = bytes((HELLO,))
 _WORD = struct.Struct("!I")
 _TAGGED_WORD = struct.Struct("!BI")
 _HELLO_REPLY = struct.Struct("!BIII")
@@ -108,11 +113,22 @@ def _query_body(session: int, combos) -> bytes:
         raise OutOfRange(f"a query word is not a u32: {exc}") from exc
 
 
-def _answer_body(session: int, bits) -> bytes:
-    return _TAGGED_WORD.pack(ANSWER, session) + bytes(bits)
+def _error_body(code: str, detail: str) -> bytes:
+    return bytes((ERROR, len(code))) + code.encode("ascii") + detail.encode("utf-8")
 
 
-def _decode_query(body: bytes) -> dict:
+def _unexpected(body: bytes) -> str:
+    """Why a side refuses a body that is not a frame it reads."""
+    if not body:
+        return "empty frame"
+    name = _KINDS.get(body[0])
+    return f"unexpected {name} frame" if name else f"unknown frame tag 0x{body[0]:02x}"
+
+
+def _parse_query(body: bytes) -> tuple[int, tuple]:
+    """A query body's session and combos, each a tuple of (msg, pos) pairs."""
+    if not body or body[0] != QUERY:
+        raise MalformedFrame(_unexpected(body))
     count, rest = divmod(len(body) - 1, 4)
     if rest:
         raise MalformedFrame(f"query of {len(body) - 1} bytes is not whole u32 words")
@@ -133,55 +149,7 @@ def _decode_query(body: bytes) -> dict:
     for size in sizes:
         combos.append(tuple(pairs[first:first + size]))
         first += size
-    return {"type": "query", "session": words[0], "combos": tuple(combos)}
-
-
-def encode(message: dict) -> bytes:
-    """The body of one frame: a message as ``decode`` returns it."""
-    kind = message["type"]
-    if kind == "query":
-        return _query_body(message["session"], message["combos"])
-    if kind == "answer":
-        return _answer_body(message["session"], message["bits"])
-    if kind == "hello":
-        if "K" not in message:
-            return bytes((HELLO,))
-        return _HELLO_REPLY.pack(HELLO, message["proto_version"], message["K"], message["L"])
-    if kind == "error":
-        code = message["code"].encode("ascii")
-        return bytes((ERROR, len(code))) + code + message["detail"].encode("utf-8")
-    raise InvalidParams(f"no frame type {kind!r}")
-
-
-def decode(body: bytes) -> dict:
-    """One frame body as a message: a query's combos are tuples of
-    (msg, pos) pairs, an answer's bits are bytes."""
-    if not body:
-        raise MalformedFrame("empty frame")
-    tag = body[0]
-    if tag == QUERY:
-        return _decode_query(body)
-    if tag == ANSWER:
-        if len(body) < 5:
-            raise MalformedFrame("answer shorter than its session id")
-        return {"type": "answer", "session": _WORD.unpack_from(body, 1)[0], "bits": body[5:]}
-    if tag == HELLO:
-        if len(body) == 1:
-            return {"type": "hello"}
-        if len(body) != _HELLO_REPLY.size:
-            raise MalformedFrame(f"hello of {len(body)} bytes")
-        _, version, K, L = _HELLO_REPLY.unpack(body)
-        return {"type": "hello", "proto_version": version, "K": K, "L": L}
-    if tag == ERROR:
-        end = 2 + body[1] if len(body) > 1 else 0
-        if not 2 <= end <= len(body):
-            raise MalformedFrame("error frame shorter than its code")
-        try:
-            code, detail = body[2:end].decode("ascii"), body[end:].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedFrame(f"undecodable error frame: {exc}") from exc
-        return {"type": "error", "code": code, "detail": detail}
-    raise MalformedFrame(f"unknown frame tag 0x{tag:02x}")
+    return words[0], tuple(combos)
 
 
 def _send(sock: socket.socket, body: bytes) -> int:
@@ -189,11 +157,6 @@ def _send(sock: socket.socket, body: bytes) -> int:
         raise MalformedFrame(f"payload of {len(body)} bytes exceeds the frame limit")
     sock.sendall(_WORD.pack(len(body)) + body)
     return 4 + len(body)
-
-
-def send_frame(sock: socket.socket, message: dict) -> int:
-    """Send one frame; returns the number of bytes written."""
-    return _send(sock, encode(message))
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes | None:
@@ -228,34 +191,29 @@ def _recv_body(sock: socket.socket, limit: int = MAX_FRAME) -> bytes | None:
 def _serve(store: MessageStore, sock: socket.socket):
     # tag, session, count, then at most K·L sizes and K·L atoms
     limit = min(MAX_FRAME, 1 + 4 * (2 + 3 * store.K * store.L))
+    hello = _HELLO_REPLY.pack(HELLO, PROTO_VERSION, store.K, store.L)
     while True:
         try:
             body = _recv_body(sock, limit)
             if body is None:
                 return
-            message = decode(body)
+            if body == _BARE_HELLO:
+                _send(sock, hello)
+                continue
+            session, combos = _parse_query(body)
         except MalformedFrame as exc:
             code = "frame_too_large" if isinstance(exc, _TooLarge) else "malformed"
             try:
-                send_frame(sock, {"type": "error", "code": code, "detail": str(exc)})
+                _send(sock, _error_body(code, str(exc)))
             except OSError:
                 pass
             return
-        kind = message["type"]
-        if kind == "query":
-            try:
-                bits = pir_answer(PirQuery(message["combos"]), store)
-            except OutOfRange as exc:
-                send_frame(sock, {"type": "error", "code": "range", "detail": str(exc)})
-                continue
-            _send(sock, _answer_body(message["session"], bits))
-        elif kind == "hello":
-            send_frame(sock, {"type": "hello", "proto_version": PROTO_VERSION,
-                              "K": store.K, "L": store.L})
-        else:
-            send_frame(sock, {"type": "error", "code": "malformed",
-                              "detail": f"unexpected {kind} frame"})
-            return
+        try:
+            bits = pir_answer(PirQuery(combos), store)
+        except OutOfRange as exc:
+            _send(sock, _error_body("range", str(exc)))
+            continue
+        _send(sock, _TAGGED_WORD.pack(ANSWER, session) + bytes(bits))
 
 
 class StoreServer:
@@ -350,8 +308,7 @@ def _refuse(sock: socket.socket):
     on the client."""
     try:
         sock.setblocking(False)
-        send_frame(sock, {"type": "error", "code": "busy",
-                          "detail": f"more than {MAX_CONNECTIONS} connections"})
+        _send(sock, _error_body("busy", f"more than {MAX_CONNECTIONS} connections"))
     except OSError:
         pass
     finally:
@@ -377,21 +334,33 @@ def _peer_closed(sock: socket.socket) -> bool:
 
 def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[tuple[int, ...], int]:
     """One server's answer bits, checked against its query; with the frame
-    size."""
+    size. Only an answer or an error body is parsed: a body of another
+    known kind is an unexpected reply, and no frame, or one that does not
+    parse, is a FetchTimeout."""
     try:
         body = _recv_body(sock)
-        reply = None if body is None else decode(body)
+        if body is None:
+            raise FetchTimeout(_endpoint(address))
+        tag = body[0] if body else None
+        if tag not in _KINDS:
+            raise MalformedFrame(_unexpected(body))
+        if tag == ANSWER and len(body) < 5:
+            raise MalformedFrame("answer shorter than its session id")
+        if tag == ERROR:
+            end = 2 + body[1] if len(body) > 1 else 0
+            if not 2 <= end <= len(body):
+                raise MalformedFrame("error frame shorter than its code")
+            try:
+                code, detail = body[2:end].decode("ascii"), body[end:].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedFrame(f"undecodable error frame: {exc}") from exc
     except (OSError, MalformedFrame) as exc:
         raise FetchTimeout(_endpoint(address)) from exc
-    if reply is None:
-        raise FetchTimeout(_endpoint(address))
-    kind = reply["type"]
-    if kind == "error":
-        raise ProtocolError(f"server {address} answered {reply['code']}: "
-                            f"{reply['detail']}")
-    if kind != "answer" or reply["session"] != session:
-        raise ProtocolError(f"unexpected reply {kind!r} from {address}")
-    bits = reply["bits"]
+    if tag == ERROR:
+        raise ProtocolError(f"server {address} answered {code}: {detail}")
+    if tag != ANSWER or _WORD.unpack_from(body, 1)[0] != session:
+        raise ProtocolError(f"unexpected reply {_KINDS[tag]!r} from {address}")
+    bits = body[5:]
     if len(bits) != len(query.combos) or bits.translate(None, b"\x00\x01"):
         raise LengthMismatch(
             f"server {address} answered {len(bits)} bits for "

@@ -514,5 +514,8 @@ class PirSession:
 
 
 def open_session(params: SchemeParams, desired: int, rng: random.Random) -> PirSession:
-    """Draw a fresh key and build the N queries for the desired message."""
+    """Draw a fresh key and build the N queries for the desired message,
+    which must be an int (a bool included: InvalidParams)."""
+    if type(desired) is not int:
+        raise InvalidParams(f"the desired message must be an int, got {desired!r}")
     return PirSession.from_key(params, desired, PirKey.random(params, rng))

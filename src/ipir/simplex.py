@@ -55,7 +55,6 @@ class SimplexSolution:
     """x is ``numerators`` / ``denominator`` in lowest terms, or None."""
 
     status: str  # "optimal" | "unbounded"
-    objective: Fraction | None
     numerators: list[int] | None
     denominator: int
     pivots: int  # every tableau pivot; 0 on a cache hit
@@ -83,7 +82,7 @@ class BasisCache:
     def __init__(self, costs, rows):
         self.costs, self.rows = tuple(costs), tuple(map(tuple, rows))
         self._rows = [scale_to_integers(row) for row in self.rows]
-        self._costs, self._mu = scale_to_integers([*costs, 0])
+        self._costs = scale_to_integers([*costs, 0])[0]
         self._bases = []  # (basic variable per row, G, delta), most recently hit first
 
     def _add(self, basis, nonbasic, tableau, d: int, scale) -> None:
@@ -153,7 +152,7 @@ def minimize(
         try:
             pivots, denominator = _run(tableau, z, basis, nonbasic, scale, max_pivots)
         except _Unbounded as exc:
-            return SimplexSolution("unbounded", None, None, 1, exc.args[0])
+            return SimplexSolution("unbounded", None, 1, exc.args[0])
         if _certified(z):
             bases._add(basis, nonbasic, tableau, denominator, scale)
         values = [row[-1] for row in tableau]
@@ -163,10 +162,7 @@ def minimize(
         if var < n:
             numerators[var] = v
     g = gcd(denominator, *numerators)
-    objective = Fraction(sum(map(mul, bases._costs, numerators)), denominator * bases._mu)
-    return SimplexSolution(
-        "optimal", objective, [v // g for v in numerators], denominator // g, pivots
-    )
+    return SimplexSolution("optimal", [v // g for v in numerators], denominator // g, pivots)
 
 
 def _certified(z) -> bool:

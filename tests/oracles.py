@@ -11,12 +11,13 @@ of the equivalence tests.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
 from ipir.core import (
@@ -37,6 +38,7 @@ from ipir.errors import (
     InconsistentAnswers,
     InvalidParams,
     IterationLimit,
+    MalformedFrame,
     OutOfRange,
     PartialSupport,
     TooLarge,
@@ -66,6 +68,7 @@ from ipir.obfuscation import (
     mask_of,
     policy_weights,
 )
+from ipir.net import ANSWER, ERROR, HELLO, QUERY, _HELLO_REPLY, _TAGGED_WORD, _WORD, _send
 from ipir.simplex import SimplexSolution, minimize
 from ipir import pir
 
@@ -782,10 +785,16 @@ class _Unbounded(Exception):
     the pivot count so far."""
 
 
-def _solution(status: str, objective, x, pivots: int) -> SimplexSolution:
+def _solution(status: str, x, pivots: int) -> SimplexSolution:
     """A ``SimplexSolution`` from its x as Fractions (None if there is none)."""
     numerators, denominator = (None, 1) if x is None else scale_to_integers(x)
-    return SimplexSolution(status, objective, numerators, denominator, pivots)
+    return SimplexSolution(status, numerators, denominator, pivots)
+
+
+def objective(costs, solution: SimplexSolution) -> Fraction | None:
+    """c·x of a solution, None if it has no x."""
+    x = solution.x
+    return None if x is None else sum(map(mul, costs, x), ZERO)
 
 
 def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSolution:
@@ -815,7 +824,7 @@ def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSo
 
     pivots = _two_phase_run(tableau, z, basis, max_pivots)
     if z[-1] != 0:
-        return _solution("infeasible", None, None, pivots)
+        return _solution("infeasible", None, pivots)
 
     # drive leftover artificials out of the basis; all-zero rows are redundant
     keep = []
@@ -843,12 +852,12 @@ def two_phase_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSo
     try:
         pivots += _two_phase_run(tableau, z, basis, max_pivots - pivots)
     except _Unbounded as exc:
-        return _solution("unbounded", None, None, pivots + exc.args[0])
+        return _solution("unbounded", None, pivots + exc.args[0])
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         x[var] = tableau[i][-1]
-    return _solution("optimal", -z[-1], x, pivots)
+    return _solution("optimal", x, pivots)
 
 
 def _two_phase_run(tableau, z, basis, budget: int) -> int:
@@ -943,13 +952,13 @@ def fraction_minimize(costs, rows, rhs, max_pivots: int = 200_000) -> SimplexSol
     try:
         pivots = _fraction_run(tableau, z, basis, nonbasic, max_pivots)
     except _Unbounded as exc:
-        return _solution("unbounded", None, None, exc.args[0])
+        return _solution("unbounded", None, exc.args[0])
 
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
             x[var] = tableau[i][-1]
-    return _solution("optimal", -z[-1], x, pivots)
+    return _solution("optimal", x, pivots)
 
 
 def _fraction_run(tableau, z, basis, nonbasic, budget: int) -> int:
@@ -1165,7 +1174,7 @@ def equality_lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fra
         for (kind, u), value in zip(instance.variables, solution.x)
         if kind == "m" and value != 0
     }
-    return marginal, solution.objective
+    return marginal, objective(instance.costs, solution)
 
 
 # The simplex routing that ipir.obfuscation.solve_lp replaced with an exact
@@ -1188,7 +1197,9 @@ def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
     rest = ONE - sum(marginal.values(), ZERO)
     if rest != 0:
         marginal[full_mask(instance.K)] = rest
-    return marginal, solution.objective + capacity_cost(instance.n_servers, instance.K)
+    return marginal, objective(instance.costs, solution) + capacity_cost(
+        instance.n_servers, instance.K
+    )
 
 
 def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> ObfuscationPolicy:
@@ -1892,3 +1903,101 @@ def recomputing_greedy_policy(cond: ConditionalMatrix) -> ObfuscationPolicy:
         if joint_mass != 0
     }
     return ObfuscationPolicy(K=K, entries=entries)
+
+
+# The dict-message wire codec that ipir.net replaced with one parser per
+# side: the replica parses queries and the bare hello, the client answers
+# and errors. Tests build and read frames through it, and compare it with
+# the two parsers.
+
+
+def _query_body(session: int, combos) -> bytes:
+    words = [session, len(combos), *map(len, combos)]
+    for combo in combos:
+        for atom in combo:
+            words += atom
+    try:
+        return struct.pack(f"!B{len(words)}I", QUERY, *words)
+    except struct.error as exc:
+        raise OutOfRange(f"a query word is not a u32: {exc}") from exc
+
+
+def _answer_body(session: int, bits) -> bytes:
+    return _TAGGED_WORD.pack(ANSWER, session) + bytes(bits)
+
+
+def _decode_query(body: bytes) -> dict:
+    count, rest = divmod(len(body) - 1, 4)
+    if rest:
+        raise MalformedFrame(f"query of {len(body) - 1} bytes is not whole u32 words")
+    if count < 2:
+        raise MalformedFrame("query lacks its session or its combo count")
+    words = struct.unpack_from(f"!{count}I", body, 1)
+    start = 2 + words[1]
+    if start > count:
+        raise MalformedFrame(f"{words[1]} combo sizes run past the end of the query")
+    sizes = words[2:start]
+    if start + 2 * sum(sizes) != count:
+        raise MalformedFrame(f"combo sizes name {sum(sizes)} atoms in "
+                             f"{count - start} words")
+    atoms = iter(words[start:])
+    pairs = list(zip(atoms, atoms))
+    combos = []
+    first = 0
+    for size in sizes:
+        combos.append(tuple(pairs[first:first + size]))
+        first += size
+    return {"type": "query", "session": words[0], "combos": tuple(combos)}
+
+
+def encode(message: dict) -> bytes:
+    """The body of one frame: a message as ``decode`` returns it."""
+    kind = message["type"]
+    if kind == "query":
+        return _query_body(message["session"], message["combos"])
+    if kind == "answer":
+        return _answer_body(message["session"], message["bits"])
+    if kind == "hello":
+        if "K" not in message:
+            return bytes((HELLO,))
+        return _HELLO_REPLY.pack(HELLO, message["proto_version"], message["K"], message["L"])
+    if kind == "error":
+        code = message["code"].encode("ascii")
+        return bytes((ERROR, len(code))) + code + message["detail"].encode("utf-8")
+    raise InvalidParams(f"no frame type {kind!r}")
+
+
+def decode(body: bytes) -> dict:
+    """One frame body as a message: a query's combos are tuples of
+    (msg, pos) pairs, an answer's bits are bytes."""
+    if not body:
+        raise MalformedFrame("empty frame")
+    tag = body[0]
+    if tag == QUERY:
+        return _decode_query(body)
+    if tag == ANSWER:
+        if len(body) < 5:
+            raise MalformedFrame("answer shorter than its session id")
+        return {"type": "answer", "session": _WORD.unpack_from(body, 1)[0], "bits": body[5:]}
+    if tag == HELLO:
+        if len(body) == 1:
+            return {"type": "hello"}
+        if len(body) != _HELLO_REPLY.size:
+            raise MalformedFrame(f"hello of {len(body)} bytes")
+        _, version, K, L = _HELLO_REPLY.unpack(body)
+        return {"type": "hello", "proto_version": version, "K": K, "L": L}
+    if tag == ERROR:
+        end = 2 + body[1] if len(body) > 1 else 0
+        if not 2 <= end <= len(body):
+            raise MalformedFrame("error frame shorter than its code")
+        try:
+            code, detail = body[2:end].decode("ascii"), body[end:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedFrame(f"undecodable error frame: {exc}") from exc
+        return {"type": "error", "code": code, "detail": detail}
+    raise MalformedFrame(f"unknown frame tag 0x{tag:02x}")
+
+
+def send_frame(sock, message: dict) -> int:
+    """Send one frame; returns the number of bytes written."""
+    return _send(sock, encode(message))

@@ -312,7 +312,7 @@ class TestQueryPrivacyExact:
         with pytest.raises(InvalidParams):
             audit_query_privacy(pair_joint, greedy_policy(pair_cond), config22, mode="nope")
 
-    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
     def test_empirical_audit_without_trials_rejected(
         self, pair_joint, pair_cond, config22, trials
     ):

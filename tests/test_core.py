@@ -50,6 +50,11 @@ class TestValidateJoint:
         with pytest.raises(NegativeEntry):
             validate_joint([[F(5, 4), F(-1, 4)], [0, 0]])
 
+    def test_over_refuses_a_negative_weight(self):
+        # it built a law with a -1/2 entry
+        with pytest.raises(NegativeEntry):
+            JointDistribution.over([[1, -1], [1, 1]], 2)
+
     def test_json_round_trip(self, pair_joint):
         again = JointDistribution.from_json_dict(pair_joint.to_json_dict())
         assert again == pair_joint

@@ -23,12 +23,10 @@ from ipir.errors import (
 )
 from ipir.intermittent import local_transport, run_two_request
 from ipir.net import (
+    HELLO,
     MAX_FRAME,
     QUERY,
     RemoteTransport,
-    decode,
-    encode,
-    send_frame,
     serve,
     store_from_bytes,
     store_to_bytes,
@@ -36,7 +34,7 @@ from ipir.net import (
 from ipir.obfuscation import greedy_policy
 from ipir.pir import PirQuery, PirSession, open_session, pir_answer, pir_setup
 
-from oracles import key_from_perms
+from oracles import decode, encode, key_from_perms, send_frame
 
 
 def other_threads():
@@ -104,6 +102,141 @@ MESSAGES = st.one_of(
 )
 
 
+# the parser tests' replica, whose per-store frame limit takes every
+# query MESSAGES draws, and the address the client's messages name
+PARSER_STORE = MessageStore.random(4, 8, fork_rng(9, "s"))
+ADDRESS = ("127.0.0.1", 9)
+
+
+def replica_reads(body: bytes):
+    """What ``net._serve`` makes of one frame over a socketpair: the query
+    it evaluates, as ("query", session, combos), "hello", or the code of
+    the error it replies with. ``pir_answer`` is replaced by a recorder."""
+    evaluated = []
+
+    def answer(query, store):
+        evaluated.append(query.combos)
+        return (0,) * len(query.combos)
+
+    a, b = socket.socketpair()
+    with a, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(net, "pir_answer", answer)
+        a.sendall(struct.pack("!I", len(body)) + body)
+        a.shutdown(socket.SHUT_WR)
+        with b:
+            net._serve(PARSER_STORE, b)
+        replies = []
+        while (reply := recv_frame(a)) is not None:
+            replies.append(reply)
+    [reply] = replies
+    if reply["type"] == "answer":
+        [combos] = evaluated
+        return "query", reply["session"], combos
+    if reply["type"] == "hello":
+        assert reply == {"type": "hello", "proto_version": net.PROTO_VERSION,
+                         "K": PARSER_STORE.K, "L": PARSER_STORE.L}
+        return "hello"
+    return reply["code"]
+
+
+def replica_expected(body: bytes):
+    """``replica_reads`` as the oracle codec decides it, but for one
+    decision: the replica takes only the bare hello, and refuses a hello
+    with fields, the 13-byte hello reply among them, that the codec reads."""
+    try:
+        message = decode(body)
+    except MalformedFrame:
+        return "malformed"
+    if message["type"] == "query":
+        return "query", message["session"], message["combos"]
+    return "hello" if body == bytes((HELLO,)) else "malformed"
+
+
+def client_reads(body: bytes, session: int, n_combos: int):
+    """What ``net._read_answer`` makes of one frame over a socketpair, for
+    a query of ``n_combos`` combos: the bits, or the error's type and text."""
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(struct.pack("!I", len(body)) + body)
+        try:
+            bits, size = net._read_answer(b, ADDRESS, session, PirQuery(((),) * n_combos))
+        except ProtocolError as exc:
+            return type(exc), str(exc)
+    assert size == 4 + len(body)
+    return bits
+
+
+def client_expected(body: bytes, session: int, n_combos: int):
+    """``client_reads`` as the oracle codec decides it, but for a hello or
+    query body that the codec refuses: the client parses neither, so it
+    takes any such body as an unexpected reply, where a reader on the codec
+    raises FetchTimeout."""
+    try:
+        reply = decode(body)
+    except MalformedFrame:
+        kind = {HELLO: "hello", QUERY: "query"}.get(body[0]) if body else None
+        if kind:
+            return ProtocolError, f"unexpected reply {kind!r} from {ADDRESS}"
+        return FetchTimeout, f"no answer from {ADDRESS[0]}:{ADDRESS[1]}"
+    kind = reply["type"]
+    if kind == "error":
+        return ProtocolError, f"server {ADDRESS} answered {reply['code']}: {reply['detail']}"
+    if kind != "answer" or reply["session"] != session:
+        return ProtocolError, f"unexpected reply {kind!r} from {ADDRESS}"
+    bits = reply["bits"]
+    if len(bits) != n_combos or bits.translate(None, b"\x00\x01"):
+        return LengthMismatch, f"server {ADDRESS} answered {len(bits)} bits for {n_combos} combos"
+    return tuple(bits)
+
+
+class TestSideParsers:
+    """The replica's and the client's parsers against the oracle codec:
+    the same frames accepted, the same error codes, and on the client the
+    same exception and text, but for the decisions the expectations name."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(MESSAGES, st.booleans())
+    def test_every_message_is_read_as_the_oracle_reads_it(self, message, same_session):
+        body = encode(message)
+        assert replica_reads(body) == replica_expected(body)
+        session = message.get("session", 0) ^ (not same_session)
+        n_combos = len(message.get("bits", b""))
+        assert client_reads(body, session, n_combos) == client_expected(body, session, n_combos)
+        if message["type"] == "query":
+            assert net._query_body(message["session"], message["combos"]) == body
+        if message["type"] == "error":
+            assert net._error_body(message["code"], message["detail"]) == body
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",
+            b"\xff{not json",
+            query_frame(1, 1, 1, 0, 0)[:-1],
+            query_frame(1, 0) + b"\x00",
+            query_frame(1),
+            query_frame(1, 5, 1, 0, 0),
+            query_frame(1, 2, 1, 2, 0, 0, 1, 1),
+            b"\x03\x00\x00",
+            b"\x04",
+            b"\x04\x09busy",
+            b"\x04\x04busy\xff",
+            b"\x04\x02\xffx",
+            b"\x01\x00",
+            encode({"type": "hello", "proto_version": 2, "K": 2, "L": 4}),
+        ],
+        ids=["empty", "unknown tag", "query not whole words", "query and a stray byte",
+             "query without its count",
+             "combo count past the end", "sizes disagree with the atoms",
+             "answer shorter than its session id", "error without its code length",
+             "error code past the end", "non-UTF-8 error detail", "non-ASCII error code",
+             "two-byte hello", "hello reply"],
+    )
+    def test_malformed_body_is_refused_as_the_oracle_refuses_it(self, body):
+        assert replica_reads(body) == replica_expected(body)
+        assert client_reads(body, 1, 1) == client_expected(body, 1, 1)
+
+
 class TestFraming:
     def test_round_trip_over_a_socketpair(self):
         a, b = socket.socketpair()
@@ -129,12 +262,12 @@ class TestFraming:
 
     def test_query_is_big_endian_words(self):
         combos = (((0, 1),), ((1, 2), (2, 3)))
-        body = encode({"type": "query", "session": 258, "combos": combos})
+        body = net._query_body(258, combos)
         assert body == query_frame(258, 2, 1, 2, 0, 1, 1, 2, 2, 3)
         assert body[1:5] == b"\x00\x00\x01\x02"
 
     def test_error_layout(self):
-        body = encode({"type": "error", "code": "busy", "detail": "é"})
+        body = net._error_body("busy", "é")
         assert body == b"\x04\x04busy" + "é".encode()
 
     @settings(max_examples=300, deadline=None)
@@ -154,12 +287,12 @@ class TestFraming:
             "empty combos": [()] * (3 * K * L),
             "one combo": [tuple((atoms * 2)[:(3 * K * L - 1) // 2])],
         }[shape]
-        body = encode({"type": "query", "session": 1, "combos": tuple(combos)})
+        body = net._query_body(1, tuple(combos))
         assert 1 + 4 * (1 + 3 * K * L) <= len(body) <= 1 + 4 * (2 + 3 * K * L)
         tracemalloc.start()
         try:
-            message = decode(body)
-            pir_answer(PirQuery(message["combos"]), store)
+            _, parsed = net._parse_query(body)
+            pir_answer(PirQuery(parsed), store)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -607,6 +740,19 @@ def hello_for_answer(conn, message):
     send_frame(conn, {"type": "hello", "proto_version": net.PROTO_VERSION, "K": 2, "L": 4})
 
 
+def sends(body):
+    """A fault that sends one frame of ``body`` in place of the answer."""
+
+    def fault(conn, message):
+        conn.sendall(struct.pack("!I", len(body)) + body)
+
+    return fault
+
+
+def echoes_the_query(conn, message):
+    send_frame(conn, message)
+
+
 def truncated_frame(conn, message):
     conn.sendall(struct.pack("!I", 100) + b"\x03\x00\x00")
 
@@ -628,6 +774,9 @@ FAULTS = {
     "wrong-length answer": (reply_with(bits=b"\x00"), LengthMismatch, 5.0),
     "answer outside 01": (bit_outside_01, LengthMismatch, 5.0),
     "a hello frame in place of the answer": (hello_for_answer, ProtocolError, 5.0),
+    "a malformed error frame in place of the answer": (sends(b"\x04\x09busy"), FetchTimeout, 5.0),
+    "a query frame in place of the answer": (echoes_the_query, ProtocolError, 5.0),
+    "an answer shorter than its session id": (sends(b"\x03\x00\x00"), FetchTimeout, 5.0),
 }
 
 

@@ -158,6 +158,13 @@ class TestQueryStructure:
         with pytest.raises(DesiredNotInSubset):
             PirSession.from_key(params, 1, PirKey.random(params, fork_rng(0)))
 
+    @pytest.mark.parametrize("desired", [1.0, True])
+    def test_desired_must_be_an_int(self, desired):
+        # 1.0 == True == 1 is in the subset, and would build a session
+        # whose desired is not an int
+        with pytest.raises(InvalidParams):
+            open_session(pir_setup(2, (0, 1), 4), desired, fork_rng(0))
+
     def test_total_download_matches_capacity(self):
         for n in (2, 3, 4):
             for k in (1, 2, 3, 4):
