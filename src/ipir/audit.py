@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import (
     ConditionalMatrix,
@@ -213,14 +212,13 @@ def audit_query_privacy(
     check records the fallback, and the ``ipir.audit`` logger logs it at
     INFO. Empirical mode compares the sampled query law across s values by
     total variation distance at each server from ``trials`` samples per
-    private value. A sample keeps only each server's combo order, drawn
-    by ``pir.sample_orders`` with the same ``getrandbits`` calls as a full
-    session's key draw but with no ``PirKey`` or session built, and each
-    distinct order is mapped once to the ``pir.query_pattern`` of its
-    query by ``pir.order_pattern``. Any other mode, and an empirical
-    audit whose trials are not an int (a bool included) or are fewer than
-    one, raise InvalidParams; a policy with no entries at a request pair of
-    positive mass raises UnsupportedPair, in either mode.
+    private value, each sample drawn with a full session's ``getrandbits``
+    calls but kept only as the order key of ``pir.sample_order_key`` (see
+    ``_pattern_counts``). Any other mode, and an empirical audit whose
+    trials are not an int (a bool included) or are fewer than one, or
+    whose threshold is not an int or a float, raise InvalidParams; a policy
+    with no entries at a request pair of positive mass raises
+    UnsupportedPair, in either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
@@ -246,6 +244,8 @@ def audit_query_privacy(
         raise InvalidParams(
             f"an empirical audit needs an int of at least 1 trial, got {trials!r}"
         )
+    if report.mode == "empirical" and not isinstance(threshold, (int, float)):
+        raise InvalidParams(f"the TV threshold must be an int or a float, got {threshold!r}")
     if report.mode == "exact":
         laws, scale = _query_laws(joint, policy, config, {})
         for server, law in enumerate(laws):
@@ -278,34 +278,40 @@ def _pattern_counts(
     draws the non-private request x, from p(x|s) = W(s, x) / W_s off the
     law's weights, then the subset, then the PIR key's shuffles.
 
-    A sample keeps each server's combo order from ``pir.sample_orders``.
-    A pattern is a function of the order alone, whatever x is, so the
-    orders are counted, and each distinct (mask, order) is mapped to its
-    pattern once by ``pir.order_pattern``. Merging the order counts in
+    Samples are counted per (mask, x, key), the key of
+    ``pir.sample_order_key``, which fixes every server's combo order; the
+    audit's first of each scatters its slots with ``pir.slot_orders``, and
+    each (mask, order) is mapped to its pattern once. Merging the counts in
     first-seen order gives each Counter its patterns in the order a
     sample first met them, as counting patterns would.
     """
     counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
     patterns: dict = {}  # (mask, order) -> pattern, over the whole audit
+    by_key: dict = {}  # (mask, x, key) -> each server's order, likewise
+    interned: dict = {}  # order -> itself, so equal orders are one object
     for s in joint.support():
-        row = joint.weights[s]
-        mass = sum(row)
-        x_sampler = WeightedSampler((x, Fraction(w, mass)) for x, w in enumerate(row) if w)
+        x_sampler = WeightedSampler.of_counts((x, w) for x, w in enumerate(joint.weights[s]) if w)
         rng = fork_rng(seed, "audit-empirical", s)
         by_mask: dict[int, tuple] = {}
         for _ in range(trials):
             x = x_sampler.draw(rng)
             mask = samplers[(s, x)].draw(rng)
-            entry = by_mask.get(mask)
-            if entry is None:
-                params = pir.pir_setup(config.N, indices_of(mask), config.L)
-                entry = by_mask[mask] = (params, [{} for _ in range(config.N)])
-            params, per_server = entry
-            for orders, order in zip(per_server, pir.sample_orders(params, x, rng)):
-                orders[order] = orders.get(order, 0) + 1
+            if mask not in by_mask:
+                by_mask[mask] = (pir.pir_setup(config.N, indices_of(mask), config.L), {})
+            params, seen = by_mask[mask]
+            key, slots = pir.sample_order_key(params, x, rng)
+            key = mask, x, key
+            if key not in by_key:
+                scattered = pir.slot_orders(params, x, slots)
+                by_key[key] = tuple(interned.setdefault(order, order) for order in scattered)
+            seen[key] = seen.get(key, 0) + 1
         for by_s in counts:
             by_s[s] = {}
-        for mask, (params, per_server) in by_mask.items():
+        for mask, (params, seen) in by_mask.items():
+            per_server: list[dict] = [{} for _ in counts]
+            for key, n in seen.items():
+                for orders, order in zip(per_server, by_key[key]):
+                    orders[order] = orders.get(order, 0) + n
             for by_s, orders in zip(counts, per_server):
                 merged = by_s[s][mask] = Counter()
                 for order, n in orders.items():
@@ -476,8 +482,11 @@ def audit_online_privacy(weights: dict, scale: int) -> AuditReport:
     is independent of the private request: the integer (S, X, U) law
     ``weights`` / ``scale`` of ``policy_weights``, summed over x in its
     order, factorizes. A location step passes its policy's law under the
-    transposed posterior. A negative weight raises NegativeEntry before
-    any log is taken."""
+    transposed posterior. A scale that is not a positive int, or a weight
+    that is not an int, raises DistributionError, and a negative weight
+    NegativeEntry, before any log is taken."""
+    if type(scale) is not int or scale < 1:
+        raise DistributionError(f"the scale must be a positive int, got {scale!r}")
     # the witness orders labels by str, so each mask becomes its indices,
     # once per mask
     labels: dict = {}
@@ -486,6 +495,8 @@ def audit_online_privacy(weights: dict, scale: int) -> AuditReport:
         subset = labels.get(mask)
         if subset is None:
             subset = labels[mask] = indices_of(mask)
+        if type(w) is not int:
+            raise DistributionError(f"policy entry (s={s}, x={x}, u={subset}) = {w!r} is not an int")
         if w < 0:
             raise NegativeEntry(f"policy entry (s={s}, x={x}, u={subset}) is negative")
         key = (s, subset)

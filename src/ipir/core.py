@@ -41,6 +41,14 @@ def parse_rational(text: str | int) -> Fraction:
         raise DistributionError(f"{text!r} is not a rational number") from None
 
 
+def as_fraction(value) -> Fraction:
+    """``Fraction(value)``; a value it cannot read raises DistributionError."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DistributionError(f"{value!r} is not a rational number") from None
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "a/b" (or "a" when the denominator is 1)."""
     value = Fraction(value)
@@ -84,11 +92,15 @@ class JointDistribution:
     def over(cls, weights, scale: int) -> "JointDistribution":
         """The law ``weights`` / ``scale`` in lowest terms. A negative
         weight raises NegativeEntry; the caller vouches that the weights
-        sum to ``scale``."""
-        least = min(chain.from_iterable(weights), default=0)
+        sum to ``scale``. Weights or a scale that are not ints raise
+        DistributionError."""
+        try:
+            least = min(chain.from_iterable(weights), default=0)
+            divisor = gcd(scale, *(w for row in weights for w in row))
+        except TypeError as exc:
+            raise DistributionError(f"a law needs int weights and scale: {exc}") from None
         if least < 0:
             raise NegativeEntry(f"weight {least}/{scale} is negative")
-        divisor = gcd(scale, *(w for row in weights for w in row))
         return cls(
             tuple(tuple(w // divisor for w in row) for row in weights), scale // divisor
         )
@@ -141,7 +153,7 @@ class ConditionalMatrix:
             raise DistributionError("a conditional matrix needs at least one row")
         frozen = []
         for s, row in enumerate(rows):
-            row = tuple(Fraction(v) for v in row)
+            row = tuple(map(as_fraction, row))
             if len(row) != K:
                 raise DistributionError(f"row {s} has {len(row)} entries, expected {K}")
             if any(v < 0 for v in row):
@@ -165,7 +177,7 @@ def validate_joint(raw) -> JointDistribution:
         if len(row) != K:
             raise DistributionError(f"matrix not square: row {s} has {len(row)} entries, expected {K}")
         for x, v in enumerate(row):
-            v = Fraction(v)
+            v = as_fraction(v)
             if v < 0:
                 raise NegativeEntry(f"entry ({s}, {x}) = {v} is negative")
             entries.append(v)
@@ -232,6 +244,8 @@ class MessageStore:
 
     @classmethod
     def random(cls, K: int, L: int, rng: random.Random) -> "MessageStore":
+        if type(K) is not int or type(L) is not int:  # before any draw
+            raise InvalidParams(f"K and L must be ints, got {K!r}, {L!r}")
         data = tuple(tuple(rng.randrange(2) for _ in range(L)) for _ in range(K))
         return cls(K=K, L=L, data=data)
 

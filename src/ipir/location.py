@@ -42,6 +42,7 @@ from .core import (
     MessageStore,
     SystemConfig,
     WeightedSampler,
+    as_fraction,
     conditional_from_joint,
     fork_rng,
     parse_rational,
@@ -86,6 +87,12 @@ class MobilityModel:
     kernels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            self._check()
+        except TypeError as exc:
+            raise DistributionError(f"a model needs an int K and rational entries: {exc}") from None
+
+    def _check(self):
         if len(self.pi0) != self.K:
             raise DistributionError(f"pi0 has {len(self.pi0)} entries, expected {self.K}")
         if any(v < 0 for v in self.pi0):
@@ -128,10 +135,9 @@ class MobilityModel:
     @classmethod
     def build(cls, pi0, transitions, time_variant=None) -> "MobilityModel":
         K = len(pi0)
-        pi = tuple(Fraction(v) for v in pi0)
+        pi = tuple(map(as_fraction, pi0))
         mats = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in matrix)
-            for matrix in transitions
+            tuple(tuple(map(as_fraction, row)) for row in matrix) for matrix in transitions
         )
         if time_variant is None:
             time_variant = len(mats) > 1

@@ -30,6 +30,9 @@ body. A valid query names each (message, position) at most once, so it
 fits: at most K·L sizes and K·L atoms. A connection therefore holds at most
 one body of ``12·K·L + 9`` bytes, decoded into at most ``3·K·L + 2`` words
 and as many tuples, and an answer frame of at most ``3·K·L + 9`` bytes.
+An error body is cut to ``ERROR_CAP`` bytes. A client refuses a reply
+announced longer than its query's answer, 5 bytes and one per combo, and
+than ``ERROR_CAP``, with a ``ProtocolError`` before it reads the body.
 Decoding and answering the worst such query takes about 60 bytes per word:
 under 0.8 MB at K=4, L=1024 (tracemalloc peak, CPython 3.11), so under
 ``MAX_CONNECTIONS`` × 0.8 MB = 51 MB for a full replica.
@@ -78,6 +81,7 @@ from .pir import PirQuery, pir_answer
 
 PROTO_VERSION = 2
 MAX_FRAME = 1 << 24
+ERROR_CAP = 256  # the longest error body; a replica cuts the detail to fit
 # frame tags, the first byte of every body
 HELLO, QUERY, ANSWER, ERROR = 1, 2, 3, 4
 _KINDS = {HELLO: "hello", QUERY: "query", ANSWER: "answer", ERROR: "error"}
@@ -114,7 +118,10 @@ def _query_body(session: int, combos) -> bytes:
 
 
 def _error_body(code: str, detail: str) -> bytes:
-    return bytes((ERROR, len(code))) + code.encode("ascii") + detail.encode("utf-8")
+    """An error body, its detail cut at a whole character to fit ERROR_CAP."""
+    head = bytes((ERROR, len(code))) + code.encode("ascii")
+    cut = detail.encode("utf-8")[: ERROR_CAP - len(head)]
+    return head + cut.decode("utf-8", "ignore").encode("utf-8")
 
 
 def _unexpected(body: bytes) -> str:
@@ -336,9 +343,10 @@ def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[tuple[in
     """One server's answer bits, checked against its query; with the frame
     size. Only an answer or an error body is parsed: a body of another
     known kind is an unexpected reply, and no frame, or one that does not
-    parse, is a FetchTimeout."""
+    parse, is a FetchTimeout. A frame announced longer than the query's
+    answer and than ERROR_CAP is a ProtocolError before its body is read."""
     try:
-        body = _recv_body(sock)
+        body = _recv_body(sock, max(5 + len(query.combos), ERROR_CAP))
         if body is None:
             raise FetchTimeout(_endpoint(address))
         tag = body[0] if body else None
@@ -354,6 +362,8 @@ def _read_answer(sock, address, session: int, query: PirQuery) -> tuple[tuple[in
                 code, detail = body[2:end].decode("ascii"), body[end:].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedFrame(f"undecodable error frame: {exc}") from exc
+    except _TooLarge as exc:
+        raise ProtocolError(f"server {address} sent an oversized reply: {exc}") from exc
     except (OSError, MalformedFrame) as exc:
         raise FetchTimeout(_endpoint(address)) from exc
     if tag == ERROR:

@@ -27,11 +27,11 @@ first atoms' slots. Each (N, k, blocks, desired position) compiles once
 into ``itemgetter`` tables over the atoms: a session gathers every combo
 through the key's slots and places it by its first atom's slot instead of
 sorting, and decode reads the desired bits through the same tables. The
-empirical audit keeps only each query's ``query_pattern``:
-``sample_orders`` draws the same flat key and places a small cell id per
-combo, building neither key nor session; a server's pattern is a function
-of its order of ids (``order_pattern``), and orders take few distinct
-values, so the audit counts orders and maps each one once.
+empirical audit keeps only each query's ``query_pattern``, a function
+(``order_pattern``) of the server's order of small cell ids
+(``slot_orders``). Rows of slots never interleave, so every order is fixed
+by a few ``<`` between first-atom slots in one row: ``sample_order_key``
+draws the flat key and returns them, and the audit scatters once per key.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, groupby, permutations, product
-from operator import itemgetter, xor
+from operator import itemgetter, lt, xor
 
 from .errors import (
     BlockMismatch,
@@ -255,7 +255,7 @@ def _tables(n_servers: int, k: int, blocks: int, desired_pos: int):
     order: singletons first, then by size, block and generation order.
     ``firsts`` reads the key slots of their first atoms off the slot list,
     the first ``singles`` of them singletons, and ``ids`` are their cell
-    ids (see ``sample_orders``); ``groups`` holds one ``(size, getter)`` per
+    ids (see ``slot_orders``); ``groups`` holds one ``(size, getter)`` per
     larger combo size, the getter reading all their atoms, combo after
     combo, off the atoms placed by the key; ``indices`` is the range of
     their template indices. ``first`` and ``side`` read, off the answer
@@ -336,9 +336,9 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     query law need not be the pattern law times a uniform assignment of
     positions.
 
-    This is the reference for ``order_pattern`` over ``sample_orders``,
-    which the audit uses instead: on the same rng, those patterns equal
-    this function over ``open_session(...).queries``.
+    This is the reference for ``order_pattern`` over ``slot_orders``,
+    which the audit uses instead: on the same key, those patterns equal
+    this function over ``PirSession.from_key(...).queries``.
     """
     ranks: dict[tuple[int, int], dict[int, int]] = {}
     pattern = []
@@ -354,21 +354,40 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     return tuple(pattern)
 
 
-def sample_orders(params: SchemeParams, desired: int, rng: random.Random):
-    """The N servers' canonical combo orders of one fresh session, without
-    the session.
-
-    Draws the key's slots as ``PirKey.random`` does, so the stream moves
-    exactly as in ``open_session``. Each combo goes to the slot of its first
-    atom, as in ``PirSession.from_key``, as the id ``b << k | m`` (positive)
-    of the cells its atoms fall in: block b, subset positions in the mask m.
-    Server n's order is its ids in slot order; ``order_pattern`` turns it
-    into that server's ``query_pattern``.
-    """
+def sample_order_key(params: SchemeParams, desired: int, rng: random.Random):
+    """``(key, slots)``: a fresh key's slots, drawn as ``PirKey.random``
+    draws them, and a bytes key that fixes every server's ``slot_orders``.
+    A server's order is its rows' pieces in row order, and a row whose
+    combos share one cell id gives a fixed piece, so the key is the ``<``
+    of each pair of first-atom slots in one row with different ids."""
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
-    servers = _tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))[0]
+    left, right = _order_key(params.n_servers, params.k, params.blocks, params.subset.index(desired))
     slots = _shuffled_slots(params, rng)
+    return bytes(map(lt, left(slots), right(slots))), slots
+
+
+@lru_cache(maxsize=256)
+def _order_key(n_servers: int, k: int, blocks: int, desired_pos: int):
+    """The gathers ``(left, right)`` of the first-atom slots of each pair
+    of one server's combos that share a key row but not a cell id."""
+    block = n_servers**k
+    pairs = []
+    for firsts, ids, _, _, _ in _tables(n_servers, k, blocks, desired_pos)[0]:
+        rows: dict = {}
+        # firsts over the identity gives the first atoms, row atom // block
+        for atom, cid in zip(firsts(range(k * blocks * block)), ids):
+            rows.setdefault(atom // block, []).append((atom, cid))
+        for row in rows.values():
+            pairs += [(a, c) for (a, i), (c, m) in combinations(row, 2) if i != m]
+    return tuple(map(_getter, zip(*pairs))) or (lambda slots: (),) * 2
+
+
+def slot_orders(params: SchemeParams, desired: int, slots: list[int]):
+    """The N servers' combo orders under the key of ``slots``: server n's
+    cell ids ``b << k | m`` (block b, subset positions in the mask m) by
+    their first atoms' slots, as ``PirSession.from_key`` places combos."""
+    servers = _tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))[0]
     orders = []
     for firsts, ids, _, _, _ in servers:
         placed = [0] * len(slots)
@@ -379,7 +398,7 @@ def sample_orders(params: SchemeParams, desired: int, rng: random.Random):
 
 
 def order_pattern(params: SchemeParams, order: tuple[int, ...]):
-    """The ``query_pattern`` of the query whose combos ``sample_orders``
+    """The ``query_pattern`` of the query whose combos ``slot_orders``
     gave as ``order``.
 
     Within one server's query every atom appears at most once, so an
@@ -465,6 +484,8 @@ class PirSession:
         """Deterministic canonical queries and decode plan for (params, desired, key)."""
         if desired not in params.subset:
             raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+        if len(key.slots) != params.k * params.L:  # a key of another scheme
+            raise InvalidParams(f"a key of {len(key.slots)} slots for k·L = {params.k * params.L}")
         tables = _tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))
         atoms, units = _atom_table(params.subset, params.L)
         slots = key.slots

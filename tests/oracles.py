@@ -623,12 +623,40 @@ def sorted_queries(params: pir.SchemeParams, desired: int, key: pir.PirKey):
     ]
 
 
+def sample_orders(params: pir.SchemeParams, desired: int, rng):
+    """The N servers' canonical combo orders of one fresh session, without
+    the session.
+
+    This is the sampler that ``pir.sample_order_key``, with
+    ``pir.slot_orders`` run once per distinct key, replaced in the
+    empirical audit; on the same rng the orders are equal and the stream
+    moves alike. Draws the key's slots as ``PirKey.random`` does, so the
+    stream moves exactly as in ``open_session``. Each combo goes to the
+    slot of its first atom, as in ``PirSession.from_key``, as the id
+    ``b << k | m`` (positive) of the cells its atoms fall in: block b,
+    subset positions in the mask m. Server n's order is its ids in slot
+    order; ``pir.order_pattern`` turns it into that server's
+    ``query_pattern``.
+    """
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    servers = pir._tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))[0]
+    slots = pir._shuffled_slots(params, rng)
+    orders = []
+    for firsts, ids, _, _, _ in servers:
+        placed = [0] * len(slots)
+        for slot, cid in zip(firsts(slots), ids):
+            placed[slot] = cid
+        orders.append(tuple(filter(None, placed)))
+    return orders
+
+
 def keyed_sample_orders(params: pir.SchemeParams, desired: int, rng):
     """The N servers' canonical combo orders of one fresh session, from a
     drawn key.
 
-    This is the sampler that ``pir.sample_orders`` replaced with a read of
-    the key rows from one flat list: it draws the key with ``PirKey.random``,
+    This is the sampler that ``sample_orders`` replaced with a read of the
+    key rows from one flat list: it draws the key with ``PirKey.random``,
     so the stream moves exactly as in ``open_session``, and scatters each
     combo of server n by its first atom (j, t) to slot
     j * L + b * N^k + ``perms[j][b][t]``, as the id ``b << k | m`` of the
@@ -655,7 +683,7 @@ def sample_patterns(params: pir.SchemeParams, desired: int, rng):
     """The N servers' ``query_pattern`` of one fresh session, without the
     session, built pattern by pattern.
 
-    This is the sampler that ``pir.sample_orders`` with ``pir.order_pattern``
+    This is the sampler that ``sample_orders`` with ``pir.order_pattern``
     replaced in the empirical audit; on the same rng every route gives the
     same patterns. Draws the key with ``PirKey.random``, so the stream
     moves exactly as in ``open_session``. Each combo of server n goes to the
@@ -735,8 +763,8 @@ def session_pattern_counts(
     counted from full sessions.
 
     This is the loop that ``audit._pattern_counts`` replaced with counting
-    the combo orders of ``pir.sample_orders`` and mapping each distinct one
-    to its pattern once: it opens every PIR session and keeps
+    the order keys of ``pir.sample_order_key`` and mapping each distinct
+    one to its orders and patterns once: it opens every PIR session and keeps
     ``query_pattern`` of each query. Both must agree exactly, down to the
     order in which each Counter first sees its patterns.
     """

@@ -69,6 +69,7 @@ from oracles import (
     online_privacy_factorization,
     query_distribution,
     query_history_equivalence,
+    sample_orders,
     session_pattern_counts,
     step_law,
 )
@@ -485,20 +486,22 @@ class TestEmpiricalCounts:
 
     def test_each_order_is_mapped_once(self, skew_joint, skew_cond, monkeypatch):
         # order_pattern runs once per distinct (subset, order) of the whole
-        # audit, never once per sample
+        # audit, never once per sample; each drawn key's orders are read
+        # off the oracle on a copy of the stream the key is drawn from
         drawn, mapped = [], []
-        sample_orders, order_pattern = pir.sample_orders, pir.order_pattern
+        sample_order_key, order_pattern = pir.sample_order_key, pir.order_pattern
 
-        def recording_orders(params, desired, rng):
-            orders = sample_orders(params, desired, rng)
-            drawn.extend((params.subset, order) for order in orders)
-            return orders
+        def recording_keys(params, desired, rng):
+            copy = random.Random()
+            copy.setstate(rng.getstate())
+            drawn.extend((params.subset, order) for order in sample_orders(params, desired, copy))
+            return sample_order_key(params, desired, rng)
 
         def counting_patterns(params, order):
             mapped.append((params.subset, order))
             return order_pattern(params, order)
 
-        monkeypatch.setattr(pir, "sample_orders", recording_orders)
+        monkeypatch.setattr(pir, "sample_order_key", recording_keys)
         monkeypatch.setattr(pir, "order_pattern", counting_patterns)
         config = SystemConfig(N=2, K=3, L=8, seed=1)
         trials = 3_000
@@ -509,6 +512,23 @@ class TestEmpiricalCounts:
         assert len(drawn) == trials * 3 * config.N
         assert len(mapped) == len(set(mapped)) == len(set(drawn)) < len(drawn) // 10
         assert set(mapped) == set(drawn)
+
+    def test_request_sampler_from_counts_matches_the_fraction_sampler(self):
+        # the audit draws x off a row's nonzero integer weights: the same
+        # denominator (the lcm of the reduced shares, mass / gcd) and
+        # thresholds as the sampler over Fraction(w, mass), so the same draws
+        rng = random.Random(17)
+        for _ in range(300):
+            row = [rng.choice([0, 0, 1, 2, 3, 6, 12, 35]) for _ in range(rng.randint(1, 6))]
+            row[rng.randrange(len(row))] = rng.randint(1, 40)
+            mass = sum(row)
+            shares = WeightedSampler((x, F(w, mass)) for x, w in enumerate(row) if w)
+            counts = WeightedSampler.of_counts((x, w) for x, w in enumerate(row) if w)
+            assert counts.denominator == shares.denominator
+            assert counts.thresholds == shares.thresholds
+            assert counts.values == shares.values
+            a, b = random.Random(mass), random.Random(mass)
+            assert [counts.draw(a) for _ in range(20)] == [shares.draw(b) for _ in range(20)]
 
     def test_leaking_policy_witnesses(self, pair_joint, config22):
         report = self.assert_matches_oracle(

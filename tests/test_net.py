@@ -108,6 +108,20 @@ PARSER_STORE = MessageStore.random(4, 8, fork_rng(9, "s"))
 ADDRESS = ("127.0.0.1", 9)
 
 
+def replica_replies(store: MessageStore, body: bytes) -> list[bytes]:
+    """The raw bodies ``net._serve`` sends back for one frame of ``body``."""
+    a, b = socket.socketpair()
+    with a:
+        a.sendall(struct.pack("!I", len(body)) + body)
+        a.shutdown(socket.SHUT_WR)
+        with b:
+            net._serve(store, b)
+        replies = []
+        while (reply := net._recv_body(a)) is not None:
+            replies.append(reply)
+    return replies
+
+
 def replica_reads(body: bytes):
     """What ``net._serve`` makes of one frame over a socketpair: the query
     it evaluates, as ("query", session, combos), "hello", or the code of
@@ -118,17 +132,9 @@ def replica_reads(body: bytes):
         evaluated.append(query.combos)
         return (0,) * len(query.combos)
 
-    a, b = socket.socketpair()
-    with a, pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(net, "pir_answer", answer)
-        a.sendall(struct.pack("!I", len(body)) + body)
-        a.shutdown(socket.SHUT_WR)
-        with b:
-            net._serve(PARSER_STORE, b)
-        replies = []
-        while (reply := recv_frame(a)) is not None:
-            replies.append(reply)
-    [reply] = replies
+        [reply] = map(decode, replica_replies(PARSER_STORE, body))
     if reply["type"] == "answer":
         [combos] = evaluated
         return "query", reply["session"], combos
@@ -237,6 +243,55 @@ class TestSideParsers:
         assert client_reads(body, 1, 1) == client_expected(body, 1, 1)
 
 
+class TestReplyBound:
+    """A client reads a reply of at most its query's answer or ERROR_CAP
+    bytes, and every error frame a replica sends fits ERROR_CAP."""
+
+    @staticmethod
+    def read(prefix: bytes, n_combos: int):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(2.0)
+            a.sendall(prefix)
+            return net._read_answer(b, ADDRESS, 1, PirQuery(((),) * n_combos))
+
+    @pytest.mark.parametrize("n_combos", [0, 1, net.ERROR_CAP - 5, net.ERROR_CAP, 3 * 2 * 4])
+    def test_a_longer_reply_is_refused_unread(self, n_combos):
+        limit = max(5 + n_combos, net.ERROR_CAP)
+        # only the header is sent: reading the body would time out
+        with pytest.raises(ProtocolError) as err:
+            self.read(struct.pack("!I", limit + 1), n_combos)
+        assert type(err.value) is ProtocolError
+        assert isinstance(err.value.__cause__, MalformedFrame)
+
+    @pytest.mark.parametrize("n_combos", [0, 1, net.ERROR_CAP, 4 * net.ERROR_CAP])
+    def test_replies_at_the_bound_are_read(self, n_combos):
+        answer = encode({"type": "answer", "session": 1, "bits": bytes(n_combos)})
+        assert len(answer) == 5 + n_combos
+        frame = struct.pack("!I", len(answer)) + answer
+        assert self.read(frame, n_combos) == ((0,) * n_combos, len(frame))
+        error = net._error_body("range", "x" * 1000)
+        assert len(error) == net.ERROR_CAP
+        with pytest.raises(ProtocolError, match="answered range: x+$") as err:
+            self.read(struct.pack("!I", len(error)) + error, n_combos)
+        assert type(err.value) is ProtocolError
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(["range", "malformed", "frame_too_large", "busy"]),
+        st.text(max_size=400),
+    )
+    def test_every_error_frame_fits_the_cap(self, code, detail):
+        body = net._error_body(code, detail)
+        assert len(body) <= net.ERROR_CAP
+        message = decode(body)
+        assert message["code"] == code and detail.startswith(message["detail"])
+        if len(encode({"type": "error", "code": code, "detail": detail})) <= net.ERROR_CAP:
+            assert message["detail"] == detail
+        else:
+            assert net.ERROR_CAP - 3 <= len(body)
+
+
 class TestFraming:
     def test_round_trip_over_a_socketpair(self):
         a, b = socket.socketpair()
@@ -247,6 +302,9 @@ class TestFraming:
         finally:
             a.close()
             b.close()
+        # the replica's own hello reply is the oracle's bytes
+        store = MessageStore.random(3, 8, fork_rng(4, "s"))
+        assert replica_replies(store, bytes((HELLO,))) == [encode(reply)]
 
     def test_length_prefix_is_big_endian(self):
         a, b = socket.socketpair()
@@ -273,7 +331,19 @@ class TestFraming:
     @settings(max_examples=300, deadline=None)
     @given(MESSAGES)
     def test_every_message_round_trips(self, message):
-        assert decode(encode(message)) == message
+        body = encode(message)
+        assert decode(body) == message
+        # each frame net sends is the oracle's bytes
+        kind = message["type"]
+        if kind == "query":
+            assert net._query_body(message["session"], message["combos"]) == body
+        if kind == "error":
+            assert net._error_body(message["code"], message["detail"]) == body
+        if kind == "answer":
+            assert net._TAGGED_WORD.pack(net.ANSWER, message["session"]) + message["bits"] == body
+        if kind == "hello" and len(message) > 1:
+            fields = message["proto_version"], message["K"], message["L"]
+            assert net._HELLO_REPLY.pack(HELLO, *fields) == body
 
     @pytest.mark.parametrize("shape", ["singletons", "empty combos", "one combo"])
     def test_the_longest_admissible_query_takes_under_0_8_mb(self, shape):
@@ -765,6 +835,13 @@ def stalls(conn, message):
     conn.recv(1)  # no reply; returns once the client gives up and hangs up
 
 
+def announces_a_longer_answer(conn, message):
+    # a header one byte past what the client reads, and no body: a client
+    # that read on would wait out its timeout
+    conn.sendall(struct.pack("!I", max(5 + len(message["combos"]), net.ERROR_CAP) + 1))
+    conn.recv(1)
+
+
 # name: (fault, the error it must raise, the client's timeout)
 FAULTS = {
     "truncated frame": (truncated_frame, FetchTimeout, 5.0),
@@ -777,6 +854,9 @@ FAULTS = {
     "a malformed error frame in place of the answer": (sends(b"\x04\x09busy"), FetchTimeout, 5.0),
     "a query frame in place of the answer": (echoes_the_query, ProtocolError, 5.0),
     "an answer shorter than its session id": (sends(b"\x03\x00\x00"), FetchTimeout, 5.0),
+    "an answer announced longer than its query allows": (
+        announces_a_longer_answer, ProtocolError, 5.0
+    ),
 }
 
 
@@ -803,6 +883,9 @@ class TestFaults:
                 assert isinstance(err.value.__cause__, MalformedFrame)
             if name == "stalled peer":
                 assert isinstance(err.value.__cause__, TimeoutError)
+            if name == "an answer announced longer than its query allows":
+                assert isinstance(err.value.__cause__, MalformedFrame)
+                assert "exceeds the limit of 256" in str(err.value)
             assert (transport.answer_bits, transport.frame_bytes) == (0, 0)
             assert transport(queries) == honest
             assert transport.answer_bits == 6

@@ -23,7 +23,8 @@ from ipir.pir import (
     pir_answer,
     pir_setup,
     query_pattern,
-    sample_orders,
+    sample_order_key,
+    slot_orders,
 )
 
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     key_perms,
     keyed_sample_orders,
     pooled_session,
+    sample_orders,
     sample_patterns,
     session_plan,
     shuffle_key,
@@ -519,6 +521,66 @@ class TestSamplePatterns:
         for sampler in (sample_orders, keyed_sample_orders, sample_patterns):
             with pytest.raises(DesiredNotInSubset):
                 sampler(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
+
+
+class TestOrderKey:
+    # N = 2..3, k = 1..4 and blocks = 1..4: the key must fix every server's
+    # order, so one scatter per distinct key gives the oracle's orders
+    SHAPES = [(n, k, blocks) for n in (2, 3) for k in (1, 2, 3, 4) for blocks in (1, 2, 3, 4)]
+
+    @staticmethod
+    def assert_matches_oracle(params, desired, seed, draws):
+        # on the same rng, every draw's orders are those the first draw of
+        # its key scattered, equal to the oracle's, and the stream moves alike
+        rng, oracle = random.Random(seed), random.Random(seed)
+        first: dict = {}
+        for _ in range(draws):
+            key, slots = sample_order_key(params, desired, rng)
+            orders = first.setdefault(key, slot_orders(params, desired, slots))
+            assert orders == sample_orders(params, desired, oracle)
+            assert type(key) is bytes
+        assert rng.getstate() == oracle.getstate()
+        return first
+
+    @pytest.mark.parametrize("n,k,blocks", SHAPES)
+    def test_one_scatter_per_key_gives_the_oracle_orders(self, n, k, blocks):
+        # odd message indices, so a subset position is not its message;
+        # the shapes with few keys see each of them many times
+        params = pir_setup(n, range(1, 2 * k, 2), blocks * n**k)
+        draws = 400 if n**k * blocks <= 32 else 40
+        for desired in params.subset:
+            self.assert_matches_oracle(params, desired, 7 * desired + k, draws)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(SHAPES).flatmap(
+            lambda shape: st.tuples(
+                st.just(shape[0]),
+                st.sets(st.integers(0, 7), min_size=shape[1], max_size=shape[1]),
+                st.just(shape[2]),
+            )
+        ),
+        st.data(),
+    )
+    def test_one_scatter_per_key_hypothesis(self, shape, data):
+        n, subset, blocks = shape
+        params = pir_setup(n, subset, blocks * n ** len(subset))
+        desired = data.draw(st.sampled_from(params.subset))
+        self.assert_matches_oracle(params, desired, data.draw(st.integers(0, 2**32)), 30)
+
+    @pytest.mark.parametrize(
+        "n,k,L,desired,keys",
+        [(2, 1, 8, 0, 1), (2, 2, 8, 1, 4), (2, 3, 8, 2, 48), (3, 2, 9, 1, 6)],
+    )
+    def test_keys_are_few_where_rows_hold_few_ids(self, n, k, L, desired, keys):
+        # one key at k = 1, where every order is a constant; at most the
+        # key count of the rows' comparisons elsewhere
+        params = pir_setup(n, range(k), L)
+        assert len(self.assert_matches_oracle(params, desired, 3, 2_000)) == keys
+
+    def test_desired_must_be_in_subset(self):
+        with pytest.raises(DesiredNotInSubset):
+            sample_order_key(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
 
 
 class TestQueryPrivacy:
