@@ -306,43 +306,31 @@ def fork_rng(seed: int, *labels) -> random.Random:
 
 
 class WeightedSampler:
-    """Exact sampler over (value, Fraction-weight) pairs summing to 1.
+    """Exact sampler over (value, count) pairs: each value is drawn with
+    its count's share of their sum, over the counts reduced by their gcd.
 
-    A uniform integer below the common denominator is compared against
-    cumulative numerators, so no float bias enters. The pick takes the
-    ``getrandbits`` calls that ``randrange(denominator)`` takes on a
-    ``random.Random``: words of the denominator's bit length until one is
-    below it. A negative weight raises NegativeEntry, and weights that do
-    not sum to 1 raise DistributionError, when the sampler is built.
-    """
+    The pick, a uniform integer below the reduced sum drawn with the
+    ``getrandbits`` calls of ``randrange`` on a ``random.Random``, is
+    compared against the cumulative counts: no float bias enters, and a
+    count of 0 is never drawn. No items, or counts all 0, raise
+    InvalidParams, a count that is not an int (a bool included)
+    DistributionError, and a negative count NegativeEntry."""
 
     def __init__(self, items):
         items = list(items)
         if not items:
             raise InvalidParams("nothing to sample from")
-        self.values, weights = zip(*items)
-        numerators, self.denominator = scale_to_integers(weights)
-        least = min(numerators)
-        if least < 0:
-            raise NegativeEntry(f"weight {Fraction(least, self.denominator)} is negative")
-        self.thresholds = list(accumulate(numerators))
-        self.width = self.denominator.bit_length()
-        if self.thresholds[-1] != self.denominator:
-            total = Fraction(self.thresholds[-1], self.denominator)
-            raise DistributionError(f"weights sum to {total}, expected 1")
-
-    @classmethod
-    def of_counts(cls, items):
-        """The sampler over (value, count) pairs of non-negative ints, not
-        all 0, that draws each value with its count's share of their sum:
-        the denominator, thresholds and draws of one over those shares."""
-        sampler = cls.__new__(cls)
-        sampler.values, counts = zip(*items)
+        self.values, counts = zip(*items)
+        if any(type(c) is not int for c in counts):
+            raise DistributionError(f"counts must be ints, got {counts!r}")
+        if min(counts) < 0:
+            raise NegativeEntry(f"count {min(counts)} is negative")
         g = gcd(*counts)
-        sampler.thresholds = list(accumulate(c // g for c in counts))
-        sampler.denominator = sampler.thresholds[-1]
-        sampler.width = sampler.denominator.bit_length()
-        return sampler
+        if not g:
+            raise InvalidParams("every count is 0")
+        self.thresholds = list(accumulate(c // g for c in counts))
+        self.denominator = self.thresholds[-1]
+        self.width = self.denominator.bit_length()
 
     def draw(self, rng: random.Random):
         # the first value whose cumulative numerator exceeds the pick

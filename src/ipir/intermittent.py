@@ -168,10 +168,7 @@ def run_two_request(
     config.check_store(store)
     transport = transport or local_transport(store)
     pair_sampler = WeightedSampler(
-        ((s, x), joint.table[s][x])
-        for s in range(joint.K)
-        for x in range(joint.K)
-        if joint.table[s][x] != 0
+        ((s, x), w) for s, row in enumerate(joint.weights) for x, w in enumerate(row) if w
     )
     samplers = subset_samplers(policy, joint)
     params_by_mask = {

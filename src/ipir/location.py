@@ -15,9 +15,9 @@ Each new posterior gets one integer law, ``policy_weights`` of its policy
 under the transposed posterior, which the subset draw, the online audit
 and every conditioning at that posterior read. A walk often comes back to
 a posterior it has already seen. ``simulate`` therefore solves and audits
-each distinct posterior once per call, keeping the policy, the solver
-used, the integer law and the online audit in a dict that lives for that
-call only; nothing is cached across calls. Reuse moves no random draw, so
+each distinct posterior once per call, keeping the solver used, the
+integer law and the online audit in a dict that lives for that call
+only; nothing is cached across calls. Reuse moves no random draw, so
 a seed gives the same report as solving at every step.
 
 Posterior tracking is the standard exact forward recursion, so the
@@ -76,14 +76,15 @@ class MobilityModel:
     ``transitions`` holds one row-stochastic matrix for a time-invariant
     chain, or one matrix per step t -> t+1 for a time-variant chain; more
     than one matrix for a time-invariant chain raises DistributionError.
-    ``kernels`` holds each matrix as (integer rows, D): its entries times
-    D, the lcm of their denominators, scaled once when the model is built.
+    ``initial`` holds ``pi0``, and ``kernels`` each matrix, as (integers, D):
+    the entries times D, the lcm of their denominators, scaled at build.
     """
 
     K: int
     pi0: tuple[Fraction, ...]
     transitions: tuple[tuple[tuple[Fraction, ...], ...], ...]
     time_variant: bool = False
+    initial: tuple = field(init=False, repr=False, compare=False)
     kernels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -99,6 +100,8 @@ class MobilityModel:
             raise DistributionError("pi0 has a negative entry")
         if sum(self.pi0, ZERO) != 1:
             raise DistributionError("pi0 does not sum to 1")
+        weights, scale = scale_to_integers(self.pi0)
+        object.__setattr__(self, "initial", (tuple(weights), scale))
         if not self.transitions:
             raise DistributionError("no transition matrix given")
         if len(self.transitions) > 1 and not self.time_variant:
@@ -124,9 +127,6 @@ class MobilityModel:
         if t >= len(self.transitions):
             raise InvalidParams(f"no transition matrix for step {t}")
         return t
-
-    def transition_at(self, t: int):
-        return self.transitions[self._index(t)]
 
     def kernel_at(self, t: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The step t -> t+1 matrix as (integer rows, D)."""
@@ -214,7 +214,7 @@ class PosteriorState:
 
 
 def initial_posterior(model: MobilityModel) -> PosteriorState:
-    weights, scale = scale_to_integers(model.pi0)
+    weights, scale = model.initial
     diagonal = [[w if a == b else 0 for b in range(model.K)] for a, w in enumerate(weights)]
     return PosteriorState(t=0, tau=0, law=JointDistribution.over(diagonal, scale))
 
@@ -411,8 +411,8 @@ def step_nonprivate(
 
     ``x_tau`` is the true latest private location, known to the user; the
     subset is drawn as from ``policy.at(x_tau, x_t)``, over the law's counts.
-    ``solved``, if given, holds the (policy, solver used, integer law,
-    online audit) of each posterior already met at this ``config.N`` and
+    ``solved``, if given, holds the (solver used, integer law, online
+    audit) of each posterior already met at this ``config.N`` and
     ``solver``; such a posterior is neither solved nor audited again, and a
     new one is added. Its keys are the posteriors' laws, in lowest terms,
     so equal posteriors share a key.
@@ -427,12 +427,12 @@ def step_nonprivate(
         policy, used = policy_for_posterior(state.law, config.N, solver)
         weights, scale = policy_weights(policy, state.law.transposed())
         check = audit.audit_online_privacy(weights, scale)
-        entry = solved[state.law] = policy, used, weights, check
-    policy, used, weights, check = entry
+        entry = solved[state.law] = used, weights, check
+    used, weights, check = entry
     counts = sorted((u, w) for (s, x, u), w in weights.items() if s == x_tau and x == x_t)
     if not counts:
         raise DegeneratePosterior(f"step {state.t}: the locations have zero tracked probability")
-    subset_mask = WeightedSampler.of_counts(counts).draw(rng)
+    subset_mask = WeightedSampler(counts).draw(rng)
     params = pir.pir_setup(config.N, indices_of(subset_mask), config.L)
     retrieval = retrieve(params, x_t, store, rng, transport)
     conditioned = condition_posterior(state, weights, subset_mask)
@@ -455,14 +455,12 @@ class TraceReport:
 def sample_trace(
     model: MobilityModel, horizon: int, rng: random.Random
 ) -> tuple[int, ...]:
-    values = list(range(model.K))
-    x = WeightedSampler(zip(values, model.pi0)).draw(rng)
+    """x_0 .. x_horizon, drawn over the model's integer laws: ``initial``,
+    then row x_t of ``model.kernel_at(t)``, its zero entries left out."""
+    x = WeightedSampler(enumerate(model.initial[0])).draw(rng)
     trace = [x]
     for t in range(horizon):
-        row = model.transition_at(t)[x]
-        x = WeightedSampler(
-            ((v, w) for v, w in zip(values, row) if w != 0)
-        ).draw(rng)
+        x = WeightedSampler((v, w) for v, w in enumerate(model.kernel_at(t)[0][x]) if w).draw(rng)
         trace.append(x)
     return tuple(trace)
 
@@ -478,15 +476,12 @@ def simulate(
     """Run the mechanism over a trace sampled from the model; deterministic
     in config.seed. A caller with a trace of its own drives
     ``step_private`` and ``step_nonprivate``."""
-    if model.K != config.K or store.K != config.K:
-        raise InvalidParams("location count mismatch between model, store, and config")
-    config.check_store(store)
     trace = sample_trace(model, schedule.horizon, fork_rng(config.seed, "trace"))
 
     state = initial_posterior(model)
     steps: list[StepRecord] = []
     total = ZERO
-    solved: dict = {}  # posterior -> (policy, solver used, integer law, online audit)
+    solved: dict = {}  # posterior -> (solver used, integer law, online audit)
     for t in range(schedule.horizon + 1):
         rng = fork_rng(config.seed, "step", t)
         if schedule.is_private(t):

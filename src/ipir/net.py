@@ -42,16 +42,17 @@ until ``close()`` and pipelines each exchange: every query frame goes out,
 then the replies are read in server order and checked against the
 exchange's session id, which counts up modulo 2**32. Any failure closes all
 of its connections, so no later exchange can read a stale reply; a
-connection its server has closed is replaced before the query is written.
-A ``StoreServer`` runs one accept thread and one thread per connection,
-which ends after ``IDLE_TIMEOUT`` seconds of silence; beyond
-``MAX_CONNECTIONS`` live connections a new one gets a ``busy`` error frame
-and is closed, which the client raises as a ``ProtocolError``. An accept
-that fails (say, out of file descriptors) is logged once per run of
-failures and retried every ``ACCEPT_BACKOFF`` seconds. ``close()`` shuts
-the listening socket down to wake the accept thread, shuts every live
-connection down to wake its thread, and joins them all, without waiting for
-a client and for at most ``CLOSE_TIMEOUT`` seconds.
+connection its server has closed is replaced before the query is written. A
+``StoreServer`` runs one accept thread and one thread per connection, which
+ends when a frame has not begun within ``IDLE_TIMEOUT`` seconds, or not
+ended as long after it began; beyond ``MAX_CONNECTIONS`` live connections a
+new one gets a ``busy`` error frame and is closed, which the client raises
+as a ``ProtocolError``. An accept that fails (say, out of file descriptors)
+is logged once per run of failures and retried every ``ACCEPT_BACKOFF``
+seconds. ``close()`` shuts the listening socket down to wake the accept
+thread, shuts every live connection down to wake its thread, and joins them
+all, without waiting for a client and for at most ``CLOSE_TIMEOUT``
+seconds.
 
 A reply is checked for its session id, its length and its 0/1 alphabet
 only: a replica that flips an answer bit goes unseen here, and is caught in
@@ -166,33 +167,42 @@ def _send(sock: socket.socket, body: bytes) -> int:
     return 4 + len(body)
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> bytes | None:
-    data = sock.recv(n)
-    if len(data) == n:
-        return data
-    chunks = [data]
-    got = len(data)
+def _recv_body(sock: socket.socket, limit: int = MAX_FRAME) -> bytes | None:
+    """The body bytes of one frame; None on clean EOF. Once its first bytes
+    arrive, the whole frame must arrive within the socket's own timeout, or
+    TimeoutError: after a recv comes back short, each gets the time left."""
+    timeout = sock.gettimeout()
+    data = sock.recv(4)
+    if not data:
+        return None
+    end = None if timeout is None else time.monotonic() + timeout
+    try:
+        (length,) = _WORD.unpack(data if len(data) == 4 else _recv_rest(sock, data, 4, end))
+        if length > limit:
+            raise _TooLarge(f"announced frame of {length} bytes exceeds the limit of {limit}")
+        # once the timeout is cut, the first body recv gets the time left too
+        data = sock.recv(length) if sock.gettimeout() == timeout else b""
+        return data if len(data) == length else _recv_rest(sock, data, length, end)
+    finally:
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
+
+
+def _recv_rest(sock: socket.socket, data: bytes, n: int, end: float | None) -> bytes:
+    """``data`` and the rest of its n bytes, each recv cut to the time left to ``end``."""
+    chunks, got = [data], len(data)
     while got < n:
+        if end is not None:
+            left = end - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame deadline passed")
+            sock.settimeout(left)
         chunk = sock.recv(n - got)
         if not chunk:
-            return None
+            raise MalformedFrame("connection closed mid-frame")
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
-
-
-def _recv_body(sock: socket.socket, limit: int = MAX_FRAME) -> bytes | None:
-    """The body bytes of one frame; None on clean EOF."""
-    header = _recv_exactly(sock, 4)
-    if header is None:
-        return None
-    (length,) = _WORD.unpack(header)
-    if length > limit:
-        raise _TooLarge(f"announced frame of {length} bytes exceeds the limit of {limit}")
-    body = _recv_exactly(sock, length)
-    if body is None:
-        raise MalformedFrame("connection closed mid-frame")
-    return body
 
 
 def _serve(store: MessageStore, sock: socket.socket):

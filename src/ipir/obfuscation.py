@@ -40,6 +40,7 @@ from .errors import (
     ConstructionFailed,
     DistributionError,
     InvalidParams,
+    NegativeEntry,
     PartialSupport,
     TooLarge,
     UnsupportedPair,
@@ -593,15 +594,20 @@ def expected_cost(
 def subset_samplers(
     policy: ObfuscationPolicy, joint: JointDistribution
 ) -> dict[tuple[int, int], WeightedSampler]:
-    """A subset sampler per request pair (s, x) of positive mass under the
-    joint. Raises UnsupportedPair at the first such pair, in (s, x) order,
-    where the policy has no entries, so callers fail before any draw."""
+    """A subset sampler per pair (s, x) of positive mass under the joint,
+    over ``policy.at(s, x)`` scaled to integers. Before any draw, the first
+    such pair in (s, x) order with no entries raises UnsupportedPair, a
+    negative one NegativeEntry, entries not summing to 1 DistributionError."""
     samplers = {}
-    for s, row in enumerate(joint.table):
-        for x, p in enumerate(row):
-            if p != 0:
-                choices = policy.at(s, x)
-                if not choices:
-                    raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
-                samplers[(s, x)] = WeightedSampler(choices)
+    for s, x in [(s, x) for s, row in enumerate(joint.weights) for x, w in enumerate(row) if w]:
+        choices = policy.at(s, x)
+        if not choices:
+            raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
+        masks, shares = zip(*choices)
+        counts, scale = scale_to_integers(shares)
+        if min(counts) < 0:
+            raise NegativeEntry(f"weight {Fraction(min(counts), scale)} is negative")
+        if sum(counts) != scale:
+            raise DistributionError(f"weights sum to {Fraction(sum(counts), scale)}, expected 1")
+        samplers[(s, x)] = WeightedSampler(zip(masks, counts))
     return samplers

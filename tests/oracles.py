@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import itemgetter, mul
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
@@ -35,13 +35,16 @@ from ipir.errors import (
     ConstructionFailed,
     DegeneratePosterior,
     DesiredNotInSubset,
+    DistributionError,
     InconsistentAnswers,
     InvalidParams,
     IterationLimit,
     MalformedFrame,
+    NegativeEntry,
     OutOfRange,
     PartialSupport,
     TooLarge,
+    UnsupportedPair,
 )
 from ipir.location import (
     MobilityModel,
@@ -180,7 +183,7 @@ def enumerate_mechanism(
                 )
                 if t < schedule.horizon:
                     child_tracked = advance_posterior(child_tracked, model, schedule)
-                    trans = model.transition_at(t)
+                    trans = transition_at(model, t)
                     extended = {}
                     for prefix, w in child_weights.items():
                         row = trans[prefix[t]]
@@ -268,7 +271,7 @@ def query_history_equivalence(
 
     # joint over (trace, y0, (mask, y1))
     weights: dict = {}
-    trans = model.transition_at(0)
+    trans = transition_at(model, 0)
     for x0 in range(K):
         if model.pi0[x0] == 0:
             continue
@@ -770,7 +773,7 @@ def session_pattern_counts(
     """
     cond = conditional_from_joint(joint)
     samplers = {
-        (s, x): WeightedSampler(policy.at(s, x))
+        (s, x): fraction_sampler(policy.at(s, x))
         for s, x in sorted({(s, x) for s, x, _ in policy.entries})
         if s in cond.support and cond.rows[s][x] != 0
     }
@@ -779,7 +782,7 @@ def session_pattern_counts(
         {s: {} for s in cond.support} for _ in range(config.N)
     ]
     for s in cond.support:
-        x_sampler = WeightedSampler(
+        x_sampler = fraction_sampler(
             (x, cond.rows[s][x]) for x in range(config.K) if cond.rows[s][x] != 0
         )
         rng = fork_rng(seed, "audit-empirical", s)
@@ -1305,8 +1308,91 @@ def state_of(t: int, tau: int, joint) -> PosteriorState:
 
 # The Fraction arithmetic that the library's step layers replaced with
 # integer numerators over one common denominator: the flow of
-# ipir.obfuscation.solve_lp, the factorization of ipir.audit, and the
-# posterior updates of ipir.location.
+# ipir.obfuscation.solve_lp, the factorization of ipir.audit, the
+# posterior updates of ipir.location, and the sampler's Fraction weights.
+
+
+def fraction_sampler(items) -> WeightedSampler:
+    """The sampler over (value, Fraction-weight) pairs summing to 1 that
+    ``WeightedSampler`` was before it took integer counts: the weights
+    scaled over the lcm of their denominators, that lcm the denominator.
+    A negative weight raises NegativeEntry, and weights that do not sum to
+    1 raise DistributionError, when the sampler is built."""
+    items = list(items)
+    if not items:
+        raise InvalidParams("nothing to sample from")
+    sampler = WeightedSampler.__new__(WeightedSampler)
+    sampler.values, weights = zip(*items)
+    numerators, sampler.denominator = scale_to_integers(weights)
+    least = min(numerators)
+    if least < 0:
+        raise NegativeEntry(f"weight {Fraction(least, sampler.denominator)} is negative")
+    sampler.thresholds = list(accumulate(numerators))
+    sampler.width = sampler.denominator.bit_length()
+    if sampler.thresholds[-1] != sampler.denominator:
+        total = Fraction(sampler.thresholds[-1], sampler.denominator)
+        raise DistributionError(f"weights sum to {total}, expected 1")
+    return sampler
+
+
+def fraction_subset_samplers(policy: ObfuscationPolicy, joint: JointDistribution) -> dict:
+    """``obfuscation.subset_samplers`` as it was before it scaled each
+    pair's shares itself: a ``fraction_sampler`` over ``policy.at(s, x)``
+    per pair of positive mass, whose checks refuse a bad policy."""
+    samplers = {}
+    for s, row in enumerate(joint.table):
+        for x, p in enumerate(row):
+            if p != 0:
+                choices = policy.at(s, x)
+                if not choices:
+                    raise UnsupportedPair(f"policy has no entries at (s={s}, x={x})")
+                samplers[(s, x)] = fraction_sampler(choices)
+    return samplers
+
+
+def recording_sampler(built: list):
+    """A ``WeightedSampler`` that appends each sampler it builds to
+    ``built``: patched into a module, it keeps what the module builds."""
+
+    class Recording(WeightedSampler):
+        def __init__(self, items):
+            super().__init__(items)
+            built.append(self)
+
+    return Recording
+
+
+def assert_same_sampler(sampler, reference, draws: int, seed) -> None:
+    """``sampler`` has the denominator, thresholds and values of
+    ``reference``, makes the same ``draws`` draws from one stream, and
+    leaves the stream where ``reference`` leaves it."""
+    assert sampler.denominator == reference.denominator
+    assert sampler.thresholds == reference.thresholds
+    assert sampler.values == reference.values
+    fast, slow = fork_rng(seed, "sampler"), fork_rng(seed, "sampler")
+    assert [sampler.draw(fast) for _ in range(draws)] == [
+        reference.draw(slow) for _ in range(draws)
+    ]
+    assert fast.getstate() == slow.getstate()
+
+
+def transition_at(model: MobilityModel, t: int):
+    """The step t -> t+1 matrix of ``model`` as its Fraction rows."""
+    return model.transitions[t if model.time_variant else 0]
+
+
+def fraction_sample_trace(model: MobilityModel, horizon: int, rng) -> tuple[int, ...]:
+    """``location.sample_trace`` as it was before it read the model's
+    integer laws: each draw a ``fraction_sampler`` over ``pi0``, then over
+    the nonzero entries of row x_t of the step's Fraction matrix."""
+    values = list(range(model.K))
+    x = fraction_sampler(zip(values, model.pi0)).draw(rng)
+    trace = [x]
+    for t in range(horizon):
+        row = transition_at(model, t)[x]
+        x = fraction_sampler(((v, w) for v, w in zip(values, row) if w != 0)).draw(rng)
+        trace.append(x)
+    return tuple(trace)
 
 
 def fraction_route(s: int, row, marginal: dict[int, Fraction]) -> dict[tuple[int, int], Fraction]:
@@ -1683,7 +1769,7 @@ def fraction_advance_posterior(
     Fractions."""
     K = model.K
     t1 = state.t + 1
-    trans = model.transition_at(state.t)
+    trans = transition_at(model, state.t)
     joint = [[ZERO] * K for _ in range(K)]
     for a in range(K):
         row = trans[a]
@@ -1792,7 +1878,7 @@ def numerator_advance_posterior(
     K = model.K
     t1 = state.t + 1
     weights, joint_scale = _numerators(state.law.table)
-    trans, trans_scale = _numerators(model.transition_at(state.t))
+    trans, trans_scale = _numerators(transition_at(model, state.t))
     scale = joint_scale * trans_scale
     pushed = [[0] * K for _ in range(K)]
     for a in range(K):

@@ -12,7 +12,6 @@ from ipir.core import (
     ConditionalMatrix,
     MessageStore,
     SystemConfig,
-    WeightedSampler,
     capacity_cost,
     conditional_from_joint,
     fork_rng,
@@ -37,7 +36,7 @@ from ipir.obfuscation import (
 )
 from ipir import pir
 
-from oracles import enumerate_mechanism, node_query_leak, step_law
+from oracles import enumerate_mechanism, fraction_sampler, node_query_leak, step_law
 
 PAIR_TABLE = [[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]]
 SKEW_ROWS = [
@@ -87,7 +86,7 @@ def test_criterion_1_two_request_reproduction():
 
     # (b) conditioned on equal requests, the branch mix downloads 16/3 bits
     # on average: 1/3 direct (4 bits), 2/3 hidden (6 bits)
-    sampler = WeightedSampler(policy.at(0, 0))
+    sampler = fraction_sampler(policy.at(0, 0))
     params = {
         mask: pir.pir_setup(config.N, indices_of(mask), config.L)
         for mask, _ in policy.at(0, 0)

@@ -65,6 +65,7 @@ from oracles import (
     fraction_policy_independence,
     fraction_query_law,
     fraction_query_privacy,
+    fraction_sampler,
     node_query_leak,
     online_privacy_factorization,
     query_distribution,
@@ -522,8 +523,8 @@ class TestEmpiricalCounts:
             row = [rng.choice([0, 0, 1, 2, 3, 6, 12, 35]) for _ in range(rng.randint(1, 6))]
             row[rng.randrange(len(row))] = rng.randint(1, 40)
             mass = sum(row)
-            shares = WeightedSampler((x, F(w, mass)) for x, w in enumerate(row) if w)
-            counts = WeightedSampler.of_counts((x, w) for x, w in enumerate(row) if w)
+            shares = fraction_sampler((x, F(w, mass)) for x, w in enumerate(row) if w)
+            counts = WeightedSampler((x, w) for x, w in enumerate(row) if w)
             assert counts.denominator == shares.denominator
             assert counts.thresholds == shares.thresholds
             assert counts.values == shares.values

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ipir.core import (
     ConditionalMatrix,
@@ -16,9 +16,13 @@ from ipir.core import (
     fork_rng,
     format_rational,
     parse_rational,
+    scale_to_integers,
     validate_joint,
 )
 from ipir.errors import DistributionError, InvalidParams, NegativeEntry, SumNotOne
+from ipir.obfuscation import ObfuscationPolicy, subset_samplers
+
+from oracles import assert_same_sampler, fraction_sampler
 
 
 def fractions_matrix(K, denominator=24):
@@ -233,7 +237,7 @@ class TestRandomness:
         assert a != c
 
     def test_weighted_sampler_exact_frequencies(self):
-        sampler = WeightedSampler([("a", F(1, 3)), ("b", F(2, 3))])
+        sampler = WeightedSampler([("a", 1), ("b", 2)])
         rng = fork_rng(3, "draws")
         counts = {"a": 0, "b": 0}
         n = 30_000
@@ -242,47 +246,88 @@ class TestRandomness:
         assert abs(counts["a"] / n - 1 / 3) < 0.01
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(DistributionError):
-            WeightedSampler([("a", F(1, 3))]).draw(fork_rng(0))
+        # counts need no sum; Fraction weights still must sum to 1, in the
+        # oracle and in the subset samplers that read a policy's shares
+        assert WeightedSampler([("a", 1)]).draw(fork_rng(0)) == "a"
+        with pytest.raises(DistributionError, match="weights sum to 1/3, expected 1"):
+            fraction_sampler([("a", F(1, 3))]).draw(fork_rng(0))
+        joint = validate_joint([[F(1)]])
+        policy = ObfuscationPolicy(K=1, entries={(0, 0, 1): F(1, 3)})
+        with pytest.raises(DistributionError, match="weights sum to 1/3, expected 1"):
+            subset_samplers(policy, joint)
 
     @pytest.mark.parametrize(
         "items",
         [[(0, F(3, 2)), (1, F(-1, 2))], [(0, F(-1, 4)), (1, F(1, 4)), (2, F(1))]],
     )
     def test_negative_weight_is_refused_before_any_draw(self, items):
-        # these weights sum to 1, so only the sign check catches them
+        # these weights sum to 1, so only the sign check catches them; as
+        # counts over their common denominator the negative one is -1
         with pytest.raises(NegativeEntry, match="weight -1/[24] is negative"):
+            fraction_sampler(items)
+        counts, _ = scale_to_integers(w for _, w in items)
+        with pytest.raises(NegativeEntry, match="count -1 is negative"):
+            WeightedSampler(enumerate(counts))
+
+    @pytest.mark.parametrize(
+        "items, error, message",
+        [
+            ([], InvalidParams, "nothing to sample from"),
+            ([(0, 1), (1, F(1, 2))], DistributionError, "counts must be ints"),
+            ([(0, 1.0)], DistributionError, "counts must be ints"),
+            ([(0, True)], DistributionError, "counts must be ints"),
+            ([(0, "1")], DistributionError, "counts must be ints"),
+            ([(0, None)], DistributionError, "counts must be ints"),
+            ([(0, 2), (1, -3), (2, 4)], NegativeEntry, "count -3 is negative"),
+            ([(0, 0)], InvalidParams, "every count is 0"),
+            ([(0, 0), (1, 0), (2, 0)], InvalidParams, "every count is 0"),
+        ],
+        ids=["empty", "fraction", "float", "bool", "str", "none", "negative", "zero",
+             "zeros"],
+    )
+    def test_bad_counts_are_refused_when_built(self, items, error, message):
+        with pytest.raises(error, match=message):
             WeightedSampler(items)
 
     def test_counts_draw_as_their_shares(self):
         # counts are drawn over their sum reduced, with the thresholds and
         # draws of their shares as Fractions
         counts = [(0, 6), (1, 0), (2, 4), (3, 10)]
-        by_counts = WeightedSampler.of_counts(counts)
-        by_shares = WeightedSampler((v, F(c, 20)) for v, c in counts)
+        by_counts = WeightedSampler(counts)
+        by_shares = fraction_sampler((v, F(c, 20)) for v, c in counts)
         assert by_counts.denominator == by_shares.denominator == 10
-        assert by_counts.thresholds == by_shares.thresholds
-        assert by_counts.values == by_shares.values
-        fast, slow = fork_rng(6, "counts"), fork_rng(6, "counts")
-        assert [by_counts.draw(fast) for _ in range(500)] == [
-            by_shares.draw(slow) for _ in range(500)
-        ]
+        assert_same_sampler(by_counts, by_shares, 500, 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=8).filter(any),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_counts_and_their_multiples_draw_as_their_shares(self, counts, factor):
+        # scaling every count by a common factor changes no draw: the
+        # sampler reduces by the gcd, as the shares' lcm does
+        total = sum(counts)
+        shares = fraction_sampler((v, F(c, total)) for v, c in enumerate(counts))
+        sampler = WeightedSampler((v, c * factor) for v, c in enumerate(counts))
+        assert_same_sampler(sampler, shares, 50, total * factor)
 
     def test_draw_is_the_first_threshold_above_the_pick(self):
-        # the bisected draw equals a linear scan of cumulative numerators,
-        # zero weights included, on the same random stream
-        weights = [F(0), F(1, 6), F(0), F(1, 3), F(1, 2), F(0)]
-        sampler = WeightedSampler(enumerate(weights))
+        # the bisected draw equals a linear scan of cumulative counts, zero
+        # counts included, on the same random stream
+        counts = [0, 1, 0, 2, 3, 0]
+        sampler = WeightedSampler(enumerate(counts))
+        assert sampler.denominator == 6
         fast, slow = fork_rng(5, "draw"), fork_rng(5, "draw")
         for _ in range(2_000):
             pick = slow.randrange(sampler.denominator)
             acc, expected = 0, None
-            for value, w in enumerate(weights):
-                acc += w.numerator * (sampler.denominator // w.denominator)
+            for value, c in enumerate(counts):
+                acc += c
                 if pick < acc:
                     expected = value
                     break
             assert sampler.draw(fast) == expected
+        assert fast.getstate() == slow.getstate()
 
     @pytest.mark.parametrize(
         "denominator",
@@ -296,13 +341,7 @@ class TestRandomness:
         shapes = random.Random(denominator)
         for seed in range(20):
             low = shapes.randrange(denominator)
-            sampler = WeightedSampler(
-                [
-                    (0, F(1, denominator)),
-                    (1, F(low, denominator)),
-                    (2, F(denominator - 1 - low, denominator)),
-                ]
-            )
+            sampler = WeightedSampler([(0, 1), (1, low), (2, denominator - 1 - low)])
             assert sampler.denominator == denominator
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(50):

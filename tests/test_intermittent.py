@@ -1,7 +1,11 @@
 from fractions import Fraction as F
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ipir import intermittent
 from ipir.core import (
     MessageStore,
     SystemConfig,
@@ -28,6 +32,9 @@ from ipir.obfuscation import (
 )
 from ipir.pir import pir_setup
 
+from oracles import assert_same_sampler, fraction_sampler, recording_sampler
+from test_obfuscation import cell_matrices, positive_joint, sparse_joint
+
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
 
@@ -36,7 +43,7 @@ def retrieve_private(s, config, store, rng):
 
 
 def retrieve_nonprivate(x, s, policy, config, store, rng):
-    subset = indices_of(WeightedSampler(policy.at(s, x)).draw(rng))
+    subset = indices_of(fraction_sampler(policy.at(s, x)).draw(rng))
     return retrieve(pir_setup(config.N, subset, config.L), x, store, rng)
 
 
@@ -246,6 +253,44 @@ class TestRunTwoRequest:
                 trials=5, transport=transport,
             )
         assert len(calls) == flip_call + 1
+
+
+def check_pair_sampler(joint, seed, draws=500):
+    """``run_two_request`` draws (s, x) over the law's integer weights as a
+    sampler over the nonzero entries of its Fraction table would."""
+    K = joint.K
+    config = SystemConfig(N=2, K=K, L=2**K, seed=seed)
+    store = MessageStore.random(K, 2**K, fork_rng(seed, "store"))
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intermittent, "WeightedSampler", recording_sampler(built))
+        report = run_two_request(joint, trivial_policy(K), config, store, trials=3)
+    (pair_sampler,) = built
+    reference = fraction_sampler(
+        ((s, x), p) for s, row in enumerate(joint.table) for x, p in enumerate(row) if p
+    )
+    assert_same_sampler(pair_sampler, reference, draws, seed)
+    assert [(s, x) for s, x, _ in report.samples] == [
+        reference.draw(fork_rng(seed, "trial", trial)) for trial in range(3)
+    ]
+
+
+class TestPairSampler:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_seeded_laws(self, K):
+        rng = random.Random(f"pair-sampler:{K}")
+        for i in range(6):
+            if i % 2 or K == 1:
+                joint = positive_joint(rng, K)
+            else:
+                joint = sparse_joint(rng, K, zero_row=i % 4 == 0)
+            check_pair_sampler(joint, seed=i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(cell_matrices), st.integers(0, 99))
+    def test_hypothesis_laws(self, cells, seed):
+        total = sum(map(sum, cells))
+        check_pair_sampler(validate_joint([[F(c, total) for c in row] for row in cells]), seed, 100)
 
 
 class TestGuaranteedBound:

@@ -13,7 +13,6 @@ from ipir.core import (
     JointDistribution,
     MessageStore,
     SystemConfig,
-    WeightedSampler,
     capacity_cost,
     fork_rng,
     validate_joint,
@@ -36,6 +35,7 @@ from ipir.location import (
     condition_posterior,
     initial_posterior,
     policy_for_posterior,
+    sample_trace,
     simulate,
     step_nonprivate,
     step_private,
@@ -54,17 +54,22 @@ from ipir.obfuscation import (
 from ipir.core import conditional_from_joint
 
 from oracles import (
+    assert_same_sampler,
     enumerate_mechanism,
     fraction_advance_posterior,
     fraction_condition_posterior,
+    fraction_sample_trace,
+    fraction_sampler,
     fraction_solve_lp,
     numerator_advance_posterior,
     posterior_law,
+    recording_sampler,
     simulate_stepwise,
     state_of,
     sxu_build_lp,
     step_law,
     sxu_solve_lp,
+    transition_at,
 )
 from test_obfuscation import cell_matrices, positive_joint, recorded_pivots, sparse_joint
 
@@ -160,9 +165,9 @@ class TestMobilityModel:
         ]
         model = MobilityModel.build([F(1), F(0)], mats)
         assert model.time_variant
-        assert model.transition_at(0) != model.transition_at(1)
+        assert model.kernel_at(0) != model.kernel_at(1)
         with pytest.raises(InvalidParams):
-            model.transition_at(2)
+            model.kernel_at(2)
 
     def test_json_round_trip(self):
         data = json.loads((SCENARIOS / "two_state_walk.json").read_text())
@@ -444,7 +449,7 @@ class TestSimulate:
             (SystemConfig(N=2, K=2, L=8), MessageStore.random(2, 4, fork_rng(2, "s")),
              "store has K=2, L=4; config has K=2, L=8"),
             (SystemConfig(N=2, K=2, L=4), MessageStore.random(3, 4, fork_rng(3, "s")),
-             "location count mismatch"),
+             "store has K=3, L=4; config has K=2, L=4"),
         ],
         ids=["longer messages", "shorter messages", "more messages"],
     )
@@ -575,11 +580,12 @@ class TestSolvedOncePerPosterior:
             record, _ = step_nonprivate(*args, fork_rng(5, "entry"), solved=solved)
             assert record == step_nonprivate(*args, fork_rng(5, "entry"))[0]
         assert len(solved) == 2
-        # each entry keeps the integer law of its policy under the
-        # transposed posterior, which its steps condition on
-        for law, (policy, _, weights, _) in solved.items():
+        # each entry keeps the integer law of its posterior's policy under
+        # the transposed posterior, which its steps condition on
+        assert list(solved) == [validate_joint(j) for j in (first, second)]
+        policies = [policy_for_posterior(law, 2)[0] for law in solved]
+        for (law, (_, weights, _)), policy in zip(solved.items(), policies):
             assert weights == policy_weights(policy, law.transposed())[0]
-        policies = [policy for policy, _, _, _ in solved.values()]
         assert policies == [policy_for_posterior(validate_joint(j), 2)[0] for j in (first, second)]
         assert policies[0] != policies[1]
 
@@ -616,8 +622,8 @@ class TestSolvedOncePerPosterior:
             audit, "audit_online_privacy", counting("audit", audit.audit_online_privacy)
         )
         # one integer law per new posterior, which the audit and every
-        # conditioning read: no step scales a policy again, and the one
-        # scaling left in location is the initial law's
+        # conditioning read: no step scales a policy again, and the model
+        # scaled its initial law when it was built
         monkeypatch.setattr(
             location, "scale_to_integers", counting("scale", location.scale_to_integers)
         )
@@ -629,7 +635,7 @@ class TestSolvedOncePerPosterior:
             simulate(model, sched, config, store)
             assert calls == {"solve_lp": distinct * run, "policy": distinct * run,
                              "weights": distinct * run, "audit": distinct * run,
-                             "scale": run, "validate": 0}
+                             "scale": 0, "validate": 0}
         # a public call takes a law and validates nothing; a caller that
         # holds a raw matrix validates it first, once
         state = initial_posterior(model)
@@ -859,6 +865,78 @@ def time_variant_model(rng, K, steps):
     return MobilityModel.build(row(), [[row() for _ in range(K)] for _ in range(steps)])
 
 
+def check_sample_trace(model, horizon, seed, draws=500):
+    """``sample_trace`` draws the trace of ``oracles.fraction_sample_trace``
+    from the same stream and leaves it where the oracle does; each sampler
+    it builds, x_0's over the initial law and x_t+1's over row x_t of the
+    step's kernel, is the Fraction sampler over the same entries."""
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(location, "WeightedSampler", recording_sampler(built))
+        fast = fork_rng(seed, "trace")
+        trace = sample_trace(model, horizon, fast)
+    slow = fork_rng(seed, "trace")
+    assert trace == fraction_sample_trace(model, horizon, slow)
+    assert fast.getstate() == slow.getstate()
+    expected = [fraction_sampler(enumerate(model.pi0))] + [
+        fraction_sampler((v, w) for v, w in enumerate(transition_at(model, t)[x]) if w)
+        for t, x in enumerate(trace[:-1])
+    ]
+    assert len(built) == len(expected) == horizon + 1
+    for t, (sampler, reference) in enumerate(zip(built, expected)):
+        assert_same_sampler(sampler, reference, draws, (seed, t))
+    return trace
+
+
+def sparse_model(rng, K, steps=1):
+    """A chain whose initial law and rows have zeros, time-variant when
+    ``steps`` > 1; one entry per row stays positive."""
+    def row():
+        cells = [rng.choice([0, 0, 1, 2, 3, 7]) for _ in range(K)]
+        cells[rng.randrange(K)] += 1
+        return [F(c, sum(cells)) for c in cells]
+
+    return MobilityModel.build(row(), [[row() for _ in range(K)] for _ in range(steps)])
+
+
+def model_cells(K):
+    """Strategy: (initial cells, matrices of cells) with a positive total
+    per law and per row, one to three matrices."""
+    positive = st.lists(st.integers(min_value=0, max_value=5), min_size=K, max_size=K).filter(any)
+    return st.tuples(positive, st.lists(st.lists(positive, min_size=K, max_size=K),
+                                        min_size=1, max_size=3))
+
+
+class TestSampleTrace:
+    """The trace sampler over the model's integer laws against the one over
+    its Fractions that it replaced."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_seeded_chains_with_zeros(self, K):
+        rng = random.Random(f"sample-trace:{K}")
+        for seed in range(3):
+            check_sample_trace(sparse_model(rng, K), 12, seed)
+            check_sample_trace(sparse_model(rng, K, steps=6), 6, seed)
+            check_sample_trace(random_model(rng, K), 8, seed)
+
+    def test_a_zero_initial_entry_is_never_drawn(self):
+        model = MobilityModel.build([F(0), F(1, 3), F(0), F(2, 3)], [[[F(1, 4)] * 4] * 4])
+        assert model.initial == ((0, 1, 0, 2), 3)
+        starts = {check_sample_trace(model, 0, seed, draws=50)[0] for seed in range(60)}
+        assert starts == {1, 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(model_cells), st.integers(0, 99))
+    def test_hypothesis_chains(self, cells, seed):
+        initial, matrices = cells
+        model = MobilityModel.build(
+            [F(c, sum(initial)) for c in initial],
+            [[[F(c, sum(row)) for c in row] for row in m] for m in matrices],
+        )
+        horizon = len(matrices) if model.time_variant else 5
+        check_sample_trace(model, horizon, seed, draws=50)
+
+
 class TestCanonicalLaw:
     """A posterior's law is its entries in lowest terms: the common
     denominator is the lcm of the Fraction entries' denominators."""
@@ -902,20 +980,20 @@ class TestCanonicalLaw:
         monkeypatch.setattr(location, "scale_to_integers", recording)
         model = time_variant_model(rng, 3, 6)
         matrices = [[v for row in m for v in row] for m in model.transitions]
-        assert calls == matrices
+        assert calls == [list(model.pi0), *matrices]
+        weights, scale = scale_to_integers(model.pi0)
+        assert model.initial == (tuple(weights), scale)
         for t, (rows, scale) in enumerate(model.kernels):
             assert model.kernel_at(t) is model.kernels[t]
             assert [n for row in rows for n in row] == [v * scale for v in matrices[t]]
         calls.clear()
         config, store = run_setup(3, seed=6)
         simulate(model, PrivacySchedule(horizon=6, private=frozenset({0})), config, store)
-        assert calls and not [c for c in calls if c in matrices]
+        assert calls == []
 
     def test_no_matrix_past_the_last(self):
         model = time_variant_model(random.Random("past"), 2, 3)
         sched = PrivacySchedule(horizon=4, private=frozenset({0}))
-        with pytest.raises(InvalidParams, match="no transition matrix for step 3"):
-            model.transition_at(3)
         with pytest.raises(InvalidParams, match="no transition matrix for step 3"):
             model.kernel_at(3)
         state = PosteriorState(t=3, tau=0, law=initial_posterior(model).law)
@@ -1141,31 +1219,18 @@ def check_step_draws(joint, reference, solver, draws):
     K = joint.K
     state = PosteriorState(t=1, tau=0, law=joint.transposed())
     built = []
-
-    class Recording(WeightedSampler):
-        @classmethod
-        def of_counts(cls, items):
-            built.append(super().of_counts(items))
-            return built[-1]
-
     model = MobilityModel.build([F(1, K)] * K, [[[F(1, K)] * K] * K])
     sched = PrivacySchedule(horizon=1, private=frozenset({0}))
     config, store = run_setup(K, seed=1)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(location, "WeightedSampler", Recording)
+        patch.setattr(location, "WeightedSampler", recording_sampler(built))
         for s, row in enumerate(joint.weights):
             for x, w in enumerate(row):
                 if w:
                     rng = fork_rng(1, "step", s, x)
                     step_nonprivate(state, x, s, model, sched, config, store, rng, solver)
-                    sampler, expected = built.pop(), WeightedSampler(reference.at(s, x))
-                    assert sampler.denominator == expected.denominator
-                    assert sampler.thresholds == expected.thresholds
-                    assert sampler.values == expected.values
-                    fast, slow = fork_rng(2, s, x), fork_rng(2, s, x)
-                    assert [sampler.draw(fast) for _ in range(draws)] == [
-                        expected.draw(slow) for _ in range(draws)
-                    ]
+                    sampler, expected = built.pop(), fraction_sampler(reference.at(s, x))
+                    assert_same_sampler(sampler, expected, draws, (2, s, x))
 
 
 class TestIntegerLpStep:

@@ -406,6 +406,39 @@ class TestServer:
             assert reply["type"] == "error"
             assert reply["code"] == "frame_too_large"
 
+    def test_a_trickling_client_is_dropped_at_the_frame_deadline(self, store22, monkeypatch):
+        # each byte comes 0.2 s after the last, inside the 0.5 s idle wait,
+        # but the whole frame must arrive within 0.5 s of its first byte:
+        # the replica hangs up while the header is still coming in
+        monkeypatch.setattr(net, "IDLE_TIMEOUT", 0.5)
+        server = serve(store22)
+        query = PirQuery((((1, 2),),))
+        body = encode({"type": "query", "session": 1, "combos": query.combos})
+        frame = struct.pack("!I", len(body)) + body
+        try:
+            with socket.create_connection(server.address, timeout=0.2) as sock:
+                sent, reply = 0, None
+                for byte in frame:
+                    try:
+                        sock.sendall(bytes((byte,)))
+                        reply = sock.recv(64)
+                    except TimeoutError:
+                        sent += 1
+                        continue
+                    except OSError:
+                        reply = b""  # reset rather than closed
+                    break
+            assert reply == b""
+            assert sent < len(frame) - 1
+            # the replica then serves a new client
+            transport = RemoteTransport(addresses=[server.address])
+            try:
+                assert transport([query])[0] == (store22.data[1][2],)
+            finally:
+                transport.close()
+        finally:
+            server.close()
+
     def test_down_server_times_out_with_endpoint(self, store22):
         server = serve(store22)
         address = server.address
@@ -835,6 +868,21 @@ def stalls(conn, message):
     conn.recv(1)  # no reply; returns once the client gives up and hangs up
 
 
+def trickles_its_answer(conn, message):
+    # one byte every 0.2 s, each inside the client's 0.5 s timeout, until
+    # the client hangs up: the whole frame would take over 2 s
+    body = encode({"type": "answer", "session": message["session"],
+                   "bits": bytes(len(message["combos"]))})
+    conn.settimeout(0.2)
+    for byte in struct.pack("!I", len(body)) + body:
+        conn.sendall(bytes((byte,)))
+        try:
+            if not conn.recv(1):
+                return
+        except TimeoutError:
+            pass
+
+
 def announces_a_longer_answer(conn, message):
     # a header one byte past what the client reads, and no body: a client
     # that read on would wait out its timeout
@@ -848,6 +896,7 @@ FAULTS = {
     "wrong session id": (reply_with(session=0xDEADBEEF), ProtocolError, 5.0),
     "peer dies mid-exchange": (dies_mid_exchange, FetchTimeout, 5.0),
     "stalled peer": (stalls, FetchTimeout, 0.5),
+    "trickled answer": (trickles_its_answer, FetchTimeout, 0.5),
     "wrong-length answer": (reply_with(bits=b"\x00"), LengthMismatch, 5.0),
     "answer outside 01": (bit_outside_01, LengthMismatch, 5.0),
     "a hello frame in place of the answer": (hello_for_answer, ProtocolError, 5.0),
@@ -881,7 +930,7 @@ class TestFaults:
             assert type(err.value) is expected
             if name == "truncated frame":
                 assert isinstance(err.value.__cause__, MalformedFrame)
-            if name == "stalled peer":
+            if name in ("stalled peer", "trickled answer"):
                 assert isinstance(err.value.__cause__, TimeoutError)
             if name == "an answer announced longer than its query allows":
                 assert isinstance(err.value.__cause__, MalformedFrame)

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ipir.audit import audit_policy_independence
 from ipir.core import (
     ConditionalMatrix,
-    WeightedSampler,
+    JointDistribution,
     capacity_cost,
     conditional_from_joint,
     fork_rng,
@@ -20,6 +22,8 @@ from ipir.errors import (
     ConstructionFailed,
     DistributionError,
     InvalidParams,
+    IpirError,
+    NegativeEntry,
     PartialSupport,
     TooLarge,
     UnsupportedPair,
@@ -42,6 +46,7 @@ from ipir.obfuscation import (
 )
 
 from oracles import (
+    assert_same_sampler,
     branching_size_weights,
     equality_build_lp,
     equality_lp_marginal,
@@ -49,8 +54,10 @@ from oracles import (
     fraction_expected_cost,
     fraction_policy_independence,
     fraction_route,
+    fraction_sampler,
     fraction_solve_lp,
     fraction_subset_marginal,
+    fraction_subset_samplers,
     fraction_validate_policy,
     lp_marginal,
     recomputing_greedy_policy,
@@ -59,6 +66,9 @@ from oracles import (
     sxu_build_lp,
     sxu_solve_lp,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def random_cond(rng, K, denmax=60):
@@ -952,7 +962,90 @@ class TestPolicyWeights:
 def sample_subset(policy, s, x, rng):
     """The subset drawn for requests (s, x): one exact draw over the
     policy's choices there, as indices."""
-    return indices_of(WeightedSampler(policy.at(s, x)).draw(rng))
+    return indices_of(fraction_sampler(policy.at(s, x)).draw(rng))
+
+
+def check_subset_samplers(policy, joint, draws, seed):
+    """``subset_samplers`` builds, pair for pair in (s, x) order, the
+    samplers of ``oracles.fraction_subset_samplers``, or refuses the policy
+    with its error, of the same type and text."""
+    try:
+        expected = fraction_subset_samplers(policy, joint)
+    except IpirError as exc:
+        with pytest.raises(type(exc)) as err:
+            subset_samplers(policy, joint)
+        assert str(err.value) == str(exc)
+        return type(exc)
+    samplers = subset_samplers(policy, joint)
+    assert list(samplers) == list(expected)
+    for pair, sampler in samplers.items():
+        assert_same_sampler(sampler, expected[pair], draws, (seed, pair))
+    return None
+
+
+class TestSubsetSamplers:
+    """Each pair's sampler over the policy's shares scaled to integers
+    against the Fraction sampler it replaced."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_seeded_policies(self, K):
+        rng = random.Random(f"subset-samplers:{K}")
+        for i in range(4):
+            joint = positive_joint(rng, K) if i % 2 else sparse_joint(rng, K, zero_row=K > 1)
+            policies = [solve_lp(build_lp(joint, 2)), trivial_policy(K)]
+            if K > 1 and i % 2:
+                policies.append(greedy_policy(conditional_from_joint(joint)))
+            for policy in policies:
+                assert check_subset_samplers(policy, joint, 500, (K, i)) is None
+
+    @pytest.mark.parametrize(
+        "name, scenario", [("solve_lp", "correlated_pair"), ("greedy", None),
+                           ("two_request_transcript", None)]
+    )
+    def test_file_policies(self, name, scenario, skew_joint):
+        data = json.loads((GOLDEN / f"{name}.json").read_text())
+        policy = ObfuscationPolicy.from_json_dict(data["policy"])
+        if "joint" in data:
+            joint = JointDistribution.from_json_dict(data["joint"])
+        elif scenario:
+            joint = JointDistribution.from_json_dict(
+                json.loads((SCENARIOS / f"{scenario}.json").read_text())
+            )
+        else:
+            joint = skew_joint
+        assert joint.K == policy.K
+        assert check_subset_samplers(policy, joint, 500, name) is None
+
+    @pytest.mark.parametrize(
+        "shares, error, message",
+        [
+            ((F(3, 2), F(-1, 2)), NegativeEntry, "weight -1/2 is negative"),
+            ((F(-1, 4), F(5, 4)), NegativeEntry, "weight -1/4 is negative"),
+            ((F(1, 3), F(1, 3)), DistributionError, "weights sum to 2/3, expected 1"),
+            ((F(2, 3), F(1, 2)), DistributionError, "weights sum to 7/6, expected 1"),
+            ((F(0), F(0)), DistributionError, "weights sum to 0, expected 1"),
+        ],
+        ids=["negative", "negative first", "short", "over", "zero"],
+    )
+    def test_bad_pairs_are_refused_as_the_fraction_sampler_refused_them(
+        self, pair_joint, shares, error, message
+    ):
+        entries = dict(trivial_policy(2).entries)
+        entries[(1, 0, 1)], entries[(1, 0, 3)] = shares
+        policy = ObfuscationPolicy(K=2, entries=entries)
+        assert check_subset_samplers(policy, pair_joint, 0, 0) is error
+        with pytest.raises(error, match=message):
+            subset_samplers(policy, pair_joint)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda K: st.tuples(cell_matrices(K), raw_policies(K))
+    ))
+    def test_hypothesis_policies(self, case):
+        cells, policy = case
+        total = sum(map(sum, cells))
+        joint = validate_joint([[F(c, total) for c in row] for row in cells])
+        check_subset_samplers(policy, joint, 50, 0)
 
 
 class TestSampleSubset:
