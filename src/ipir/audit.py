@@ -6,8 +6,11 @@ D, the lcm of its denominators, to weights W, and the check is
 W(a,b) D == W_a W_b. The bits value attached to each check is a
 floating-point diagnostic only and never part of the decision; its terms
 are int ratios, correctly rounded as float(Fraction) is.
-Query-level checks enumerate the scheme's key space where affordable and
-fall back to sampled total-variation comparisons where not.
+Exact query-level checks read each server's query law off its orbits
+(``pir.query_orbits``): a uniform key makes the query uniform on one, so
+the law of (S, Q) factorizes iff the law of (S, orbit) does. Above
+EXACT_STATE_CAP keys they fall back to sampled total-variation
+comparisons.
 """
 
 from __future__ import annotations
@@ -40,31 +43,45 @@ EMPIRICAL_TRIALS = 100_000
 TV_THRESHOLD = 0.01
 
 
-def _factorization(weights: dict, scale: int) -> tuple[bool, float, object]:
+def _factorization(
+    weights: dict, scale: int, cells: dict | None = None
+) -> tuple[bool, float, object]:
     """(independent?, bits, witness) of the law p(a, b) = weights[a, b] / scale.
 
+    A label in ``cells`` stands for that many labels of equal weight, so
+    weights[a, b] is the weight of each of cells(a) cells(b) pairs.
     p(a,b) = p(a) p(b) times scale^2 is W(a,b) scale = W_a W_b, decided
     over the product of the marginal supports in integers. Every float is
     an int ratio, correctly rounded as float(Fraction) is, and the terms
-    are summed in the entries' order. The witness is the first (a, b),
+    are summed in the entries' order, once per pair, so the bits are those
+    of the law written out pair by pair. The witness is the first (a, b),
     labels ordered by str, where the law does not factorize; None if it
     does.
     """
     wa: dict = {}  # the marginals of the nonzero weights, in first-seen order
     wb: dict = {}
-    for (a, b), w in weights.items():
-        if w != 0:
-            wa[a] = wa.get(a, 0) + w
-            wb[b] = wb.get(b, 0) + w
+    if cells is None:  # the online audit's path: no lookup per entry
+        for (a, b), w in weights.items():
+            if w != 0:
+                wa[a] = wa.get(a, 0) + w
+                wb[b] = wb.get(b, 0) + w
+    else:
+        for (a, b), w in weights.items():
+            if w != 0:
+                wa[a] = wa.get(a, 0) + w * cells.get(b, 1)
+                wb[b] = wb.get(b, 0) + w * cells.get(a, 1)
     if all(
         weights.get((a, b), 0) * scale == x * y for a, x in wa.items() for b, y in wb.items()
     ):
         return True, 0.0, None
+    cells = cells or {}
     bits = 0.0
     for (a, b), w in weights.items():
         if w != 0:
             p = w / scale
-            bits += p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
+            term = p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
+            for _ in range(cells.get(a, 1) * cells.get(b, 1)):
+                bits += term
     columns = sorted(wb.items(), key=str)
     witness = next(
         (a, b)
@@ -138,59 +155,45 @@ def audit_policy_independence(policy: ObfuscationPolicy, joint: JointDistributio
     return audit_online_privacy(*policy_weights(policy, joint))
 
 
-def _query_counts(params: pir.SchemeParams, desired: int) -> list[Counter]:
-    """Per server, how many keys of the scheme give each canonical query
-    (its combos), from one walk over the key space: the query law at
-    server n over a uniform key is ``counts[n][q] / pir.key_count(params)``."""
-    counts = [Counter() for _ in range(params.n_servers)]
-    for key in pir.enumerate_keys(params):
-        session = pir.PirSession.from_key(params, desired, key)
-        for by_query, query in zip(counts, session.queries):
-            by_query[query.combos] += 1
-    return counts
+def _check_k(joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig):
+    if config.K != joint.K or policy.K != joint.K:
+        raise InvalidParams(
+            f"the joint has K={joint.K}, the policy K={policy.K}, the config K={config.K}"
+        )
 
 
 def _exact_enumeration_size(policy: ObfuscationPolicy, config: SystemConfig) -> int:
     masks = {mask for (_, _, mask) in policy.entries}
-    size = 0
-    for mask in masks:
-        params = pir.pir_setup(config.N, indices_of(mask), config.L)
-        size += pir.key_count(params)
-    return size
+    return sum(pir.key_count(pir.pir_setup(config.N, indices_of(m), config.L)) for m in masks)
 
 
 def _query_laws(
-    joint: JointDistribution,
-    policy: ObfuscationPolicy,
-    config: SystemConfig,
-    counts: dict,
-) -> tuple[list[dict], int]:
-    """The law of (S, Q_n), the private request and the non-private query,
-    at every server n, as integer weights over one scale: p(s, x) p(u|x,s)
-    times the query law of the scheme over u for a uniform key, summed over
-    x and u.
+    joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig
+) -> tuple[list[dict], int, dict]:
+    """``(laws, scale, cells)``: at every server n, the law of (S, orbit of
+    Q_n), the private request and the non-private query's orbit, as the
+    integer weight of each query of the orbit over one scale, and each
+    orbit's size.
 
-    The weight of (s, q) sums W(s, x, u) count_(u,x)(q) T/key_count(u)
-    over the (S, X, U) weights W of ``policy_weights``, the key counts of
-    ``_query_counts`` and T, the lcm of the key counts of the subsets used.
-    ``counts`` keeps each (mask, x)'s counts, walked once.
+    An orbit is ``(mask, label)`` of ``pir.query_orbits``, on which a
+    uniform key makes the query uniform, so the weight of (s, orbit) sums
+    W(s, x, u) T / size over the (S, X, U) weights W of ``policy_weights``
+    whose query lands on it, T the lcm of the sizes.
     """
     weights, scale = policy_weights(policy, joint)
-    terms = []
-    for (s, x, mask), w in weights.items():
-        params = pir.pir_setup(config.N, indices_of(mask), config.L)
-        if (mask, x) not in counts:
-            counts[mask, x] = _query_counts(params, x)
-        terms.append((s, w, pir.key_count(params), counts[mask, x]))
-    T = math.lcm(*(total for _, _, total, _ in terms))
+    terms = [
+        (s, w, mask, pir.query_orbits(pir.pir_setup(config.N, indices_of(mask), config.L), x))
+        for (s, x, mask), w in weights.items()
+    ]
+    T = math.lcm(*(size for *_, orbits in terms for _, size in orbits))
     laws: list[dict] = [{} for _ in range(config.N)]
-    for s, w, total, per_server in terms:
-        w *= T // total
-        for law, by_query in zip(laws, per_server):
-            for combos, c in by_query.items():
-                key = (s, combos)
-                law[key] = law.get(key, 0) + w * c
-    return laws, scale * T
+    cells: dict = {}
+    for s, w, mask, orbits in terms:
+        for law, (label, size) in zip(laws, orbits):
+            cells[mask, label] = size
+            key = (s, (mask, label))
+            law[key] = law.get(key, 0) + w * (T // size)
+    return laws, scale * T, cells
 
 
 def audit_query_privacy(
@@ -205,9 +208,9 @@ def audit_query_privacy(
     """Per-server independence of the non-private query from the private
     request.
 
-    Exact mode factor-checks the (S, Q_i) law at each server, built in
-    integers by ``_query_laws`` from one walk over the key space per
-    released subset and request. When that key space exceeds
+    Exact mode factor-checks the (S, orbit of Q_i) law of ``_query_laws``
+    at each server, which factorizes iff the (S, Q_i) law does, at the
+    same first s. When the released subsets' key spaces exceed
     EXACT_STATE_CAP the audit runs in empirical mode instead, its first
     check records the fallback, and the ``ipir.audit`` logger logs it at
     INFO. Empirical mode compares the sampled query law across s values by
@@ -217,14 +220,16 @@ def audit_query_privacy(
     ``_pattern_counts``), which keeps every distinct order and its pattern
     for the whole audit: at large L about one per sample, so a K=3, L=512
     audit of 1,000 trials per private value peaks at 204 MB (ru_maxrss,
-    CPython 3.11). Any other mode, and an empirical audit whose
-    trials are not an int (a bool included) or are fewer than one, or
-    whose threshold is not an int or a float, raise InvalidParams; a policy
-    with no entries at a request pair of positive mass raises
-    UnsupportedPair, in either mode.
+    CPython 3.11). Any other mode, a config or policy whose K is not the
+    joint's, and an empirical audit whose trials are not an int or are
+    fewer than one, whose threshold is not a finite positive int or float,
+    or whose seed is not an int (a bool is none of these), raise
+    InvalidParams; a policy with no entries at a request pair of positive
+    mass raises UnsupportedPair, in either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
+    _check_k(joint, policy, config)
     samplers = subset_samplers(policy, joint)
     report = AuditReport(mode=mode)
     size = _exact_enumeration_size(policy, config) if mode == "exact" else 0
@@ -243,26 +248,23 @@ def audit_query_privacy(
         report.checks.append(
             AuditCheck(name="exact-mode-infeasible (fell back to empirical)", passed=True)
         )
-    if report.mode == "empirical" and (type(trials) is not int or trials < 1):
-        raise InvalidParams(
-            f"an empirical audit needs an int of at least 1 trial, got {trials!r}"
-        )
-    if report.mode == "empirical" and not isinstance(threshold, (int, float)):
-        raise InvalidParams(f"the TV threshold must be an int or a float, got {threshold!r}")
     if report.mode == "exact":
-        laws, scale = _query_laws(joint, policy, config, {})
+        laws, scale, cells = _query_laws(joint, policy, config)
         for server, law in enumerate(laws):
-            zero, bits, witness = _factorization(law, scale)
-            report.checks.append(
-                AuditCheck(
-                    name=f"query-privacy-server-{server}",
-                    passed=zero,
-                    bits=bits,
-                    witness=None if zero else witness[0],
-                )
-            )
+            zero, bits, witness = _factorization(law, scale, cells)
+            name = f"query-privacy-server-{server}"
+            report.checks.append(AuditCheck(name, zero, bits, None if zero else witness[0]))
         return report
-
+    if type(trials) is not int or trials < 1:
+        raise InvalidParams(f"an empirical audit needs an int of at least 1 trial, got {trials!r}")
+    if type(threshold) is bool or not (
+        isinstance(threshold, (int, float)) and 0 < threshold < math.inf
+    ):
+        raise InvalidParams(
+            f"the TV threshold must be a finite positive int or float, got {threshold!r}"
+        )
+    if type(seed) is not int:
+        raise InvalidParams(f"the seed must be an int, got {seed!r}")
     counts = _pattern_counts(joint, samplers, config, trials, seed)
     report.checks.extend(_empirical_checks(counts, threshold))
     return report
@@ -400,83 +402,67 @@ def audit_leak_equivalence(
     policy: ObfuscationPolicy,
     config: SystemConfig,
 ) -> AuditReport:
-    """Enumerate the joint law of (S, Q_i^(X), Q_i^(S)) at every server and
-    verify the reduction hypotheses and the equivalence
+    """Build the joint law of (S, Q_i^(X), Q_i^(S)) at every server from
+    query orbits and verify the reduction hypotheses and the equivalence
 
         I(S; Q_x, Q_s) = 0  <=>  I(S; Q_x) = 0.
 
-    Raises ExactModeInfeasible when the key space exceeds EXACT_STATE_CAP.
+    A pair of orbits stands for the product of their sizes in query pairs.
+    Raises InvalidParams when the config's or the policy's K is not the
+    joint's, and ExactModeInfeasible when the key space exceeds
+    EXACT_STATE_CAP.
     """
+    _check_k(joint, policy, config)
     full_params = pir.pir_setup(config.N, range(config.K), config.L)
     size = _exact_enumeration_size(policy, config) + pir.key_count(full_params)
     if size > EXACT_STATE_CAP:
         raise ExactModeInfeasible(f"{size} states exceed the cap {EXACT_STATE_CAP}")
 
-    counts: dict = {}
-    laws, scale = _query_laws(joint, policy, config, counts)
-    full, total = full_mask(config.K), pir.key_count(full_params)
-    masses = {s: sum(joint.weights[s]) for s in joint.support()}
-    qs_counts = {s: counts.get((full, s)) or _query_counts(full_params, s) for s in masses}
+    laws, scale, cells = _query_laws(joint, policy, config)
+    full, masses = full_mask(config.K), {s: sum(joint.weights[s]) for s in joint.support()}
+    private = {s: pir.query_orbits(full_params, s) for s in masses}
+    total = math.lcm(*(size for orbits in private.values() for _, size in orbits))
     report = AuditReport()
     for server, s_qx in enumerate(laws):
-        s_qs = {
-            (s, qs): mass * c
-            for s, mass in masses.items()
-            for qs, c in qs_counts[s][server].items()
-        }
+        qs: dict = {}  # s -> its private query's orbit and weight per query
+        for s, orbits in private.items():
+            label, size = orbits[server]
+            cells[full, label] = size
+            qs[s] = (full, label), total // size
+        s_qs = {(s, orbit): masses[s] * c for s, (orbit, c) in qs.items()}
         # (S, (Q_x, Q_s)) over scale * total, and its row at each s
         s_qx_qs: dict = {}
         rows: dict = {s: {} for s in masses}
         for (s, qx), w in s_qx.items():
-            for qs, c in qs_counts[s][server].items():
-                s_qx_qs[s, (qx, qs)] = rows[s][qx, qs] = w * c
-
-        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale * total)
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: private query independent of request",
-                passed=zero_qs,
-                bits=bits_qs,
-            )
-        )
-        cond_zero = True
-        cond_bits = 0.0
+            orbit, c = qs[s]
+            cells[qx, orbit] = cells[qx] * cells[orbit]
+            s_qx_qs[s, (qx, orbit)] = rows[s][qx, orbit] = w * c
+        cond_zero, cond_bits = True, 0.0
         for s, row in rows.items():
-            row_mass = sum(row.values())
+            row_mass = sum(w * cells[pair] for pair, w in row.items())
             if row_mass == 0:
                 continue
-            z, b, _ = _factorization(row, row_mass)
+            z, b, _ = _factorization(row, row_mass, cells)
             cond_zero = cond_zero and z
             cond_bits += masses[s] / joint.scale * b
-        report.checks.append(
+        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale * total, cells)
+        zero_qx, bits_qx, _ = _factorization(s_qx, scale, cells)
+        zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale * total, cells)
+        name = f"server-{server}: "
+        report.checks += [
+            AuditCheck(name + "private query independent of request", zero_qs, bits_qs),
             AuditCheck(
-                name=f"server-{server}: queries conditionally independent given request",
-                passed=cond_zero,
-                bits=cond_bits,
-            )
-        )
-        zero_qx, bits_qx, _ = _factorization(s_qx, scale)
-        zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale * total)
-        report.checks.append(
+                name + "queries conditionally independent given request", cond_zero, cond_bits
+            ),
             AuditCheck(
-                name=f"server-{server}: joint-leak zero iff single-leak zero",
-                passed=zero_pair == zero_qx,
-                bits=abs(bits_pair - bits_qx),
-                witness=(zero_pair, zero_qx) if zero_pair != zero_qx else None,
-            )
-        )
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: single-query leak", passed=zero_qx, bits=bits_qx
-            )
-        )
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: joint-query leak",
-                passed=zero_pair,
-                bits=bits_pair,
-            )
-        )
+                name + "joint-leak zero iff single-leak zero",
+                zero_pair == zero_qx,
+                abs(bits_pair - bits_qx),
+                (zero_pair, zero_qx) if zero_pair != zero_qx else None,
+            ),
+            AuditCheck(name + "single-query leak", zero_qx, bits_qx),
+            AuditCheck(name + "joint-query leak", zero_pair, bits_pair),
+        ]
     return report
 
 

@@ -9,8 +9,8 @@ recovered with a single XOR. Sums without the desired message consume fresh
 bits. Every bit position of every message is used at most once globally,
 per-message positions are scrambled by private uniform permutations drawn
 fresh per retrieval, and emitted combos are in canonical (sorted) order, so
-the per-server query distribution is the same whichever subset member is
-desired.
+each server's query is uniform on an orbit the block template alone fixes
+(``query_orbits``), the same whichever subset member is desired.
 
 Messages longer than one block run the construction independently per block
 of N^k bits with independent permutations.
@@ -40,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import chain, combinations, groupby
 from operator import itemgetter, lt, xor
 
 from .errors import (
@@ -154,19 +154,31 @@ def _shuffle_steps(size: int, block: int) -> tuple[tuple[int, int, int, int], ..
     )
 
 
-def enumerate_keys(params: SchemeParams):
-    """All keys of the scheme; (block!)^(k * blocks) of them."""
-    block = params.block
-    pools = [
-        [tuple(base + p for p in perm) for perm in permutations(range(block))]
-        for base in range(0, params.k * params.L, block)
-    ]
-    for rows in product(*pools):
-        yield PirKey([*chain.from_iterable(rows)])
-
-
 def key_count(params: SchemeParams) -> int:
     return math.factorial(params.block) ** (params.k * params.blocks)
+
+
+@lru_cache(maxsize=256)
+def query_orbits(params: SchemeParams, desired: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each server's query orbit, ``(label, size)``, for ``desired``.
+
+    A server's atoms in one block are distinct, so a uniform key makes its
+    query uniform over the queries with the same combo masks (bits over
+    subset positions) in every block: the label is their sorted multiset.
+    With a_j atoms of member j and c_m combos of mask m, a block has
+    prod P(N^k, a_j) / prod c_m! of them, and the blocks are independent.
+    """
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    shapes, _ = _block_template(params.n_servers, params.k, params.subset.index(desired))
+    orbits = []
+    for combos in shapes:
+        masks = sorted(sum(1 << j for j, _ in combo) for combo in combos)
+        size = math.prod(
+            math.perm(params.block, sum(m >> j & 1 for m in masks)) for j in range(params.k)
+        ) // math.prod(math.factorial(len([*run])) for _, run in groupby(masks))
+        orbits.append((tuple(masks), size**params.blocks))
+    return tuple(orbits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,8 +203,9 @@ def _block_template(n_servers: int, k: int, desired_pos: int):
     answer to its combo i, XORed with server m's answer to its combo side;
     singletons have neither m nor side.
 
-    Raises ``ConstructionFailed`` if two combos of one server share a first
-    atom: the canonical order keys on it.
+    Raises ``ConstructionFailed`` if a server repeats an atom: the
+    canonical order keys on first atoms, and ``query_orbits`` needs them
+    all distinct.
     """
     drawn = [0] * k
 
@@ -236,9 +249,10 @@ def _block_template(n_servers: int, k: int, desired_pos: int):
         side_pool = new_pool
 
     for n, combos in enumerate(per_server):
-        if len({c[0] for c in combos}) != len(combos):
+        atoms = [*chain(*combos)]
+        if len(set(atoms)) != len(atoms):
             raise ConstructionFailed(
-                f"server {n} repeats a first atom at N={n_servers}, k={k}, "
+                f"server {n} repeats an atom at N={n_servers}, k={k}, "
                 f"desired position {desired_pos}"
             )
     return tuple(map(tuple, per_server)), tuple(sorted(plan))

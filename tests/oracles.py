@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, permutations, product
 from operator import itemgetter, mul
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
@@ -79,15 +79,73 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def enumerate_keys(params: pir.SchemeParams):
+    """All keys of the scheme; (block!)^(k * blocks) of them."""
+    block = params.block
+    pools = [
+        [tuple(base + p for p in perm) for perm in permutations(range(block))]
+        for base in range(0, params.k * params.L, block)
+    ]
+    for rows in product(*pools):
+        yield pir.PirKey([*chain.from_iterable(rows)])
+
+
 def query_distribution(params: pir.SchemeParams, desired: int, server: int) -> dict:
     """Exact law of the canonical query at one server over a uniform key,
     from its own walk over the key space."""
     total = pir.key_count(params)
     counts: Counter = Counter()
-    for key in pir.enumerate_keys(params):
+    for key in enumerate_keys(params):
         query = pir.PirSession.from_key(params, desired, key).queries[server]
         counts[query.combos] += 1
     return {combos: Fraction(n, total) for combos, n in counts.items()}
+
+
+def query_counts(params: pir.SchemeParams, desired: int) -> list[Counter]:
+    """Per server, how many keys of the scheme give each canonical query
+    (its combos), from one walk over the key space: the query law at
+    server n over a uniform key is ``counts[n][q] / pir.key_count(params)``."""
+    counts = [Counter() for _ in range(params.n_servers)]
+    for key in enumerate_keys(params):
+        session = pir.PirSession.from_key(params, desired, key)
+        for by_query, query in zip(counts, session.queries):
+            by_query[query.combos] += 1
+    return counts
+
+
+def query_laws(
+    joint: JointDistribution,
+    policy: ObfuscationPolicy,
+    config: SystemConfig,
+    counts: dict,
+) -> tuple[list[dict], int]:
+    """The law of (S, Q_n), the private request and the non-private query,
+    at every server n, as integer weights over one scale: p(s, x) p(u|x,s)
+    times the query law of the scheme over u for a uniform key, summed over
+    x and u, query by query; the reference of ``ipir.audit._query_laws``,
+    which keeps one entry per query orbit.
+
+    The weight of (s, q) sums W(s, x, u) count_(u,x)(q) T/key_count(u)
+    over the (S, X, U) weights W of ``policy_weights``, the key counts of
+    ``query_counts`` and T, the lcm of the key counts of the subsets used.
+    ``counts`` keeps each (mask, x)'s counts, walked once.
+    """
+    weights, scale = policy_weights(policy, joint)
+    terms = []
+    for (s, x, mask), w in weights.items():
+        params = pir.pir_setup(config.N, indices_of(mask), config.L)
+        if (mask, x) not in counts:
+            counts[mask, x] = query_counts(params, x)
+        terms.append((s, w, pir.key_count(params), counts[mask, x]))
+    T = math.lcm(*(total for _, _, total, _ in terms))
+    laws: list[dict] = [{} for _ in range(config.N)]
+    for s, w, total, per_server in terms:
+        w *= T // total
+        for law, by_query in zip(laws, per_server):
+            for combos, c in by_query.items():
+                key = (s, combos)
+                law[key] = law.get(key, 0) + w * c
+    return laws, scale * T
 
 
 @dataclass

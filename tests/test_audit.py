@@ -21,7 +21,6 @@ from ipir.audit import (
     _exact_enumeration_size,
     _factorization,
     _pattern_counts,
-    _query_counts,
     _query_laws,
     audit_online_privacy,
     audit_policy_independence,
@@ -40,6 +39,7 @@ from ipir.location import (
     policy_for_posterior,
 )
 from ipir.errors import (
+    DesiredNotInSubset,
     DistributionError,
     ExactModeInfeasible,
     InvalidParams,
@@ -51,6 +51,7 @@ from ipir.obfuscation import (
     build_lp,
     greedy_policy,
     indices_of,
+    mask_of,
     solve_lp,
     subset_samplers,
     trivial_policy,
@@ -68,8 +69,9 @@ from oracles import (
     fraction_sampler,
     node_query_leak,
     online_privacy_factorization,
-    query_distribution,
+    query_counts,
     query_history_equivalence,
+    query_laws,
     sample_orders,
     session_pattern_counts,
     step_law,
@@ -80,6 +82,60 @@ def singleton_policy(K):
     return ObfuscationPolicy(
         K=K, entries={(s, x, 1 << x): F(1) for s in range(K) for x in range(K)}
     )
+
+
+def orbit_of(N, L, combos):
+    """The orbit ``(mask, label)`` of ``_query_laws`` read off one query:
+    the mask of its messages, and the sorted masks of its combos over
+    subset positions, which must be the same in every block."""
+    subset = sorted({msg for combo in combos for msg, _ in combo})
+    block = N ** len(subset)
+    blocks = [[] for _ in range(L // block)]
+    for combo in combos:
+        blocks[combo[0][1] // block].append(mask_of(subset.index(msg) for msg, _ in combo))
+    (label,) = {tuple(sorted(masks)) for masks in blocks}
+    return mask_of(subset), label
+
+
+def written_out(orbit_law: dict, scale: int, cells: dict, entries: dict, N, L) -> dict:
+    """An orbit law of ``_query_laws`` written out cell by cell: each
+    orbit's weight at every query of it among the keys of ``entries``,
+    each orbit holding as many of them as its cell count."""
+    by_orbit: dict = {}
+    for _, combos in entries:
+        by_orbit.setdefault(orbit_of(N, L, combos), set()).add(combos)
+    assert {orbit: len(queries) for orbit, queries in by_orbit.items()} == {
+        orbit: cells[orbit] for _, orbit in orbit_law
+    }
+    return {
+        (s, combos): F(w, scale)
+        for (s, orbit), w in orbit_law.items()
+        for combos in by_orbit[orbit]
+    }
+
+
+def assert_orbits_match_enumeration(params):
+    """``pir.query_orbits`` against a walk over every key: each server's
+    orbit holds as many queries as it says, each reached by key_count /
+    size keys, and two desired positions share a label iff their
+    enumerated query laws are equal."""
+    total = pir.key_count(params)
+    counts = {desired: query_counts(params, desired) for desired in params.subset}
+    for desired, per_server in counts.items():
+        orbits = pir.query_orbits(params, desired)
+        assert len(orbits) == len(per_server) == params.n_servers
+        for (label, size), by_query in zip(orbits, per_server):
+            assert len(by_query) == size
+            assert set(by_query.values()) == {total // size}
+            assert {orbit_of(params.n_servers, params.L, q) for q in by_query} == {
+                (mask_of(params.subset), label)
+            }
+    labels = {d: [label for label, _ in pir.query_orbits(params, d)] for d in params.subset}
+    for server in range(params.n_servers):
+        for d1 in params.subset:
+            for d2 in params.subset:
+                same = labels[d1][server] == labels[d2][server]
+                assert same == (counts[d1][server] == counts[d2][server])
 
 
 class TestMutualInformation:
@@ -181,14 +237,19 @@ class TestIntegerFactorization:
         assert not assert_same_factorization({(0, 0): 1, (1, 1): F(1, 2), (0, 1): 0})[0]
 
     def test_leaking_audit_instance(self, pair_joint, config22):
-        # the exact (S, Q) laws behind tests/golden/audit_leaking.json
-        laws, scale = _query_laws(pair_joint, singleton_policy(2), config22, {})
-        for server, law in enumerate(laws):
-            entries = fraction_query_law(pair_joint, singleton_policy(2), config22, server)
+        # the exact (S, Q) laws behind tests/golden/audit_leaking.json, as
+        # the oracle enumerates them and as orbits
+        policy = singleton_policy(2)
+        laws, scale = query_laws(pair_joint, policy, config22, {})
+        orbit_laws, orbit_scale, cells = _query_laws(pair_joint, policy, config22)
+        for server, (law, orbit_law) in enumerate(zip(laws, orbit_laws)):
+            entries = fraction_query_law(pair_joint, policy, config22, server)
             assert list(entries.items()) == [(k, F(w, scale)) for k, w in law.items()]
+            assert written_out(orbit_law, orbit_scale, cells, entries, 2, 4) == entries
             zero, bits = assert_same_factorization(entries)
             assert (zero, bits) == (False, 0.18872187554086717)
             assert _factorization(law, scale) == (False, bits, independence_witness(entries))
+            assert _factorization(orbit_law, orbit_scale, cells)[:2] == (False, bits)
             assert independence_witness(entries)[0] == 0
 
     @settings(max_examples=150, deadline=None)
@@ -331,6 +392,59 @@ class TestQueryPrivacyExact:
         )
         assert report.mode == "exact" and report.passed
 
+    @pytest.mark.parametrize(
+        "threshold", [True, False, 0, -0.01, float("nan"), float("inf"), "0.01", F(1, 100)]
+    )
+    def test_empirical_audit_refuses_a_meaningless_threshold(
+        self, pair_joint, pair_cond, config22, monkeypatch, threshold
+    ):
+        # True named its checks "TV<True"; a negative or NaN threshold
+        # failed every check, and inf passed every check
+        monkeypatch.setattr(audit, "fork_rng", no_draw)
+        with pytest.raises(InvalidParams, match="threshold must be a finite positive"):
+            audit_query_privacy(
+                pair_joint, greedy_policy(pair_cond), config22, mode="empirical",
+                trials=10, threshold=threshold,
+            )
+
+    @pytest.mark.parametrize("seed", ["x", True, 1.0, None])
+    def test_empirical_audit_refuses_a_seed_that_is_not_an_int(
+        self, pair_joint, pair_cond, config22, monkeypatch, seed
+    ):
+        monkeypatch.setattr(audit, "fork_rng", no_draw)
+        with pytest.raises(InvalidParams, match="seed must be an int"):
+            audit_query_privacy(
+                pair_joint, greedy_policy(pair_cond), config22, mode="empirical",
+                trials=10, seed=seed,
+            )
+
+
+def no_draw(*args):
+    raise AssertionError("a random stream was forked")
+
+
+class TestKAgreement:
+    # a K=2 joint audited under a config or a policy of another K: the
+    # config K=3 audited "exact" and passed, K=1 at L=2 and a K=3 policy
+    # raised BlockMismatch at the scheme of the released subsets
+    CASES = [
+        (SystemConfig(N=2, K=3, L=8, seed=0), None),
+        (SystemConfig(N=2, K=1, L=2, seed=0), None),
+        (SystemConfig(N=2, K=2, L=4, seed=0), trivial_policy(3)),
+    ]
+
+    @pytest.mark.parametrize("run", [audit_query_privacy, audit_leak_equivalence])
+    @pytest.mark.parametrize("config, policy", CASES, ids=["config3", "config1", "policy3"])
+    def test_audits_refuse_another_k(self, run, config, policy, pair_joint, pair_cond, monkeypatch):
+        policy = policy or greedy_policy(pair_cond)
+        monkeypatch.setattr(audit, "subset_samplers", no_draw)
+        monkeypatch.setattr(pir, "pir_setup", no_draw)
+        with pytest.raises(
+            InvalidParams,
+            match=f"joint has K=2, the policy K={policy.K}, the config K={config.K}$",
+        ):
+            run(pair_joint, policy, config)
+
 
 # (N, K, L) instances whose exact audits stay small; at (2, 2, 8) and
 # (3, 2, 9) the whole message set has too many keys, so only the leaking
@@ -369,48 +483,99 @@ def audit_cases(draw, sizes=SMALL + SINGLETON_ONLY):
     return joint, make_policy(kind, joint, N), SystemConfig(N=N, K=K, L=L, seed=0)
 
 
+@pytest.fixture
+def doctored_template(monkeypatch):
+    """At N=2, k=2 and desired position 1, server 1 asks the singleton of
+    member 0's atom 2 in place of member 1's atom 1: its combo masks are
+    1, 1, 3, where desired position 0 gives 1, 2, 3, and its atoms stay
+    distinct. The caches built on templates are cleared around the test."""
+    real = pir._block_template
+
+    def doctored(n_servers, k, desired_pos):
+        shapes, plan = real(n_servers, k, desired_pos)
+        if (n_servers, k, desired_pos) == (2, 2, 1):
+            (single, _, pair) = shapes[1]
+            shapes = (shapes[0], (single, ((0, 2),), pair))
+        return shapes, plan
+
+    caches = (real, pir._tables, pir.query_orbits, pir._order_key)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(pir, "_block_template", doctored)
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 class TestIntegerQueryAudit:
-    # the key counts and integer laws of the exact audits against the
-    # Fraction laws they replaced
+    # the query orbits and integer laws of the exact audits against the
+    # key walks and Fraction laws they replaced
     @pytest.mark.parametrize(
         "N, subset, L",
         [(2, (0,), 4), (2, (1,), 8), (2, (0, 1), 4), (3, (1,), 3), (3, (0,), 9),
          (2, (0, 2), 4)],
     )
     def test_counts_over_key_count_are_the_query_law(self, N, subset, L):
-        params = pir.pir_setup(N, subset, L)
-        total = pir.key_count(params)
-        for desired in subset:
-            counts = _query_counts(params, desired)
-            assert len(counts) == N
-            for server, by_query in enumerate(counts):
-                assert sum(by_query.values()) == total
-                expected = query_distribution(params, desired, server)
-                assert list(expected.items()) == [
-                    (q, F(c, total)) for q, c in by_query.items()
-                ]
+        assert_orbits_match_enumeration(pir.pir_setup(N, subset, L))
 
-    def test_one_walk_per_subset_and_request(self, pair_joint, pair_cond, config22, monkeypatch):
+    def test_orbits_refuse_a_desired_message_outside_the_subset(self):
+        with pytest.raises(DesiredNotInSubset, match=r"desired 2 not in subset \(0, 1\)"):
+            pir.query_orbits(pir.pir_setup(2, (0, 1), 4), 2)
+
+    def test_exact_audits_build_no_session(self, pair_joint, pair_cond, config22, monkeypatch):
+        def no_session(*args):
+            raise AssertionError("a session was built")
+
+        monkeypatch.setattr(pir.PirSession, "from_key", staticmethod(no_session))
         policy = greedy_policy(pair_cond)
-        calls = []
-        from_key = pir.PirSession.from_key
-
-        def counting(params, desired, key):
-            calls.append((params.subset, desired))
-            return from_key(params, desired, key)
-
-        monkeypatch.setattr(pir.PirSession, "from_key", staticmethod(counting))
         report = audit_query_privacy(pair_joint, policy, config22)
         assert report.mode == "exact" and report.passed
-        walked = {
-            (indices_of(mask), x)
-            for (s, x, mask), p in policy.entries.items()
-            if pair_joint.table[s][x] * p
-        }
-        assert len(walked) > 1
-        expected = sum(pir.key_count(pir.pir_setup(2, u, config22.L)) for u, _ in walked)
-        assert len(calls) == expected
-        assert set(calls) == walked
+        assert audit_leak_equivalence(pair_joint, policy, config22).passed
+
+    def test_doctored_template_leaks_as_the_oracle_says(
+        self, doctored_template, pair_joint, config22
+    ):
+        # orbits of the two desired positions differ at server 1 only, so
+        # releasing the full set leaks there, as the enumeration says
+        params = pir.pir_setup(2, (0, 1), 4)
+        (zero, one), (first, second) = pir.query_orbits(params, 0), pir.query_orbits(params, 1)
+        assert zero == first and one[0] != second[0]
+        assert_orbits_match_enumeration(params)
+        policy = trivial_policy(2)
+        report = audit_query_privacy(pair_joint, policy, config22)
+        assert report == fraction_query_privacy(pair_joint, policy, config22)
+        assert [c.passed for c in report.checks] == [True, False]
+        laws, scale, cells = _query_laws(pair_joint, policy, config22)
+        entries = fraction_query_law(pair_joint, policy, config22, 1)
+        assert written_out(laws[1], scale, cells, entries, 2, 4) == entries
+        leak = audit_leak_equivalence(pair_joint, policy, config22)
+        assert leak == fraction_leak_equivalence(pair_joint, policy, config22)
+        assert not leak.passed
+
+    def test_full_set_leak_reads_the_key_walk_bits(self, pair_joint):
+        # s = 0 releases the full set, whose orbits hold 20,736 queries per
+        # server at L = 8; the walk over its 331,776 keys read these bits
+        entries = {(0, 0, 3): F(1), (0, 1, 3): F(1), (1, 0, 1): F(1), (1, 1, 2): F(1)}
+        policy = ObfuscationPolicy(K=2, entries=entries)
+        report = audit_query_privacy(pair_joint, policy, SystemConfig(N=2, K=2, L=8, seed=0))
+        assert report.mode == "exact"
+        assert [(c.passed, c.bits, c.witness) for c in report.checks] == [
+            (False, 1.0000000000001652, 0)
+        ] * 2
+
+    @pytest.mark.parametrize(
+        "N, L, counts",
+        [(2, 8, [[2, 4], [4, 1]]), (2, 8, [[3, 0], [0, 2]]), (2, 8, [[3, 2], [4, 1]]),
+         (2, 4, [[4, 2], [3, 0]]), (3, 9, [[1, 1], [2, 4]]), (3, 9, [[4, 3], [3, 3]])],
+    )
+    def test_leaking_instances_match_fraction_oracle(self, N, L, counts):
+        total = sum(map(sum, counts))
+        joint = validate_joint([[F(c, total) for c in row] for row in counts])
+        config = SystemConfig(N=N, K=2, L=L, seed=0)
+        report = audit_query_privacy(joint, singleton_policy(2), config)
+        expected = fraction_query_privacy(joint, singleton_policy(2), config)
+        assert report == expected and not report.passed
+        assert [c.bits for c in report.checks] == [c.bits for c in expected.checks]
 
     @settings(max_examples=40, deadline=None)
     @given(audit_cases())
@@ -603,9 +768,10 @@ class TestLeakEquivalence:
         monkeypatch.setattr(audit, "EXACT_STATE_CAP", full - 1)
 
         def enumerated(*args):
-            raise AssertionError("keys enumerated over the cap")
+            raise AssertionError("queries built over the cap")
 
-        monkeypatch.setattr(pir, "enumerate_keys", enumerated)
+        monkeypatch.setattr(pir, "query_orbits", enumerated)
+        monkeypatch.setattr(pir.PirSession, "from_key", staticmethod(enumerated))
         with pytest.raises(ExactModeInfeasible, match="exceed the cap 575"):
             audit_leak_equivalence(pair_joint, greedy_policy(pair_cond), config22)
 
