@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .core import (
     ConditionalMatrix,
@@ -44,12 +46,13 @@ TV_THRESHOLD = 0.01
 
 
 def _factorization(
-    weights: dict, scale: int, cells: dict | None = None
+    weights: dict, scale: int, cells: Mapping = MappingProxyType({})
 ) -> tuple[bool, float, object]:
     """(independent?, bits, witness) of the law p(a, b) = weights[a, b] / scale.
 
-    A label in ``cells`` stands for that many labels of equal weight, so
-    weights[a, b] is the weight of each of cells(a) cells(b) pairs.
+    A label in ``cells`` stands for that many labels of equal weight, any
+    other label for one, so weights[a, b] is the weight of each of
+    cells(a) cells(b) pairs.
     p(a,b) = p(a) p(b) times scale^2 is W(a,b) scale = W_a W_b, decided
     over the product of the marginal supports in integers. Every float is
     an int ratio, correctly rounded as float(Fraction) is, and the terms
@@ -60,21 +63,14 @@ def _factorization(
     """
     wa: dict = {}  # the marginals of the nonzero weights, in first-seen order
     wb: dict = {}
-    if cells is None:  # the online audit's path: no lookup per entry
-        for (a, b), w in weights.items():
-            if w != 0:
-                wa[a] = wa.get(a, 0) + w
-                wb[b] = wb.get(b, 0) + w
-    else:
-        for (a, b), w in weights.items():
-            if w != 0:
-                wa[a] = wa.get(a, 0) + w * cells.get(b, 1)
-                wb[b] = wb.get(b, 0) + w * cells.get(a, 1)
+    for (a, b), w in weights.items():
+        if w != 0:
+            wa[a] = wa.get(a, 0) + w * cells.get(b, 1)
+            wb[b] = wb.get(b, 0) + w * cells.get(a, 1)
     if all(
         weights.get((a, b), 0) * scale == x * y for a, x in wa.items() for b, y in wb.items()
     ):
         return True, 0.0, None
-    cells = cells or {}
     bits = 0.0
     for (a, b), w in weights.items():
         if w != 0:
@@ -164,7 +160,11 @@ def _check_k(joint: JointDistribution, policy: ObfuscationPolicy, config: System
 
 def _exact_enumeration_size(policy: ObfuscationPolicy, config: SystemConfig) -> int:
     masks = {mask for (_, _, mask) in policy.entries}
-    return sum(pir.key_count(pir.pir_setup(config.N, indices_of(m), config.L)) for m in masks)
+    size = 0
+    for mask in masks:
+        params = pir.pir_setup(config.N, indices_of(mask), config.L)
+        size += pir.key_count(params)
+    return size
 
 
 def _query_laws(
@@ -252,11 +252,19 @@ def audit_query_privacy(
         laws, scale, cells = _query_laws(joint, policy, config)
         for server, law in enumerate(laws):
             zero, bits, witness = _factorization(law, scale, cells)
-            name = f"query-privacy-server-{server}"
-            report.checks.append(AuditCheck(name, zero, bits, None if zero else witness[0]))
+            report.checks.append(
+                AuditCheck(
+                    name=f"query-privacy-server-{server}",
+                    passed=zero,
+                    bits=bits,
+                    witness=None if zero else witness[0],
+                )
+            )
         return report
     if type(trials) is not int or trials < 1:
-        raise InvalidParams(f"an empirical audit needs an int of at least 1 trial, got {trials!r}")
+        raise InvalidParams(
+            f"an empirical audit needs an int of at least 1 trial, got {trials!r}"
+        )
     if type(threshold) is bool or not (
         isinstance(threshold, (int, float)) and 0 < threshold < math.inf
     ):
@@ -407,8 +415,11 @@ def audit_leak_equivalence(
 
         I(S; Q_x, Q_s) = 0  <=>  I(S; Q_x) = 0.
 
-    A pair of orbits stands for the product of their sizes in query pairs.
-    Raises InvalidParams when the config's or the policy's K is not the
+    A pair of orbits stands for the product of their sizes in query pairs,
+    and a failing check adds its bits term once per pair: EXACT_STATE_CAP
+    bounds the keys, not these cells (at N=2, K=2, L=8 a pair of full-set
+    orbits holds 20,736^2, about 4.3e8, under a cap of 1e7). Raises
+    InvalidParams when the config's or the policy's K is not the
     joint's, and ExactModeInfeasible when the key space exceeds
     EXACT_STATE_CAP.
     """
@@ -419,7 +430,8 @@ def audit_leak_equivalence(
         raise ExactModeInfeasible(f"{size} states exceed the cap {EXACT_STATE_CAP}")
 
     laws, scale, cells = _query_laws(joint, policy, config)
-    full, masses = full_mask(config.K), {s: sum(joint.weights[s]) for s in joint.support()}
+    full = full_mask(config.K)
+    masses = {s: sum(joint.weights[s]) for s in joint.support()}
     private = {s: pir.query_orbits(full_params, s) for s in masses}
     total = math.lcm(*(size for orbits in private.values() for _, size in orbits))
     report = AuditReport()
@@ -437,7 +449,17 @@ def audit_leak_equivalence(
             orbit, c = qs[s]
             cells[qx, orbit] = cells[qx] * cells[orbit]
             s_qx_qs[s, (qx, orbit)] = rows[s][qx, orbit] = w * c
-        cond_zero, cond_bits = True, 0.0
+
+        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale * total, cells)
+        report.checks.append(
+            AuditCheck(
+                name=f"server-{server}: private query independent of request",
+                passed=zero_qs,
+                bits=bits_qs,
+            )
+        )
+        cond_zero = True
+        cond_bits = 0.0
         for s, row in rows.items():
             row_mass = sum(w * cells[pair] for pair, w in row.items())
             if row_mass == 0:
@@ -445,24 +467,35 @@ def audit_leak_equivalence(
             z, b, _ = _factorization(row, row_mass, cells)
             cond_zero = cond_zero and z
             cond_bits += masses[s] / joint.scale * b
-        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale * total, cells)
+        report.checks.append(
+            AuditCheck(
+                name=f"server-{server}: queries conditionally independent given request",
+                passed=cond_zero,
+                bits=cond_bits,
+            )
+        )
         zero_qx, bits_qx, _ = _factorization(s_qx, scale, cells)
         zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale * total, cells)
-        name = f"server-{server}: "
-        report.checks += [
-            AuditCheck(name + "private query independent of request", zero_qs, bits_qs),
+        report.checks.append(
             AuditCheck(
-                name + "queries conditionally independent given request", cond_zero, cond_bits
-            ),
+                name=f"server-{server}: joint-leak zero iff single-leak zero",
+                passed=zero_pair == zero_qx,
+                bits=abs(bits_pair - bits_qx),
+                witness=(zero_pair, zero_qx) if zero_pair != zero_qx else None,
+            )
+        )
+        report.checks.append(
             AuditCheck(
-                name + "joint-leak zero iff single-leak zero",
-                zero_pair == zero_qx,
-                abs(bits_pair - bits_qx),
-                (zero_pair, zero_qx) if zero_pair != zero_qx else None,
-            ),
-            AuditCheck(name + "single-query leak", zero_qx, bits_qx),
-            AuditCheck(name + "joint-query leak", zero_pair, bits_pair),
-        ]
+                name=f"server-{server}: single-query leak", passed=zero_qx, bits=bits_qx
+            )
+        )
+        report.checks.append(
+            AuditCheck(
+                name=f"server-{server}: joint-query leak",
+                passed=zero_pair,
+                bits=bits_pair,
+            )
+        )
     return report
 
 
