@@ -8,18 +8,16 @@ floating-point diagnostic only and never part of the decision; its terms
 are int ratios, correctly rounded as float(Fraction) is.
 Exact query-level checks read each server's query law off its orbits
 (``pir.query_orbits``): a uniform key makes the query uniform on one, so
-the law of (S, Q) factorizes iff the law of (S, orbit) does. Above
-EXACT_STATE_CAP keys they fall back to sampled total-variation
-comparisons.
+p(s, q) = p(s, o) / |o| and I(S; Q) = I(S; O), the orbit sizes cancelling,
+and the law of (S, Q) factorizes iff the law of (S, orbit) does. They run
+at every size; sampled total-variation comparisons are a separate mode.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .core import (
     ConditionalMatrix,
@@ -29,7 +27,7 @@ from .core import (
     fork_rng,
     scale_to_integers,
 )
-from .errors import DistributionError, ExactModeInfeasible, InvalidParams, NegativeEntry
+from .errors import DistributionError, InvalidParams, NegativeEntry
 from .obfuscation import (
     ObfuscationPolicy,
     full_mask,
@@ -40,24 +38,17 @@ from .obfuscation import (
 )
 from . import pir
 
-EXACT_STATE_CAP = 10_000_000
 EMPIRICAL_TRIALS = 100_000
 TV_THRESHOLD = 0.01
 
 
-def _factorization(
-    weights: dict, scale: int, cells: Mapping = MappingProxyType({})
-) -> tuple[bool, float, object]:
+def _factorization(weights: dict, scale: int) -> tuple[bool, float, object]:
     """(independent?, bits, witness) of the law p(a, b) = weights[a, b] / scale.
 
-    A label in ``cells`` stands for that many labels of equal weight, any
-    other label for one, so weights[a, b] is the weight of each of
-    cells(a) cells(b) pairs.
     p(a,b) = p(a) p(b) times scale^2 is W(a,b) scale = W_a W_b, decided
     over the product of the marginal supports in integers. Every float is
     an int ratio, correctly rounded as float(Fraction) is, and the terms
-    are summed in the entries' order, once per pair, so the bits are those
-    of the law written out pair by pair. The witness is the first (a, b),
+    are summed in the entries' order. The witness is the first (a, b),
     labels ordered by str, where the law does not factorize; None if it
     does.
     """
@@ -65,8 +56,8 @@ def _factorization(
     wb: dict = {}
     for (a, b), w in weights.items():
         if w != 0:
-            wa[a] = wa.get(a, 0) + w * cells.get(b, 1)
-            wb[b] = wb.get(b, 0) + w * cells.get(a, 1)
+            wa[a] = wa.get(a, 0) + w
+            wb[b] = wb.get(b, 0) + w
     if all(
         weights.get((a, b), 0) * scale == x * y for a, x in wa.items() for b, y in wb.items()
     ):
@@ -75,9 +66,7 @@ def _factorization(
     for (a, b), w in weights.items():
         if w != 0:
             p = w / scale
-            term = p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
-            for _ in range(cells.get(a, 1) * cells.get(b, 1)):
-                bits += term
+            bits += p * math.log2(p / ((wa[a] / scale) * (wb[b] / scale)))
     columns = sorted(wb.items(), key=str)
     witness = next(
         (a, b)
@@ -158,42 +147,25 @@ def _check_k(joint: JointDistribution, policy: ObfuscationPolicy, config: System
         )
 
 
-def _exact_enumeration_size(policy: ObfuscationPolicy, config: SystemConfig) -> int:
-    masks = {mask for (_, _, mask) in policy.entries}
-    size = 0
-    for mask in masks:
-        params = pir.pir_setup(config.N, indices_of(mask), config.L)
-        size += pir.key_count(params)
-    return size
-
-
 def _query_laws(
     joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig
-) -> tuple[list[dict], int, dict]:
-    """``(laws, scale, cells)``: at every server n, the law of (S, orbit of
-    Q_n), the private request and the non-private query's orbit, as the
-    integer weight of each query of the orbit over one scale, and each
-    orbit's size.
+) -> tuple[list[dict], int]:
+    """``(laws, scale)``: at every server n, the law of (S, orbit of Q_n),
+    the private request and the non-private query's orbit, as integer
+    weights over the scale of ``policy_weights``.
 
-    An orbit is ``(mask, label)`` of ``pir.query_orbits``, on which a
-    uniform key makes the query uniform, so the weight of (s, orbit) sums
-    W(s, x, u) T / size over the (S, X, U) weights W of ``policy_weights``
-    whose query lands on it, T the lcm of the sizes.
+    An orbit is ``(mask, label)`` of ``pir.query_orbits``, so the weight of
+    (s, orbit) sums the (S, X, U) weights W(s, x, u) of ``policy_weights``
+    whose query lands on it.
     """
     weights, scale = policy_weights(policy, joint)
-    terms = [
-        (s, w, mask, pir.query_orbits(pir.pir_setup(config.N, indices_of(mask), config.L), x))
-        for (s, x, mask), w in weights.items()
-    ]
-    T = math.lcm(*(size for *_, orbits in terms for _, size in orbits))
     laws: list[dict] = [{} for _ in range(config.N)]
-    cells: dict = {}
-    for s, w, mask, orbits in terms:
-        for law, (label, size) in zip(laws, orbits):
-            cells[mask, label] = size
+    for (s, x, mask), w in weights.items():
+        labels = pir.query_orbits(pir.pir_setup(config.N, indices_of(mask), config.L), x)
+        for law, label in zip(laws, labels):
             key = (s, (mask, label))
-            law[key] = law.get(key, 0) + w * (T // size)
-    return laws, scale * T, cells
+            law[key] = law.get(key, 0) + w
+    return laws, scale
 
 
 def audit_query_privacy(
@@ -209,11 +181,9 @@ def audit_query_privacy(
     request.
 
     Exact mode factor-checks the (S, orbit of Q_i) law of ``_query_laws``
-    at each server, which factorizes iff the (S, Q_i) law does, at the
-    same first s. When the released subsets' key spaces exceed
-    EXACT_STATE_CAP the audit runs in empirical mode instead, its first
-    check records the fallback, and the ``ipir.audit`` logger logs it at
-    INFO. Empirical mode compares the sampled query law across s values by
+    at each server, at any size: it factorizes iff the (S, Q_i) law does,
+    at the same first s, and has the same mutual information. Empirical
+    mode compares the sampled query law across s values by
     total variation distance at each server from ``trials`` samples per
     private value, each sample drawn with a full session's ``getrandbits``
     calls but kept only as the order key of ``pir.sample_order_key`` (see
@@ -232,26 +202,10 @@ def audit_query_privacy(
     _check_k(joint, policy, config)
     samplers = subset_samplers(policy, joint)
     report = AuditReport(mode=mode)
-    size = _exact_enumeration_size(policy, config) if mode == "exact" else 0
-    if size > EXACT_STATE_CAP:
-        # imported here, on a fallback path, because importing logging adds
-        # about 0.4 MB to every process using ipir
-        import logging
-
-        logging.getLogger(__name__).info(
-            "exact query-privacy audit needs %d key states, over the cap %d; "
-            "running the empirical audit",
-            size,
-            EXACT_STATE_CAP,
-        )
-        report.mode = "empirical"
-        report.checks.append(
-            AuditCheck(name="exact-mode-infeasible (fell back to empirical)", passed=True)
-        )
-    if report.mode == "exact":
-        laws, scale, cells = _query_laws(joint, policy, config)
+    if mode == "exact":
+        laws, scale = _query_laws(joint, policy, config)
         for server, law in enumerate(laws):
-            zero, bits, witness = _factorization(law, scale, cells)
+            zero, bits, witness = _factorization(law, scale)
             report.checks.append(
                 AuditCheck(
                     name=f"query-privacy-server-{server}",
@@ -415,42 +369,28 @@ def audit_leak_equivalence(
 
         I(S; Q_x, Q_s) = 0  <=>  I(S; Q_x) = 0.
 
-    A pair of orbits stands for the product of their sizes in query pairs,
-    and a failing check adds its bits term once per pair: EXACT_STATE_CAP
-    bounds the keys, not these cells (at N=2, K=2, L=8 a pair of full-set
-    orbits holds 20,736^2, about 4.3e8, under a cap of 1e7). Raises
-    InvalidParams when the config's or the policy's K is not the
-    joint's, and ExactModeInfeasible when the key space exceeds
-    EXACT_STATE_CAP.
+    The private query Q_s retrieves s from the full set, so its orbit is
+    the label of ``pir.query_orbits`` at s, a function of s: the per-s
+    rows pass the conditional-independence check by construction. Raises
+    InvalidParams when the config's or the policy's K is not the joint's.
     """
     _check_k(joint, policy, config)
-    full_params = pir.pir_setup(config.N, range(config.K), config.L)
-    size = _exact_enumeration_size(policy, config) + pir.key_count(full_params)
-    if size > EXACT_STATE_CAP:
-        raise ExactModeInfeasible(f"{size} states exceed the cap {EXACT_STATE_CAP}")
-
-    laws, scale, cells = _query_laws(joint, policy, config)
+    laws, scale = _query_laws(joint, policy, config)
     full = full_mask(config.K)
+    full_params = pir.pir_setup(config.N, range(config.K), config.L)
     masses = {s: sum(joint.weights[s]) for s in joint.support()}
     private = {s: pir.query_orbits(full_params, s) for s in masses}
-    total = math.lcm(*(size for orbits in private.values() for _, size in orbits))
     report = AuditReport()
     for server, s_qx in enumerate(laws):
-        qs: dict = {}  # s -> its private query's orbit and weight per query
-        for s, orbits in private.items():
-            label, size = orbits[server]
-            cells[full, label] = size
-            qs[s] = (full, label), total // size
-        s_qs = {(s, orbit): masses[s] * c for s, (orbit, c) in qs.items()}
-        # (S, (Q_x, Q_s)) over scale * total, and its row at each s
+        qs = {s: (full, labels[server]) for s, labels in private.items()}
+        s_qs = {(s, qs[s]): mass for s, mass in masses.items()}
+        # (S, (Q_x, Q_s)) over scale, and its row at each s
         s_qx_qs: dict = {}
         rows: dict = {s: {} for s in masses}
         for (s, qx), w in s_qx.items():
-            orbit, c = qs[s]
-            cells[qx, orbit] = cells[qx] * cells[orbit]
-            s_qx_qs[s, (qx, orbit)] = rows[s][qx, orbit] = w * c
+            s_qx_qs[s, (qx, qs[s])] = rows[s][qx, qs[s]] = w
 
-        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale * total, cells)
+        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale)
         report.checks.append(
             AuditCheck(
                 name=f"server-{server}: private query independent of request",
@@ -461,10 +401,10 @@ def audit_leak_equivalence(
         cond_zero = True
         cond_bits = 0.0
         for s, row in rows.items():
-            row_mass = sum(w * cells[pair] for pair, w in row.items())
+            row_mass = sum(row.values())
             if row_mass == 0:
                 continue
-            z, b, _ = _factorization(row, row_mass, cells)
+            z, b, _ = _factorization(row, row_mass)
             cond_zero = cond_zero and z
             cond_bits += masses[s] / joint.scale * b
         report.checks.append(
@@ -474,8 +414,8 @@ def audit_leak_equivalence(
                 bits=cond_bits,
             )
         )
-        zero_qx, bits_qx, _ = _factorization(s_qx, scale, cells)
-        zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale * total, cells)
+        zero_qx, bits_qx, _ = _factorization(s_qx, scale)
+        zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale)
         report.checks.append(
             AuditCheck(
                 name=f"server-{server}: joint-leak zero iff single-leak zero",

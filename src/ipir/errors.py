@@ -75,10 +75,6 @@ class DegeneratePosterior(IpirError):
     """Posterior conditioning produced zero total mass (internal consistency failure)."""
 
 
-class ExactModeInfeasible(IpirError):
-    """Exact enumeration would exceed the configured state cap."""
-
-
 class ProtocolError(IpirError):
     """Wire-level failure: malformed frame, bad payload, or server error."""
 

@@ -36,7 +36,6 @@ draws the flat key and returns them, and the audit scatters once per key.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -154,31 +153,20 @@ def _shuffle_steps(size: int, block: int) -> tuple[tuple[int, int, int, int], ..
     )
 
 
-def key_count(params: SchemeParams) -> int:
-    return math.factorial(params.block) ** (params.k * params.blocks)
-
-
 @lru_cache(maxsize=256)
-def query_orbits(params: SchemeParams, desired: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each server's query orbit, ``(label, size)``, for ``desired``.
+def query_orbits(params: SchemeParams, desired: int) -> tuple[tuple[int, ...], ...]:
+    """Each server's query orbit label for ``desired``.
 
     A server's atoms in one block are distinct, so a uniform key makes its
     query uniform over the queries with the same combo masks (bits over
     subset positions) in every block: the label is their sorted multiset.
-    With a_j atoms of member j and c_m combos of mask m, a block has
-    prod P(N^k, a_j) / prod c_m! of them, and the blocks are independent.
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
     shapes, _ = _block_template(params.n_servers, params.k, params.subset.index(desired))
-    orbits = []
-    for combos in shapes:
-        masks = sorted(sum(1 << j for j, _ in combo) for combo in combos)
-        size = math.prod(
-            math.perm(params.block, sum(m >> j & 1 for m in masks)) for j in range(params.k)
-        ) // math.prod(math.factorial(len([*run])) for _, run in groupby(masks))
-        orbits.append((tuple(masks), size**params.blocks))
-    return tuple(orbits)
+    return tuple(
+        tuple(sorted(sum(1 << j for j, _ in combo) for combo in combos)) for combos in shapes
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,12 +314,12 @@ def _atom_table(subset: tuple[int, ...], L: int):
     slot j * L + p, p < L, of a key over ``subset``. Tables of different
     subsets share the atoms and 1-tuples of each message, so the queries a
     caller keeps hold no per-session copies of either."""
-    cells = [_message_cells(msg, L) for msg in subset]
-    return tuple(chain(*(a for a, _ in cells))), tuple(chain(*(u for _, u in cells)))
+    tables = [_message_atoms(msg, L) for msg in subset]
+    return tuple(chain(*(a for a, _ in tables))), tuple(chain(*(u for _, u in tables)))
 
 
 @lru_cache(maxsize=256)
-def _message_cells(msg: int, L: int):
+def _message_atoms(msg: int, L: int):
     atoms = tuple((msg, pos) for pos in range(L))
     return atoms, tuple((atom,) for atom in atoms)
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, chain, combinations, groupby, permutations, product
 from operator import itemgetter, mul
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
@@ -79,8 +79,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def key_count(params: pir.SchemeParams) -> int:
+    """How many keys the scheme has: (block!)^(k * blocks)."""
+    return math.factorial(params.block) ** (params.k * params.blocks)
+
+
+def orbit_sizes(params: pir.SchemeParams, desired: int) -> tuple[int, ...]:
+    """Each server's query orbit size for ``desired``, read off its label
+    of ``pir.query_orbits``, the sorted combo masks of one block: with a_j
+    atoms of member j and c_m combos of mask m, a block has
+    prod P(N^k, a_j) / prod c_m! queries, and the blocks are independent."""
+    sizes = []
+    for masks in pir.query_orbits(params, desired):
+        per_block = math.prod(
+            math.perm(params.block, sum(m >> j & 1 for m in masks)) for j in range(params.k)
+        ) // math.prod(math.factorial(len([*run])) for _, run in groupby(masks))
+        sizes.append(per_block**params.blocks)
+    return tuple(sizes)
+
+
 def enumerate_keys(params: pir.SchemeParams):
-    """All keys of the scheme; (block!)^(k * blocks) of them."""
+    """All keys of the scheme; ``key_count`` of them."""
     block = params.block
     pools = [
         [tuple(base + p for p in perm) for perm in permutations(range(block))]
@@ -93,7 +112,7 @@ def enumerate_keys(params: pir.SchemeParams):
 def query_distribution(params: pir.SchemeParams, desired: int, server: int) -> dict:
     """Exact law of the canonical query at one server over a uniform key,
     from its own walk over the key space."""
-    total = pir.key_count(params)
+    total = key_count(params)
     counts: Counter = Counter()
     for key in enumerate_keys(params):
         query = pir.PirSession.from_key(params, desired, key).queries[server]
@@ -104,7 +123,7 @@ def query_distribution(params: pir.SchemeParams, desired: int, server: int) -> d
 def query_counts(params: pir.SchemeParams, desired: int) -> list[Counter]:
     """Per server, how many keys of the scheme give each canonical query
     (its combos), from one walk over the key space: the query law at
-    server n over a uniform key is ``counts[n][q] / pir.key_count(params)``."""
+    server n over a uniform key is ``counts[n][q] / key_count(params)``."""
     counts = [Counter() for _ in range(params.n_servers)]
     for key in enumerate_keys(params):
         session = pir.PirSession.from_key(params, desired, key)
@@ -136,7 +155,7 @@ def query_laws(
         params = pir.pir_setup(config.N, indices_of(mask), config.L)
         if (mask, x) not in counts:
             counts[mask, x] = query_counts(params, x)
-        terms.append((s, w, pir.key_count(params), counts[mask, x]))
+        terms.append((s, w, key_count(params), counts[mask, x]))
     T = math.lcm(*(total for _, _, total, _ in terms))
     laws: list[dict] = [{} for _ in range(config.N)]
     for s, w, total, per_server in terms:

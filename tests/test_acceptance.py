@@ -229,6 +229,9 @@ def test_criterion_5_query_privacy_exact_and_empirical():
         trials=100_000, threshold=0.01,
     )
     ok_empirical = empirical.passed
+    # the same instance read off its query orbits, exactly
+    exact3 = audit_query_privacy(skew_joint, skew_policy, config3, mode="exact")
+    ok_exact3 = exact3.mode == "exact" and exact3.passed and exact3.passed == ok_empirical
 
     elapsed = time.time() - started
     subset_tvs = [
@@ -236,9 +239,10 @@ def test_criterion_5_query_privacy_exact_and_empirical():
     ]
     announce(
         "5",
-        ok_exact and ok_equivalence and ok_empirical and elapsed < 300.0,
+        ok_exact and ok_equivalence and ok_empirical and ok_exact3 and elapsed < 300.0,
         f"exact enumeration zero at both servers, equivalence holds, "
-        f"empirical subset TVs={subset_tvs} < 0.01 at 1e5 trials; "
+        f"empirical subset TVs={subset_tvs} < 0.01 at 1e5 trials, "
+        f"K=3 L=8 exact zero too; "
         f"{elapsed:.1f}s < 300s",
     )
 

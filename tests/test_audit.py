@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,11 +15,9 @@ from ipir.core import (
     validate_joint,
 )
 from ipir.audit import (
-    EXACT_STATE_CAP,
     TV_THRESHOLD,
     AuditReport,
     _empirical_checks,
-    _exact_enumeration_size,
     _factorization,
     _pattern_counts,
     _query_laws,
@@ -41,7 +40,6 @@ from ipir.location import (
 from ipir.errors import (
     DesiredNotInSubset,
     DistributionError,
-    ExactModeInfeasible,
     InvalidParams,
     NegativeEntry,
     UnsupportedPair,
@@ -67,8 +65,10 @@ from oracles import (
     fraction_query_law,
     fraction_query_privacy,
     fraction_sampler,
+    key_count,
     node_query_leak,
     online_privacy_factorization,
+    orbit_sizes,
     query_counts,
     query_history_equivalence,
     query_laws,
@@ -97,40 +97,83 @@ def orbit_of(N, L, combos):
     return mask_of(subset), label
 
 
-def written_out(orbit_law: dict, scale: int, cells: dict, entries: dict, N, L) -> dict:
-    """An orbit law of ``_query_laws`` written out cell by cell: each
-    orbit's weight at every query of it among the keys of ``entries``,
-    each orbit holding as many of them as its cell count."""
-    by_orbit: dict = {}
-    for _, combos in entries:
-        by_orbit.setdefault(orbit_of(N, L, combos), set()).add(combos)
-    assert {orbit: len(queries) for orbit, queries in by_orbit.items()} == {
-        orbit: cells[orbit] for _, orbit in orbit_law
-    }
-    return {
-        (s, combos): F(w, scale)
-        for (s, orbit), w in orbit_law.items()
-        for combos in by_orbit[orbit]
-    }
+def by_orbit(entries: dict, N, L) -> dict:
+    """A query law ``entries[s, combos]`` summed over each query's orbit
+    ``orbit_of``: the orbit law of ``_query_laws``, in Fractions."""
+    law: dict = {}
+    for (s, combos), p in entries.items():
+        key = (s, orbit_of(N, L, combos))
+        law[key] = law.get(key, 0) + p
+    return law
+
+
+# How far the bits of an orbit law may lie from those of the key walk's
+# query-by-query law: the same mutual information, summed in fewer float
+# terms. About 8x the largest gap, 1.3e-12, seen on random instances.
+KEY_WALK_TOL = 1e-11
+
+
+def assert_matches_key_walk(report: AuditReport, expected: AuditReport):
+    """``report`` against the key walk's ``expected``: the same mode,
+    names, verdicts and witnesses, and bits within KEY_WALK_TOL."""
+    assert report.mode == expected.mode
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        (c.name, c.passed, c.witness) for c in expected.checks
+    ]
+    for check, reference in zip(report.checks, expected.checks):
+        assert math.isclose(check.bits, reference.bits, rel_tol=0, abs_tol=KEY_WALK_TOL)
+
+
+def subset_bits(policy, joint) -> float:
+    """The bits of ``audit_policy_independence``: those of every exact
+    query-level leak whose orbit labels do not depend on the desired
+    position, the orbit law then being the (S, U) law relabelled."""
+    return audit_policy_independence(policy, joint).checks[0].bits
+
+
+def assert_reads_the_subset_law(report: AuditReport, policy, joint):
+    """Every query-level leak check of ``report``, of ``audit_query_privacy``
+    or ``audit_leak_equivalence``, reads the subset law's verdict and bits,
+    and each query-privacy check its first s; the checks on the private
+    query and on the pair read no leak. So it is wherever the orbit labels
+    do not depend on the desired position, as at every library template."""
+    subset = audit_policy_independence(policy, joint).checks[0]
+    witness = None if subset.passed else subset.witness[0]
+    for check in report.checks:
+        if check.name.endswith(("request", "single-leak zero")):
+            assert (check.passed, check.bits) == (True, 0.0)
+        elif check.name.startswith("query-privacy"):
+            assert (check.passed, check.bits, check.witness) == (
+                subset.passed, subset.bits, witness
+            )
+        else:
+            assert (check.passed, check.bits) == (subset.passed, subset.bits)
+
+
+def full_set_leak():
+    """A K=2 policy that releases the full set at s = 0 and the request
+    alone at s = 1."""
+    entries = {(0, 0, 3): F(1), (0, 1, 3): F(1), (1, 0, 1): F(1), (1, 1, 2): F(1)}
+    return ObfuscationPolicy(K=2, entries=entries)
 
 
 def assert_orbits_match_enumeration(params):
     """``pir.query_orbits`` against a walk over every key: each server's
-    orbit holds as many queries as it says, each reached by key_count /
-    size keys, and two desired positions share a label iff their
-    enumerated query laws are equal."""
-    total = pir.key_count(params)
+    orbit holds as many queries as ``orbit_sizes`` reads off its label,
+    each reached by key_count / size keys, and two desired positions share
+    a label iff their enumerated query laws are equal."""
+    total = key_count(params)
     counts = {desired: query_counts(params, desired) for desired in params.subset}
+    labels = {desired: pir.query_orbits(params, desired) for desired in params.subset}
     for desired, per_server in counts.items():
-        orbits = pir.query_orbits(params, desired)
-        assert len(orbits) == len(per_server) == params.n_servers
-        for (label, size), by_query in zip(orbits, per_server):
+        sizes = orbit_sizes(params, desired)
+        assert len(labels[desired]) == len(sizes) == len(per_server) == params.n_servers
+        for label, size, by_query in zip(labels[desired], sizes, per_server):
             assert len(by_query) == size
             assert set(by_query.values()) == {total // size}
             assert {orbit_of(params.n_servers, params.L, q) for q in by_query} == {
                 (mask_of(params.subset), label)
             }
-    labels = {d: [label for label, _ in pir.query_orbits(params, d)] for d in params.subset}
     for server in range(params.n_servers):
         for d1 in params.subset:
             for d2 in params.subset:
@@ -241,16 +284,19 @@ class TestIntegerFactorization:
         # the oracle enumerates them and as orbits
         policy = singleton_policy(2)
         laws, scale = query_laws(pair_joint, policy, config22, {})
-        orbit_laws, orbit_scale, cells = _query_laws(pair_joint, policy, config22)
+        orbit_laws, orbit_scale = _query_laws(pair_joint, policy, config22)
         for server, (law, orbit_law) in enumerate(zip(laws, orbit_laws)):
             entries = fraction_query_law(pair_joint, policy, config22, server)
             assert list(entries.items()) == [(k, F(w, scale)) for k, w in law.items()]
-            assert written_out(orbit_law, orbit_scale, cells, entries, 2, 4) == entries
+            assert by_orbit(entries, 2, 4) == {k: F(w, orbit_scale) for k, w in orbit_law.items()}
             zero, bits = assert_same_factorization(entries)
             assert (zero, bits) == (False, 0.18872187554086717)
             assert _factorization(law, scale) == (False, bits, independence_witness(entries))
-            assert _factorization(orbit_law, orbit_scale, cells)[:2] == (False, bits)
-            assert independence_witness(entries)[0] == 0
+            orbit_zero, orbit_bits, witness = _factorization(orbit_law, orbit_scale)
+            assert (orbit_zero, witness[0]) == (False, independence_witness(entries)[0])
+            assert witness[0] == 0
+            assert math.isclose(orbit_bits, bits, rel_tol=0, abs_tol=KEY_WALK_TOL)
+            assert orbit_bits == subset_bits(policy, pair_joint)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -320,6 +366,12 @@ class TestPolicyIndependence:
             audit_policy_independence(policy, joint)
 
 
+# (N, L) at K=3 for the skew greedy policy, where the full set alone has at
+# least (8!)^3 keys: too many to walk, but its orbits are read off one block
+LARGE_SKEW = [(2, 8), (3, 27), (2, 1024)]
+LARGE_SKEW_IDS = [f"skew-N{N}-L{L}" for N, L in LARGE_SKEW]
+
+
 class TestQueryPrivacyExact:
     def test_pair_instance_both_servers(self, pair_joint, pair_cond, config22):
         policy = greedy_policy(pair_cond)
@@ -333,35 +385,30 @@ class TestQueryPrivacyExact:
         )
         assert not report.passed
 
-    def test_infeasible_exact_falls_back(self, skew_joint, skew_cond):
-        config = SystemConfig(N=2, K=3, L=8, seed=1)
+    @pytest.mark.parametrize("N, L", LARGE_SKEW, ids=LARGE_SKEW_IDS)
+    def test_large_key_spaces_are_audited_exactly(self, N, L, skew_joint, skew_cond):
         policy = greedy_policy(skew_cond)
-        # threshold scaled for the reduced sample size (noise ~ 1/sqrt(n))
-        report = audit_query_privacy(
-            skew_joint, policy, config, mode="exact", trials=30_000, threshold=0.02
-        )
-        assert report.mode == "empirical"
-        assert "fell back" in report.checks[0].name
-        assert report.passed
+        config = SystemConfig(N=N, K=3, L=L, seed=1)
+        started = time.perf_counter()
+        report = audit_query_privacy(skew_joint, policy, config, mode="exact")
+        assert time.perf_counter() - started < 0.05
+        assert report.mode == "exact" and report.passed
+        assert [c.name for c in report.checks] == [f"query-privacy-server-{n}" for n in range(N)]
 
-    def test_fallback_is_logged_with_the_state_count(self, skew_joint, skew_cond, caplog):
-        config = SystemConfig(N=2, K=3, L=8, seed=1)
-        policy = greedy_policy(skew_cond)
-        size = _exact_enumeration_size(policy, config)
-        with caplog.at_level(logging.INFO, logger="ipir.audit"):
-            report = audit_query_privacy(skew_joint, policy, config, mode="exact", trials=50)
-        assert report.mode == "empirical"
-        (record,) = [r for r in caplog.records if r.name == "ipir.audit"]
-        assert record.levelno == logging.INFO
-        assert f"{size} key states" in record.getMessage()
-        assert f"cap {EXACT_STATE_CAP}" in record.getMessage()
-
-    def test_exact_audit_within_the_cap_logs_nothing(
-        self, pair_joint, pair_cond, config22, caplog
+    @pytest.mark.parametrize(
+        "K, N, L", [(2, 2, 4)] + [(3, N, L) for N, L in LARGE_SKEW],
+        ids=["pair"] + LARGE_SKEW_IDS,
+    )
+    def test_exact_audit_logs_nothing(
+        self, K, N, L, pair_joint, pair_cond, skew_joint, skew_cond, caplog
     ):
+        joint, cond = (pair_joint, pair_cond) if K == 2 else (skew_joint, skew_cond)
+        policy = greedy_policy(cond)
+        config = SystemConfig(N=N, K=K, L=L, seed=1)
         with caplog.at_level(logging.DEBUG, logger="ipir"):
-            report = audit_query_privacy(pair_joint, greedy_policy(pair_cond), config22)
-        assert report.mode == "exact"
+            report = audit_query_privacy(joint, policy, config)
+            assert audit_leak_equivalence(joint, policy, config).passed
+        assert report.mode == "exact" and report.passed
         assert not [r for r in caplog.records if r.name.startswith("ipir")]
 
     def test_empirical_mode_passes_reference(self, pair_joint, pair_cond, config22):
@@ -461,13 +508,9 @@ def make_policy(kind, joint, n_servers):
     return solve_lp(build_lp(joint, n_servers))
 
 
-@st.composite
-def audit_cases(draw, sizes=SMALL + SINGLETON_ONLY):
-    """(joint, policy, config): a drawn law with zero cells and a greedy,
-    LP or leaking policy for it."""
-    kind = draw(st.sampled_from(["greedy", "lp", "leaking"]))
-    N, K, L = draw(st.sampled_from(sizes if kind == "leaking" else SMALL))
-    # the greedy construction needs every private value to have mass
+def draw_joint(draw, K, kind):
+    """A drawn K x K law with zero cells, every private value of positive
+    mass for the greedy construction, which needs it."""
     low = 1 if kind == "greedy" else 0
     cells = draw(
         st.lists(
@@ -479,8 +522,51 @@ def audit_cases(draw, sizes=SMALL + SINGLETON_ONLY):
         ).filter(lambda rows: sum(map(sum, rows)) > 0)
     )
     total = sum(map(sum, cells))
-    joint = validate_joint([[F(c, total) for c in row] for row in cells])
+    return validate_joint([[F(c, total) for c in row] for row in cells])
+
+
+@st.composite
+def audit_cases(draw, sizes=SMALL + SINGLETON_ONLY):
+    """(joint, policy, config): a drawn law with zero cells and a greedy,
+    LP or leaking policy for it."""
+    kind = draw(st.sampled_from(["greedy", "lp", "leaking"]))
+    N, K, L = draw(st.sampled_from(sizes if kind == "leaking" else SMALL))
+    joint = draw_joint(draw, K, kind)
     return joint, make_policy(kind, joint, N), SystemConfig(N=N, K=K, L=L, seed=0)
+
+
+@st.composite
+def large_audit_cases(draw):
+    """(joint, policy, config) at N = 2-4, K = 2-4 and L up to 1024: a drawn
+    law and a greedy, LP, leaking or drawn policy for it, each drawn
+    policy's pair (s, x) releasing one or two subsets that hold x."""
+    N = draw(st.integers(min_value=2, max_value=4))
+    K = draw(st.integers(min_value=2, max_value=4))
+    L = N**K * draw(st.integers(min_value=1, max_value=1024 // N**K))
+    kind = draw(st.sampled_from(["greedy", "lp", "leaking", "drawn"]))
+    joint = draw_joint(draw, K, kind)
+    config = SystemConfig(N=N, K=K, L=L, seed=0)
+    if kind != "drawn":
+        return joint, make_policy(kind, joint, N), config
+    entries = {}
+    for s in range(K):
+        for x in range(K):
+            masks = draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=(1 << K) - 1).map(lambda m, x=x: m | 1 << x),
+                    min_size=1,
+                    max_size=2,
+                    unique=True,
+                )
+            )
+            counts = draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=3), min_size=len(masks), max_size=len(masks)
+                )
+            )
+            for mask, c in zip(masks, counts):
+                entries[s, x, mask] = F(c, sum(counts))
+    return joint, ObfuscationPolicy(K=K, entries=entries), config
 
 
 @pytest.fixture
@@ -539,29 +625,33 @@ class TestIntegerQueryAudit:
         # releasing the full set leaks there, as the enumeration says
         params = pir.pir_setup(2, (0, 1), 4)
         (zero, one), (first, second) = pir.query_orbits(params, 0), pir.query_orbits(params, 1)
-        assert zero == first and one[0] != second[0]
+        assert zero == first and one != second
         assert_orbits_match_enumeration(params)
         policy = trivial_policy(2)
         report = audit_query_privacy(pair_joint, policy, config22)
-        assert report == fraction_query_privacy(pair_joint, policy, config22)
+        assert_matches_key_walk(report, fraction_query_privacy(pair_joint, policy, config22))
         assert [c.passed for c in report.checks] == [True, False]
-        laws, scale, cells = _query_laws(pair_joint, policy, config22)
+        laws, scale = _query_laws(pair_joint, policy, config22)
         entries = fraction_query_law(pair_joint, policy, config22, 1)
-        assert written_out(laws[1], scale, cells, entries, 2, 4) == entries
+        assert by_orbit(entries, 2, 4) == {k: F(w, scale) for k, w in laws[1].items()}
         leak = audit_leak_equivalence(pair_joint, policy, config22)
-        assert leak == fraction_leak_equivalence(pair_joint, policy, config22)
-        assert not leak.passed
+        assert_matches_key_walk(leak, fraction_leak_equivalence(pair_joint, policy, config22))
+        assert [c.passed for c in leak.checks[5:]] == [False, True, True, False, False]
 
     def test_full_set_leak_reads_the_key_walk_bits(self, pair_joint):
         # s = 0 releases the full set, whose orbits hold 20,736 queries per
-        # server at L = 8; the walk over its 331,776 keys read these bits
-        entries = {(0, 0, 3): F(1), (0, 1, 3): F(1), (1, 0, 1): F(1), (1, 1, 2): F(1)}
-        policy = ObfuscationPolicy(K=2, entries=entries)
+        # server at L = 8; the walk over its 331,776 keys reads
+        # 1.0000000000001652 bits, one term per query, and the orbit law,
+        # one term per orbit, reads the subset law's 1.0
+        policy = full_set_leak()
         report = audit_query_privacy(pair_joint, policy, SystemConfig(N=2, K=2, L=8, seed=0))
         assert report.mode == "exact"
-        assert [(c.passed, c.bits, c.witness) for c in report.checks] == [
-            (False, 1.0000000000001652, 0)
-        ] * 2
+        assert [(c.passed, c.witness) for c in report.checks] == [(False, 0)] * 2
+        for check in report.checks:
+            assert math.isclose(
+                check.bits, 1.0000000000001652, rel_tol=0, abs_tol=KEY_WALK_TOL
+            )
+            assert check.bits == subset_bits(policy, pair_joint) == 1.0
 
     @pytest.mark.parametrize(
         "N, L, counts",
@@ -572,39 +662,47 @@ class TestIntegerQueryAudit:
         total = sum(map(sum, counts))
         joint = validate_joint([[F(c, total) for c in row] for row in counts])
         config = SystemConfig(N=N, K=2, L=L, seed=0)
-        report = audit_query_privacy(joint, singleton_policy(2), config)
-        expected = fraction_query_privacy(joint, singleton_policy(2), config)
-        assert report == expected and not report.passed
-        assert [c.bits for c in report.checks] == [c.bits for c in expected.checks]
+        policy = singleton_policy(2)
+        report = audit_query_privacy(joint, policy, config)
+        assert_matches_key_walk(report, fraction_query_privacy(joint, policy, config))
+        assert not report.passed
+        assert_reads_the_subset_law(report, policy, joint)
 
     @settings(max_examples=40, deadline=None)
     @given(audit_cases())
     def test_exact_audit_matches_fraction_oracle(self, case):
         joint, policy, config = case
-        assert _exact_enumeration_size(policy, config) <= EXACT_STATE_CAP
         report = audit_query_privacy(joint, policy, config, mode="exact")
-        expected = fraction_query_privacy(joint, policy, config)
-        assert report == expected
-        assert [c.bits for c in report.checks] == [c.bits for c in expected.checks]
-        assert report.to_json_dict() == expected.to_json_dict()
+        assert_matches_key_walk(report, fraction_query_privacy(joint, policy, config))
+        assert_reads_the_subset_law(report, policy, joint)
 
     @settings(max_examples=6, deadline=None)
     @given(audit_cases(sizes=SMALL))
     def test_leak_equivalence_matches_fraction_oracle(self, case):
         joint, policy, config = case
         report = audit_leak_equivalence(joint, policy, config)
-        expected = fraction_leak_equivalence(joint, policy, config)
-        assert report == expected
-        assert [c.bits for c in report.checks] == [c.bits for c in expected.checks]
+        assert_matches_key_walk(report, fraction_leak_equivalence(joint, policy, config))
+        assert_reads_the_subset_law(report, policy, joint)
+
+    @settings(max_examples=60, deadline=None)
+    @given(large_audit_cases())
+    def test_exact_audits_read_the_subset_law_at_any_size(self, case):
+        # no key count bounds the orbit law: at every server the query
+        # check is the subset check, verdict, bits and first s alike
+        joint, policy, config = case
+        assert_reads_the_subset_law(audit_query_privacy(joint, policy, config), policy, joint)
+        assert_reads_the_subset_law(audit_leak_equivalence(joint, policy, config), policy, joint)
 
     @pytest.mark.parametrize("kind", ["greedy", "leaking"])
     def test_pair_instance_reports(self, kind, pair_joint, config22):
         policy = make_policy(kind, pair_joint, 2)
         exact = audit_query_privacy(pair_joint, policy, config22)
-        assert exact == fraction_query_privacy(pair_joint, policy, config22)
+        assert_matches_key_walk(exact, fraction_query_privacy(pair_joint, policy, config22))
         assert exact.passed == (kind != "leaking")
         leak = audit_leak_equivalence(pair_joint, policy, config22)
-        assert leak == fraction_leak_equivalence(pair_joint, policy, config22)
+        assert_matches_key_walk(leak, fraction_leak_equivalence(pair_joint, policy, config22))
+        assert_reads_the_subset_law(exact, policy, pair_joint)
+        assert_reads_the_subset_law(leak, policy, pair_joint)
 
 
 class TestEmpiricalCounts:
@@ -759,21 +857,34 @@ class TestLeakEquivalence:
         report = audit_leak_equivalence(joint, trivial_policy(1), config)
         assert report.passed
 
-    def test_over_the_cap_raises_before_any_enumeration(
-        self, monkeypatch, pair_joint, pair_cond, config22
-    ):
-        # the full scheme alone has (4!)^2 keys at N=2, K=2, L=4
-        full = pir.key_count(pir.pir_setup(2, range(2), 4))
-        assert full == 576
-        monkeypatch.setattr(audit, "EXACT_STATE_CAP", full - 1)
+    @pytest.mark.parametrize("N, L", LARGE_SKEW, ids=LARGE_SKEW_IDS)
+    def test_large_key_spaces_are_audited_exactly(self, N, L, skew_joint, skew_cond):
+        policy = greedy_policy(skew_cond)
+        config = SystemConfig(N=N, K=3, L=L, seed=1)
+        started = time.perf_counter()
+        report = audit_leak_equivalence(skew_joint, policy, config)
+        assert time.perf_counter() - started < 0.05
+        assert report.passed and len(report.checks) == 5 * N
 
-        def enumerated(*args):
-            raise AssertionError("queries built over the cap")
-
-        monkeypatch.setattr(pir, "query_orbits", enumerated)
-        monkeypatch.setattr(pir.PirSession, "from_key", staticmethod(enumerated))
-        with pytest.raises(ExactModeInfeasible, match="exceed the cap 575"):
-            audit_leak_equivalence(pair_joint, greedy_policy(pair_cond), config22)
+    def test_full_set_leak_is_audited_in_under_a_second(self, pair_joint):
+        # a pair of full-set orbits holds 20,736^2 query pairs at N=2, K=2,
+        # L=8: the audit must read the pair of orbits, not visit the pairs
+        policy = full_set_leak()
+        started = time.perf_counter()
+        report = audit_leak_equivalence(pair_joint, policy, SystemConfig(N=2, K=2, L=8, seed=0))
+        assert time.perf_counter() - started < 1.0
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (f"server-{n}: {name}", passed)
+            for n in range(2)
+            for name, passed in [
+                ("private query independent of request", True),
+                ("queries conditionally independent given request", True),
+                ("joint-leak zero iff single-leak zero", True),
+                ("single-query leak", False),
+                ("joint-query leak", False),
+            ]
+        ]
+        assert_reads_the_subset_law(report, policy, pair_joint)
 
 
 class TestOnlinePrivacy:

@@ -442,6 +442,28 @@ class TestTwoRequestCommand:
         assert data["passed"]
         assert data["query-privacy"]["mode"] == "exact"
 
+    def test_k3_transcript_gets_the_exact_audit(self, tmp_path):
+        # at K=3, L=8 an exact audit once fell back to a sampled one
+        tenths = [[1, 3, 6], [5, 4, 1], [2, 5, 3]]
+        joint = write(
+            tmp_path, "k3.json", {"K": 3, "p": [[f"{c}/30" for c in row] for row in tenths]}
+        )
+        handle = tmp_path / "transcript.json"
+        code = run_cli(
+            ["two-request", "--joint", joint, "--auto-greedy", "--length", "8",
+             "--trials", "20", "--seed", "2", "--audit-handle", str(handle),
+             "-o", str(tmp_path / "report.json")]
+        )
+        assert code == 0
+        assert json.loads(handle.read_text())["config"] == {"N": 2, "K": 3, "L": 8, "seed": 2}
+        out = tmp_path / "audit.json"
+        assert run_cli(["audit", "--transcript", str(handle), "--exact", "-o", str(out)]) == 0
+        section = json.loads(out.read_text())["query-privacy"]
+        assert section["mode"] == "exact" and section["passed"]
+        assert [c["name"] for c in section["checks"]] == [
+            "query-privacy-server-0", "query-privacy-server-1"
+        ]
+
     def test_explicit_policy_file(self, tmp_path):
         policy_path = tmp_path / "policy.json"
         run_cli(

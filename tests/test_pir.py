@@ -16,7 +16,6 @@ from ipir.pir import (
     PirKey,
     PirQuery,
     PirSession,
-    key_count,
     open_session,
     order_pattern,
     pir_answer,
@@ -30,6 +29,7 @@ from oracles import (
     block_plan,
     checked_answer,
     enumerate_keys,
+    key_count,
     key_from_perms,
     key_perms,
     keyed_sample_orders,
