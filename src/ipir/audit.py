@@ -127,10 +127,12 @@ class AuditReport:
 
 
 def total_variation(counts_a: Counter, counts_b: Counter) -> float:
+    """Half the L1 distance of two sampled laws, summed exactly by ``fsum``:
+    it depends on the count pairs only, not on the order of their labels."""
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
     keys = set(counts_a) | set(counts_b)
-    return 0.5 * sum(
+    return 0.5 * math.fsum(
         abs(counts_a.get(k, 0) / na - counts_b.get(k, 0) / nb) for k in keys
     )
 
@@ -187,15 +189,15 @@ def audit_query_privacy(
     total variation distance at each server from ``trials`` samples per
     private value, each sample drawn with a full session's ``getrandbits``
     calls but kept only as the order key of ``pir.sample_order_key`` (see
-    ``_pattern_counts``), which keeps every distinct order and its pattern
-    for the whole audit: at large L about one per sample, so a K=3, L=512
-    audit of 1,000 trials per private value peaks at 204 MB (ru_maxrss,
-    CPython 3.11). Any other mode, a config or policy whose K is not the
-    joint's, and an empirical audit whose trials are not an int or are
-    fewer than one, whose threshold is not a finite positive int or float,
-    or whose seed is not an int (a bool is none of these), raise
-    InvalidParams; a policy with no entries at a request pair of positive
-    mass raises UnsupportedPair, in either mode.
+    ``_order_counts``), which keeps every distinct key and order for the
+    whole audit: at large L about one per sample, so a K=3, L=512 greedy
+    audit peaks at 24 MB with 300 trials per private value, 32 MB with
+    1,000 and 55 MB with 3,000 (ru_maxrss, CPython 3.11). Any other mode,
+    a config or policy whose K is not the joint's, and an empirical audit
+    whose trials are not an int or are fewer than one, whose threshold is
+    not a finite positive int or float, or whose seed is not an int (a bool
+    is none of these), raise InvalidParams; a policy with no entries at a
+    request pair of positive mass raises UnsupportedPair, in either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
@@ -227,34 +229,33 @@ def audit_query_privacy(
         )
     if type(seed) is not int:
         raise InvalidParams(f"the seed must be an int, got {seed!r}")
-    counts = _pattern_counts(joint, samplers, config, trials, seed)
+    counts = _order_counts(joint, samplers, config, trials, seed)
     report.checks.extend(_empirical_checks(counts, threshold))
     return report
 
 
-def _pattern_counts(
+def _order_counts(
     joint: JointDistribution,
     samplers: dict,
     config: SystemConfig,
     trials: int,
     seed: int,
 ) -> list[dict[int, dict[int, Counter]]]:
-    """``counts[server][s][mask]``: the sampled query patterns at one server
+    """``counts[server][s][mask]``: the sampled combo orders at one server
     for private value s and released subset mask, from ``trials`` samples
     per supported s. Each s draws from its own named stream; a sample
     draws the non-private request x, from p(x|s) = W(s, x) / W_s off the
     law's weights, then the subset, then the PIR key's shuffles.
 
-    Samples are counted per (mask, x, key), the key of
-    ``pir.sample_order_key``, which fixes every server's combo order; the
-    audit's first of each scatters its slots with ``pir.slot_orders``, and
-    each (mask, order) is mapped to its pattern once. Merging the counts in
-    first-seen order gives each Counter its patterns in the order a
-    sample first met them, as counting patterns would.
+    Within one subset an order is a one-to-one label of its query's
+    ``pir.query_pattern``, so the orders' TVs are the patterns'. Samples
+    are counted per (mask, x, key), the key of ``pir.sample_order_key``,
+    which fixes every server's order; the audit's first of each scatters
+    its slots with ``pir.slot_orders``. Merging the counts in first-seen
+    order gives each Counter its orders in the order a sample first met them.
     """
     counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
-    patterns: dict = {}  # (mask, order) -> pattern, over the whole audit
-    by_key: dict = {}  # (mask, x, key) -> each server's order, likewise
+    by_key: dict = {}  # (mask, x, key) -> each server's order, over the whole audit
     interned: dict = {}  # order -> itself, so equal orders are one object
     for s in joint.support():
         x_sampler = WeightedSampler((x, w) for x, w in enumerate(joint.weights[s]) if w)
@@ -273,19 +274,11 @@ def _pattern_counts(
                 by_key[key] = tuple(interned.setdefault(order, order) for order in scattered)
             seen[key] = seen.get(key, 0) + 1
         for by_s in counts:
-            by_s[s] = {}
-        for mask, (params, seen) in by_mask.items():
-            per_server: list[dict] = [{} for _ in counts]
+            by_s[s] = {mask: Counter() for mask in by_mask}
+        for mask, (_, seen) in by_mask.items():
             for key, n in seen.items():
-                for orders, order in zip(per_server, by_key[key]):
-                    orders[order] = orders.get(order, 0) + n
-            for by_s, orders in zip(counts, per_server):
-                merged = by_s[s][mask] = Counter()
-                for order, n in orders.items():
-                    pattern = patterns.get((mask, order))
-                    if pattern is None:
-                        pattern = patterns[mask, order] = pir.order_pattern(params, order)
-                    merged[pattern] += n
+                for by_s, order in zip(counts, by_key[key]):
+                    by_s[s][mask][order] += n
     return counts
 
 
@@ -293,13 +286,15 @@ def _empirical_checks(
     counts: list[dict[int, dict[int, Counter]]], threshold: float
 ) -> list[AuditCheck]:
     """Two checks per server from ``counts[server][s][mask]``, as
-    ``_pattern_counts`` returns them.
+    ``_order_counts`` returns them.
 
     The query splits into the released subset (small support; the pinned
     threshold is ~3x its sampling noise) and the position pattern within
     the subset (positions are exchangeable under the uniform key, so the
     pattern is a sufficient statistic; its support is larger, so its
-    threshold is scaled to the pattern-level sampling noise). Every sample
+    threshold is scaled to the pattern-level sampling noise). The counts
+    are keyed by combo order, the patterns' one-to-one labels within a
+    subset, so each TV and support size is the patterns'. Every sample
     counts once at every server, so the subset counts, and the subset
     check, are the same at each server and are computed once.
     """

@@ -108,12 +108,10 @@ def _transcript(data):
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        dump_json(report, output)
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _policy_report(policy, joint, n_servers) -> tuple[dict, bool]:

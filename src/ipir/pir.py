@@ -27,9 +27,9 @@ first atoms' slots. Each (N, k, blocks, desired position) compiles once
 into ``itemgetter`` tables over the atoms: a session gathers every combo
 through the key's slots and places it by its first atom's slot instead of
 sorting, and decode reads the desired bits through the same tables. The
-empirical audit keeps only each query's ``query_pattern``, a function
-(``order_pattern``) of the server's order of small cell ids
-(``slot_orders``). Rows of slots never interleave, so every order is fixed
+empirical audit keeps only each server's order of small cell ids
+(``slot_orders``), within one subset a one-to-one label of the query's
+``query_pattern``. Rows of slots never interleave, so every order is fixed
 by a few ``<`` between first-atom slots in one row: ``sample_order_key``
 draws the flat key and returns them, and the audit scatters once per key.
 """
@@ -338,9 +338,11 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     query law need not be the pattern law times a uniform assignment of
     positions.
 
-    This is the reference for ``order_pattern`` over ``slot_orders``,
-    which the audit uses instead: on the same key, those patterns equal
-    this function over ``PirSession.from_key(...).queries``.
+    The empirical audit counts ``slot_orders`` instead. Within one server's
+    query every atom appears at most once, so an atom's rank in its cell is
+    the number of that cell's atoms met before it in canonical order: the
+    order of combo blocks and members fixes the pattern, and the pattern
+    names them, so within one subset the two are one-to-one.
     """
     ranks: dict[tuple[int, int], dict[int, int]] = {}
     pattern = []
@@ -397,29 +399,6 @@ def slot_orders(params: SchemeParams, desired: int, slots: list[int]):
             placed[slot] = cid
         orders.append(tuple(filter(None, placed)))
     return orders
-
-
-def order_pattern(params: SchemeParams, order: tuple[int, ...]):
-    """The ``query_pattern`` of the query whose combos ``slot_orders``
-    gave as ``order``.
-
-    Within one server's query every atom appears at most once, so an
-    atom's first-appearance rank in its (message, block) cell is the
-    number of that cell's atoms met before it in canonical order.
-    """
-    k, subset = params.k, params.subset
-    seen = [0] * (k * params.blocks)
-    pattern = []
-    for cid in order:
-        b = cid >> k
-        out = []
-        for j in range(k):
-            if cid >> j & 1:
-                c = j * params.blocks + b
-                out.append((subset[j], b, seen[c]))
-                seen[c] += 1
-        pattern.append(tuple(out))
-    return tuple(pattern)
 
 
 def pir_answer(query: PirQuery, store: MessageStore) -> tuple[int, ...]:

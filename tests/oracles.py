@@ -715,7 +715,7 @@ def sample_orders(params: pir.SchemeParams, desired: int, rng):
     slot of its first atom, as in ``PirSession.from_key``, as the id
     ``b << k | m`` (positive) of the cells its atoms fall in: block b,
     subset positions in the mask m. Server n's order is its ids in slot
-    order; ``pir.order_pattern`` turns it into that server's
+    order; ``order_pattern`` turns it into that server's
     ``query_pattern``.
     """
     if desired not in params.subset:
@@ -759,19 +759,44 @@ def keyed_sample_orders(params: pir.SchemeParams, desired: int, rng):
     return orders
 
 
+def order_pattern(params: pir.SchemeParams, order: tuple[int, ...]):
+    """The ``query_pattern`` of the query whose combos ``pir.slot_orders``
+    gave as ``order``.
+
+    This is the map that the empirical audit dropped when it began to count
+    orders, the patterns' one-to-one labels within a subset. Within one
+    server's query every atom appears at most once, so an atom's
+    first-appearance rank in its (message, block) cell is the number of
+    that cell's atoms met before it in canonical order.
+    """
+    k, subset = params.k, params.subset
+    seen = [0] * (k * params.blocks)
+    pattern = []
+    for cid in order:
+        b = cid >> k
+        out = []
+        for j in range(k):
+            if cid >> j & 1:
+                c = j * params.blocks + b
+                out.append((subset[j], b, seen[c]))
+                seen[c] += 1
+        pattern.append(tuple(out))
+    return tuple(pattern)
+
+
 def sample_patterns(params: pir.SchemeParams, desired: int, rng):
     """The N servers' ``query_pattern`` of one fresh session, without the
     session, built pattern by pattern.
 
-    This is the sampler that ``sample_orders`` with ``pir.order_pattern``
-    replaced in the empirical audit; on the same rng every route gives the
-    same patterns. Draws the key with ``PirKey.random``, so the stream
-    moves exactly as in ``open_session``. Each combo of server n goes to the
-    slot of its first atom, as in ``PirSession.from_key``. Within one
-    server's query every atom appears at most once, so an atom's
-    first-appearance rank in its (message, block) cell is the number of
-    that cell's atoms met before it in canonical order: scanning the slots
-    gives the pattern.
+    This is the sampler that ``sample_orders`` replaced in the empirical
+    audit, which counts orders instead; on the same rng the orders mapped
+    through ``order_pattern`` give the same patterns. Draws the key with
+    ``PirKey.random``, so the stream moves exactly as in ``open_session``.
+    Each combo of server n goes to the slot of its first atom, as in
+    ``PirSession.from_key``. Within one server's query every atom appears
+    at most once, so an atom's first-appearance rank in its (message,
+    block) cell is the number of that cell's atoms met before it in
+    canonical order: scanning the slots gives the pattern.
     """
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
@@ -842,11 +867,12 @@ def session_pattern_counts(
     """``counts[server][s][mask]`` of the empirical query-privacy audit,
     counted from full sessions.
 
-    This is the loop that ``audit._pattern_counts`` replaced with counting
+    This is the loop that ``audit._order_counts`` replaced with counting
     the order keys of ``pir.sample_order_key`` and mapping each distinct
-    one to its orders and patterns once: it opens every PIR session and keeps
-    ``query_pattern`` of each query. Both must agree exactly, down to the
-    order in which each Counter first sees its patterns.
+    one to its orders once: it opens every PIR session and keeps
+    ``query_pattern`` of each query. Each counted order mapped through
+    ``order_pattern`` must give these counts exactly, down to the order in
+    which each Counter first sees its patterns.
     """
     cond = conditional_from_joint(joint)
     samplers = {

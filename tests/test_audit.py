@@ -1,7 +1,10 @@
 import logging
 import math
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +22,7 @@ from ipir.audit import (
     AuditReport,
     _empirical_checks,
     _factorization,
-    _pattern_counts,
+    _order_counts,
     _query_laws,
     audit_online_privacy,
     audit_policy_independence,
@@ -69,6 +72,7 @@ from oracles import (
     node_query_leak,
     online_privacy_factorization,
     orbit_sizes,
+    order_pattern,
     query_counts,
     query_history_equivalence,
     query_laws,
@@ -705,22 +709,58 @@ class TestIntegerQueryAudit:
         assert_reads_the_subset_law(leak, policy, pair_joint)
 
 
+# one K=3, L=512 greedy empirical audit at the trial count of argv[1],
+# then its peak RSS in bytes (ru_maxrss is in KB on Linux, bytes on macOS)
+PEAK_RSS_AUDIT = """
+import resource, sys
+from fractions import Fraction as F
+from ipir.audit import audit_query_privacy
+from ipir.core import SystemConfig, conditional_from_joint, validate_joint
+from ipir.obfuscation import greedy_policy
+
+rows = ((1, 3, 6), (5, 4, 1), (2, 5, 3))
+joint = validate_joint([[F(w, 30) for w in row] for row in rows])
+policy = greedy_policy(conditional_from_joint(joint))
+config = SystemConfig(N=2, K=3, L=512, seed=0)
+audit_query_privacy(joint, policy, config, mode="empirical", trials=int(sys.argv[1]))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak if sys.platform == "darwin" else peak * 1024)
+"""
+
+
 class TestEmpiricalCounts:
     # the order counting against the session-by-session counting
     # loop it replaced, on the report and on the counts themselves
     @staticmethod
-    def assert_matches_oracle(joint, policy, config, trials, seed):
+    def as_patterns(config, mask, orders):
+        """``orders`` counted by their patterns, one pattern per order."""
+        params = pir.pir_setup(config.N, indices_of(mask), config.L)
+        patterns = Counter()
+        for order, n in orders.items():
+            patterns[order_pattern(params, order)] += n
+        assert len(patterns) == len(orders)
+        return patterns
+
+    def assert_matches_oracle(self, joint, policy, config, trials, seed):
         report = audit_query_privacy(
             joint, policy, config, mode="empirical", trials=trials, seed=seed
         )
         counts = session_pattern_counts(joint, policy, config, trials, seed)
-        direct = _pattern_counts(joint, subset_samplers(policy, joint), config, trials, seed)
-        assert direct == counts
-        for by_s, ref_by_s in zip(direct, counts):
+        direct = _order_counts(joint, subset_samplers(policy, joint), config, trials, seed)
+        mapped = [
+            {
+                s: {mask: self.as_patterns(config, mask, c) for mask, c in by_mask.items()}
+                for s, by_mask in by_s.items()
+            }
+            for by_s in direct
+        ]
+        assert mapped == counts
+        for by_s, ref_by_s in zip(mapped, counts):
             for s, by_mask in by_s.items():
                 assert list(by_mask) == list(ref_by_s[s])
                 for mask, c in by_mask.items():
                     assert list(c) == list(ref_by_s[s][mask])
+        # the TVs over patterns are those over orders, to the last bit
         oracle = AuditReport(mode="empirical", checks=_empirical_checks(counts, TV_THRESHOLD))
         assert report.to_json_dict() == oracle.to_json_dict()
         return report
@@ -748,34 +788,67 @@ class TestEmpiricalCounts:
         }
         assert blocks == {2, 4}
 
-    def test_each_order_is_mapped_once(self, skew_joint, skew_cond, monkeypatch):
-        # order_pattern runs once per distinct (subset, order) of the whole
-        # audit, never once per sample; each drawn key's orders are read
-        # off the oracle on a copy of the stream the key is drawn from
-        drawn, mapped = [], []
-        sample_order_key, order_pattern = pir.sample_order_key, pir.order_pattern
+    def test_each_key_is_scattered_once(self, skew_joint, skew_cond, monkeypatch):
+        # slot_orders runs once per distinct (subset, request, key) of the
+        # whole audit, never once per sample, and gives the orders that
+        # the oracle reads off a copy of the stream the key is drawn from
+        drawn, scattered = [], []
+        sample_order_key, slot_orders = pir.sample_order_key, pir.slot_orders
 
         def recording_keys(params, desired, rng):
             copy = random.Random()
             copy.setstate(rng.getstate())
-            drawn.extend((params.subset, order) for order in sample_orders(params, desired, copy))
-            return sample_order_key(params, desired, rng)
+            key, slots = sample_order_key(params, desired, rng)
+            drawn.append(((params.subset, desired, key), sample_orders(params, desired, copy)))
+            return key, slots
 
-        def counting_patterns(params, order):
-            mapped.append((params.subset, order))
-            return order_pattern(params, order)
+        def recording_scatters(params, desired, slots):
+            key, expected = drawn[-1]
+            scattered.append(key)
+            orders = slot_orders(params, desired, slots)
+            assert orders == expected
+            return orders
 
         monkeypatch.setattr(pir, "sample_order_key", recording_keys)
-        monkeypatch.setattr(pir, "order_pattern", counting_patterns)
+        monkeypatch.setattr(pir, "slot_orders", recording_scatters)
         config = SystemConfig(N=2, K=3, L=8, seed=1)
         trials = 3_000
         report = audit_query_privacy(
             skew_joint, greedy_policy(skew_cond), config, mode="empirical", trials=trials
         )
         assert report.mode == "empirical"
-        assert len(drawn) == trials * 3 * config.N
-        assert len(mapped) == len(set(mapped)) == len(set(drawn)) < len(drawn) // 10
-        assert set(mapped) == set(drawn)
+        keys = {key for key, _ in drawn}
+        assert len(drawn) == trials * 3
+        assert len(scattered) == len(set(scattered)) == len(keys) < len(drawn) // 10
+        assert set(scattered) == keys
+
+    def test_memory_grows_by_a_few_kilobytes_per_sample(self):
+        # at L=512 almost every sample draws a new key and new orders, and
+        # the audit keeps them all: about 4 KB per sample, where a pattern
+        # per sample takes about 60 KB. Each trial count runs in a child of
+        # its own, since ru_maxrss is a peak over the process's life
+        low, high = 300, 1_000
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", PEAK_RSS_AUDIT, str(trials)],
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for trials in (low, high)
+        ]
+        try:
+            peaks = [int(child.communicate(timeout=60)[0]) for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+        samples = 3 * (high - low)  # three private values
+        assert (peaks[1] - peaks[0]) / samples < 16 * 1024
+
+    def test_pir_maps_no_order_to_a_pattern(self):
+        # orders are the patterns' one-to-one labels within a subset, so
+        # the audit counts them as they are; the map is a test oracle
+        assert not hasattr(pir, "order_pattern")
 
     def test_request_sampler_from_counts_matches_the_fraction_sampler(self):
         # the audit draws x off a row's nonzero integer weights: the same
@@ -999,12 +1072,17 @@ class TestSizeBound:
 
 class TestTotalVariation:
     def test_identical_counts(self):
-        from collections import Counter
-
         a = Counter({"x": 50, "y": 50})
         assert total_variation(a, a) == 0.0
 
     def test_disjoint_counts(self):
-        from collections import Counter
-
         assert total_variation(Counter({"x": 10}), Counter({"y": 10})) == 1.0
+
+    def test_relabelled_counts_give_the_same_bits(self):
+        # the audit counts orders where it counted patterns, so the TV must
+        # read the count pairs alone: a set of small ints meets these three
+        # terms in opposite orders, and a plain float sum rounds them to
+        # 0.3363636363636363 one way and 0.33636363636363636 the other
+        a, b = Counter({0: 7, 1: 7, 2: 6}), Counter({0: 3, 1: 1, 2: 7})
+        relabelled = Counter({2: 7, 1: 7, 0: 6}), Counter({2: 3, 1: 1, 0: 7})
+        assert total_variation(a, b) == total_variation(*relabelled) == 0.3363636363636363

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipir.core import MessageStore, capacity_cost, fork_rng
 from ipir.errors import (
@@ -17,7 +17,6 @@ from ipir.pir import (
     PirQuery,
     PirSession,
     open_session,
-    order_pattern,
     pir_answer,
     pir_setup,
     query_pattern,
@@ -33,6 +32,7 @@ from oracles import (
     key_from_perms,
     key_perms,
     keyed_sample_orders,
+    order_pattern,
     pooled_session,
     sample_orders,
     sample_patterns,
@@ -516,6 +516,35 @@ class TestSamplePatterns:
         params = pir_setup(n, subset, blocks * n ** len(subset))
         desired = data.draw(st.sampled_from(params.subset))
         self.assert_matches_sessions(params, desired, data.draw(st.integers(0, 2**32)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]),
+        st.integers(1, 2),
+        st.integers(0, 2**32),
+    )
+    @example((3, 2), 1, 0)
+    def test_orders_and_patterns_are_one_to_one(self, shape, blocks, seed):
+        # the empirical audit counts orders in place of patterns: within
+        # one subset, over every desired member and server, distinct orders
+        # have distinct patterns, and a pattern gives its order back as
+        # each combo's block and members
+        n, k = shape
+        params = pir_setup(n, range(1, 2 * k, 2), blocks * n**k)
+        rng = random.Random(seed)
+        orders = {
+            order
+            for desired in params.subset
+            for _ in range(30)
+            for order in sample_orders(params, desired, rng)
+        }
+        patterns = {order: order_pattern(params, order) for order in orders}
+        assert len(set(patterns.values())) == len(orders)
+        for order, pattern in patterns.items():
+            assert order == tuple(
+                combo[0][1] << k | sum(1 << params.subset.index(m) for m, _, _ in combo)
+                for combo in pattern
+            )
 
     def test_desired_must_be_in_subset(self):
         for sampler in (sample_orders, keyed_sample_orders, sample_patterns):
