@@ -185,10 +185,10 @@ def audit_query_privacy(
     Exact mode factor-checks the (S, orbit of Q_i) law of ``_query_laws``
     at each server, at any size: it factorizes iff the (S, Q_i) law does,
     at the same first s, and has the same mutual information. Empirical
-    mode compares the sampled query law across s values by
-    total variation distance at each server from ``trials`` samples per
-    private value, each sample drawn with a full session's ``getrandbits``
-    calls but kept only as the order key of ``pir.sample_order_key`` (see
+    mode compares the sampled query law across s values by total variation
+    distance at each server from ``trials`` samples per private value,
+    each drawn with a full session's ``getrandbits`` calls but kept only
+    as the order key of its (s, x, mask)'s ``pir.order_key_plan`` (see
     ``_order_counts``), which keeps every distinct key and order for the
     whole audit: at large L about one per sample, so a K=3, L=512 greedy
     audit peaks at 24 MB with 300 trials per private value, 32 MB with
@@ -248,37 +248,46 @@ def _order_counts(
     law's weights, then the subset, then the PIR key's shuffles.
 
     Within one subset an order is a one-to-one label of its query's
-    ``pir.query_pattern``, so the orders' TVs are the patterns'. Samples
-    are counted per (mask, x, key), the key of ``pir.sample_order_key``,
-    which fixes every server's order; the audit's first of each scatters
-    its slots with ``pir.slot_orders``. Merging the counts in first-seen
-    order gives each Counter its orders in the order a sample first met them.
+    ``pir.query_pattern``, so the orders' TVs are the patterns'. Each s
+    sets up the params and the ``pir.order_key_plan`` draw of an (x, mask)
+    when a sample first draws it, so a sample is two sampler draws, two
+    dict hits, one shuffle and one bytes key, which fixes every server's
+    order. Samples are counted per (mask, x, key) in first-seen order, and
+    the audit's first of each key scatters its slots with
+    ``pir.slot_orders``. Merging the counts in that order gives each
+    Counter its orders in the order a sample first met them.
     """
     counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
     by_key: dict = {}  # (mask, x, key) -> each server's order, over the whole audit
     interned: dict = {}  # order -> itself, so equal orders are one object
     for s in joint.support():
         x_sampler = WeightedSampler((x, w) for x, w in enumerate(joint.weights[s]) if w)
+        # per x, its subset draw and its (params, plan) per mask, built on first draw
+        requests = {x: (samplers[s, x].draw, {}) for x in x_sampler.values}
         rng = fork_rng(seed, "audit-empirical", s)
-        by_mask: dict[int, tuple] = {}
+        getrandbits = rng.getrandbits
+        seen: dict = {}  # (mask, x, key) -> samples, in first-seen order
         for _ in range(trials):
             x = x_sampler.draw(rng)
-            mask = samplers[(s, x)].draw(rng)
-            if mask not in by_mask:
-                by_mask[mask] = (pir.pir_setup(config.N, indices_of(mask), config.L), {})
-            params, seen = by_mask[mask]
-            key, slots = pir.sample_order_key(params, x, rng)
+            draw_mask, plans = requests[x]
+            mask = draw_mask(rng)
+            plan = plans.get(mask)
+            if plan is None:
+                params = pir.pir_setup(config.N, indices_of(mask), config.L)
+                plan = plans[mask] = params, pir.order_key_plan(params, x)
+            params, draw_key = plan
+            key, slots = draw_key(getrandbits)
             key = mask, x, key
-            if key not in by_key:
+            n = seen[key] = seen.get(key, 0) + 1
+            if n == 1 and key not in by_key:
                 scattered = pir.slot_orders(params, x, slots)
                 by_key[key] = tuple(interned.setdefault(order, order) for order in scattered)
-            seen[key] = seen.get(key, 0) + 1
+        masks = dict.fromkeys(mask for mask, _, _ in seen)
         for by_s in counts:
-            by_s[s] = {mask: Counter() for mask in by_mask}
-        for mask, (_, seen) in by_mask.items():
-            for key, n in seen.items():
-                for by_s, order in zip(counts, by_key[key]):
-                    by_s[s][mask][order] += n
+            by_s[s] = {mask: Counter() for mask in masks}
+        for key, n in seen.items():
+            for by_s, order in zip(counts, by_key[key]):
+                by_s[s][key[0]][order] += n
     return counts
 
 

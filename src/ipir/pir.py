@@ -30,8 +30,9 @@ sorting, and decode reads the desired bits through the same tables. The
 empirical audit keeps only each server's order of small cell ids
 (``slot_orders``), within one subset a one-to-one label of the query's
 ``query_pattern``. Rows of slots never interleave, so every order is fixed
-by a few ``<`` between first-atom slots in one row: ``sample_order_key``
-draws the flat key and returns them, and the audit scatters once per key.
+by a few ``<`` between first-atom slots in one row: ``order_key_plan``
+sets up, once per (params, desired), a draw of the flat key that returns
+them with it, and the audit scatters once per key.
 """
 
 from __future__ import annotations
@@ -105,16 +106,14 @@ class PirKey:
     def random(cls, params: SchemeParams, rng: random.Random) -> "PirKey":
         """One uniform permutation per (subset member, block), drawn with
         the same ``getrandbits`` calls as ``rng.shuffle`` on the identity."""
-        return cls(_shuffled_slots(params, rng))
+        size = params.k * params.L
+        return cls(_shuffle([*_identity(size)], _shuffle_steps(size, params.block), rng.getrandbits))
 
 
-def _shuffled_slots(params: SchemeParams, rng: random.Random) -> list[int]:
-    """A key's flat slot list: the identity on k * L slots with each row of
-    N^k slots shuffled in place, rows in order, with the ``getrandbits``
-    calls of ``rng.shuffle`` on that row."""
-    getrandbits = rng.getrandbits
-    slots = [*_identity(params.k * params.L)]
-    for i, width, at, base in _shuffle_steps(params.k * params.L, params.block):
+def _shuffle(slots: list[int], steps, getrandbits) -> list[int]:
+    """``slots`` shuffled in place, row by row, by the ``_shuffle_steps``
+    ``steps``, with the ``getrandbits`` calls of ``rng.shuffle`` on each row."""
+    for i, width, at, base in steps:
         j = getrandbits(width)
         while j > i:
             j = getrandbits(width)
@@ -358,17 +357,24 @@ def query_pattern(params: SchemeParams, query: PirQuery):
     return tuple(pattern)
 
 
-def sample_order_key(params: SchemeParams, desired: int, rng: random.Random):
-    """``(key, slots)``: a fresh key's slots, drawn as ``PirKey.random``
-    draws them, and a bytes key that fixes every server's ``slot_orders``.
-    A server's order is its rows' pieces in row order, and a row whose
-    combos share one cell id gives a fixed piece, so the key is the ``<``
-    of each pair of first-atom slots in one row with different ids."""
+def order_key_plan(params: SchemeParams, desired: int):
+    """``draw(getrandbits) -> (key, slots)``: a fresh key's slots, drawn
+    as ``PirKey.random`` draws them, and a bytes key that fixes every
+    server's ``slot_orders``. A server's order is its rows' pieces in row
+    order, and a row whose combos share one cell id gives a fixed piece,
+    so the key is the ``<`` of each pair of first-atom slots in one row
+    with different ids. Everything but the draw is set up once, here."""
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
     left, right = _order_key(params.n_servers, params.k, params.blocks, params.subset.index(desired))
-    slots = _shuffled_slots(params, rng)
-    return bytes(map(lt, left(slots), right(slots))), slots
+    size = params.k * params.L
+    identity, steps = _identity(size), _shuffle_steps(size, params.block)
+
+    def draw(getrandbits):
+        slots = _shuffle([*identity], steps, getrandbits)
+        return bytes(map(lt, left(slots), right(slots))), slots
+
+    return draw
 
 
 @lru_cache(maxsize=256)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, permutations, product
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 
 from ipir.audit import AuditCheck, AuditReport, mutual_information
 from ipir.core import (
@@ -707,7 +707,7 @@ def sample_orders(params: pir.SchemeParams, desired: int, rng):
     """The N servers' canonical combo orders of one fresh session, without
     the session.
 
-    This is the sampler that ``pir.sample_order_key``, with
+    This is the sampler that ``sample_order_key``, with
     ``pir.slot_orders`` run once per distinct key, replaced in the
     empirical audit; on the same rng the orders are equal and the stream
     moves alike. Draws the key's slots as ``PirKey.random`` does, so the
@@ -721,7 +721,7 @@ def sample_orders(params: pir.SchemeParams, desired: int, rng):
     if desired not in params.subset:
         raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
     servers = pir._tables(params.n_servers, params.k, params.blocks, params.subset.index(desired))[0]
-    slots = pir._shuffled_slots(params, rng)
+    slots = pir.PirKey.random(params, rng).slots
     orders = []
     for firsts, ids, _, _, _ in servers:
         placed = [0] * len(slots)
@@ -857,6 +857,70 @@ def _cell_plan(n_servers: int, subset: tuple[int, ...], L: int, desired_pos: int
     return servers, labels, k * L
 
 
+def sample_order_key(params: pir.SchemeParams, desired: int, rng):
+    """``(key, slots)``: a fresh key's slots, drawn as ``PirKey.random``
+    draws them, and a bytes key that fixes every server's
+    ``pir.slot_orders``.
+
+    This is the sampler that ``pir.order_key_plan`` replaced with a draw
+    set up once per (params, desired): it checks the desired message, reads
+    the cached ``pir._order_key`` gathers and shuffles through
+    ``pir.PirKey.random`` on every call. On copies of one stream both
+    give the same key and slots and leave the stream at the same place.
+    """
+    if desired not in params.subset:
+        raise DesiredNotInSubset(f"desired {desired} not in subset {params.subset}")
+    left, right = pir._order_key(
+        params.n_servers, params.k, params.blocks, params.subset.index(desired)
+    )
+    slots = pir.PirKey.random(params, rng).slots
+    return bytes(map(lt, left(slots), right(slots))), slots
+
+
+def keyed_order_counts(
+    joint: JointDistribution,
+    samplers: dict,
+    config: SystemConfig,
+    trials: int,
+    seed: int,
+):
+    """``counts[server][s][mask]`` of the empirical query-privacy audit,
+    one ``sample_order_key`` call per sample.
+
+    This is the loop that ``audit._order_counts`` replaced with plans set
+    up once per (s, x, mask): per sample it probes a per-s map of masks,
+    calls ``sample_order_key`` and probes the audit-wide map of keys. Both
+    must give the same Counters, with masks and orders in the same
+    first-seen order.
+    """
+    counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
+    by_key: dict = {}  # (mask, x, key) -> each server's order, over the whole audit
+    interned: dict = {}  # order -> itself, so equal orders are one object
+    for s in joint.support():
+        x_sampler = WeightedSampler((x, w) for x, w in enumerate(joint.weights[s]) if w)
+        rng = fork_rng(seed, "audit-empirical", s)
+        by_mask: dict[int, tuple] = {}
+        for _ in range(trials):
+            x = x_sampler.draw(rng)
+            mask = samplers[(s, x)].draw(rng)
+            if mask not in by_mask:
+                by_mask[mask] = (pir.pir_setup(config.N, indices_of(mask), config.L), {})
+            params, seen = by_mask[mask]
+            key, slots = sample_order_key(params, x, rng)
+            key = mask, x, key
+            if key not in by_key:
+                scattered = pir.slot_orders(params, x, slots)
+                by_key[key] = tuple(interned.setdefault(order, order) for order in scattered)
+            seen[key] = seen.get(key, 0) + 1
+        for by_s in counts:
+            by_s[s] = {mask: Counter() for mask in by_mask}
+        for mask, (_, seen) in by_mask.items():
+            for key, n in seen.items():
+                for by_s, order in zip(counts, by_key[key]):
+                    by_s[s][mask][order] += n
+    return counts
+
+
 def session_pattern_counts(
     joint: JointDistribution,
     policy: ObfuscationPolicy,
@@ -868,7 +932,7 @@ def session_pattern_counts(
     counted from full sessions.
 
     This is the loop that ``audit._order_counts`` replaced with counting
-    the order keys of ``pir.sample_order_key`` and mapping each distinct
+    the order keys of ``sample_order_key`` and mapping each distinct
     one to its orders once: it opens every PIR session and keeps
     ``query_pattern`` of each query. Each counted order mapped through
     ``order_pattern`` must give these counts exactly, down to the order in

@@ -69,6 +69,7 @@ from oracles import (
     fraction_query_privacy,
     fraction_sampler,
     key_count,
+    keyed_order_counts,
     node_query_leak,
     online_privacy_factorization,
     orbit_sizes,
@@ -76,6 +77,7 @@ from oracles import (
     query_counts,
     query_history_equivalence,
     query_laws,
+    sample_order_key,
     sample_orders,
     session_pattern_counts,
     step_law,
@@ -791,16 +793,24 @@ class TestEmpiricalCounts:
     def test_each_key_is_scattered_once(self, skew_joint, skew_cond, monkeypatch):
         # slot_orders runs once per distinct (subset, request, key) of the
         # whole audit, never once per sample, and gives the orders that
-        # the oracle reads off a copy of the stream the key is drawn from
+        # the oracle reads off a copy of the stream the key is drawn from;
+        # each draw is replayed on its copy through the per-call sampler
         drawn, scattered = [], []
-        sample_order_key, slot_orders = pir.sample_order_key, pir.slot_orders
+        order_key_plan, slot_orders = pir.order_key_plan, pir.slot_orders
 
-        def recording_keys(params, desired, rng):
-            copy = random.Random()
-            copy.setstate(rng.getstate())
-            key, slots = sample_order_key(params, desired, rng)
-            drawn.append(((params.subset, desired, key), sample_orders(params, desired, copy)))
-            return key, slots
+        def recording_plan(params, desired):
+            draw = order_key_plan(params, desired)
+
+            def recording_draw(getrandbits):
+                copy, replay = random.Random(), random.Random()
+                copy.setstate(getrandbits.__self__.getstate())
+                replay.setstate(copy.getstate())
+                key, slots = draw(getrandbits)
+                assert (key, slots) == sample_order_key(params, desired, replay)
+                drawn.append(((params.subset, desired, key), sample_orders(params, desired, copy)))
+                return key, slots
+
+            return recording_draw
 
         def recording_scatters(params, desired, slots):
             key, expected = drawn[-1]
@@ -809,7 +819,7 @@ class TestEmpiricalCounts:
             assert orders == expected
             return orders
 
-        monkeypatch.setattr(pir, "sample_order_key", recording_keys)
+        monkeypatch.setattr(pir, "order_key_plan", recording_plan)
         monkeypatch.setattr(pir, "slot_orders", recording_scatters)
         config = SystemConfig(N=2, K=3, L=8, seed=1)
         trials = 3_000
@@ -821,6 +831,56 @@ class TestEmpiricalCounts:
         assert len(drawn) == trials * 3
         assert len(scattered) == len(set(scattered)) == len(keys) < len(drawn) // 10
         assert set(scattered) == keys
+
+    @pytest.mark.parametrize(
+        "N, K, L", [(2, 2, 4), (2, 2, 8), (2, 2, 16), (2, 3, 8), (2, 3, 16), (3, 2, 9)]
+    )
+    @pytest.mark.parametrize("kind", ["greedy", "lp"])
+    def test_plans_count_as_the_per_sample_loop(self, N, K, L, kind):
+        # the plans set up once per (s, x, mask) against the loop that set
+        # up every sample: the same Counters, with the private values,
+        # masks and orders in the same first-seen order
+        rows = [[1, 3], [2, 2]] if K == 2 else [[1, 3, 6], [5, 4, 1], [2, 5, 3]]
+        total = sum(map(sum, rows))
+        joint = validate_joint([[F(w, total) for w in row] for row in rows])
+        policy = make_policy(kind, joint, N)
+        samplers = subset_samplers(policy, joint)
+        config = SystemConfig(N=N, K=K, L=L, seed=0)
+        for seed in (1, 2, 3):
+            counts = _order_counts(joint, samplers, config, 400, seed)
+            oracle = keyed_order_counts(joint, samplers, config, 400, seed)
+            assert counts == oracle
+            for by_s, ref_by_s in zip(counts, oracle):
+                assert list(by_s) == list(ref_by_s)
+                for s, by_mask in by_s.items():
+                    assert list(by_mask) == list(ref_by_s[s])
+                    for mask, c in by_mask.items():
+                        assert list(c.items()) == list(ref_by_s[s][mask].items())
+
+    def test_an_undrawn_mask_builds_no_plan(self, pair_joint, config22, monkeypatch):
+        # the full set with the subset {0} at share 0 beside it at (0, 0):
+        # the sampler holds {0} with count 0, so no sample draws it, and
+        # each private value's one sample builds the one plan it draws
+        entries = dict(trivial_policy(2).entries)
+        entries[0, 0, 1] = F(0)
+        policy = ObfuscationPolicy(K=2, entries=entries)
+        assert subset_samplers(policy, pair_joint)[0, 0].values == (1, 3)
+        setups, plans = [], []
+        pir_setup, order_key_plan = pir.pir_setup, pir.order_key_plan
+
+        def recording_setup(n_servers, subset, L):
+            setups.append(tuple(subset))
+            return pir_setup(n_servers, subset, L)
+
+        def recording_plan(params, desired):
+            plans.append(params.subset)
+            return order_key_plan(params, desired)
+
+        monkeypatch.setattr(pir, "pir_setup", recording_setup)
+        monkeypatch.setattr(pir, "order_key_plan", recording_plan)
+        report = audit_query_privacy(pair_joint, policy, config22, mode="empirical", trials=1)
+        assert report.mode == "empirical"
+        assert setups == plans == [(0, 1), (0, 1)]
 
     def test_memory_grows_by_a_few_kilobytes_per_sample(self):
         # at L=512 almost every sample draws a new key and new orders, and

@@ -219,8 +219,9 @@ def test_empirical_audit_samples_patterns_without_sessions():
     assert t.count("audit.audit_query_privacy") == 1
     assert t.count("core.draw") == 2 * trials * joint.K
     # no PirKey is built, so the tracer's key-draw point never fires: the
-    # key shuffles run untraced inside pir.sample_order_key, which has no
-    # point, as does the scatter of each distinct key, pir.slot_orders
+    # key shuffles run untraced inside the draw of pir.order_key_plan,
+    # which has no point, as does the scatter of each distinct key,
+    # pir.slot_orders
     assert t.count("pir.key_draw") == 0
     assert t.count("pir.open_session") == 0
     assert t.count("audit.query_pattern") == 0

@@ -17,10 +17,10 @@ from ipir.pir import (
     PirQuery,
     PirSession,
     open_session,
+    order_key_plan,
     pir_answer,
     pir_setup,
     query_pattern,
-    sample_order_key,
     slot_orders,
 )
 
@@ -34,6 +34,7 @@ from oracles import (
     keyed_sample_orders,
     order_pattern,
     pooled_session,
+    sample_order_key,
     sample_orders,
     sample_patterns,
     session_plan,
@@ -547,7 +548,7 @@ class TestSamplePatterns:
             )
 
     def test_desired_must_be_in_subset(self):
-        for sampler in (sample_orders, keyed_sample_orders, sample_patterns):
+        for sampler in (sample_orders, keyed_sample_orders, sample_patterns, sample_order_key):
             with pytest.raises(DesiredNotInSubset):
                 sampler(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
 
@@ -562,9 +563,10 @@ class TestOrderKey:
         # on the same rng, every draw's orders are those the first draw of
         # its key scattered, equal to the oracle's, and the stream moves alike
         rng, oracle = random.Random(seed), random.Random(seed)
+        draw = order_key_plan(params, desired)
         first: dict = {}
         for _ in range(draws):
-            key, slots = sample_order_key(params, desired, rng)
+            key, slots = draw(rng.getrandbits)
             orders = first.setdefault(key, slot_orders(params, desired, slots))
             assert orders == sample_orders(params, desired, oracle)
             assert type(key) is bytes
@@ -607,9 +609,26 @@ class TestOrderKey:
         params = pir_setup(n, range(k), L)
         assert len(self.assert_matches_oracle(params, desired, 3, 2_000)) == keys
 
+    @pytest.mark.parametrize("n,k,blocks", SHAPES)
+    def test_plan_draws_as_the_per_call_sampler(self, n, k, blocks):
+        # one plan per (params, desired) against the sampler that set up
+        # on every call, on copies of one stream: the same key and slots,
+        # call for call, and the same getrandbits calls
+        params = pir_setup(n, range(1, 2 * k, 2), blocks * n**k)
+        for desired in params.subset:
+            rng = random.Random(11 * desired + n)
+            copy = random.Random()
+            copy.setstate(rng.getstate())
+            draw = order_key_plan(params, desired)
+            for _ in range(5):
+                key, slots = draw(rng.getrandbits)
+                assert (key, slots) == sample_order_key(params, desired, copy)
+                assert type(key) is bytes
+                assert rng.getstate() == copy.getstate()
+
     def test_desired_must_be_in_subset(self):
         with pytest.raises(DesiredNotInSubset):
-            sample_order_key(pir_setup(2, (0, 2), 4), 1, fork_rng(0))
+            order_key_plan(pir_setup(2, (0, 2), 4), 1)
 
 
 class TestQueryPrivacy:
