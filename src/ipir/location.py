@@ -317,12 +317,14 @@ def policy_for_posterior(
 
 @dataclass(slots=True)
 class StepRecord:
+    """Step ``t``: whether it is private, the true location ``x``, the released
+    ``subset``, the ``decoded`` message (the store's own tuple), cost, online
+    audit and solver. It keeps no query or answer; to see those, wrap the transport."""
+
     t: int
     private: bool
     x: int
     subset: tuple[int, ...]
-    queries: list
-    answers: list
     decoded: tuple[int, ...]
     cost: Fraction
     online_privacy_bits: float
@@ -347,8 +349,6 @@ def _close_step(
         private=check is None,
         x=x_t,
         subset=retrieval.subset,
-        queries=retrieval.queries,
-        answers=retrieval.answers,
         decoded=retrieval.decoded,
         cost=retrieval.cost.total,
         online_privacy_bits=0.0 if check is None else check.checks[0].bits,

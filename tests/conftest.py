@@ -96,3 +96,21 @@ def flipping_transport():
         return exchange, calls
 
     return make
+
+
+@pytest.fixture
+def recording_transport():
+    """Factory for a transport that passes each exchange on to ``inner`` and
+    records its ``(queries, answers)``, in order; returns it with the log."""
+
+    def make(inner):
+        exchanges = []
+
+        def exchange(queries):
+            answers = inner(queries)
+            exchanges.append((list(queries), list(answers)))
+            return answers
+
+        return exchange, exchanges
+
+    return make

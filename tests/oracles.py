@@ -1431,10 +1431,12 @@ def simulate_stepwise(
     store,
     solver: str = "lp",
     posteriors: list | None = None,
+    transport=None,
 ) -> TraceReport:
     """``location.simulate`` as it was before it kept the solved posteriors:
     every non-private step solves and audits its posterior afresh. The
-    posterior of each non-private step is appended to ``posteriors``."""
+    posterior of each non-private step is appended to ``posteriors``, and
+    every exchange goes through ``transport``, in process by default."""
     trace = sample_trace(model, schedule.horizon, fork_rng(config.seed, "trace"))
     state = initial_posterior(model)
     steps = []
@@ -1443,14 +1445,14 @@ def simulate_stepwise(
         rng = fork_rng(config.seed, "step", t)
         if schedule.is_private(t):
             record, state = step_private(
-                state, trace[t], model, schedule, config, store, rng
+                state, trace[t], model, schedule, config, store, rng, transport
             )
         else:
             if posteriors is not None:
                 posteriors.append(state.law.table)
             record, state = step_nonprivate(
                 state, trace[t], trace[state.tau], model, schedule, config, store,
-                rng, solver,
+                rng, solver, transport,
             )
         steps.append(record)
         total += record.cost

@@ -23,7 +23,12 @@ from ipir.audit import (
     audit_query_privacy,
     check_size_bound,
 )
-from ipir.intermittent import guaranteed_cost_bound, retrieve, run_two_request
+from ipir.intermittent import (
+    guaranteed_cost_bound,
+    local_transport,
+    retrieve,
+    run_two_request,
+)
 from ipir.location import MobilityModel, PrivacySchedule, simulate
 from ipir.net import RemoteTransport, serve
 from ipir.obfuscation import (
@@ -317,7 +322,7 @@ def test_criterion_7_trace_level_privacy_by_enumeration():
     )
 
 
-def test_criterion_8_transport_transparency():
+def test_criterion_8_transport_transparency(recording_transport):
     started = time.time()
     joint = validate_joint(PAIR_TABLE)
     policy = greedy_policy(conditional_from_joint(joint))
@@ -357,23 +362,24 @@ def test_criterion_8_transport_transparency():
         )
         schedule = PrivacySchedule(horizon=4, private=frozenset({0, 3}))
         loc_transport = RemoteTransport(addresses=[s.address for s in servers])
+        net_recorder, net_exchanges = recording_transport(loc_transport)
+        local_recorder, local_exchanges = recording_transport(local_transport(store))
         net_report = simulate(
-            model, schedule, config, store, transport=loc_transport
+            model, schedule, config, store, transport=net_recorder
         )
-        local_report = simulate(model, schedule, config, store)
+        local_report = simulate(model, schedule, config, store, transport=local_recorder)
         same_location = (
             net_report.trace == local_report.trace
             and net_report.total_cost == local_report.total_cost
             and all(
-                a.subset == b.subset
-                and a.queries == b.queries
-                and a.answers == b.answers
-                and a.decoded == b.decoded
-                for a, b in zip(net_report.steps, local_report.steps)
+                a.subset == b.subset and a.decoded == b.decoded
+                for a, b in zip(net_report.steps, local_report.steps, strict=True)
             )
+            and len(local_exchanges) == schedule.horizon + 1
+            and net_exchanges == local_exchanges
         )
         loc_bits = sum(
-            sum(len(q.combos) for q in step.queries) for step in local_report.steps
+            sum(len(q.combos) for q in queries) for queries, _ in local_exchanges
         )
         wire_location_ok = loc_transport.answer_bits == loc_bits
         loc_transport.close()

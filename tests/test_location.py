@@ -1,7 +1,9 @@
+import gc
 import json
 import logging
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from ipir.location import (
     step_private,
 )
 from ipir.audit import audit_online_privacy
+from ipir.intermittent import local_transport
 from ipir.obfuscation import (
     ObfuscationPolicy,
     build_lp,
@@ -526,13 +529,18 @@ class TestSolvedOncePerPosterior:
     @pytest.mark.parametrize(
         "K, horizon, private", [(2, 10, {0, 5}), (3, 12, {0, 6}), (4, 12, {0})]
     )
-    def test_report_equals_stepwise(self, K, horizon, private, solver):
+    def test_report_equals_stepwise(self, K, horizon, private, solver, recording_transport):
         model = random_model(random.Random(f"equal:{K}"), K)
         sched = PrivacySchedule(horizon=horizon, private=frozenset(private))
         config, store = run_setup(K, seed=10 + K)
         posteriors = []
-        oracle = simulate_stepwise(model, sched, config, store, solver, posteriors=posteriors)
-        report = simulate(model, sched, config, store, solver)
+        ref_transport, ref_exchanges = recording_transport(local_transport(store))
+        oracle = simulate_stepwise(
+            model, sched, config, store, solver, posteriors=posteriors, transport=ref_transport
+        )
+        transport, exchanges = recording_transport(local_transport(store))
+        report = simulate(model, sched, config, store, solver, transport)
+        assert exchanges == ref_exchanges and len(exchanges) == horizon + 1
         assert len(set(posteriors)) < len(posteriors)  # some posterior repeats
         assert report.trace == oracle.trace
         for step, ref in zip(report.steps, oracle.steps, strict=True):
@@ -544,7 +552,7 @@ class TestSolvedOncePerPosterior:
         assert {s.solver for s in report.steps if not s.private} == {solver}
 
     @pytest.mark.parametrize("solver", ["lp", "greedy"])
-    def test_sparse_chain_that_loses_support(self, solver):
+    def test_sparse_chain_that_loses_support(self, solver, recording_transport):
         # nothing moves to location 2, so from t=1 on it has no mass and the
         # private location taken at t=4 has partial support: both solvers
         # then run the LP
@@ -556,8 +564,13 @@ class TestSolvedOncePerPosterior:
         sched = PrivacySchedule(horizon=9, private=frozenset({0, 4}))
         config, store = run_setup(3, seed=21)
         posteriors = []
-        oracle = simulate_stepwise(model, sched, config, store, solver, posteriors=posteriors)
-        report = simulate(model, sched, config, store, solver)
+        ref_transport, ref_exchanges = recording_transport(local_transport(store))
+        oracle = simulate_stepwise(
+            model, sched, config, store, solver, posteriors=posteriors, transport=ref_transport
+        )
+        transport, exchanges = recording_transport(local_transport(store))
+        report = simulate(model, sched, config, store, solver, transport)
+        assert exchanges == ref_exchanges and len(exchanges) == sched.horizon + 1
         assert report == oracle
         assert report.all_private_zero() and report.all_decoded(store)
         # private location 2 has no mass in the law at every step after t=4
@@ -1084,6 +1097,35 @@ class TestKeptSteps:
             if step.cost == first.cost:
                 assert step.cost is first.cost
         assert len(by_subset) < len(report.steps)
+
+    @staticmethod
+    def retained_per_report(L, reports=40):
+        """Bytes that each of ``reports`` 13-step K=3 reports keeps alive,
+        measured over a second pass of the same seeds, once every cache
+        the first pass filled is warm."""
+        model = random_model(random.Random("retained"), 3)
+        sched = PrivacySchedule(horizon=12, private=frozenset({0, 6}))
+        store = MessageStore.random(3, L, fork_rng(L, "store"))
+        configs = [SystemConfig(N=2, K=3, L=L, seed=seed) for seed in range(reports)]
+        for config in configs:
+            simulate(model, sched, config, store)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [simulate(model, sched, config, store) for config in configs]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == reports
+        return retained / reports
+
+    def test_a_report_does_not_grow_with_the_message_length(self):
+        # a record keeps no query or answer, so nothing it holds is L bits long
+        short, long = self.retained_per_report(8), self.retained_per_report(512)
+        assert short < 4096 and long < 4096, (short, long)
+        assert long < 1.5 * short, (short, long)
 
 
 class TestFallbackLogs:
