@@ -175,8 +175,6 @@ def audit_query_privacy(
     policy: ObfuscationPolicy,
     config: SystemConfig,
     mode: str = "exact",
-    trials: int = EMPIRICAL_TRIALS,
-    threshold: float = TV_THRESHOLD,
     seed: int = 0,
 ) -> AuditReport:
     """Per-server independence of the non-private query from the private
@@ -186,18 +184,17 @@ def audit_query_privacy(
     at each server, at any size: it factorizes iff the (S, Q_i) law does,
     at the same first s, and has the same mutual information. Empirical
     mode compares the sampled query law across s values by total variation
-    distance at each server from ``trials`` samples per private value,
-    each drawn with a full session's ``getrandbits`` calls but kept only
-    as the order key of its (s, x, mask)'s ``pir.order_key_plan`` (see
-    ``_order_counts``), which keeps every distinct key and order for the
-    whole audit: at large L about one per sample, so a K=3, L=512 greedy
-    audit peaks at 24 MB with 300 trials per private value, 32 MB with
-    1,000 and 55 MB with 3,000 (ru_maxrss, CPython 3.11). Any other mode,
-    a config or policy whose K is not the joint's, and an empirical audit
-    whose trials are not an int or are fewer than one, whose threshold is
-    not a finite positive int or float, or whose seed is not an int (a bool
-    is none of these), raise InvalidParams; a policy with no entries at a
-    request pair of positive mass raises UnsupportedPair, in either mode.
+    distance at each server from ``EMPIRICAL_TRIALS`` samples per private
+    value, read at the call, each drawn with a full session's
+    ``getrandbits`` calls but kept only as the order key of its (s, x,
+    mask)'s ``pir.order_key_plan`` (see ``_order_counts``), which keeps
+    every distinct key and order for the whole audit: at large L about one
+    per sample, so a K=3, L=512 greedy audit peaks at 24 MB with 300 trials
+    per private value, 32 MB with 1,000 and 55 MB with 3,000 (ru_maxrss,
+    CPython 3.11). Any other mode, a config or policy whose K is not the
+    joint's, and an empirical audit whose seed is not an int (a bool is
+    not), raise InvalidParams; a policy with no entries at a request pair
+    of positive mass raises UnsupportedPair, in either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
@@ -217,20 +214,10 @@ def audit_query_privacy(
                 )
             )
         return report
-    if type(trials) is not int or trials < 1:
-        raise InvalidParams(
-            f"an empirical audit needs an int of at least 1 trial, got {trials!r}"
-        )
-    if type(threshold) is bool or not (
-        isinstance(threshold, (int, float)) and 0 < threshold < math.inf
-    ):
-        raise InvalidParams(
-            f"the TV threshold must be a finite positive int or float, got {threshold!r}"
-        )
     if type(seed) is not int:
         raise InvalidParams(f"the seed must be an int, got {seed!r}")
-    counts = _order_counts(joint, samplers, config, trials, seed)
-    report.checks.extend(_empirical_checks(counts, threshold))
+    counts = _order_counts(joint, samplers, config, EMPIRICAL_TRIALS, seed)
+    report.checks.extend(_empirical_checks(counts))
     return report
 
 
@@ -291,21 +278,20 @@ def _order_counts(
     return counts
 
 
-def _empirical_checks(
-    counts: list[dict[int, dict[int, Counter]]], threshold: float
-) -> list[AuditCheck]:
+def _empirical_checks(counts: list[dict[int, dict[int, Counter]]]) -> list[AuditCheck]:
     """Two checks per server from ``counts[server][s][mask]``, as
     ``_order_counts`` returns them.
 
     The query splits into the released subset (small support; the pinned
-    threshold is ~3x its sampling noise) and the position pattern within
-    the subset (positions are exchangeable under the uniform key, so the
-    pattern is a sufficient statistic; its support is larger, so its
-    threshold is scaled to the pattern-level sampling noise). The counts
-    are keyed by combo order, the patterns' one-to-one labels within a
-    subset, so each TV and support size is the patterns'. Every sample
-    counts once at every server, so the subset counts, and the subset
-    check, are the same at each server and are computed once.
+    ``TV_THRESHOLD``, read at the call, is ~3x its sampling noise at
+    ``EMPIRICAL_TRIALS``) and the position pattern within the subset
+    (positions are exchangeable under the uniform key, so the pattern is a
+    sufficient statistic; its support is larger, so its threshold is scaled
+    to the pattern-level sampling noise). The counts are keyed by combo
+    order, the patterns' one-to-one labels within a subset, so each TV and
+    support size is the patterns'. Every sample counts once at every
+    server, so the subset counts, and the subset check, are the same at
+    each server and are computed once.
     """
     support = list(counts[0])
     subset_counts = {
@@ -320,12 +306,12 @@ def _empirical_checks(
             if tv > worst:
                 worst = tv
                 subset_witness = (s1, s2)
-    subset_passed = worst < threshold
+    subset_passed = worst < TV_THRESHOLD
     checks = []
     for server, by_s in enumerate(counts):
         checks.append(
             AuditCheck(
-                name=f"query-privacy-server-{server}: subset marginal (TV<{threshold})",
+                name=f"query-privacy-server-{server}: subset marginal (TV<{TV_THRESHOLD})",
                 passed=subset_passed,
                 bits=worst,
                 witness=None if subset_passed else subset_witness,
@@ -345,7 +331,7 @@ def _empirical_checks(
                     noise = (m / math.pi) ** 0.5 * (
                         (0.5 / n1) ** 0.5 + (0.5 / n2) ** 0.5
                     )
-                    limit = max(threshold, 4.0 * noise)
+                    limit = max(TV_THRESHOLD, 4.0 * noise)
                     tv = total_variation(c1, c2)
                     excess = tv / limit
                     if excess > worst_excess:

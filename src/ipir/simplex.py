@@ -44,6 +44,8 @@ from .errors import InvalidParams, IterationLimit
 STALL_LIMIT = 12
 # certified bases a BasisCache keeps, the least recently hit dropped first
 BASIS_CAP = 16
+# pivots a cold solve may make before IterationLimit
+MAX_PIVOTS = 200_000
 
 
 class _Unbounded(Exception):
@@ -104,14 +106,14 @@ class BasisCache:
         self._bases = [(tuple(basis), inverse, delta), *self._bases[: BASIS_CAP - 1]]
 
 
-def minimize(
-    costs, rows, rhs, max_pivots: int = 200_000, bases: BasisCache | None = None
-) -> SimplexSolution:
+def minimize(costs, rows, rhs, bases: BasisCache | None = None) -> SimplexSolution:
     """Simplex for min c.x s.t. A x <= b, x >= 0, started from the slack basis.
 
     Variable j < n is column j of A; variable n + i is the slack of row i.
     Entries are ints or Fractions, read as they are (anything else goes
-    through Fraction). A negative entry of b raises InvalidParams.
+    through Fraction). A negative entry of b raises InvalidParams, and a
+    cold solve that needs more than ``MAX_PIVOTS`` pivots, read at the
+    call, raises IterationLimit.
 
     ``bases``, built for these costs and rows (else InvalidParams), is
     tried first: the first basis with B^-1 b >= 0 gives the optimum with
@@ -150,7 +152,7 @@ def minimize(
         basis = [n + i for i in range(len(tableau))]
         nonbasic = list(range(n))
         try:
-            pivots, denominator = _run(tableau, z, basis, nonbasic, scale, max_pivots)
+            pivots, denominator = _run(tableau, z, basis, nonbasic, scale, MAX_PIVOTS)
         except _Unbounded as exc:
             return SimplexSolution("unbounded", None, 1, exc.args[0])
         if _certified(z):

@@ -39,7 +39,7 @@ from ipir.obfuscation import (
     likelihood_profile,
     solve_lp,
 )
-from ipir import pir
+from ipir import audit, pir
 
 from oracles import enumerate_mechanism, fraction_sampler, node_query_leak, step_law
 
@@ -212,7 +212,7 @@ def test_criterion_4_lp_optimality_sandwich():
     )
 
 
-def test_criterion_5_query_privacy_exact_and_empirical():
+def test_criterion_5_query_privacy_exact_and_empirical(monkeypatch):
     started = time.time()
     joint = validate_joint(PAIR_TABLE)
     policy = greedy_policy(conditional_from_joint(joint))
@@ -229,10 +229,8 @@ def test_criterion_5_query_privacy_exact_and_empirical():
     )
     skew_policy = greedy_policy(skew_cond)
     config3 = SystemConfig(N=2, K=3, L=8, seed=0xA5)
-    empirical = audit_query_privacy(
-        skew_joint, skew_policy, config3, mode="empirical",
-        trials=100_000, threshold=0.01,
-    )
+    monkeypatch.setattr(audit, "EMPIRICAL_TRIALS", 100_000)
+    empirical = audit_query_privacy(skew_joint, skew_policy, config3, mode="empirical")
     ok_empirical = empirical.passed
     # the same instance read off its query orbits, exactly
     exact3 = audit_query_privacy(skew_joint, skew_policy, config3, mode="exact")

@@ -18,7 +18,6 @@ from ipir.core import (
     validate_joint,
 )
 from ipir.audit import (
-    TV_THRESHOLD,
     AuditReport,
     _empirical_checks,
     _factorization,
@@ -417,48 +416,18 @@ class TestQueryPrivacyExact:
         assert report.mode == "exact" and report.passed
         assert not [r for r in caplog.records if r.name.startswith("ipir")]
 
-    def test_empirical_mode_passes_reference(self, pair_joint, pair_cond, config22):
-        policy = greedy_policy(pair_cond)
+    def test_empirical_mode_passes_reference(
+        self, pair_joint, pair_cond, config22, monkeypatch
+    ):
+        monkeypatch.setattr(audit, "EMPIRICAL_TRIALS", 20_000)
         report = audit_query_privacy(
-            pair_joint, policy, config22, mode="empirical", trials=20_000
+            pair_joint, greedy_policy(pair_cond), config22, mode="empirical"
         )
         assert report.passed
 
     def test_unknown_mode_rejected(self, pair_joint, pair_cond, config22):
         with pytest.raises(InvalidParams):
             audit_query_privacy(pair_joint, greedy_policy(pair_cond), config22, mode="nope")
-
-    @pytest.mark.parametrize("trials", [0, -5, 2.5, True])
-    def test_empirical_audit_without_trials_rejected(
-        self, pair_joint, pair_cond, config22, trials
-    ):
-        # zero samples would audit nothing and still read passed, TV 0.0
-        with pytest.raises(InvalidParams):
-            audit_query_privacy(
-                pair_joint, greedy_policy(pair_cond), config22, mode="empirical",
-                trials=trials,
-            )
-
-    def test_exact_audit_ignores_trials(self, pair_joint, pair_cond, config22):
-        report = audit_query_privacy(
-            pair_joint, greedy_policy(pair_cond), config22, mode="exact", trials=0
-        )
-        assert report.mode == "exact" and report.passed
-
-    @pytest.mark.parametrize(
-        "threshold", [True, False, 0, -0.01, float("nan"), float("inf"), "0.01", F(1, 100)]
-    )
-    def test_empirical_audit_refuses_a_meaningless_threshold(
-        self, pair_joint, pair_cond, config22, monkeypatch, threshold
-    ):
-        # True named its checks "TV<True"; a negative or NaN threshold
-        # failed every check, and inf passed every check
-        monkeypatch.setattr(audit, "fork_rng", no_draw)
-        with pytest.raises(InvalidParams, match="threshold must be a finite positive"):
-            audit_query_privacy(
-                pair_joint, greedy_policy(pair_cond), config22, mode="empirical",
-                trials=10, threshold=threshold,
-            )
 
     @pytest.mark.parametrize("seed", ["x", True, 1.0, None])
     def test_empirical_audit_refuses_a_seed_that_is_not_an_int(
@@ -467,8 +436,7 @@ class TestQueryPrivacyExact:
         monkeypatch.setattr(audit, "fork_rng", no_draw)
         with pytest.raises(InvalidParams, match="seed must be an int"):
             audit_query_privacy(
-                pair_joint, greedy_policy(pair_cond), config22, mode="empirical",
-                trials=10, seed=seed,
+                pair_joint, greedy_policy(pair_cond), config22, mode="empirical", seed=seed
             )
 
 
@@ -716,7 +684,7 @@ class TestIntegerQueryAudit:
 PEAK_RSS_AUDIT = """
 import resource, sys
 from fractions import Fraction as F
-from ipir.audit import audit_query_privacy
+from ipir import audit
 from ipir.core import SystemConfig, conditional_from_joint, validate_joint
 from ipir.obfuscation import greedy_policy
 
@@ -724,7 +692,8 @@ rows = ((1, 3, 6), (5, 4, 1), (2, 5, 3))
 joint = validate_joint([[F(w, 30) for w in row] for row in rows])
 policy = greedy_policy(conditional_from_joint(joint))
 config = SystemConfig(N=2, K=3, L=512, seed=0)
-audit_query_privacy(joint, policy, config, mode="empirical", trials=int(sys.argv[1]))
+audit.EMPIRICAL_TRIALS = int(sys.argv[1])
+audit.audit_query_privacy(joint, policy, config, mode="empirical")
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(peak if sys.platform == "darwin" else peak * 1024)
 """
@@ -744,9 +713,9 @@ class TestEmpiricalCounts:
         return patterns
 
     def assert_matches_oracle(self, joint, policy, config, trials, seed):
-        report = audit_query_privacy(
-            joint, policy, config, mode="empirical", trials=trials, seed=seed
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audit, "EMPIRICAL_TRIALS", trials)
+            report = audit_query_privacy(joint, policy, config, mode="empirical", seed=seed)
         counts = session_pattern_counts(joint, policy, config, trials, seed)
         direct = _order_counts(joint, subset_samplers(policy, joint), config, trials, seed)
         mapped = [
@@ -763,7 +732,7 @@ class TestEmpiricalCounts:
                 for mask, c in by_mask.items():
                     assert list(c) == list(ref_by_s[s][mask])
         # the TVs over patterns are those over orders, to the last bit
-        oracle = AuditReport(mode="empirical", checks=_empirical_checks(counts, TV_THRESHOLD))
+        oracle = AuditReport(mode="empirical", checks=_empirical_checks(counts))
         assert report.to_json_dict() == oracle.to_json_dict()
         return report
 
@@ -823,8 +792,9 @@ class TestEmpiricalCounts:
         monkeypatch.setattr(pir, "slot_orders", recording_scatters)
         config = SystemConfig(N=2, K=3, L=8, seed=1)
         trials = 3_000
+        monkeypatch.setattr(audit, "EMPIRICAL_TRIALS", trials)
         report = audit_query_privacy(
-            skew_joint, greedy_policy(skew_cond), config, mode="empirical", trials=trials
+            skew_joint, greedy_policy(skew_cond), config, mode="empirical"
         )
         assert report.mode == "empirical"
         keys = {key for key, _ in drawn}
@@ -878,7 +848,8 @@ class TestEmpiricalCounts:
 
         monkeypatch.setattr(pir, "pir_setup", recording_setup)
         monkeypatch.setattr(pir, "order_key_plan", recording_plan)
-        report = audit_query_privacy(pair_joint, policy, config22, mode="empirical", trials=1)
+        monkeypatch.setattr(audit, "EMPIRICAL_TRIALS", 1)
+        report = audit_query_privacy(pair_joint, policy, config22, mode="empirical")
         assert report.mode == "empirical"
         assert setups == plans == [(0, 1), (0, 1)]
 
@@ -955,8 +926,9 @@ class TestIncompletePolicy:
             raise AssertionError("drew before checking the policy")
 
         monkeypatch.setattr(WeightedSampler, "draw", no_draw)
+        monkeypatch.setattr(audit, "EMPIRICAL_TRIALS", 10)
         with pytest.raises(UnsupportedPair, match=r"\(s=0, x=1\)"):
-            audit_query_privacy(joint, policy, config22, mode=mode, trials=10)
+            audit_query_privacy(joint, policy, config22, mode=mode)
 
     def test_uncovered_zero_mass_pair_is_fine(self, config22):
         # a pair the joint never draws needs no entries

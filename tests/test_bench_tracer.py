@@ -200,7 +200,7 @@ def test_covering_lp_has_no_slack_columns():
     assert_policy_layers_seen(t)
 
 
-def test_empirical_audit_samples_patterns_without_sessions():
+def test_empirical_audit_samples_patterns_without_sessions(monkeypatch):
     # a sample draws the request and the subset through the traced sampler
     # and the key's shuffles straight into combo orders: no key object or
     # session is built and query_pattern is never called
@@ -209,11 +209,10 @@ def test_empirical_audit_samples_patterns_without_sessions():
     policy = greedy_policy(conditional_from_joint(joint))
     config = SystemConfig(N=2, K=2, L=4, seed=7)
     trials = 50
+    monkeypatch.setattr(audit, "EMPIRICAL_TRIALS", trials)
 
     with tracer.Tracer(ipir) as t:
-        report = audit.audit_query_privacy(
-            joint, policy, config, mode="empirical", trials=trials
-        )
+        report = audit.audit_query_privacy(joint, policy, config, mode="empirical")
 
     assert report.mode == "empirical"
     assert t.count("audit.audit_query_privacy") == 1

@@ -147,8 +147,9 @@ def test_one_phase_degenerate_start_needs_bland(monkeypatch):
     assert objective(BEALE[0], sol) == -F(1, 20)
     assert sol.x == [F(1, 25), F(0), F(1), F(0)]
     monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 200)
     with pytest.raises(IterationLimit):
-        minimize(*BEALE, max_pivots=200)
+        minimize(*BEALE)
 
 
 def test_negative_rhs_rejected():
@@ -335,10 +336,11 @@ BEALE_OFFSET = (
 
 def test_stall_check_compares_objectives_across_denominators(monkeypatch):
     # the cycle only ends through the Bland fallback
-    assert minimize(*BEALE_OFFSET, max_pivots=200) == fraction_minimize(*BEALE_OFFSET)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 200)
+    assert minimize(*BEALE_OFFSET) == fraction_minimize(*BEALE_OFFSET)
     monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
     with pytest.raises(IterationLimit):
-        minimize(*BEALE_OFFSET, max_pivots=200)
+        minimize(*BEALE_OFFSET)
 
 
 @pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 10), (5, 3)])
@@ -349,8 +351,8 @@ def test_integer_tableau_matches_fraction_solver_on_covering_lps(K, count):
         assert_matches_fraction_solver(instance.costs, instance.rows, instance.rhs)
 
 
-# the pivot budget: max_pivots pivots may be made, and IterationLimit is
-# raised only when one more is needed
+# the pivot budget: MAX_PIVOTS pivots may be made (the oracles' max_pivots),
+# and IterationLimit is raised only when one more is needed
 
 
 @pytest.mark.parametrize(
@@ -362,13 +364,18 @@ def test_integer_tableau_matches_fraction_solver_on_covering_lps(K, count):
         pytest.param(BEALE_OFFSET, id="beale-offset"),
     ],
 )
-def test_budget_of_exactly_the_pivots_needed(instance):
-    needed = minimize(*instance).pivots
+def test_budget_of_exactly_the_pivots_needed(instance, monkeypatch):
+    solution = minimize(*instance)
+    needed = solution.pivots
     assert needed > 0
-    for solve in (minimize, fraction_minimize):
-        assert solve(*instance, max_pivots=needed) == minimize(*instance)
-        with pytest.raises(IterationLimit, match=f"no optimum within {needed - 1} pivots"):
-            solve(*instance, max_pivots=needed - 1)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", needed)
+    assert minimize(*instance) == fraction_minimize(*instance, max_pivots=needed) == solution
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", needed - 1)
+    message = f"no optimum within {needed - 1} pivots"
+    with pytest.raises(IterationLimit, match=message):
+        minimize(*instance)
+    with pytest.raises(IterationLimit, match=message):
+        fraction_minimize(*instance, max_pivots=needed - 1)
 
 
 def test_two_phase_budget_of_exactly_the_pivots_needed():
@@ -379,8 +386,9 @@ def test_two_phase_budget_of_exactly_the_pivots_needed():
         two_phase_minimize(*instance, max_pivots=needed - 1)
 
 
-def test_a_solve_that_needs_no_pivot_fits_a_zero_budget():
-    assert minimize([1], [[1]], [1], max_pivots=0).pivots == 0
+def test_a_solve_that_needs_no_pivot_fits_a_zero_budget(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+    assert minimize([1], [[1]], [1]).pivots == 0
 
 
 # warm starts: certified bases of one rhs answer another with no pivot, and

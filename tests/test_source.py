@@ -1,7 +1,8 @@
 """Static checks on the package source: no module-level import or constant,
-and no function, class or method, that nothing reads. Also: no test
-expects a bare Exception, the README names every export of the package,
-and its library sketch runs as written."""
+and no function, class or method, that nothing reads, and no defaulted
+parameter that no call in the package or the benchmark passes. Also: no
+test expects a bare Exception, the README names every export of the
+package, and its library sketch runs as written."""
 
 import ast
 import os
@@ -23,6 +24,17 @@ OUTSIDE_READERS = {
     "net.RemoteTransport": "bench/workloads.py",
     "audit.mutual_information": "README.md",
     "audit.audit_leak_equivalence": "README.md",
+}
+
+# Defaulted parameters of defs in src/ that no call in src/ or bench/
+# passes, each with the reason it stays. An entry that some call passes,
+# or that names no defaulted parameter, fails the check, as above.
+UNPASSED_OPTIONS = {
+    "intermittent.run_two_request.private_each_trial": (
+        "acceptance criterion 1 turns it off for its 1e5 trials against a 10 s "
+        "bound: 3.5 and 3.8 s off, 5.5 and 5.1 s on (Python 3.11, 2 CPUs)"
+    ),
+    "cli.main.argv": "tests drive the CLI in process",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -233,6 +245,148 @@ def test_the_check_finds_unread_names():
         "outside:b.gone",
         "outside:b.hello",
     ]
+
+
+def option_defs(tree: ast.Module):
+    """(name, node, positional, defaulted) of each def in ``tree``, nested
+    defs and methods included, named ``outer.inner`` or ``Class.method``:
+    ``positional`` holds the parameters a call can pass by position, after
+    ``self`` or ``cls`` in a method that is not a staticmethod, and
+    ``defaulted`` those that have a default."""
+
+    def visit(body, prefix: str, in_class: bool):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", True)
+            elif isinstance(node, FUNCTIONS):
+                args = node.args
+                positional = [p.arg for p in (*args.posonlyargs, *args.args)]
+                defaulted = positional[len(positional) - len(args.defaults) :] + [
+                    p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                if in_class and not static:
+                    positional = positional[1:]
+                yield f"{prefix}{node.name}", node, positional, defaulted
+                yield from visit(node.body, f"{prefix}{node.name}.", False)
+
+    yield from visit(tree.body, "", False)
+
+
+def passes(call: ast.Call, parameter: str, positional: list[str]) -> bool:
+    """Whether ``call`` passes ``parameter``: by keyword, by position, or
+    through a ``*`` or ``**`` argument, which may pass any parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    return parameter in positional and positional.index(parameter) < len(call.args)
+
+
+def unpassed_options(sources: dict, callers: list[str], allowed: dict) -> list[str]:
+    """``module:line name(parameter=)`` for each defaulted parameter of a
+    def in ``sources`` (module name -> source text) that no call in
+    ``callers`` (source texts) passes. Calls are matched to defs by name
+    alone: ``f(...)`` and ``a.f(...)`` call every def named ``f``, a
+    call of a class by its name calls its ``__init__``, and a def's calls
+    of itself count. A parameter named ``module.name.parameter`` in
+    ``allowed`` is exempt; an entry that some call passes, or that names
+    no defaulted parameter, is reported as ``allowed:<entry>``."""
+    calls: dict = {}  # callee name -> its calls
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed, stale = [], set(allowed)
+    for module, text in sources.items():
+        for name, node, positional, defaulted in option_defs(ast.parse(text)):
+            parts = name.split(".")
+            callee = parts[-2] if parts[-1] == "__init__" and len(parts) > 1 else parts[-1]
+            for parameter in defaulted:
+                entry = f"{module}.{name}.{parameter}"
+                if any(passes(c, parameter, positional) for c in calls.get(callee, [])):
+                    continue
+                if entry in allowed:
+                    stale.discard(entry)
+                else:
+                    unpassed.append(f"{module}:{node.lineno} {name}({parameter}=)")
+    return unpassed + [f"allowed:{entry}" for entry in sorted(stale)]
+
+
+def test_every_option_has_a_caller():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [
+        path.read_text() for path in sorted([*PACKAGE.glob("*.py"), *ROOT.glob("bench/*.py")])
+    ]
+    assert "audit" in sources and len(callers) > len(sources)
+    assert unpassed_options(sources, callers, UNPASSED_OPTIONS) == []
+
+
+def test_the_check_finds_unpassed_options():
+    sources = {
+        "a": (
+            "def f(x, y=1, *, z=2, unused=3):\n"
+            "    return x\n"
+            "def walk(node, depth=0):\n"
+            "    return walk(node, depth + 1)\n"
+            "class Box:\n"
+            "    def __init__(self, size=0, colour=None):\n"
+            "        self.size = size\n"
+            "    def put(self, item, count=1):\n"
+            "        return count\n"
+            "    @classmethod\n"
+            "    def build(cls, size=0):\n"
+            "        return cls()\n"
+            "    @staticmethod\n"
+            "    def check(value, strict=False):\n"
+            "        return value\n"
+            "def spread(*args, **kwargs):\n"
+            "    return g(*args) + h(**kwargs)\n"
+            "def g(a=0):\n"
+            "    return a\n"
+            "def h(a=0):\n"
+            "    return a\n"
+            "def outer():\n"
+            "    def inner(v=0):\n"
+            "        return v\n"
+            "    return inner()\n"
+        ),
+        "b": "def hello(name='you'):\n    return name\n",
+    }
+    callers = [
+        sources["a"],
+        "from a import f, Box\nf(0, z=5)\nBox(1).put('item')\nBox.build(3)\nBox.check(1)\n",
+    ]
+    expected = [
+        "a:1 f(y=)",
+        "a:1 f(unused=)",  # the planted option: no call passes it
+        "a:6 Box.__init__(colour=)",
+        "a:8 Box.put(count=)",
+        "a:14 Box.check(strict=)",  # a staticmethod has no self to skip
+        "a:23 outer.inner(v=)",
+        "b:1 hello(name=)",
+    ]
+    # walk's depth is passed by its own recursion, Box's size by position
+    # after self, build's by position after cls, g's and h's through * and **
+    assert unpassed_options(sources, callers, {}) == expected
+    allowed = {
+        "a.f.unused": "kept",
+        "a.walk.depth": "passed by walk itself",
+        "a.f.x": "no default",
+        "a.gone.p": "no such def",
+        "b.hello.name": "kept",
+    }
+    assert unpassed_options(sources, callers, allowed) == [
+        name for name in expected if name not in ("a:1 f(unused=)", "b:1 hello(name=)")
+    ] + ["allowed:a.f.x", "allowed:a.gone.p", "allowed:a.walk.depth"]
+    # a caller that passes it clears the planted option
+    callers.append("from a import f\nf(1, 2, unused=4)\n")
+    assert "a:1 f(unused=)" not in unpassed_options(sources, callers, {})
 
 
 def broad_raises(source: str) -> list[int]:
