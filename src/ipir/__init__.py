@@ -63,7 +63,6 @@ from .audit import (
     AuditReport,
     audit_online_privacy,
     audit_policy_independence,
-    audit_leak_equivalence,
     audit_query_privacy,
     check_size_bound,
     mutual_information,

@@ -30,7 +30,6 @@ from .core import (
 from .errors import DistributionError, InvalidParams, NegativeEntry
 from .obfuscation import (
     ObfuscationPolicy,
-    full_mask,
     indices_of,
     likelihood_profile,
     policy_weights,
@@ -187,14 +186,17 @@ def audit_query_privacy(
     distance at each server from ``EMPIRICAL_TRIALS`` samples per private
     value, read at the call, each drawn with a full session's
     ``getrandbits`` calls but kept only as the order key of its (s, x,
-    mask)'s ``pir.order_key_plan`` (see ``_order_counts``), which keeps
-    every distinct key and order for the whole audit: at large L about one
-    per sample, so a K=3, L=512 greedy audit peaks at 24 MB with 300 trials
-    per private value, 32 MB with 1,000 and 55 MB with 3,000 (ru_maxrss,
+    mask)'s ``pir.order_key_plan`` (see ``_order_counts``). The per-order
+    ``Counter``s that ``_order_counts`` returns hold most of the memory: at
+    large L nearly every sample adds an order, about 4 KB each, and at
+    K=3, L=512 with 3,000 trials per private value they hold 30.2 MB of a
+    33.0 MB traced peak, where per-private-value key tables would save
+    only 1.8 MB. That greedy audit peaks at 24 MB with 300 trials per
+    private value, 32 MB with 1,000 and 55 MB with 3,000 (ru_maxrss,
     CPython 3.11). Any other mode, a config or policy whose K is not the
     joint's, and an empirical audit whose seed is not an int (a bool is
-    not), raise InvalidParams; a policy with no entries at a request pair
-    of positive mass raises UnsupportedPair, in either mode.
+    not), raise InvalidParams, before any draw; a policy with no entries at
+    a request pair of positive mass raises UnsupportedPair, in either mode.
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
@@ -231,18 +233,23 @@ def _order_counts(
     """``counts[server][s][mask]``: the sampled combo orders at one server
     for private value s and released subset mask, from ``trials`` samples
     per supported s. Each s draws from its own named stream; a sample
-    draws the non-private request x, from p(x|s) = W(s, x) / W_s off the
-    law's weights, then the subset, then the PIR key's shuffles.
+    draws the non-private request x, from p(x|s) = W(s, x) / W_s by a
+    ``WeightedSampler`` over the row's nonzero weights, then the subset,
+    then the PIR key's shuffles, with no ``PirKey`` or session built.
 
     Within one subset an order is a one-to-one label of its query's
-    ``pir.query_pattern``, so the orders' TVs are the patterns'. Each s
-    sets up the params and the ``pir.order_key_plan`` draw of an (x, mask)
-    when a sample first draws it, so a sample is two sampler draws, two
-    dict hits, one shuffle and one bytes key, which fixes every server's
-    order. Samples are counted per (mask, x, key) in first-seen order, and
-    the audit's first of each key scatters its slots with
-    ``pir.slot_orders``. Merging the counts in that order gives each
-    Counter its orders in the order a sample first met them.
+    ``pir.query_pattern``, so the orders' TVs are bit for bit the
+    patterns'. Each s sets up the params and the ``pir.order_key_plan``
+    draw of an (x, mask) when a sample first draws it, so a subset never
+    drawn builds no plan, and a sample is two sampler draws, two dict hits,
+    one shuffle and one bytes key, which fixes every server's order.
+    Samples are counted per (mask, x, key) in first-seen order, and the
+    audit-wide key map is probed only at a key's first sample in s: the
+    audit's first of each key scatters its slots with ``pir.slot_orders``,
+    and equal orders are interned to one object. A K=3, L=8 audit meets
+    about 2.5k distinct keys in 3·10^5 samples. Merging the counts in that
+    order gives each Counter its orders in the order a sample first met
+    them.
     """
     counts: list[dict[int, dict[int, Counter]]] = [{} for _ in range(config.N)]
     by_key: dict = {}  # (mask, x, key) -> each server's order, over the whole audit
@@ -349,94 +356,15 @@ def _empirical_checks(counts: list[dict[int, dict[int, Counter]]]) -> list[Audit
     return checks
 
 
-def audit_leak_equivalence(
-    joint: JointDistribution,
-    policy: ObfuscationPolicy,
-    config: SystemConfig,
-) -> AuditReport:
-    """Build the joint law of (S, Q_i^(X), Q_i^(S)) at every server from
-    query orbits and verify the reduction hypotheses and the equivalence
-
-        I(S; Q_x, Q_s) = 0  <=>  I(S; Q_x) = 0.
-
-    The private query Q_s retrieves s from the full set, so its orbit is
-    the label of ``pir.query_orbits`` at s, a function of s: the per-s
-    rows pass the conditional-independence check by construction. Raises
-    InvalidParams when the config's or the policy's K is not the joint's.
-    """
-    _check_k(joint, policy, config)
-    laws, scale = _query_laws(joint, policy, config)
-    full = full_mask(config.K)
-    full_params = pir.pir_setup(config.N, range(config.K), config.L)
-    masses = {s: sum(joint.weights[s]) for s in joint.support()}
-    private = {s: pir.query_orbits(full_params, s) for s in masses}
-    report = AuditReport()
-    for server, s_qx in enumerate(laws):
-        qs = {s: (full, labels[server]) for s, labels in private.items()}
-        s_qs = {(s, qs[s]): mass for s, mass in masses.items()}
-        # (S, (Q_x, Q_s)) over scale, and its row at each s
-        s_qx_qs: dict = {}
-        rows: dict = {s: {} for s in masses}
-        for (s, qx), w in s_qx.items():
-            s_qx_qs[s, (qx, qs[s])] = rows[s][qx, qs[s]] = w
-
-        zero_qs, bits_qs, _ = _factorization(s_qs, joint.scale)
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: private query independent of request",
-                passed=zero_qs,
-                bits=bits_qs,
-            )
-        )
-        cond_zero = True
-        cond_bits = 0.0
-        for s, row in rows.items():
-            row_mass = sum(row.values())
-            if row_mass == 0:
-                continue
-            z, b, _ = _factorization(row, row_mass)
-            cond_zero = cond_zero and z
-            cond_bits += masses[s] / joint.scale * b
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: queries conditionally independent given request",
-                passed=cond_zero,
-                bits=cond_bits,
-            )
-        )
-        zero_qx, bits_qx, _ = _factorization(s_qx, scale)
-        zero_pair, bits_pair, _ = _factorization(s_qx_qs, scale)
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: joint-leak zero iff single-leak zero",
-                passed=zero_pair == zero_qx,
-                bits=abs(bits_pair - bits_qx),
-                witness=(zero_pair, zero_qx) if zero_pair != zero_qx else None,
-            )
-        )
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: single-query leak", passed=zero_qx, bits=bits_qx
-            )
-        )
-        report.checks.append(
-            AuditCheck(
-                name=f"server-{server}: joint-query leak",
-                passed=zero_pair,
-                bits=bits_pair,
-            )
-        )
-    return report
-
-
 def audit_online_privacy(weights: dict, scale: int) -> AuditReport:
     """Exact check, named ``subset-independence``, that the released subset
     is independent of the private request: the integer (S, X, U) law
     ``weights`` / ``scale`` of ``policy_weights``, summed over x in its
     order, factorizes. A location step passes its policy's law under the
-    transposed posterior. A scale that is not a positive int, or a weight
-    that is not an int, raises DistributionError, and a negative weight
-    NegativeEntry, before any log is taken."""
+    transposed posterior, the law the step conditions on. A scale that is
+    not a positive int, or a weight that is not an int, raises
+    DistributionError, and a negative weight NegativeEntry, before any log
+    is taken."""
     if type(scale) is not int or scale < 1:
         raise DistributionError(f"the scale must be a positive int, got {scale!r}")
     # the witness orders labels by str, so each mask becomes its indices,

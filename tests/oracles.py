@@ -1869,8 +1869,17 @@ def fraction_query_privacy(
 def fraction_leak_equivalence(
     joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig
 ) -> AuditReport:
-    """The report of ``audit_leak_equivalence``, with every law summed and
-    every conditional row normalized in Fractions."""
+    """The reduction that protects the non-private request, checked at every
+    server on the scheme's own queries: I(S; Q_x, Q_s) = 0 iff
+    I(S; Q_x) = 0, where Q_s is the private query, retrieving s from the
+    full message set, and Q_x the non-private one, under independent keys.
+    The laws of (S, Q_s) and (S, (Q_x, Q_s)) are built from
+    ``query_distribution`` and ``fraction_query_law``, every law summed and
+    every conditional row normalized in Fractions. Five checks per server:
+    the two hypotheses, that Q_s is independent of S and that Q_x and Q_s
+    are independent given S; the equivalence; and the single- and
+    joint-query leaks. A template whose private query depends on the
+    desired position, as a doctored one may, fails the first."""
     full_params = pir.pir_setup(config.N, range(config.K), config.L)
     support = conditional_from_joint(joint).support
     report = AuditReport()

@@ -145,9 +145,6 @@ CASES = {
     "audit_policy_independence": (
         ipir.audit_policy_independence, [arg("policy"), arg("joint")]
     ),
-    "audit_leak_equivalence": (
-        ipir.audit_leak_equivalence, [arg("joint"), arg("policy"), arg("config")]
-    ),
     "audit_query_privacy": (
         ipir.audit_query_privacy,
         [arg("joint"), arg("policy"), arg("config"), "empirical", 0],

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ipir.core import (
     SystemConfig,
@@ -25,7 +25,6 @@ from ipir.audit import (
     _query_laws,
     audit_online_privacy,
     audit_policy_independence,
-    audit_leak_equivalence,
     audit_query_privacy,
     check_size_bound,
     mutual_information,
@@ -137,22 +136,14 @@ def subset_bits(policy, joint) -> float:
 
 
 def assert_reads_the_subset_law(report: AuditReport, policy, joint):
-    """Every query-level leak check of ``report``, of ``audit_query_privacy``
-    or ``audit_leak_equivalence``, reads the subset law's verdict and bits,
-    and each query-privacy check its first s; the checks on the private
-    query and on the pair read no leak. So it is wherever the orbit labels
-    do not depend on the desired position, as at every library template."""
+    """Every check of ``report``, an exact ``audit_query_privacy`` report,
+    reads the subset law's verdict, bits and first s. So it is wherever the
+    orbit labels do not depend on the desired position, as at every
+    library template."""
     subset = audit_policy_independence(policy, joint).checks[0]
     witness = None if subset.passed else subset.witness[0]
     for check in report.checks:
-        if check.name.endswith(("request", "single-leak zero")):
-            assert (check.passed, check.bits) == (True, 0.0)
-        elif check.name.startswith("query-privacy"):
-            assert (check.passed, check.bits, check.witness) == (
-                subset.passed, subset.bits, witness
-            )
-        else:
-            assert (check.passed, check.bits) == (subset.passed, subset.bits)
+        assert (check.passed, check.bits, check.witness) == (subset.passed, subset.bits, witness)
 
 
 def full_set_leak():
@@ -412,7 +403,6 @@ class TestQueryPrivacyExact:
         config = SystemConfig(N=N, K=K, L=L, seed=1)
         with caplog.at_level(logging.DEBUG, logger="ipir"):
             report = audit_query_privacy(joint, policy, config)
-            assert audit_leak_equivalence(joint, policy, config).passed
         assert report.mode == "exact" and report.passed
         assert not [r for r in caplog.records if r.name.startswith("ipir")]
 
@@ -454,7 +444,7 @@ class TestKAgreement:
         (SystemConfig(N=2, K=2, L=4, seed=0), trivial_policy(3)),
     ]
 
-    @pytest.mark.parametrize("run", [audit_query_privacy, audit_leak_equivalence])
+    @pytest.mark.parametrize("run", [audit_query_privacy])
     @pytest.mark.parametrize("config, policy", CASES, ids=["config3", "config1", "policy3"])
     def test_audits_refuse_another_k(self, run, config, policy, pair_joint, pair_cond, monkeypatch):
         policy = policy or greedy_policy(pair_cond)
@@ -590,7 +580,6 @@ class TestIntegerQueryAudit:
         policy = greedy_policy(pair_cond)
         report = audit_query_privacy(pair_joint, policy, config22)
         assert report.mode == "exact" and report.passed
-        assert audit_leak_equivalence(pair_joint, policy, config22).passed
 
     def test_doctored_template_leaks_as_the_oracle_says(
         self, doctored_template, pair_joint, config22
@@ -608,8 +597,7 @@ class TestIntegerQueryAudit:
         laws, scale = _query_laws(pair_joint, policy, config22)
         entries = fraction_query_law(pair_joint, policy, config22, 1)
         assert by_orbit(entries, 2, 4) == {k: F(w, scale) for k, w in laws[1].items()}
-        leak = audit_leak_equivalence(pair_joint, policy, config22)
-        assert_matches_key_walk(leak, fraction_leak_equivalence(pair_joint, policy, config22))
+        leak = fraction_leak_equivalence(pair_joint, policy, config22)
         assert [c.passed for c in leak.checks[5:]] == [False, True, True, False, False]
 
     def test_full_set_leak_reads_the_key_walk_bits(self, pair_joint):
@@ -652,11 +640,35 @@ class TestIntegerQueryAudit:
 
     @settings(max_examples=6, deadline=None)
     @given(audit_cases(sizes=SMALL))
-    def test_leak_equivalence_matches_fraction_oracle(self, case):
+    # a pair that leaks at both servers, and a single message
+    @example(
+        (
+            validate_joint([[F(3, 8), F(1, 8)], [F(1, 8), F(3, 8)]]),
+            singleton_policy(2),
+            SystemConfig(N=2, K=2, L=4, seed=0),
+        )
+    )
+    @example((validate_joint([[1]]), trivial_policy(1), SystemConfig(N=2, K=1, L=2, seed=0)))
+    def test_leak_equivalence_oracle_agrees_with_the_exact_audit(self, case):
+        # the reduction on the enumerated queries: at every server the
+        # private query and the pair given s leak nothing, the pair leaks
+        # iff the non-private query does, and that leak is the exact audit's
         joint, policy, config = case
-        report = audit_leak_equivalence(joint, policy, config)
-        assert_matches_key_walk(report, fraction_leak_equivalence(joint, policy, config))
-        assert_reads_the_subset_law(report, policy, joint)
+        exact = audit_query_privacy(joint, policy, config, mode="exact")
+        oracle = {c.name: c for c in fraction_leak_equivalence(joint, policy, config).checks}
+        assert len(exact.checks) == config.N and len(oracle) == 5 * config.N
+        holds = (
+            "private query independent of request",
+            "queries conditionally independent given request",
+            "joint-leak zero iff single-leak zero",
+        )
+        for server, check in enumerate(exact.checks):
+            reduction = [oracle[f"server-{server}: {name}"] for name in holds]
+            assert all(c.passed for c in reduction)
+            assert math.isclose(reduction[-1].bits, 0.0, rel_tol=0, abs_tol=KEY_WALK_TOL)
+            single = oracle[f"server-{server}: single-query leak"]
+            assert single.passed == check.passed
+            assert math.isclose(single.bits, check.bits, rel_tol=0, abs_tol=KEY_WALK_TOL)
 
     @settings(max_examples=60, deadline=None)
     @given(large_audit_cases())
@@ -665,7 +677,6 @@ class TestIntegerQueryAudit:
         # check is the subset check, verdict, bits and first s alike
         joint, policy, config = case
         assert_reads_the_subset_law(audit_query_privacy(joint, policy, config), policy, joint)
-        assert_reads_the_subset_law(audit_leak_equivalence(joint, policy, config), policy, joint)
 
     @pytest.mark.parametrize("kind", ["greedy", "leaking"])
     def test_pair_instance_reports(self, kind, pair_joint, config22):
@@ -673,10 +684,7 @@ class TestIntegerQueryAudit:
         exact = audit_query_privacy(pair_joint, policy, config22)
         assert_matches_key_walk(exact, fraction_query_privacy(pair_joint, policy, config22))
         assert exact.passed == (kind != "leaking")
-        leak = audit_leak_equivalence(pair_joint, policy, config22)
-        assert_matches_key_walk(leak, fraction_leak_equivalence(pair_joint, policy, config22))
         assert_reads_the_subset_law(exact, policy, pair_joint)
-        assert_reads_the_subset_law(leak, policy, pair_joint)
 
 
 # one K=3, L=512 greedy empirical audit at the trial count of argv[1],
@@ -936,60 +944,6 @@ class TestIncompletePolicy:
         entries = {key: p for key, p in trivial_policy(2).entries.items() if key[:2] != (0, 1)}
         report = audit_query_privacy(joint, ObfuscationPolicy(K=2, entries=entries), config22)
         assert report.passed
-
-
-class TestLeakEquivalence:
-    def test_reference_instance(self, pair_joint, pair_cond, config22):
-        report = audit_leak_equivalence(pair_joint, greedy_policy(pair_cond), config22)
-        assert report.passed
-        names = [c.name for c in report.checks]
-        assert any("iff" in n for n in names)
-
-    def test_leaky_policy_keeps_equivalence(self, pair_joint, config22):
-        report = audit_leak_equivalence(pair_joint, singleton_policy(2), config22)
-        by_name = {c.name: c for c in report.checks}
-        for server in range(2):
-            iff = by_name[f"server-{server}: joint-leak zero iff single-leak zero"]
-            single = by_name[f"server-{server}: single-query leak"]
-            joint_leak = by_name[f"server-{server}: joint-query leak"]
-            assert iff.passed
-            assert not single.passed and not joint_leak.passed
-            assert abs(single.bits - joint_leak.bits) < 1e-9
-
-    def test_single_message_degenerate(self):
-        joint = validate_joint([[1]])
-        config = SystemConfig(N=2, K=1, L=2, seed=0)
-        report = audit_leak_equivalence(joint, trivial_policy(1), config)
-        assert report.passed
-
-    @pytest.mark.parametrize("N, L", LARGE_SKEW, ids=LARGE_SKEW_IDS)
-    def test_large_key_spaces_are_audited_exactly(self, N, L, skew_joint, skew_cond):
-        policy = greedy_policy(skew_cond)
-        config = SystemConfig(N=N, K=3, L=L, seed=1)
-        started = time.perf_counter()
-        report = audit_leak_equivalence(skew_joint, policy, config)
-        assert time.perf_counter() - started < 0.05
-        assert report.passed and len(report.checks) == 5 * N
-
-    def test_full_set_leak_is_audited_in_under_a_second(self, pair_joint):
-        # a pair of full-set orbits holds 20,736^2 query pairs at N=2, K=2,
-        # L=8: the audit must read the pair of orbits, not visit the pairs
-        policy = full_set_leak()
-        started = time.perf_counter()
-        report = audit_leak_equivalence(pair_joint, policy, SystemConfig(N=2, K=2, L=8, seed=0))
-        assert time.perf_counter() - started < 1.0
-        assert [(c.name, c.passed) for c in report.checks] == [
-            (f"server-{n}: {name}", passed)
-            for n in range(2)
-            for name, passed in [
-                ("private query independent of request", True),
-                ("queries conditionally independent given request", True),
-                ("joint-leak zero iff single-leak zero", True),
-                ("single-query leak", False),
-                ("joint-query leak", False),
-            ]
-        ]
-        assert_reads_the_subset_law(report, policy, pair_joint)
 
 
 class TestOnlinePrivacy:

@@ -1,8 +1,9 @@
 """Static checks on the package source: no module-level import or constant,
 and no function, class or method, that nothing reads, and no defaulted
 parameter that no call in the package or the benchmark passes. Also: no
-test expects a bare Exception, the README names every export of the
-package, and its library sketch runs as written."""
+test oracle that no test reaches, no test expects a bare Exception, the
+README names every export of the package, and its library sketch runs as
+written."""
 
 import ast
 import os
@@ -23,7 +24,6 @@ OUTSIDE_READERS = {
     "pir.query_pattern": "bench/tracer.py",
     "net.RemoteTransport": "bench/workloads.py",
     "audit.mutual_information": "README.md",
-    "audit.audit_leak_equivalence": "README.md",
 }
 
 # Defaulted parameters of defs in src/ that no call in src/ or bench/
@@ -245,6 +245,84 @@ def test_the_check_finds_unread_names():
         "outside:b.gone",
         "outside:b.hello",
     ]
+
+
+def unreached_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """``oracles:line name`` for each function, class and method in
+    ``oracles``, the source of the oracle module, that no test in ``tests``
+    (source texts) reaches. A def is reached when a test reads its name, by
+    name or as an attribute, or when the body of a reached def does; a
+    method, ``Class.method``, by its attribute name. Reads inside a def
+    that nothing reaches do not count, so a chain of oracles left behind
+    by a deleted test is reported whole."""
+    defs = dict(module_defs(ast.parse(oracles)))
+    read = set()
+    for text in tests:
+        names, attributes = reads(ast.parse(text))
+        read.update(names, attributes)
+    reached: set = set()
+    while True:
+        new = [
+            name for name in defs if name not in reached and name.rpartition(".")[2] in read
+        ]
+        if not new:
+            break
+        for name in new:
+            reached.add(name)
+            names, attributes = reads(defs[name])
+            read.update(names, attributes)
+    return [f"oracles:{node.lineno} {name}" for name, node in defs.items() if name not in reached]
+
+
+def test_every_oracle_is_reached_from_a_test():
+    tests = [
+        path.read_text()
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if path.name != "oracles.py"
+    ]
+    oracles = (ROOT / "tests" / "oracles.py").read_text()
+    assert "def fraction_leak_equivalence(" in oracles and len(tests) > 1
+    assert unreached_oracles(oracles, tests) == []
+
+
+def test_the_check_finds_unreached_oracles():
+    oracles = (
+        "ZERO = 0\n"
+        "def used():\n"
+        "    return helper() + Box().size\n"
+        "def helper():\n"
+        "    return ZERO\n"
+        "class Box:\n"
+        "    size = 0\n"
+        "    def total(self):\n"
+        "        return chained()\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "def chained():\n"
+        "    return 0\n"
+        "def orphan():\n"
+        "    return orphan() + left_behind() + helper()\n"
+        "def left_behind():\n"
+        "    return 0\n"
+        "def imported_only():\n"
+        "    return 0\n"
+    )
+    tests = [
+        "from oracles import used, imported_only\n"
+        "def test_a(box):\n"
+        "    assert used() == box.total()\n",
+        "import oracles\n",
+    ]
+    expected = [
+        "oracles:10 Box.unused",
+        "oracles:14 orphan",  # reads itself only
+        "oracles:16 left_behind",  # read only by an unreached oracle
+        "oracles:18 imported_only",  # an import is not a read
+    ]
+    assert unreached_oracles(oracles, tests) == expected
+    # a test that reads the orphan reaches the chain behind it
+    tests.append("import oracles\ndef test_b():\n    assert oracles.orphan() == 0\n")
+    assert unreached_oracles(oracles, tests) == expected[:1] + expected[3:]
 
 
 def option_defs(tree: ast.Module):
