@@ -30,6 +30,7 @@ from .core import (
 from .errors import DistributionError, InvalidParams, NegativeEntry
 from .obfuscation import (
     ObfuscationPolicy,
+    check_k,
     indices_of,
     likelihood_profile,
     policy_weights,
@@ -141,13 +142,6 @@ def audit_policy_independence(policy: ObfuscationPolicy, joint: JointDistributio
     return audit_online_privacy(*policy_weights(policy, joint))
 
 
-def _check_k(joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig):
-    if config.K != joint.K or policy.K != joint.K:
-        raise InvalidParams(
-            f"the joint has K={joint.K}, the policy K={policy.K}, the config K={config.K}"
-        )
-
-
 def _query_laws(
     joint: JointDistribution, policy: ObfuscationPolicy, config: SystemConfig
 ) -> tuple[list[dict], int]:
@@ -200,7 +194,7 @@ def audit_query_privacy(
     """
     if mode not in ("exact", "empirical"):
         raise InvalidParams(f"unknown audit mode {mode!r}")
-    _check_k(joint, policy, config)
+    check_k(joint, policy, config)
     samplers = subset_samplers(policy, joint)
     report = AuditReport(mode=mode)
     if mode == "exact":

@@ -27,6 +27,7 @@ from .errors import InconsistentAnswers, InvalidParams
 from .obfuscation import (
     LikelihoodProfile,
     ObfuscationPolicy,
+    check_k,
     expected_cost,
     indices_of,
     subset_samplers,
@@ -156,8 +157,9 @@ def run_two_request(
     (s, x) draw unchanged, but a skipped private key draw shifts the rest
     of that trial's stream, so the sampled subsets, and with them
     ``cost_x_empirical``, differ from a run with the flag on. A ``trials``
-    that is not an int (a bool included) or is negative, and a store whose
-    K or L differs from the config's, raise InvalidParams, a policy with no
+    that is not an int (a bool included) or is negative, a policy or config
+    whose K is not the joint's (``check_k``), and a store whose K or L
+    differs from the config's, raise InvalidParams, a policy with no
     entries at a request pair of positive mass raises UnsupportedPair, and
     a negative policy entry there raises NegativeEntry, all before any draw.
     """
@@ -165,6 +167,7 @@ def run_two_request(
         raise InvalidParams(f"trials must be an int, got {trials!r}")
     if trials < 0:
         raise InvalidParams(f"trials must be >= 0, got {trials}")
+    check_k(joint, policy, config)
     config.check_store(store)
     transport = transport or local_transport(store)
     pair_sampler = WeightedSampler(

@@ -315,20 +315,20 @@ class LpInstance:
     policy. Non-negativity is implicit, and m = 0 (all mass on the full
     set) is the feasible vertex the simplex starts from. Only the rhs, ints
     in lowest terms in units of 1/``rhs[0]`` (which scales the optimum by
-    ``rhs[0]`` and changes no pivot), depends on the law: the 0/1 rows are
-    built once per K and the costs once per (K, N), and instances share
-    them, so every optimal basis of one law is dual feasible for all (see
-    ``solve_lp``). ``joint`` is the law the instance was built from, whose
-    rows ``solve_lp`` routes.
+    ``rhs[0]`` and changes no pivot), and ``joint``, whose rows
+    ``solve_lp`` routes, depend on the law; the 0/1 rows, built once per K,
+    and the costs, once per (K, N), are read from (K, N), so every optimal
+    basis of one law is dual feasible for all (see ``solve_lp``).
     """
 
     K: int
     n_servers: int
     joint: JointDistribution
-    variables: tuple[int, ...]
-    costs: tuple[Fraction, ...]
-    rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
+    # read-only, and not fields: they depend on (K, N) alone
+    variables = property(lambda self: tuple(range(1, full_mask(self.K))))
+    costs = property(lambda self: _covering_costs(self.K, self.n_servers))
+    rows = property(lambda self: _covering_rows(self.K))
 
 
 def build_lp(
@@ -337,6 +337,8 @@ def build_lp(
     if joint.K > cap:
         raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
     K = joint.K
+    # an N that is not an int raises here, since ``_BASES`` holds 2 and 2.0 as one key
+    _covering_costs(K, n_servers)
     proper = range(1, full_mask(K))
     # min_s p(b|s) over the rows of mass W_s > 0, as the ratio (W_s(b), W_s)
     # of the row's integer subset sum, built from b less its lowest bit, to
@@ -355,15 +357,7 @@ def build_lp(
     unit = lcm(*(d for _, d in least.values()))
     rhs = [unit, *(n * (unit // d) for n, d in least.values())]
     g = gcd(*rhs)
-    return LpInstance(
-        K=K,
-        n_servers=n_servers,
-        joint=joint,
-        variables=tuple(proper),
-        costs=_covering_costs(K, n_servers),
-        rows=_covering_rows(K),
-        rhs=tuple(v // g for v in rhs),
-    )
+    return LpInstance(K=K, n_servers=n_servers, joint=joint, rhs=tuple(v // g for v in rhs))
 
 
 @lru_cache(maxsize=None)
@@ -388,24 +382,21 @@ def solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     The covering LP gives the subset marginal m over the proper subsets;
     it is the one simplex solve, started from the certified bases that
     earlier solves at the same (K, N) left in ``_BASES``, which never change
-    its result. The full set takes the rest of the mass, appended last so
-    the marginal stays in mask order. Each supported s then splits p(x|s)
-    over the subsets u with m(u) > 0 by an exact feasibility flow (supply
-    p(x|s) at each x, demand m(u) at each u, arcs x in u), and p(u|x,s) =
-    f(x,u) / p(x|s). Pairs with p(x|s) = 0 get no entries. The flow runs on
-    integers: with the law's row weights W(s, x) of mass W_s and the
-    solver's numerators M(u) over D (its denominator times ``rhs[0]``),
-    both sides are scaled by D W_s, to supplies W(s, x) D and demands
-    M(u) W_s, so that p(s, x, u) is F(x, u) / (S_J D), S_J the law's scale.
-    The policy keeps that law, s ascending, then sorted (x, u).
-    An instance whose costs or rows are not the covering LP's at its
-    (K, N) raises InvalidParams.
+    its result (most location steps at K = 3 make no pivot). The full set
+    takes the rest of the mass, appended last so the marginal stays in mask
+    order. Each supported s then splits p(x|s) over the subsets u with
+    m(u) > 0 by an exact feasibility flow (supply p(x|s) at each x, demand
+    m(u) at each u, arcs x in u), and p(u|x,s) = f(x,u) / p(x|s). Pairs
+    with p(x|s) = 0 get no entries. The flow runs on integers: with the
+    law's row weights W(s, x) of mass W_s and the solver's numerators M(u)
+    over D (its denominator times ``rhs[0]``), both sides are scaled by
+    D W_s, to supplies W(s, x) D and demands M(u) W_s, so that p(s, x, u)
+    is F(x, u) / (S_J D), S_J the law's scale. The policy keeps that law,
+    s ascending, then sorted (x, u).
     """
-    K, N = instance.K, instance.n_servers
-    bases = _BASES.get((K, N)) or _BASES.setdefault(
-        (K, N), BasisCache(_covering_costs(K, N), _covering_rows(K))
-    )
-    solution = minimize(instance.costs, instance.rows, instance.rhs, bases=bases)
+    key = instance.K, instance.n_servers
+    bases = _BASES.get(key) or _BASES.setdefault(key, BasisCache(instance.costs, instance.rows))
+    solution = minimize(bases, instance.rhs)
     # every variable is bounded by the first row, so the LP cannot be
     # unbounded for well-formed instances
     if solution.status != "optimal":
@@ -496,15 +487,25 @@ def _route(s: int, supply: list[int], demand: dict[int, int]) -> dict[tuple[int,
     return flow
 
 
+def check_k(joint: JointDistribution, policy: ObfuscationPolicy, config=None) -> None:
+    """InvalidParams unless the policy's K, and the config's if given, is the joint's."""
+    if policy.K != joint.K or config is not None and config.K != joint.K:
+        named = "" if config is None else f", the config K={config.K}"
+        raise InvalidParams(f"the joint has K={joint.K}, the policy K={policy.K}{named}")
+
+
 def policy_weights(policy: ObfuscationPolicy, joint: JointDistribution) -> tuple[dict, int]:
-    """The law of (S, X, U) in integers: p(s, x) p(u|x,s) is
-    ``weights[s, x, u] / scale``, each weight W(s, x)·n(s, x, u), the law's
-    weights times the policy's entries as numerators over their common
-    denominator. Weights come in the policy's entry order; zero weights,
-    and entries whose s or x lies outside the law's [K], are left out.
-    A policy ``solve_lp`` kept as its law under ``joint`` gives that law,
-    this one times a constant, as a read-only mapping.
+    """The one integer law of (S, X, U), which ``validate_policy``,
+    ``expected_cost`` and the audits in ``ipir.audit`` read: p(s, x)
+    p(u|x,s) is ``weights[s, x, u] / scale``, each weight W(s, x)·n(s, x, u),
+    the law's weights times the policy's entries as numerators over their
+    common denominator. Weights come in the policy's entry order; zero
+    weights, and entries whose s or x lies outside the law's [K], are left
+    out. A policy ``solve_lp`` kept as its law under ``joint`` gives that
+    law, this one times a constant, as a read-only mapping. A policy whose
+    K is not the law's raises InvalidParams (``check_k``).
     """
+    check_k(joint, policy)
     law = policy._law
     if law is not None and law[0] == joint:
         return law[1], law[2]
@@ -595,9 +596,11 @@ def subset_samplers(
     policy: ObfuscationPolicy, joint: JointDistribution
 ) -> dict[tuple[int, int], WeightedSampler]:
     """A subset sampler per pair (s, x) of positive mass under the joint,
-    over ``policy.at(s, x)`` scaled to integers. Before any draw, the first
-    such pair in (s, x) order with no entries raises UnsupportedPair, a
-    negative one NegativeEntry, entries not summing to 1 DistributionError."""
+    over ``policy.at(s, x)`` scaled to integers. Before any draw, a policy
+    whose K is not the joint's raises InvalidParams, and the first such
+    pair in (s, x) order with no entries UnsupportedPair, a negative one
+    NegativeEntry, entries not summing to 1 DistributionError."""
+    check_k(joint, policy)
     samplers = {}
     for s, x in [(s, x) for s, row in enumerate(joint.weights) for x, w in enumerate(row) if w]:
         choices = policy.at(s, x)

@@ -25,9 +25,10 @@ the same simplex run in rationals. Problem sizes in this package are tiny
 (the covering LP has 2^K - 2 columns and 2^K - 1 rows), so a dense tableau
 is fine.
 
-A ``BasisCache`` warm-starts LPs that differ only in b: an optimal basis B
-stays dual feasible, so it is optimal whenever B^-1 b >= 0 (Chvatal 1983,
-ch. 10), and unique, the cold solve's x, if no reduced cost is zero.
+A ``BasisCache`` owns one LP's A and c, and ``minimize`` solves it at any
+b >= 0, warm-started: an optimal basis B stays dual feasible when only b
+changes, so it is optimal whenever B^-1 b >= 0 (Chvatal 1983, ch. 10), and
+unique, the cold solve's x, if no reduced cost is zero.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class SimplexSolution:
 
 
 class BasisCache:
-    """Certified optimal bases of the LPs with these costs and rows.
+    """One LP, min c.x s.t. A x <= b, x >= 0, kept as the integer rows and
+    costs ``minimize`` reads, and the certified optimal bases of its solves.
 
     A basis is its basic variable per row and the integer inverse G / delta
     of its matrix in [A | I], so the basic values at b = beta / D are
@@ -82,8 +84,7 @@ class BasisCache:
     """
 
     def __init__(self, costs, rows):
-        self.costs, self.rows = tuple(costs), tuple(map(tuple, rows))
-        self._rows = [scale_to_integers(row) for row in self.rows]
+        self._rows = [scale_to_integers(row) for row in rows]
         self._costs = scale_to_integers([*costs, 0])[0]
         self._bases = []  # (basic variable per row, G, delta), most recently hit first
 
@@ -106,31 +107,27 @@ class BasisCache:
         self._bases = [(tuple(basis), inverse, delta), *self._bases[: BASIS_CAP - 1]]
 
 
-def minimize(costs, rows, rhs, bases: BasisCache | None = None) -> SimplexSolution:
-    """Simplex for min c.x s.t. A x <= b, x >= 0, started from the slack basis.
+def minimize(bases: BasisCache, rhs) -> SimplexSolution:
+    """Simplex for the LP of ``bases`` at b = ``rhs``, started from the
+    slack basis.
 
     Variable j < n is column j of A; variable n + i is the slack of row i.
-    Entries are ints or Fractions, read as they are (anything else goes
-    through Fraction). A negative entry of b raises InvalidParams, and a
+    Entries of b are ints or Fractions, read as they are (anything else
+    goes through Fraction). A negative entry raises InvalidParams, and a
     cold solve that needs more than ``MAX_PIVOTS`` pivots, read at the
     call, raises IterationLimit.
 
-    ``bases``, built for these costs and rows (else InvalidParams), is
-    tried first: the first basis with B^-1 b >= 0 gives the optimum with
-    ``pivots == 0``. Otherwise the cold solve runs on the cache's integer
-    rows and stores its final basis if certified. The result never
-    depends on what the cache holds.
+    The cached bases are tried first: the first with B^-1 b >= 0 gives the
+    optimum with ``pivots == 0``. Otherwise the cold solve runs on the
+    cache's integer rows and stores its final basis if certified. The
+    result never depends on what the cache holds.
     """
-    n = len(costs)
+    n = len(bases._costs) - 1
     ratios = [
         (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in rhs
     ]
     if any(p < 0 for p, _ in ratios):
         raise InvalidParams(f"rhs must be >= 0, got {Fraction(min(rhs))}")
-    if bases is None:
-        bases = BasisCache(costs, rows)
-    elif tuple(costs) != bases.costs or tuple(map(tuple, rows)) != bases.rows:
-        raise InvalidParams("the basis cache was built for other costs or rows")
     scale_b = lcm(*[q for _, q in ratios])
     beta = [p * (scale_b // q) for p, q in ratios]
     snapshot = bases._bases

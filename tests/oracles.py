@@ -72,7 +72,7 @@ from ipir.obfuscation import (
     policy_weights,
 )
 from ipir.net import ANSWER, ERROR, HELLO, QUERY, _HELLO_REPLY, _TAGGED_WORD, _WORD, _send
-from ipir.simplex import SimplexSolution, minimize
+from ipir.simplex import BasisCache, SimplexSolution, minimize
 from ipir import pir
 
 ZERO = Fraction(0)
@@ -1328,9 +1328,22 @@ def sxu_solve_lp(instance: SxuLpInstance) -> ObfuscationPolicy:
 # two-phase simplex, its optimum is the least expected cost itself.
 
 
+@dataclass(frozen=True)
+class EqualityLpInstance:
+    """The equality-form covering LP, with its variables, costs and rows."""
+
+    K: int
+    n_servers: int
+    joint: JointDistribution
+    variables: tuple
+    costs: tuple[Fraction, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+
+
 def equality_build_lp(
     joint: JointDistribution, n_servers: int, cap: int = DEFAULT_LP_CAP
-) -> LpInstance:
+) -> EqualityLpInstance:
     """Variables ("m", u) for every nonempty mask u, then ("slack", b) for
     every proper nonempty mask b. Equality rows: sum_u m(u) = 1, and per b
     sum_{u within b} m(u) + slack_b = min_s p(b|s) over the supported s."""
@@ -1350,7 +1363,7 @@ def equality_build_lp(
             + [ONE if i == j else ZERO for i in range(len(proper))]
         )
         rhs.append(min(sum((cond.rows[s][x] for x in indices_of(b)), ZERO) for s in cond.support))
-    return LpInstance(
+    return EqualityLpInstance(
         K=K,
         n_servers=n_servers,
         joint=joint,
@@ -1361,7 +1374,7 @@ def equality_build_lp(
     )
 
 
-def equality_lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
+def equality_lp_marginal(instance: EqualityLpInstance) -> tuple[dict[int, Fraction], Fraction]:
     """The equality-form covering LP's optimal subset marginal (nonzero
     masks, in mask order) and its optimal cost, by the two-phase simplex."""
     solution = two_phase_minimize(instance.costs, instance.rows, instance.rhs)
@@ -1388,7 +1401,7 @@ def rhs_fractions(instance: LpInstance) -> list[Fraction]:
 def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
     """The covering LP's optimal subset marginal (nonzero masks, in mask
     order, the full set's remainder last) and its optimal expected cost."""
-    solution = minimize(instance.costs, instance.rows, rhs_fractions(instance))
+    solution = minimize(BasisCache(instance.costs, instance.rows), rhs_fractions(instance))
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
     marginal = {u: value for u, value in zip(instance.variables, solution.x) if value != 0}
@@ -1400,7 +1413,9 @@ def lp_marginal(instance: LpInstance) -> tuple[dict[int, Fraction], Fraction]:
     )
 
 
-def simplex_route(instance: LpInstance, marginal: dict[int, Fraction]) -> ObfuscationPolicy:
+def simplex_route(
+    instance: LpInstance | EqualityLpInstance, marginal: dict[int, Fraction]
+) -> ObfuscationPolicy:
     """Split each supported row p(.|s) over ``marginal`` by a zero-cost
     transport simplex solve (supply p(x|s) at each x, demand m(u) at each
     u, arcs x in u); p(u|x,s) = f(x,u) / p(x|s)."""
@@ -1667,7 +1682,7 @@ def fraction_solve_lp(instance: LpInstance) -> ObfuscationPolicy:
     on the rhs as Fractions, the marginal's numerators M(u) over its
     denominator D, and per supported s the search flow of supplies
     W(s, x) D onto demands M(u) W_s, each entry F(x, u) / (W(s, x) D)."""
-    solution = minimize(instance.costs, instance.rows, rhs_fractions(instance))
+    solution = minimize(BasisCache(instance.costs, instance.rows), rhs_fractions(instance))
     if solution.status != "optimal":
         raise ConstructionFailed(f"LP solve ended with status {solution.status}")
     scale = solution.denominator
@@ -2006,8 +2021,8 @@ def posterior_law(joint_matrix) -> JointDistribution:
 def fraction_build_lp(
     joint: JointDistribution, n_servers: int, cap: int = DEFAULT_LP_CAP
 ) -> LpInstance:
-    """``ipir.obfuscation.build_lp`` with the rhs min_s p(b|s) summed over
-    the rows of ``conditional_from_joint`` and compared in Fractions, then
+    """``ipir.obfuscation.build_lp``'s rhs min_s p(b|s), summed over the
+    rows of ``conditional_from_joint`` and compared in Fractions, then
     scaled to ints over the lcm of their denominators."""
     if joint.K > cap:
         raise TooLarge(f"K={joint.K} exceeds the LP cap {cap}")
@@ -2023,16 +2038,26 @@ def fraction_build_lp(
             low = b & -b
             sums.append(sums[b ^ low] + row[low.bit_length() - 1])
         mass.append(sums)
-    full_cost = capacity_cost(n_servers, K)
     return LpInstance(
         K=K,
         n_servers=n_servers,
         joint=joint,
-        variables=tuple(proper),
-        costs=tuple(capacity_cost(n_servers, u.bit_count()) - full_cost for u in proper),
-        rows=((1,) * len(proper), *(tuple(int(u & b == u) for u in proper) for b in proper)),
         rhs=tuple(scale_to_integers([ONE, *(min(sums[b] for sums in mass) for b in proper)])[0]),
     )
+
+
+def covering_lp(K: int, n_servers: int) -> tuple[tuple, tuple, tuple]:
+    """The covering LP's variables, costs and rows at (K, N), from subsets
+    as index sets: the proper nonempty masks u, costs C(N, |u|) - C(N, K),
+    the all-ones row, then per proper mask b a 1 at each u whose indices
+    are all in b."""
+    proper = [u for u in range(1, 1 << K) if len(indices_of(u)) < K]
+    full = capacity_cost(n_servers, K)
+    costs = [capacity_cost(n_servers, len(indices_of(u))) - full for u in proper]
+    rows = [[1] * len(proper)] + [
+        [int(set(indices_of(u)) <= set(indices_of(b))) for u in proper] for b in proper
+    ]
+    return tuple(proper), tuple(costs), tuple(map(tuple, rows))
 
 
 def _numerators(matrix) -> tuple[list[list[int]], int]:

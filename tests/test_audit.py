@@ -1,16 +1,22 @@
+import importlib
+import inspect
 import logging
 import math
+import pkgutil
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ipir
 from ipir.core import (
+    MessageStore,
     SystemConfig,
     WeightedSampler,
     conditional_from_joint,
@@ -45,17 +51,22 @@ from ipir.errors import (
     NegativeEntry,
     UnsupportedPair,
 )
+from ipir.intermittent import run_two_request
 from ipir.obfuscation import (
     ObfuscationPolicy,
     build_lp,
+    check_k,
+    expected_cost,
     greedy_policy,
     indices_of,
     mask_of,
+    policy_weights,
     solve_lp,
     subset_samplers,
     trivial_policy,
+    validate_policy,
 )
-from ipir import audit, pir
+from ipir import audit, intermittent, pir
 
 from oracles import (
     enumerate_mechanism,
@@ -434,27 +445,89 @@ def no_draw(*args):
     raise AssertionError("a random stream was forked")
 
 
+def law_and_policy_entry_points() -> set[str]:
+    """``module.name`` of every public function of the package with a
+    ``JointDistribution`` and an ``ObfuscationPolicy`` parameter."""
+    found = set()
+    for info in pkgutil.iter_modules(ipir.__path__):
+        module = importlib.import_module(f"ipir.{info.name}")
+        for name, fn in vars(module).items():
+            if (
+                inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and not name.startswith("_")
+                and {"JointDistribution", "ObfuscationPolicy"}
+                <= {p.annotation for p in inspect.signature(fn).parameters.values()}
+            ):
+                found.add(f"{info.name}.{name}")
+    return found
+
+
+def two_request(joint, policy, config):
+    """Three two-request trials against a store that fits the config."""
+    store = MessageStore(K=config.K, L=config.L, data=((0,) * config.L,) * config.K)
+    return run_two_request(joint, policy, config, store, trials=3)
+
+
 class TestKAgreement:
-    # a K=2 joint audited under a config or a policy of another K: the
-    # config K=3 audited "exact" and passed, K=1 at L=2 and a K=3 policy
-    # raised BlockMismatch at the scheme of the released subsets
+    # Every public entry point that takes a joint law and a policy refuses a
+    # policy, or a config, of another K before any draw. Unchecked, a K=2
+    # joint under a config of K=3 audited "exact" and passed, and ran
+    # two-request trials reporting cost_s 7/4 next to cost_x_expected 5/4;
+    # K=1 at L=2 and a K=3 policy raised BlockMismatch at the scheme of the
+    # released subsets; and the trivial K=3 policy passed all three
+    # validate_policy checks, at an expected cost of 7/4
     CASES = [
         (SystemConfig(N=2, K=3, L=8, seed=0), None),
         (SystemConfig(N=2, K=1, L=2, seed=0), None),
         (SystemConfig(N=2, K=2, L=4, seed=0), trivial_policy(3)),
     ]
+    # the entry points that also take a config, by test id
+    CONFIGURED = {
+        "audit_query_privacy": ("audit.audit_query_privacy", audit_query_privacy),
+        "audit_query_privacy-empirical": (
+            "audit.audit_query_privacy",
+            partial(audit_query_privacy, mode="empirical"),
+        ),
+        "run_two_request": ("intermittent.run_two_request", two_request),
+    }
+    # the entry points that take a law and a policy alone, called (policy, joint)
+    READERS = {
+        "obfuscation.check_k": lambda policy, joint: check_k(joint, policy),
+        "obfuscation.policy_weights": policy_weights,
+        "obfuscation.validate_policy": validate_policy,
+        "obfuscation.expected_cost": partial(expected_cost, n_servers=2),
+        "obfuscation.subset_samplers": subset_samplers,
+        "audit.audit_policy_independence": audit_policy_independence,
+    }
 
-    @pytest.mark.parametrize("run", [audit_query_privacy])
-    @pytest.mark.parametrize("config, policy", CASES, ids=["config3", "config1", "policy3"])
-    def test_audits_refuse_another_k(self, run, config, policy, pair_joint, pair_cond, monkeypatch):
-        policy = policy or greedy_policy(pair_cond)
-        monkeypatch.setattr(audit, "subset_samplers", no_draw)
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        for module in (audit, intermittent):
+            monkeypatch.setattr(module, "fork_rng", no_draw)
+            monkeypatch.setattr(module, "subset_samplers", no_draw)
         monkeypatch.setattr(pir, "pir_setup", no_draw)
+        monkeypatch.setattr(WeightedSampler, "draw", no_draw)
+
+    @pytest.mark.parametrize("run", CONFIGURED, ids=list(CONFIGURED))
+    @pytest.mark.parametrize("config, policy", CASES, ids=["config3", "config1", "policy3"])
+    def test_audits_refuse_another_k(self, run, config, policy, pair_joint, pair_cond, no_draws):
+        policy = policy or greedy_policy(pair_cond)
         with pytest.raises(
             InvalidParams,
             match=f"joint has K=2, the policy K={policy.K}, the config K={config.K}$",
         ):
-            run(pair_joint, policy, config)
+            self.CONFIGURED[run][1](pair_joint, policy, config)
+
+    @pytest.mark.parametrize("read", READERS, ids=list(READERS))
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_readers_refuse_a_policy_of_another_k(self, read, K, pair_joint, no_draws):
+        with pytest.raises(InvalidParams, match=f"joint has K=2, the policy K={K}$"):
+            self.READERS[read](trivial_policy(K), pair_joint)
+
+    def test_every_entry_point_is_covered(self):
+        covered = {name for name, _ in self.CONFIGURED.values()} | set(self.READERS)
+        assert law_and_policy_entry_points() == covered
 
 
 # (N, K, L) instances whose exact audits stay small; at (2, 2, 8) and

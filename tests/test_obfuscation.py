@@ -29,6 +29,8 @@ from ipir.errors import (
     UnsupportedPair,
 )
 from ipir.obfuscation import (
+    DEFAULT_LP_CAP,
+    LpInstance,
     ObfuscationPolicy,
     _route,
     build_lp,
@@ -48,6 +50,7 @@ from ipir.obfuscation import (
 from oracles import (
     assert_same_sampler,
     branching_size_weights,
+    covering_lp,
     equality_build_lp,
     equality_lp_marginal,
     fraction_build_lp,
@@ -351,6 +354,19 @@ class TestLpInstance:
         inst = build_lp(skew_joint, 2)
         assert (len(inst.variables), len(inst.rows)) == (6, 7)
 
+    @pytest.mark.parametrize("K", range(1, DEFAULT_LP_CAP + 1))
+    def test_variables_costs_and_rows_are_read_from_k_and_n(self, K):
+        # an instance holds the law and its rhs; the rest is the covering
+        # LP at (K, N), the same for every law
+        fields = [f.name for f in dataclasses.fields(LpInstance)]
+        assert fields == ["K", "n_servers", "joint", "rhs"]
+        rng = random.Random(f"covering-lp:{K}")
+        for n_servers in (2, 3):
+            inst = build_lp(sparse_joint(rng, K, zero_row=K > 1), n_servers)
+            assert (inst.variables, inst.costs, inst.rows) == covering_lp(K, n_servers)
+            with pytest.raises(AttributeError):
+                inst.rows = ()
+
     def test_single_message(self):
         inst = build_lp(validate_joint([[1]]), 3)
         policy = solve_lp(inst)
@@ -468,19 +484,6 @@ class TestFlowRouting:
         # all demand is on {0}, which message 1's supply cannot reach
         with pytest.raises(ConstructionFailed, match="row 0 cannot be routed"):
             _route(0, [1, 1], {0b01: 2})
-
-    def test_instance_that_is_not_the_covering_lp_is_refused(self):
-        # costs and rows other than the covering LP's at the instance's
-        # (K, N) do not fit its basis cache
-        joint = validate_joint([[F(1, 4)] * 2] * 2)
-        instance = dataclasses.replace(
-            build_lp(joint, 2),
-            costs=(F(-1), F(0)),
-            rows=((F(1), F(1)),),
-            rhs=(F(1),),
-        )
-        with pytest.raises(InvalidParams, match="other costs or rows"):
-            solve_lp(instance)
 
 
 def recorded_pivots(monkeypatch) -> list[int]:

@@ -24,6 +24,11 @@ from test_obfuscation import positive_joint, sparse_joint
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
 
 
+def cold_minimize(costs, rows, rhs):
+    """``minimize`` on a fresh cache of the LP: a cold solve."""
+    return minimize(BasisCache(costs, rows), rhs)
+
+
 # the two-phase oracle: min c.x s.t. A x = b, x >= 0
 
 
@@ -117,7 +122,7 @@ def test_slack_basis_needs_no_phase_one():
     # min -x - y  s.t.  x + y <= 4, x + 3y <= 6: from x = y = 0, x enters
     # (Dantzig, first of the tied -1s) for the first slack, and y's reduced
     # cost is then 0
-    sol = minimize([-1, -1], [[1, 1], [1, 3]], [4, 6])
+    sol = cold_minimize([-1, -1], [[1, 1], [1, 3]], [4, 6])
     assert sol.status == "optimal"
     assert objective([-1, -1], sol) == -4
     assert sol.x == [F(4), F(0)]
@@ -126,7 +131,7 @@ def test_slack_basis_needs_no_phase_one():
 
 def test_one_phase_unbounded():
     # min -x - y  s.t.  x - y <= 2: y, and then x with it, grows without limit
-    sol = minimize([-1, -1], [[1, -1]], [2])
+    sol = cold_minimize([-1, -1], [[1, -1]], [2])
     assert sol.status == "unbounded"
     assert sol.x is None
     assert sol.pivots == 1
@@ -142,23 +147,23 @@ BEALE = (
 def test_one_phase_degenerate_start_needs_bland(monkeypatch):
     # Beale's example: the zero rhs makes the slack basis degenerate, and
     # Dantzig's rule with smallest-index ties cycles through it
-    sol = minimize(*BEALE)
+    sol = cold_minimize(*BEALE)
     assert sol.status == "optimal"
     assert objective(BEALE[0], sol) == -F(1, 20)
     assert sol.x == [F(1, 25), F(0), F(1), F(0)]
     monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 200)
     with pytest.raises(IterationLimit):
-        minimize(*BEALE)
+        cold_minimize(*BEALE)
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(InvalidParams, match="rhs must be >= 0"):
-        minimize([1, 1], [[1, 0], [0, 1]], [1, -1])
+        cold_minimize([1, 1], [[1, 0], [0, 1]], [1, -1])
     # the offending entry is named as a rational whatever its type
     for rhs in ([1, F(-1, 2)], [1, -0.5], [F(1), F(-1, 2)]):
         with pytest.raises(InvalidParams, match="rhs must be >= 0, got -1/2$"):
-            minimize([1, 1], [[1, 0], [0, 1]], rhs)
+            cold_minimize([1, 1], [[1, 0], [0, 1]], rhs)
 
 
 @pytest.mark.parametrize(
@@ -173,7 +178,7 @@ def test_int_fraction_and_mixed_rhs_give_equal_solutions(rhs):
     # the rhs is read as it is: an int and the equal Fraction are one value
     costs = [-1, -2, F(-1, 2)]
     rows = [[1, 1, 0], [F(1, 2), 2, 1], [0, 1, 3]]
-    solutions = [minimize(costs, rows, b) for b in rhs]
+    solutions = [cold_minimize(costs, rows, b) for b in rhs]
     assert solutions[0].status == "optimal"
     assert solutions[1:] == solutions[:1] * 2
     assert solutions[0] == fraction_minimize(costs, rows, rhs[1])
@@ -181,7 +186,7 @@ def test_int_fraction_and_mixed_rhs_give_equal_solutions(rhs):
 
 def test_zero_variable_lp():
     # the covering LP at K=1: no proper subset, one row 0 <= 1
-    sol = minimize([], [[]], [1])
+    sol = cold_minimize([], [[]], [1])
     assert sol.status == "optimal"
     assert (objective([], sol), sol.x, sol.pivots) == (0, [], 0)
 
@@ -195,7 +200,7 @@ def test_one_phase_matches_float_solver_on_random_instances():
         rows = [[F(rng.randrange(-2, 4), rng.randrange(1, 3)) for _ in range(n)] for _ in range(m)]
         # about a third of the rhs entries are zero: degenerate starts
         rhs = [F(rng.choice((0, rng.randrange(1, 6)))) for _ in range(m)]
-        exact = minimize(costs, rows, rhs)
+        exact = cold_minimize(costs, rows, rhs)
         ref = scipy_linprog(
             [float(c) for c in costs],
             A_ub=[[float(v) for v in row] for row in rows],
@@ -246,12 +251,12 @@ def assert_matches_fraction_solver(costs, rows, rhs) -> tuple[str, int]:
     """Both integer runs (plain, and with every division checked) equal
     the oracle's solution; returns its status and the divisions checked."""
     expected = fraction_minimize(costs, rows, rhs)
-    solution = minimize(costs, rows, rhs)
+    solution = cold_minimize(costs, rows, rhs)
     assert solution == expected
     if solution.status == "optimal":
         assert all(type(v) is F for v in solution.x)
     with exact_divisions() as divisions:
-        assert minimize(costs, rows, rhs) == expected
+        assert cold_minimize(costs, rows, rhs) == expected
     return solution.status, len(divisions)
 
 
@@ -337,10 +342,10 @@ BEALE_OFFSET = (
 def test_stall_check_compares_objectives_across_denominators(monkeypatch):
     # the cycle only ends through the Bland fallback
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 200)
-    assert minimize(*BEALE_OFFSET) == fraction_minimize(*BEALE_OFFSET)
+    assert cold_minimize(*BEALE_OFFSET) == fraction_minimize(*BEALE_OFFSET)
     monkeypatch.setattr(simplex, "STALL_LIMIT", 10**9)
     with pytest.raises(IterationLimit):
-        minimize(*BEALE_OFFSET)
+        cold_minimize(*BEALE_OFFSET)
 
 
 @pytest.mark.parametrize("K, count", [(2, 40), (3, 30), (4, 10), (5, 3)])
@@ -365,15 +370,15 @@ def test_integer_tableau_matches_fraction_solver_on_covering_lps(K, count):
     ],
 )
 def test_budget_of_exactly_the_pivots_needed(instance, monkeypatch):
-    solution = minimize(*instance)
+    solution = cold_minimize(*instance)
     needed = solution.pivots
     assert needed > 0
     monkeypatch.setattr(simplex, "MAX_PIVOTS", needed)
-    assert minimize(*instance) == fraction_minimize(*instance, max_pivots=needed) == solution
+    assert cold_minimize(*instance) == fraction_minimize(*instance, max_pivots=needed) == solution
     monkeypatch.setattr(simplex, "MAX_PIVOTS", needed - 1)
     message = f"no optimum within {needed - 1} pivots"
     with pytest.raises(IterationLimit, match=message):
-        minimize(*instance)
+        cold_minimize(*instance)
     with pytest.raises(IterationLimit, match=message):
         fraction_minimize(*instance, max_pivots=needed - 1)
 
@@ -388,7 +393,7 @@ def test_two_phase_budget_of_exactly_the_pivots_needed():
 
 def test_a_solve_that_needs_no_pivot_fits_a_zero_budget(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
-    assert minimize([1], [[1]], [1]).pivots == 0
+    assert cold_minimize([1], [[1]], [1]).pivots == 0
 
 
 # warm starts: certified bases of one rhs answer another with no pivot, and
@@ -399,9 +404,9 @@ def assert_warm_matches_fraction_solver(costs, rows, warm, rhs) -> bool:
     """Warm a cache on ``warm``, then solve ``rhs`` with it: the result
     equals the oracle's but for the pivot count; returns whether it hit."""
     bases = BasisCache(costs, rows)
-    assert minimize(costs, rows, warm, bases=bases) == fraction_minimize(costs, rows, warm)
+    assert minimize(bases, warm) == fraction_minimize(costs, rows, warm)
     expected = fraction_minimize(costs, rows, rhs)
-    solution = minimize(costs, rows, rhs, bases=bases)
+    solution = minimize(bases, rhs)
     assert (solution.status, objective(costs, solution), solution.x) == (
         expected.status, objective(costs, expected), expected.x
     )
@@ -488,9 +493,9 @@ DUAL_DEGENERATE = ([0, -2, -2], [[0, 2, 1], [1, 2, 0]])
 
 def test_dual_degenerate_basis_is_not_cached():
     bases = BasisCache(*DUAL_DEGENERATE)
-    minimize(*DUAL_DEGENERATE, [0, 0], bases=bases)
+    minimize(bases, [0, 0])
     assert len(bases._bases) == 0  # x's reduced cost is 0: no certificate
-    solution = minimize(*DUAL_DEGENERATE, [4, 1], bases=bases)
+    solution = minimize(bases, [4, 1])
     assert solution == fraction_minimize(*DUAL_DEGENERATE, [4, 1])
     assert solution.x == [F(1), F(0), F(4)] and solution.pivots > 0
 
@@ -500,8 +505,8 @@ def test_cache_without_the_certificate_returns_another_vertex(monkeypatch):
     # the basis of b = (0, 0), an optimum but not the cold solve's
     monkeypatch.setattr(simplex, "_certified", lambda z: True)
     bases = BasisCache(*DUAL_DEGENERATE)
-    minimize(*DUAL_DEGENERATE, [0, 0], bases=bases)
-    solution = minimize(*DUAL_DEGENERATE, [4, 1], bases=bases)
+    minimize(bases, [0, 0])
+    solution = minimize(bases, [4, 1])
     expected = fraction_minimize(*DUAL_DEGENERATE, [4, 1])
     assert solution.pivots == 0
     assert objective(DUAL_DEGENERATE[0], solution) == objective(DUAL_DEGENERATE[0], expected)
@@ -520,11 +525,11 @@ def test_cache_is_tried_most_recent_hit_first_and_bounded(monkeypatch):
         return [set(basis) for basis, _, _ in bases._bases]
 
     for rhs in ([1, 1, 3], [1, 3, 2], [3, 1, 2]):
-        assert minimize(costs, rows, rhs, bases=bases).pivots > 0
+        assert minimize(bases, rhs).pivots > 0
     assert held() == [{0, 1, 2}, {1, 2, 3}]  # {x, y, s2} was dropped
-    assert minimize(costs, rows, [2, 3, 2], bases=bases).pivots == 0
+    assert minimize(bases, [2, 3, 2]).pivots == 0
     assert held() == [{1, 2, 3}, {0, 1, 2}]  # the hit moves to the front
-    assert minimize(costs, rows, [2, 2, 9], bases=bases).pivots > 0
+    assert minimize(bases, [2, 2, 9]).pivots > 0
     assert held() == [{0, 1, 4}, {1, 2, 3}]
 
 
@@ -540,7 +545,7 @@ def test_cache_holds_at_most_its_cap(monkeypatch):
     rng = random.Random(31)
     for _ in range(200):
         rhs = [rng.randrange(1, 20) for _ in range(6)]
-        solution = minimize(costs, rows, rhs, bases=bases)
+        solution = minimize(bases, rhs)
         expected = fraction_minimize(costs, rows, rhs)
         assert (objective(costs, solution), solution.x) == (
             objective(costs, expected), expected.x
@@ -557,7 +562,7 @@ def test_concurrent_solves_share_one_cache():
     rows = [[rng.randrange(0, 5) for _ in range(6)] for _ in range(6)]
     rng = random.Random(37)
     cases = [[rng.randrange(1, 20) for _ in range(6)] for _ in range(60)]
-    expected = [minimize(costs, rows, rhs) for rhs in cases]
+    expected = [cold_minimize(costs, rows, rhs) for rhs in cases]
     bases = BasisCache(costs, rows)
     wrong = []
 
@@ -565,7 +570,7 @@ def test_concurrent_solves_share_one_cache():
         try:
             for i in range(3 * len(cases)):
                 j = (offset + 7 * i) % len(cases)
-                solution = minimize(costs, rows, cases[j], bases=bases)
+                solution = minimize(bases, cases[j])
                 if solution.x != expected[j].x:
                     wrong.append(j)
         except Exception as exc:  # reported by the assert below
@@ -584,10 +589,3 @@ def test_concurrent_solves_share_one_cache():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == [] and len(bases._bases) <= simplex.BASIS_CAP
 
-
-def test_cache_for_other_costs_or_rows_is_rejected():
-    bases = BasisCache([-1, -1], [[1, 1], [1, 3]])
-    minimize([-1, -1], ((1, 1), (1, 3)), [4, 6], bases=bases)  # equal values
-    for costs, rows in (([-1, -2], [[1, 1], [1, 3]]), ([-1, -1], [[1, 1], [1, 2]])):
-        with pytest.raises(InvalidParams, match="basis cache was built for other"):
-            minimize(costs, rows, [4, 6], bases=bases)
